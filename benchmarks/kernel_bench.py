@@ -57,15 +57,18 @@ def bench_subset_scans(rows):
         for name, G in [("petersen (n=10)", petersen()),
                         ("random n=14 m=24", random_multigraph(14, 24, 9)),
                         ("random n=16 m=25", random_multigraph(16, 25, 11))]:
-            em = np.asarray(G.edge_masks(), np.int64)
+            if kernel == "density":
+                args = (*_kernels.distinct_masks(G.edge_masks()), G.vertex_count)
+            else:
+                args = (np.asarray(G.edge_masks(), np.int64), G.vertex_count)
             jit = None
             if _kernels.USING_NUMBA:
                 jit_fn = {"density": "_density_jit",
                           "min_odd_cut": "_min_odd_cut_jit"}[kernel]
                 fn = getattr(_kernels, jit_fn)
-                fn(em, G.vertex_count)                     # compile/cache
-                jit, r1 = time_call(fn, em, G.vertex_count)
-            py, r2 = time_call(impls["fallback"], em, G.vertex_count)
+                fn(*args)                                  # compile/cache
+                jit, r1 = time_call(fn, *args)
+            py, r2 = time_call(impls["fallback"], *args)
             if jit is not None:
                 assert tuple(np.atleast_1d(r1)) == tuple(np.atleast_1d(r2)) or \
                     int(np.atleast_1d(r1)[0]) == int(np.atleast_1d(r2)[0])

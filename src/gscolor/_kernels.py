@@ -137,10 +137,11 @@ def _feasible_py(eu, ev, n, k):
 # --------------------------------------------------------------------------
 # best odd subset: maximize 2*|E(U)| / (|U|-1) over odd |U| >= 3
 #
+# Edges come as distinct endpoint masks with their multiplicities as weights.
 # Returns (edge count, |U|, vertex bitmask) of the first maximizer in
 # ascending mask order; (0, 0, 0) when no odd subset contains an edge.
 
-def _density_loop(emasks, n):
+def _density_loop(emasks, weights, n):
     m = emasks.shape[0]
     best_c = np.int64(0)
     best_d = np.int64(1)
@@ -158,7 +159,7 @@ def _density_loop(emasks, n):
             c = np.int64(0)
             for j in range(m):
                 if (emasks[j] & mask) == emasks[j]:
-                    c += 1
+                    c += weights[j]
             d = np.int64(s - 1)
             if c * best_d > best_c * d:
                 best_c = c
@@ -169,15 +170,15 @@ def _density_loop(emasks, n):
     return best_c, best_s, best_mask
 
 
-def _density_numpy(emasks, n):
+def _density_numpy(emasks, weights, n):
     masks = np.arange(1, 1 << n, dtype=np.int64)
     pc = _popcounts(masks, n)
     odd = masks[(pc >= 3) & (pc % 2 == 1)]
     if odd.size == 0:
         return 0, 0, 0
     cnt = np.zeros(odd.size, dtype=np.int64)
-    for em in emasks:
-        cnt += (odd & em) == em
+    for em, w in zip(emasks, weights):
+        cnt += w * ((odd & em) == em)
     den = _popcounts(odd, n) - 1
     # ratios of small ints compare exactly in float64; argmax takes the
     # first maximizer, matching the ascending-mask loop above
@@ -258,16 +259,26 @@ def chromatic_feasible(eu, ev, n: int, k: int) -> bool:
 
 
 def density_scan(edge_masks, n: int):
-    """(edge count, |U|, mask) of the best odd subset; (0, 0, 0) if none."""
+    """(edge count, |U|, mask) of the best odd subset; (0, 0, 0) if none.
+
+    Parallel edges share a mask, so the scan runs once per distinct vertex
+    pair, weighted by its multiplicity.
+    """
     if n > 62:
         raise ValueError("vertex bitmasks limited to 62 vertices")
     if n < 3:
         return 0, 0, 0
-    em = np.asarray(edge_masks, np.int64)
+    em, weights = distinct_masks(edge_masks)
     if USING_NUMBA:
-        c, s, mask = _density_jit(em, n)
+        c, s, mask = _density_jit(em, weights, n)
         return int(c), int(s), int(mask)
-    return _density_numpy(em, n)
+    return _density_numpy(em, weights, n)
+
+
+def distinct_masks(edge_masks):
+    """(distinct edge masks ascending, multiplicity of each), as int64 arrays."""
+    em, weights = np.unique(np.asarray(edge_masks, np.int64), return_counts=True)
+    return em, weights.astype(np.int64)
 
 
 def min_odd_cut(edge_masks, n: int) -> int:

@@ -87,7 +87,7 @@ def cmd_verify(args) -> int:
     try:
         result = result_from_json(G, text)
     except (ValueError, KeyError) as exc:
-        print(f"result does not match graph: {exc}", file=sys.stderr)
+        print(f"invalid result: {exc}", file=sys.stderr)
         return 3
     if verify_result(G, result):
         return 0

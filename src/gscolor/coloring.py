@@ -17,12 +17,13 @@ from .graph import Multigraph
 class PartialColoring:
     """Proper partial assignment of colors 1..k to the edges of a multigraph.
 
-    Per-vertex color tables are maintained incrementally; with debug=True
-    they are re-derived from scratch and cross-checked after every mutation.
+    Per-vertex color tables, and a per-vertex bitmask with bit c set when
+    color c is present, are maintained incrementally; with debug=True they
+    are re-derived from scratch and cross-checked after every mutation.
     Values are cheaply clonable snapshots; one instance has a single writer.
     """
 
-    __slots__ = ("graph", "k", "_color", "_at", "debug")
+    __slots__ = ("graph", "k", "_color", "_at", "_mask", "debug")
 
     def __init__(self, graph: Multigraph, k: int, assignment=None, *, debug=False):
         if k < 0:
@@ -31,6 +32,7 @@ class PartialColoring:
         self.k = k
         self._color = {}
         self._at = [dict() for _ in range(graph.vertex_count)]
+        self._mask = [0] * graph.vertex_count
         self.debug = debug
         if assignment:
             for eid, c in assignment.items():
@@ -42,7 +44,9 @@ class PartialColoring:
         """Build without properness enforcement, for validating untrusted data.
 
         Violations stay representable so `validate` can report them; the
-        per-vertex tables keep the last edge seen per color.
+        per-vertex tables keep the last edge seen per color. Only colors in
+        1..k enter the bitmasks, so a huge or non-integer color from an
+        untrusted file never becomes a shift count.
         """
         pc = cls(graph, k)
         for eid, c in assignment.items():
@@ -51,6 +55,8 @@ class PartialColoring:
             pc._color[eid] = c
             for w in graph.endpoints(eid):
                 pc._at[w][c] = eid
+                if _in_range(c, k):
+                    pc._mask[w] |= 1 << c
         return pc
 
     def clone(self) -> "PartialColoring":
@@ -59,6 +65,7 @@ class PartialColoring:
         pc.k = self.k
         pc._color = dict(self._color)
         pc._at = [dict(d) for d in self._at]
+        pc._mask = list(self._mask)
         pc.debug = self.debug
         return pc
 
@@ -78,16 +85,19 @@ class PartialColoring:
     def present(self, v: int) -> frozenset:
         return frozenset(self._at[v])
 
+    def missing_mask(self, v: int) -> int:
+        """Bitmask of the colors in 1..k on no colored edge at v (bit c)."""
+        return ((1 << (self.k + 1)) - 2) & ~self._mask[v]
+
     def missing(self, v: int) -> frozenset:
         """Colors in 1..k that appear on no colored edge at v."""
-        at = self._at[v]
-        return frozenset(c for c in range(1, self.k + 1) if c not in at)
+        return frozenset(mask_colors(self.missing_mask(v)))
 
     def missing_union(self, vertices) -> frozenset:
-        out = set()
+        mask = 0
         for v in vertices:
-            out.update(self.missing(v))
-        return frozenset(out)
+            mask |= self.missing_mask(v)
+        return frozenset(mask_colors(mask))
 
     def edge_at(self, v: int, color: int):
         """The edge of that color at v, or None."""
@@ -105,11 +115,14 @@ class PartialColoring:
         if eid in self._color:
             raise ValueError(f"edge {eid} already colored")
         u, v = self.graph.endpoints(eid)
-        if color in self._at[u] or color in self._at[v]:
+        bit = 1 << color
+        if (self._mask[u] | self._mask[v]) & bit:
             raise ValueError(f"color {color} already present at an end of edge {eid}")
         self._color[eid] = color
         self._at[u][color] = eid
         self._at[v][color] = eid
+        self._mask[u] |= bit
+        self._mask[v] |= bit
         if self.debug:
             self._check_consistency()
 
@@ -118,18 +131,25 @@ class PartialColoring:
         u, v = self.graph.endpoints(eid)
         del self._at[u][color]
         del self._at[v][color]
+        if _in_range(color, self.k):
+            self._mask[u] &= ~(1 << color)
+            self._mask[v] &= ~(1 << color)
         if self.debug:
             self._check_consistency()
 
     def _check_consistency(self):
         rebuilt = [dict() for _ in range(self.graph.vertex_count)]
+        masks = [0] * self.graph.vertex_count
         for eid, c in self._color.items():
             for w in self.graph.endpoints(eid):
                 if c in rebuilt[w]:
                     raise AssertionError(f"improper: color {c} twice at vertex {w}")
                 rebuilt[w][c] = eid
+                masks[w] |= 1 << c
         if rebuilt != self._at:
             raise AssertionError("incremental color tables diverged from assignment")
+        if masks != self._mask:
+            raise AssertionError("incremental color masks diverged from assignment")
 
     def __eq__(self, other):
         if not isinstance(other, PartialColoring):
@@ -145,12 +165,25 @@ class PartialColoring:
         return f"PartialColoring(k={self.k}, colored={len(self._color)}/{self.graph.m})"
 
 
+def _in_range(c, k: int) -> bool:
+    """Is c an integer color in 1..k? (bool is not a color)"""
+    return type(c) is int and 1 <= c <= k
+
+
+def mask_colors(mask: int):
+    """The colors whose bits are set in mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def validate(G: Multigraph, pc: PartialColoring) -> list:
     """Violation descriptions; empty iff pc is proper with colors in 1..k."""
     out = []
     for eid in G.edge_ids:
         c = pc.color_of(eid)
-        if c is not None and not (1 <= c <= pc.k):
+        if c is not None and not _in_range(c, pc.k):
             out.append(f"edge {eid}: color {c} outside 1..{pc.k}")
     for v in range(G.vertex_count):
         seen = {}
@@ -193,30 +226,37 @@ def kempe_chain(pc: PartialColoring, v: int, alpha: int, beta: int) -> KempeChai
     for c in (alpha, beta):
         if not (1 <= c <= pc.k):
             raise ValueError(f"color {c} outside 1..{pc.k}")
-    first = [e for c in (alpha, beta) if (e := pc.edge_at(v, c)) is not None]
+    at = pc._at
+    ends = pc.graph._ends
+    first = [(e, c) for c in (alpha, beta) if (e := at[v].get(c)) is not None]
     if not first:
         return KempeChain(frozenset((alpha, beta)), "path", (), (v,), (v,))
 
-    def walk(start_edge):
+    def walk(start_edge, start_color):
+        # colors alternate along a chain of a proper coloring, so the wanted
+        # color flips at every step
         edges, verts = [start_edge], [v]
-        cur = pc.graph.other_end(start_edge, v)
+        a, b = ends[start_edge]
+        cur = b if a == v else a
+        want = beta if start_color == alpha else alpha
         while True:
             verts.append(cur)
             if cur == v:
                 return edges, verts, True
-            nxt_color = alpha if pc.color_of(edges[-1]) == beta else beta
-            nxt = pc.edge_at(cur, nxt_color)
+            nxt = at[cur].get(want)
             if nxt is None:
                 return edges, verts, False
             edges.append(nxt)
-            cur = pc.graph.other_end(nxt, cur)
+            a, b = ends[nxt]
+            cur = b if a == cur else a
+            want = beta if want == alpha else alpha
 
-    edges, verts, is_cycle = walk(first[0])
+    edges, verts, is_cycle = walk(*first[0])
     if is_cycle:
         verts = verts[:-1]
         return _canonical_cycle(pc, frozenset((alpha, beta)), edges, verts)
     if len(first) == 2:
-        edges2, verts2, _ = walk(first[1])
+        edges2, verts2, _ = walk(*first[1])
         edges = list(reversed(edges2)) + edges
         verts = list(reversed(verts2)) + verts[1:]
     return _canonical_path(frozenset((alpha, beta)), edges, verts)

@@ -4,9 +4,15 @@ Colors every edge using at most max(Delta+1, ceil(density)) colors: the lower
 bound max(Delta, ceil(density)) is attempted first so class-1-like instances
 come out optimal, and a proof of infeasibility (or budget exhaustion)
 escalates once to the guaranteed bound. Per edge the driver tries a shared
-missing color, then a two-colored chain swap between the ends' missing
-colors, then tree-growth recoloring; at or below a configurable edge count an
-exact backtracking fallback makes the contract unconditional.
+missing color, assigned in place, then a two-colored chain swap between the
+ends' missing colors, then tree-growth recoloring; at or below a configurable
+edge count an exact backtracking fallback makes the contract unconditional.
+
+The chain swap scans chains from one end x of the edge xy only. It runs after
+the shared-color test failed, so the ends' missing sets are disjoint: an
+(a, b)-chain from x that avoids y always succeeds (afterwards both ends miss
+b), and one that reaches y is the very chain a scan from y would find and
+skip, so scanning from y can never succeed.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import NamedTuple
 
 from . import _kernels
 from .coloring import (PartialColoring, is_elementary, is_strongly_closed,
-                       kempe_chain, kempe_swap, validate)
+                       kempe_chain, kempe_swap, mask_colors, validate)
 from .density import (DensityCertificate, bound_report, certificate_check,
                       enumerate_colorings)
 from .graph import Multigraph
@@ -75,8 +81,51 @@ class ColoringResult:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
+def _is_int(x) -> bool:
+    return type(x) is int
+
+
+def _is_pairs(x, first, second) -> bool:
+    return isinstance(x, list) and all(
+        isinstance(p, list) and len(p) == 2 and first(p[0]) and second(p[1])
+        for p in x)
+
+
+def _is_certificate(c) -> bool:
+    if not (isinstance(c, dict) and isinstance(c.get("value"), dict)):
+        return False
+    value = c["value"]
+    return (isinstance(c.get("u"), list) and all(_is_int(v) for v in c["u"])
+            and _is_int(value.get("num")) and _is_int(value.get("den"))
+            and value["den"] != 0 and _is_int(c.get("k")))
+
+
+def _check_schema(obj):
+    """Raise ValueError unless obj has the shape ColoringResult.to_json_obj gives."""
+    if not isinstance(obj, dict):
+        raise ValueError("malformed result: expected a JSON object")
+    checks = [
+        (_is_int(obj.get("v")) and obj["v"] == 1, '"v": 1'),
+        (_is_int(obj.get("k_used")), 'an integer "k_used"'),
+        (_is_int(obj.get("seed")), 'an integer "seed"'),
+        (_is_pairs(obj.get("assignment"), _is_int,
+                   lambda c: c is None or _is_int(c)),
+         '"assignment" as [edge id, integer color or null] pairs'),
+        (_is_pairs(obj.get("trace"), _is_int, lambda t: isinstance(t, str)),
+         '"trace" as [edge id, method] pairs'),
+        (isinstance(obj.get("certificates"), list)
+         and all(_is_certificate(c) for c in obj["certificates"]),
+         '"certificates" as {u, value: {num, den != 0}, k} objects of integers'),
+    ]
+    for ok, wanted in checks:
+        if not ok:
+            raise ValueError(f"malformed result: expected {wanted}")
+
+
 def result_from_json(G: Multigraph, text: str) -> ColoringResult:
+    """Load a result file; ValueError if it is malformed or not about G."""
     obj = json.loads(text)
+    _check_schema(obj)
     ids = [e for e, _ in obj["assignment"]]
     if sorted(ids) != sorted(G.edge_ids):
         raise ValueError("result does not describe this graph's edges")
@@ -102,32 +151,39 @@ class IncompleteColoringError(Exception):
 # -- per-edge extension -------------------------------------------------------
 
 
+def _lowest_color(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def _try_direct(pc: PartialColoring, eid: int):
+    """Assign the smallest color missing at both ends, in place; pc or None."""
     x, y = pc.graph.endpoints(eid)
-    common = pc.missing(x) & pc.missing(y)
+    common = pc.missing_mask(x) & pc.missing_mask(y)
     if not common:
         return None
-    out = pc.clone()
-    out.assign(eid, min(common))
-    return out
+    pc.assign(eid, _lowest_color(common))
+    return pc
 
 
 def _try_kempe(pc: PartialColoring, eid: int):
-    """Swap a chain between the ends' missing colors when it misses the far end."""
+    """Swap a chain from x between the ends' missing colors when it avoids y.
+
+    Only called after _try_direct failed, so the missing sets are disjoint:
+    every chain from x is nonempty, and the scan from y is never needed
+    (see the module docstring).
+    """
     x, y = pc.graph.endpoints(eid)
-    for start, far in ((x, y), (y, x)):
-        for a in sorted(pc.missing(start)):
-            for b in sorted(pc.missing(far)):
-                if a == b:
-                    continue
-                ch = kempe_chain(pc, start, a, b)
-                if not ch.edges or far in ch.vertices:
-                    continue
-                out = kempe_swap(pc, ch)
-                common = out.missing(x) & out.missing(y)
-                if common:
-                    out.assign(eid, min(common))
-                    return out
+    far_missing = pc.missing_mask(y)
+    for a in mask_colors(pc.missing_mask(x)):
+        for b in mask_colors(far_missing):
+            ch = kempe_chain(pc, x, a, b)
+            if y in ch.vertices:
+                continue
+            out = kempe_swap(pc, ch)
+            common = out.missing_mask(x) & out.missing_mask(y)
+            if common:
+                out.assign(eid, _lowest_color(common))
+                return out
     return None
 
 
@@ -150,10 +206,15 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *, depth: int = 1,
            cap: int = 400, fallback_threshold: int = 25) -> ExtendOutcome:
     """Color one edge or report why k colors resist.
 
-    Uncolored edges other than eid are invisible to the machinery, so this
-    works midway through a coloring run. Within the fallback threshold the
-    answer is exact: either the colored subgraph plus eid is recolored from
-    scratch, or its infeasibility at k is established.
+    The direct step (a color missing at both ends) mutates pc: it assigns
+    the edge in place and returns pc itself as the coloring. Every other
+    method leaves pc untouched and returns a new coloring. The chain swap
+    scans from one end only, because the direct step failing leaves the
+    ends' missing sets disjoint (see the module docstring). Uncolored edges
+    other than eid are invisible to the machinery, so this works midway
+    through a coloring run. Within the fallback threshold the answer is
+    exact: either the colored subgraph plus eid is recolored from scratch,
+    or its infeasibility at k is established.
     """
     if pc.color_of(eid) is not None:
         raise ValueError("edge already colored")
@@ -267,7 +328,7 @@ def color(G: Multigraph, *, seed: int = 0, depth: int = 1, cap: int = 400,
             keep_partial=True)
         if trace is not None:
             result = ColoringResult(pc, k, certificates, trace, seed)
-            if not verify_result(G, result):
+            if not (_valid_coloring(G, result) and _within_bounds(G, result, rep)):
                 raise AssertionError("engine produced a result that fails verification")
             return result
         for ev in evidences:
@@ -281,6 +342,11 @@ def color(G: Multigraph, *, seed: int = 0, depth: int = 1, cap: int = 400,
 
 def verify_result(G: Multigraph, result: ColoringResult) -> bool:
     """Re-validate properness, totality, the color bound, and all certificates."""
+    return _valid_coloring(G, result) and _within_bounds(G, result, bound_report(G))
+
+
+def _valid_coloring(G: Multigraph, result: ColoringResult) -> bool:
+    """A proper, total coloring of G with exactly k_used colors available."""
     pc = result.coloring
     if pc.graph is not G and pc.graph != G:
         return False
@@ -288,9 +354,11 @@ def verify_result(G: Multigraph, result: ColoringResult) -> bool:
         return False
     if validate(G, pc):
         return False
-    if pc.uncolored_edges:
-        return False
-    rep = bound_report(G)
+    return not pc.uncolored_edges
+
+
+def _within_bounds(G: Multigraph, result: ColoringResult, rep) -> bool:
+    """k_used within the guaranteed bound of rep, and every certificate sound."""
     if result.k_used > rep.gs_upper:
         return False
     for cert, k in result.certificates:

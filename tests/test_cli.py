@@ -142,6 +142,57 @@ def test_cmd_verify_wrong_graph(tmp_path, capsys):
     assert code == 3
 
 
+def _with(key, value):
+    return lambda obj: {**obj, key: value}
+
+
+def _first_color(value):
+    def edit(obj):
+        obj["assignment"][0][1] = value
+        return obj
+    return edit
+
+
+def _certificate(u, den):
+    return _with("certificates", [{"u": u, "value": {"num": 3, "den": den}, "k": 3}])
+
+
+# result-file edits that break the schema; each must give exit 3, not a traceback
+MALFORMED = {
+    "assignment_int": _with("assignment", 5),
+    "assignment_triples": _with("assignment", [[0, 1, 1]]),
+    "k_used_str": _with("k_used", "3"),
+    "color_str": _first_color("1"),
+    "color_float": _first_color(1.5),
+    "version_missing": lambda obj: {k: v for k, v in obj.items() if k != "v"},
+    "version_2": _with("v", 2),
+    "trace_dict": _with("trace", {"0": "direct"}),
+    "den_zero": _certificate([0, 1, 2], 0),
+    "cert_u_nested": _certificate([[0]], 1),
+    "top_level_list": lambda obj: [obj],
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_cmd_verify_malformed_result(tmp_path, capsys, edit):
+    gpath, rpath = _write_instance(tmp_path, petersen(), capsys)
+    rpath.write_text(json.dumps(edit(json.loads(rpath.read_text()))))
+    code, _, err = run_cli(capsys, "verify", str(gpath), str(rpath))
+    assert code == 3
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cmd_verify_out_of_range_colors_fail_verification(tmp_path, capsys):
+    # well-formed but wrong: a clean verification failure, not a load error
+    gpath, rpath = _write_instance(tmp_path, petersen(), capsys)
+    for bad in (0, 10 ** 30):
+        obj = json.loads(rpath.read_text())
+        obj["assignment"][0][1] = bad
+        rpath.write_text(json.dumps(obj))
+        code, _, err = run_cli(capsys, "verify", str(gpath), str(rpath))
+        assert (code, err) == (1, "verification failed\n")
+
+
 # -- bench ------------------------------------------------------------------------
 
 def test_cmd_bench_deterministic(capsys):

@@ -61,6 +61,67 @@ def test_missing_size_lower_bound(n, m, seed):
         assert len(pc.missing(v)) >= k - G.degree(v) >= 1
 
 
+def _expected_missing(pc, v):
+    return frozenset(c for c in range(1, pc.k + 1) if pc.edge_at(v, c) is None)
+
+
+@given(st.integers(2, 6), st.integers(1, 12), st.integers(0, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_missing_masks_track_mutations(n, m, extra, data):
+    """assign, unassign and kempe_swap keep the present-color masks exact
+    (debug mode re-derives them after every mutation), and clone shares no
+    mutable state with its source."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    G = Multigraph.build(n, random_multigraph_pairs(n, m, rng))
+    k = G.max_degree() + extra
+    pc = PartialColoring(G, k, debug=True)
+    for op in data.draw(st.lists(st.sampled_from(["assign", "unassign", "swap"]),
+                                 max_size=25)):
+        colored = sorted(e for e in G.edge_ids if pc.is_colored(e))
+        if op == "assign":
+            eid = data.draw(st.sampled_from(G.edge_ids))
+            u, v = G.endpoints(eid)
+            options = sorted(pc.missing(u) & pc.missing(v))
+            if not pc.is_colored(eid) and options:
+                pc.assign(eid, data.draw(st.sampled_from(options)))
+        elif op == "unassign" and colored:
+            pc.unassign(data.draw(st.sampled_from(colored)))
+        elif op == "swap" and k >= 2:
+            v = data.draw(st.integers(0, n - 1))
+            a, b = data.draw(st.lists(st.integers(1, k), min_size=2, max_size=2,
+                                      unique=True))
+            pc = kempe_swap(pc, kempe_chain(pc, v, a, b))
+        for w in range(n):
+            assert pc.missing(w) == _expected_missing(pc, w)
+            assert pc.missing_mask(w) == sum(1 << c for c in pc.missing(w))
+
+    before = pc.signature()
+    copy = pc.clone()
+    assert copy == pc
+    assert copy._color is not pc._color and copy._mask is not pc._mask
+    assert all(a is not b for a, b in zip(copy._at, pc._at))
+    for eid in sorted(e for e in G.edge_ids if copy.is_colored(e)):
+        copy.unassign(eid)
+    assert pc.signature() == before
+    for w in range(n):
+        assert pc.missing(w) == _expected_missing(pc, w)
+
+
+def test_unchecked_keeps_bad_colors_out_of_the_masks(triangle):
+    bad = {0: 10 ** 30, 1: "2", 2: 2.5}
+    pc = PartialColoring.unchecked(triangle, 3, bad)
+    # no bad color became a shift count: every mask fits in bits 1..k
+    assert all(mask.bit_length() <= 4 for mask in pc._mask)
+    assert pc.missing(0) == {1, 2, 3}
+    out = validate(triangle, pc)
+    for eid, c in bad.items():
+        assert f"edge {eid}: color {c} outside 1..3" in out
+    huge_k = PartialColoring.unchecked(triangle, 10 ** 30, {0: 1, 1: 0, 2: True})
+    assert [v for v in validate(triangle, huge_k) if "outside" in v] == \
+        [f"edge 1: color 0 outside 1..{10 ** 30}",
+         f"edge 2: color True outside 1..{10 ** 30}"]
+
+
 def test_kempe_chain_triangle(triangle):
     pc = colored_triangle(triangle)
     ch = kempe_chain(pc, 0, 1, 2)

@@ -1,13 +1,17 @@
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gscolor import (Multigraph, PartialColoring, bound_report,
                      certificate_check, chromatic_index_exact, color,
                      color_at_k, extend, verify_result)
 from gscolor.engine import ColoringResult, IncompleteColoringError, result_from_json
-from gscolor.coloring import validate
-from gscolor.generators import petersen, ring, shannon_triangle
+from gscolor.coloring import coloring_to_json, validate
+from gscolor.generators import (petersen, random_multigraph, ring,
+                               shannon_triangle)
 from oracles import random_multigraph_pairs
 
 
@@ -137,6 +141,37 @@ def test_result_json_rejects_wrong_graph():
         result_from_json(petersen(), res.to_json())
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10 ** 30) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+
+
+@given(st.sampled_from(["v", "k_used", "seed", "assignment", "trace",
+                        "certificates", "assignment.0", "assignment.0.1",
+                        "certificates.0", "certificates.0.value.den"]),
+       JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_result_from_json_rejects_or_verifies_any_edit(path, value):
+    """Any value at any place in a result file either loads (and then
+    verifies to a plain bool) or raises ValueError; nothing else escapes."""
+    G = ring(5, 2)
+    obj = color(G).to_json_obj()
+    obj["certificates"] = [{"u": [0, 1, 2], "value": {"num": 4, "den": 2}, "k": 3}]
+    *parents, last = path.split(".")
+    target = obj
+    for key in parents:
+        target = target[int(key)] if isinstance(target, list) else target[key]
+    target[int(last) if isinstance(target, list) else last] = value
+    try:
+        res = result_from_json(G, json.dumps(obj))
+    except ValueError:
+        return
+    assert verify_result(G, res) in (True, False)
+
+
 def test_engine_random_instances_within_bounds():
     rng = random.Random(99)
     for _ in range(30):
@@ -167,3 +202,39 @@ def test_incomplete_carries_partial_coloring():
     res = color(G)
     assert res.k_used == 5
     assert "fallback" in res.trace.values()
+
+
+def _doubled(G):
+    return Multigraph.build(G.vertex_count,
+                            [G.endpoints(e) for e in G.edge_ids for _ in range(2)])
+
+
+# sha256 of color(G).to_json(), or of the partial coloring an incomplete run
+# carries, pinned so that speed-ups of the extension loop cannot change a
+# single output byte.
+GOLDEN = [
+    (lambda: random_multigraph(16, 400, 1),
+     "caa2b8ea1c5cc14ffbe49c40c2d11e00cdf91c2d2f4adb4586ad0ddd97dd721f"),
+    (lambda: random_multigraph(16, 800, 2),
+     "56d98360a6ed23a6101aec475f9636f81c164ca3d71ac28a4cb2a949ca12ce47"),
+    (lambda: random_multigraph(16, 1200, 3),
+     "61f8b78fb1e345bb4aeadbdc1e7b66583d7384ca763e1a0aa8afbb8ce70bc197"),
+    (lambda: random_multigraph(16, 1600, 4),
+     "aa481fcab788b717ff99b7f0b8f9157b5409ada8cd03610a1c4ad4fddffbb96d"),
+    (lambda: ring(9, 2),
+     "ab40bfcde3173d563f84023613782ac89829e2565d831238a791bcb0980e2aae"),
+    (lambda: _doubled(petersen()),
+     "737458a12a4bf53e666a36e150e3d266154476502cf9814122fb7ce2205fcf7b"),
+]
+
+
+@pytest.mark.parametrize("make, digest", GOLDEN,
+                         ids=["rand400", "rand800", "rand1200", "rand1600",
+                              "ring9x2", "petersen_x2"])
+def test_color_output_is_pinned(make, digest):
+    G = make()
+    try:
+        text = color(G).to_json()
+    except IncompleteColoringError as exc:
+        text = coloring_to_json(exc.partial)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,11 +1,12 @@
 """The JIT loop kernels and their fallbacks must agree exactly."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 
 from gscolor import Multigraph, _kernels
-from oracles import random_multigraph_pairs
+from oracles import brute_density, random_multigraph_pairs
 
 
 def _instances(count, seed):
@@ -28,13 +29,44 @@ def test_feasible_paths_agree():
             assert bool(loop) == bool(fallback)
 
 
-def test_density_paths_agree():
+def _heavy_instances(count, seed):
+    """A few vertex pairs, each joined by 10 to 14 parallel edges."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 8)
+        pairs = []
+        for _ in range(rng.randint(2, 6)):
+            pair = tuple(rng.sample(range(n), 2))
+            pairs += [pair] * rng.randint(10, 14)
+        rng.shuffle(pairs)
+        yield Multigraph.build(n, pairs)
+
+
+def _density_both_paths(G):
     impls = _kernels.IMPLEMENTATIONS["density"]
+    em, weights = _kernels.distinct_masks(G.edge_masks())
+    loop = tuple(int(x) for x in impls["loop"](em, weights, G.vertex_count))
+    fallback = tuple(int(x) for x in impls["fallback"](em, weights, G.vertex_count))
+    return loop, fallback
+
+
+def test_density_paths_agree():
     for G in _instances(25, 12):
-        em = np.asarray(G.edge_masks(), np.int64)
-        loop = tuple(int(x) for x in impls["loop"](em, G.vertex_count))
-        fallback = tuple(int(x) for x in impls["fallback"](em, G.vertex_count))
+        loop, fallback = _density_both_paths(G)
         assert loop == fallback
+
+
+def test_density_paths_agree_under_heavy_multiplicity():
+    for G in _heavy_instances(15, 14):
+        assert G.max_multiplicity() >= 10
+        loop, fallback = _density_both_paths(G)
+        assert loop == fallback
+        cnt, size, mask = loop
+        value, _ = brute_density(G)
+        members = {v for v in range(G.vertex_count) if mask >> v & 1}
+        assert len(members) == size
+        assert G.induced_edge_count(members) == cnt
+        assert Fraction(2 * cnt, size - 1) == value
 
 
 def test_min_odd_cut_paths_agree():
