@@ -51,12 +51,21 @@ def bench_feasible(rows):
         rows.append(("feasible", name, jit, py))
 
 
+SMALL_CASES = [("petersen (n=10)", petersen()),
+               ("random n=14 m=24", random_multigraph(14, 24, 9)),
+               ("random n=16 m=25", random_multigraph(16, 25, 11))]
+
+# the sizes of colorbench's dense_multi instances, where the scan runs twice
+# per color-and-verify
+DENSE_CASES = [(f"random n={n} m={m}", random_multigraph(n, m, n))
+               for n, m in ((12, 600), (14, 1000), (16, 1600))]
+
+
 def bench_subset_scans(rows):
     for kernel in ("density", "min_odd_cut"):
         impls = _kernels.IMPLEMENTATIONS[kernel]
-        for name, G in [("petersen (n=10)", petersen()),
-                        ("random n=14 m=24", random_multigraph(14, 24, 9)),
-                        ("random n=16 m=25", random_multigraph(16, 25, 11))]:
+        cases = SMALL_CASES + (DENSE_CASES if kernel == "density" else [])
+        for name, G in cases:
             if kernel == "density":
                 args = (*_kernels.distinct_masks(G.edge_masks()), G.vertex_count)
             else:

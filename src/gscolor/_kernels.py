@@ -7,8 +7,17 @@ GSCOLOR_NO_NUMBA=1 (or numba failing to import) selects the fallback, which
 is vectorized numpy for the two subset scans and plain-python bitmasks for
 the backtracking search (backtracking does not vectorize).
 benchmarks/kernel_bench.py times the two paths against each other.
+
+The numpy density scan splits the vertices into a low half L (the n // 2
+lowest) and a high half H, and writes each subset as U = A | B with A in L
+and B in H. Then |E(U)| = E_L[A] + E_H[B] + X[A, B], where E_L and E_H count
+the (weighted) edges inside each half and X = S_L W_LH S_H^T counts the edges
+between them: S_L and S_H are the 0/1 subset-membership matrices of the
+halves and W_LH holds the multiplicity of each pair across. The matrices
+have 2^(n/2) rows, not 2^n, and are cached per n.
 """
 
+import functools
 import os
 
 import numpy as np
@@ -171,22 +180,48 @@ def _density_loop(emasks, weights, n):
 
 
 def _density_numpy(emasks, weights, n):
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    pc = _popcounts(masks, n)
-    odd = masks[(pc >= 3) & (pc % 2 == 1)]
+    # the half-split identity of the module docstring, in exact int64
+    lo = n // 2
+    s_lo, s_hi, odd, den = _half_split_tables(n)
     if odd.size == 0:
         return 0, 0, 0
-    cnt = np.zeros(odd.size, dtype=np.int64)
-    for em, w in zip(emasks, weights):
-        cnt += w * ((odd & em) == em)
-    den = _popcounts(odd, n) - 1
+    bits = (emasks[:, None] >> np.arange(n, dtype=np.int64)) & 1
+    # pair_w[i, j], i < j: the weight of the vertex pair {i, j}
+    pair_w = np.triu((bits * weights[:, None]).T @ bits, 1)
+    e_lo = ((s_lo @ pair_w[:lo, :lo]) * s_lo).sum(axis=1)
+    e_hi = ((s_hi @ pair_w[lo:, lo:]) * s_hi).sum(axis=1)
+    cross = (s_hi @ pair_w[:lo, lo:].T) @ s_lo.T
+    # row B, column A: the flat index B << lo | A is the subset mask
+    cnt = (cross + e_hi[:, None] + e_lo[None, :]).ravel()[odd]
     # ratios of small ints compare exactly in float64; argmax takes the
     # first maximizer, matching the ascending-mask loop above
-    vals = cnt / den
-    i = int(np.argmax(vals))
+    i = int(np.argmax(cnt / den))
     if cnt[i] == 0:
         return 0, 0, 0
     return int(cnt[i]), int(den[i] + 1), int(odd[i])
+
+
+@functools.lru_cache(maxsize=None)
+def _half_split_tables(n):
+    """Subset-membership matrices of both halves, odd subset masks, |U|-1.
+
+    Built at the first scan of each n and shared read-only afterwards.
+    """
+    lo = n // 2
+    s_lo = _membership(lo)
+    s_hi = _membership(n - lo)
+    size = (s_hi.sum(axis=1)[:, None] + s_lo.sum(axis=1)[None, :]).ravel()
+    odd = np.flatnonzero((size >= 3) & (size % 2 == 1))
+    den = size[odd] - 1
+    for table in (s_lo, s_hi, odd, den):
+        table.flags.writeable = False
+    return s_lo, s_hi, odd, den
+
+
+def _membership(bits):
+    """The 2^bits x bits 0/1 matrix whose row a holds the bits of a."""
+    return (np.arange(1 << bits, dtype=np.int64)[:, None]
+            >> np.arange(bits, dtype=np.int64)) & 1
 
 
 def _popcounts(masks, n):

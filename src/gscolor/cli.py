@@ -26,13 +26,17 @@ def _env_seed() -> int:
         return 0
 
 
+def _read_file(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def _load_graph(args) -> Multigraph:
     if args.gen:
         return generators.from_spec(args.gen)
     if not args.path:
         raise SystemExit("either a graph path or --gen is required")
-    with open(args.path) as fh:
-        return parse_multigraph(fh.read())
+    return parse_multigraph(_read_file(args.path))
 
 
 def _emit(text: str, args):
@@ -43,11 +47,25 @@ def _emit(text: str, args):
         sys.stdout.write(text)
 
 
-def cmd_color(args) -> int:
+def _read_graph(load):
+    """load(), or None after one stderr line when the graph is unusable."""
     try:
-        G = _load_graph(args)
+        return load()
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read graph: {exc}", file=sys.stderr)
+    return None
+
+
+def _too_large(exc: ScaleExceededError) -> int:
+    print(f"graph too large: {exc}", file=sys.stderr)
+    return 1
+
+
+def cmd_color(args) -> int:
+    G = _read_graph(lambda: _load_graph(args))
+    if G is None:
         return 1
     try:
         result = color(G, seed=args.seed, depth=args.budget,
@@ -55,6 +73,8 @@ def cmd_color(args) -> int:
     except IncompleteColoringError as exc:
         print(f"incomplete (budget): {exc}", file=sys.stderr)
         return 2
+    except ScaleExceededError as exc:
+        return _too_large(exc)
     obj = result.to_json_obj()
     text = json.dumps(obj, separators=(",", ":")) if args.json \
         else json.dumps(obj, indent=2)
@@ -63,12 +83,13 @@ def cmd_color(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        G = _load_graph(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    G = _read_graph(lambda: _load_graph(args))
+    if G is None:
         return 1
-    obj = bound_report(G).to_json_obj()
+    try:
+        obj = bound_report(G).to_json_obj()
+    except ScaleExceededError as exc:
+        return _too_large(exc)
     text = json.dumps(obj, separators=(",", ":")) if args.json \
         else json.dumps(obj, indent=2)
     _emit(text + "\n", args)
@@ -76,20 +97,24 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.graph) as fh:
-            G = parse_multigraph(fh.read())
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    G = _read_graph(lambda: parse_multigraph(_read_file(args.graph)))
+    if G is None:
         return 1
-    with open(args.result) as fh:
-        text = fh.read()
+    try:
+        text = _read_file(args.result)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read result: {exc}", file=sys.stderr)
+        return 3
     try:
         result = result_from_json(G, text)
     except (ValueError, KeyError) as exc:
         print(f"invalid result: {exc}", file=sys.stderr)
         return 3
-    if verify_result(G, result):
+    try:
+        ok = verify_result(G, result)
+    except ScaleExceededError as exc:
+        return _too_large(exc)
+    if ok:
         return 0
     print("verification failed", file=sys.stderr)
     return 1

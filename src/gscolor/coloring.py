@@ -219,6 +219,37 @@ class KempeChain:
         return len(self.edges)
 
 
+def alternating_path(pc: PartialColoring, v: int, first: int, second: int) -> tuple:
+    """(edges, end) of the walk leaving v on color `first`, then alternating.
+
+    The walk stops at a vertex where the next color is absent, or on coming
+    back to v, which closes a cycle (end is then v). With no `first`-colored
+    edge at v it is ([], v).
+    """
+    at = pc._at
+    ends = pc.graph._ends
+    edges = []
+    cur = v
+    e = at[v].get(first)
+    while e is not None:
+        edges.append(e)
+        a, b = ends[e]
+        cur = b if a == cur else a
+        if cur == v:
+            break
+        first, second = second, first
+        e = at[cur].get(first)
+    return edges, cur
+
+
+def _path_vertices(graph: Multigraph, v: int, edges) -> list:
+    """The vertices of the walk from v along `edges`, v included."""
+    verts = [v]
+    for e in edges:
+        verts.append(graph.other_end(e, verts[-1]))
+    return verts
+
+
 def kempe_chain(pc: PartialColoring, v: int, alpha: int, beta: int) -> KempeChain:
     """The maximal (alpha, beta)-chain through v."""
     if alpha == beta:
@@ -226,40 +257,21 @@ def kempe_chain(pc: PartialColoring, v: int, alpha: int, beta: int) -> KempeChai
     for c in (alpha, beta):
         if not (1 <= c <= pc.k):
             raise ValueError(f"color {c} outside 1..{pc.k}")
-    at = pc._at
-    ends = pc.graph._ends
-    first = [(e, c) for c in (alpha, beta) if (e := at[v].get(c)) is not None]
-    if not first:
-        return KempeChain(frozenset((alpha, beta)), "path", (), (v,), (v,))
-
-    def walk(start_edge, start_color):
-        # colors alternate along a chain of a proper coloring, so the wanted
-        # color flips at every step
-        edges, verts = [start_edge], [v]
-        a, b = ends[start_edge]
-        cur = b if a == v else a
-        want = beta if start_color == alpha else alpha
-        while True:
-            verts.append(cur)
-            if cur == v:
-                return edges, verts, True
-            nxt = at[cur].get(want)
-            if nxt is None:
-                return edges, verts, False
-            edges.append(nxt)
-            a, b = ends[nxt]
-            cur = b if a == cur else a
-            want = beta if want == alpha else alpha
-
-    edges, verts, is_cycle = walk(*first[0])
-    if is_cycle:
-        verts = verts[:-1]
-        return _canonical_cycle(pc, frozenset((alpha, beta)), edges, verts)
-    if len(first) == 2:
-        edges2, verts2, _ = walk(*first[1])
-        edges = list(reversed(edges2)) + edges
-        verts = list(reversed(verts2)) + verts[1:]
-    return _canonical_path(frozenset((alpha, beta)), edges, verts)
+    colors = frozenset((alpha, beta))
+    starts = [c for c in (alpha, beta) if c in pc._at[v]]
+    if not starts:
+        return KempeChain(colors, "path", (), (v,), (v,))
+    other = {alpha: beta, beta: alpha}
+    edges, end = alternating_path(pc, v, starts[0], other[starts[0]])
+    verts = _path_vertices(pc.graph, v, edges)
+    if end == v:
+        return _canonical_cycle(pc, colors, edges, verts[:-1])
+    if len(starts) == 2:
+        edges2, _ = alternating_path(pc, v, starts[1], other[starts[1]])
+        verts2 = _path_vertices(pc.graph, v, edges2)
+        edges = edges2[::-1] + edges
+        verts = verts2[::-1] + verts[1:]
+    return _canonical_path(colors, edges, verts)
 
 
 def _canonical_path(colors, edges, verts):

@@ -4,9 +4,11 @@ Colors every edge using at most max(Delta+1, ceil(density)) colors: the lower
 bound max(Delta, ceil(density)) is attempted first so class-1-like instances
 come out optimal, and a proof of infeasibility (or budget exhaustion)
 escalates once to the guaranteed bound. Per edge the driver tries a shared
-missing color, assigned in place, then a two-colored chain swap between the
-ends' missing colors, then tree-growth recoloring; at or below a configurable
-edge count an exact backtracking fallback makes the contract unconditional.
+missing color, then a two-colored chain swap between the ends' missing
+colors, then tree-growth recoloring; at or below a configurable edge count an
+exact backtracking fallback makes the contract unconditional. The direct and
+chain-swap steps mutate the coloring they are given and return it; tree
+steps and the fallback return new colorings.
 
 The chain swap scans chains from one end x of the edge xy only. It runs after
 the shared-color test failed, so the ends' missing sets are disjoint: an
@@ -23,8 +25,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import _kernels
-from .coloring import (PartialColoring, is_elementary, is_strongly_closed,
-                       kempe_chain, kempe_swap, mask_colors, validate)
+from .coloring import (PartialColoring, alternating_path, is_elementary,
+                       is_strongly_closed, mask_colors, validate)
 from .density import (DensityCertificate, bound_report, certificate_check,
                       enumerate_colorings)
 from .graph import Multigraph
@@ -169,21 +171,25 @@ def _try_kempe(pc: PartialColoring, eid: int):
     """Swap a chain from x between the ends' missing colors when it avoids y.
 
     Only called after _try_direct failed, so the missing sets are disjoint:
-    every chain from x is nonempty, and the scan from y is never needed
-    (see the module docstring).
+    x has an edge of every color b missing at y, and y misses b, so y can
+    only be the far end of the (a, b)-chain that leaves x on b. A chain
+    ending elsewhere is flipped in place; then b is the one color missing at
+    both ends, and eid takes it. A scan that finds no such chain only reads
+    pc. The scan from y is never needed (see the module docstring).
     """
     x, y = pc.graph.endpoints(eid)
     far_missing = pc.missing_mask(y)
     for a in mask_colors(pc.missing_mask(x)):
         for b in mask_colors(far_missing):
-            ch = kempe_chain(pc, x, a, b)
-            if y in ch.vertices:
+            edges, end = alternating_path(pc, x, b, a)
+            if end == y:
                 continue
-            out = kempe_swap(pc, ch)
-            common = out.missing_mask(x) & out.missing_mask(y)
-            if common:
-                out.assign(eid, _lowest_color(common))
-                return out
+            for e in edges:
+                pc.unassign(e)
+            for i, e in enumerate(edges):
+                pc.assign(e, b if i % 2 else a)
+            pc.assign(eid, b)
+            return pc
     return None
 
 
@@ -206,15 +212,17 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *, depth: int = 1,
            cap: int = 400, fallback_threshold: int = 25) -> ExtendOutcome:
     """Color one edge or report why k colors resist.
 
-    The direct step (a color missing at both ends) mutates pc: it assigns
-    the edge in place and returns pc itself as the coloring. Every other
-    method leaves pc untouched and returns a new coloring. The chain swap
-    scans from one end only, because the direct step failing leaves the
-    ends' missing sets disjoint (see the module docstring). Uncolored edges
-    other than eid are invisible to the machinery, so this works midway
-    through a coloring run. Within the fallback threshold the answer is
-    exact: either the colored subgraph plus eid is recolored from scratch,
-    or its infeasibility at k is established.
+    The direct step (a color missing at both ends) and the chain swap mutate
+    pc: they color the edge in place and return pc itself as the coloring;
+    when they fail they leave pc untouched. Tree steps and the fallback
+    return new colorings. One exception: a tree step that grew the tree
+    without recoloring keeps pc, so a direct or chain-swap retry after it
+    colors pc in place too. The chain swap scans from one end only, because
+    the direct step failing leaves the ends' missing sets disjoint (see the
+    module docstring). Uncolored edges other than eid are invisible to the
+    machinery, so this works midway through a coloring run. Within the
+    fallback threshold the answer is exact: either the colored subgraph plus
+    eid is recolored from scratch, or its infeasibility at k is established.
     """
     if pc.color_of(eid) is not None:
         raise ValueError("edge already colored")

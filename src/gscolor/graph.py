@@ -207,6 +207,11 @@ def is_r_graph(G: Multigraph, r: int, *, vertex_cap: int = 16) -> bool:
 #   p multigraph <n> <m>
 #   e <u> <v>          (m lines)
 
+# Largest vertex count a header may declare: the graph allocates per-vertex
+# tables from it before any edge is read.
+MAX_PARSE_VERTICES = 1 << 20
+
+
 def parse_multigraph(text: str) -> Multigraph:
     """Parse the text edge-list format; raises ParseError with a line number."""
     header = None
@@ -227,6 +232,9 @@ def parse_multigraph(text: str) -> Multigraph:
                 raise ParseError(lineno, f"bad header counts: {line!r}") from None
             if header[0] < 0 or header[1] < 0:
                 raise ParseError(lineno, "negative count in header")
+            if header[0] > MAX_PARSE_VERTICES:
+                raise ParseError(lineno, f"vertex count {header[0]} above the "
+                                         f"limit of {MAX_PARSE_VERTICES}")
         elif fields[0] == "e":
             if header is None:
                 raise ParseError(lineno, "edge line before header")

@@ -9,21 +9,29 @@ the reference values the package's answers are frozen against.
 from fractions import Fraction
 from itertools import combinations
 
-from gscolor.coloring import PartialColoring
+from gscolor.coloring import KempeChain, PartialColoring
 
 
 def brute_density(G):
     """(value, argmax set) by itertools enumeration over odd subsets."""
+    best, sets = brute_density_maximizers(G)
+    return best, (sets[0] if sets else frozenset())
+
+
+def brute_density_maximizers(G):
+    """(value, every odd set attaining it, in enumeration order); no sets
+    when the value is 0."""
     best = Fraction(0)
-    best_u = frozenset()
+    sets = []
     for size in range(3, G.vertex_count + 1, 2):
         for combo in combinations(range(G.vertex_count), size):
             u = frozenset(combo)
             val = Fraction(2 * G.induced_edge_count(u), size - 1)
             if val > best:
-                best = val
-                best_u = u
-    return best, best_u
+                best, sets = val, [u]
+            elif val == best and val > 0:
+                sets.append(u)
+    return best, sets
 
 
 def brute_min_odd_cut(G):
@@ -129,3 +137,48 @@ def random_multigraph_pairs(n, m, rng, mu_max=None):
         counts[p] = counts.get(p, 0) + 1
         pairs.append(p)
     return pairs
+
+
+def reference_kempe_chain(pc, v, alpha, beta):
+    """The maximal (alpha, beta)-chain through v, by the walker the package
+    used before its single alternating-path walker: both directions walked
+    with their vertex lists, then put in canonical orientation."""
+    colors = frozenset((alpha, beta))
+    first = [(e, c) for c in (alpha, beta) if (e := pc.edge_at(v, c)) is not None]
+    if not first:
+        return KempeChain(colors, "path", (), (v,), (v,))
+
+    def walk(start_edge, start_color):
+        edges, verts = [start_edge], [v]
+        cur = pc.graph.other_end(start_edge, v)
+        want = beta if start_color == alpha else alpha
+        while True:
+            verts.append(cur)
+            if cur == v:
+                return edges, verts, True
+            nxt = pc.edge_at(cur, want)
+            if nxt is None:
+                return edges, verts, False
+            edges.append(nxt)
+            cur = pc.graph.other_end(nxt, cur)
+            want = beta if want == alpha else alpha
+
+    edges, verts, is_cycle = walk(*first[0])
+    if is_cycle:
+        verts = verts[:-1]
+        i = verts.index(min(verts))
+        verts = verts[i:] + verts[:i]
+        edges = edges[i:] + edges[:i]
+        back = pc.edge_at(verts[0], next(iter(colors - {pc.color_of(edges[0])})))
+        if back is not None and back < edges[0]:
+            verts = [verts[0]] + verts[1:][::-1]
+            edges = edges[::-1]
+        return KempeChain(colors, "cycle", tuple(edges), tuple(verts), ())
+    if len(first) == 2:
+        edges2, verts2, _ = walk(*first[1])
+        edges = edges2[::-1] + edges
+        verts = verts2[::-1] + verts[1:]
+    if verts[0] > verts[-1]:
+        edges, verts = edges[::-1], verts[::-1]
+    return KempeChain(colors, "path", tuple(edges), tuple(verts),
+                      (verts[0], verts[-1]))

@@ -251,6 +251,41 @@ def test_cmd_color_incomplete_exit_code(tmp_path, capsys):
     assert "incomplete" in err
 
 
+def _ring17_files(tmp_path):
+    """ring(17), one vertex above the density cap, with a proper 3-coloring."""
+    G = ring(17)
+    gpath = tmp_path / "ring17.mg"
+    gpath.write_text(format_multigraph(G))
+    colors = [1 + i % 2 for i in range(16)] + [3]
+    rpath = tmp_path / "ring17.json"
+    rpath.write_text(json.dumps({
+        "v": 1, "k_used": 3, "seed": 0, "certificates": [],
+        "assignment": [[e, c] for e, c in zip(G.edge_ids, colors)],
+        "trace": [[e, "direct"] for e in G.edge_ids]}))
+    return str(gpath), str(rpath)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["color", "--gen", "ring", "17"], 1, "graph too large"),
+    (["report", "--gen", "ring", "17"], 1, "graph too large"),
+    (["verify", "{graph}", "{result}"], 1, "graph too large"),
+    (["color", "{missing}"], 1, "cannot read graph"),
+    (["report", "{missing}"], 1, "cannot read graph"),
+    (["verify", "{missing}", "{result}"], 1, "cannot read graph"),
+    (["verify", "{graph}", "{missing}"], 3, "cannot read result"),
+], ids=["color-too-large", "report-too-large", "verify-too-large",
+        "color-missing-graph", "report-missing-graph", "verify-missing-graph",
+        "verify-missing-result"])
+def test_unusable_inputs_exit_with_one_line(tmp_path, capsys, argv, code, message):
+    graph, result = _ring17_files(tmp_path)
+    paths = {"graph": graph, "result": result,
+             "missing": str(tmp_path / "missing.mg")}
+    got, out, err = run_cli(capsys, *[a.format(**paths) for a in argv])
+    assert got == code
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_gs_seed_env_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GS_SEED", "42")
     code, out, _ = run_cli(capsys, "color", "--gen", "petersen", "--json")

@@ -8,7 +8,8 @@ from gscolor import (Multigraph, PartialColoring, color_boundary,
                      is_closed, is_elementary, is_strongly_closed,
                      kempe_chain, kempe_swap, swap_outside, validate)
 from gscolor.coloring import chain_components
-from oracles import random_multigraph_pairs, random_proper_coloring
+from oracles import (random_multigraph_pairs, random_proper_coloring,
+                     reference_kempe_chain)
 
 
 def colored_triangle(triangle, colors=(1, 2, 3), k=3):
@@ -142,6 +143,25 @@ def test_kempe_chain_empty(c4):
     pc = PartialColoring(c4, 5, {0: 1, 1: 2, 2: 1, 3: 2})
     ch = kempe_chain(pc, 1, 3, 4)
     assert ch.kind == "path" and ch.edges == () and ch.end_vertices == (1,)
+
+
+@given(st.integers(2, 7), st.integers(1, 14), st.integers(0, 2),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_kempe_chain_matches_reference_walker(n, m, extra, seed):
+    """Every chain of a random partial coloring, path or cycle, is the one
+    the earlier two-direction walker returns, in the same orientation."""
+    rng = random.Random(seed)
+    m = min(m, 3 * n * (n - 1) // 2)
+    G = Multigraph.build(n, random_multigraph_pairs(n, m, rng, mu_max=3))
+    k = max(2, G.max_degree() + extra)
+    pc = random_proper_coloring(G, k, rng)
+    for v in range(n):
+        for a in range(1, k + 1):
+            for b in range(1, k + 1):
+                if a != b:
+                    assert kempe_chain(pc, v, a, b) == \
+                        reference_kempe_chain(pc, v, a, b)
 
 
 def test_kempe_swap_involution_and_properness(triangle):

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from gscolor import (Multigraph, PartialColoring, bound_report,
                      certificate_check, chromatic_index_exact, color,
                      color_at_k, extend, verify_result)
-from gscolor.engine import ColoringResult, IncompleteColoringError, result_from_json
-from gscolor.coloring import coloring_to_json, validate
+from gscolor.engine import (ColoringResult, IncompleteColoringError, _try_kempe,
+                            result_from_json)
+from gscolor.coloring import coloring_to_json, kempe_chain, kempe_swap, validate
 from gscolor.generators import (petersen, random_multigraph, ring,
                                shannon_triangle)
-from oracles import random_multigraph_pairs
+from oracles import random_multigraph_pairs, random_proper_coloring
 
 
 def test_color_petersen():
@@ -67,6 +68,58 @@ def test_extend_kempe_swap_case():
     assert out.status == "colored" and out.method == "kempe"
     assert validate(G, out.coloring) == []
     assert out.coloring.color_of(1) is not None
+
+
+def test_failed_kempe_step_leaves_coloring_untouched(triangle):
+    # k = 2: 0 misses 2, 2 misses 1, and the (1, 2)-chain from 0 ends at 2
+    pc = PartialColoring(triangle, 2, {0: 1, 1: 2}, debug=True)
+    before = pc.signature()
+    assert _try_kempe(pc, 2) is None
+    assert pc.signature() == before
+
+
+def test_kempe_step_colors_in_place():
+    G = Multigraph.build(4, [(0, 1), (1, 2), (2, 3)])
+    pc = PartialColoring(G, 2, {0: 1, 2: 2}, debug=True)
+    assert _try_kempe(pc, 1) is pc
+    assert validate(G, pc) == [] and not pc.uncolored_edges
+
+
+def _reference_kempe(pc, eid):
+    """The chain-swap step as it was before it worked in place."""
+    x, y = pc.graph.endpoints(eid)
+    for a in sorted(pc.missing(x)):
+        for b in sorted(pc.missing(y)):
+            ch = kempe_chain(pc, x, a, b)
+            if y in ch.vertices:
+                continue
+            out = kempe_swap(pc, ch)
+            out.assign(eid, min(out.missing(x) & out.missing(y)))
+            return out
+    return None
+
+
+@given(st.integers(3, 7), st.integers(3, 16), st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_kempe_step_matches_clone_and_swap(n, m, seed):
+    """On every edge the greedy coloring left uncolored (so the ends'
+    missing sets are disjoint), the in-place step gives the coloring the
+    clone-and-swap step gave, or fails and leaves pc as it was."""
+    rng = random.Random(seed)
+    m = min(m, 4 * n * (n - 1) // 2)
+    G = Multigraph.build(n, random_multigraph_pairs(n, m, rng, mu_max=4))
+    greedy = random_proper_coloring(G, G.max_degree(), rng)
+    for eid in sorted(greedy.uncolored_edges):
+        pc = PartialColoring(G, greedy.k, {e: greedy.color_of(e) for e in G.edge_ids},
+                             debug=True)
+        before = pc.signature()
+        expected = _reference_kempe(pc.clone(), eid)
+        got = _try_kempe(pc, eid)
+        if expected is None:
+            assert got is None and pc.signature() == before
+        else:
+            assert got is pc and pc.signature() == expected.signature()
+            assert validate(G, pc) == []
 
 
 def test_extend_emits_certificate_evidence(triangle):

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from gscolor import (Multigraph, ParseError, ScaleExceededError,
                      format_multigraph, is_r_graph, parse_multigraph)
+from gscolor.graph import MAX_PARSE_VERTICES
 from oracles import brute_min_odd_cut, random_multigraph_pairs
 
 import random
@@ -149,6 +150,14 @@ def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:
         parse_multigraph(text)
     assert exc.value.line == line
+
+
+def test_parse_rejects_vertex_count_above_cap():
+    # refused at the header line, before any per-vertex table is allocated
+    text = f"c big\np multigraph {MAX_PARSE_VERTICES + 1} 0\n"
+    with pytest.raises(ParseError) as exc:
+        parse_multigraph(text)
+    assert exc.value.line == 2
 
 
 def test_is_connected(triangle):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from gscolor import Multigraph, _kernels
-from oracles import brute_density, random_multigraph_pairs
+from oracles import brute_density, brute_density_maximizers, random_multigraph_pairs
 
 
 def _instances(count, seed):
@@ -50,10 +50,47 @@ def _density_both_paths(G):
     return loop, fallback
 
 
+def _regular(n, mu):
+    """mu-fold cycle and mu-fold complete graph on n vertices: regular, so
+    many odd sets tie for the maximum."""
+    cycle = [(v, (v + 1) % n) for v in range(n)] if n >= 3 else [(0, 1)]
+    complete = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return [Multigraph.build(n, pairs * mu) for pairs in (cycle, complete)]
+
+
+def _graphs_on(n, rng):
+    """A random graph, a heavy-multiplicity one and tie-rich regular ones."""
+    if n < 2:
+        return [Multigraph.build(n, [])]
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3 * n))]
+    heavy = []
+    for _ in range(rng.randint(1, 4)):
+        heavy += [tuple(rng.sample(range(n), 2))] * rng.randint(10, 40)
+    return [Multigraph.build(n, pairs), Multigraph.build(n, heavy),
+            *_regular(n, rng.randint(1, 3))]
+
+
 def test_density_paths_agree():
-    for G in _instances(25, 12):
+    rng = random.Random(15)
+    graphs = [G for n in range(1, 13) for G in _graphs_on(n, rng)]
+    for G in [*_instances(25, 12), *graphs]:
         loop, fallback = _density_both_paths(G)
         assert loop == fallback
+
+
+def test_density_numpy_matches_brute_force_above_the_half_split():
+    """n = 13, 15 and 16: the value and the first maximizer in ascending
+    mask order agree with itertools enumeration."""
+    impls = _kernels.IMPLEMENTATIONS["density"]
+    rng = random.Random(16)
+    for n in (13, 15, 16):
+        pairs = random_multigraph_pairs(n, 30, rng, mu_max=3)
+        for G in (Multigraph.build(n, pairs), _regular(n, 2)[0]):
+            em, weights = _kernels.distinct_masks(G.edge_masks())
+            cnt, size, mask = impls["fallback"](em, weights, n)
+            value, maximizers = brute_density_maximizers(G)
+            assert Fraction(2 * cnt, size - 1) == value
+            assert mask == min(sum(1 << v for v in u) for u in maximizers)
 
 
 def test_density_paths_agree_under_heavy_multiplicity():
