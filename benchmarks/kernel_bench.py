@@ -12,7 +12,8 @@ import time
 import numpy as np
 
 from gscolor import _kernels
-from gscolor.generators import petersen, random_multigraph, shannon_triangle
+from gscolor.density import _oracle_edge_order
+from gscolor.generators import petersen, random_multigraph, ring, shannon_triangle
 
 
 def time_call(fn, *args, repeat=5):
@@ -32,22 +33,25 @@ def bench_feasible(rows):
         ("petersen k=4", petersen(), 4),
         ("shannon mu=4 k=11 (infeasible)", shannon_triangle(4), 11),
         ("random n=9 m=22 k=Delta", random_multigraph(9, 22, 5), None),
+        # the exact fallback's tight rings, in the oracle's edge order
+        ("ring(5,5) k=13", ring(5, 5), 13),
+        ("ring(5,5) k=12 (infeasible)", ring(5, 5), 12),
+        ("ring(7,3) k=7", ring(7, 3), 7),
     ]
     for name, G, k in cases:
         if k is None:
             k = G.max_degree()
-        eu = [G.endpoints(e)[0] for e in G.edge_ids]
-        ev = [G.endpoints(e)[1] for e in G.edge_ids]
-        eun = np.asarray(eu, np.int64)
-        evn = np.asarray(ev, np.int64)
+        _, eu, ev = _oracle_edge_order(G)
+        prev = _kernels.parallel_prev(eu, ev)
+        args = [np.asarray(a, np.int64) for a in (eu, ev, prev)]
         jit = None
         if _kernels.USING_NUMBA:
             from gscolor._kernels import _feasible_jit
-            _feasible_jit(eun, evn, G.vertex_count, k)     # compile/cache
-            jit, r1 = time_call(_feasible_jit, eun, evn, G.vertex_count, k)
-        py, r2 = time_call(impls["fallback"], eu, ev, G.vertex_count, k)
+            _feasible_jit(*args, G.vertex_count, k)     # compile/cache
+            jit, r1 = time_call(_feasible_jit, *args, G.vertex_count, k)
+        py, r2 = time_call(impls["fallback"], eu, ev, prev, G.vertex_count, k)
         if jit is not None:
-            assert bool(r1) == bool(r2)
+            assert [int(c) for c in r1] == r2
         rows.append(("feasible", name, jit, py))
 
 

@@ -8,6 +8,16 @@ is vectorized numpy for the two subset scans and plain-python bitmasks for
 the backtracking search (backtracking does not vectorize).
 benchmarks/kernel_bench.py times the two paths against each other.
 
+The feasibility search returns the first proper coloring it reaches, not
+only whether one exists. It goes in lexicographic order over colorings
+whose colors first appear in increasing order, and makes an edge parallel
+to an earlier one take a larger color than the last of them. Its first
+coloring is still the least canonical proper coloring: if that one broke
+the parallel-edge rule, sorting the colors within each parallel class and
+renaming them by first appearance would give a smaller one. So the witness,
+and whether one exists, are those of the search without the rule, which
+would try every ordering of each parallel class.
+
 The numpy density scan splits the vertices into a low half L (the n // 2
 lowest) and a high half H, and writes each subset as U = A | B with A in L
 and B in H. Then |E(U)| = E_L[A] + E_H[B] + X[A, B], where E_L and E_H count
@@ -36,54 +46,50 @@ def _numba_njit():
 # --------------------------------------------------------------------------
 # exact k-edge-colorability (backtracking over edges in the given order)
 #
-# Symmetry breaking: a color may be used only if every smaller color already
-# appears earlier in the edge order, so color classes are introduced
-# canonically (the first edge always gets color 1). Pruning: an endpoint must
-# keep at least as many free colors as it has uncolored incident edges left.
+# Colors are tried in increasing order, and two rules cut branches that only
+# rename colors or permute parallel edges: a color may be used only if every
+# smaller color already appears earlier in the edge order (color classes are
+# introduced canonically, so the first edge always gets color 1), and an
+# edge parallel to an earlier one must take a larger color than the last
+# such edge, at position prev[i] (see parallel_prev). Color c is bit c - 1
+# of a vertex's `used` mask, so the candidates at a node are one window mask
+# and the next color is its lowest free bit. A vertex keeps enough free
+# colors for its uncolored edges exactly when its degree is at most k, so
+# that test runs once per call, in chromatic_feasible. Both kernels return
+# the colors of the first proper coloring reached, or an empty sequence when
+# there is none.
 
-def _feasible_loop(eu, ev, n, k):
+def _feasible_loop(eu, ev, prev, n, k):
     m = eu.shape[0]
     used = np.zeros(n, np.int64)
-    cnt = np.zeros(n, np.int64)
-    rem = np.zeros(n, np.int64)
-    for i in range(m):
-        rem[eu[i]] += 1
-        rem[ev[i]] += 1
     color = np.zeros(m, np.int64)
     maxc = np.zeros(m + 1, np.int64)
     i = 0
     while 0 <= i < m:
         u = eu[i]
         v = ev[i]
-        c = color[i]
-        if c > 0:
-            b = np.int64(1) << c
+        lo = color[i]
+        if lo > 0:
+            b = np.int64(1) << (lo - 1)
             used[u] ^= b
             used[v] ^= b
-            cnt[u] -= 1
-            cnt[v] -= 1
-            rem[u] += 1
-            rem[v] += 1
-        limit = maxc[i] + 1
-        if limit > k:
-            limit = k
-        nxt = 0
-        cc = c + 1
-        while cc <= limit:
-            b = np.int64(1) << cc
-            if (used[u] & b) == 0 and (used[v] & b) == 0:
-                if (k - cnt[u] - 1) >= (rem[u] - 1) and (k - cnt[v] - 1) >= (rem[v] - 1):
-                    nxt = cc
-                    break
-            cc += 1
-        if nxt > 0:
-            b = np.int64(1) << nxt
+        p = prev[i]
+        if p >= 0 and color[p] > lo:
+            lo = color[p]
+        hi = maxc[i] + 1
+        if hi > k:
+            hi = k
+        free = np.int64(0)
+        if lo < hi:
+            # colors lo + 1 .. hi, minus those present at either end
+            free = ((np.int64(1) << hi) - (np.int64(1) << lo)) & ~(used[u] | used[v])
+        if free != 0:
+            nxt = lo + 1
+            while ((free >> (nxt - 1)) & 1) == 0:
+                nxt += 1
+            b = np.int64(1) << (nxt - 1)
             used[u] |= b
             used[v] |= b
-            cnt[u] += 1
-            cnt[v] += 1
-            rem[u] -= 1
-            rem[v] -= 1
             color[i] = nxt
             mx = maxc[i]
             if nxt > mx:
@@ -93,54 +99,41 @@ def _feasible_loop(eu, ev, n, k):
         else:
             color[i] = 0
             i -= 1
-    return i == m
+    if i == m:
+        return color
+    return color[:0]
 
 
-def _feasible_py(eu, ev, n, k):
+def _feasible_py(eu, ev, prev, n, k):
     # Same search as _feasible_loop, on plain ints.
     m = len(eu)
     used = [0] * n
-    cnt = [0] * n
-    rem = [0] * n
-    for i in range(m):
-        rem[eu[i]] += 1
-        rem[ev[i]] += 1
     color = [0] * m
     maxc = [0] * (m + 1)
     i = 0
     while 0 <= i < m:
-        u, v, c = eu[i], ev[i], color[i]
-        if c:
-            b = 1 << c
+        u, v, lo = eu[i], ev[i], color[i]
+        if lo:
+            b = 1 << (lo - 1)
             used[u] ^= b
             used[v] ^= b
-            cnt[u] -= 1
-            cnt[v] -= 1
-            rem[u] += 1
-            rem[v] += 1
-        limit = min(maxc[i] + 1, k)
-        nxt = 0
-        for cc in range(c + 1, limit + 1):
-            b = 1 << cc
-            if not ((used[u] | used[v]) & b):
-                if (k - cnt[u] - 1) >= (rem[u] - 1) and (k - cnt[v] - 1) >= (rem[v] - 1):
-                    nxt = cc
-                    break
-        if nxt:
-            b = 1 << nxt
+        p = prev[i]
+        if p >= 0 and color[p] > lo:
+            lo = color[p]
+        hi = min(maxc[i] + 1, k)
+        free = ((1 << hi) - (1 << lo)) & ~(used[u] | used[v]) if lo < hi else 0
+        if free:
+            b = free & -free
+            nxt = b.bit_length()
             used[u] |= b
             used[v] |= b
-            cnt[u] += 1
-            cnt[v] += 1
-            rem[u] -= 1
-            rem[v] -= 1
             color[i] = nxt
             maxc[i + 1] = max(maxc[i], nxt)
             i += 1
         else:
             color[i] = 0
             i -= 1
-    return i == m
+    return color if i == m else []
 
 
 # --------------------------------------------------------------------------
@@ -279,18 +272,44 @@ if USING_NUMBA:
     _min_odd_cut_jit = _njit(cache=True)(_min_odd_cut_loop)
 
 
-def chromatic_feasible(eu, ev, n: int, k: int) -> bool:
-    """Does a proper k-edge-coloring exist? Edges are tried in the given order."""
+def chromatic_feasible(eu, ev, n: int, k: int):
+    """The first proper k-edge-coloring the search reaches, or None.
+
+    Edges are tried in the given order. The result holds one color in 1..k
+    per given edge, and is [] when there are no edges, so test it with
+    `is not None`. It is the lexicographically least proper coloring whose
+    colors first appear in increasing order (see the module docstring).
+    """
     if k < 0 or k > 62:
         raise ValueError(f"color count {k} outside supported range 0..62")
     if len(eu) == 0:
-        return True
-    if k == 0:
-        return False
+        return []
+    degree = [0] * n
+    for u, v in zip(eu, ev):
+        degree[u] += 1
+        degree[v] += 1
+    if max(degree) > k:
+        return None
+    prev = parallel_prev(eu, ev)
     if USING_NUMBA:
-        return bool(_feasible_jit(np.asarray(eu, np.int64), np.asarray(ev, np.int64),
-                                  n, k))
-    return _feasible_py(list(eu), list(ev), n, k)
+        colors = _feasible_jit(np.asarray(eu, np.int64), np.asarray(ev, np.int64),
+                               np.asarray(prev, np.int64), n, k)
+        colors = [int(c) for c in colors]
+    else:
+        colors = _feasible_py(list(eu), list(ev), prev, n, k)
+    return colors or None
+
+
+def parallel_prev(eu, ev):
+    """For each position i, the last earlier position with the same two ends
+    as edge i, or -1: the search's parallel-edge rule."""
+    prev = []
+    last = {}
+    for i, (u, v) in enumerate(zip(eu, ev)):
+        pair = (u, v) if u < v else (v, u)
+        prev.append(last.get(pair, -1))
+        last[pair] = i
+    return prev
 
 
 def density_scan(edge_masks, n: int):

@@ -123,7 +123,7 @@ def chromatic_index_exact(G: Multigraph, *, edge_cap: int = ORACLE_EDGE_CAP) -> 
     k = G.max_degree()
     shannon = (3 * G.max_degree()) // 2
     while True:
-        if _kernels.chromatic_feasible(eu, ev, G.vertex_count, k):
+        if _kernels.chromatic_feasible(eu, ev, G.vertex_count, k) is not None:
             return k
         k += 1
         if k > shannon + 1:

@@ -6,9 +6,12 @@ come out optimal, and a proof of infeasibility (or budget exhaustion)
 escalates once to the guaranteed bound. Per edge the driver tries a shared
 missing color, then a two-colored chain swap between the ends' missing
 colors, then tree-growth recoloring; at or below a configurable edge count an
-exact backtracking fallback makes the contract unconditional. The direct and
-chain-swap steps mutate the coloring they are given and return it; tree
-steps and the fallback return new colorings.
+exact backtracking fallback makes the contract unconditional. The fallback
+is one search (`_kernels.chromatic_feasible`) over the colored edges plus
+the new one, in the oracle's edge order (`density._oracle_edge_order`), and
+its first coloring becomes the new coloring. The direct and chain-swap steps
+mutate the coloring they are given and return it; tree steps and the
+fallback return new colorings.
 
 The chain swap scans chains from one end x of the edge xy only. It runs after
 the shared-color test failed, so the ends' missing sets are disjoint: an
@@ -27,12 +30,11 @@ from typing import NamedTuple
 from . import _kernels
 from .coloring import (PartialColoring, alternating_path, is_elementary,
                        is_strongly_closed, mask_colors, validate)
-from .density import (DensityCertificate, bound_report, certificate_check,
-                      enumerate_colorings)
+from .density import (DensityCertificate, _oracle_edge_order, bound_report,
+                      certificate_check)
 from .graph import Multigraph
-from .tashkinov import (SeriesInvariantError, SeriesState, SeriesStuck,
-                        SeriesTuple, TreeSequence, elementary_audit,
-                        series_step, taa_close)
+from .tashkinov import (SeriesState, SeriesStuck, SeriesTuple, TreeSequence,
+                        elementary_audit, series_step, taa_close)
 
 
 @dataclass(frozen=True)
@@ -221,8 +223,10 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *, depth: int = 1,
     the direct step failing leaves the ends' missing sets disjoint (see the
     module docstring). Uncolored edges other than eid are invisible to the
     machinery, so this works midway through a coloring run. Within the
-    fallback threshold the answer is exact: either the colored subgraph plus
-    eid is recolored from scratch, or its infeasibility at k is established.
+    fallback threshold the answer is exact: one search over the colored
+    subgraph plus eid, in the oracle's edge order, either finds a
+    k-coloring, and its first one is returned as a new coloring, or
+    establishes that there is none.
     """
     if pc.color_of(eid) is not None:
         raise ValueError("edge already colored")
@@ -257,7 +261,7 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *, depth: int = 1,
             break
         try:
             outcome = series_step(G, state, depth=depth, cap=cap)
-        except (SeriesStuck, SeriesInvariantError):
+        except SeriesStuck:
             break
         if outcome.kind != "extended":
             break
@@ -269,17 +273,13 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *, depth: int = 1,
                 return ExtendOutcome("colored", out, None, "tashkinov")
 
     if G.m <= fallback_threshold:
-        keep = sorted(set(e for e in G.edge_ids if pc.is_colored(e)) | {eid})
+        keep = [e for e in G.edge_ids if pc.is_colored(e) or e == eid]
         H = G.subgraph_of_edges(keep)
-        eu = [H.endpoints(e)[0] for e in keep]
-        ev_ = [H.endpoints(e)[1] for e in keep]
-        if _kernels.chromatic_feasible(eu, ev_, H.vertex_count, pc.k):
-            solutions, _ = enumerate_colorings(H, pc.k, cap=1)
-            fresh = PartialColoring(G, pc.k, solutions[0])
+        ordered, eu, ev = _oracle_edge_order(H)
+        colors = _kernels.chromatic_feasible(eu, ev, H.vertex_count, pc.k)
+        if colors is not None:
+            fresh = PartialColoring(G, pc.k, dict(zip(ordered, colors)))
             return ExtendOutcome("colored", fresh, None, "fallback")
-        return ExtendOutcome(
-            "evidence", None,
-            FailureEvidence("budget_exhausted", last_tree, pc.k), None)
     return ExtendOutcome(
         "evidence", None,
         FailureEvidence("budget_exhausted", last_tree, pc.k), None)

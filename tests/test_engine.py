@@ -291,3 +291,70 @@ def test_color_output_is_pinned(make, digest):
     except IncompleteColoringError as exc:
         text = coloring_to_json(exc.partial)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# The same pins for instances that reach the exact fallback, taken before it
+# became a single search with the parallel-edge rule.
+GOLDEN_FALLBACK = [
+    (lambda: ring(5, 5),
+     "88e1894e66d4ed793a27e24a9a86204527393727760e319a8685f7c2ca2fc2e8"),
+    (lambda: ring(7, 3),
+     "c4f782e527f94554cf05ed89ecb233be0cb331c19af28707b588c0618676026f"),
+    (lambda: ring(5, 4),
+     "f8efef7d3d116c84fe55ba7d86883a63a46246e86ec2fe8cd77c1f47101b47bf"),
+]
+
+
+@pytest.mark.parametrize("make, digest", GOLDEN_FALLBACK,
+                         ids=["ring5x5", "ring7x3", "ring5x4"])
+def test_fallback_output_is_pinned(make, digest):
+    res = color(make())
+    assert "fallback" in res.trace.values()
+    assert hashlib.sha256(res.to_json().encode()).hexdigest() == digest
+
+
+def test_fallback_runs_one_search_per_edge(monkeypatch):
+    """ring(5, 5) is colored at its one scheduled k; each fallback edge costs
+    one chromatic_feasible call, and no coloring is enumerated, whatever
+    name enumerate_colorings is reached by."""
+    import sys
+    from gscolor import _kernels
+    from gscolor.density import enumerate_colorings
+    calls = {"feasible": 0, "enumerate": 0}
+    feasible = _kernels.chromatic_feasible
+
+    def counted_feasible(*args):
+        calls["feasible"] += 1
+        return feasible(*args)
+
+    def count_enumerations(frame, event, arg):
+        if event == "call" and frame.f_code is enumerate_colorings.__code__:
+            calls["enumerate"] += 1
+
+    monkeypatch.setattr(_kernels, "chromatic_feasible", counted_feasible)
+    G = ring(5, 5)
+    rep = bound_report(G)
+    assert rep.lower == rep.gs_upper
+    sys.setprofile(count_enumerations)
+    try:
+        res = color(G)
+    finally:
+        sys.setprofile(None)
+    fallback_edges = sum(1 for m in res.trace.values() if m == "fallback")
+    assert fallback_edges > 0
+    assert calls == {"feasible": fallback_edges, "enumerate": 0}
+    assert verify_result(G, res)
+
+
+def test_series_invariant_failure_is_raised(monkeypatch):
+    """A broken series invariant is a bug: color() raises it instead of
+    treating it like a stuck series and falling through."""
+    from gscolor import engine
+    from gscolor.tashkinov import SeriesInvariantError
+
+    def broken(*args, **kwargs):
+        raise SeriesInvariantError("planted")
+
+    monkeypatch.setattr(engine, "series_step", broken)
+    with pytest.raises(SeriesInvariantError, match="planted"):
+        color(_doubled(petersen()))

@@ -160,6 +160,47 @@ def test_parse_rejects_vertex_count_above_cap():
     assert exc.value.line == 2
 
 
+# Line kinds and fields that make the fuzzer reach every branch of the
+# parser: headers and edge lines with good and bad counts, endpoints and
+# field numbers, comments, blank lines and unknown line types.
+_KINDS = ["p multigraph", "p graph", "p", "e", "c", "q", ""]
+_FIELDS = ["0", "1", "2", "3", "-1", "x", "1_0", "99999999",
+           str(MAX_PARSE_VERTICES + 1)]
+
+
+@st.composite
+def _graph_like_text(draw):
+    lines = draw(st.lists(st.tuples(st.sampled_from(_KINDS),
+                                    st.lists(st.sampled_from(_FIELDS), max_size=3)),
+                          max_size=8))
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    return "\n".join(sep.join([kind, *fields]).strip() for kind, fields in lines)
+
+
+@given(st.one_of(st.text(max_size=200), _graph_like_text()))
+@settings(max_examples=300, deadline=None)
+def test_parse_fuzz_gives_a_graph_or_a_parse_error(text):
+    try:
+        G = parse_multigraph(text)
+    except ParseError as exc:
+        assert exc.line >= 1
+    else:
+        assert isinstance(G, Multigraph)
+        assert parse_multigraph(format_multigraph(G)) == G
+
+
+@given(st.integers(0, 8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_format_parse_round_trip_is_identity(n, data):
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+        .filter(lambda p: p[0] != p[1]), max_size=30)) if n >= 2 else []
+    G = Multigraph.build(n, pairs)
+    H = parse_multigraph(format_multigraph(G))
+    assert H == G
+    assert [H.endpoints(e) for e in H.edge_ids] == pairs
+
+
 def test_is_connected(triangle):
     assert triangle.is_connected()
     assert not Multigraph.build(4, [(0, 1), (2, 3)]).is_connected()

@@ -4,8 +4,12 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from gscolor import Multigraph, _kernels
+from gscolor import Multigraph, PartialColoring, _kernels
+from gscolor.coloring import validate
+from gscolor.density import _oracle_edge_order, enumerate_colorings
+from gscolor.generators import ring
 from oracles import brute_density, brute_density_maximizers, random_multigraph_pairs
 
 
@@ -17,16 +21,93 @@ def _instances(count, seed):
         yield Multigraph.build(n, random_multigraph_pairs(n, m, rng))
 
 
+def _search_inputs(G, order):
+    eu = [G.endpoints(e)[0] for e in order]
+    ev = [G.endpoints(e)[1] for e in order]
+    return eu, ev, _kernels.parallel_prev(eu, ev)
+
+
 def test_feasible_paths_agree():
+    """Both implementations reach the same first coloring, or neither finds one."""
     impls = _kernels.IMPLEMENTATIONS["feasible"]
     for G in _instances(25, 11):
-        eu = [G.endpoints(e)[0] for e in G.edge_ids]
-        ev = [G.endpoints(e)[1] for e in G.edge_ids]
+        eu, ev, prev = _search_inputs(G, G.edge_ids)
         for k in range(1, G.max_degree() + 3):
             loop = impls["loop"](np.asarray(eu, np.int64), np.asarray(ev, np.int64),
-                                 G.vertex_count, k)
-            fallback = impls["fallback"](eu, ev, G.vertex_count, k)
-            assert bool(loop) == bool(fallback)
+                                 np.asarray(prev, np.int64), G.vertex_count, k)
+            fallback = impls["fallback"](eu, ev, prev, G.vertex_count, k)
+            assert [int(c) for c in loop] == fallback
+
+
+def _interleaved_parallels(n, rng):
+    """Random endpoint pairs, each repeated up to three times in either
+    orientation, shuffled so parallel edges are interleaved in id order."""
+    base = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 6))]
+    pairs = [p if rng.random() < 0.5 else p[::-1]
+             for p in base for _ in range(rng.randint(1, 3))]
+    rng.shuffle(pairs)
+    return Multigraph.build(n, pairs[:14])
+
+
+def _first_canonical(G, k):
+    """The first coloring enumerate_colorings reaches, in oracle order."""
+    ordered, _, _ = _oracle_edge_order(G)
+    solutions, _ = enumerate_colorings(G, k, cap=1)
+    return [solutions[0][e] for e in ordered] if solutions else None
+
+
+def _assert_first_coloring(G, k):
+    ordered, eu, ev = _oracle_edge_order(G)
+    colors = _kernels.chromatic_feasible(eu, ev, G.vertex_count, k)
+    assert colors == _first_canonical(G, k)
+    if colors is not None:
+        pc = PartialColoring(G, k, dict(zip(ordered, colors)))
+        assert validate(G, pc) == [] and not pc.uncolored_edges
+    return colors
+
+
+def test_search_returns_the_first_canonical_coloring():
+    """The parallel-edge rule leaves the witness and the infeasibility
+    answers of the unrestricted enumeration unchanged, k from Delta - 1 to
+    Shannon + 1."""
+    rng = random.Random(17)
+    infeasible = 0
+    for _ in range(150):
+        G = _interleaved_parallels(rng.randint(2, 7), rng)
+        delta = G.max_degree()
+        for k in range(delta - 1, 3 * delta // 2 + 2):
+            infeasible += _assert_first_coloring(G, k) is None
+    assert infeasible > 150
+
+
+@given(st.integers(2, 6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_search_matches_enumeration_on_arbitrary_multigraphs(n, data):
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda p: p[0] != p[1]), max_size=12))
+    G = Multigraph.build(n, pairs)
+    k = data.draw(st.integers(max(G.max_degree() - 1, 0), G.max_degree() + 2))
+    _assert_first_coloring(G, k)
+
+
+def test_search_on_the_tight_rings():
+    """ring(5, 5) at its chromatic index 13 and at 12, where every ordering
+    of the five parallel classes used to be searched before giving up."""
+    for G, k, feasible in ((ring(5, 5), 13, True), (ring(5, 5), 12, False),
+                           (ring(7, 3), 7, True), (ring(5, 3), 7, False)):
+        _, eu, ev = _oracle_edge_order(G)
+        colors = _kernels.chromatic_feasible(eu, ev, G.vertex_count, k)
+        assert (colors is not None) == feasible
+
+
+def test_search_without_edges_returns_the_empty_coloring():
+    assert _kernels.chromatic_feasible([], [], 3, 0) == []
+    assert _kernels.chromatic_feasible([0], [1], 2, 0) is None
+
+
+def test_parallel_prev_links_each_edge_to_the_last_parallel_one():
+    assert _kernels.parallel_prev([0, 1, 1, 0, 2], [1, 2, 0, 1, 1]) == [-1, -1, 0, 2, 1]
 
 
 def _heavy_instances(count, seed):
@@ -118,8 +199,8 @@ def test_dispatch_matches_loop_semantics():
     G = Multigraph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     eu = [G.endpoints(e)[0] for e in G.edge_ids]
     ev = [G.endpoints(e)[1] for e in G.edge_ids]
-    assert _kernels.chromatic_feasible(eu, ev, 4, 3)
-    assert not _kernels.chromatic_feasible(eu, ev, 4, 2)
+    assert _kernels.chromatic_feasible(eu, ev, 4, 3) == [1, 2, 1, 2, 3]
+    assert _kernels.chromatic_feasible(eu, ev, 4, 2) is None
     cnt, size, mask = _kernels.density_scan(G.edge_masks(), 4)
     assert (cnt, size) == (3, 3) and mask == 0b0111
     assert _kernels.min_odd_cut(G.edge_masks(), 4) == 2
