@@ -1,11 +1,11 @@
-"""Hot enumeration kernels, numba-jitted by default with a fallback path.
+"""Hot enumeration kernels, numba-jitted when numba is installed.
 
 Three kernels dominate oracle runtime: the exact edge-coloring feasibility
 search, the best-odd-subset density scan, and the minimum odd cut. The JIT
-path compiles the loop implementations below with numba; setting
-GSCOLOR_NO_NUMBA=1 (or numba failing to import) selects the fallback, which
-is vectorized numpy for the two subset scans and plain-python bitmasks for
-the backtracking search (backtracking does not vectorize).
+path compiles the loop implementations below with numba (the `jit` extra);
+setting GSCOLOR_NO_NUMBA=1 (or numba failing to import) selects the
+fallback, which is vectorized numpy for the two subset scans and plain-python
+bitmasks for the backtracking search (backtracking does not vectorize).
 benchmarks/kernel_bench.py times the two paths against each other.
 
 The feasibility search returns the first proper coloring it reaches, not

@@ -53,6 +53,8 @@ def _read_graph(load):
         return load()
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+    except ValueError as exc:      # parsing raises ParseError only; this is --gen
+        print(f"bad generator: {exc}", file=sys.stderr)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read graph: {exc}", file=sys.stderr)
     return None
@@ -123,6 +125,8 @@ def cmd_verify(args) -> int:
 def _bench_instances(args):
     for spec in args.gen or []:
         if spec[0] == "exhaustive":
+            if len(spec) != 3:
+                raise ValueError(f"exhaustive takes 2 arguments, got {len(spec) - 1}")
             n_max, m_max = int(spec[1]), int(spec[2])
             for i, G in enumerate(generators.exhaustive_connected(n_max, m_max)):
                 yield f"exhaustive[{i}]", G
@@ -175,9 +179,12 @@ def cmd_bench(args) -> int:
     columns = BENCH_COLUMNS + (["time_s"] if args.timings else [])
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
+    instances = _read_graph(lambda: list(_bench_instances(args)))
+    if instances is None:
+        return 1
     tasks = [(name, G, args.seed, args.budget, args.fallback_threshold,
               args.oracle, args.timings)
-             for name, G in _bench_instances(args)]
+             for name, G in instances]
     if args.jobs > 1:
         # rows come back in instance order regardless of completion order
         import multiprocessing
@@ -194,7 +201,7 @@ def cmd_bench(args) -> int:
     return 0 if violations == 0 else 4
 
 
-def _add_common(p):
+def _add_run_flags(p):
     p.add_argument("--seed", type=int, default=_env_seed(),
                    help="seed recorded in results (default: GS_SEED env or 0)")
     p.add_argument("--budget", type=int, default=1,
@@ -202,6 +209,9 @@ def _add_common(p):
     p.add_argument("--fallback-threshold", type=int, default=25,
                    help="edge count at or below which extension may use "
                         "exact backtracking")
+
+
+def _add_output_flags(p):
     p.add_argument("--json", action="store_true", help="compact one-line JSON")
     p.add_argument("--out", help="write output to this file instead of stdout")
 
@@ -217,13 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", nargs="+", metavar="ARG",
                    help="named instance: petersen | shannon MU | ring N [MU] | "
                         "random N M SEED")
-    _add_common(p)
+    _add_run_flags(p)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("report", help="bound report as JSON")
     p.add_argument("path", nargs="?")
     p.add_argument("--gen", nargs="+", metavar="ARG")
-    _add_common(p)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("verify", help="check a coloring result against its graph")
@@ -244,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="append a wall-clock column (breaks byte-for-byte "
                         "determinism)")
-    _add_common(p)
+    p.add_argument("--out", help="write the CSV to this file instead of stdout")
+    _add_run_flags(p)
     p.set_defaults(func=cmd_bench)
     return ap
 

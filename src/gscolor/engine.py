@@ -33,8 +33,7 @@ from .coloring import (PartialColoring, alternating_path, is_elementary,
 from .density import (DensityCertificate, _oracle_edge_order, bound_report,
                       certificate_check)
 from .graph import Multigraph
-from .tashkinov import (SeriesState, SeriesStuck, SeriesTuple, TreeSequence,
-                        elementary_audit, series_step, taa_close)
+from .tashkinov import SeriesStuck, TreeSequence, elementary_audit, series
 
 
 @dataclass(frozen=True)
@@ -211,7 +210,7 @@ def _tree_evidence(G, pc, tree, k):
 
 
 def extend(G: Multigraph, pc: PartialColoring, eid: int, *, depth: int = 1,
-           cap: int = 400, fallback_threshold: int = 25) -> ExtendOutcome:
+           fallback_threshold: int = 25) -> ExtendOutcome:
     """Color one edge or report why k colors resist.
 
     The direct step (a color missing at both ends) and the chain swap mutate
@@ -221,7 +220,10 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *, depth: int = 1,
     without recoloring keeps pc, so a direct or chain-swap retry after it
     colors pc in place too. The chain swap scans from one end only, because
     the direct step failing leaves the ends' missing sets disjoint (see the
-    module docstring). Uncolored edges other than eid are invisible to the
+    module docstring). Tree steps consume `tashkinov.series`: after every
+    step the direct step and the chain swap are retried, and when the first
+    pair of tree vertices that share a missing color is the ends of eid, eid
+    takes that color. Uncolored edges other than eid are invisible to the
     machinery, so this works midway through a coloring run. Within the
     fallback threshold the answer is exact: one search over the colored
     subgraph plus eid, in the oracle's edge order, either finds a
@@ -237,40 +239,26 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *, depth: int = 1,
     if out is not None:
         return ExtendOutcome("colored", out, None, "kempe")
 
-    state = SeriesState(graph=G, root_edge=eid, k=pc.k)
-    tree = taa_close(G, pc, TreeSequence.root(G, eid))
-    state.tuples.append(SeriesTuple(
-        tree=tree, coloring=pc, connecting_colors=frozenset(),
-        connecting_edges=frozenset(), theta="none"))
-    last_tree = tree
-    steps = 0
-    while steps <= G.vertex_count:
-        phi = state.final_coloring
-        tree = state.final_tree
-        last_tree = tree
-        witness = elementary_audit(phi, tree)
-        if witness is not None and {witness.u, witness.v} == set(G.endpoints(eid)):
-            out = phi.clone()
-            out.assign(eid, witness.color)
-            return ExtendOutcome("colored", out, None, "tashkinov")
-        if is_strongly_closed(phi, tree.vertex_set):
-            if witness is None:
-                ev = _tree_evidence(G, phi, tree, pc.k)
-                if ev is not None:
-                    return ExtendOutcome("evidence", None, ev, None)
-            break
-        try:
-            outcome = series_step(G, state, depth=depth, cap=cap)
-        except SeriesStuck:
-            break
-        if outcome.kind != "extended":
-            break
-        steps += 1
-        phi = state.final_coloring
-        for attempt in (_try_direct, _try_kempe):
-            out = attempt(phi, eid)
-            if out is not None:
+    ends = set(G.endpoints(eid))
+    try:
+        for state in series(G, eid, pc, depth=depth):
+            phi, tree = state.final_coloring, state.final_tree
+            if state.n >= 1:
+                for attempt in (_try_direct, _try_kempe):
+                    out = attempt(phi, eid)
+                    if out is not None:
+                        return ExtendOutcome("colored", out, None, "tashkinov")
+            witness = elementary_audit(phi, tree)
+            if witness is not None and {witness.u, witness.v} == ends:
+                out = phi.clone()
+                out.assign(eid, witness.color)
                 return ExtendOutcome("colored", out, None, "tashkinov")
+        if witness is None:
+            ev = _tree_evidence(G, phi, tree, pc.k)
+            if ev is not None:
+                return ExtendOutcome("evidence", None, ev, None)
+    except SeriesStuck:
+        pass
 
     if G.m <= fallback_threshold:
         keep = [e for e in G.edge_ids if pc.is_colored(e) or e == eid]
@@ -282,19 +270,13 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *, depth: int = 1,
             return ExtendOutcome("colored", fresh, None, "fallback")
     return ExtendOutcome(
         "evidence", None,
-        FailureEvidence("budget_exhausted", last_tree, pc.k), None)
+        FailureEvidence("budget_exhausted", tree, pc.k), None)
 
 
 # -- the driver -----------------------------------------------------------------
 
 
-def _edge_order(G: Multigraph):
-    return sorted(G.edge_ids,
-                  key=lambda e: (-(G.degree(G.endpoints(e)[0])
-                                   + G.degree(G.endpoints(e)[1])), e))
-
-
-def color_at_k(G: Multigraph, k: int, *, depth: int = 1, cap: int = 400,
+def color_at_k(G: Multigraph, k: int, *, depth: int = 1,
                fallback_threshold: int = 25, keep_partial: bool = False):
     """Try to color every edge with k colors.
 
@@ -305,11 +287,10 @@ def color_at_k(G: Multigraph, k: int, *, depth: int = 1, cap: int = 400,
     """
     pc = PartialColoring(G, k)
     trace = {}
-    for eid in _edge_order(G):
+    for eid in _oracle_edge_order(G)[0]:
         if pc.is_colored(eid):
             continue
-        out = extend(G, pc, eid, depth=depth, cap=cap,
-                     fallback_threshold=fallback_threshold)
+        out = extend(G, pc, eid, depth=depth, fallback_threshold=fallback_threshold)
         if out.status == "colored":
             pc = out.coloring
             trace[eid] = out.method
@@ -318,7 +299,7 @@ def color_at_k(G: Multigraph, k: int, *, depth: int = 1, cap: int = 400,
     return pc, trace, []
 
 
-def color(G: Multigraph, *, seed: int = 0, depth: int = 1, cap: int = 400,
+def color(G: Multigraph, *, seed: int = 0, depth: int = 1,
           fallback_threshold: int = 25) -> ColoringResult:
     """Color G with at most max(Delta+1, ceil(density)) colors.
 
@@ -332,7 +313,7 @@ def color(G: Multigraph, *, seed: int = 0, depth: int = 1, cap: int = 400,
     last_partial = None
     for k in schedule:
         pc, trace, evidences = color_at_k(
-            G, k, depth=depth, cap=cap, fallback_threshold=fallback_threshold,
+            G, k, depth=depth, fallback_threshold=fallback_threshold,
             keep_partial=True)
         if trace is not None:
             result = ColoringResult(pc, k, certificates, trace, seed)

@@ -110,17 +110,24 @@ def exhaustive_connected(n_max: int, m_max: int):
                 yield G
 
 
+# name -> (builder, fewest and most integer arguments)
+_SPECS = {"petersen": (petersen, 0, 0), "shannon": (shannon_triangle, 1, 1),
+          "ring": (ring, 1, 2), "random": (random_multigraph, 3, 3)}
+
+
 def from_spec(tokens) -> Multigraph:
     """Build a named instance: petersen | shannon mu | ring n [mu] |
-    random n m seed."""
+    random n m seed. ValueError on an unknown name, a missing or extra
+    argument, or one that is not an integer."""
     name, *args = tokens
-    if name == "petersen":
-        return petersen()
-    if name == "shannon":
-        return shannon_triangle(int(args[0]))
-    if name == "ring":
-        return ring(int(args[0]), int(args[1]) if len(args) > 1 else 1)
-    if name == "random":
-        n, m, seed = (int(a) for a in args[:3])
-        return random_multigraph(n, m, seed)
-    raise ValueError(f"unknown generator {name!r}")
+    if name not in _SPECS:
+        raise ValueError(f"unknown generator {name!r}")
+    build, fewest, most = _SPECS[name]
+    if not fewest <= len(args) <= most:
+        wanted = fewest if fewest == most else f"{fewest} to {most}"
+        raise ValueError(f"{name} takes {wanted} argument(s), got {len(args)}")
+    try:
+        ints = [int(a) for a in args]
+    except ValueError:
+        raise ValueError(f"{name} arguments must be integers, got {args}") from None
+    return build(*ints)

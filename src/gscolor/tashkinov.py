@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .coloring import (PartialColoring, defective_colors, is_closed,
-                       is_elementary, is_strongly_closed, kempe_chain,
-                       kempe_swap, swap_outside)
+from .coloring import (PartialColoring, chain_components, defective_colors,
+                       is_closed, is_elementary, is_strongly_closed,
+                       kempe_chain, kempe_swap, swap_outside)
 from .graph import Multigraph
 
 
@@ -199,14 +199,7 @@ def stable_neighbors(pc: PartialColoring, tree_vertices: frozenset,
     for a in range(1, k + 1):
         for b in range(a + 1, k + 1):
             colors_free = a not in protected and b not in protected
-            seen = set()
-            for v in range(pc.graph.vertex_count):
-                if v in seen:
-                    continue
-                ch = kempe_chain(pc, v, a, b)
-                if not ch.edges:
-                    continue
-                seen.update(ch.vertices)
+            for ch in chain_components(pc, a, b):
                 crosses = bool(tree_vertices & set(ch.vertices))
                 if crosses and not colors_free:
                     continue
@@ -246,7 +239,7 @@ def stable_search(pc: PartialColoring, tree_vertices: frozenset, extra,
 
 
 def max_defective_vertex(G: Multigraph, pc: PartialColoring, T: TreeSequence,
-                         D, *, depth: int = 1, cap: int = 400):
+                         D, *, depth: int = 1):
     """Seek the latest-in-tree-order in-end of a defective boundary edge, over
     stable colorings reachable within `depth` tree-avoiding swaps.
 
@@ -274,7 +267,7 @@ def max_defective_vertex(G: Multigraph, pc: PartialColoring, T: TreeSequence,
 
     best_key = None
     result = None
-    for pi in stable_search(pc, T.vertex_set, D, depth, cap):
+    for pi in stable_search(pc, T.vertex_set, D, depth):
         s = score(pi)
         if s is not None and (best_key is None or s[0] > best_key):
             best_key = s[0]
@@ -433,8 +426,8 @@ class StepOutcome:
     reason: str | None = None
 
 
-def series_step(G: Multigraph, state: SeriesState, *, depth: int = 1,
-                cap: int = 400) -> StepOutcome:
+def series_step(G: Multigraph, state: SeriesState, *,
+                depth: int = 1) -> StepOutcome:
     """One iteration: stop on a strongly closed tree, else extend by RE, SE,
     or PE and append the new ledger row."""
     n = state.n + 1                    # the tree about to be extended is T_n
@@ -462,13 +455,12 @@ def series_step(G: Multigraph, state: SeriesState, *, depth: int = 1,
         return StepOutcome("extended", "re")
 
     d_prev = _d_before(state, n)
-    v_n, f_n, delta_n, pi = max_defective_vertex(G, phi, t_n, d_prev,
-                                                 depth=depth, cap=cap)
+    v_n, f_n, delta_n, pi = max_defective_vertex(G, phi, t_n, d_prev, depth=depth)
     u_n = G.other_end(f_n, v_n)
     tree_missing = pi.missing_union(t_n.vertices)
 
     pe_witness = None
-    for sigma in stable_search(pi, t_n.vertex_set, d_prev | {delta_n}, depth, cap):
+    for sigma in stable_search(pi, t_n.vertex_set, d_prev | {delta_n}, depth):
         hit = sigma.missing(u_n) & tree_missing
         if hit:
             pe_witness = (sigma, min(hit))
@@ -590,49 +582,56 @@ def _join(base: TreeSequence, extra: TreeSequence) -> TreeSequence:
     return cur
 
 
-def build_series(G: Multigraph, eid: int, phi0: PartialColoring, *,
-                 max_steps: int | None = None, depth: int = 1, cap: int = 400,
-                 strict: bool = True) -> SeriesState:
-    """Run the extension series from the closure of the uncolored root edge.
+def series(G: Multigraph, eid: int, phi0: PartialColoring, *, depth: int = 1):
+    """Run the extension series from the closure of the uncolored root edge,
+    yielding the ledger (one SeriesState, growing) after T_1 and every step.
 
     phi0 must leave `eid` uncolored; other uncolored edges are simply
-    invisible to the machinery. Stops when the tree is strongly closed or
-    after max_steps iterations (default: one per graph vertex). With
-    strict=False a stuck step downgrades to a budget_exhausted outcome
-    instead of raising.
+    invisible to the machinery. Strong closure is tested once per row,
+    before it is yielded; a strongly closed row has outcome "strongly_closed"
+    and is the last. A stuck step raises SeriesStuck; a step that does not
+    grow the tree raises SeriesInvariantError.
     """
     if phi0.color_of(eid) is not None:
         raise ValueError("root edge must be uncolored")
-    if max_steps is None:
-        max_steps = G.vertex_count
     t1 = taa_close(G, phi0, TreeSequence.root(G, eid))
     state = SeriesState(graph=G, root_edge=eid, k=phi0.k)
     state.tuples.append(SeriesTuple(
         tree=t1, coloring=phi0, connecting_colors=frozenset(),
         connecting_edges=frozenset(), theta="none"))
-    steps = 0
     while True:
         if is_strongly_closed(state.final_coloring, state.final_tree.vertex_set):
             state.outcome = "strongly_closed"
-            return state
-        if steps >= max_steps:
-            state.outcome = "budget_exhausted"
-            return state
+        yield state
+        if state.outcome == "strongly_closed":
+            return
         before = len(state.final_tree.vertices)
-        try:
-            out = series_step(G, state, depth=depth, cap=cap)
-        except SeriesStuck as exc:
-            if strict:
-                raise
-            state.outcome = "budget_exhausted"
-            state.stuck_reason = str(exc)
-            return state
-        if out.kind == "strongly_closed":
-            return state
+        series_step(G, state, depth=depth)
         if len(state.final_tree.vertices) <= before:
             raise SeriesInvariantError("series step failed to grow the tree\n"
                                        + _dump(state))
-        steps += 1
+
+
+def build_series(G: Multigraph, eid: int, phi0: PartialColoring, *,
+                 max_steps: int | None = None, depth: int = 1,
+                 strict: bool = True) -> SeriesState:
+    """The whole series as one ledger: `series` until the tree is strongly
+    closed or after max_steps iterations (default: one per graph vertex).
+    With strict=False a stuck step downgrades to a budget_exhausted outcome
+    instead of raising.
+    """
+    limit = G.vertex_count if max_steps is None else max_steps
+    try:
+        for state in series(G, eid, phi0, depth=depth):
+            if state.outcome == "running" and state.n >= limit:
+                state.outcome = "budget_exhausted"
+                break
+    except SeriesStuck as exc:
+        if strict:
+            raise
+        state.outcome = "budget_exhausted"
+        state.stuck_reason = str(exc)
+    return state
 
 
 # -- good hierarchies (level structure with reserved color pairs) ---------------

@@ -27,6 +27,15 @@ def test_generator_specs():
         from_spec(["nope"])
 
 
+@pytest.mark.parametrize("spec", [
+    ["petersen", "1"], ["shannon"], ["shannon", "x"], ["ring"],
+    ["ring", "5", "2", "1"], ["ring", "2"], ["random", "5"],
+    ["random", "5", "10", "1", "2"]])
+def test_bad_generator_specs_raise_value_error(spec):
+    with pytest.raises(ValueError):
+        from_spec(spec)
+
+
 def test_random_generator_respects_mu_cap():
     G = random_multigraph(4, 20, 1, mu_max=4)
     assert G.max_multiplicity() <= 4
@@ -273,9 +282,23 @@ def _ring17_files(tmp_path):
     (["report", "{missing}"], 1, "cannot read graph"),
     (["verify", "{missing}", "{result}"], 1, "cannot read graph"),
     (["verify", "{graph}", "{missing}"], 3, "cannot read result"),
+    (["color", "--gen", "ring", "x"], 1, "bad generator"),
+    (["report", "--gen", "ring", "x"], 1, "bad generator"),
+    (["color", "--gen", "shannon"], 1, "bad generator"),
+    (["color", "--gen", "random", "5"], 1, "bad generator"),
+    (["color", "--gen", "foo"], 1, "bad generator"),
+    (["color", "--gen", "ring", "2"], 1, "bad generator"),
+    (["report", "--gen", "petersen", "3"], 1, "bad generator"),
+    (["bench", "--gen", "ring", "x"], 1, "bad generator"),
+    (["bench", "--gen", "exhaustive", "5"], 1, "bad generator"),
+    (["bench", "{missing}"], 1, "cannot read graph"),
 ], ids=["color-too-large", "report-too-large", "verify-too-large",
         "color-missing-graph", "report-missing-graph", "verify-missing-graph",
-        "verify-missing-result"])
+        "verify-missing-result", "color-gen-non-integer", "report-gen-non-integer",
+        "color-gen-missing-arg", "color-gen-random-missing-args",
+        "color-gen-unknown", "color-gen-ring-too-small", "report-gen-extra-arg",
+        "bench-gen-non-integer", "bench-gen-exhaustive-missing-arg",
+        "bench-missing-graph"])
 def test_unusable_inputs_exit_with_one_line(tmp_path, capsys, argv, code, message):
     graph, result = _ring17_files(tmp_path)
     paths = {"graph": graph, "result": result,
@@ -284,6 +307,23 @@ def test_unusable_inputs_exit_with_one_line(tmp_path, capsys, argv, code, messag
     assert got == code
     assert out == ""
     assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_report_rejects_run_flags(capsys):
+    """report only reads a graph and prints its bounds, so --seed, --budget
+    and --fallback-threshold are usage errors there."""
+    for flag in ("--seed", "--budget", "--fallback-threshold"):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--gen", "petersen", flag, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bench_rejects_json_flag(capsys):
+    """bench writes CSV; --json would be ignored, so it is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--gen", "petersen", "--json"])
+    assert exc.value.code == 2
 
 
 def test_gs_seed_env_default(tmp_path, capsys, monkeypatch):

@@ -349,12 +349,12 @@ def test_fallback_runs_one_search_per_edge(monkeypatch):
 def test_series_invariant_failure_is_raised(monkeypatch):
     """A broken series invariant is a bug: color() raises it instead of
     treating it like a stuck series and falling through."""
-    from gscolor import engine
+    from gscolor import tashkinov
     from gscolor.tashkinov import SeriesInvariantError
 
     def broken(*args, **kwargs):
         raise SeriesInvariantError("planted")
 
-    monkeypatch.setattr(engine, "series_step", broken)
+    monkeypatch.setattr(tashkinov, "series_step", broken)
     with pytest.raises(SeriesInvariantError, match="planted"):
         color(_doubled(petersen()))

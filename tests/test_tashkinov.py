@@ -124,6 +124,10 @@ def test_series_strongly_closed_immediately(shannon2):
     assert state.outcome == "strongly_closed"
     assert state.n == 0
     assert state.tree(1).vertex_set == {0, 1, 2}
+    # strong closure is checked before the step budget
+    state = build_series(shannon2, 0, pc, max_steps=0)
+    assert state.outcome == "strongly_closed"
+    assert state.n == 0
 
 
 def test_series_budget_zero():
