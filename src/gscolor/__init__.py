@@ -7,8 +7,8 @@ from .coloring import (KempeChain, PartialColoring, coloring_from_json,
                        is_strongly_closed, kempe_chain, kempe_swap,
                        swap_outside, validate)
 from .density import (BoundReport, DensityCertificate, bound_report,
-                      certificate_check, chromatic_index_exact, density,
-                      is_critical, tashkinov_order)
+                      certificate_check, chromatic_index_exact, is_critical,
+                      tashkinov_order)
 from .engine import (ColoringResult, FailureEvidence, IncompleteColoringError,
                      color, color_at_k, extend, verify_result)
 from .graph import (Multigraph, ParseError, ScaleExceededError,

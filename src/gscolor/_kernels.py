@@ -1,12 +1,8 @@
-"""Hot enumeration kernels, numba-jitted when numba is installed.
+"""Hot enumeration kernels: the exact edge-coloring feasibility search, the
+best-odd-subset density scan and the minimum odd cut.
 
-Three kernels dominate oracle runtime: the exact edge-coloring feasibility
-search, the best-odd-subset density scan, and the minimum odd cut. The JIT
-path compiles the loop implementations below with numba (the `jit` extra);
-setting GSCOLOR_NO_NUMBA=1 (or numba failing to import) selects the
-fallback, which is vectorized numpy for the two subset scans and plain-python
-bitmasks for the backtracking search (backtracking does not vectorize).
-benchmarks/kernel_bench.py times the two paths against each other.
+The two subset scans are vectorized numpy; the backtracking search runs on
+plain-python bitmasks (backtracking does not vectorize).
 
 The feasibility search returns the first proper coloring it reaches, not
 only whether one exists. It goes in lexicographic order over colorings
@@ -18,7 +14,7 @@ renaming them by first appearance would give a smaller one. So the witness,
 and whether one exists, are those of the search without the rule, which
 would try every ordering of each parallel class.
 
-The numpy density scan splits the vertices into a low half L (the n // 2
+The density scan splits the vertices into a low half L (the n // 2
 lowest) and a high half H, and writes each subset as U = A | B with A in L
 and B in H. Then |E(U)| = E_L[A] + E_H[B] + X[A, B], where E_L and E_H count
 the (weighted) edges inside each half and X = S_L W_LH S_H^T counts the edges
@@ -28,19 +24,11 @@ have 2^(n/2) rows, not 2^n, and are cached per n.
 """
 
 import functools
-import os
 
 import numpy as np
 
-
-def _numba_njit():
-    if os.environ.get("GSCOLOR_NO_NUMBA", "").strip() not in ("", "0"):
-        return None
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-    return njit
+# No JIT path; kept because colorbench records it in every run.
+USING_NUMBA = False
 
 
 # --------------------------------------------------------------------------
@@ -55,57 +43,10 @@ def _numba_njit():
 # of a vertex's `used` mask, so the candidates at a node are one window mask
 # and the next color is its lowest free bit. A vertex keeps enough free
 # colors for its uncolored edges exactly when its degree is at most k, so
-# that test runs once per call, in chromatic_feasible. Both kernels return
-# the colors of the first proper coloring reached, or an empty sequence when
-# there is none.
-
-def _feasible_loop(eu, ev, prev, n, k):
-    m = eu.shape[0]
-    used = np.zeros(n, np.int64)
-    color = np.zeros(m, np.int64)
-    maxc = np.zeros(m + 1, np.int64)
-    i = 0
-    while 0 <= i < m:
-        u = eu[i]
-        v = ev[i]
-        lo = color[i]
-        if lo > 0:
-            b = np.int64(1) << (lo - 1)
-            used[u] ^= b
-            used[v] ^= b
-        p = prev[i]
-        if p >= 0 and color[p] > lo:
-            lo = color[p]
-        hi = maxc[i] + 1
-        if hi > k:
-            hi = k
-        free = np.int64(0)
-        if lo < hi:
-            # colors lo + 1 .. hi, minus those present at either end
-            free = ((np.int64(1) << hi) - (np.int64(1) << lo)) & ~(used[u] | used[v])
-        if free != 0:
-            nxt = lo + 1
-            while ((free >> (nxt - 1)) & 1) == 0:
-                nxt += 1
-            b = np.int64(1) << (nxt - 1)
-            used[u] |= b
-            used[v] |= b
-            color[i] = nxt
-            mx = maxc[i]
-            if nxt > mx:
-                mx = nxt
-            maxc[i + 1] = mx
-            i += 1
-        else:
-            color[i] = 0
-            i -= 1
-    if i == m:
-        return color
-    return color[:0]
-
+# that test runs once per call, in chromatic_feasible. Returns the colors of
+# the first proper coloring reached, or [] when there is none.
 
 def _feasible_py(eu, ev, prev, n, k):
-    # Same search as _feasible_loop, on plain ints.
     m = len(eu)
     used = [0] * n
     color = [0] * m
@@ -143,35 +84,6 @@ def _feasible_py(eu, ev, prev, n, k):
 # Returns (edge count, |U|, vertex bitmask) of the first maximizer in
 # ascending mask order; (0, 0, 0) when no odd subset contains an edge.
 
-def _density_loop(emasks, weights, n):
-    m = emasks.shape[0]
-    best_c = np.int64(0)
-    best_d = np.int64(1)
-    best_s = 0
-    best_mask = np.int64(0)
-    total = np.int64(1) << n
-    mask = np.int64(1)
-    while mask < total:
-        x = mask
-        s = 0
-        while x:
-            x &= x - np.int64(1)
-            s += 1
-        if s >= 3 and s % 2 == 1:
-            c = np.int64(0)
-            for j in range(m):
-                if (emasks[j] & mask) == emasks[j]:
-                    c += weights[j]
-            d = np.int64(s - 1)
-            if c * best_d > best_c * d:
-                best_c = c
-                best_d = d
-                best_s = s
-                best_mask = mask
-        mask += 1
-    return best_c, best_s, best_mask
-
-
 def _density_numpy(emasks, weights, n):
     # the half-split identity of the module docstring, in exact int64
     lo = n // 2
@@ -187,7 +99,7 @@ def _density_numpy(emasks, weights, n):
     # row B, column A: the flat index B << lo | A is the subset mask
     cnt = (cross + e_hi[:, None] + e_lo[None, :]).ravel()[odd]
     # ratios of small ints compare exactly in float64; argmax takes the
-    # first maximizer, matching the ascending-mask loop above
+    # first maximizer in ascending mask order
     i = int(np.argmax(cnt / den))
     if cnt[i] == 0:
         return 0, 0, 0
@@ -230,29 +142,6 @@ def _popcounts(masks, n):
 # minimum boundary size over all odd vertex subsets (including singletons
 # and, for odd n, the full vertex set)
 
-def _min_odd_cut_loop(emasks, n):
-    m = emasks.shape[0]
-    best = np.int64(m + 1)
-    total = np.int64(1) << n
-    mask = np.int64(1)
-    while mask < total:
-        x = mask
-        s = 0
-        while x:
-            x &= x - np.int64(1)
-            s += 1
-        if s % 2 == 1:
-            c = np.int64(0)
-            for j in range(m):
-                inside = emasks[j] & mask
-                if inside != 0 and inside != emasks[j]:
-                    c += 1
-            if c < best:
-                best = c
-        mask += 1
-    return best
-
-
 def _min_odd_cut_numpy(emasks, n):
     masks = np.arange(1, 1 << n, dtype=np.int64)
     odd = masks[_popcounts(masks, n) % 2 == 1]
@@ -263,15 +152,6 @@ def _min_odd_cut_numpy(emasks, n):
     return int(cut.min()) if odd.size else len(emasks) + 1
 
 
-_njit = _numba_njit()
-USING_NUMBA = _njit is not None
-
-if USING_NUMBA:
-    _feasible_jit = _njit(cache=True)(_feasible_loop)
-    _density_jit = _njit(cache=True)(_density_loop)
-    _min_odd_cut_jit = _njit(cache=True)(_min_odd_cut_loop)
-
-
 def chromatic_feasible(eu, ev, n: int, k: int):
     """The first proper k-edge-coloring the search reaches, or None.
 
@@ -280,8 +160,8 @@ def chromatic_feasible(eu, ev, n: int, k: int):
     `is not None`. It is the lexicographically least proper coloring whose
     colors first appear in increasing order (see the module docstring).
     """
-    if k < 0 or k > 62:
-        raise ValueError(f"color count {k} outside supported range 0..62")
+    if k < 0:
+        raise ValueError(f"negative color count {k}")
     if len(eu) == 0:
         return []
     degree = [0] * n
@@ -290,13 +170,7 @@ def chromatic_feasible(eu, ev, n: int, k: int):
         degree[v] += 1
     if max(degree) > k:
         return None
-    prev = parallel_prev(eu, ev)
-    if USING_NUMBA:
-        colors = _feasible_jit(np.asarray(eu, np.int64), np.asarray(ev, np.int64),
-                               np.asarray(prev, np.int64), n, k)
-        colors = [int(c) for c in colors]
-    else:
-        colors = _feasible_py(list(eu), list(ev), prev, n, k)
+    colors = _feasible_py(list(eu), list(ev), parallel_prev(eu, ev), n, k)
     return colors or None
 
 
@@ -322,11 +196,7 @@ def density_scan(edge_masks, n: int):
         raise ValueError("vertex bitmasks limited to 62 vertices")
     if n < 3:
         return 0, 0, 0
-    em, weights = distinct_masks(edge_masks)
-    if USING_NUMBA:
-        c, s, mask = _density_jit(em, weights, n)
-        return int(c), int(s), int(mask)
-    return _density_numpy(em, weights, n)
+    return _density_numpy(*distinct_masks(edge_masks), n)
 
 
 def distinct_masks(edge_masks):
@@ -341,15 +211,5 @@ def min_odd_cut(edge_masks, n: int) -> int:
         raise ValueError("vertex bitmasks limited to 62 vertices")
     if n == 0:
         return len(edge_masks) + 1
-    em = np.asarray(edge_masks, np.int64)
-    if USING_NUMBA:
-        return int(_min_odd_cut_jit(em, n))
-    return _min_odd_cut_numpy(em, n)
+    return _min_odd_cut_numpy(np.asarray(edge_masks, np.int64), n)
 
-
-# Both implementations of each kernel, for cross-checks and the benchmark.
-IMPLEMENTATIONS = {
-    "feasible": {"loop": _feasible_loop, "fallback": _feasible_py},
-    "density": {"loop": _density_loop, "fallback": _density_numpy},
-    "min_odd_cut": {"loop": _min_odd_cut_loop, "fallback": _min_odd_cut_numpy},
-}

@@ -1,12 +1,13 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
 from gscolor import (Multigraph, ScaleExceededError, bound_report,
-                     certificate_check, chromatic_index_exact, density,
-                     is_critical, tashkinov_order)
-from gscolor.density import enumerate_colorings
+                     certificate_check, chromatic_index_exact, is_critical,
+                     tashkinov_order)
+from gscolor.density import density, enumerate_colorings
 from gscolor.generators import shannon_triangle
 from oracles import brute_chi_prime, brute_density, random_multigraph_pairs
 
@@ -32,6 +33,13 @@ def test_density_degenerate(single_edge):
     cert = density(single_edge)
     assert cert.value == 0 and cert.u == frozenset()
     assert density(Multigraph.build(0, [])).value == 0
+
+
+def test_package_attribute_is_the_density_module():
+    """gscolor.density names the submodule, not its density function."""
+    import gscolor
+    assert inspect.ismodule(gscolor.density)
+    assert callable(gscolor.density.density)
 
 
 def test_density_matches_brute_oracle():
