@@ -98,14 +98,13 @@ def test_r_graph_scale_cap():
 
 
 def test_min_odd_cut_matches_brute():
+    rng = random.Random(7)
     from gscolor import _kernels
-    for seed, count, n_max, m_max in ((7, 20, 6, 9), (13, 25, 7, 12)):
-        rng = random.Random(seed)
-        for _ in range(count):
-            n = rng.randint(2, n_max)
-            m = rng.randint(1, m_max)
-            G = Multigraph.build(n, random_multigraph_pairs(n, m, rng))
-            assert _kernels.min_odd_cut(G.edge_masks(), n) == brute_min_odd_cut(G)
+    for _ in range(20):
+        n = rng.randint(2, 6)
+        m = rng.randint(1, 9)
+        G = Multigraph.build(n, random_multigraph_pairs(n, m, rng))
+        assert _kernels.min_odd_cut(G.edge_masks(), n) == brute_min_odd_cut(G)
 
 
 @given(st.integers(2, 7), st.integers(0, 12), st.integers(0, 10 ** 6))

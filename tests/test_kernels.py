@@ -11,7 +11,7 @@ from gscolor import Multigraph, PartialColoring, _kernels
 from gscolor.coloring import validate
 from gscolor.density import _oracle_edge_order, enumerate_colorings
 from gscolor.generators import ring
-from oracles import brute_density_maximizers, random_multigraph_pairs
+from oracles import brute_density_maximizers, brute_min_odd_cut, random_multigraph_pairs
 
 
 def _instances(count, seed):
@@ -169,6 +169,12 @@ def test_density_paths_agree_under_heavy_multiplicity():
         members = {v for v in range(G.vertex_count) if mask >> v & 1}
         assert len(members) == size
         assert G.induced_edge_count(members) == cnt
+
+
+def test_min_odd_cut_paths_agree():
+    for G in _instances(25, 13):
+        assert _kernels.min_odd_cut(G.edge_masks(), G.vertex_count) == \
+            brute_min_odd_cut(G)
 
 
 def test_dispatch_matches_loop_semantics():
