@@ -39,12 +39,18 @@ def _load_graph(args) -> Multigraph:
     return parse_multigraph(_read_file(args.path))
 
 
-def _emit(text: str, args):
-    if getattr(args, "out", None):
+def _emit(text: str, args) -> int:
+    """0 once text is in --out or on stdout; 1 after one stderr line if not."""
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _read_graph(load):
@@ -70,8 +76,7 @@ def cmd_color(args) -> int:
     if G is None:
         return 1
     try:
-        result = color(G, seed=args.seed, depth=args.budget,
-                       fallback_threshold=args.fallback_threshold)
+        result = color(G, seed=args.seed, fallback_threshold=args.fallback_threshold)
     except IncompleteColoringError as exc:
         print(f"incomplete (budget): {exc}", file=sys.stderr)
         return 2
@@ -80,8 +85,7 @@ def cmd_color(args) -> int:
     obj = result.to_json_obj()
     text = json.dumps(obj, separators=(",", ":")) if args.json \
         else json.dumps(obj, indent=2)
-    _emit(text + "\n", args)
-    return 0
+    return _emit(text + "\n", args)
 
 
 def cmd_report(args) -> int:
@@ -94,8 +98,7 @@ def cmd_report(args) -> int:
         return _too_large(exc)
     text = json.dumps(obj, separators=(",", ":")) if args.json \
         else json.dumps(obj, indent=2)
-    _emit(text + "\n", args)
-    return 0
+    return _emit(text + "\n", args)
 
 
 def cmd_verify(args) -> int:
@@ -109,7 +112,7 @@ def cmd_verify(args) -> int:
         return 3
     try:
         result = result_from_json(G, text)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, RecursionError) as exc:
         print(f"invalid result: {exc}", file=sys.stderr)
         return 3
     try:
@@ -139,12 +142,12 @@ def _bench_instances(args):
 
 def _bench_row(task):
     """One instance's row fields (sans index); safe to run in a worker."""
-    name, G, seed, budget, threshold, oracle, timings = task
+    name, G, seed, threshold, oracle, timings = task
     t0 = time.perf_counter()
     rep = bound_report(G)
     status = "ok"
     try:
-        result = color(G, seed=seed, depth=budget, fallback_threshold=threshold)
+        result = color(G, seed=seed, fallback_threshold=threshold)
         k_used = result.k_used
         counts = {tag: 0 for tag in ("direct", "kempe", "tashkinov", "fallback")}
         for tag in result.trace.values():
@@ -182,8 +185,7 @@ def cmd_bench(args) -> int:
     instances = _read_graph(lambda: list(_bench_instances(args)))
     if instances is None:
         return 1
-    tasks = [(name, G, args.seed, args.budget, args.fallback_threshold,
-              args.oracle, args.timings)
+    tasks = [(name, G, args.seed, args.fallback_threshold, args.oracle, args.timings)
              for name, G in instances]
     if args.jobs > 1:
         # rows come back in instance order regardless of completion order
@@ -197,15 +199,14 @@ def cmd_bench(args) -> int:
         if row[-1 - int(args.timings)] not in ("ok", "oracle-skipped"):
             violations += 1
         writer.writerow([idx] + row)
-    _emit(out.getvalue(), args)
+    if _emit(out.getvalue(), args):
+        return 1
     return 0 if violations == 0 else 4
 
 
 def _add_run_flags(p):
     p.add_argument("--seed", type=int, default=_env_seed(),
                    help="seed recorded in results (default: GS_SEED env or 0)")
-    p.add_argument("--budget", type=int, default=1,
-                   help="stable-coloring search depth in tree growth")
     p.add_argument("--fallback-threshold", type=int, default=25,
                    help="edge count at or below which extension may use "
                         "exact backtracking")

@@ -82,9 +82,6 @@ class PartialColoring:
     def uncolored_edges(self) -> frozenset:
         return frozenset(e for e in self.graph.edge_ids if e not in self._color)
 
-    def present(self, v: int) -> frozenset:
-        return frozenset(self._at[v])
-
     def missing_mask(self, v: int) -> int:
         """Bitmask of the colors in 1..k on no colored edge at v (bit c)."""
         return ((1 << (self.k + 1)) - 2) & ~self._mask[v]
@@ -136,6 +133,14 @@ class PartialColoring:
             self._mask[v] &= ~(1 << color)
         if self.debug:
             self._check_consistency()
+
+    def recolor(self, flips):
+        """Apply (edge, new color) pairs in place; all listed edges are
+        uncolored first, so they may trade colors as a chain swap does."""
+        for e, _ in flips:
+            self.unassign(e)
+        for e, c in flips:
+            self.assign(e, c)
 
     def _check_consistency(self):
         rebuilt = [dict() for _ in range(self.graph.vertex_count)]
@@ -320,11 +325,7 @@ def kempe_swap(pc: PartialColoring, chain: KempeChain) -> PartialColoring:
     if frozenset(current.edges) != frozenset(chain.edges):
         raise ValueError("not a chain of this coloring")
     out = pc.clone()
-    flips = [(e, b if pc.color_of(e) == a else a) for e in chain.edges]
-    for e, _ in flips:
-        out.unassign(e)
-    for e, c in flips:
-        out.assign(e, c)
+    out.recolor([(e, b if pc.color_of(e) == a else a) for e in chain.edges])
     return out
 
 
@@ -346,10 +347,7 @@ def swap_outside(pc: PartialColoring, members, alpha: int, beta: int) -> Partial
             u, v = pc.graph.endpoints(eid)
             if u not in inside and v not in inside:
                 flips.append((eid, beta if c == alpha else alpha))
-    for e, _ in flips:
-        out.unassign(e)
-    for e, c in flips:
-        out.assign(e, c)
+    out.recolor(flips)
     return out
 
 
@@ -460,31 +458,18 @@ def find_exit_paths(pc: PartialColoring, tree, alpha: int, beta: int) -> list:
     if alpha == beta:
         raise ValueError("exit path colors must differ")
     inside = frozenset(_tree_vertices(tree))
+    pair = frozenset((alpha, beta))
     out = []
     for f in sorted(pc.graph.boundary(inside)):
-        if pc.color_of(f) not in (alpha, beta):
+        c = pc.color_of(f)
+        if c not in pair:
             continue
-        u0, v0 = pc.graph.endpoints(f)
-        v = u0 if u0 in inside else v0
-        edges, verts = [f], [v]
-        cur = pc.graph.other_end(f, v)
-        ok = True
-        while True:
-            if cur in inside:
-                ok = False
-                break
-            verts.append(cur)
-            nxt_color = alpha if pc.color_of(edges[-1]) == beta else beta
-            nxt = pc.edge_at(cur, nxt_color)
-            if nxt is None:
-                break
-            edges.append(nxt)
-            cur = pc.graph.other_end(nxt, cur)
-        if not ok:
-            continue
-        end = verts[-1]
-        if pc.missing(end) & {alpha, beta}:
-            out.append(ExitPath(frozenset((alpha, beta)), tuple(edges), tuple(verts)))
+        u, w = pc.graph.endpoints(f)
+        v = u if u in inside else w
+        edges, end = alternating_path(pc, v, c, beta if c == alpha else alpha)
+        verts = _path_vertices(pc.graph, v, edges)
+        if inside.isdisjoint(verts[1:]) and pc.missing(end) & pair:
+            out.append(ExitPath(pair, tuple(edges), tuple(verts)))
     return out
 
 

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .graph import Multigraph, ScaleExceededError
+from .graph import DENSITY_VERTEX_CAP, Multigraph, ScaleExceededError
 
-DENSITY_VERTEX_CAP = 16
 ORACLE_EDGE_CAP = 25
+# colorings of G - e that tashkinov_order enumerates per edge
+COLORINGS_PER_EDGE = 500
 
 
 @dataclass(frozen=True)
@@ -26,16 +27,16 @@ class DensityCertificate:
     value: Fraction
 
 
-def density(G: Multigraph, *, vertex_cap: int = DENSITY_VERTEX_CAP) -> DensityCertificate:
+def density(G: Multigraph) -> DensityCertificate:
     """Maximum of 2|E(U)|/(|U|-1) over odd |U| >= 3, with an argmax witness.
 
     Exhaustive over vertex subsets; value 0 with an empty witness when no odd
     set contains an edge (in particular whenever n < 3).
     """
     n = G.vertex_count
-    if n > vertex_cap:
+    if n > DENSITY_VERTEX_CAP:
         raise ScaleExceededError(
-            f"density enumeration capped at {vertex_cap} vertices, got {n}")
+            f"density enumeration capped at {DENSITY_VERTEX_CAP} vertices, got {n}")
     if n < 3 or G.m == 0:
         return DensityCertificate(frozenset(), Fraction(0))
     cnt, size, mask = _kernels.density_scan(G.edge_masks(), n)
@@ -73,9 +74,9 @@ class BoundReport:
         }
 
 
-def bound_report(G: Multigraph, *, vertex_cap: int = DENSITY_VERTEX_CAP) -> BoundReport:
+def bound_report(G: Multigraph) -> BoundReport:
     n, m, delta, mu = G.stats()
-    gamma = density(G, vertex_cap=vertex_cap).value
+    gamma = density(G).value
     gamma_ceil = math.ceil(gamma)
     return BoundReport(
         n=n, m=m, delta=delta, mu=mu,
@@ -88,13 +89,18 @@ def bound_report(G: Multigraph, *, vertex_cap: int = DENSITY_VERTEX_CAP) -> Boun
     )
 
 
+def set_density(G: Multigraph, members) -> Fraction:
+    """2|E(U)|/(|U|-1) for a vertex set U of at least two vertices."""
+    u = frozenset(members)
+    return Fraction(2 * G.induced_edge_count(u), len(u) - 1)
+
+
 def certificate_check(G: Multigraph, members, k: int) -> bool:
     """Does the odd set prove that k colors cannot suffice (chi' >= k+1)?"""
     u = frozenset(members)
     if len(u) < 3 or len(u) % 2 == 0:
         raise ValueError(f"certificate set must be odd with >= 3 vertices, got {len(u)}")
-    value = Fraction(2 * G.induced_edge_count(u), len(u) - 1)
-    return value > k
+    return set_density(G, u) > k
 
 
 def _oracle_edge_order(G: Multigraph):
@@ -107,18 +113,18 @@ def _oracle_edge_order(G: Multigraph):
     return ordered, eu, ev
 
 
-def chromatic_index_exact(G: Multigraph, *, edge_cap: int = ORACLE_EDGE_CAP) -> int:
+def chromatic_index_exact(G: Multigraph) -> int:
     """Exact chi' by backtracking feasibility search, k = Delta, Delta+1, ...
 
     Deterministic: edges are tried in descending endpoint degree-sum order and
     colors first-fit with canonical color introduction. Refuses graphs with
-    more than `edge_cap` edges.
+    more than ORACLE_EDGE_CAP edges.
     """
     if G.m == 0:
         return 0
-    if G.m > edge_cap:
+    if G.m > ORACLE_EDGE_CAP:
         raise ScaleExceededError(
-            f"exact chromatic index capped at {edge_cap} edges, got {G.m}")
+            f"exact chromatic index capped at {ORACLE_EDGE_CAP} edges, got {G.m}")
     _, eu, ev = _oracle_edge_order(G)
     k = G.max_degree()
     shannon = (3 * G.max_degree()) // 2
@@ -170,7 +176,7 @@ def enumerate_colorings(G: Multigraph, k: int, *, cap: int = 1000):
     return results, exhausted
 
 
-def is_critical(G: Multigraph, *, edge_cap: int = ORACLE_EDGE_CAP) -> bool:
+def is_critical(G: Multigraph) -> bool:
     """Does every single-edge deletion strictly lower chi'?
 
     Parallel edges are checked once per endpoint pair (deletions are
@@ -179,7 +185,7 @@ def is_critical(G: Multigraph, *, edge_cap: int = ORACLE_EDGE_CAP) -> bool:
     """
     if G.m == 0:
         return G.vertex_count == 0
-    chi = chromatic_index_exact(G, edge_cap=edge_cap)
+    chi = chromatic_index_exact(G)
     seen_pairs = set()
     for eid in G.edge_ids:
         u, v = G.endpoints(eid)
@@ -187,7 +193,7 @@ def is_critical(G: Multigraph, *, edge_cap: int = ORACLE_EDGE_CAP) -> bool:
         if pair in seen_pairs:
             continue
         seen_pairs.add(pair)
-        if chromatic_index_exact(G.without_edge(eid), edge_cap=edge_cap) >= chi:
+        if chromatic_index_exact(G.without_edge(eid)) >= chi:
             return False
     return True
 
@@ -199,22 +205,21 @@ class TashkinovOrderResult:
     truncated: bool
 
 
-def tashkinov_order(G: Multigraph, *, colorings_per_edge: int = 500,
-                    edge_cap: int = ORACLE_EDGE_CAP) -> TashkinovOrderResult:
+def tashkinov_order(G: Multigraph) -> TashkinovOrderResult:
     """Maximum vertices of a color-fan tree over uncolored-edge/coloring choices.
 
     Requires a critical multigraph with chi' >= Delta + 2 and works at
     k = chi' - 1. For each edge (one per endpoint pair; parallels are
     interchangeable) the (k)-colorings of G - e are enumerated up to global
     color permutation, which leaves closure vertex sets unchanged; the result
-    is flagged truncated when any enumeration hit its cap.
+    is flagged truncated when any enumeration hit COLORINGS_PER_EDGE.
     """
     from .tashkinov import TreeSequence, taa_close
     from .coloring import PartialColoring
 
-    if not is_critical(G, edge_cap=edge_cap):
+    if not is_critical(G):
         raise ValueError("tashkinov_order requires a critical multigraph")
-    chi = chromatic_index_exact(G, edge_cap=edge_cap)
+    chi = chromatic_index_exact(G)
     if chi < G.max_degree() + 2:
         raise ValueError("tashkinov_order requires chi' >= Delta + 2")
     k = chi - 1
@@ -228,7 +233,7 @@ def tashkinov_order(G: Multigraph, *, colorings_per_edge: int = 500,
             continue
         seen_pairs.add(pair)
         rest = G.without_edge(eid)
-        colorings, exhausted = enumerate_colorings(rest, k, cap=colorings_per_edge)
+        colorings, exhausted = enumerate_colorings(rest, k, cap=COLORINGS_PER_EDGE)
         if not exhausted:
             truncated = True
         for phi_map in colorings:

@@ -28,10 +28,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import _kernels
-from .coloring import (PartialColoring, alternating_path, is_elementary,
-                       is_strongly_closed, mask_colors, validate)
+from .coloring import PartialColoring, alternating_path, mask_colors, validate
 from .density import (DensityCertificate, _oracle_edge_order, bound_report,
-                      certificate_check)
+                      certificate_check, set_density)
 from .graph import Multigraph
 from .tashkinov import SeriesStuck, TreeSequence, elementary_audit, series
 
@@ -126,7 +125,8 @@ def _check_schema(obj):
 
 
 def result_from_json(G: Multigraph, text: str) -> ColoringResult:
-    """Load a result file; ValueError if it is malformed or not about G."""
+    """Load a result file; ValueError if it is malformed or not about G,
+    RecursionError if it nests too deeply for the JSON parser."""
     obj = json.loads(text)
     _check_schema(obj)
     ids = [e for e, _ in obj["assignment"]]
@@ -185,31 +185,22 @@ def _try_kempe(pc: PartialColoring, eid: int):
             edges, end = alternating_path(pc, x, b, a)
             if end == y:
                 continue
-            for e in edges:
-                pc.unassign(e)
-            for i, e in enumerate(edges):
-                pc.assign(e, b if i % 2 else a)
+            pc.recolor([(e, b if i % 2 else a) for i, e in enumerate(edges)])
             pc.assign(eid, b)
             return pc
     return None
 
 
-def _tree_evidence(G, pc, tree, k):
-    """Validate and build infeasibility evidence from a strongly closed tree."""
-    x, y = G.endpoints(tree.root_edge)
-    members = tree.vertex_set
-    if not (is_elementary(pc, members) and is_strongly_closed(pc, members)):
-        return None
-    if len(members) < 3 or len(members) % 2 == 0:
-        return None
-    if x not in members or y not in members:
-        return None
-    if not certificate_check(G, members, k):
-        return None
-    return FailureEvidence("elementary_strongly_closed_tree", tree, k)
+def _tree_evidence(G, tree, k):
+    """Evidence from the tree of a series that ended strongly closed with an
+    elementary audit (the loop in `extend` saw both), or None."""
+    u = tree.vertex_set
+    if len(u) >= 3 and len(u) % 2 and certificate_check(G, u, k):
+        return FailureEvidence("elementary_strongly_closed_tree", tree, k)
+    return None
 
 
-def extend(G: Multigraph, pc: PartialColoring, eid: int, *, depth: int = 1,
+def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
            fallback_threshold: int = 25) -> ExtendOutcome:
     """Color one edge or report why k colors resist.
 
@@ -241,7 +232,7 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *, depth: int = 1,
 
     ends = set(G.endpoints(eid))
     try:
-        for state in series(G, eid, pc, depth=depth):
+        for state in series(G, eid, pc):
             phi, tree = state.final_coloring, state.final_tree
             if state.n >= 1:
                 for attempt in (_try_direct, _try_kempe):
@@ -254,7 +245,7 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *, depth: int = 1,
                 out.assign(eid, witness.color)
                 return ExtendOutcome("colored", out, None, "tashkinov")
         if witness is None:
-            ev = _tree_evidence(G, phi, tree, pc.k)
+            ev = _tree_evidence(G, tree, pc.k)
             if ev is not None:
                 return ExtendOutcome("evidence", None, ev, None)
     except SeriesStuck:
@@ -276,30 +267,28 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *, depth: int = 1,
 # -- the driver -----------------------------------------------------------------
 
 
-def color_at_k(G: Multigraph, k: int, *, depth: int = 1,
-               fallback_threshold: int = 25, keep_partial: bool = False):
+def color_at_k(G: Multigraph, k: int, *, fallback_threshold: int = 25):
     """Try to color every edge with k colors.
 
-    Returns (coloring, trace, []) on success or (None, None, evidences) on
-    the first edge whose extension produced evidence against k; with
-    keep_partial=True the failure case returns the partial coloring in place
-    of the first None.
+    Returns (coloring, trace, []) on success, or (partial coloring, None,
+    evidences) at the first edge whose extension produced evidence against
+    k; `trace is None` marks the failure.
     """
     pc = PartialColoring(G, k)
     trace = {}
     for eid in _oracle_edge_order(G)[0]:
         if pc.is_colored(eid):
             continue
-        out = extend(G, pc, eid, depth=depth, fallback_threshold=fallback_threshold)
+        out = extend(G, pc, eid, fallback_threshold=fallback_threshold)
         if out.status == "colored":
             pc = out.coloring
             trace[eid] = out.method
         else:
-            return (pc if keep_partial else None), None, [out.evidence]
+            return pc, None, [out.evidence]
     return pc, trace, []
 
 
-def color(G: Multigraph, *, seed: int = 0, depth: int = 1,
+def color(G: Multigraph, *, seed: int = 0,
           fallback_threshold: int = 25) -> ColoringResult:
     """Color G with at most max(Delta+1, ceil(density)) colors.
 
@@ -310,11 +299,8 @@ def color(G: Multigraph, *, seed: int = 0, depth: int = 1,
     rep = bound_report(G)
     schedule = [rep.lower] if rep.lower == rep.gs_upper else [rep.lower, rep.gs_upper]
     certificates = []
-    last_partial = None
     for k in schedule:
-        pc, trace, evidences = color_at_k(
-            G, k, depth=depth, fallback_threshold=fallback_threshold,
-            keep_partial=True)
+        pc, trace, evidences = color_at_k(G, k, fallback_threshold=fallback_threshold)
         if trace is not None:
             result = ColoringResult(pc, k, certificates, trace, seed)
             if not (_valid_coloring(G, result) and _within_bounds(G, result, rep)):
@@ -323,10 +309,8 @@ def color(G: Multigraph, *, seed: int = 0, depth: int = 1,
         for ev in evidences:
             if ev.kind == "elementary_strongly_closed_tree":
                 u = ev.tree.vertex_set
-                value = Fraction(2 * G.induced_edge_count(u), len(u) - 1)
-                certificates.append((DensityCertificate(u, value), ev.k))
-        last_partial = pc
-    raise IncompleteColoringError(last_partial, schedule[-1])
+                certificates.append((DensityCertificate(u, set_density(G, u)), ev.k))
+    raise IncompleteColoringError(pc, schedule[-1])
 
 
 def verify_result(G: Multigraph, result: ColoringResult) -> bool:
@@ -356,6 +340,6 @@ def _within_bounds(G: Multigraph, result: ColoringResult, rep) -> bool:
                 return False
         except ValueError:
             return False
-        if Fraction(2 * G.induced_edge_count(cert.u), len(cert.u) - 1) != cert.value:
+        if set_density(G, cert.u) != cert.value:
             return False
     return True

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 
+# Largest vertex count of the 2^n odd-subset scans: density.density and
+# is_r_graph refuse larger graphs.
+DENSITY_VERTEX_CAP = 16
+
+
 class ScaleExceededError(Exception):
     """An exact enumeration was asked to run beyond its hard size cap."""
 
@@ -84,10 +89,6 @@ class Multigraph:
 
     def degree(self, v: int) -> int:
         return len(self._incident[v])
-
-    def edges_between(self, u: int, v: int) -> tuple:
-        pair = {u, v}
-        return tuple(e for e in self._incident[u] if set(self._ends[e]) == pair)
 
     def max_degree(self) -> int:
         return max((len(es) for es in self._incident), default=0)
@@ -181,20 +182,20 @@ class Multigraph:
         return f"Multigraph(n={self.vertex_count}, m={self.m})"
 
 
-def is_r_graph(G: Multigraph, r: int, *, vertex_cap: int = 16) -> bool:
+def is_r_graph(G: Multigraph, r: int) -> bool:
     """True iff G is r-regular and every odd vertex subset has boundary >= r.
 
     Decided by enumeration over all odd subsets, so it refuses graphs larger
-    than `vertex_cap` vertices rather than guessing.
+    than DENSITY_VERTEX_CAP vertices rather than guessing.
     """
     if r <= 0:
         raise ValueError("r must be positive")
     n = G.vertex_count
     if n == 0:
         return False
-    if n > vertex_cap:
+    if n > DENSITY_VERTEX_CAP:
         raise ScaleExceededError(
-            f"odd-subset enumeration capped at {vertex_cap} vertices, got {n}")
+            f"odd-subset enumeration capped at {DENSITY_VERTEX_CAP} vertices, got {n}")
     if any(G.degree(v) != r for v in range(n)):
         return False
     from . import _kernels

@@ -9,8 +9,8 @@ against the structural invariants after every iteration.
 
 Quantifying over *all* stable colorings is computationally unbounded, so the
 searches here explore colorings reachable by chain swaps that avoid the tree
-(every such swap yields a stable coloring) up to a configurable depth, and
-record when a decision was budget-limited.
+(every such swap yields a stable coloring), SEARCH_DEPTH swaps deep in the
+series, and record when a decision was budget-limited.
 """
 
 from __future__ import annotations
@@ -22,6 +22,11 @@ from .coloring import (PartialColoring, chain_components, defective_colors,
                        is_closed, is_elementary, is_strongly_closed,
                        kempe_chain, kempe_swap, swap_outside)
 from .graph import Multigraph
+
+# Swap layers of the series' stable-coloring searches. Depths 0, 1 and 2
+# color the seed-1 benchmark instances alike; 2 takes twice as long.
+SEARCH_DEPTH = 1
+MAX_LEVELS = 64                 # levels build_hierarchy grows before giving up
 
 
 class SeriesInvariantError(AssertionError):
@@ -355,10 +360,6 @@ class SeriesState:
                           separators=(",", ":"))
 
 
-def _dump(state: SeriesState) -> str:
-    return state.to_ledger_json()
-
-
 def assert_series_invariants(state: SeriesState):
     """Ledger invariants after every iteration.
 
@@ -371,7 +372,8 @@ def assert_series_invariants(state: SeriesState):
     for i in range(1, n + 1):
         d_i = state.d_set(i)
         if len(d_i) > i:
-            raise SeriesInvariantError(f"|D_{i}| = {len(d_i)} > {i}\n" + _dump(state))
+            raise SeriesInvariantError(
+                f"|D_{i}| = {len(d_i)} > {i}\n" + state.to_ledger_json())
         t_i = state.tree(i)
         phi_i = state.coloring(i)
         pool_i = phi_i.missing_union(t_i.vertices) | d_i
@@ -379,12 +381,13 @@ def assert_series_invariants(state: SeriesState):
         if not tree_colors <= pool_i:
             raise SeriesInvariantError(
                 f"T_{i} carries colors outside missing|D: {sorted(tree_colors - pool_i)}\n"
-                + _dump(state))
+                + state.to_ledger_json())
         prev_pool = (state.coloring(i - 1).missing_union(t_i.vertices)
                      | state.d_set(i - 1))
         if not prev_pool <= pool_i:
             raise SeriesInvariantError(
-                f"iteration {i} shrank the protected color pool\n" + _dump(state))
+                f"iteration {i} shrank the protected color pool\n"
+                + state.to_ledger_json())
     # PE postconditions on the most recent step; these rest on the tree being
     # elementary (the regime the series is proven for), so outside that regime
     # a failure means the hypotheses are void, not that the ledger is corrupt
@@ -405,7 +408,7 @@ def assert_series_invariants(state: SeriesState):
                     break
         if failure is not None:
             if is_elementary(phi_n, t_n.vertex_set):
-                raise SeriesInvariantError(failure + "\n" + _dump(state))
+                raise SeriesInvariantError(failure + "\n" + state.to_ledger_json())
             raise SeriesStuck(failure + " (tree not elementary)")
     # connecting-color chaining at a recurring supporting vertex
     by_vertex = {}
@@ -417,7 +420,7 @@ def assert_series_invariants(state: SeriesState):
             if cur.gamma != prev.delta:
                 raise SeriesInvariantError(
                     f"supporting vertex {cur.v_n}: gamma {cur.gamma} does not chain "
-                    f"from previous delta {prev.delta}\n" + _dump(state))
+                    f"from previous delta {prev.delta}\n" + state.to_ledger_json())
 
 
 @dataclass(frozen=True)
@@ -426,8 +429,7 @@ class StepOutcome:
     reason: str | None = None
 
 
-def series_step(G: Multigraph, state: SeriesState, *,
-                depth: int = 1) -> StepOutcome:
+def series_step(G: Multigraph, state: SeriesState) -> StepOutcome:
     """One iteration: stop on a strongly closed tree, else extend by RE, SE,
     or PE and append the new ledger row."""
     n = state.n + 1                    # the tree about to be extended is T_n
@@ -438,7 +440,8 @@ def series_step(G: Multigraph, state: SeriesState, *,
         state.outcome = "strongly_closed"
         return StepOutcome("strongly_closed")
     if not is_closed(phi, t_n.vertex_set):
-        raise SeriesInvariantError("series tree lost closedness\n" + _dump(state))
+        raise SeriesInvariantError(
+            "series tree lost closedness\n" + state.to_ledger_json())
 
     re_hit = _find_revisit(G, state, t_n, phi)
     if re_hit is not None:
@@ -454,13 +457,13 @@ def series_step(G: Multigraph, state: SeriesState, *,
         assert_series_invariants(state)
         return StepOutcome("extended", "re")
 
-    d_prev = _d_before(state, n)
-    v_n, f_n, delta_n, pi = max_defective_vertex(G, phi, t_n, d_prev, depth=depth)
+    d_prev = state.d_set(n - 1)
+    v_n, f_n, delta_n, pi = max_defective_vertex(G, phi, t_n, d_prev, depth=SEARCH_DEPTH)
     u_n = G.other_end(f_n, v_n)
     tree_missing = pi.missing_union(t_n.vertices)
 
     pe_witness = None
-    for sigma in stable_search(pi, t_n.vertex_set, d_prev | {delta_n}, depth):
+    for sigma in stable_search(pi, t_n.vertex_set, d_prev | {delta_n}, SEARCH_DEPTH):
         hit = sigma.missing(u_n) & tree_missing
         if hit:
             pe_witness = (sigma, min(hit))
@@ -499,14 +502,6 @@ def series_step(G: Multigraph, state: SeriesState, *,
         search_truncated=True))
     assert_series_invariants(state)
     return StepOutcome("extended", "pe")
-
-
-def _d_before(state: SeriesState, n: int) -> frozenset:
-    """D_{n-1} evaluated against T_{n-1} under phi_{n-1} (empty when n = 1)."""
-    if n == 1:
-        return frozenset()
-    missing = state.coloring(n - 1).missing_union(state.tree(n - 1).vertices)
-    return state.connecting_union(n - 1) - missing
 
 
 def _find_revisit(G, state: SeriesState, t_n: TreeSequence, phi):
@@ -582,7 +577,7 @@ def _join(base: TreeSequence, extra: TreeSequence) -> TreeSequence:
     return cur
 
 
-def series(G: Multigraph, eid: int, phi0: PartialColoring, *, depth: int = 1):
+def series(G: Multigraph, eid: int, phi0: PartialColoring):
     """Run the extension series from the closure of the uncolored root edge,
     yielding the ledger (one SeriesState, growing) after T_1 and every step.
 
@@ -606,15 +601,14 @@ def series(G: Multigraph, eid: int, phi0: PartialColoring, *, depth: int = 1):
         if state.outcome == "strongly_closed":
             return
         before = len(state.final_tree.vertices)
-        series_step(G, state, depth=depth)
+        series_step(G, state)
         if len(state.final_tree.vertices) <= before:
             raise SeriesInvariantError("series step failed to grow the tree\n"
-                                       + _dump(state))
+                                       + state.to_ledger_json())
 
 
 def build_series(G: Multigraph, eid: int, phi0: PartialColoring, *,
-                 max_steps: int | None = None, depth: int = 1,
-                 strict: bool = True) -> SeriesState:
+                 max_steps: int | None = None, strict: bool = True) -> SeriesState:
     """The whole series as one ledger: `series` until the tree is strongly
     closed or after max_steps iterations (default: one per graph vertex).
     With strict=False a stuck step downgrades to a budget_exhausted outcome
@@ -622,7 +616,7 @@ def build_series(G: Multigraph, eid: int, phi0: PartialColoring, *,
     """
     limit = G.vertex_count if max_steps is None else max_steps
     try:
-        for state in series(G, eid, phi0, depth=depth):
+        for state in series(G, eid, phi0):
             if state.outcome == "running" and state.n >= limit:
                 state.outcome = "budget_exhausted"
                 break
@@ -659,7 +653,7 @@ class Hierarchy:
         return len(self.levels) - 1
 
 
-def build_hierarchy(state: SeriesState, *, max_levels: int = 64) -> Hierarchy:
+def build_hierarchy(state: SeriesState) -> Hierarchy:
     """Construct the level structure for the final rung of a series.
 
     Rung 0 yields the trivial hierarchy (no dividers, nothing reserved).
@@ -756,7 +750,7 @@ def build_hierarchy(state: SeriesState, *, max_levels: int = 64) -> Hierarchy:
 
     j = 1
     while not is_closed(phi, levels[-1].vertex_set):
-        if j >= max_levels:
+        if j >= MAX_LEVELS:
             raise HierarchyInapplicable("level limit hit before the tree closed")
         t_j = levels[-1]
         d_j = all_s - phi.missing_union(t_j.vertices)

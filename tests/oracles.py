@@ -9,7 +9,7 @@ the reference values the package's answers are frozen against.
 from fractions import Fraction
 from itertools import combinations
 
-from gscolor.coloring import KempeChain, PartialColoring
+from gscolor.coloring import ExitPath, KempeChain, PartialColoring
 
 
 def brute_density(G):
@@ -182,3 +182,37 @@ def reference_kempe_chain(pc, v, alpha, beta):
         edges, verts = edges[::-1], verts[::-1]
     return KempeChain(colors, "path", tuple(edges), tuple(verts),
                       (verts[0], verts[-1]))
+
+
+def reference_exit_paths(pc, tree, alpha, beta):
+    """The exit paths of the tree, by the walker the package used before it
+    walked them with its alternating-path walker: each boundary edge in the
+    two colors is followed outward one vertex at a time, and the walk is
+    dropped as soon as it reaches a tree vertex."""
+    inside = frozenset(tree.vertices)
+    out = []
+    for f in sorted(pc.graph.boundary(inside)):
+        if pc.color_of(f) not in (alpha, beta):
+            continue
+        u0, v0 = pc.graph.endpoints(f)
+        v = u0 if u0 in inside else v0
+        edges, verts = [f], [v]
+        cur = pc.graph.other_end(f, v)
+        ok = True
+        while True:
+            if cur in inside:
+                ok = False
+                break
+            verts.append(cur)
+            nxt_color = alpha if pc.color_of(edges[-1]) == beta else beta
+            nxt = pc.edge_at(cur, nxt_color)
+            if nxt is None:
+                break
+            edges.append(nxt)
+            cur = pc.graph.other_end(nxt, cur)
+        if not ok:
+            continue
+        end = verts[-1]
+        if pc.missing(end) & {alpha, beta}:
+            out.append(ExitPath(frozenset((alpha, beta)), tuple(edges), tuple(verts)))
+    return out

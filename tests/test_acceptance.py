@@ -307,8 +307,8 @@ def test_criterion_11_certificate_soundness(corpus_runs):
         if rep.lower < 2 or G.m > 16:
             continue
         k = rep.lower - 1
-        pc, _, evidences = color_at_k(G, k)
-        if pc is not None:
+        _, trace, evidences = color_at_k(G, k)
+        if trace is not None:
             continue
         for ev in evidences:
             if ev.kind == "elementary_strongly_closed_tree":

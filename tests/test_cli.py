@@ -292,17 +292,25 @@ def _ring17_files(tmp_path):
     (["bench", "--gen", "ring", "x"], 1, "bad generator"),
     (["bench", "--gen", "exhaustive", "5"], 1, "bad generator"),
     (["bench", "{missing}"], 1, "cannot read graph"),
+    (["verify", "{graph}", "{nested}"], 3, "invalid result"),
+    (["color", "--gen", "petersen", "--out", "{unwritable}"], 1, "cannot write output"),
+    (["report", "--gen", "petersen", "--out", "{unwritable}"], 1, "cannot write output"),
+    (["bench", "--gen", "petersen", "--out", "{unwritable}"], 1, "cannot write output"),
 ], ids=["color-too-large", "report-too-large", "verify-too-large",
         "color-missing-graph", "report-missing-graph", "verify-missing-graph",
         "verify-missing-result", "color-gen-non-integer", "report-gen-non-integer",
         "color-gen-missing-arg", "color-gen-random-missing-args",
         "color-gen-unknown", "color-gen-ring-too-small", "report-gen-extra-arg",
         "bench-gen-non-integer", "bench-gen-exhaustive-missing-arg",
-        "bench-missing-graph"])
+        "bench-missing-graph", "verify-nested-result", "color-unwritable-out",
+        "report-unwritable-out", "bench-unwritable-out"])
 def test_unusable_inputs_exit_with_one_line(tmp_path, capsys, argv, code, message):
     graph, result = _ring17_files(tmp_path)
-    paths = {"graph": graph, "result": result,
-             "missing": str(tmp_path / "missing.mg")}
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200000 + "]" * 200000)
+    paths = {"graph": graph, "result": result, "nested": str(nested),
+             "missing": str(tmp_path / "missing.mg"),
+             "unwritable": str(tmp_path / "no-such-dir" / "out.json")}
     got, out, err = run_cli(capsys, *[a.format(**paths) for a in argv])
     assert got == code
     assert out == ""
@@ -310,11 +318,14 @@ def test_unusable_inputs_exit_with_one_line(tmp_path, capsys, argv, code, messag
 
 
 def test_report_rejects_run_flags(capsys):
-    """report only reads a graph and prints its bounds, so --seed, --budget
-    and --fallback-threshold are usage errors there."""
-    for flag in ("--seed", "--budget", "--fallback-threshold"):
+    """report only reads a graph and prints its bounds, so --seed and
+    --fallback-threshold are usage errors there; --budget is one everywhere,
+    because the search depth it set is a constant."""
+    for command, flag in [("report", "--seed"), ("report", "--fallback-threshold"),
+                          ("report", "--budget"), ("color", "--budget"),
+                          ("bench", "--budget")]:
         with pytest.raises(SystemExit) as exc:
-            main(["report", "--gen", "petersen", flag, "2"])
+            main([command, "--gen", "petersen", flag, "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

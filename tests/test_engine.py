@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,7 +129,7 @@ def test_extend_emits_certificate_evidence(triangle):
     # k = 2 < density 3: the grown tree is all of V, elementary and strongly
     # closed, and certifies that 2 colors cannot suffice
     pc, trace, evidences = color_at_k(triangle, 2)
-    assert pc is None
+    assert trace is None
     ev = evidences[0]
     assert ev.kind == "elementary_strongly_closed_tree"
     assert ev.tree.vertex_set == {0, 1, 2}
@@ -138,7 +141,7 @@ def test_extend_evidence_structure():
     # elementary and strongly closed under the attempt coloring
     G = shannon_triangle(2)
     pc, trace, evidences = color_at_k(G, 5)
-    assert pc is None
+    assert trace is None
     for ev in evidences:
         if ev.kind != "elementary_strongly_closed_tree":
             continue
@@ -291,6 +294,18 @@ def test_color_output_is_pinned(make, digest):
     except IncompleteColoringError as exc:
         text = coloring_to_json(exc.partial)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_output_digest_runs(capsys):
+    """benchmarks/output_digest.py prints one digest line per workload."""
+    path = Path(__file__).parents[1] / "benchmarks" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["tight_family"]) == 0
+    name, count, incomplete, digest = capsys.readouterr().out.split()
+    assert name == "tight_family" and 0 <= int(incomplete) <= int(count)
+    assert re.fullmatch("[0-9a-f]{64}", digest)
 
 
 # The same pins for instances that reach the exact fallback, taken before it

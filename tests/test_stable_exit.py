@@ -8,7 +8,8 @@ import pytest
 from gscolor import (Multigraph, PartialColoring, find_exit_paths, is_stable,
                      kempe_chain, kempe_swap, taa_close)
 from gscolor.tashkinov import TreeSequence, stable_neighbors, stable_search
-from oracles import all_chain_paths, random_multigraph_pairs, random_proper_coloring
+from oracles import (all_chain_paths, random_multigraph_pairs, random_proper_coloring,
+                     reference_exit_paths)
 
 
 def _setup(seed, n=8, m=13, slack=0):
@@ -147,6 +148,23 @@ def test_exit_paths_walk_rejects_reentry():
     pc = PartialColoring(G, 4, {1: 1, 2: 2, 3: 1})
     tree = TreeSequence.root(G, 0)
     assert find_exit_paths(pc, tree, 1, 2) == []
+
+
+def test_exit_paths_match_reference_walker():
+    """find_exit_paths agrees with the earlier step-by-step walker on every
+    color pair of seeded random trees, small and large slack alike."""
+    found = 0
+    for seed in range(60):
+        for slack in (0, 1, 3):
+            _, _, pc, tree = _setup(seed, slack=slack)
+            for a in range(1, pc.k + 1):
+                for b in range(1, pc.k + 1):
+                    if a == b:
+                        continue
+                    paths = find_exit_paths(pc, tree, a, b)
+                    assert paths == reference_exit_paths(pc, tree, a, b)
+                    found += len(paths)
+    assert found > 100
 
 
 def test_at_most_one_path_meets_closed_tree():
