@@ -2,9 +2,10 @@
 """One sha256 per benchmark workload over everything `color` outputs.
 
 For each workload, the instances of `colorbench.workloads.build(wl, SEED)`
-are colored in order. A complete run feeds `color(G).to_json()` into the
-hash, an incomplete one `coloring_to_json` of its partial coloring. Two
-trees that print the same digests color every instance byte-identically:
+are colored in order, and each run's `ColoringResult.to_json()` feeds the
+hash: the complete record `color(G)` returns, or the partial one that
+`IncompleteColoringError.result` carries. Two trees that print the same
+digests color every instance byte-identically:
 
     python3 benchmarks/output_digest.py [WORKLOAD ...]
 
@@ -22,7 +23,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from colorbench.workloads import build  # noqa: E402
-from gscolor.coloring import coloring_to_json  # noqa: E402
 from gscolor.engine import IncompleteColoringError, color  # noqa: E402
 
 WORKLOADS = ("desk_corpus", "dense_multi", "tight_family")
@@ -37,11 +37,11 @@ def digest(workload: str) -> tuple:
         instances = build(workload, SEED, tmp)
     for inst in instances:
         try:
-            text = color(inst.graph).to_json()
+            result = color(inst.graph)
         except IncompleteColoringError as exc:
             incomplete += 1
-            text = coloring_to_json(exc.partial)
-        h.update(text.encode())
+            result = exc.result
+        h.update(result.to_json().encode())
     return len(instances), incomplete, h.hexdigest()
 
 

@@ -1,11 +1,10 @@
 """Multigraph edge coloring with at most max(Delta+1, ceil(density)) colors,
 plus the density certificates and brute-force oracles that verify it."""
 
-from .coloring import (KempeChain, PartialColoring, coloring_from_json,
-                       coloring_to_json, color_boundary, defective_colors,
-                       find_exit_paths, is_closed, is_elementary, is_stable,
-                       is_strongly_closed, kempe_chain, kempe_swap,
-                       swap_outside, validate)
+from .coloring import (KempeChain, PartialColoring, color_boundary,
+                       defective_colors, find_exit_paths, is_closed,
+                       is_elementary, is_stable, is_strongly_closed,
+                       kempe_chain, kempe_swap, swap_outside, validate)
 from .density import (BoundReport, DensityCertificate, bound_report,
                       certificate_check, chromatic_index_exact, is_critical,
                       tashkinov_order)

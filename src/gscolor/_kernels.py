@@ -85,11 +85,23 @@ def _feasible_py(eu, ev, prev, n, k):
 # ascending mask order; (0, 0, 0) when no odd subset contains an edge.
 
 def _density_numpy(emasks, weights, n):
-    # the half-split identity of the module docstring, in exact int64
-    lo = n // 2
-    s_lo, s_hi, odd, den = _half_split_tables(n)
+    _, _, odd, den = _half_split_tables(n)
     if odd.size == 0:
         return 0, 0, 0
+    cnt = _subset_edge_counts(emasks, weights, n)[odd]
+    # ratios of small ints compare exactly in float64; argmax takes the
+    # first maximizer in ascending mask order
+    i = int(np.argmax(cnt / den))
+    if cnt[i] == 0:
+        return 0, 0, 0
+    return int(cnt[i]), int(den[i] + 1), int(odd[i])
+
+
+def _subset_edge_counts(emasks, weights, n):
+    """|E(U)| for every vertex mask U, indexed by the mask."""
+    # the half-split identity of the module docstring, in exact int64
+    lo = n // 2
+    s_lo, s_hi, _, _ = _half_split_tables(n)
     bits = (emasks[:, None] >> np.arange(n, dtype=np.int64)) & 1
     # pair_w[i, j], i < j: the weight of the vertex pair {i, j}
     pair_w = np.triu((bits * weights[:, None]).T @ bits, 1)
@@ -97,13 +109,7 @@ def _density_numpy(emasks, weights, n):
     e_hi = ((s_hi @ pair_w[lo:, lo:]) * s_hi).sum(axis=1)
     cross = (s_hi @ pair_w[:lo, lo:].T) @ s_lo.T
     # row B, column A: the flat index B << lo | A is the subset mask
-    cnt = (cross + e_hi[:, None] + e_lo[None, :]).ravel()[odd]
-    # ratios of small ints compare exactly in float64; argmax takes the
-    # first maximizer in ascending mask order
-    i = int(np.argmax(cnt / den))
-    if cnt[i] == 0:
-        return 0, 0, 0
-    return int(cnt[i]), int(den[i] + 1), int(odd[i])
+    return (cross + e_hi[:, None] + e_lo[None, :]).ravel()
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,27 +135,20 @@ def _membership(bits):
             >> np.arange(bits, dtype=np.int64)) & 1
 
 
-def _popcounts(masks, n):
-    pc = np.zeros(masks.shape, dtype=np.int64)
-    t = masks.copy()
-    for _ in range(n):
-        pc += t & 1
-        t >>= 1
-    return pc
-
-
 # --------------------------------------------------------------------------
 # minimum boundary size over all odd vertex subsets (including singletons
-# and, for odd n, the full vertex set)
+# and, for odd n, the full vertex set), by |boundary(U)| = sum of d(v) over
+# U minus 2|E(U)| on the density scan's tables
 
-def _min_odd_cut_numpy(emasks, n):
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    odd = masks[_popcounts(masks, n) % 2 == 1]
-    cut = np.zeros(odd.size, dtype=np.int64)
-    for em in emasks:
-        inside = odd & em
-        cut += (inside != 0) & (inside != em)
-    return int(cut.min()) if odd.size else len(emasks) + 1
+def _min_odd_cut_numpy(emasks, weights, n):
+    lo = n // 2
+    s_lo, s_hi, odd, _ = _half_split_tables(n)
+    degree = (((emasks[:, None] >> np.arange(n, dtype=np.int64)) & 1)
+              * weights[:, None]).sum(axis=0)
+    degree_sum = ((s_hi @ degree[lo:])[:, None] + (s_lo @ degree[:lo])[None, :]).ravel()
+    cut = degree_sum[odd] - 2 * _subset_edge_counts(emasks, weights, n)[odd]
+    # the tables skip singletons, whose boundary is the degree
+    return int(np.min(cut, initial=degree.min()))
 
 
 def chromatic_feasible(eu, ev, n: int, k: int):
@@ -211,5 +210,5 @@ def min_odd_cut(edge_masks, n: int) -> int:
         raise ValueError("vertex bitmasks limited to 62 vertices")
     if n == 0:
         return len(edge_masks) + 1
-    return _min_odd_cut_numpy(np.asarray(edge_masks, np.int64), n)
+    return _min_odd_cut_numpy(*distinct_masks(edge_masks), n)
 

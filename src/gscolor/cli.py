@@ -19,13 +19,6 @@ BENCH_COLUMNS = ["idx", "spec", "n", "m", "delta", "mu", "gamma", "chi_exact",
                  "k_used", "direct", "kempe", "tashkinov", "fallback", "status"]
 
 
-def _env_seed() -> int:
-    try:
-        return int(os.environ.get("GS_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def _read_file(path: str) -> str:
     with open(path) as fh:
         return fh.read()
@@ -37,6 +30,24 @@ def _load_graph(args) -> Multigraph:
     if not args.path:
         raise SystemExit("either a graph path or --gen is required")
     return parse_multigraph(_read_file(args.path))
+
+
+def _out_writable(path: str) -> bool:
+    """True if path opens for writing; False after one stderr line if not.
+
+    Append mode does not truncate, and a file this probe created is removed
+    again, so the probe leaves the file system as it found it.
+    """
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return False
+    if not existed:
+        os.remove(path)
+    return True
 
 
 def _emit(text: str, args) -> int:
@@ -76,7 +87,7 @@ def cmd_color(args) -> int:
     if G is None:
         return 1
     try:
-        result = color(G, seed=args.seed, fallback_threshold=args.fallback_threshold)
+        result = color(G, fallback_threshold=args.fallback_threshold)
     except IncompleteColoringError as exc:
         print(f"incomplete (budget): {exc}", file=sys.stderr)
         return 2
@@ -142,12 +153,12 @@ def _bench_instances(args):
 
 def _bench_row(task):
     """One instance's row fields (sans index); safe to run in a worker."""
-    name, G, seed, threshold, oracle, timings = task
+    name, G, threshold, oracle, timings = task
     t0 = time.perf_counter()
     rep = bound_report(G)
     status = "ok"
     try:
-        result = color(G, seed=seed, fallback_threshold=threshold)
+        result = color(G, fallback_threshold=threshold)
         k_used = result.k_used
         counts = {tag: 0 for tag in ("direct", "kempe", "tashkinov", "fallback")}
         for tag in result.trace.values():
@@ -185,12 +196,13 @@ def cmd_bench(args) -> int:
     instances = _read_graph(lambda: list(_bench_instances(args)))
     if instances is None:
         return 1
-    tasks = [(name, G, args.seed, args.fallback_threshold, args.oracle, args.timings)
+    tasks = [(name, G, args.fallback_threshold, args.oracle, args.timings)
              for name, G in instances]
-    if args.jobs > 1:
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # rows come back in instance order regardless of completion order
         import multiprocessing
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             rows = pool.map(_bench_row, tasks, chunksize=16)
     else:
         rows = [_bench_row(t) for t in tasks]
@@ -204,9 +216,14 @@ def cmd_bench(args) -> int:
     return 0 if violations == 0 else 4
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_run_flags(p):
-    p.add_argument("--seed", type=int, default=_env_seed(),
-                   help="seed recorded in results (default: GS_SEED env or 0)")
     p.add_argument("--fallback-threshold", type=int, default=25,
                    help="edge count at or below which extension may use "
                         "exact backtracking")
@@ -250,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "to the whole corpus")
     p.add_argument("--oracle", action="store_true",
                    help="include exact chi' and fail the run on any bound violation")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; output order is by instance index "
-                        "either way")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes, at most one per instance and per "
+                        "CPU; output order is by instance index either way")
     p.add_argument("--timings", action="store_true",
                    help="append a wall-clock column (breaks byte-for-byte "
                         "determinism)")
@@ -264,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "out", None) and not _out_writable(args.out):
+        return 1
     return args.func(args)
 
 

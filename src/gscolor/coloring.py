@@ -8,7 +8,6 @@ coloring that still has edges waiting to be colored.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .graph import Multigraph
@@ -471,21 +470,3 @@ def find_exit_paths(pc: PartialColoring, tree, alpha: int, beta: int) -> list:
         if inside.isdisjoint(verts[1:]) and pc.missing(end) & pair:
             out.append(ExitPath(pair, tuple(edges), tuple(verts)))
     return out
-
-
-# -- serialization --------------------------------------------------------------
-
-def coloring_to_json(pc: PartialColoring) -> str:
-    """JSON object {k, assignment: [[edge_id, color|null]...]}, keys ordered."""
-    assignment = [[eid, pc.color_of(eid)] for eid in sorted(pc.graph.edge_ids)]
-    return json.dumps({"k": pc.k, "assignment": assignment},
-                      sort_keys=False, separators=(",", ":"))
-
-
-def coloring_from_json(graph: Multigraph, text: str) -> PartialColoring:
-    obj = json.loads(text)
-    pc = PartialColoring(graph, obj["k"])
-    for eid, c in obj["assignment"]:
-        if c is not None:
-            pc.assign(eid, c)
-    return pc

@@ -58,17 +58,18 @@ class ExtendOutcome(NamedTuple):
 
 @dataclass
 class ColoringResult:
+    """A run's record: complete when `color` returns it, partial (uncolored
+    edges null, trace over the colored ones) when IncompleteColoringError
+    carries it."""
     coloring: PartialColoring
     k_used: int
     certificates: list             # [(DensityCertificate, k it was emitted against)]
     trace: dict                    # edge id -> "direct" | "kempe" | "tashkinov" | "fallback"
-    seed: int
 
     def to_json_obj(self) -> dict:
         return {
             "v": 1,
             "k_used": self.k_used,
-            "seed": self.seed,
             "assignment": [[e, self.coloring.color_of(e)]
                            for e in sorted(self.coloring.graph.edge_ids)],
             "trace": [[e, self.trace[e]] for e in sorted(self.trace)],
@@ -109,7 +110,6 @@ def _check_schema(obj):
     checks = [
         (_is_int(obj.get("v")) and obj["v"] == 1, '"v": 1'),
         (_is_int(obj.get("k_used")), 'an integer "k_used"'),
-        (_is_int(obj.get("seed")), 'an integer "seed"'),
         (_is_pairs(obj.get("assignment"), _is_int,
                    lambda c: c is None or _is_int(c)),
          '"assignment" as [edge id, integer color or null] pairs'),
@@ -126,7 +126,9 @@ def _check_schema(obj):
 
 def result_from_json(G: Multigraph, text: str) -> ColoringResult:
     """Load a result file; ValueError if it is malformed or not about G,
-    RecursionError if it nests too deeply for the JSON parser."""
+    RecursionError if it nests too deeply for the JSON parser. Keys the
+    schema does not name are ignored, so files with keys that older
+    versions wrote still load."""
     obj = json.loads(text)
     _check_schema(obj)
     ids = [e for e, _ in obj["assignment"]]
@@ -138,17 +140,16 @@ def result_from_json(G: Multigraph, text: str) -> ColoringResult:
                                  Fraction(c["value"]["num"], c["value"]["den"])),
               c["k"])
              for c in obj["certificates"]]
-    return ColoringResult(pc, obj["k_used"], certs, dict(obj["trace"]), obj["seed"])
+    return ColoringResult(pc, obj["k_used"], certs, dict(obj["trace"]))
 
 
 class IncompleteColoringError(Exception):
     """Heuristic extension failed at the guaranteed bound above the exact
-    fallback threshold; carries the partial coloring."""
+    fallback threshold; `result` is the partial record at that k."""
 
-    def __init__(self, partial: PartialColoring, k: int):
-        super().__init__(f"incomplete (budget) at k={k}")
-        self.partial = partial
-        self.k = k
+    def __init__(self, result: ColoringResult):
+        super().__init__(f"incomplete (budget) at k={result.k_used}")
+        self.result = result
 
 
 # -- per-edge extension -------------------------------------------------------
@@ -192,8 +193,8 @@ def _try_kempe(pc: PartialColoring, eid: int):
 
 
 def _tree_evidence(G, tree, k):
-    """Evidence from the tree of a series that ended strongly closed with an
-    elementary audit (the loop in `extend` saw both), or None."""
+    """Evidence from the tree of a series that ended strongly closed and
+    passed the elementary audit (`extend` checks both), or None."""
     u = tree.vertex_set
     if len(u) >= 3 and len(u) % 2 and certificate_check(G, u, k):
         return FailureEvidence("elementary_strongly_closed_tree", tree, k)
@@ -212,9 +213,11 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
     colors pc in place too. The chain swap scans from one end only, because
     the direct step failing leaves the ends' missing sets disjoint (see the
     module docstring). Tree steps consume `tashkinov.series`: after every
-    step the direct step and the chain swap are retried, and when the first
-    pair of tree vertices that share a missing color is the ends of eid, eid
-    takes that color. Uncolored edges other than eid are invisible to the
+    step the direct step and the chain swap are retried. The tree is
+    audited only once, on the strongly closed last row, for evidence: a
+    color an audit found missing at both ends of eid would already have
+    gone to the direct step on the same coloring. Uncolored edges other
+    than eid are invisible to the
     machinery, so this works midway through a coloring run. Within the
     fallback threshold the answer is exact: one search over the colored
     subgraph plus eid, in the oracle's edge order, either finds a
@@ -230,21 +233,16 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
     if out is not None:
         return ExtendOutcome("colored", out, None, "kempe")
 
-    ends = set(G.endpoints(eid))
     try:
         for state in series(G, eid, pc):
-            phi, tree = state.final_coloring, state.final_tree
+            tree = state.final_tree
             if state.n >= 1:
                 for attempt in (_try_direct, _try_kempe):
-                    out = attempt(phi, eid)
+                    out = attempt(state.final_coloring, eid)
                     if out is not None:
                         return ExtendOutcome("colored", out, None, "tashkinov")
-            witness = elementary_audit(phi, tree)
-            if witness is not None and {witness.u, witness.v} == ends:
-                out = phi.clone()
-                out.assign(eid, witness.color)
-                return ExtendOutcome("colored", out, None, "tashkinov")
-        if witness is None:
+        # the series ended strongly closed
+        if elementary_audit(state.final_coloring, tree) is None:
             ev = _tree_evidence(G, tree, pc.k)
             if ev is not None:
                 return ExtendOutcome("evidence", None, ev, None)
@@ -270,9 +268,10 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
 def color_at_k(G: Multigraph, k: int, *, fallback_threshold: int = 25):
     """Try to color every edge with k colors.
 
-    Returns (coloring, trace, []) on success, or (partial coloring, None,
-    evidences) at the first edge whose extension produced evidence against
-    k; `trace is None` marks the failure.
+    Returns (coloring, trace, evidence). The trace maps each colored edge
+    to its method. evidence is None on success; otherwise it is what the
+    first edge that resisted produced against k, and the coloring is
+    partial.
     """
     pc = PartialColoring(G, k)
     trace = {}
@@ -284,33 +283,32 @@ def color_at_k(G: Multigraph, k: int, *, fallback_threshold: int = 25):
             pc = out.coloring
             trace[eid] = out.method
         else:
-            return pc, None, [out.evidence]
-    return pc, trace, []
+            return pc, trace, out.evidence
+    return pc, trace, None
 
 
-def color(G: Multigraph, *, seed: int = 0,
-          fallback_threshold: int = 25) -> ColoringResult:
+def color(G: Multigraph, *, fallback_threshold: int = 25) -> ColoringResult:
     """Color G with at most max(Delta+1, ceil(density)) colors.
 
     Starts at the certified lower bound and escalates once on failure; at
     desk scale (m within the fallback threshold) the escalated attempt cannot
     fail. Identical inputs give identical results, including the trace.
+    IncompleteColoringError carries the partial record of the last attempt.
     """
     rep = bound_report(G)
     schedule = [rep.lower] if rep.lower == rep.gs_upper else [rep.lower, rep.gs_upper]
     certificates = []
     for k in schedule:
-        pc, trace, evidences = color_at_k(G, k, fallback_threshold=fallback_threshold)
-        if trace is not None:
-            result = ColoringResult(pc, k, certificates, trace, seed)
+        pc, trace, evidence = color_at_k(G, k, fallback_threshold=fallback_threshold)
+        result = ColoringResult(pc, k, certificates, trace)
+        if evidence is None:
             if not (_valid_coloring(G, result) and _within_bounds(G, result, rep)):
                 raise AssertionError("engine produced a result that fails verification")
             return result
-        for ev in evidences:
-            if ev.kind == "elementary_strongly_closed_tree":
-                u = ev.tree.vertex_set
-                certificates.append((DensityCertificate(u, set_density(G, u)), ev.k))
-    raise IncompleteColoringError(pc, schedule[-1])
+        if evidence.kind == "elementary_strongly_closed_tree":
+            u = evidence.tree.vertex_set
+            certificates.append((DensityCertificate(u, set_density(G, u)), evidence.k))
+    raise IncompleteColoringError(result)
 
 
 def verify_result(G: Multigraph, result: ColoringResult) -> bool:

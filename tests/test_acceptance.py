@@ -307,15 +307,14 @@ def test_criterion_11_certificate_soundness(corpus_runs):
         if rep.lower < 2 or G.m > 16:
             continue
         k = rep.lower - 1
-        _, trace, evidences = color_at_k(G, k)
-        if trace is not None:
+        _, _, ev = color_at_k(G, k)
+        if ev is None:
             continue
-        for ev in evidences:
-            if ev.kind == "elementary_strongly_closed_tree":
-                assert certificate_check(G, ev.tree.vertex_set, ev.k)
-                if chi is not None:
-                    assert chi > ev.k
-                forced += 1
+        if ev.kind == "elementary_strongly_closed_tree":
+            assert certificate_check(G, ev.tree.vertex_set, ev.k)
+            if chi is not None:
+                assert chi > ev.k
+            forced += 1
     assert forced > 0
     print(f"\nACCEPTANCE 11: {emitted} certificates from criterion-1 runs and "
           f"{forced} forced low-k certificates all sound: PASS")

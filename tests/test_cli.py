@@ -191,6 +191,25 @@ def test_cmd_verify_malformed_result(tmp_path, capsys, edit):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# ring(5, 2) and its result as an older version wrote it, with the "seed"
+# key that results no longer carry
+RING5X2 = ("p multigraph 5 10\ne 0 1\ne 0 1\ne 1 2\ne 1 2\ne 2 3\ne 2 3\n"
+           "e 3 4\ne 3 4\ne 4 0\ne 4 0\n")
+OLD_RESULT = (
+    '{"v":1,"k_used":5,"seed":7,"assignment":[[0,1],[1,2],[2,3],[3,4],[4,1],'
+    '[5,5],[6,2],[7,3],[8,4],[9,5]],"trace":[[0,"direct"],[1,"direct"],'
+    '[2,"direct"],[3,"direct"],[4,"direct"],[5,"direct"],[6,"direct"],'
+    '[7,"direct"],[8,"direct"],[9,"fallback"]],"certificates":[]}')
+
+
+def test_cmd_verify_accepts_result_with_seed(tmp_path, capsys):
+    gpath, rpath = tmp_path / "ring.mg", tmp_path / "ring.json"
+    gpath.write_text(RING5X2)
+    rpath.write_text(OLD_RESULT)
+    assert parse_multigraph(RING5X2) == ring(5, 2)
+    assert run_cli(capsys, "verify", str(gpath), str(rpath)) == (0, "", "")
+
+
 def test_cmd_verify_out_of_range_colors_fail_verification(tmp_path, capsys):
     # well-formed but wrong: a clean verification failure, not a load error
     gpath, rpath = _write_instance(tmp_path, petersen(), capsys)
@@ -318,12 +337,14 @@ def test_unusable_inputs_exit_with_one_line(tmp_path, capsys, argv, code, messag
 
 
 def test_report_rejects_run_flags(capsys):
-    """report only reads a graph and prints its bounds, so --seed and
-    --fallback-threshold are usage errors there; --budget is one everywhere,
-    because the search depth it set is a constant."""
+    """report only reads a graph and prints its bounds, so
+    --fallback-threshold is a usage error there; --budget and --seed are
+    usage errors everywhere, because the search depth --budget set is a
+    constant and a result no longer records a seed."""
     for command, flag in [("report", "--seed"), ("report", "--fallback-threshold"),
                           ("report", "--budget"), ("color", "--budget"),
-                          ("bench", "--budget")]:
+                          ("bench", "--budget"), ("color", "--seed"),
+                          ("bench", "--seed")]:
         with pytest.raises(SystemExit) as exc:
             main([command, "--gen", "petersen", flag, "2"])
         assert exc.value.code == 2
@@ -338,7 +359,83 @@ def test_bench_rejects_json_flag(capsys):
 
 
 def test_gs_seed_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GS_SEED", "42")
-    code, out, _ = run_cli(capsys, "color", "--gen", "petersen", "--json")
+    """GS_SEED, which once set a recorded seed, changes no output byte."""
+    monkeypatch.delenv("GS_SEED", raising=False)
+    plain = run_cli(capsys, "color", "--gen", "petersen", "--json")
+    for value in ("42", "abc"):
+        monkeypatch.setenv("GS_SEED", value)
+        assert run_cli(capsys, "color", "--gen", "petersen", "--json") == plain
+    assert plain[0] == 0 and "seed" not in json.loads(plain[1])
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the work ran before --out was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["color", "--gen", "petersen"],
+    ["report", "--gen", "petersen"],
+    ["bench", "--gen", "exhaustive", "5", "10", "--oracle"],
+], ids=["color", "report", "bench"])
+def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    from gscolor import cli
+    for name in ("color", "bound_report", "_bench_row", "_bench_instances"):
+        monkeypatch.setattr(cli, name, _unreachable)
+    out = str(tmp_path / "no-such-dir" / "out")
+    code, stdout, err = run_cli(capsys, *argv, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("cannot write output") and err.count("\n") == 1
+
+
+def test_out_probe_leaves_files_as_it_found_them(tmp_path, capsys):
+    """A run that fails after the --out check neither leaves a new file
+    behind nor truncates an existing one."""
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("keep")
+    for path in (fresh, kept):
+        code, _, err = run_cli(capsys, "color", "--gen", "ring", "17", "--out", str(path))
+        assert code == 1 and err.startswith("graph too large")
+    assert not fresh.exists()
+    assert kept.read_text() == "keep"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_rejects_jobs_below_one(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--gen", "petersen", "--jobs", jobs])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    ("64", 4, 3),     # no more workers than instances
+    ("64", 2, 2),     # nor than CPUs
+    ("2", 4, 2),
+    ("1", 4, None),   # serial: no pool at all
+])
+def test_bench_pool_size_is_bounded(capsys, monkeypatch, jobs, cpus, workers):
+    """The pool is a stub that maps in this process and records its size,
+    so the test starts no process."""
+    import multiprocessing
+    import os
+    sizes = []
+
+    class StubPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", StubPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    args = ["bench", "--gen", "petersen", "--gen", "ring", "5", "--gen", "ring", "7"]
+    code, out, _ = run_cli(capsys, *args, "--jobs", jobs)
     assert code == 0
-    assert json.loads(out)["seed"] == 42
+    assert sizes == ([] if workers is None else [workers])
+    assert out == run_cli(capsys, *args)[1]

@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gscolor import (Multigraph, PartialColoring, color_boundary,
-                     coloring_from_json, coloring_to_json, defective_colors,
-                     is_closed, is_elementary, is_strongly_closed,
-                     kempe_chain, kempe_swap, swap_outside, validate)
+from gscolor import (ColoringResult, Multigraph, PartialColoring,
+                     color_boundary, defective_colors, is_closed,
+                     is_elementary, is_strongly_closed, kempe_chain,
+                     kempe_swap, swap_outside, validate)
 from gscolor.coloring import chain_components
+from gscolor.engine import result_from_json
 from oracles import (random_multigraph_pairs, random_proper_coloring,
                      reference_kempe_chain)
 
@@ -282,9 +283,16 @@ def test_debug_mode_cross_check(triangle):
 
 
 def test_json_round_trip(triangle):
-    pc = colored_triangle(triangle)
-    pc2 = PartialColoring(triangle, 3, {0: 1})
-    for original in (pc, pc2):
-        text = coloring_to_json(original)
-        assert coloring_from_json(triangle, text) == original
-    assert coloring_to_json(pc2) == '{"k":3,"assignment":[[0,1],[1,null],[2,null]]}'
+    """A complete record and a partial one (uncolored edges null, as an
+    incomplete run carries it) load back to the same record."""
+    complete = ColoringResult(colored_triangle(triangle), 3, [],
+                              {0: "direct", 1: "direct", 2: "direct"})
+    partial = ColoringResult(PartialColoring(triangle, 3, {0: 1}), 3, [],
+                             {0: "direct"})
+    for original in (complete, partial):
+        text = original.to_json()
+        back = result_from_json(triangle, text)
+        assert back.coloring == original.coloring
+        assert back.to_json() == text
+    assert partial.to_json() == ('{"v":1,"k_used":3,"assignment":[[0,1],[1,null],'
+                                 '[2,null]],"trace":[[0,"direct"]],"certificates":[]}')

@@ -13,7 +13,7 @@ from gscolor import (Multigraph, PartialColoring, bound_report,
                      color_at_k, extend, verify_result)
 from gscolor.engine import (ColoringResult, IncompleteColoringError, _try_kempe,
                             result_from_json)
-from gscolor.coloring import coloring_to_json, kempe_chain, kempe_swap, validate
+from gscolor.coloring import kempe_chain, kempe_swap, validate
 from gscolor.generators import (petersen, random_multigraph, ring,
                                shannon_triangle)
 from oracles import random_multigraph_pairs, random_proper_coloring
@@ -44,8 +44,8 @@ def test_color_edgeless():
 
 def test_color_deterministic():
     G = petersen()
-    a = color(G, seed=3)
-    b = color(G, seed=3)
+    a = color(G)
+    b = color(G)
     assert a.to_json() == b.to_json()
 
 
@@ -128,9 +128,8 @@ def test_kempe_step_matches_clone_and_swap(n, m, seed):
 def test_extend_emits_certificate_evidence(triangle):
     # k = 2 < density 3: the grown tree is all of V, elementary and strongly
     # closed, and certifies that 2 colors cannot suffice
-    pc, trace, evidences = color_at_k(triangle, 2)
-    assert trace is None
-    ev = evidences[0]
+    pc, trace, ev = color_at_k(triangle, 2)
+    assert ev is not None
     assert ev.kind == "elementary_strongly_closed_tree"
     assert ev.tree.vertex_set == {0, 1, 2}
     assert certificate_check(triangle, ev.tree.vertex_set, 2)
@@ -140,11 +139,9 @@ def test_extend_evidence_structure():
     # the evidence invariants: odd vertex count, both root ends inside,
     # elementary and strongly closed under the attempt coloring
     G = shannon_triangle(2)
-    pc, trace, evidences = color_at_k(G, 5)
-    assert trace is None
-    for ev in evidences:
-        if ev.kind != "elementary_strongly_closed_tree":
-            continue
+    pc, trace, ev = color_at_k(G, 5)
+    assert ev is not None
+    if ev.kind == "elementary_strongly_closed_tree":
         assert len(ev.tree.vertex_set) % 2 == 1
         x, y = G.endpoints(ev.tree.root_edge)
         assert {x, y} <= ev.tree.vertex_set
@@ -159,7 +156,7 @@ def test_verify_rejects_recolored_clash():
     tampered = {e: c for e, c in obj["assignment"]}
     tampered[e1] = tampered[e0]
     bad = ColoringResult(PartialColoring.unchecked(G, res.k_used, tampered),
-                         res.k_used, res.certificates, res.trace, res.seed)
+                         res.k_used, res.certificates, res.trace)
     assert not verify_result(G, bad)
 
 
@@ -168,7 +165,7 @@ def test_verify_rejects_inflated_k():
     res = color(G)
     bad = ColoringResult(PartialColoring.unchecked(
         G, 9, {e: res.coloring.color_of(e) for e in G.edge_ids}),
-        9, res.certificates, res.trace, res.seed)
+        9, res.certificates, res.trace)
     assert not verify_result(G, bad)
 
 
@@ -178,7 +175,7 @@ def test_verify_rejects_incomplete():
     partial = {e: res.coloring.color_of(e) for e in G.edge_ids}
     partial[0] = None
     bad = ColoringResult(PartialColoring.unchecked(G, res.k_used, partial),
-                         res.k_used, [], res.trace, res.seed)
+                         res.k_used, [], res.trace)
     assert not verify_result(G, bad)
 
 
@@ -251,7 +248,7 @@ def test_incomplete_carries_partial_coloring():
     G = Multigraph.build(5, pairs)
     with pytest.raises(IncompleteColoringError) as exc:
         color(G, fallback_threshold=0)
-    partial = exc.value.partial
+    partial = exc.value.result.coloring
     assert validate(G, partial) == []
     assert 0 < sum(1 for e in G.edge_ids if partial.color_of(e) is not None) < G.m
     # the default fallback threshold completes the same instance
@@ -265,22 +262,22 @@ def _doubled(G):
                             [G.endpoints(e) for e in G.edge_ids for _ in range(2)])
 
 
-# sha256 of color(G).to_json(), or of the partial coloring an incomplete run
-# carries, pinned so that speed-ups of the extension loop cannot change a
+# sha256 of the record's to_json(), complete or the partial one an incomplete
+# run carries, pinned so that speed-ups of the extension loop cannot change a
 # single output byte.
 GOLDEN = [
     (lambda: random_multigraph(16, 400, 1),
-     "caa2b8ea1c5cc14ffbe49c40c2d11e00cdf91c2d2f4adb4586ad0ddd97dd721f"),
+     "13ebe6c12e5b7cf09dbac581628c8dca4cb84ab81674c7fa2d298902ad0c8383"),
     (lambda: random_multigraph(16, 800, 2),
-     "56d98360a6ed23a6101aec475f9636f81c164ca3d71ac28a4cb2a949ca12ce47"),
+     "7cf7fef66d6caf9a899ed67bf6f193185e8fb00faba93a181d972a2eed7e8366"),
     (lambda: random_multigraph(16, 1200, 3),
-     "61f8b78fb1e345bb4aeadbdc1e7b66583d7384ca763e1a0aa8afbb8ce70bc197"),
+     "6e662e88c6c5c541e7061993c1469570453e4fc1abcd4cd7909b7d6c1aa97d15"),
     (lambda: random_multigraph(16, 1600, 4),
-     "aa481fcab788b717ff99b7f0b8f9157b5409ada8cd03610a1c4ad4fddffbb96d"),
+     "176ec5979fb6c2a80a26e8760b1b87c7e8dd933eed0f8b2691bdc0c1bf6d5d6d"),
     (lambda: ring(9, 2),
-     "ab40bfcde3173d563f84023613782ac89829e2565d831238a791bcb0980e2aae"),
+     "86222afec0ff886d8bba50b1106014c27757870d1bd0b91dc04fa15258757f2e"),
     (lambda: _doubled(petersen()),
-     "737458a12a4bf53e666a36e150e3d266154476502cf9814122fb7ce2205fcf7b"),
+     "7e24a5e31c4679d81db34fa27e824f82b3f6338550fe0a5b36f7a3711d6d8672"),
 ]
 
 
@@ -290,10 +287,10 @@ GOLDEN = [
 def test_color_output_is_pinned(make, digest):
     G = make()
     try:
-        text = color(G).to_json()
+        result = color(G)
     except IncompleteColoringError as exc:
-        text = coloring_to_json(exc.partial)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+        result = exc.result
+    assert hashlib.sha256(result.to_json().encode()).hexdigest() == digest
 
 
 def test_output_digest_runs(capsys):
@@ -312,11 +309,11 @@ def test_output_digest_runs(capsys):
 # became a single search with the parallel-edge rule.
 GOLDEN_FALLBACK = [
     (lambda: ring(5, 5),
-     "88e1894e66d4ed793a27e24a9a86204527393727760e319a8685f7c2ca2fc2e8"),
+     "ac9b6c59dd32f1011d05501303e653e3f1f40450fd47e79b0c4c2b500d8daf27"),
     (lambda: ring(7, 3),
-     "c4f782e527f94554cf05ed89ecb233be0cb331c19af28707b588c0618676026f"),
+     "6d3f1b53a6c6c2024e8d07055c1719522b3e947638995ca8017f53591f8a0378"),
     (lambda: ring(5, 4),
-     "f8efef7d3d116c84fe55ba7d86883a63a46246e86ec2fe8cd77c1f47101b47bf"),
+     "d12c9697daf11e572a396aad910eb6951476d8f5138fd46c75d0f40afc12aa71"),
 ]
 
 
