@@ -128,12 +128,16 @@ def result_from_json(G: Multigraph, text: str) -> ColoringResult:
     """Load a result file; ValueError if it is malformed or not about G,
     RecursionError if it nests too deeply for the JSON parser. Keys the
     schema does not name are ignored, so files with keys that older
-    versions wrote still load."""
+    versions wrote still load. No result for G needs more than
+    max(Delta+1, ceil(Gamma)) <= m + 1 colors, so a larger k_used is rejected before
+    any per-color table is sized from it."""
     obj = json.loads(text)
     _check_schema(obj)
     ids = [e for e, _ in obj["assignment"]]
     if sorted(ids) != sorted(G.edge_ids):
         raise ValueError("result does not describe this graph's edges")
+    if obj["k_used"] > G.m + 1:
+        raise ValueError(f"k_used {obj['k_used']} exceeds m + 1 = {G.m + 1}")
     # properness is verify_result's job, so tampered colorings stay loadable
     pc = PartialColoring.unchecked(G, obj["k_used"], dict(obj["assignment"]))
     certs = [(DensityCertificate(frozenset(c["u"]),

@@ -7,10 +7,12 @@ parallel (PE) recolors a one-edge exit path at a supporting vertex before
 reclosing. A ledger of connecting colors/edges is kept per step and checked
 against the structural invariants after every iteration.
 
-Quantifying over *all* stable colorings is computationally unbounded, so the
-searches here explore colorings reachable by chain swaps that avoid the tree
-(every such swap yields a stable coloring), SEARCH_DEPTH swaps deep in the
-series, and record when a decision was budget-limited.
+The paper quantifies each step over all colorings stable for the current
+tree. The series steps on the coloring it is given, which is one of them: the
+defective boundary edge and the PE witness come from the row's own coloring.
+`stable_search` and `max_defective_vertex` are the analysis-side search over
+the colorings reachable by chain swaps that avoid the tree (every such swap
+yields a stable coloring); no coloring path calls them.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ from .coloring import (PartialColoring, chain_components, defective_colors,
                        kempe_chain, kempe_swap, swap_outside)
 from .graph import Multigraph
 
-# Swap layers of the series' stable-coloring searches. Depths 0, 1 and 2
-# color the seed-1 benchmark instances alike; 2 takes twice as long.
-SEARCH_DEPTH = 1
 MAX_LEVELS = 64                 # levels build_hierarchy grows before giving up
 
 
@@ -214,15 +213,15 @@ def stable_neighbors(pc: PartialColoring, tree_vertices: frozenset,
     return out
 
 
-def stable_search(pc: PartialColoring, tree_vertices: frozenset, extra,
+def stable_search(pc: PartialColoring, tree_vertices: frozenset,
                   depth: int, cap: int = 400):
-    """BFS over stability-preserving swaps, yielding distinct colorings.
+    """Analysis-side BFS over stability-preserving swaps, yielding distinct
+    colorings.
 
-    `extra` is the protected color set beyond the tree's missing colors
-    (the C of the stability definition). Yields pc itself first; bounded by
-    `depth` swap layers and `cap` visited colorings in total.
+    The protected colors are the tree's missing colors. Yields pc itself
+    first; bounded by `depth` swap layers and `cap` visited colorings in total.
     """
-    protected = pc.missing_union(tree_vertices) | frozenset(extra)
+    protected = pc.missing_union(tree_vertices)
     seen = {pc.signature()}
     frontier = [pc]
     yield pc
@@ -243,43 +242,45 @@ def stable_search(pc: PartialColoring, tree_vertices: frozenset, extra,
             return
 
 
+def _max_defective(G: Multigraph, pc: PartialColoring, T: TreeSequence):
+    """The defective boundary edge of T under pc whose in-end is latest in
+    tree order, lowest edge id on ties: (sort key, in-end, edge, its color),
+    or None when no boundary color repeats."""
+    best = None
+    for alpha in sorted(defective_colors(pc, T.vertex_set)):
+        for e in sorted(G.boundary(T.vertex_set)):
+            if pc.color_of(e) != alpha:
+                continue
+            u, v = G.endpoints(e)
+            inner = u if T.has_vertex(u) else v
+            key = (T.order(inner), -e)
+            if best is None or key > best[0]:
+                best = (key, inner, e, alpha)
+    return best
+
+
 def max_defective_vertex(G: Multigraph, pc: PartialColoring, T: TreeSequence,
-                         D, *, depth: int = 1):
-    """Seek the latest-in-tree-order in-end of a defective boundary edge, over
-    stable colorings reachable within `depth` tree-avoiding swaps.
+                         *, depth: int = 1):
+    """Analysis-side search: the latest-in-tree-order in-end of a defective
+    boundary edge, over stable colorings reachable within `depth`
+    tree-avoiding swaps.
 
     Returns (vertex, edge, its color, the achieving coloring). Depth 0
     degrades to scoring pc itself. Rejects trees that are strongly closed
-    (nothing is defective) or not closed.
+    (nothing is defective) or not closed; on any other tree pc itself has a
+    defective boundary edge, so a result always exists.
     """
     if not is_closed(pc, T.vertex_set):
         raise ValueError("tree must be closed")
     if is_strongly_closed(pc, T.vertex_set):
         raise ValueError("tree is strongly closed; no defective vertex exists")
-
-    def score(pi):
-        best = None
-        for alpha in sorted(defective_colors(pi, T.vertex_set)):
-            for e in sorted(G.boundary(T.vertex_set)):
-                if pi.color_of(e) != alpha:
-                    continue
-                u, v = G.endpoints(e)
-                inner = u if T.has_vertex(u) else v
-                key = (T.order(inner), -e)
-                if best is None or key > best[0]:
-                    best = (key, inner, e, alpha)
-        return best
-
-    best_key = None
-    result = None
-    for pi in stable_search(pc, T.vertex_set, D, depth):
-        s = score(pi)
-        if s is not None and (best_key is None or s[0] > best_key):
-            best_key = s[0]
-            result = (s[1], s[2], s[3], pi)
-    if result is None:
-        raise SeriesStuck("no defective boundary edge found under any searched coloring")
-    return result
+    best = None
+    for pi in stable_search(pc, T.vertex_set, depth):
+        s = _max_defective(G, pi, T)
+        if s is not None and (best is None or s[0] > best[0][0]):
+            best = (s, pi)
+    (_, v, e, alpha), pi = best
+    return v, e, alpha, pi
 
 
 # -- the extension series (RE / SE / PE) ----------------------------------------
@@ -297,7 +298,6 @@ class SeriesTuple:
     gamma: int | None = None
     v_n: int | None = None            # extension / supporting vertex
     r_tree: TreeSequence | None = None  # PE only: closure of the segment at v_n
-    search_truncated: bool = False
 
 
 @dataclass
@@ -354,7 +354,6 @@ class SeriesState:
                 "F": sorted(t.connecting_edges),
                 "tree_vertices": list(t.tree.vertices),
                 "D": sorted(self.d_set(i)) if i >= 1 else [],
-                "search_truncated": t.search_truncated,
             })
         return json.dumps({"v": 1, "outcome": self.outcome, "rows": rows},
                           separators=(",", ":"))
@@ -457,36 +456,25 @@ def series_step(G: Multigraph, state: SeriesState) -> StepOutcome:
         assert_series_invariants(state)
         return StepOutcome("extended", "re")
 
-    d_prev = state.d_set(n - 1)
-    v_n, f_n, delta_n, pi = max_defective_vertex(G, phi, t_n, d_prev, depth=SEARCH_DEPTH)
+    # closed and not strongly closed, so some boundary color repeats
+    _, v_n, f_n, delta_n = _max_defective(G, phi, t_n)
     u_n = G.other_end(f_n, v_n)
-    tree_missing = pi.missing_union(t_n.vertices)
+    hit = phi.missing(u_n) & phi.missing_union(t_n.vertices)
 
-    pe_witness = None
-    for sigma in stable_search(pi, t_n.vertex_set, d_prev | {delta_n}, SEARCH_DEPTH):
-        hit = sigma.missing(u_n) & tree_missing
-        if hit:
-            pe_witness = (sigma, min(hit))
-            break
-
-    if pe_witness is None:
-        t_next = taa_close(G, pi, t_n.grow(f_n, u_n))
+    if not hit:
+        t_next = taa_close(G, phi, t_n.grow(f_n, u_n))
         state.tuples.append(SeriesTuple(
-            tree=t_next, coloring=pi,
+            tree=t_next, coloring=phi,
             connecting_colors=frozenset((delta_n,)),
             connecting_edges=frozenset((f_n,)), theta="se",
-            delta=delta_n, v_n=v_n, search_truncated=True))
+            delta=delta_n, v_n=v_n))
         assert_series_invariants(state)
         return StepOutcome("extended", "se")
 
-    sigma, alpha = pe_witness
-    gamma_n = _pick_gamma(state, pi, v_n)
-    if alpha == gamma_n:
-        pi_prime = sigma
-    else:
-        if not is_closed(sigma, t_n.vertex_set):
-            raise SeriesStuck("PE: tree not closed under the witness coloring")
-        pi_prime = swap_outside(sigma, t_n.vertex_set, alpha, gamma_n)
+    alpha = min(hit)
+    gamma_n = _pick_gamma(state, phi, v_n)
+    pi_prime = (phi if alpha == gamma_n
+                else swap_outside(phi, t_n.vertex_set, alpha, gamma_n))
     path = kempe_chain(pi_prime, v_n, gamma_n, delta_n)
     if (path.kind != "path" or set(path.edges) != {f_n}
             or len(set(path.vertices) & t_n.vertex_set) != 1):
@@ -498,8 +486,7 @@ def series_step(G: Multigraph, state: SeriesState) -> StepOutcome:
         tree=t_next, coloring=phi_n,
         connecting_colors=frozenset((delta_n, gamma_n)),
         connecting_edges=frozenset((f_n,)), theta="pe",
-        delta=delta_n, gamma=gamma_n, v_n=v_n, r_tree=r_tree,
-        search_truncated=True))
+        delta=delta_n, gamma=gamma_n, v_n=v_n, r_tree=r_tree))
     assert_series_invariants(state)
     return StepOutcome("extended", "pe")
 

@@ -179,6 +179,9 @@ MALFORMED = {
     "den_zero": _certificate([0, 1, 2], 0),
     "cert_u_nested": _certificate([[0]], 1),
     "top_level_list": lambda obj: [obj],
+    # above m + 1 colors, which no result needs; a color this large must not
+    # size a bitmask (it used to raise MemoryError)
+    "k_used_huge": lambda obj: _first_color(2 ** 62)({**obj, "k_used": 2 ** 62}),
 }
 
 

@@ -110,8 +110,7 @@ def test_strengthened_condition_equivalent():
 def test_stable_symmetric_transitive_sampled():
     for seed in range(15):
         _, G, pc, tree = _setup(seed)
-        reachable = list(stable_search(pc, tree.vertex_set, frozenset(),
-                                       depth=2, cap=12))
+        reachable = list(stable_search(pc, tree.vertex_set, depth=2, cap=12))
         for pi in reachable:
             if is_stable(pi, tree, frozenset(), pc):
                 assert is_stable(pc, tree, frozenset(), pi)

@@ -166,7 +166,20 @@ def test_series_se_step():
     assert se.theta == "se"
     assert se.connecting_colors == {6} and len(se.connecting_colors) == 1
     assert se.connecting_edges == {9}
-    assert se.search_truncated
+
+
+def test_series_steps_on_the_given_coloring():
+    """The series picks the defective edge and the PE witness from the row's
+    own coloring; a swap search would reach vertex 4 through edge 21."""
+    from conftest import make_improvement_instance
+
+    G, pc = make_improvement_instance()
+    state = build_series(G, 0, pc)
+    pe = state.tuples[1]
+    assert pe.theta == "pe"
+    assert pe.v_n == 2
+    assert pe.connecting_edges == {18}
+    assert pe.delta == 8 and pe.gamma == 5
 
 
 def test_series_ledger_json():
@@ -208,7 +221,7 @@ def test_series_strict_false_degrades():
 def test_max_defective_budget_zero():
     G, pc = make_pe_instance()
     tree = taa_close(G, pc, TreeSequence.root(G, 0))
-    v, f, delta, pi = max_defective_vertex(G, pc, tree, frozenset(), depth=0)
+    v, f, delta, pi = max_defective_vertex(G, pc, tree, depth=0)
     assert (v, f, delta) == (2, 9, 6)
     assert pi == pc
 
@@ -218,7 +231,7 @@ def test_max_defective_rejects_strongly_closed(shannon2):
     pc = PartialColoring(shannon2, 5, colorings[0])
     tree = taa_close(shannon2, pc, TreeSequence.root(shannon2, 0))
     with pytest.raises(ValueError):
-        max_defective_vertex(shannon2, pc, tree, frozenset())
+        max_defective_vertex(shannon2, pc, tree)
 
 
 def _best_defective_order(G, tree, pi):
@@ -258,7 +271,7 @@ def test_max_defective_one_swap_matches_exhaustive():
         exhaustive = max([_best_defective_order(G, tree, pc)] +
                          [_best_defective_order(G, tree, pi) for pi in
                           stable_neighbors(pc, tree.vertex_set, protected)])
-        v, f, delta, pi = max_defective_vertex(G, pc, tree, frozenset(), depth=1)
+        v, f, delta, pi = max_defective_vertex(G, pc, tree, depth=1)
         assert tree.order(v) == exhaustive
         checked += 1
     assert checked >= 10
@@ -273,9 +286,9 @@ def test_max_defective_finds_strictly_improving_swap():
     G, pc = make_improvement_instance()
     tree = taa_close(G, pc, TreeSequence.root(G, 0))
     assert tree.vertices == (0, 1, 2, 3, 4)
-    v0, _, _, pi0 = max_defective_vertex(G, pc, tree, frozenset(), depth=0)
+    v0, _, _, pi0 = max_defective_vertex(G, pc, tree, depth=0)
     assert tree.order(v0) == 2 and pi0 == pc
-    v1, _, _, pi1 = max_defective_vertex(G, pc, tree, frozenset(), depth=1)
+    v1, _, _, pi1 = max_defective_vertex(G, pc, tree, depth=1)
     assert tree.order(v1) == 4
     assert pi1 != pc
     # and the chosen coloring really is stable
