@@ -12,10 +12,8 @@ from .engine import (ColoringResult, FailureEvidence, IncompleteColoringError,
                      color, color_at_k, extend, verify_result)
 from .graph import (Multigraph, ParseError, ScaleExceededError,
                     format_multigraph, is_r_graph, parse_multigraph)
-from .tashkinov import (Hierarchy, HierarchyInapplicable, SeriesState,
-                        TreeSequence, build_hierarchy, build_series,
-                        elementary_audit, hierarchy_conditions,
-                        is_tashkinov_tree, max_defective_vertex, series_step,
+from .tashkinov import (SeriesState, TreeSequence, build_series,
+                        elementary_audit, is_tashkinov_tree, series_step,
                         taa_close)
 
 __version__ = "0.1.0"

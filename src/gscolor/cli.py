@@ -12,11 +12,12 @@ import time
 
 from . import generators
 from .density import bound_report, chromatic_index_exact
-from .engine import IncompleteColoringError, color, result_from_json, verify_result
+from .engine import (METHODS, IncompleteColoringError, color, result_from_json,
+                     verify_result)
 from .graph import Multigraph, ParseError, ScaleExceededError, parse_multigraph
 
 BENCH_COLUMNS = ["idx", "spec", "n", "m", "delta", "mu", "gamma", "chi_exact",
-                 "k_used", "direct", "kempe", "tashkinov", "fallback", "status"]
+                 "k_used", *METHODS, "status"]
 
 
 def _read_file(path: str) -> str:
@@ -160,12 +161,11 @@ def _bench_row(task):
     try:
         result = color(G, fallback_threshold=threshold)
         k_used = result.k_used
-        counts = {tag: 0 for tag in ("direct", "kempe", "tashkinov", "fallback")}
-        for tag in result.trace.values():
-            counts[tag] += 1
+        tags = list(result.trace.values())
+        counts = [tags.count(m) for m in METHODS]
     except IncompleteColoringError:
         k_used = ""
-        counts = {tag: "" for tag in ("direct", "kempe", "tashkinov", "fallback")}
+        counts = [""] * len(METHODS)
         status = "incomplete"
     chi = ""
     if oracle:
@@ -180,8 +180,7 @@ def _bench_row(task):
             status = "oracle-skipped"
     row = [name, G.vertex_count, G.m, rep.delta, rep.mu,
            f"{rep.gamma.numerator}/{rep.gamma.denominator}", chi, k_used,
-           counts["direct"], counts["kempe"], counts["tashkinov"],
-           counts["fallback"], status]
+           *counts, status]
     if timings:
         row.append(f"{time.perf_counter() - t0:.6f}")
     return row
@@ -199,13 +198,16 @@ def cmd_bench(args) -> int:
     tasks = [(name, G, args.fallback_threshold, args.oracle, args.timings)
              for name, G in instances]
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # rows come back in instance order regardless of completion order
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_bench_row, tasks, chunksize=16)
-    else:
-        rows = [_bench_row(t) for t in tasks]
+    try:
+        if workers > 1:
+            # rows come back in instance order regardless of completion order
+            import multiprocessing
+            with multiprocessing.Pool(workers) as pool:
+                rows = pool.map(_bench_row, tasks, chunksize=16)
+        else:
+            rows = [_bench_row(t) for t in tasks]
+    except ScaleExceededError as exc:
+        return _too_large(exc)
     violations = 0
     for idx, row in enumerate(rows):
         if row[-1 - int(args.timings)] not in ("ok", "oracle-skipped"):

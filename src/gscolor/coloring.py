@@ -405,12 +405,12 @@ def _tree_vertices(tree) -> tuple:
     return tuple(verts)
 
 
-def is_stable(pi: PartialColoring, tree, C, phi: PartialColoring, *,
+def is_stable(pi: PartialColoring, tree, phi: PartialColoring, *,
               strengthened: bool = False) -> bool:
-    """Does pi preserve phi around the tree, in the protected colors?
+    """Does pi preserve phi around the tree, in the tree's missing colors?
 
     Condition (i): every edge incident to the tree whose phi-color lies in
-    missing(tree) | C keeps its color; condition (ii): missing sets agree on
+    missing(tree) keeps its color; condition (ii): missing sets agree on
     every tree vertex. With strengthened=True, (i) additionally protects
     edges whose *pi*-color lies in that set, which accepts exactly the same
     colorings (checked as a property test).
@@ -423,7 +423,7 @@ def is_stable(pi: PartialColoring, tree, C, phi: PartialColoring, *,
     for v in verts:
         if pi.missing(v) != phi.missing(v):
             return False
-    protected = phi.missing_union(verts) | frozenset(C)
+    protected = phi.missing_union(verts)
     incident = sorted({e for v in verts for e in phi.graph.edges_at(v)})
     for e in incident:
         pc = phi.color_of(e)

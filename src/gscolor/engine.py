@@ -34,6 +34,8 @@ from .density import (DensityCertificate, _oracle_edge_order, bound_report,
 from .graph import Multigraph
 from .tashkinov import SeriesStuck, TreeSequence, elementary_audit, series
 
+METHODS = ("direct", "kempe", "tashkinov", "fallback")   # how extend colors an edge
+
 
 @dataclass(frozen=True)
 class FailureEvidence:
@@ -64,7 +66,7 @@ class ColoringResult:
     coloring: PartialColoring
     k_used: int
     certificates: list             # [(DensityCertificate, k it was emitted against)]
-    trace: dict                    # edge id -> "direct" | "kempe" | "tashkinov" | "fallback"
+    trace: dict                    # edge id -> one of METHODS
 
     def to_json_obj(self) -> dict:
         return {
@@ -125,7 +127,8 @@ def _check_schema(obj):
 
 
 def result_from_json(G: Multigraph, text: str) -> ColoringResult:
-    """Load a result file; ValueError if it is malformed or not about G,
+    """Load a result file; ValueError if it is malformed or not about G
+    (its trace included: each edge of G at most once, by one of METHODS),
     RecursionError if it nests too deeply for the JSON parser. Keys the
     schema does not name are ignored, so files with keys that older
     versions wrote still load. No result for G needs more than
@@ -136,6 +139,12 @@ def result_from_json(G: Multigraph, text: str) -> ColoringResult:
     ids = [e for e, _ in obj["assignment"]]
     if sorted(ids) != sorted(G.edge_ids):
         raise ValueError("result does not describe this graph's edges")
+    trace = dict(obj["trace"])
+    if len(trace) != len(obj["trace"]) or not trace.keys() <= set(G.edge_ids):
+        raise ValueError("trace names an edge twice or one this graph lacks")
+    unknown = sorted(set(trace.values()) - set(METHODS))
+    if unknown:
+        raise ValueError(f"trace names unknown methods {unknown}")
     if obj["k_used"] > G.m + 1:
         raise ValueError(f"k_used {obj['k_used']} exceeds m + 1 = {G.m + 1}")
     # properness is verify_result's job, so tampered colorings stay loadable
@@ -144,7 +153,7 @@ def result_from_json(G: Multigraph, text: str) -> ColoringResult:
                                  Fraction(c["value"]["num"], c["value"]["den"])),
               c["k"])
              for c in obj["certificates"]]
-    return ColoringResult(pc, obj["k_used"], certs, dict(obj["trace"]))
+    return ColoringResult(pc, obj["k_used"], certs, trace)
 
 
 class IncompleteColoringError(Exception):

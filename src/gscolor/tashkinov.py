@@ -1,4 +1,4 @@
-"""Tree sequences, tree-growing closures, the extension series, and hierarchies.
+"""Tree sequences, tree-growing closures, and the extension series.
 
 The series alternates three augmentation kinds over a growing closed tree:
 revisiting (RE) re-enters through a two-colored cycle, series (SE) absorbs a
@@ -10,9 +10,8 @@ against the structural invariants after every iteration.
 The paper quantifies each step over all colorings stable for the current
 tree. The series steps on the coloring it is given, which is one of them: the
 defective boundary edge and the PE witness come from the row's own coloring.
-`stable_search` and `max_defective_vertex` are the analysis-side search over
-the colorings reachable by chain swaps that avoid the tree (every such swap
-yields a stable coloring); no coloring path calls them.
+`stable_neighbors` lists the colorings one tree-avoiding chain swap away
+(every such swap yields a stable coloring); no coloring path calls it.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from .coloring import (PartialColoring, chain_components, defective_colors,
                        kempe_chain, kempe_swap, swap_outside)
 from .graph import Multigraph
 
-MAX_LEVELS = 64                 # levels build_hierarchy grows before giving up
-
 
 class SeriesInvariantError(AssertionError):
     """A structural ledger invariant failed; carries a state dump."""
@@ -34,10 +31,6 @@ class SeriesInvariantError(AssertionError):
 
 class SeriesStuck(Exception):
     """A series step could not proceed within its search hypotheses."""
-
-
-class HierarchyInapplicable(Exception):
-    """The hierarchy's color supply or growth preconditions are not met."""
 
 
 # -- tree sequences -----------------------------------------------------------
@@ -139,32 +132,21 @@ def is_tashkinov_tree(G: Multigraph, pc: PartialColoring, eid: int,
     return True
 
 
-def taa_close(G: Multigraph, pc: PartialColoring, T: TreeSequence, *,
-              check_order_independence: bool = False) -> TreeSequence:
+def taa_close(G: Multigraph, pc: PartialColoring, T: TreeSequence) -> TreeSequence:
     """Greedy closure: absorb boundary edges colored with tree-missing colors.
 
     Ties go to the lowest edge id, which fixes the edge list; the vertex set
-    of a closure does not depend on the order, and check_order_independence
-    re-runs with the opposite tie-break and asserts exactly that.
+    of a closure does not depend on the order.
     """
-    def run(pick_last):
-        cur = T
-        while True:
-            miss = pc.missing_union(cur.vertices)
-            cand = sorted(e for e in G.boundary(cur.vertex_set)
-                          if pc.color_of(e) in miss)
-            if not cand:
-                return cur
-            f = cand[-1] if pick_last else cand[0]
-            u, v = G.endpoints(f)
-            cur = cur.grow(f, v if cur.has_vertex(u) else u)
-
-    out = run(False)
-    if check_order_independence:
-        again = run(True)
-        if again.vertex_set != out.vertex_set:
-            raise AssertionError("closure vertex set depended on augmentation order")
-    return out
+    cur = T
+    while True:
+        miss = pc.missing_union(cur.vertices)
+        cand = [e for e in G.boundary(cur.vertex_set) if pc.color_of(e) in miss]
+        if not cand:
+            return cur
+        f = min(cand)
+        u, v = G.endpoints(f)
+        cur = cur.grow(f, v if cur.has_vertex(u) else u)
 
 
 @dataclass(frozen=True)
@@ -186,23 +168,23 @@ def elementary_audit(pc: PartialColoring, T: TreeSequence):
     return None
 
 
-# -- stable-coloring search ----------------------------------------------------
+# -- stable neighbors and defective boundary edges ------------------------------
 
-def stable_neighbors(pc: PartialColoring, tree_vertices: frozenset,
-                     protected: frozenset):
+def stable_neighbors(pc: PartialColoring, tree_vertices: frozenset):
     """Colorings one stability-preserving chain swap away.
 
     Two classes of chain are safe: chains disjoint from the tree (they touch
     nothing incident to it), and chains whose two colors both avoid the
-    protected pool (they may cross the tree but cannot end there, so tree
-    missing sets and protected-color edges are untouched). Deterministic
+    tree's missing colors (they may cross the tree but cannot end there, so
+    tree missing sets and edges in those colors are untouched). Deterministic
     order: color pairs ascending, then the chain's smallest vertex.
     """
+    tree_missing = pc.missing_union(tree_vertices)
     out = []
     k = pc.k
     for a in range(1, k + 1):
         for b in range(a + 1, k + 1):
-            colors_free = a not in protected and b not in protected
+            colors_free = a not in tree_missing and b not in tree_missing
             for ch in chain_components(pc, a, b):
                 crosses = bool(tree_vertices & set(ch.vertices))
                 if crosses and not colors_free:
@@ -211,35 +193,6 @@ def stable_neighbors(pc: PartialColoring, tree_vertices: frozenset,
                     continue
                 out.append(kempe_swap(pc, ch))
     return out
-
-
-def stable_search(pc: PartialColoring, tree_vertices: frozenset,
-                  depth: int, cap: int = 400):
-    """Analysis-side BFS over stability-preserving swaps, yielding distinct
-    colorings.
-
-    The protected colors are the tree's missing colors. Yields pc itself
-    first; bounded by `depth` swap layers and `cap` visited colorings in total.
-    """
-    protected = pc.missing_union(tree_vertices)
-    seen = {pc.signature()}
-    frontier = [pc]
-    yield pc
-    for _ in range(depth):
-        nxt = []
-        for cur in frontier:
-            for cand in stable_neighbors(cur, tree_vertices, protected):
-                sig = cand.signature()
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                yield cand
-                nxt.append(cand)
-                if len(seen) >= cap:
-                    return
-        frontier = nxt
-        if not frontier:
-            return
 
 
 def _max_defective(G: Multigraph, pc: PartialColoring, T: TreeSequence):
@@ -259,30 +212,6 @@ def _max_defective(G: Multigraph, pc: PartialColoring, T: TreeSequence):
     return best
 
 
-def max_defective_vertex(G: Multigraph, pc: PartialColoring, T: TreeSequence,
-                         *, depth: int = 1):
-    """Analysis-side search: the latest-in-tree-order in-end of a defective
-    boundary edge, over stable colorings reachable within `depth`
-    tree-avoiding swaps.
-
-    Returns (vertex, edge, its color, the achieving coloring). Depth 0
-    degrades to scoring pc itself. Rejects trees that are strongly closed
-    (nothing is defective) or not closed; on any other tree pc itself has a
-    defective boundary edge, so a result always exists.
-    """
-    if not is_closed(pc, T.vertex_set):
-        raise ValueError("tree must be closed")
-    if is_strongly_closed(pc, T.vertex_set):
-        raise ValueError("tree is strongly closed; no defective vertex exists")
-    best = None
-    for pi in stable_search(pc, T.vertex_set, depth):
-        s = _max_defective(G, pi, T)
-        if s is not None and (best is None or s[0] > best[0][0]):
-            best = (s, pi)
-    (_, v, e, alpha), pi = best
-    return v, e, alpha, pi
-
-
 # -- the extension series (RE / SE / PE) ----------------------------------------
 
 @dataclass(frozen=True)
@@ -297,7 +226,6 @@ class SeriesTuple:
     delta: int | None = None
     gamma: int | None = None
     v_n: int | None = None            # extension / supporting vertex
-    r_tree: TreeSequence | None = None  # PE only: closure of the segment at v_n
 
 
 @dataclass
@@ -486,7 +414,7 @@ def series_step(G: Multigraph, state: SeriesState) -> StepOutcome:
         tree=t_next, coloring=phi_n,
         connecting_colors=frozenset((delta_n, gamma_n)),
         connecting_edges=frozenset((f_n,)), theta="pe",
-        delta=delta_n, gamma=gamma_n, v_n=v_n, r_tree=r_tree))
+        delta=delta_n, gamma=gamma_n, v_n=v_n))
     assert_series_invariants(state)
     return StepOutcome("extended", "pe")
 
@@ -613,262 +541,3 @@ def build_series(G: Multigraph, eid: int, phi0: PartialColoring, *,
         state.outcome = "budget_exhausted"
         state.stuck_reason = str(exc)
     return state
-
-
-# -- good hierarchies (level structure with reserved color pairs) ---------------
-
-@dataclass
-class Hierarchy:
-    """Levels T_{n,0} subset ... subset T_{n,q+1} with reserved 2-color sets.
-
-    gamma maps (level j, outstanding color eta) to its reserved pair; d_sets
-    maps level j to the outstanding connecting colors at that level. count_ok
-    records whether the tree had the full missing-color supply (2n + 11) that
-    guarantees the reserve quota.
-    """
-    rung: int
-    base: TreeSequence                 # T_{n,0} = T_n
-    base_star: TreeSequence            # T_n v R_n under PE, else T_n (+ f_n seed)
-    levels: list                       # [T_{n,1}, ..., T_{n,q+1}]
-    dividers: tuple
-    gamma: dict
-    d_sets: dict
-    count_ok: bool
-
-    @property
-    def q(self) -> int:
-        return len(self.levels) - 1
-
-
-def build_hierarchy(state: SeriesState) -> Hierarchy:
-    """Construct the level structure for the final rung of a series.
-
-    Rung 0 yields the trivial hierarchy (no dividers, nothing reserved).
-    Raises HierarchyInapplicable when the missing-color supply cannot fund the
-    reserved pairs or the guarded growth deadlocks before closing.
-    """
-    n = state.n
-    if n == 0:
-        t1 = state.tree(1)
-        return Hierarchy(rung=0, base=t1, base_star=t1, levels=[t1],
-                         dividers=(), gamma={}, d_sets={0: frozenset()},
-                         count_ok=False)
-    G = state.graph
-    phi = state.coloring(n)
-    t_n = state.tree(n)
-    last = state.tuples[n]
-    if last.theta == "pe":
-        base_star = _join(t_n, last.r_tree)
-    else:
-        (f_n,) = last.connecting_edges
-        u, v = G.endpoints(f_n)
-        base_star = t_n.grow(f_n, v if t_n.has_vertex(u) else u)
-
-    missing_tn = phi.missing_union(t_n.vertices)
-    count_ok = len(missing_tn) >= 2 * n + 11
-    all_s = state.connecting_union(n)
-    d0 = all_s - phi.missing_union(base_star.vertices)
-
-    pool = sorted(missing_tn)
-    avoid = None
-    if last.theta == "pe":
-        open_missing = sorted(
-            c for c in phi.missing_union(base_star.vertices)
-            if any(phi.color_of(e) == c for e in G.boundary(base_star.vertex_set)))
-        if not open_missing:
-            raise HierarchyInapplicable(
-                "base closure is already closed; no seed color to leave open")
-        avoid = open_missing[0]
-        r_missing = phi.missing_union(last.r_tree.vertices)
-        primary = [c for c in pool if c not in r_missing and c != avoid]
-        secondary = [c for c in pool if c in r_missing and c != avoid]
-        supply = primary + secondary
-    else:
-        supply = list(pool)
-    if len(supply) < 2 * len(d0):
-        raise HierarchyInapplicable(
-            f"need {2 * len(d0)} reserve colors, only {len(supply)} available")
-    gamma = {}
-    it = iter(supply)
-    for eta in sorted(d0):
-        gamma[(0, eta)] = frozenset((next(it), next(it)))
-
-    def v_eta(tree, eta):
-        for v in tree.vertices:
-            if eta in phi.missing(v):
-                return v
-        return tree.vertices[-1]
-
-    def guard_ok(tree, level_j, base_tree, d_here):
-        # reserved colors must not be spent before their outstanding color
-        # first goes missing along the tree (whole tree if it never does)
-        for eta in sorted(d_here):
-            ve = v_eta(tree, eta)
-            if eta in phi.missing(ve) and ve == tree.vertices[0]:
-                continue
-            seg = tree.segment_to(ve) if eta in phi.missing(ve) else tree
-            new_edges = [e for e in seg.edges if e not in base_tree.edges]
-            if gamma[(level_j, eta)] & phi.colors_on(new_edges):
-                return False
-        return True
-
-    def grow_guarded(start, level_j, base_tree, d_here):
-        cur = start
-        while True:
-            miss = phi.missing_union(cur.vertices)
-            grown = False
-            for f in sorted(e for e in G.boundary(cur.vertex_set)
-                            if phi.color_of(e) in miss):
-                u, v = G.endpoints(f)
-                cand = cur.grow(f, v if cur.has_vertex(u) else u)
-                if guard_ok(cand, level_j, base_tree, d_here):
-                    cur = cand
-                    grown = True
-                    break
-            if not grown:
-                return cur
-
-    levels = []
-    d_sets = {0: frozenset(d0)}
-    t_cur = grow_guarded(base_star, 0, base_star, d0)
-    if t_cur == base_star and last.theta == "pe":
-        raise HierarchyInapplicable("guarded growth could not leave the base closure")
-    levels.append(t_cur)
-
-    j = 1
-    while not is_closed(phi, levels[-1].vertex_set):
-        if j >= MAX_LEVELS:
-            raise HierarchyInapplicable("level limit hit before the tree closed")
-        t_j = levels[-1]
-        d_j = all_s - phi.missing_union(t_j.vertices)
-        d_sets[j] = frozenset(d_j)
-        for eta in sorted(d_j):
-            gamma[(j, eta)] = gamma[(j - 1, eta)]
-        crossing = None
-        for f in sorted(G.boundary(t_j.vertex_set)):
-            c = phi.color_of(f)
-            hit = [eta for eta in sorted(d_j) if c in gamma[(j - 1, eta)]]
-            if hit:
-                crossing = (f, hit[0])
-                break
-        if crossing is None:
-            raise HierarchyInapplicable(
-                f"level {j}: no boundary edge in a reserved color")
-        f, eta_g = crossing
-        prev_star = base_star if j == 1 else levels[-2]
-        fresh = sorted(phi.missing_union(
-            v for v in t_j.vertices if not prev_star.has_vertex(v)))
-        if len(fresh) < 2:
-            raise HierarchyInapplicable(
-                f"level {j}: fewer than two fresh reserve colors")
-        gamma[(j, eta_g)] = frozenset(fresh[:2])
-        u, v = G.endpoints(f)
-        seed = t_j.grow(f, v if t_j.has_vertex(u) else u)
-        levels.append(grow_guarded(seed, j, t_j, d_j))
-        j += 1
-
-    hierarchy = Hierarchy(
-        rung=n, base=t_n, base_star=base_star, levels=levels,
-        dividers=tuple(lvl.vertices[-1] for lvl in levels[:-1]),
-        gamma=gamma, d_sets=d_sets, count_ok=count_ok)
-    conds = hierarchy_conditions(state, hierarchy)
-    bad = [name for name, ok in conds.items() if not ok]
-    if bad:
-        raise HierarchyInapplicable(f"constructed levels violate {bad}")
-    return hierarchy
-
-
-def hierarchy_conditions(state: SeriesState, h: Hierarchy) -> dict:
-    """Independent re-check of the five structural conditions.
-
-    (i) each reserved pair avoids the colors already spent before its
-    outstanding color goes missing; (ii) reserved pairs are disjoint per
-    level; (iii) each level refreshes exactly one pair, drawn from the
-    level's fresh vertices; (iv) under PE the base closure keeps one
-    unreserved open color and the reserve was drawn outside the segment
-    closure's missing colors first; (v) each level is closed except possibly
-    in the reserved colors.
-    """
-    if h.rung == 0:
-        return {c: True for c in ("i", "ii", "iii", "iv", "v")}
-    phi = state.coloring(h.rung)
-    G = state.graph
-    final = h.levels[-1]
-    last = state.tuples[h.rung]
-
-    def v_eta(eta):
-        for v in final.vertices:
-            if eta in phi.missing(v):
-                return v
-        return final.vertices[-1]
-
-    def lam(j, eta):
-        base_tree = h.base_star if j == 0 else h.levels[j - 1]
-        upper = h.levels[j]
-        ve = v_eta(eta)
-        if upper.has_vertex(ve) and eta in phi.missing(ve):
-            seg_edges = () if ve == upper.vertices[0] \
-                else upper.segment_to(ve).edges
-        else:
-            seg_edges = upper.edges
-        spent = phi.colors_on(e for e in seg_edges if e not in base_tree.edges)
-        base_missing = phi.missing_union(
-            (h.base if j == 0 else h.levels[j - 1]).vertices)
-        return base_missing - spent
-
-    cond_i = all(h.gamma[(j, eta)] <= lam(j, eta)
-                 for j in range(h.q + 1) for eta in sorted(h.d_sets[j]))
-
-    cond_ii = True
-    for j in range(h.q + 1):
-        seen = set()
-        for eta in sorted(h.d_sets[j]):
-            if h.gamma[(j, eta)] & seen:
-                cond_ii = False
-            seen |= h.gamma[(j, eta)]
-
-    cond_iii = True
-    for j in range(1, h.q + 1):
-        changed = [eta for eta in sorted(h.d_sets[j])
-                   if h.gamma[(j, eta)] != h.gamma[(j - 1, eta)]]
-        if len(changed) != 1:
-            cond_iii = False
-            continue
-        prev_star = h.base_star if j == 1 else h.levels[j - 2]
-        fresh = phi.missing_union(v for v in h.levels[j - 1].vertices
-                                  if not prev_star.has_vertex(v))
-        if not h.gamma[(j, changed[0])] <= fresh:
-            cond_iii = False
-
-    cond_iv = True
-    if last.theta == "pe":
-        gamma0 = set()
-        for eta in sorted(h.d_sets[0]):
-            gamma0 |= h.gamma[(0, eta)]
-        open_colors = [c for c in phi.missing_union(h.base_star.vertices) - gamma0
-                       if any(phi.color_of(e) == c
-                              for e in G.boundary(h.base_star.vertex_set))]
-        if not open_colors:
-            cond_iv = False
-        r_missing = phi.missing_union(last.r_tree.vertices)
-        tn_missing = phi.missing_union(h.base.vertices)
-        outside = tn_missing - r_missing
-        # the reserve must exhaust the priority pool before dipping into the
-        # overlap with the segment closure
-        if gamma0 & r_missing and len(gamma0 & outside) < min(len(gamma0),
-                                                              len(outside) - 1):
-            cond_iv = False
-        if h.count_ok and len((tn_missing & r_missing) - gamma0) < 4:
-            cond_iv = False
-
-    cond_v = True
-    for j in range(1, h.q + 1):
-        reserved = set()
-        for eta in sorted(h.d_sets[j]):
-            reserved |= h.gamma[(j - 1, eta)]
-        t_j = h.levels[j - 1]
-        for c in phi.missing_union(t_j.vertices) - reserved:
-            if any(phi.color_of(e) == c for e in G.boundary(t_j.vertex_set)):
-                cond_v = False
-
-    return {"i": cond_i, "ii": cond_ii, "iii": cond_iii, "iv": cond_iv, "v": cond_v}

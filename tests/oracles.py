@@ -216,3 +216,20 @@ def reference_exit_paths(pc, tree, alpha, beta):
         if pc.missing(end) & {alpha, beta}:
             out.append(ExitPath(frozenset((alpha, beta)), tuple(edges), tuple(verts)))
     return out
+
+
+def reference_closure_vertices(pc, tree):
+    """The vertex set of the tree's closure, grown with the opposite tie-break
+    to the package's: of the boundary edges colored with a color missing in
+    the tree, the highest edge id is absorbed first."""
+    G = pc.graph
+    inside = set(tree.vertices)
+    while True:
+        missing = set()
+        for v in inside:
+            missing |= pc.missing(v)
+        cand = [e for e in G.boundary(frozenset(inside))
+                if pc.color_of(e) in missing]
+        if not cand:
+            return frozenset(inside)
+        inside.update(G.endpoints(max(cand)))

@@ -180,7 +180,7 @@ def test_criterion_7_stable_equivalence():
         if setup is None:
             continue
         _, pc, tree = setup
-        assert is_stable(pc, tree, frozenset(), pc)
+        assert is_stable(pc, tree, pc)
         reflexive += 1
 
     sym = trans = 0
@@ -189,19 +189,18 @@ def test_criterion_7_stable_equivalence():
         if setup is None:
             continue
         G, pc, tree = setup
-        protected = pc.missing_union(tree.vertices)
-        neighbors = stable_neighbors(pc, tree.vertex_set, protected)
+        neighbors = stable_neighbors(pc, tree.vertex_set)
         for pi in neighbors:
-            if sym < 1000 and is_stable(pi, tree, frozenset(), pc):
-                assert is_stable(pc, tree, frozenset(), pi)
+            if sym < 1000 and is_stable(pi, tree, pc):
+                assert is_stable(pc, tree, pi)
                 sym += 1
         for pi in neighbors[:6]:
-            for rho in stable_neighbors(pi, tree.vertex_set, protected)[:6]:
+            for rho in stable_neighbors(pi, tree.vertex_set)[:6]:
                 if trans >= 1000:
                     break
-                if (is_stable(pi, tree, frozenset(), pc)
-                        and is_stable(rho, tree, frozenset(), pi)):
-                    assert is_stable(rho, tree, frozenset(), pc)
+                if (is_stable(pi, tree, pc)
+                        and is_stable(rho, tree, pi)):
+                    assert is_stable(rho, tree, pc)
                     trans += 1
     print(f"\nACCEPTANCE 7: stability reflexive x1000, symmetric x{sym}, "
           f"transitive x{trans}: PASS")

@@ -176,6 +176,9 @@ MALFORMED = {
     "version_missing": lambda obj: {k: v for k, v in obj.items() if k != "v"},
     "version_2": _with("v", 2),
     "trace_dict": _with("trace", {"0": "direct"}),
+    "trace_unknown_edge": _with("trace", [[99, "direct"]]),
+    "trace_repeated_edge": _with("trace", [[0, "direct"], [0, "direct"]]),
+    "trace_unknown_method": _with("trace", [[0, "magic"]]),
     "den_zero": _certificate([0, 1, 2], 0),
     "cert_u_nested": _certificate([[0]], 1),
     "top_level_list": lambda obj: [obj],
@@ -300,6 +303,8 @@ def _ring17_files(tmp_path):
     (["color", "--gen", "ring", "17"], 1, "graph too large"),
     (["report", "--gen", "ring", "17"], 1, "graph too large"),
     (["verify", "{graph}", "{result}"], 1, "graph too large"),
+    (["bench", "--gen", "ring", "17"], 1, "graph too large"),
+    (["bench", "{graph}"], 1, "graph too large"),
     (["color", "{missing}"], 1, "cannot read graph"),
     (["report", "{missing}"], 1, "cannot read graph"),
     (["verify", "{missing}", "{result}"], 1, "cannot read graph"),
@@ -319,6 +324,7 @@ def _ring17_files(tmp_path):
     (["report", "--gen", "petersen", "--out", "{unwritable}"], 1, "cannot write output"),
     (["bench", "--gen", "petersen", "--out", "{unwritable}"], 1, "cannot write output"),
 ], ids=["color-too-large", "report-too-large", "verify-too-large",
+        "bench-too-large", "bench-too-large-file",
         "color-missing-graph", "report-missing-graph", "verify-missing-graph",
         "verify-missing-result", "color-gen-non-integer", "report-gen-non-integer",
         "color-gen-missing-arg", "color-gen-random-missing-args",

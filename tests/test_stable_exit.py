@@ -7,7 +7,7 @@ import pytest
 
 from gscolor import (Multigraph, PartialColoring, find_exit_paths, is_stable,
                      kempe_chain, kempe_swap, taa_close)
-from gscolor.tashkinov import TreeSequence, stable_neighbors, stable_search
+from gscolor.tashkinov import TreeSequence, stable_neighbors
 from oracles import (all_chain_paths, random_multigraph_pairs, random_proper_coloring,
                      reference_exit_paths)
 
@@ -28,16 +28,15 @@ def _setup(seed, n=8, m=13, slack=0):
 def test_stable_reflexive():
     for seed in range(10):
         _, _, pc, tree = _setup(seed)
-        assert is_stable(pc, tree, frozenset(), pc)
+        assert is_stable(pc, tree, pc)
 
 
 def test_stable_after_tree_avoiding_swap():
     hits = 0
     for seed in range(40):
         rng, G, pc, tree = _setup(seed)
-        protected = pc.missing_union(tree.vertices)
-        for pi in stable_neighbors(pc, tree.vertex_set, protected):
-            assert is_stable(pi, tree, frozenset(), pc)
+        for pi in stable_neighbors(pc, tree.vertex_set):
+            assert is_stable(pi, tree, pc)
             hits += 1
     assert hits >= 15
 
@@ -56,7 +55,7 @@ def test_stable_rejects_changed_missing_set():
                         continue
                     pi = kempe_swap(pc, ch)
                     assert pi.missing(v) != pc.missing(v)
-                    assert not is_stable(pi, tree, frozenset(), pc)
+                    assert not is_stable(pi, tree, pc)
                     found = True
                     break
                 if found:
@@ -72,14 +71,14 @@ def test_stable_rejects_mismatched_k(triangle):
     pc3 = PartialColoring(triangle, 3, {0: 1, 1: 2})
     pc4 = PartialColoring(triangle, 4, {0: 1, 1: 2})
     with pytest.raises(ValueError):
-        is_stable(pc3, (0, 1), frozenset(), pc4)
+        is_stable(pc3, (0, 1), pc4)
 
 
 def test_stable_rejects_mismatched_uncolored(triangle):
     a = PartialColoring(triangle, 3, {0: 1, 1: 2})
     b = PartialColoring(triangle, 3, {0: 1, 2: 2})
     with pytest.raises(ValueError):
-        is_stable(a, (0, 1), frozenset(), b)
+        is_stable(a, (0, 1), b)
 
 
 def test_strengthened_condition_equivalent():
@@ -88,8 +87,7 @@ def test_strengthened_condition_equivalent():
     for seed in range(40):
         rng, G, pc, tree = _setup(seed)
         candidates = [pc]
-        candidates += stable_neighbors(pc, tree.vertex_set,
-                                       pc.missing_union(tree.vertices))
+        candidates += stable_neighbors(pc, tree.vertex_set)
         # also arbitrary chain swaps, which are usually not stable at all
         for _ in range(8):
             a = rng.randint(1, pc.k)
@@ -100,25 +98,11 @@ def test_strengthened_condition_equivalent():
             if ch.edges:
                 candidates.append(kempe_swap(pc, ch))
         for pi in candidates:
-            plain = is_stable(pi, tree, frozenset(), pc)
-            strong = is_stable(pi, tree, frozenset(), pc, strengthened=True)
+            plain = is_stable(pi, tree, pc)
+            strong = is_stable(pi, tree, pc, strengthened=True)
             assert plain == strong
             checked += 1
     assert checked > 50
-
-
-def test_stable_symmetric_transitive_sampled():
-    for seed in range(15):
-        _, G, pc, tree = _setup(seed)
-        reachable = list(stable_search(pc, tree.vertex_set, depth=2, cap=12))
-        for pi in reachable:
-            if is_stable(pi, tree, frozenset(), pc):
-                assert is_stable(pc, tree, frozenset(), pi)
-        for a in reachable[:4]:
-            for b in reachable[:4]:
-                if (is_stable(a, tree, frozenset(), pc)
-                        and is_stable(b, tree, frozenset(), a)):
-                    assert is_stable(b, tree, frozenset(), pc)
 
 
 def test_exit_paths_empty_when_colors_closed(triangle):

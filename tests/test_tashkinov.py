@@ -2,15 +2,14 @@ import random
 
 import pytest
 
-from gscolor import (Multigraph, PartialColoring, build_hierarchy,
-                     build_series, elementary_audit, hierarchy_conditions,
-                     is_tashkinov_tree, max_defective_vertex, taa_close)
+from gscolor import (Multigraph, PartialColoring, build_series,
+                     elementary_audit, is_tashkinov_tree, taa_close, tashkinov)
 from gscolor.density import chromatic_index_exact, enumerate_colorings, is_critical
-from gscolor.tashkinov import (Hierarchy, HierarchyInapplicable, SeriesState,
-                               SeriesTuple, TreeSequence, series_step,
-                               stable_neighbors, validate_tree_sequence)
+from gscolor.tashkinov import (SeriesState, SeriesTuple, TreeSequence,
+                               series_step, validate_tree_sequence)
 from conftest import make_pe_instance, make_se_instance
-from oracles import random_multigraph_pairs, random_proper_coloring
+from oracles import (random_multigraph_pairs, random_proper_coloring,
+                     reference_closure_vertices)
 
 
 # -- tree sequences ------------------------------------------------------------
@@ -77,9 +76,9 @@ def test_taa_close_order_independent():
         n = rng.randint(4, 8)
         G = Multigraph.build(n, random_multigraph_pairs(n, rng.randint(4, 13), rng))
         pc = random_proper_coloring(G, G.max_degree() + 1, rng, leave_uncolored=1)
-        root = sorted(pc.uncolored_edges)[0]
-        taa_close(G, pc, TreeSequence.root(G, root),
-                  check_order_independence=True)
+        root = TreeSequence.root(G, sorted(pc.uncolored_edges)[0])
+        tree = taa_close(G, pc, root)
+        assert tree.vertex_set == reference_closure_vertices(pc, root)
 
 
 # -- elementary audit -----------------------------------------------------------
@@ -221,127 +220,8 @@ def test_series_strict_false_degrades():
 def test_max_defective_budget_zero():
     G, pc = make_pe_instance()
     tree = taa_close(G, pc, TreeSequence.root(G, 0))
-    v, f, delta, pi = max_defective_vertex(G, pc, tree, depth=0)
+    _, v, f, delta = tashkinov._max_defective(G, pc, tree)
     assert (v, f, delta) == (2, 9, 6)
-    assert pi == pc
-
-
-def test_max_defective_rejects_strongly_closed(shannon2):
-    colorings, _ = enumerate_colorings(shannon2.without_edge(0), 5, cap=1)
-    pc = PartialColoring(shannon2, 5, colorings[0])
-    tree = taa_close(shannon2, pc, TreeSequence.root(shannon2, 0))
-    with pytest.raises(ValueError):
-        max_defective_vertex(shannon2, pc, tree)
-
-
-def _best_defective_order(G, tree, pi):
-    from gscolor.coloring import defective_colors
-    best = -1
-    for alpha in defective_colors(pi, tree.vertex_set):
-        for e in G.boundary(tree.vertex_set):
-            if pi.color_of(e) != alpha:
-                continue
-            u, w = G.endpoints(e)
-            inner = u if tree.has_vertex(u) else w
-            best = max(best, tree.order(inner))
-    return best
-
-
-def test_max_defective_one_swap_matches_exhaustive():
-    """Depth-1 search agrees with exhaustively scoring every single
-    stability-preserving swap, on random closed non-strongly-closed trees."""
-    from gscolor.coloring import is_closed, is_strongly_closed
-
-    checked = 0
-    for seed in range(600):
-        rng = random.Random(seed)
-        n = 6 + seed % 3
-        G = Multigraph.build(n, random_multigraph_pairs(n, n + 5 + seed % 4, rng))
-        k = G.max_degree()
-        if k < 2:
-            continue
-        pc = random_proper_coloring(G, k, rng, leave_uncolored=1)
-        root = sorted(pc.uncolored_edges)[0]
-        tree = taa_close(G, pc, TreeSequence.root(G, root))
-        if not is_closed(pc, tree.vertex_set):
-            continue
-        if is_strongly_closed(pc, tree.vertex_set):
-            continue
-        protected = pc.missing_union(tree.vertices)
-        exhaustive = max([_best_defective_order(G, tree, pc)] +
-                         [_best_defective_order(G, tree, pi) for pi in
-                          stable_neighbors(pc, tree.vertex_set, protected)])
-        v, f, delta, pi = max_defective_vertex(G, pc, tree, depth=1)
-        assert tree.order(v) == exhaustive
-        checked += 1
-    assert checked >= 10
-
-
-
-def test_max_defective_finds_strictly_improving_swap():
-    """On the crafted instance the base coloring peaks at tree order 2 and a
-    crossing chain swap raises the defective in-end to order 4."""
-    from conftest import make_improvement_instance
-
-    G, pc = make_improvement_instance()
-    tree = taa_close(G, pc, TreeSequence.root(G, 0))
-    assert tree.vertices == (0, 1, 2, 3, 4)
-    v0, _, _, pi0 = max_defective_vertex(G, pc, tree, depth=0)
-    assert tree.order(v0) == 2 and pi0 == pc
-    v1, _, _, pi1 = max_defective_vertex(G, pc, tree, depth=1)
-    assert tree.order(v1) == 4
-    assert pi1 != pc
-    # and the chosen coloring really is stable
-    from gscolor import is_stable
-    assert is_stable(pi1, tree, frozenset(), pc)
-
-
-# -- hierarchies --------------------------------------------------------------------
-
-def test_hierarchy_rung_zero_trivial(shannon2):
-    colorings, _ = enumerate_colorings(shannon2.without_edge(0), 5, cap=1)
-    pc = PartialColoring(shannon2, 5, colorings[0])
-    state = build_series(shannon2, 0, pc)
-    h = build_hierarchy(state)
-    assert h.rung == 0 and h.q == 0 and h.dividers == () and h.gamma == {}
-    assert all(hierarchy_conditions(state, h).values())
-
-
-def test_hierarchy_on_se_rung():
-    G, pc = make_se_instance()
-    state = build_series(G, 0, pc)
-    h = build_hierarchy(state)
-    assert h.d_sets[0] == {6}
-    assert len(h.gamma[(0, 6)]) == 2
-    assert h.gamma[(0, 6)] <= state.coloring(1).missing_union(h.base.vertices)
-    conds = hierarchy_conditions(state, h)
-    assert all(conds.values()), conds
-
-
-def test_hierarchy_pe_inapplicable_when_base_closed():
-    G, pc = make_pe_instance()
-    state = build_series(G, 0, pc)
-    with pytest.raises(HierarchyInapplicable):
-        build_hierarchy(state)
-
-
-def test_hierarchy_disjointness_predicate():
-    """Condition (ii) rejects overlapping reserved pairs and accepts disjoint
-    ones (checked directly on a doctored hierarchy)."""
-    G, pc = make_se_instance()
-    state = build_series(G, 0, pc)
-    h = build_hierarchy(state)
-    doctored = Hierarchy(rung=h.rung, base=h.base, base_star=h.base_star,
-                         levels=h.levels, dividers=h.dividers,
-                         gamma=dict(h.gamma), d_sets={0: frozenset({6, 7})},
-                         count_ok=h.count_ok)
-    doctored.gamma[(0, 7)] = h.gamma[(0, 6)]
-    conds = hierarchy_conditions(state, doctored)
-    assert not conds["ii"]
-    # distinct pairs pass
-    doctored.gamma[(0, 6)] = frozenset({1, 2})
-    doctored.gamma[(0, 7)] = frozenset({3, 4})
-    assert hierarchy_conditions(state, doctored)["ii"]
 
 
 def test_series_revisiting_extension():
@@ -365,7 +245,7 @@ def test_series_revisiting_extension():
     state.tuples.append(SeriesTuple(
         tree=t2, coloring=phi1, connecting_colors=frozenset({5, 6}),
         connecting_edges=frozenset({9}), theta="pe",
-        delta=6, gamma=5, v_n=2, r_tree=r1))
+        delta=6, gamma=5, v_n=2))
 
     out = series_step(G, state)
     assert out.kind == "extended" and out.reason == "re"
