@@ -378,16 +378,6 @@ def is_strongly_closed(pc: PartialColoring, members) -> bool:
     return not (set(colors) & pc.missing_union(members))
 
 
-def color_boundary(pc: PartialColoring, members, alpha: int) -> tuple:
-    """(alpha-colored boundary edges, their in-end vertices)."""
-    inside = frozenset(members)
-    edges = frozenset(e for e in pc.graph.boundary(inside)
-                      if pc.color_of(e) == alpha)
-    in_ends = frozenset(u if u in inside else v
-                        for (u, v) in (pc.graph.endpoints(e) for e in edges))
-    return edges, in_ends
-
-
 def defective_colors(pc: PartialColoring, members) -> frozenset:
     """Colors appearing on at least two boundary edges of the set."""
     counts = {}
@@ -433,40 +423,3 @@ def is_stable(pi: PartialColoring, tree, phi: PartialColoring, *,
         if hit and pi.color_of(e) != pc:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class ExitPath:
-    """Two-colored path leaving a tree exactly once.
-
-    vertices[0] is the tree end; vertices[-1] is the outer end, which misses
-    one of the two colors.
-    """
-    colors: frozenset
-    edges: tuple
-    vertices: tuple
-
-
-def find_exit_paths(pc: PartialColoring, tree, alpha: int, beta: int) -> list:
-    """All (alpha, beta)-paths meeting the tree in exactly their first vertex.
-
-    Each path starts at a boundary edge of the tree and is walked outward to
-    the end of its chain; walks that re-enter the tree are discarded. Results
-    are ordered by the starting edge id.
-    """
-    if alpha == beta:
-        raise ValueError("exit path colors must differ")
-    inside = frozenset(_tree_vertices(tree))
-    pair = frozenset((alpha, beta))
-    out = []
-    for f in sorted(pc.graph.boundary(inside)):
-        c = pc.color_of(f)
-        if c not in pair:
-            continue
-        u, w = pc.graph.endpoints(f)
-        v = u if u in inside else w
-        edges, end = alternating_path(pc, v, c, beta if c == alpha else alpha)
-        verts = _path_vertices(pc.graph, v, edges)
-        if inside.isdisjoint(verts[1:]) and pc.missing(end) & pair:
-            out.append(ExitPath(pair, tuple(edges), tuple(verts)))
-    return out

@@ -16,8 +16,6 @@ from . import _kernels
 from .graph import DENSITY_VERTEX_CAP, Multigraph, ScaleExceededError
 
 ORACLE_EDGE_CAP = 25
-# colorings of G - e that tashkinov_order enumerates per edge
-COLORINGS_PER_EDGE = 500
 
 
 @dataclass(frozen=True)
@@ -196,49 +194,3 @@ def is_critical(G: Multigraph) -> bool:
         if chromatic_index_exact(G.without_edge(eid)) >= chi:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class TashkinovOrderResult:
-    """Largest tree-growth vertex count found; a lower bound when truncated."""
-    value: int
-    truncated: bool
-
-
-def tashkinov_order(G: Multigraph) -> TashkinovOrderResult:
-    """Maximum vertices of a color-fan tree over uncolored-edge/coloring choices.
-
-    Requires a critical multigraph with chi' >= Delta + 2 and works at
-    k = chi' - 1. For each edge (one per endpoint pair; parallels are
-    interchangeable) the (k)-colorings of G - e are enumerated up to global
-    color permutation, which leaves closure vertex sets unchanged; the result
-    is flagged truncated when any enumeration hit COLORINGS_PER_EDGE.
-    """
-    from .tashkinov import TreeSequence, taa_close
-    from .coloring import PartialColoring
-
-    if not is_critical(G):
-        raise ValueError("tashkinov_order requires a critical multigraph")
-    chi = chromatic_index_exact(G)
-    if chi < G.max_degree() + 2:
-        raise ValueError("tashkinov_order requires chi' >= Delta + 2")
-    k = chi - 1
-    best = 0
-    truncated = False
-    seen_pairs = set()
-    for eid in G.edge_ids:
-        u, v = G.endpoints(eid)
-        pair = (u, v) if u < v else (v, u)
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
-        rest = G.without_edge(eid)
-        colorings, exhausted = enumerate_colorings(rest, k, cap=COLORINGS_PER_EDGE)
-        if not exhausted:
-            truncated = True
-        for phi_map in colorings:
-            pc = PartialColoring(G, k, phi_map)
-            tree = taa_close(G, pc, TreeSequence.root(G, eid))
-            if len(tree.vertices) > best:
-                best = len(tree.vertices)
-    return TashkinovOrderResult(best, truncated)

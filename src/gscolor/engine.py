@@ -5,13 +5,16 @@ bound max(Delta, ceil(density)) is attempted first so class-1-like instances
 come out optimal, and a proof of infeasibility (or budget exhaustion)
 escalates once to the guaranteed bound. Per edge the driver tries a shared
 missing color, then a two-colored chain swap between the ends' missing
-colors, then tree-growth recoloring; at or below a configurable edge count an
-exact backtracking fallback makes the contract unconditional. The fallback
-is one search (`_kernels.chromatic_feasible`) over the colored edges plus
-the new one, in the oracle's edge order (`density._oracle_edge_order`), and
-its first coloring becomes the new coloring. The direct and chain-swap steps
-mutate the coloring they are given and return it; tree steps and the
-fallback return new colorings.
+colors; at or below a configurable edge count an exact backtracking fallback
+makes the contract unconditional. The fallback is one search
+(`_kernels.chromatic_feasible`) over the colored edges plus the new one, in
+the oracle's edge order (`density._oracle_edge_order`), and its first
+coloring becomes the new coloring. The direct and chain-swap steps mutate
+the coloring they are given and return it; the fallback returns a new one.
+Between the chain swap and the fallback, the extension series
+(`tashkinov.build_series`) runs once per resisting edge, for a certificate
+only: a strongly closed, elementary final tree of odd order whose density
+exceeds k proves that k colors cannot suffice. The series colors no edge.
 
 The chain swap scans chains from one end x of the edge xy only. It runs after
 the shared-color test failed, so the ends' missing sets are disjoint: an
@@ -32,7 +35,7 @@ from .coloring import PartialColoring, alternating_path, mask_colors, validate
 from .density import (DensityCertificate, _oracle_edge_order, bound_report,
                       certificate_check, set_density)
 from .graph import Multigraph
-from .tashkinov import SeriesStuck, TreeSequence, elementary_audit, series
+from .tashkinov import TreeSequence, build_series, elementary_audit
 
 METHODS = ("direct", "kempe", "tashkinov", "fallback")   # how extend colors an edge
 
@@ -220,22 +223,18 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
 
     The direct step (a color missing at both ends) and the chain swap mutate
     pc: they color the edge in place and return pc itself as the coloring;
-    when they fail they leave pc untouched. Tree steps and the fallback
-    return new colorings. One exception: a tree step that grew the tree
-    without recoloring keeps pc, so a direct or chain-swap retry after it
-    colors pc in place too. The chain swap scans from one end only, because
-    the direct step failing leaves the ends' missing sets disjoint (see the
-    module docstring). Tree steps consume `tashkinov.series`: after every
-    step the direct step and the chain swap are retried. The tree is
-    audited only once, on the strongly closed last row, for evidence: a
-    color an audit found missing at both ends of eid would already have
-    gone to the direct step on the same coloring. Uncolored edges other
-    than eid are invisible to the
-    machinery, so this works midway through a coloring run. Within the
-    fallback threshold the answer is exact: one search over the colored
-    subgraph plus eid, in the oracle's edge order, either finds a
-    k-coloring, and its first one is returned as a new coloring, or
-    establishes that there is none.
+    when they fail they leave pc untouched. The chain swap scans from one
+    end only, because the direct step failing leaves the ends' missing sets
+    disjoint (see the module docstring). Then the extension series runs once,
+    with stuck steps downgraded to budget_exhausted; its tree is audited
+    only when the last row is strongly closed, and evidence is returned when
+    that tree is elementary and certifies k. The series never changes pc.
+    Uncolored edges other than eid are invisible to the machinery, so this
+    works midway through a coloring run. Within the fallback threshold the
+    answer is exact: one search over the colored subgraph plus eid, in the
+    oracle's edge order, either finds a k-coloring, and its first one is
+    returned as a new coloring, or establishes that there is none. Otherwise
+    the evidence is budget_exhausted, with the series' final tree.
     """
     if pc.color_of(eid) is not None:
         raise ValueError("edge already colored")
@@ -246,21 +245,13 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
     if out is not None:
         return ExtendOutcome("colored", out, None, "kempe")
 
-    try:
-        for state in series(G, eid, pc):
-            tree = state.final_tree
-            if state.n >= 1:
-                for attempt in (_try_direct, _try_kempe):
-                    out = attempt(state.final_coloring, eid)
-                    if out is not None:
-                        return ExtendOutcome("colored", out, None, "tashkinov")
-        # the series ended strongly closed
-        if elementary_audit(state.final_coloring, tree) is None:
-            ev = _tree_evidence(G, tree, pc.k)
-            if ev is not None:
-                return ExtendOutcome("evidence", None, ev, None)
-    except SeriesStuck:
-        pass
+    state = build_series(G, eid, pc, strict=False)
+    tree = state.final_tree
+    if (state.outcome == "strongly_closed"
+            and elementary_audit(state.final_coloring, tree) is None):
+        ev = _tree_evidence(G, tree, pc.k)
+        if ev is not None:
+            return ExtendOutcome("evidence", None, ev, None)
 
     if G.m <= fallback_threshold:
         keep = [e for e in G.edge_ids if pc.is_colored(e) or e == eid]
@@ -289,8 +280,6 @@ def color_at_k(G: Multigraph, k: int, *, fallback_threshold: int = 25):
     pc = PartialColoring(G, k)
     trace = {}
     for eid in _oracle_edge_order(G)[0]:
-        if pc.is_colored(eid):
-            continue
         out = extend(G, pc, eid, fallback_threshold=fallback_threshold)
         if out.status == "colored":
             pc = out.coloring

@@ -97,7 +97,11 @@ def _canonical_survivors(n: int, m_max: int):
 
 def exhaustive_connected(n_max: int, m_max: int):
     """All connected multigraphs with n <= n_max and m <= m_max, one labeled
-    representative per isomorphism class, in a deterministic order."""
+    representative per isomorphism class, in a deterministic order.
+    ValueError when n_max < 1 or m_max < 0."""
+    if n_max < 1 or m_max < 0:
+        raise ValueError(f"exhaustive needs N >= 1 and M_MAX >= 0, "
+                         f"got N = {n_max}, M_MAX = {m_max}")
     yield Multigraph.build(1, [])
     for n in range(2, n_max + 1):
         survivors, pairs = _canonical_survivors(n, m_max)

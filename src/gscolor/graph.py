@@ -62,10 +62,6 @@ class Multigraph:
     # -- basic accessors --------------------------------------------------
 
     @property
-    def n(self) -> int:
-        return self.vertex_count
-
-    @property
     def m(self) -> int:
         return len(self._ids)
 
@@ -125,20 +121,6 @@ class Multigraph:
         return s
 
     # -- derived graphs ----------------------------------------------------
-
-    def expand_weighted(self, weight) -> "Multigraph":
-        """Replace each edge e by weight[e] parallel copies (0 deletes e).
-
-        The result is a fresh multigraph with new ids assigned in edge-id
-        order; `weight` must be defined for every edge.
-        """
-        pairs = []
-        for eid in self._ids:
-            w = weight[eid]
-            if w < 0:
-                raise ValueError(f"negative weight for edge {eid}")
-            pairs.extend([self._ends[eid]] * w)
-        return Multigraph.build(self.vertex_count, pairs)
 
     def subgraph_of_edges(self, keep) -> "Multigraph":
         """Same vertices, only the edges in `keep`; ids are preserved."""
@@ -215,7 +197,7 @@ MAX_PARSE_VERTICES = 1 << 20
 
 def parse_multigraph(text: str) -> Multigraph:
     """Parse the text edge-list format; raises ParseError with a line number."""
-    header = None
+    header = header_line = None
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -227,6 +209,7 @@ def parse_multigraph(text: str) -> Multigraph:
                 raise ParseError(lineno, "duplicate header")
             if len(fields) != 4 or fields[1] != "multigraph":
                 raise ParseError(lineno, f"bad header: {line!r}")
+            header_line = lineno
             try:
                 header = (int(fields[2]), int(fields[3]))
             except ValueError:
@@ -256,7 +239,8 @@ def parse_multigraph(text: str) -> Multigraph:
     if header is None:
         raise ParseError(1, "missing header")
     if len(pairs) != header[1]:
-        raise ParseError(1, f"header promises {header[1]} edges, found {len(pairs)}")
+        raise ParseError(header_line,
+                         f"header promises {header[1]} edges, found {len(pairs)}")
     return Multigraph.build(header[0], pairs)
 
 

@@ -5,7 +5,10 @@ revisiting (RE) re-enters through a two-colored cycle, series (SE) absorbs a
 defective boundary edge whose far end stays color-disjoint from the tree, and
 parallel (PE) recolors a one-edge exit path at a supporting vertex before
 reclosing. A ledger of connecting colors/edges is kept per step and checked
-against the structural invariants after every iteration.
+against the structural invariants after every iteration. `build_series`
+runs the series to the end; the coloring driver calls it once per edge that
+resists the direct step and the chain swap, for its certificate only (a
+strongly closed, elementary final tree), and never takes a coloring from it.
 
 The paper quantifies each step over all colorings stable for the current
 tree. The series steps on the coloring it is given, which is one of them: the
@@ -84,11 +87,6 @@ class TreeSequence:
             raise ValueError("segment must contain the root edge")
         return TreeSequence(self.edges[:i], self.vertices[:i + 1])
 
-    def is_prefix_of(self, other: "TreeSequence") -> bool:
-        p = len(self.vertices)
-        return (other.vertices[:p] == self.vertices
-                and other.edges[:p - 1] == self.edges)
-
     def __eq__(self, other):
         if not isinstance(other, TreeSequence):
             return NotImplemented
@@ -99,37 +97,6 @@ class TreeSequence:
 
     def __repr__(self):
         return f"TreeSequence(vertices={self.vertices})"
-
-
-def validate_tree_sequence(G: Multigraph, T: TreeSequence):
-    """Raise unless T is a tree sequence of G: each edge joins its new vertex
-    to an earlier one."""
-    u, v = G.endpoints(T.edges[0])
-    if {u, v} != set(T.vertices[:2]):
-        raise ValueError("root edge does not join the first two vertices")
-    for j in range(1, len(T.edges)):
-        a, b = G.endpoints(T.edges[j])
-        new = T.vertices[j + 1]
-        if new not in (a, b):
-            raise ValueError(f"edge {T.edges[j]} does not reach vertex {new}")
-        older = a if b == new else b
-        if older not in T.vertices[:j + 1]:
-            raise ValueError(f"edge {T.edges[j]} does not attach to an earlier vertex")
-
-
-def is_tashkinov_tree(G: Multigraph, pc: PartialColoring, eid: int,
-                      T: TreeSequence) -> bool:
-    """Every non-root edge is colored with a color missing at an earlier vertex."""
-    if T.root_edge != eid:
-        return False
-    validate_tree_sequence(G, T)
-    missing_so_far = pc.missing(T.vertices[0]) | pc.missing(T.vertices[1])
-    for j in range(1, len(T.edges)):
-        c = pc.color_of(T.edges[j])
-        if c is None or c not in missing_so_far:
-            return False
-        missing_so_far = missing_so_far | pc.missing(T.vertices[j + 1])
-    return True
 
 
 def taa_close(G: Multigraph, pc: PartialColoring, T: TreeSequence) -> TreeSequence:
@@ -492,15 +459,17 @@ def _join(base: TreeSequence, extra: TreeSequence) -> TreeSequence:
     return cur
 
 
-def series(G: Multigraph, eid: int, phi0: PartialColoring):
-    """Run the extension series from the closure of the uncolored root edge,
-    yielding the ledger (one SeriesState, growing) after T_1 and every step.
+def build_series(G: Multigraph, eid: int, phi0: PartialColoring, *,
+                 strict: bool = True) -> SeriesState:
+    """Run the extension series from the closure of the uncolored root edge
+    until the tree is strongly closed, as one ledger.
 
     phi0 must leave `eid` uncolored; other uncolored edges are simply
-    invisible to the machinery. Strong closure is tested once per row,
-    before it is yielded; a strongly closed row has outcome "strongly_closed"
-    and is the last. A stuck step raises SeriesStuck; a step that does not
-    grow the tree raises SeriesInvariantError.
+    invisible to the machinery. Strong closure is tested once per row. Every
+    step grows the tree (one that does not raises SeriesInvariantError), so
+    the series ends: a tree spanning its component has no boundary. A stuck
+    step raises SeriesStuck; with strict=False it ends the series with a
+    budget_exhausted outcome instead, keeping any row the step appended.
     """
     if phi0.color_of(eid) is not None:
         raise ValueError("root edge must be uncolored")
@@ -509,35 +478,19 @@ def series(G: Multigraph, eid: int, phi0: PartialColoring):
     state.tuples.append(SeriesTuple(
         tree=t1, coloring=phi0, connecting_colors=frozenset(),
         connecting_edges=frozenset(), theta="none"))
-    while True:
-        if is_strongly_closed(state.final_coloring, state.final_tree.vertex_set):
-            state.outcome = "strongly_closed"
-        yield state
-        if state.outcome == "strongly_closed":
-            return
-        before = len(state.final_tree.vertices)
-        series_step(G, state)
-        if len(state.final_tree.vertices) <= before:
-            raise SeriesInvariantError("series step failed to grow the tree\n"
-                                       + state.to_ledger_json())
-
-
-def build_series(G: Multigraph, eid: int, phi0: PartialColoring, *,
-                 max_steps: int | None = None, strict: bool = True) -> SeriesState:
-    """The whole series as one ledger: `series` until the tree is strongly
-    closed or after max_steps iterations (default: one per graph vertex).
-    With strict=False a stuck step downgrades to a budget_exhausted outcome
-    instead of raising.
-    """
-    limit = G.vertex_count if max_steps is None else max_steps
     try:
-        for state in series(G, eid, phi0):
-            if state.outcome == "running" and state.n >= limit:
-                state.outcome = "budget_exhausted"
-                break
+        while not is_strongly_closed(state.final_coloring,
+                                     state.final_tree.vertex_set):
+            before = len(state.final_tree.vertices)
+            series_step(G, state)
+            if len(state.final_tree.vertices) <= before:
+                raise SeriesInvariantError("series step failed to grow the tree\n"
+                                           + state.to_ledger_json())
     except SeriesStuck as exc:
         if strict:
             raise
         state.outcome = "budget_exhausted"
         state.stuck_reason = str(exc)
+        return state
+    state.outcome = "strongly_closed"
     return state

@@ -57,6 +57,14 @@ def test_exhaustive_corpus_small():
         [format_multigraph(G) for G in again]
 
 
+def test_exhaustive_rejects_bad_sizes():
+    for n_max, m_max in [(5, -1), (0, 3)]:
+        with pytest.raises(ValueError) as exc:
+            list(exhaustive_connected(n_max, m_max))
+        assert str(exc.value) == ("exhaustive needs N >= 1 and M_MAX >= 0, "
+                                  f"got N = {n_max}, M_MAX = {m_max}")
+
+
 # -- color ------------------------------------------------------------------------
 
 def test_cmd_color_petersen(capsys):
@@ -318,6 +326,8 @@ def _ring17_files(tmp_path):
     (["report", "--gen", "petersen", "3"], 1, "bad generator"),
     (["bench", "--gen", "ring", "x"], 1, "bad generator"),
     (["bench", "--gen", "exhaustive", "5"], 1, "bad generator"),
+    (["bench", "--gen", "exhaustive", "5", "-1"], 1, "bad generator"),
+    (["bench", "--gen", "exhaustive", "0", "3"], 1, "bad generator"),
     (["bench", "{missing}"], 1, "cannot read graph"),
     (["verify", "{graph}", "{nested}"], 3, "invalid result"),
     (["color", "--gen", "petersen", "--out", "{unwritable}"], 1, "cannot write output"),
@@ -330,6 +340,7 @@ def _ring17_files(tmp_path):
         "color-gen-missing-arg", "color-gen-random-missing-args",
         "color-gen-unknown", "color-gen-ring-too-small", "report-gen-extra-arg",
         "bench-gen-non-integer", "bench-gen-exhaustive-missing-arg",
+        "bench-gen-exhaustive-negative-m", "bench-gen-exhaustive-no-vertices",
         "bench-missing-graph", "verify-nested-result", "color-unwritable-out",
         "report-unwritable-out", "bench-unwritable-out"])
 def test_unusable_inputs_exit_with_one_line(tmp_path, capsys, argv, code, message):

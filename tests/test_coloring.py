@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gscolor import (ColoringResult, Multigraph, PartialColoring,
-                     color_boundary, defective_colors, is_closed,
-                     is_elementary, is_strongly_closed, kempe_chain,
-                     kempe_swap, swap_outside, validate)
+                     defective_colors, is_closed, is_elementary,
+                     is_strongly_closed, kempe_chain, kempe_swap,
+                     swap_outside, validate)
 from gscolor.coloring import chain_components
 from gscolor.engine import result_from_json
 from oracles import (random_multigraph_pairs, random_proper_coloring,
@@ -233,13 +233,6 @@ def test_predicates_on_triangle_pair(triangle):
     assert not is_strongly_closed(pc, {0, 1})
 
 
-def test_color_boundary(triangle):
-    pc = colored_triangle(triangle)
-    edges, ends = color_boundary(pc, {0, 1}, 3)
-    assert edges == frozenset({2}) and ends == frozenset({0})
-    assert color_boundary(pc, {0, 1, 2}, 1) == (frozenset(), frozenset())
-
-
 def test_defective_colors_examples(triangle):
     pc = colored_triangle(triangle)
     assert defective_colors(pc, {0, 1, 2}) == frozenset()
@@ -255,9 +248,10 @@ def test_defective_iff_boundary_at_least_two(shannon2):
     rng = random.Random(5)
     pc = random_proper_coloring(shannon2, 6, rng)
     h = {0, 1}
+    boundary = shannon2.boundary(h)
     for alpha in range(1, 7):
-        edges, _ = color_boundary(pc, h, alpha)
-        assert (len(edges) >= 2) == (alpha in defective_colors(pc, h))
+        count = sum(1 for e in boundary if pc.color_of(e) == alpha)
+        assert (count >= 2) == (alpha in defective_colors(pc, h))
 
 
 def test_chain_components_partition_colored_edges():

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gscolor import (Multigraph, ScaleExceededError, bound_report,
-                     certificate_check, chromatic_index_exact, is_critical,
-                     tashkinov_order)
+                     certificate_check, chromatic_index_exact, is_critical)
 from gscolor.density import density, enumerate_colorings
 from gscolor.generators import shannon_triangle
 from oracles import brute_chi_prime, brute_density, random_multigraph_pairs
@@ -135,34 +134,15 @@ def test_is_critical(triangle, c4, single_edge):
     assert is_critical(single_edge)
 
 
-def test_tashkinov_order_shannon(shannon2):
-    out = tashkinov_order(shannon2)
-    assert out.value == 3
-    assert not out.truncated
-
-
-def test_tashkinov_order_rejects_noncritical(c4):
-    with pytest.raises(ValueError):
-        tashkinov_order(c4)
-
-
-def test_tashkinov_order_rejects_small_gap():
-    # K3 is critical but chi' = 3 = Delta + 1
-    with pytest.raises(ValueError):
-        tashkinov_order(Multigraph.build(3, [(0, 1), (1, 2), (0, 2)]))
-
-
-def test_small_order_implies_density_tight():
-    """Critical instances with chi' >= Delta+2 whose tree order is below the
-    known threshold must have chi' = ceil(density)."""
+def test_fat_triangles_are_critical_with_chi_equal_ceil_density():
+    """The fat triangles are critical, have chi' >= Delta+2, and reach
+    chi' = ceil(density)."""
     for bundles in [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3)]:
         a, b, c = bundles
         G = Multigraph.build(3, [(0, 1)] * a + [(1, 2)] * b + [(0, 2)] * c)
         assert is_critical(G)
         chi = chromatic_index_exact(G)
         assert chi >= G.max_degree() + 2
-        out = tashkinov_order(G)
-        assert out.value < 11
         rep = bound_report(G)
         assert chi == rep.gamma_ceil
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gscolor import (Multigraph, PartialColoring, bound_report,
+from gscolor import (Multigraph, PartialColoring, bound_report, build_series,
                      certificate_check, chromatic_index_exact, color,
                      color_at_k, extend, verify_result)
 from gscolor.engine import (ColoringResult, IncompleteColoringError, _try_kempe,
@@ -16,6 +16,7 @@ from gscolor.engine import (ColoringResult, IncompleteColoringError, _try_kempe,
 from gscolor.coloring import kempe_chain, kempe_swap, validate
 from gscolor.generators import (petersen, random_multigraph, ring,
                                shannon_triangle)
+from conftest import make_pe_instance, make_se_instance
 from oracles import random_multigraph_pairs, random_proper_coloring
 
 
@@ -145,6 +146,19 @@ def test_extend_evidence_structure():
         assert len(ev.tree.vertex_set) % 2 == 1
         x, y = G.endpoints(ev.tree.root_edge)
         assert {x, y} <= ev.tree.vertex_set
+
+
+@pytest.mark.parametrize("make", [make_pe_instance, make_se_instance])
+def test_failed_extend_reports_the_series_tree(make):
+    """With no fallback, an edge that resists the direct step and the chain
+    swap ends in budget_exhausted: the series ran once, left the coloring
+    as it was, and its own final tree is the evidence."""
+    G, pc = make()
+    before = pc.signature()
+    out = extend(G, pc, 0, fallback_threshold=0)
+    assert out.status == "evidence" and out.evidence.kind == "budget_exhausted"
+    assert pc.signature() == before
+    assert out.evidence.tree == build_series(G, 0, pc, strict=False).final_tree
 
 
 def test_verify_rejects_recolored_clash():

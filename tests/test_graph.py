@@ -61,23 +61,6 @@ def test_boundary_petersen_pentagon(petersen_graph):
     assert petersen_graph.boundary({0, 1, 2, 3, 4}) == frozenset({5, 6, 7, 8, 9})
 
 
-def test_expand_weighted_identity(triangle):
-    G = triangle.expand_weighted({e: 1 for e in triangle.edge_ids})
-    assert G.stats() == triangle.stats()
-    assert [G.endpoints(e) for e in G.edge_ids] == \
-        [triangle.endpoints(e) for e in triangle.edge_ids]
-
-
-def test_expand_weighted_doubling(triangle, shannon2):
-    G = triangle.expand_weighted({e: 2 for e in triangle.edge_ids})
-    assert G.stats() == shannon2.stats()
-
-
-def test_expand_weighted_zero(triangle):
-    G = triangle.expand_weighted({e: 0 for e in triangle.edge_ids})
-    assert G.stats() == (3, 0, 0, 0)
-
-
 def test_r_graph_petersen(petersen_graph):
     assert is_r_graph(petersen_graph, 3)
 
@@ -145,6 +128,7 @@ def test_parse_accepts_comments():
     ("p multigraph 2 1\ne 1 1\n", 2),
     ("p multigraph 2 1\nq 0 1\n", 2),
     ("p multigraph 3 2\ne 0 1\n", 1),
+    ("c a\nc b\np multigraph 3 1\ne 0 1\ne 1 2\n", 3),
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:

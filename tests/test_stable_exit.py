@@ -1,15 +1,14 @@
-"""Stable colorings (definition, equivalence, the strengthened test) and exit
-paths, including the at-most-one-path cross-check for closed trees."""
+"""Stable colorings (definition, equivalence, the strengthened test) and the
+at-most-one-path cross-check for closed trees."""
 
 import random
 
 import pytest
 
-from gscolor import (Multigraph, PartialColoring, find_exit_paths, is_stable,
-                     kempe_chain, kempe_swap, taa_close)
+from gscolor import (Multigraph, PartialColoring, is_stable, kempe_chain,
+                     kempe_swap, taa_close)
 from gscolor.tashkinov import TreeSequence, stable_neighbors
-from oracles import (all_chain_paths, random_multigraph_pairs, random_proper_coloring,
-                     reference_exit_paths)
+from oracles import all_chain_paths, random_multigraph_pairs, random_proper_coloring
 
 
 def _setup(seed, n=8, m=13, slack=0):
@@ -103,51 +102,6 @@ def test_strengthened_condition_equivalent():
             assert plain == strong
             checked += 1
     assert checked > 50
-
-
-def test_exit_paths_empty_when_colors_closed(triangle):
-    pc = PartialColoring(triangle, 3, {1: 2, 2: 3})
-    tree = taa_close(triangle, pc, TreeSequence.root(triangle, 0))
-    # the closure absorbed everything, so nothing crosses it
-    assert tree.vertex_set == {0, 1, 2}
-    assert find_exit_paths(pc, tree, 1, 2) == []
-
-
-def test_exit_path_single_boundary_edge():
-    # path 0-1-2-3: tree {0,1}, edge (1,2) colored 2 continues to vertex 2
-    # missing 1
-    G = Multigraph.build(4, [(0, 1), (1, 2), (2, 3)])
-    pc = PartialColoring(G, 3, {1: 2, 2: 1})
-    tree = TreeSequence.root(G, 0)
-    paths = find_exit_paths(pc, tree, 1, 2)
-    assert len(paths) == 1
-    assert paths[0].vertices == (1, 2, 3)
-    assert paths[0].edges == (1, 2)
-
-
-def test_exit_paths_walk_rejects_reentry():
-    # chain leaves the tree and comes back in: not an exit path
-    G = Multigraph.build(4, [(0, 1), (0, 2), (2, 3), (3, 1)])
-    pc = PartialColoring(G, 4, {1: 1, 2: 2, 3: 1})
-    tree = TreeSequence.root(G, 0)
-    assert find_exit_paths(pc, tree, 1, 2) == []
-
-
-def test_exit_paths_match_reference_walker():
-    """find_exit_paths agrees with the earlier step-by-step walker on every
-    color pair of seeded random trees, small and large slack alike."""
-    found = 0
-    for seed in range(60):
-        for slack in (0, 1, 3):
-            _, _, pc, tree = _setup(seed, slack=slack)
-            for a in range(1, pc.k + 1):
-                for b in range(1, pc.k + 1):
-                    if a == b:
-                        continue
-                    paths = find_exit_paths(pc, tree, a, b)
-                    assert paths == reference_exit_paths(pc, tree, a, b)
-                    found += len(paths)
-    assert found > 100
 
 
 def test_at_most_one_path_meets_closed_tree():

@@ -3,10 +3,9 @@ import random
 import pytest
 
 from gscolor import (Multigraph, PartialColoring, build_series,
-                     elementary_audit, is_tashkinov_tree, taa_close, tashkinov)
+                     elementary_audit, taa_close, tashkinov)
 from gscolor.density import chromatic_index_exact, enumerate_colorings, is_critical
-from gscolor.tashkinov import (SeriesState, SeriesTuple, TreeSequence,
-                               series_step, validate_tree_sequence)
+from gscolor.tashkinov import SeriesState, SeriesTuple, TreeSequence, series_step
 from conftest import make_pe_instance, make_se_instance
 from oracles import (random_multigraph_pairs, random_proper_coloring,
                      reference_closure_vertices)
@@ -18,36 +17,9 @@ def test_tree_sequence_shape(triangle):
     t = TreeSequence.root(triangle, 0)
     assert t.vertices == (0, 1) and t.edges == (0,)
     grown = t.grow(1, 2)
-    validate_tree_sequence(triangle, grown)
     assert grown.segment_to(1) == t
-    assert t.is_prefix_of(grown)
     with pytest.raises(ValueError):
         TreeSequence((0, 1), (0, 1, 0))      # repeated vertex
-
-
-def test_tree_sequence_rejects_detached_edge():
-    G = Multigraph.build(4, [(0, 1), (2, 3)])
-    t = TreeSequence.root(G, 0)
-    with pytest.raises(ValueError):
-        validate_tree_sequence(G, t.grow(1, 3))
-
-
-def test_is_tashkinov_tree(triangle):
-    pc = PartialColoring(triangle, 3, {1: 2, 2: 3})
-    bare = TreeSequence.root(triangle, 0)
-    assert is_tashkinov_tree(triangle, pc, 0, bare)
-    # edge 1 joins vertex 2 with color 2, missing at vertex 0
-    assert 2 in pc.missing(0)
-    assert is_tashkinov_tree(triangle, pc, 0, bare.grow(1, 2))
-
-
-def test_is_tashkinov_tree_rejects_present_color():
-    # (1,2) carries color 1, which is present at both earlier vertices
-    G = Multigraph.build(4, [(0, 1), (1, 2), (0, 3)])
-    pc = PartialColoring(G, 2, {1: 1, 2: 1})
-    bare = TreeSequence.root(G, 0)
-    assert 1 not in pc.missing(0) | pc.missing(1)
-    assert not is_tashkinov_tree(G, pc, 0, bare.grow(1, 2))
 
 
 # -- closures -------------------------------------------------------------------
@@ -123,17 +95,6 @@ def test_series_strongly_closed_immediately(shannon2):
     assert state.outcome == "strongly_closed"
     assert state.n == 0
     assert state.tree(1).vertex_set == {0, 1, 2}
-    # strong closure is checked before the step budget
-    state = build_series(shannon2, 0, pc, max_steps=0)
-    assert state.outcome == "strongly_closed"
-    assert state.n == 0
-
-
-def test_series_budget_zero():
-    G, pc = make_pe_instance()
-    state = build_series(G, 0, pc, max_steps=0)
-    assert state.outcome == "budget_exhausted"
-    assert state.n == 0
 
 
 def test_series_pe_step():
