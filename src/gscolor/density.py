@@ -3,7 +3,8 @@
 Everything here is ground truth for the rest of the package: density and the
 chromatic index are computed by exhaustive search at desk scale, and every
 bound comparison uses exact rational arithmetic. Inputs beyond the hard size
-caps fail loudly instead of answering approximately.
+caps fail loudly instead of answering approximately. `_kernels`, and with it
+numpy, is imported by the functions that call it, not at module level.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _kernels
 from .graph import DENSITY_VERTEX_CAP, Multigraph, ScaleExceededError
 
 ORACLE_EDGE_CAP = 25
@@ -37,6 +37,7 @@ def density(G: Multigraph) -> DensityCertificate:
             f"density enumeration capped at {DENSITY_VERTEX_CAP} vertices, got {n}")
     if n < 3 or G.m == 0:
         return DensityCertificate(frozenset(), Fraction(0))
+    from . import _kernels
     cnt, size, mask = _kernels.density_scan(G.edge_masks(), n)
     if cnt == 0:
         return DensityCertificate(frozenset(), Fraction(0))
@@ -93,12 +94,18 @@ def set_density(G: Multigraph, members) -> Fraction:
     return Fraction(2 * G.induced_edge_count(u), len(u) - 1)
 
 
-def certificate_check(G: Multigraph, members, k: int) -> bool:
-    """Does the odd set prove that k colors cannot suffice (chi' >= k+1)?"""
+def odd_set_density(G: Multigraph, members) -> Fraction:
+    """set_density of an odd set of at least 3 vertices of G; ValueError on
+    any other set, including one naming a vertex G lacks."""
     u = frozenset(members)
     if len(u) < 3 or len(u) % 2 == 0:
         raise ValueError(f"certificate set must be odd with >= 3 vertices, got {len(u)}")
-    return set_density(G, u) > k
+    return set_density(G, u)
+
+
+def certificate_check(G: Multigraph, members, k: int) -> bool:
+    """Does the odd set prove that k colors cannot suffice (chi' >= k+1)?"""
+    return odd_set_density(G, members) > k
 
 
 def _oracle_edge_order(G: Multigraph):
@@ -123,6 +130,7 @@ def chromatic_index_exact(G: Multigraph) -> int:
     if G.m > ORACLE_EDGE_CAP:
         raise ScaleExceededError(
             f"exact chromatic index capped at {ORACLE_EDGE_CAP} edges, got {G.m}")
+    from . import _kernels
     _, eu, ev = _oracle_edge_order(G)
     k = G.max_degree()
     shannon = (3 * G.max_degree()) // 2

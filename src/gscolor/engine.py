@@ -21,6 +21,17 @@ the shared-color test failed, so the ends' missing sets are disjoint: an
 (a, b)-chain from x that avoids y always succeeds (afterwards both ends miss
 b), and one that reaches y is the very chain a scan from y would find and
 skip, so scanning from y can never succeed.
+
+Verification decides the color bound max(Delta+1, ceil(Gamma)) without the
+2^n density scan whenever it can, and the shortcut is exact. A result with
+k_used <= Delta+1 meets the bound whatever Gamma is. A result with more
+colors meets it when one of its (already checked) certificates U has
+density(U) > k_used - 1: Gamma >= density(U), so ceil(Gamma) >= k_used. Only
+otherwise does `verify_result` compute Gamma, which is also the only case in
+which it refuses a graph above the 16-vertex cap.
+
+`_kernels`, and with it numpy, is imported where the fallback calls it, so
+`import gscolor` and a verify that needs no scan never load numpy.
 """
 
 from __future__ import annotations
@@ -30,10 +41,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _kernels
 from .coloring import PartialColoring, alternating_path, mask_colors, validate
 from .density import (DensityCertificate, _oracle_edge_order, bound_report,
-                      certificate_check, set_density)
+                      certificate_check, odd_set_density, set_density)
 from .graph import Multigraph
 from .tashkinov import TreeSequence, build_series, elementary_audit
 
@@ -254,6 +264,7 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
             return ExtendOutcome("evidence", None, ev, None)
 
     if G.m <= fallback_threshold:
+        from . import _kernels
         keep = [e for e in G.edge_ids if pc.is_colored(e) or e == eid]
         H = G.subgraph_of_edges(keep)
         ordered, eu, ev = _oracle_edge_order(H)
@@ -314,8 +325,26 @@ def color(G: Multigraph, *, fallback_threshold: int = 25) -> ColoringResult:
 
 
 def verify_result(G: Multigraph, result: ColoringResult) -> bool:
-    """Re-validate properness, totality, the color bound, and all certificates."""
-    return _valid_coloring(G, result) and _within_bounds(G, result, bound_report(G))
+    """Re-validate properness, totality, all certificates, and the color bound.
+
+    Properness, totality and every certificate are checked on every call.
+    The bound k_used <= max(Delta+1, ceil(Gamma)) is then decided in this
+    order: k_used <= Delta+1 meets it; a certificate with density above
+    k_used - 1 meets it, since Gamma is at least that density; only
+    otherwise is Gamma computed by the density scan (ScaleExceededError
+    above the 16-vertex cap). Each shortcut answers exactly what the scan
+    would, so the answer equals `_within_bounds` against `bound_report(G)`.
+    """
+    if not _valid_coloring(G, result):
+        return False
+    densities = _certificate_densities(G, result)
+    if densities is None:
+        return False
+    if result.k_used <= G.max_degree() + 1:
+        return True
+    if any(d > result.k_used - 1 for d in densities):
+        return True
+    return result.k_used <= bound_report(G).gs_upper
 
 
 def _valid_coloring(G: Multigraph, result: ColoringResult) -> bool:
@@ -330,16 +359,23 @@ def _valid_coloring(G: Multigraph, result: ColoringResult) -> bool:
     return not pc.uncolored_edges
 
 
-def _within_bounds(G: Multigraph, result: ColoringResult, rep) -> bool:
-    """k_used within the guaranteed bound of rep, and every certificate sound."""
-    if result.k_used > rep.gs_upper:
-        return False
+def _certificate_densities(G: Multigraph, result: ColoringResult):
+    """The density of each certificate, or None unless every one is sound:
+    an odd set of at least 3 vertices of G whose density is the recorded
+    value and exceeds the certificate's k."""
+    densities = []
     for cert, k in result.certificates:
         try:
-            if not certificate_check(G, cert.u, k):
-                return False
+            d = odd_set_density(G, cert.u)
         except ValueError:
-            return False
-        if set_density(G, cert.u) != cert.value:
-            return False
-    return True
+            return None
+        if d != cert.value or not d > k:
+            return None
+        densities.append(d)
+    return densities
+
+
+def _within_bounds(G: Multigraph, result: ColoringResult, rep) -> bool:
+    """k_used within the guaranteed bound of rep, and every certificate sound."""
+    return (result.k_used <= rep.gs_upper
+            and _certificate_densities(G, result) is not None)

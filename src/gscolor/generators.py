@@ -5,8 +5,6 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-import numpy as np
-
 from .graph import Multigraph
 
 
@@ -56,8 +54,11 @@ def _canonical_survivors(n: int, m_max: int):
     """Multiplicity vectors over vertex pairs, canonical under vertex relabeling.
 
     Vectors are packed into nibble keys (multiplicities stay below 16) so the
-    120-permutation canonicity test vectorizes.
+    120-permutation canonicity test vectorizes. numpy is imported here, not
+    at module level, so that importing gscolor does not load it.
     """
+    import numpy as np
+
     pairs = list(combinations(range(n), 2))
     p = len(pairs)
     pair_index = {pr: i for i, pr in enumerate(pairs)}

@@ -199,3 +199,11 @@ def reference_closure_vertices(pc, tree):
         if not cand:
             return frozenset(inside)
         inside.update(G.endpoints(max(cand)))
+
+
+def verify_by_scan(G, result):
+    """verify_result's answer by the density scan on every call: properness,
+    totality, sound certificates and k_used <= gs_upper of bound_report(G)."""
+    from gscolor.density import bound_report
+    from gscolor.engine import _valid_coloring, _within_bounds
+    return _valid_coloring(G, result) and _within_bounds(G, result, bound_report(G))

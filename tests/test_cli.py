@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gscolor import format_multigraph, parse_multigraph
+import gscolor
+from gscolor import Multigraph, format_multigraph, parse_multigraph
 from gscolor.cli import main
 from gscolor.generators import (exhaustive_connected, from_spec, petersen,
                                 random_multigraph, ring, shannon_triangle)
@@ -284,7 +289,6 @@ def test_cmd_color_incomplete_exit_code(tmp_path, capsys):
     # with the exact fallback disabled the CLI reports incomplete (budget)
     pairs = [(0, 3), (0, 3), (0, 4), (0, 4), (1, 2), (1, 2), (1, 3), (1, 4),
              (2, 3), (2, 4)]
-    from gscolor import Multigraph
     path = tmp_path / "hard.mg"
     path.write_text(format_multigraph(Multigraph.build(5, pairs)))
     code, _, err = run_cli(capsys, "color", str(path),
@@ -293,18 +297,23 @@ def test_cmd_color_incomplete_exit_code(tmp_path, capsys):
     assert "incomplete" in err
 
 
-def _ring17_files(tmp_path):
-    """ring(17), one vertex above the density cap, with a proper 3-coloring."""
-    G = ring(17)
-    gpath = tmp_path / "ring17.mg"
+def _result_files(tmp_path, name, G, colors, k_used, certificates=()):
+    """G and a result that colors its edges, in id order, with `colors`."""
+    gpath = tmp_path / f"{name}.mg"
     gpath.write_text(format_multigraph(G))
-    colors = [1 + i % 2 for i in range(16)] + [3]
-    rpath = tmp_path / "ring17.json"
+    rpath = tmp_path / f"{name}-{k_used}-{len(certificates)}.json"
     rpath.write_text(json.dumps({
-        "v": 1, "k_used": 3, "seed": 0, "certificates": [],
+        "v": 1, "k_used": k_used, "seed": 0, "certificates": list(certificates),
         "assignment": [[e, c] for e, c in zip(G.edge_ids, colors)],
         "trace": [[e, "direct"] for e in G.edge_ids]}))
     return str(gpath), str(rpath)
+
+
+def _ring17_files(tmp_path, k_used):
+    """ring(17), one vertex above the density cap, with a proper 3-coloring
+    that offers k_used colors."""
+    colors = [1 + i % 2 for i in range(16)] + [3]
+    return _result_files(tmp_path, "ring17", ring(17), colors, k_used)
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -344,7 +353,8 @@ def _ring17_files(tmp_path):
         "bench-missing-graph", "verify-nested-result", "color-unwritable-out",
         "report-unwritable-out", "bench-unwritable-out"])
 def test_unusable_inputs_exit_with_one_line(tmp_path, capsys, argv, code, message):
-    graph, result = _ring17_files(tmp_path)
+    # k_used = 4 > Delta + 1 with no certificate: only Gamma settles the bound
+    graph, result = _ring17_files(tmp_path, 4)
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 200000 + "]" * 200000)
     paths = {"graph": graph, "result": result, "nested": str(nested),
@@ -354,6 +364,56 @@ def test_unusable_inputs_exit_with_one_line(tmp_path, capsys, argv, code, messag
     assert got == code
     assert out == ""
     assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_verify_above_the_cap_when_delta_or_a_certificate_settles_the_bound(
+        tmp_path, capsys):
+    """verify needs Gamma only for k_used > Delta + 1 with no certificate
+    above k_used - 1, so graphs above the density cap verify otherwise."""
+    assert run_cli(capsys, "verify", *_ring17_files(tmp_path, 3)) == (0, "", "")
+    # shannon_triangle(2) plus 14 isolated vertices: n = 17, Delta = 4, Gamma = 6
+    T = shannon_triangle(2)
+    G = Multigraph.build(17, [T.endpoints(e) for e in T.edge_ids])
+    cert = {"u": [0, 1, 2], "value": {"num": 6, "den": 1}, "k": 5}
+    files = _result_files(tmp_path, "shannon17", G, range(1, 7), 6, [cert])
+    assert run_cli(capsys, "verify", *files) == (0, "", "")
+    files = _result_files(tmp_path, "shannon17", G, range(1, 7), 6)
+    code, out, err = run_cli(capsys, "verify", *files)
+    assert (code, out) == (1, "")
+    assert err.startswith("graph too large") and err.count("\n") == 1
+
+
+_LAZY_NUMPY = """
+import json, sys
+import gscolor, gscolor.cli
+code = gscolor.cli.main(["verify", sys.argv[1], sys.argv[2]])
+loaded = "numpy" in sys.modules
+G = gscolor.generators.petersen()
+print(json.dumps([code, loaded, gscolor.color(G).to_json(),
+                  gscolor.cli.main(["report", "--gen", "petersen"]),
+                  gscolor.is_r_graph(G, 3),
+                  len(list(gscolor.generators.exhaustive_connected(3, 3)))]))
+"""
+
+
+def test_import_and_verify_leave_numpy_unloaded(tmp_path):
+    """`import gscolor` and a verify that needs no density scan never load
+    numpy; the kernels that need it still import it when called."""
+    G = petersen()
+    graph, result = tmp_path / "petersen.mg", tmp_path / "result.json"
+    graph.write_text(format_multigraph(G))
+    result.write_text(gscolor.color(G).to_json())
+    src = str(Path(gscolor.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", _LAZY_NUMPY, str(graph), str(result)],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    code, loaded, colored, report_code, r_graph, count = json.loads(
+        run.stdout.splitlines()[-1])
+    assert (code, loaded) == (0, False)
+    assert colored == gscolor.color(G).to_json()
+    assert (report_code, r_graph) == (0, True)
+    assert count == len(list(exhaustive_connected(3, 3)))
 
 
 def test_report_rejects_run_flags(capsys):

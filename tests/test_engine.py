@@ -1,8 +1,10 @@
 import hashlib
 import importlib.util
 import json
+import math
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,10 +16,12 @@ from gscolor import (Multigraph, PartialColoring, bound_report, build_series,
 from gscolor.engine import (ColoringResult, IncompleteColoringError, _try_kempe,
                             result_from_json)
 from gscolor.coloring import kempe_chain, kempe_swap, validate
-from gscolor.generators import (petersen, random_multigraph, ring,
-                               shannon_triangle)
+from gscolor.density import DensityCertificate, density, set_density
+from gscolor.generators import (exhaustive_connected, petersen,
+                                random_multigraph, ring, shannon_triangle)
 from conftest import make_pe_instance, make_se_instance
-from oracles import random_multigraph_pairs, random_proper_coloring
+from oracles import (random_multigraph_pairs, random_proper_coloring,
+                     verify_by_scan)
 
 
 def test_color_petersen():
@@ -191,6 +195,88 @@ def test_verify_rejects_incomplete():
     bad = ColoringResult(PartialColoring.unchecked(G, res.k_used, partial),
                          res.k_used, [], res.trace)
     assert not verify_result(G, bad)
+
+
+def _desk_corpus_seed_1():
+    """colorbench's desk_corpus at seed 1: the exhaustive n <= 5, m <= 10
+    family plus 500 random multigraphs drawn from random.Random(1)."""
+    out = list(exhaustive_connected(5, 10))
+    rng = random.Random(1)
+    for _ in range(500):
+        n = rng.randint(2, 8)
+        m = rng.randint(1, min(20, 4 * n * (n - 1) // 2))
+        out.append(random_multigraph(n, m, rng.randrange(10 ** 9), mu_max=4))
+    return out
+
+
+def _certificate_variants(G, k_used):
+    """(sound, forged) certificate lists. Sound: none, and the density
+    argmax. Forged: a wrong value, an even set, a set naming a vertex G
+    lacks, and the first three vertices claimed against k_used - 1. The
+    first three vertices at their own k are sound but, mostly, too low to
+    settle the bound; they go with the forgeries."""
+    n = G.vertex_count
+    sound = [[]]
+    forged = [[(DensityCertificate(frozenset({0, 1, n}), Fraction(1)), 0)],
+              [(DensityCertificate(frozenset(range(2)), Fraction(2)), 1)]]
+    best = density(G)
+    if best.u:
+        sound.append([(DensityCertificate(best.u, best.value),
+                       math.ceil(best.value) - 1)])
+        forged.append([(DensityCertificate(best.u, best.value + 1), 0)])
+    if n >= 3:
+        u = frozenset(range(3))
+        low = DensityCertificate(u, set_density(G, u))
+        forged += [[(low, math.ceil(low.value) - 1)], [(low, k_used - 1)]]
+    return sound, forged
+
+
+def _improper(G, colors):
+    """colors with two edges at a vertex of top degree sharing a color, or
+    None when no vertex has two edges."""
+    v = max(range(G.vertex_count), key=G.degree)
+    if G.degree(v) < 2:
+        return None
+    e0, e1 = G.edges_at(v)[:2]
+    return {**colors, e1: colors[e0]}
+
+
+def test_verify_result_equals_the_scan_on_the_desk_corpus(monkeypatch):
+    """On every seed-1 desk_corpus result and its tampered variants (k_used
+    raised, sound and forged certificates, improper and partial colorings)
+    verify_result answers what the density scan answers, and it runs the
+    scan only when k_used > Delta + 1 and no certificate settles the bound."""
+    from gscolor import engine
+    scans = []
+    real = engine.bound_report
+    monkeypatch.setattr(engine, "bound_report",
+                        lambda G: scans.append(G) or real(G))
+    hits = {"delta": 0, "certificate": 0, "scan": 0}
+    for G in _desk_corpus_seed_1():
+        res = color(G)
+        colors = {e: res.coloring.color_of(e) for e in G.edge_ids}
+        tampered = [c for c in (_improper(G, colors),
+                                {**colors, G.edge_ids[0]: None} if G.m else None)
+                    if c is not None]
+        sound, forged = _certificate_variants(G, res.k_used)
+        cases = [(res.k_used + raise_by, colors, certs)
+                 for raise_by in (0, 1, 2) for certs in sound]
+        cases += [(res.k_used, colors, certs) for certs in forged]
+        cases += [(res.k_used, c, []) for c in tampered]
+        for k, assignment, certs in cases:
+            r = ColoringResult(PartialColoring.unchecked(G, k, assignment),
+                               k, certs, res.trace)
+            before = len(scans)
+            got = verify_result(G, r)
+            scanned = len(scans) > before
+            assert got == verify_by_scan(G, r), (G, k, assignment, certs)
+            if k <= G.max_degree() + 1:
+                assert not scanned
+            if scanned:
+                hits["scan"] += 1
+            elif got:
+                hits["delta" if k <= G.max_degree() + 1 else "certificate"] += 1
+    assert all(hits.values()), hits
 
 
 def test_result_json_round_trip():
