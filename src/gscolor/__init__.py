@@ -2,8 +2,8 @@
 plus the density certificates and brute-force oracles that verify it."""
 
 from .coloring import (KempeChain, PartialColoring, defective_colors,
-                       is_closed, is_elementary, is_stable, is_strongly_closed,
-                       kempe_chain, kempe_swap, swap_outside, validate)
+                       is_closed, is_strongly_closed, kempe_chain, kempe_swap,
+                       swap_outside, validate)
 from .density import (BoundReport, DensityCertificate, bound_report,
                       certificate_check, chromatic_index_exact, is_critical)
 from .engine import (ColoringResult, FailureEvidence, IncompleteColoringError,

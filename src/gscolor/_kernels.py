@@ -4,15 +4,16 @@ best-odd-subset density scan and the minimum odd cut.
 The two subset scans are vectorized numpy; the backtracking search runs on
 plain-python bitmasks (backtracking does not vectorize).
 
-The feasibility search returns the first proper coloring it reaches, not
-only whether one exists. It goes in lexicographic order over colorings
-whose colors first appear in increasing order, and makes an edge parallel
-to an earlier one take a larger color than the last of them. Its first
-coloring is still the least canonical proper coloring: if that one broke
-the parallel-edge rule, sorting the colors within each parallel class and
-renaming them by first appearance would give a smaller one. So the witness,
-and whether one exists, are those of the search without the rule, which
-would try every ordering of each parallel class.
+The backtracking search (`colorings`) yields every proper coloring it
+reaches, in lexicographic order over colorings whose colors first appear in
+increasing order; under the parallel-edge rule, an edge parallel to an
+earlier one takes a larger color than the last of them. Its first coloring,
+which `chromatic_feasible` returns, is still the least canonical proper
+coloring: if that one broke the rule, sorting the colors within each
+parallel class and renaming them by first appearance would give a smaller
+one. So the witness, and whether one exists, are those of the search
+without the rule (`density.enumerate_colorings`), which lists every
+ordering of each parallel class.
 
 The density scan splits the vertices into a low half L (the n // 2
 lowest) and a high half H, and writes each subset as U = A | B with A in L
@@ -38,43 +39,49 @@ USING_NUMBA = False
 # rename colors or permute parallel edges: a color may be used only if every
 # smaller color already appears earlier in the edge order (color classes are
 # introduced canonically, so the first edge always gets color 1), and an
-# edge parallel to an earlier one must take a larger color than the last
-# such edge, at position prev[i] (see parallel_prev). Color c is bit c - 1
-# of a vertex's `used` mask, so the candidates at a node are one window mask
-# and the next color is its lowest free bit. A vertex keeps enough free
-# colors for its uncolored edges exactly when its degree is at most k, so
-# that test runs once per call, in chromatic_feasible. Returns the colors of
-# the first proper coloring reached, or [] when there is none.
+# edge with prev[i] >= 0 must take a larger color than the edge at position
+# prev[i] (see parallel_prev; -1 everywhere switches the rule off). Color c
+# is bit c - 1 of a vertex's `used` mask, so the candidates at a node are
+# one window mask and the next color is its lowest free bit. A vertex keeps
+# enough free colors for its uncolored edges exactly when its degree is at
+# most k, so that test runs once per call, in chromatic_feasible.
 
-def _feasible_py(eu, ev, prev, n, k):
+def colorings(eu, ev, prev, n, k):
+    """Yield the colors of every proper coloring the search reaches, each as
+    a new list, in the order it reaches them; one empty list when m == 0."""
     m = len(eu)
     used = [0] * n
     color = [0] * m
     maxc = [0] * (m + 1)
     i = 0
-    while 0 <= i < m:
-        u, v, lo = eu[i], ev[i], color[i]
-        if lo:
-            b = 1 << (lo - 1)
-            used[u] ^= b
-            used[v] ^= b
-        p = prev[i]
-        if p >= 0 and color[p] > lo:
-            lo = color[p]
-        hi = min(maxc[i] + 1, k)
-        free = ((1 << hi) - (1 << lo)) & ~(used[u] | used[v]) if lo < hi else 0
-        if free:
-            b = free & -free
-            nxt = b.bit_length()
-            used[u] |= b
-            used[v] |= b
-            color[i] = nxt
-            maxc[i + 1] = max(maxc[i], nxt)
-            i += 1
-        else:
-            color[i] = 0
-            i -= 1
-    return color if i == m else []
+    while True:
+        while 0 <= i < m:
+            u, v, lo = eu[i], ev[i], color[i]
+            if lo:
+                b = 1 << (lo - 1)
+                used[u] ^= b
+                used[v] ^= b
+            p = prev[i]
+            if p >= 0 and color[p] > lo:
+                lo = color[p]
+            hi = min(maxc[i] + 1, k)
+            free = ((1 << hi) - (1 << lo)) & ~(used[u] | used[v]) if lo < hi else 0
+            if free:
+                b = free & -free
+                nxt = b.bit_length()
+                used[u] |= b
+                used[v] |= b
+                color[i] = nxt
+                maxc[i + 1] = max(maxc[i], nxt)
+                i += 1
+            else:
+                color[i] = 0
+                i -= 1
+        if i < 0:
+            return
+        yield list(color)
+        # resume at the last edge, from the color above its current one
+        i -= 1
 
 
 # --------------------------------------------------------------------------
@@ -169,8 +176,8 @@ def chromatic_feasible(eu, ev, n: int, k: int):
         degree[v] += 1
     if max(degree) > k:
         return None
-    colors = _feasible_py(list(eu), list(ev), parallel_prev(eu, ev), n, k)
-    return colors or None
+    search = colorings(list(eu), list(ev), parallel_prev(eu, ev), n, k)
+    return next(search, None)
 
 
 def parallel_prev(eu, ev):

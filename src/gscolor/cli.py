@@ -12,8 +12,8 @@ import time
 
 from . import generators
 from .density import bound_report, chromatic_index_exact
-from .engine import (METHODS, IncompleteColoringError, color, result_from_json,
-                     verify_result)
+from .engine import (METHODS, IncompleteColoringError, _color, color,
+                     result_from_json, verify_result)
 from .graph import Multigraph, ParseError, ScaleExceededError, parse_multigraph
 
 BENCH_COLUMNS = ["idx", "spec", "n", "m", "delta", "mu", "gamma", "chi_exact",
@@ -159,7 +159,7 @@ def _bench_row(task):
     rep = bound_report(G)
     status = "ok"
     try:
-        result = color(G, fallback_threshold=threshold)
+        result = _color(G, rep, threshold)
         k_used = result.k_used
         tags = list(result.trace.values())
         counts = [tags.count(m) for m in METHODS]

@@ -298,20 +298,6 @@ def _canonical_cycle(pc, colors, edges, verts):
     return KempeChain(colors, "cycle", tuple(edges), tuple(verts), ())
 
 
-def chain_components(pc: PartialColoring, alpha: int, beta: int) -> list:
-    """All nonempty (alpha, beta)-chains, each component reported once."""
-    seen = set()
-    out = []
-    for v in range(pc.graph.vertex_count):
-        if v in seen:
-            continue
-        ch = kempe_chain(pc, v, alpha, beta)
-        if ch.edges:
-            seen.update(ch.vertices)
-            out.append(ch)
-    return out
-
-
 def kempe_swap(pc: PartialColoring, chain: KempeChain) -> PartialColoring:
     """Interchange the chain's two colors on exactly its edges.
 
@@ -352,17 +338,6 @@ def swap_outside(pc: PartialColoring, members, alpha: int, beta: int) -> Partial
 
 # -- set predicates -----------------------------------------------------------
 
-def is_elementary(pc: PartialColoring, members) -> bool:
-    """Missing sets over the vertex set are pairwise disjoint."""
-    seen = set()
-    for v in members:
-        miss = pc.missing(v)
-        if seen & miss:
-            return False
-        seen |= miss
-    return True
-
-
 def is_closed(pc: PartialColoring, members) -> bool:
     """No color missing in the set appears on its boundary."""
     boundary_colors = pc.colors_on(pc.graph.boundary(members))
@@ -371,11 +346,7 @@ def is_closed(pc: PartialColoring, members) -> bool:
 
 def is_strongly_closed(pc: PartialColoring, members) -> bool:
     """Closed, and the colored boundary edges carry pairwise distinct colors."""
-    boundary = pc.graph.boundary(members)
-    colors = [pc.color_of(e) for e in boundary if pc.is_colored(e)]
-    if len(colors) != len(set(colors)):
-        return False
-    return not (set(colors) & pc.missing_union(members))
+    return is_closed(pc, members) and not defective_colors(pc, members)
 
 
 def defective_colors(pc: PartialColoring, members) -> frozenset:
@@ -386,40 +357,3 @@ def defective_colors(pc: PartialColoring, members) -> frozenset:
         if c is not None:
             counts[c] = counts.get(c, 0) + 1
     return frozenset(c for c, cnt in counts.items() if cnt >= 2)
-
-
-# -- stable colorings ----------------------------------------------------------
-
-def _tree_vertices(tree) -> tuple:
-    verts = getattr(tree, "vertices", tree)
-    return tuple(verts)
-
-
-def is_stable(pi: PartialColoring, tree, phi: PartialColoring, *,
-              strengthened: bool = False) -> bool:
-    """Does pi preserve phi around the tree, in the tree's missing colors?
-
-    Condition (i): every edge incident to the tree whose phi-color lies in
-    missing(tree) keeps its color; condition (ii): missing sets agree on
-    every tree vertex. With strengthened=True, (i) additionally protects
-    edges whose *pi*-color lies in that set, which accepts exactly the same
-    colorings (checked as a property test).
-    """
-    if pi.k != phi.k:
-        raise ValueError("colorings disagree on k")
-    if pi.uncolored_edges != phi.uncolored_edges:
-        raise ValueError("colorings disagree on the uncolored edges")
-    verts = _tree_vertices(tree)
-    for v in verts:
-        if pi.missing(v) != phi.missing(v):
-            return False
-    protected = phi.missing_union(verts)
-    incident = sorted({e for v in verts for e in phi.graph.edges_at(v)})
-    for e in incident:
-        pc = phi.color_of(e)
-        if pc is None:
-            continue
-        hit = pc in protected or (strengthened and pi.color_of(e) in protected)
-        if hit and pi.color_of(e) != pc:
-            return False
-    return True

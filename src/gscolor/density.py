@@ -9,6 +9,7 @@ numpy, is imported by the functions that call it, not at module level.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,42 +145,20 @@ def chromatic_index_exact(G: Multigraph) -> int:
 
 def enumerate_colorings(G: Multigraph, k: int, *, cap: int = 1000):
     """Up to `cap` proper k-edge-colorings (maps eid -> color), plus an
-    exhausted flag.
+    exhausted flag, True when fewer than `cap` were found.
 
     Enumeration is canonical up to global color permutation: a new color may
-    only be introduced in increasing order along the fixed edge order.
+    only be introduced in increasing order along the oracle's edge order.
+    It is the exact search (`_kernels.colorings`) without the parallel-edge
+    rule, so every ordering of a parallel class is listed.
     """
     ordered, eu, ev = _oracle_edge_order(G)
-    m = len(ordered)
-    if m == 0:
+    if not ordered:
         return [{}], True
-    results = []
-    used = [set() for _ in range(G.vertex_count)]
-    color = [0] * m
-
-    def rec(i, maxc):
-        if len(results) >= cap:
-            return False
-        if i == m:
-            results.append({ordered[j]: color[j] for j in range(m)})
-            return len(results) < cap
-        u, v = eu[i], ev[i]
-        for c in range(1, min(maxc + 1, k) + 1):
-            if c in used[u] or c in used[v]:
-                continue
-            color[i] = c
-            used[u].add(c)
-            used[v].add(c)
-            more = rec(i + 1, max(maxc, c))
-            used[u].discard(c)
-            used[v].discard(c)
-            color[i] = 0
-            if not more:
-                return False
-        return True
-
-    exhausted = rec(0, 0)
-    return results, exhausted
+    from . import _kernels
+    search = _kernels.colorings(eu, ev, [-1] * len(ordered), G.vertex_count, k)
+    results = [dict(zip(ordered, colors)) for colors in itertools.islice(search, cap)]
+    return results, len(results) < cap
 
 
 def is_critical(G: Multigraph) -> bool:

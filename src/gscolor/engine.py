@@ -2,8 +2,8 @@
 
 Colors every edge using at most max(Delta+1, ceil(density)) colors: the lower
 bound max(Delta, ceil(density)) is attempted first so class-1-like instances
-come out optimal, and a proof of infeasibility (or budget exhaustion)
-escalates once to the guaranteed bound. Per edge the driver tries a shared
+come out optimal, and a failed attempt escalates once to the guaranteed
+bound. Per edge the driver tries a shared
 missing color, then a two-colored chain swap between the ends' missing
 colors; at or below a configurable edge count an exact backtracking fallback
 makes the contract unconditional. The fallback is one search
@@ -15,6 +15,10 @@ Between the chain swap and the fallback, the extension series
 (`tashkinov.build_series`) runs once per resisting edge, for a certificate
 only: a strongly closed, elementary final tree of odd order whose density
 exceeds k proves that k colors cannot suffice. The series colors no edge.
+`color` only tries k >= ceil(Gamma), where no odd set has density above k,
+so under `color` the series never certifies: every escalation follows a
+failed search, and `ColoringResult.certificates` stays empty. Certificates
+come from `color_at_k` and `extend` at a k below ceil(Gamma).
 
 The chain swap scans chains from one end x of the edge xy only. It runs after
 the shared-color test failed, so the ends' missing sets are disjoint: an
@@ -236,7 +240,7 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
     when they fail they leave pc untouched. The chain swap scans from one
     end only, because the direct step failing leaves the ends' missing sets
     disjoint (see the module docstring). Then the extension series runs once,
-    with stuck steps downgraded to budget_exhausted; its tree is audited
+    and a stuck step ends it as budget_exhausted; its tree is audited
     only when the last row is strongly closed, and evidence is returned when
     that tree is elementary and certifies k. The series never changes pc.
     Uncolored edges other than eid are invisible to the machinery, so this
@@ -255,10 +259,10 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
     if out is not None:
         return ExtendOutcome("colored", out, None, "kempe")
 
-    state = build_series(G, eid, pc, strict=False)
+    state = build_series(G, eid, pc)
     tree = state.final_tree
     if (state.outcome == "strongly_closed"
-            and elementary_audit(state.final_coloring, tree) is None):
+            and elementary_audit(state.final_coloring, tree.vertices) is None):
         ev = _tree_evidence(G, tree, pc.k)
         if ev is not None:
             return ExtendOutcome("evidence", None, ev, None)
@@ -308,7 +312,11 @@ def color(G: Multigraph, *, fallback_threshold: int = 25) -> ColoringResult:
     fail. Identical inputs give identical results, including the trace.
     IncompleteColoringError carries the partial record of the last attempt.
     """
-    rep = bound_report(G)
+    return _color(G, bound_report(G), fallback_threshold)
+
+
+def _color(G: Multigraph, rep, fallback_threshold: int) -> ColoringResult:
+    """`color` against a bound report of G that the caller already has."""
     schedule = [rep.lower] if rep.lower == rep.gs_upper else [rep.lower, rep.gs_upper]
     certificates = []
     for k in schedule:

@@ -6,15 +6,15 @@ defective boundary edge whose far end stays color-disjoint from the tree, and
 parallel (PE) recolors a one-edge exit path at a supporting vertex before
 reclosing. A ledger of connecting colors/edges is kept per step and checked
 against the structural invariants after every iteration. `build_series`
-runs the series to the end; the coloring driver calls it once per edge that
-resists the direct step and the chain swap, for its certificate only (a
-strongly closed, elementary final tree), and never takes a coloring from it.
+runs the series to the end, a strongly closed tree or a stuck step; the
+coloring driver calls it once per resisting edge, for its certificate only
+(a strongly closed, elementary final tree), and takes no coloring from it.
+`color` only tries k >= ceil(density), where no tree certifies, so only
+`color_at_k` below that gets a certificate from it.
 
 The paper quantifies each step over all colorings stable for the current
 tree. The series steps on the coloring it is given, which is one of them: the
 defective boundary edge and the PE witness come from the row's own coloring.
-`stable_neighbors` lists the colorings one tree-avoiding chain swap away
-(every such swap yields a stable coloring); no coloring path calls it.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .coloring import (PartialColoring, chain_components, defective_colors,
-                       is_closed, is_elementary, is_strongly_closed,
-                       kempe_chain, kempe_swap, swap_outside)
+from .coloring import (PartialColoring, defective_colors, is_closed,
+                       is_strongly_closed, kempe_chain, kempe_swap,
+                       swap_outside)
 from .graph import Multigraph
 
 
@@ -123,11 +123,12 @@ class Witness:
     color: int
 
 
-def elementary_audit(pc: PartialColoring, T: TreeSequence):
-    """None if the tree's vertex set is elementary, else the first offending
-    pair in tree order with their shared missing color."""
+def elementary_audit(pc: PartialColoring, vertices):
+    """None if the vertices' missing sets are pairwise disjoint (the set is
+    elementary), else the first offending pair in the given order with their
+    shared missing color."""
     first_owner = {}
-    for v in T.vertices:
+    for v in vertices:
         for c in sorted(pc.missing(v)):
             if c in first_owner:
                 return Witness(first_owner[c], v, c)
@@ -135,32 +136,7 @@ def elementary_audit(pc: PartialColoring, T: TreeSequence):
     return None
 
 
-# -- stable neighbors and defective boundary edges ------------------------------
-
-def stable_neighbors(pc: PartialColoring, tree_vertices: frozenset):
-    """Colorings one stability-preserving chain swap away.
-
-    Two classes of chain are safe: chains disjoint from the tree (they touch
-    nothing incident to it), and chains whose two colors both avoid the
-    tree's missing colors (they may cross the tree but cannot end there, so
-    tree missing sets and edges in those colors are untouched). Deterministic
-    order: color pairs ascending, then the chain's smallest vertex.
-    """
-    tree_missing = pc.missing_union(tree_vertices)
-    out = []
-    k = pc.k
-    for a in range(1, k + 1):
-        for b in range(a + 1, k + 1):
-            colors_free = a not in tree_missing and b not in tree_missing
-            for ch in chain_components(pc, a, b):
-                crosses = bool(tree_vertices & set(ch.vertices))
-                if crosses and not colors_free:
-                    continue
-                if crosses and any(u in tree_vertices for u in ch.end_vertices):
-                    continue
-                out.append(kempe_swap(pc, ch))
-    return out
-
+# -- defective boundary edges -------------------------------------------------
 
 def _max_defective(G: Multigraph, pc: PartialColoring, T: TreeSequence):
     """The defective boundary edge of T under pc whose in-end is latest in
@@ -301,7 +277,7 @@ def assert_series_invariants(state: SeriesState):
                     failure = f"PE: missing color {c} not closed in T_n"
                     break
         if failure is not None:
-            if is_elementary(phi_n, t_n.vertex_set):
+            if elementary_audit(phi_n, t_n.vertices) is None:
                 raise SeriesInvariantError(failure + "\n" + state.to_ledger_json())
             raise SeriesStuck(failure + " (tree not elementary)")
     # connecting-color chaining at a recurring supporting vertex
@@ -459,8 +435,7 @@ def _join(base: TreeSequence, extra: TreeSequence) -> TreeSequence:
     return cur
 
 
-def build_series(G: Multigraph, eid: int, phi0: PartialColoring, *,
-                 strict: bool = True) -> SeriesState:
+def build_series(G: Multigraph, eid: int, phi0: PartialColoring) -> SeriesState:
     """Run the extension series from the closure of the uncolored root edge
     until the tree is strongly closed, as one ledger.
 
@@ -468,8 +443,9 @@ def build_series(G: Multigraph, eid: int, phi0: PartialColoring, *,
     invisible to the machinery. Strong closure is tested once per row. Every
     step grows the tree (one that does not raises SeriesInvariantError), so
     the series ends: a tree spanning its component has no boundary. A stuck
-    step raises SeriesStuck; with strict=False it ends the series with a
-    budget_exhausted outcome instead, keeping any row the step appended.
+    step (SeriesStuck) ends the series with outcome "budget_exhausted" and
+    its message as `stuck_reason`, keeping any row the step appended; a
+    broken invariant (SeriesInvariantError) is raised.
     """
     if phi0.color_of(eid) is not None:
         raise ValueError("root edge must be uncolored")
@@ -487,8 +463,6 @@ def build_series(G: Multigraph, eid: int, phi0: PartialColoring, *,
                 raise SeriesInvariantError("series step failed to grow the tree\n"
                                            + state.to_ledger_json())
     except SeriesStuck as exc:
-        if strict:
-            raise
         state.outcome = "budget_exhausted"
         state.stuck_reason = str(exc)
         return state

@@ -75,6 +75,46 @@ def brute_chi_prime(G):
     return k
 
 
+def reference_colorings(G, k, cap=1000):
+    """enumerate_colorings by plain recursion with per-vertex color sets: up
+    to `cap` proper k-edge-colorings (maps eid -> color) and an exhausted
+    flag, edges in descending endpoint degree-sum order (ties by id), a new
+    color only once every smaller one appears earlier in that order."""
+    ordered = sorted(G.edge_ids, key=lambda e: (
+        -sum(G.degree(w) for w in G.endpoints(e)), e))
+    m = len(ordered)
+    if m == 0:
+        return [{}], True
+    ends = [G.endpoints(e) for e in ordered]
+    results = []
+    used = [set() for _ in range(G.vertex_count)]
+    color = [0] * m
+
+    def rec(i, maxc):
+        if len(results) >= cap:
+            return False
+        if i == m:
+            results.append({ordered[j]: color[j] for j in range(m)})
+            return len(results) < cap
+        u, v = ends[i]
+        for c in range(1, min(maxc + 1, k) + 1):
+            if c in used[u] or c in used[v]:
+                continue
+            color[i] = c
+            used[u].add(c)
+            used[v].add(c)
+            more = rec(i + 1, max(maxc, c))
+            used[u].discard(c)
+            used[v].discard(c)
+            color[i] = 0
+            if not more:
+                return False
+        return True
+
+    exhausted = rec(0, 0)
+    return results, exhausted
+
+
 def random_proper_coloring(G, k, rng, *, leave_uncolored=0):
     """Greedy proper partial coloring with randomized edge and color order.
 

@@ -1,0 +1,78 @@
+"""The paper's stability layer, used only by the tests.
+
+Stable colorings are the colorings the paper's series quantifies over: one
+that keeps the tree's missing sets and the colors of the tree's incident
+edges in those colors. The series steps on the coloring it is given, so no
+coloring path needs these; they back the stability criterion and the
+stable-coloring tests.
+"""
+
+from gscolor.coloring import PartialColoring, kempe_chain, kempe_swap
+
+
+def chain_components(pc: PartialColoring, alpha: int, beta: int) -> list:
+    """All nonempty (alpha, beta)-chains, each component reported once."""
+    seen = set()
+    out = []
+    for v in range(pc.graph.vertex_count):
+        if v in seen:
+            continue
+        ch = kempe_chain(pc, v, alpha, beta)
+        if ch.edges:
+            seen.update(ch.vertices)
+            out.append(ch)
+    return out
+
+
+def _tree_vertices(tree) -> tuple:
+    verts = getattr(tree, "vertices", tree)
+    return tuple(verts)
+
+
+def is_stable(pi: PartialColoring, tree, phi: PartialColoring) -> bool:
+    """Does pi preserve phi around the tree, in the tree's missing colors?
+
+    Condition (i): every edge incident to the tree whose phi-color lies in
+    missing(tree) keeps its color; condition (ii): missing sets agree on
+    every tree vertex. `tree` is a TreeSequence or a sequence of vertices.
+    """
+    if pi.k != phi.k:
+        raise ValueError("colorings disagree on k")
+    if pi.uncolored_edges != phi.uncolored_edges:
+        raise ValueError("colorings disagree on the uncolored edges")
+    verts = _tree_vertices(tree)
+    for v in verts:
+        if pi.missing(v) != phi.missing(v):
+            return False
+    protected = phi.missing_union(verts)
+    incident = sorted({e for v in verts for e in phi.graph.edges_at(v)})
+    for e in incident:
+        pc = phi.color_of(e)
+        if pc is not None and pc in protected and pi.color_of(e) != pc:
+            return False
+    return True
+
+
+def stable_neighbors(pc: PartialColoring, tree_vertices: frozenset):
+    """Colorings one stability-preserving chain swap away.
+
+    Two classes of chain are safe: chains disjoint from the tree (they touch
+    nothing incident to it), and chains whose two colors both avoid the
+    tree's missing colors (they may cross the tree but cannot end there, so
+    tree missing sets and edges in those colors are untouched). Deterministic
+    order: color pairs ascending, then the chain's smallest vertex.
+    """
+    tree_missing = pc.missing_union(tree_vertices)
+    out = []
+    k = pc.k
+    for a in range(1, k + 1):
+        for b in range(a + 1, k + 1):
+            colors_free = a not in tree_missing and b not in tree_missing
+            for ch in chain_components(pc, a, b):
+                crosses = bool(tree_vertices & set(ch.vertices))
+                if crosses and not colors_free:
+                    continue
+                if crosses and any(u in tree_vertices for u in ch.end_vertices):
+                    continue
+                out.append(kempe_swap(pc, ch))
+    return out

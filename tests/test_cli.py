@@ -255,6 +255,26 @@ def test_cmd_bench_deterministic(capsys):
     assert len(lines) == 4
 
 
+def test_cmd_bench_scans_density_once_per_row(capsys, monkeypatch):
+    """Each row computes one bound report and colors against it."""
+    from gscolor import cli, density, engine
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return density.bound_report(G)
+
+    monkeypatch.setattr(cli, "bound_report", counted)
+    monkeypatch.setattr(engine, "bound_report", counted)
+    code, out, _ = run_cli(capsys, "bench", "--gen", "petersen", "--gen",
+                           "shannon", "2", "--gen", "ring", "5", "2", "--oracle")
+    assert code == 0
+    assert out.splitlines()[2:] == ["0,petersen,10,15,3,1,3/1,4,4,15,0,0,0,ok",
+                                    "1,shannon 2,3,6,4,2,6/1,6,6,6,0,0,0,ok",
+                                    "2,ring 5 2,5,10,4,2,5/1,5,5,9,0,0,1,ok"]
+    assert len(calls) == 3
+
+
 def test_cmd_bench_empty(capsys):
     code, out, _ = run_cli(capsys, "bench")
     assert code == 0

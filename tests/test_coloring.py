@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gscolor import (ColoringResult, Multigraph, PartialColoring,
-                     defective_colors, is_closed, is_elementary,
+                     defective_colors, elementary_audit, is_closed,
                      is_strongly_closed, kempe_chain, kempe_swap,
                      swap_outside, validate)
-from gscolor.coloring import chain_components
 from gscolor.engine import result_from_json
+from paper_structures import chain_components
 from oracles import (random_multigraph_pairs, random_proper_coloring,
                      reference_kempe_chain)
 
@@ -219,7 +219,7 @@ def test_swap_outside_rejects_boundary_color(triangle):
 
 def test_elementary_trivial_cases(triangle):
     pc = colored_triangle(triangle)
-    assert is_elementary(pc, {0})
+    assert elementary_audit(pc, (0,)) is None
     assert is_closed(pc, {0, 1, 2})
     assert is_strongly_closed(pc, {0, 1, 2})
 
@@ -228,7 +228,7 @@ def test_predicates_on_triangle_pair(triangle):
     pc = colored_triangle(triangle)
     # missing sets at 0 and 1 are {2} and {3}: disjoint, so elementary;
     # edge 2 joins vertex 2 and carries color 3, missing inside {0,1}
-    assert is_elementary(pc, {0, 1})
+    assert elementary_audit(pc, (0, 1)) is None
     assert not is_closed(pc, {0, 1})
     assert not is_strongly_closed(pc, {0, 1})
 

@@ -7,8 +7,9 @@ import pytest
 from gscolor import (Multigraph, ScaleExceededError, bound_report,
                      certificate_check, chromatic_index_exact, is_critical)
 from gscolor.density import density, enumerate_colorings
-from gscolor.generators import shannon_triangle
-from oracles import brute_chi_prime, brute_density, random_multigraph_pairs
+from gscolor.generators import exhaustive_connected, random_multigraph, shannon_triangle
+from oracles import (brute_chi_prime, brute_density, random_multigraph_pairs,
+                     reference_colorings)
 
 
 def test_density_triangle(triangle):
@@ -154,6 +155,23 @@ def test_enumerate_colorings_triangle(triangle):
     assert len(cols) == 1
     cols2, exhausted2 = enumerate_colorings(triangle, 3, cap=1)
     assert len(cols2) == 1
+
+
+def test_enumerate_colorings_matches_the_recursive_reference():
+    """Same colorings in the same order, and the same exhausted flag, as
+    plain recursion: every connected multigraph with n <= 5 and m <= 8 plus
+    random ones, every k from 0 to Delta + 2, at four caps."""
+    graphs = [*exhaustive_connected(5, 8),
+              *(random_multigraph(6, 10, seed) for seed in range(30))]
+    exhausted = 0
+    for G in graphs:
+        for k in range(G.max_degree() + 3):
+            for cap in (1, 5, 40, 1000):
+                got = enumerate_colorings(G, k, cap=cap)
+                assert got == reference_colorings(G, k, cap), (G.stats(), k, cap)
+                exhausted += got[1]
+    assert len(graphs) == 535 and exhausted > 0
+    assert enumerate_colorings(Multigraph.build(2, []), 0, cap=1) == ([{}], True)
 
 
 def test_shannon_family_chi():

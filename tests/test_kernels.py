@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from gscolor import Multigraph, PartialColoring, _kernels
 from gscolor.coloring import validate
-from gscolor.density import _oracle_edge_order, enumerate_colorings
+from gscolor.density import _oracle_edge_order
 from gscolor.generators import ring
-from oracles import brute_density_maximizers, brute_min_odd_cut, random_multigraph_pairs
+from oracles import (brute_density_maximizers, brute_min_odd_cut,
+                     random_multigraph_pairs, reference_colorings)
 
 
 def _instances(count, seed):
@@ -33,9 +34,10 @@ def _interleaved_parallels(n, rng):
 
 
 def _first_canonical(G, k):
-    """The first coloring enumerate_colorings reaches, in oracle order."""
+    """The first coloring the recursive reference enumeration reaches, in
+    oracle order."""
     ordered, _, _ = _oracle_edge_order(G)
-    solutions, _ = enumerate_colorings(G, k, cap=1)
+    solutions, _ = reference_colorings(G, k, cap=1)
     return [solutions[0][e] for e in ordered] if solutions else None
 
 

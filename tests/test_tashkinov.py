@@ -5,7 +5,8 @@ import pytest
 from gscolor import (Multigraph, PartialColoring, build_series,
                      elementary_audit, taa_close, tashkinov)
 from gscolor.density import chromatic_index_exact, enumerate_colorings, is_critical
-from gscolor.tashkinov import SeriesState, SeriesTuple, TreeSequence, series_step
+from gscolor.tashkinov import (SeriesState, SeriesTuple, TreeSequence, Witness,
+                               series_step)
 from conftest import make_pe_instance, make_se_instance
 from oracles import (random_multigraph_pairs, random_proper_coloring,
                      reference_closure_vertices)
@@ -60,14 +61,16 @@ def test_elementary_audit_ok_and_witness(triangle):
     bare = TreeSequence.root(triangle, 0)
     # phi(0) misses {1}... vertex 0 has edge 2 (color 3): missing {1, 2};
     # vertex 1 has edge 1 (color 2): missing {1, 3} -> shared color 1
-    w = elementary_audit(pc, bare)
+    w = elementary_audit(pc, bare.vertices)
     assert w is not None and w.color == 1 and {w.u, w.v} == {0, 1}
     # a singleton prefix is trivially elementary
+    assert elementary_audit(pc, bare.vertices[:1]) is None
+    # a larger k only adds shared missing colors: 1 is still the first
     pc5 = PartialColoring(triangle, 5, {1: 2, 2: 3})
-    assert elementary_audit(pc5, bare) is None or True  # larger k shares colors
+    assert elementary_audit(pc5, bare.vertices) == Witness(u=0, v=1, color=1)
     # audit as extension detector: shared missing color at the root ends is
     # exactly colorability of the root edge
-    assert (elementary_audit(pc, bare) is None) == \
+    assert (elementary_audit(pc, bare.vertices) is None) == \
         (not (pc.missing(0) & pc.missing(1)))
 
 
@@ -83,7 +86,7 @@ def test_elementary_audit_on_critical_triples():
             for cmap in colorings:
                 pc = PartialColoring(G, k, cmap)
                 tree = taa_close(G, pc, TreeSequence.root(G, eid))
-                assert elementary_audit(pc, tree) is None
+                assert elementary_audit(pc, tree.vertices) is None
 
 
 # -- the series ------------------------------------------------------------------
@@ -135,6 +138,7 @@ def test_series_steps_on_the_given_coloring():
 
     G, pc = make_improvement_instance()
     state = build_series(G, 0, pc)
+    assert state.outcome == "strongly_closed"
     pe = state.tuples[1]
     assert pe.theta == "pe"
     assert pe.v_n == 2
@@ -152,6 +156,7 @@ def test_series_ledger_json():
 def test_series_d_sets_bounded():
     G, pc = make_se_instance()
     state = build_series(G, 0, pc)
+    assert state.outcome == "strongly_closed"
     for i in range(1, state.n + 1):
         assert len(state.d_set(i)) <= i
 
@@ -163,17 +168,16 @@ def test_series_rejects_colored_root(triangle):
 
 
 def test_series_strict_false_degrades():
-    # non-elementary regime: PE postconditions become void, a strict run
-    # raises, a lax one records budget exhaustion
+    # non-elementary regime: PE postconditions become void, so the stuck
+    # step ends the series with budget exhaustion, keeping the PE row
     pairs = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)]
     G = Multigraph.build(6, pairs)
     pc = PartialColoring(G, 13, {1: 1, 2: 9, 3: 9, 4: 9})
-    from gscolor.tashkinov import SeriesStuck
-    with pytest.raises(SeriesStuck):
-        build_series(G, 0, pc, strict=True)
-    state = build_series(G, 0, pc, strict=False)
+    state = build_series(G, 0, pc)
     assert state.outcome == "budget_exhausted"
-    assert state.stuck_reason
+    assert state.stuck_reason == \
+        "PE: missing color 2 not closed in T_n (tree not elementary)"
+    assert [t.theta for t in state.tuples] == ["none", "pe"]
 
 
 # -- maximum defective vertex -----------------------------------------------------
@@ -226,6 +230,7 @@ def test_pe_connecting_color_chains_at_recurring_vertex():
 
     G, pc = make_pe_instance()
     state = build_series(G, 0, pc)
+    assert state.outcome == "strongly_closed"
     pe = state.tuples[1]
     assert pe.theta == "pe" and pe.v_n == 2 and (pe.gamma, pe.delta) == (5, 6)
     phi1 = state.coloring(1)
