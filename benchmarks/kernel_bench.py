@@ -52,17 +52,16 @@ DENSE_CASES = [(f"random n={n} m={m}", random_multigraph(n, m, n))
                for n, m in ((12, 600), (14, 1000), (16, 1600))]
 
 
-def bench_subset_scans(rows):
-    for kernel, fn, cases in (("density", _kernels.density_scan, SMALL_CASES + DENSE_CASES),
-                              ("min_odd_cut", _kernels.min_odd_cut, SMALL_CASES)):
-        for name, G in cases:
-            rows.append((kernel, name, time_call(fn, G.edge_masks(), G.vertex_count)))
+def bench_density(rows):
+    for name, G in SMALL_CASES + DENSE_CASES:
+        rows.append(("density", name,
+                     time_call(_kernels.density_scan, G.edge_masks(), G.vertex_count)))
 
 
 def main():
     rows = []
     bench_feasible(rows)
-    bench_subset_scans(rows)
+    bench_density(rows)
     width = max(len(r[1]) for r in rows)
     print(f"{'kernel':<12} {'case':<{width}} {'time (ms)':>10}")
     for kernel, name, seconds in rows:

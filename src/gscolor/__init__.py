@@ -2,14 +2,14 @@
 plus the density certificates and brute-force oracles that verify it."""
 
 from .coloring import (KempeChain, PartialColoring, defective_colors,
-                       is_closed, is_strongly_closed, kempe_chain, kempe_swap,
-                       swap_outside, validate)
+                       is_closed, kempe_chain, kempe_swap, swap_outside,
+                       validate)
 from .density import (BoundReport, DensityCertificate, bound_report,
-                      certificate_check, chromatic_index_exact, is_critical)
+                      certificate_check, chromatic_index_exact)
 from .engine import (ColoringResult, FailureEvidence, IncompleteColoringError,
                      color, color_at_k, extend, verify_result)
 from .graph import (Multigraph, ParseError, ScaleExceededError,
-                    format_multigraph, is_r_graph, parse_multigraph)
+                    format_multigraph, parse_multigraph)
 from .tashkinov import (SeriesState, TreeSequence, build_series,
                         elementary_audit, series_step, taa_close)
 

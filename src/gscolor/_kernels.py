@@ -1,7 +1,7 @@
-"""Hot enumeration kernels: the exact edge-coloring feasibility search, the
-best-odd-subset density scan and the minimum odd cut.
+"""Hot enumeration kernels: the exact edge-coloring feasibility search and
+the best-odd-subset density scan.
 
-The two subset scans are vectorized numpy; the backtracking search runs on
+The density scan is vectorized numpy; the backtracking search runs on
 plain-python bitmasks (backtracking does not vectorize).
 
 The backtracking search (`colorings`) yields every proper coloring it
@@ -142,22 +142,6 @@ def _membership(bits):
             >> np.arange(bits, dtype=np.int64)) & 1
 
 
-# --------------------------------------------------------------------------
-# minimum boundary size over all odd vertex subsets (including singletons
-# and, for odd n, the full vertex set), by |boundary(U)| = sum of d(v) over
-# U minus 2|E(U)| on the density scan's tables
-
-def _min_odd_cut_numpy(emasks, weights, n):
-    lo = n // 2
-    s_lo, s_hi, odd, _ = _half_split_tables(n)
-    degree = (((emasks[:, None] >> np.arange(n, dtype=np.int64)) & 1)
-              * weights[:, None]).sum(axis=0)
-    degree_sum = ((s_hi @ degree[lo:])[:, None] + (s_lo @ degree[:lo])[None, :]).ravel()
-    cut = degree_sum[odd] - 2 * _subset_edge_counts(emasks, weights, n)[odd]
-    # the tables skip singletons, whose boundary is the degree
-    return int(np.min(cut, initial=degree.min()))
-
-
 def chromatic_feasible(eu, ev, n: int, k: int):
     """The first proper k-edge-coloring the search reaches, or None.
 
@@ -209,13 +193,4 @@ def distinct_masks(edge_masks):
     """(distinct edge masks ascending, multiplicity of each), as int64 arrays."""
     em, weights = np.unique(np.asarray(edge_masks, np.int64), return_counts=True)
     return em, weights.astype(np.int64)
-
-
-def min_odd_cut(edge_masks, n: int) -> int:
-    """Minimum |boundary(X)| over odd-cardinality X; m+1 when n == 0."""
-    if n > 62:
-        raise ValueError("vertex bitmasks limited to 62 vertices")
-    if n == 0:
-        return len(edge_masks) + 1
-    return _min_odd_cut_numpy(*distinct_masks(edge_masks), n)
 

@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import generators
-from .density import bound_report, chromatic_index_exact
+from .density import ORACLE_EDGE_CAP, bound_report, chromatic_index_exact
 from .engine import (METHODS, IncompleteColoringError, _color, color,
                      result_from_json, verify_result)
 from .graph import Multigraph, ParseError, ScaleExceededError, parse_multigraph
@@ -225,10 +225,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _threshold(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= ORACLE_EDGE_CAP:
+        raise argparse.ArgumentTypeError(
+            f"must be in 0..{ORACLE_EDGE_CAP}, got {value}")
+    return value
+
+
 def _add_run_flags(p):
-    p.add_argument("--fallback-threshold", type=int, default=25,
+    p.add_argument("--fallback-threshold", type=_threshold, default=25,
                    help="edge count at or below which extension may use "
-                        "exact backtracking")
+                        f"exact backtracking, 0..{ORACLE_EDGE_CAP}")
 
 
 def _add_output_flags(p):

@@ -17,14 +17,13 @@ class PartialColoring:
     """Proper partial assignment of colors 1..k to the edges of a multigraph.
 
     Per-vertex color tables, and a per-vertex bitmask with bit c set when
-    color c is present, are maintained incrementally; with debug=True they
-    are re-derived from scratch and cross-checked after every mutation.
-    Values are cheaply clonable snapshots; one instance has a single writer.
+    color c is present, are maintained incrementally. Values are cheaply
+    clonable snapshots; one instance has a single writer.
     """
 
-    __slots__ = ("graph", "k", "_color", "_at", "_mask", "debug")
+    __slots__ = ("graph", "k", "_color", "_at", "_mask")
 
-    def __init__(self, graph: Multigraph, k: int, assignment=None, *, debug=False):
+    def __init__(self, graph: Multigraph, k: int, assignment=None):
         if k < 0:
             raise ValueError("k must be non-negative")
         self.graph = graph
@@ -32,7 +31,6 @@ class PartialColoring:
         self._color = {}
         self._at = [dict() for _ in range(graph.vertex_count)]
         self._mask = [0] * graph.vertex_count
-        self.debug = debug
         if assignment:
             for eid, c in assignment.items():
                 if c is not None:
@@ -65,7 +63,6 @@ class PartialColoring:
         pc._color = dict(self._color)
         pc._at = [dict(d) for d in self._at]
         pc._mask = list(self._mask)
-        pc.debug = self.debug
         return pc
 
     # -- queries ------------------------------------------------------------
@@ -119,8 +116,6 @@ class PartialColoring:
         self._at[v][color] = eid
         self._mask[u] |= bit
         self._mask[v] |= bit
-        if self.debug:
-            self._check_consistency()
 
     def unassign(self, eid: int):
         color = self._color.pop(eid)
@@ -130,8 +125,6 @@ class PartialColoring:
         if _in_range(color, self.k):
             self._mask[u] &= ~(1 << color)
             self._mask[v] &= ~(1 << color)
-        if self.debug:
-            self._check_consistency()
 
     def recolor(self, flips):
         """Apply (edge, new color) pairs in place; all listed edges are
@@ -141,29 +134,11 @@ class PartialColoring:
         for e, c in flips:
             self.assign(e, c)
 
-    def _check_consistency(self):
-        rebuilt = [dict() for _ in range(self.graph.vertex_count)]
-        masks = [0] * self.graph.vertex_count
-        for eid, c in self._color.items():
-            for w in self.graph.endpoints(eid):
-                if c in rebuilt[w]:
-                    raise AssertionError(f"improper: color {c} twice at vertex {w}")
-                rebuilt[w][c] = eid
-                masks[w] |= 1 << c
-        if rebuilt != self._at:
-            raise AssertionError("incremental color tables diverged from assignment")
-        if masks != self._mask:
-            raise AssertionError("incremental color masks diverged from assignment")
-
     def __eq__(self, other):
         if not isinstance(other, PartialColoring):
             return NotImplemented
         return (self.graph is other.graph and self.k == other.k
                 and self._color == other._color)
-
-    def signature(self) -> tuple:
-        """Hashable identity of the assignment (for dedup in searches)."""
-        return (self.k, tuple(sorted(self._color.items())))
 
     def __repr__(self):
         return f"PartialColoring(k={self.k}, colored={len(self._color)}/{self.graph.m})"
@@ -342,11 +317,6 @@ def is_closed(pc: PartialColoring, members) -> bool:
     """No color missing in the set appears on its boundary."""
     boundary_colors = pc.colors_on(pc.graph.boundary(members))
     return not (boundary_colors & pc.missing_union(members))
-
-
-def is_strongly_closed(pc: PartialColoring, members) -> bool:
-    """Closed, and the colored boundary edges carry pairwise distinct colors."""
-    return is_closed(pc, members) and not defective_colors(pc, members)
 
 
 def defective_colors(pc: PartialColoring, members) -> frozenset:

@@ -14,8 +14,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import DENSITY_VERTEX_CAP, Multigraph, ScaleExceededError
+from .graph import Multigraph, ScaleExceededError
 
+# Size caps of the exact searches: the 2^n density scan refuses more
+# vertices, and the exact chromatic index (and extend's fallback) more edges.
+DENSITY_VERTEX_CAP = 16
 ORACLE_EDGE_CAP = 25
 
 
@@ -160,24 +163,3 @@ def enumerate_colorings(G: Multigraph, k: int, *, cap: int = 1000):
     results = [dict(zip(ordered, colors)) for colors in itertools.islice(search, cap)]
     return results, len(results) < cap
 
-
-def is_critical(G: Multigraph) -> bool:
-    """Does every single-edge deletion strictly lower chi'?
-
-    Parallel edges are checked once per endpoint pair (deletions are
-    isomorphic). Edgeless graphs are critical only when they have no proper
-    subgraph at all, i.e. n == 0.
-    """
-    if G.m == 0:
-        return G.vertex_count == 0
-    chi = chromatic_index_exact(G)
-    seen_pairs = set()
-    for eid in G.edge_ids:
-        u, v = G.endpoints(eid)
-        pair = (u, v) if u < v else (v, u)
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
-        if chromatic_index_exact(G.without_edge(eid)) >= chi:
-            return False
-    return True

@@ -46,8 +46,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .coloring import PartialColoring, alternating_path, mask_colors, validate
-from .density import (DensityCertificate, _oracle_edge_order, bound_report,
-                      certificate_check, odd_set_density, set_density)
+from .density import (ORACLE_EDGE_CAP, DensityCertificate, _oracle_edge_order,
+                      bound_report, certificate_check, odd_set_density,
+                      set_density)
 from .graph import Multigraph
 from .tashkinov import TreeSequence, build_series, elementary_audit
 
@@ -248,8 +249,13 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
     answer is exact: one search over the colored subgraph plus eid, in the
     oracle's edge order, either finds a k-coloring, and its first one is
     returned as a new coloring, or establishes that there is none. Otherwise
-    the evidence is budget_exhausted, with the series' final tree.
+    the evidence is budget_exhausted, with the series' final tree. The
+    threshold must lie in 0..ORACLE_EDGE_CAP, the edge cap of
+    `chromatic_index_exact`; ValueError otherwise.
     """
+    if not 0 <= fallback_threshold <= ORACLE_EDGE_CAP:
+        raise ValueError(f"fallback threshold {fallback_threshold} outside "
+                         f"0..{ORACLE_EDGE_CAP}")
     if pc.color_of(eid) is not None:
         raise ValueError("edge already colored")
     out = _try_direct(pc, eid)

@@ -3,11 +3,6 @@
 from __future__ import annotations
 
 
-# Largest vertex count of the 2^n odd-subset scans: density.density and
-# is_r_graph refuse larger graphs.
-DENSITY_VERTEX_CAP = 16
-
-
 class ScaleExceededError(Exception):
     """An exact enumeration was asked to run beyond its hard size cap."""
 
@@ -162,26 +157,6 @@ class Multigraph:
 
     def __repr__(self):
         return f"Multigraph(n={self.vertex_count}, m={self.m})"
-
-
-def is_r_graph(G: Multigraph, r: int) -> bool:
-    """True iff G is r-regular and every odd vertex subset has boundary >= r.
-
-    Decided by enumeration over all odd subsets, so it refuses graphs larger
-    than DENSITY_VERTEX_CAP vertices rather than guessing.
-    """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    n = G.vertex_count
-    if n == 0:
-        return False
-    if n > DENSITY_VERTEX_CAP:
-        raise ScaleExceededError(
-            f"odd-subset enumeration capped at {DENSITY_VERTEX_CAP} vertices, got {n}")
-    if any(G.degree(v) != r for v in range(n)):
-        return False
-    from . import _kernels
-    return _kernels.min_odd_cut(G.edge_masks(), n) >= r
 
 
 # -- text edge-list format -------------------------------------------------

@@ -23,8 +23,7 @@ import json
 from dataclasses import dataclass, field
 
 from .coloring import (PartialColoring, defective_colors, is_closed,
-                       is_strongly_closed, kempe_chain, kempe_swap,
-                       swap_outside)
+                       kempe_chain, kempe_swap, swap_outside)
 from .graph import Multigraph
 
 
@@ -138,20 +137,22 @@ def elementary_audit(pc: PartialColoring, vertices):
 
 # -- defective boundary edges -------------------------------------------------
 
-def _max_defective(G: Multigraph, pc: PartialColoring, T: TreeSequence):
-    """The defective boundary edge of T under pc whose in-end is latest in
-    tree order, lowest edge id on ties: (sort key, in-end, edge, its color),
-    or None when no boundary color repeats."""
+def _max_defective(G: Multigraph, pc: PartialColoring, T: TreeSequence,
+                   defective):
+    """The boundary edge of T whose color under pc is in `defective` (T's
+    defective colors) and whose in-end is latest in tree order, lowest edge
+    id on ties: (sort key, in-end, edge, its color), or None when there is
+    none. Sort keys are unique, so the scan order does not matter."""
     best = None
-    for alpha in sorted(defective_colors(pc, T.vertex_set)):
-        for e in sorted(G.boundary(T.vertex_set)):
-            if pc.color_of(e) != alpha:
-                continue
-            u, v = G.endpoints(e)
-            inner = u if T.has_vertex(u) else v
-            key = (T.order(inner), -e)
-            if best is None or key > best[0]:
-                best = (key, inner, e, alpha)
+    for e in G.boundary(T.vertex_set):
+        alpha = pc.color_of(e)
+        if alpha not in defective:
+            continue
+        u, v = G.endpoints(e)
+        inner = u if T.has_vertex(u) else v
+        key = (T.order(inner), -e)
+        if best is None or key > best[0]:
+            best = (key, inner, e, alpha)
     return best
 
 
@@ -266,16 +267,15 @@ def assert_series_invariants(state: SeriesState):
         t_n = state.tree(n)
         phi_n = state.coloring(n)
         failure = None
-        gamma_bound = [e for e in state.graph.boundary(t_n.vertex_set)
-                       if phi_n.color_of(e) == last.gamma]
-        if set(gamma_bound) != set(last.connecting_edges):
+        boundary = {e: phi_n.color_of(e)
+                    for e in state.graph.boundary(t_n.vertex_set)}
+        unclosed = sorted((phi_n.missing_union(t_n.vertices) - {last.delta})
+                          & set(boundary.values()))
+        gamma_bound = {e for e, c in boundary.items() if c == last.gamma}
+        if gamma_bound != set(last.connecting_edges):
             failure = "PE: recolored-color boundary is not exactly the connecting edge"
-        else:
-            for c in sorted(phi_n.missing_union(t_n.vertices) - {last.delta}):
-                if any(phi_n.color_of(e) == c
-                       for e in state.graph.boundary(t_n.vertex_set)):
-                    failure = f"PE: missing color {c} not closed in T_n"
-                    break
+        elif unclosed:
+            failure = f"PE: missing color {unclosed[0]} not closed in T_n"
         if failure is not None:
             if elementary_audit(phi_n, t_n.vertices) is None:
                 raise SeriesInvariantError(failure + "\n" + state.to_ledger_json())
@@ -306,10 +306,12 @@ def series_step(G: Multigraph, state: SeriesState) -> StepOutcome:
     t_n = state.tree(n)
     phi = state.coloring(n - 1)
 
-    if is_strongly_closed(phi, t_n.vertex_set):
+    closed = is_closed(phi, t_n.vertex_set)
+    defective = defective_colors(phi, t_n.vertex_set)
+    if closed and not defective:
         state.outcome = "strongly_closed"
         return StepOutcome("strongly_closed")
-    if not is_closed(phi, t_n.vertex_set):
+    if not closed:
         raise SeriesInvariantError(
             "series tree lost closedness\n" + state.to_ledger_json())
 
@@ -328,7 +330,7 @@ def series_step(G: Multigraph, state: SeriesState) -> StepOutcome:
         return StepOutcome("extended", "re")
 
     # closed and not strongly closed, so some boundary color repeats
-    _, v_n, f_n, delta_n = _max_defective(G, phi, t_n)
+    _, v_n, f_n, delta_n = _max_defective(G, phi, t_n, defective)
     u_n = G.other_end(f_n, v_n)
     hit = phi.missing(u_n) & phi.missing_union(t_n.vertices)
 
@@ -440,12 +442,13 @@ def build_series(G: Multigraph, eid: int, phi0: PartialColoring) -> SeriesState:
     until the tree is strongly closed, as one ledger.
 
     phi0 must leave `eid` uncolored; other uncolored edges are simply
-    invisible to the machinery. Strong closure is tested once per row. Every
-    step grows the tree (one that does not raises SeriesInvariantError), so
-    the series ends: a tree spanning its component has no boundary. A stuck
-    step (SeriesStuck) ends the series with outcome "budget_exhausted" and
-    its message as `stuck_reason`, keeping any row the step appended; a
-    broken invariant (SeriesInvariantError) is raised.
+    invisible to the machinery. Each row is classified once, by
+    `series_step`, whose last call finds the tree strongly closed. Every
+    extending step grows the tree (one that does not raises
+    SeriesInvariantError), so the series ends: a tree spanning its component
+    has no boundary. A stuck step (SeriesStuck) ends the series with outcome
+    "budget_exhausted" and its message as `stuck_reason`, keeping any row
+    the step appended; a broken invariant (SeriesInvariantError) is raised.
     """
     if phi0.color_of(eid) is not None:
         raise ValueError("root edge must be uncolored")
@@ -455,16 +458,13 @@ def build_series(G: Multigraph, eid: int, phi0: PartialColoring) -> SeriesState:
         tree=t1, coloring=phi0, connecting_colors=frozenset(),
         connecting_edges=frozenset(), theta="none"))
     try:
-        while not is_strongly_closed(state.final_coloring,
-                                     state.final_tree.vertex_set):
-            before = len(state.final_tree.vertices)
-            series_step(G, state)
+        before = len(t1.vertices)
+        while series_step(G, state).kind == "extended":
             if len(state.final_tree.vertices) <= before:
                 raise SeriesInvariantError("series step failed to grow the tree\n"
                                            + state.to_ledger_json())
+            before = len(state.final_tree.vertices)
     except SeriesStuck as exc:
         state.outcome = "budget_exhausted"
         state.stuck_reason = str(exc)
-        return state
-    state.outcome = "strongly_closed"
     return state

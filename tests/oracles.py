@@ -115,6 +115,25 @@ def reference_colorings(G, k, cap=1000):
     return results, exhausted
 
 
+def assert_tables_consistent(pc):
+    """Re-derive pc's per-vertex color tables and present-color masks from
+    its assignment, and assert that pc is proper and that the incrementally
+    kept tables match."""
+    G = pc.graph
+    rebuilt = [dict() for _ in range(G.vertex_count)]
+    masks = [0] * G.vertex_count
+    for eid in G.edge_ids:
+        c = pc.color_of(eid)
+        if c is None:
+            continue
+        for w in G.endpoints(eid):
+            assert c not in rebuilt[w], f"improper: color {c} twice at vertex {w}"
+            rebuilt[w][c] = eid
+            masks[w] |= 1 << c
+    assert rebuilt == pc._at, "incremental color tables diverged from assignment"
+    assert masks == pc._mask, "incremental color masks diverged from assignment"
+
+
 def random_proper_coloring(G, k, rng, *, leave_uncolored=0):
     """Greedy proper partial coloring with randomized edge and color order.
 

@@ -1,13 +1,54 @@
-"""The paper's stability layer, used only by the tests.
+"""The paper's analysis structures that no coloring path uses, for the tests.
 
 Stable colorings are the colorings the paper's series quantifies over: one
 that keeps the tree's missing sets and the colors of the tree's incident
 edges in those colors. The series steps on the coloring it is given, so no
 coloring path needs these; they back the stability criterion and the
-stable-coloring tests.
+stable-coloring tests. Strong closure, r-graphs and criticality back the
+set-predicate tests, the r-graph check and the critical-instance criteria.
 """
 
-from gscolor.coloring import PartialColoring, kempe_chain, kempe_swap
+from gscolor.coloring import (PartialColoring, defective_colors, is_closed,
+                              kempe_chain, kempe_swap)
+from gscolor.density import chromatic_index_exact
+from oracles import brute_min_odd_cut
+
+
+def is_strongly_closed(pc: PartialColoring, members) -> bool:
+    """Closed, and the colored boundary edges carry pairwise distinct colors."""
+    return is_closed(pc, members) and not defective_colors(pc, members)
+
+
+def is_r_graph(G, r: int) -> bool:
+    """True iff G is r-regular and every odd vertex subset has boundary >= r,
+    by enumeration over the odd subsets."""
+    if r <= 0:
+        raise ValueError("r must be positive")
+    if G.vertex_count == 0 or any(G.degree(v) != r for v in range(G.vertex_count)):
+        return False
+    return brute_min_odd_cut(G) >= r
+
+
+def is_critical(G) -> bool:
+    """Does every single-edge deletion strictly lower chi'?
+
+    Parallel edges are checked once per endpoint pair (deletions are
+    isomorphic). Edgeless graphs are critical only when they have no proper
+    subgraph at all, i.e. n == 0.
+    """
+    if G.m == 0:
+        return G.vertex_count == 0
+    chi = chromatic_index_exact(G)
+    seen_pairs = set()
+    for eid in G.edge_ids:
+        u, v = G.endpoints(eid)
+        pair = (u, v) if u < v else (v, u)
+        if pair in seen_pairs:
+            continue
+        seen_pairs.add(pair)
+        if chromatic_index_exact(G.without_edge(eid)) >= chi:
+            return False
+    return True
 
 
 def chain_components(pc: PartialColoring, alpha: int, beta: int) -> list:

@@ -14,14 +14,13 @@ import pytest
 
 from gscolor import (Multigraph, PartialColoring, bound_report,
                      certificate_check, chromatic_index_exact, color,
-                     color_at_k, elementary_audit, is_critical, is_r_graph,
-                     kempe_chain, kempe_swap, taa_close, validate,
-                     verify_result)
+                     color_at_k, elementary_audit, kempe_chain, kempe_swap,
+                     taa_close, validate, verify_result)
 from gscolor.density import enumerate_colorings
 from gscolor.engine import IncompleteColoringError
 from gscolor.generators import exhaustive_connected, petersen, random_multigraph, shannon_triangle
 from gscolor.tashkinov import SeriesInvariantError, TreeSequence, build_series
-from paper_structures import is_stable, stable_neighbors
+from paper_structures import is_critical, is_r_graph, is_stable, stable_neighbors
 from oracles import all_chain_paths, random_multigraph_pairs, random_proper_coloring
 
 

@@ -411,7 +411,7 @@ loaded = "numpy" in sys.modules
 G = gscolor.generators.petersen()
 print(json.dumps([code, loaded, gscolor.color(G).to_json(),
                   gscolor.cli.main(["report", "--gen", "petersen"]),
-                  gscolor.is_r_graph(G, 3),
+                  "numpy" in sys.modules,
                   len(list(gscolor.generators.exhaustive_connected(3, 3)))]))
 """
 
@@ -428,11 +428,11 @@ def test_import_and_verify_leave_numpy_unloaded(tmp_path):
                          capture_output=True, text=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=src))
     assert run.returncode == 0, run.stderr
-    code, loaded, colored, report_code, r_graph, count = json.loads(
+    code, loaded, colored, report_code, loaded_later, count = json.loads(
         run.stdout.splitlines()[-1])
     assert (code, loaded) == (0, False)
     assert colored == gscolor.color(G).to_json()
-    assert (report_code, r_graph) == (0, True)
+    assert (report_code, loaded_later) == (0, True)
     assert count == len(list(exhaustive_connected(3, 3)))
 
 
@@ -504,6 +504,17 @@ def test_bench_rejects_jobs_below_one(capsys, jobs):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--gen", "petersen", "--jobs", jobs])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["color", "bench"])
+@pytest.mark.parametrize("threshold", ["26", "-1"])
+def test_fallback_threshold_outside_the_oracle_cap(capsys, command, threshold):
+    """--fallback-threshold takes 0..25, the exact search's own edge cap, so
+    the fallback never searches past it; anything else is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--gen", "ring", "5", "30", "--fallback-threshold", threshold])
+    assert exc.value.code == 2
+    assert "must be in 0..25" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs, cpus, workers", [

@@ -5,12 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from gscolor import (ColoringResult, Multigraph, PartialColoring,
                      defective_colors, elementary_audit, is_closed,
-                     is_strongly_closed, kempe_chain, kempe_swap,
-                     swap_outside, validate)
+                     kempe_chain, kempe_swap, swap_outside, validate)
 from gscolor.engine import result_from_json
-from paper_structures import chain_components
-from oracles import (random_multigraph_pairs, random_proper_coloring,
-                     reference_kempe_chain)
+from paper_structures import chain_components, is_strongly_closed
+from oracles import (assert_tables_consistent, random_multigraph_pairs,
+                     random_proper_coloring, reference_kempe_chain)
 
 
 def colored_triangle(triangle, colors=(1, 2, 3), k=3):
@@ -71,12 +70,12 @@ def _expected_missing(pc, v):
 @settings(max_examples=60, deadline=None)
 def test_missing_masks_track_mutations(n, m, extra, data):
     """assign, unassign and kempe_swap keep the present-color masks exact
-    (debug mode re-derives them after every mutation), and clone shares no
-    mutable state with its source."""
+    (the tables are re-derived and cross-checked after every mutation), and
+    clone shares no mutable state with its source."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
     G = Multigraph.build(n, random_multigraph_pairs(n, m, rng))
     k = G.max_degree() + extra
-    pc = PartialColoring(G, k, debug=True)
+    pc = PartialColoring(G, k)
     for op in data.draw(st.lists(st.sampled_from(["assign", "unassign", "swap"]),
                                  max_size=25)):
         colored = sorted(e for e in G.edge_ids if pc.is_colored(e))
@@ -93,18 +92,22 @@ def test_missing_masks_track_mutations(n, m, extra, data):
             a, b = data.draw(st.lists(st.integers(1, k), min_size=2, max_size=2,
                                       unique=True))
             pc = kempe_swap(pc, kempe_chain(pc, v, a, b))
+        assert_tables_consistent(pc)
         for w in range(n):
             assert pc.missing(w) == _expected_missing(pc, w)
             assert pc.missing_mask(w) == sum(1 << c for c in pc.missing(w))
 
-    before = pc.signature()
+    # a snapshot that does not go through clone, the method under test
+    before = {e: pc.color_of(e) for e in G.edge_ids}
     copy = pc.clone()
     assert copy == pc
     assert copy._color is not pc._color and copy._mask is not pc._mask
     assert all(a is not b for a, b in zip(copy._at, pc._at))
     for eid in sorted(e for e in G.edge_ids if copy.is_colored(e)):
         copy.unassign(eid)
-    assert pc.signature() == before
+        assert_tables_consistent(copy)
+    assert {e: pc.color_of(e) for e in G.edge_ids} == before
+    assert_tables_consistent(pc)
     for w in range(n):
         assert pc.missing(w) == _expected_missing(pc, w)
 
@@ -268,12 +271,19 @@ def test_chain_components_partition_colored_edges():
 
 
 def test_debug_mode_cross_check(triangle):
-    pc = PartialColoring(triangle, 3, debug=True)
-    pc.assign(0, 1)
-    pc.assign(1, 2)
-    pc.unassign(0)
-    pc.assign(0, 3)
+    """There is no debug mode; the tests cross-check the incremental tables
+    with the oracle after each mutation they drive."""
+    with pytest.raises(TypeError):
+        PartialColoring(triangle, 3, debug=True)
+    pc = PartialColoring(triangle, 3)
+    for op, *args in [("assign", 0, 1), ("assign", 1, 2), ("unassign", 0),
+                      ("assign", 0, 3)]:
+        getattr(pc, op)(*args)
+        assert_tables_consistent(pc)
     assert validate(triangle, pc) == []
+    pc._mask[0] ^= 1 << 2
+    with pytest.raises(AssertionError, match="masks diverged"):
+        assert_tables_consistent(pc)
 
 
 def test_json_round_trip(triangle):

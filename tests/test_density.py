@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from gscolor import (Multigraph, ScaleExceededError, bound_report,
-                     certificate_check, chromatic_index_exact, is_critical)
+                     certificate_check, chromatic_index_exact)
 from gscolor.density import density, enumerate_colorings
 from gscolor.generators import exhaustive_connected, random_multigraph, shannon_triangle
 from oracles import (brute_chi_prime, brute_density, random_multigraph_pairs,
                      reference_colorings)
+from paper_structures import is_critical
 
 
 def test_density_triangle(triangle):

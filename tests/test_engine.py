@@ -19,8 +19,8 @@ from gscolor.density import DensityCertificate, density, set_density
 from gscolor.generators import (exhaustive_connected, petersen,
                                 random_multigraph, ring, shannon_triangle)
 from conftest import make_pe_instance, make_se_instance
-from oracles import (random_multigraph_pairs, random_proper_coloring,
-                     verify_by_scan)
+from oracles import (assert_tables_consistent, random_multigraph_pairs,
+                     random_proper_coloring, verify_by_scan)
 
 
 def test_color_petersen():
@@ -63,6 +63,7 @@ def test_extend_direct(triangle):
     pc = PartialColoring(triangle, 3, {0: 1, 1: 2})
     out = extend(triangle, pc, 2)
     assert out.status == "colored" and out.method == "direct"
+    assert_tables_consistent(out.coloring)
     assert validate(triangle, out.coloring) == []
 
 
@@ -73,22 +74,24 @@ def test_extend_kempe_swap_case():
     pc = PartialColoring(G, 2, {0: 1, 2: 2})
     out = extend(G, pc, 1)
     assert out.status == "colored" and out.method == "kempe"
+    assert_tables_consistent(out.coloring)
     assert validate(G, out.coloring) == []
     assert out.coloring.color_of(1) is not None
 
 
 def test_failed_kempe_step_leaves_coloring_untouched(triangle):
     # k = 2: 0 misses 2, 2 misses 1, and the (1, 2)-chain from 0 ends at 2
-    pc = PartialColoring(triangle, 2, {0: 1, 1: 2}, debug=True)
-    before = pc.signature()
+    pc = PartialColoring(triangle, 2, {0: 1, 1: 2})
+    before = pc.clone()
     assert _try_kempe(pc, 2) is None
-    assert pc.signature() == before
+    assert pc == before
 
 
 def test_kempe_step_colors_in_place():
     G = Multigraph.build(4, [(0, 1), (1, 2), (2, 3)])
-    pc = PartialColoring(G, 2, {0: 1, 2: 2}, debug=True)
+    pc = PartialColoring(G, 2, {0: 1, 2: 2})
     assert _try_kempe(pc, 1) is pc
+    assert_tables_consistent(pc)
     assert validate(G, pc) == [] and not pc.uncolored_edges
 
 
@@ -117,15 +120,15 @@ def test_kempe_step_matches_clone_and_swap(n, m, seed):
     G = Multigraph.build(n, random_multigraph_pairs(n, m, rng, mu_max=4))
     greedy = random_proper_coloring(G, G.max_degree(), rng)
     for eid in sorted(greedy.uncolored_edges):
-        pc = PartialColoring(G, greedy.k, {e: greedy.color_of(e) for e in G.edge_ids},
-                             debug=True)
-        before = pc.signature()
+        pc = PartialColoring(G, greedy.k, {e: greedy.color_of(e) for e in G.edge_ids})
+        before = pc.clone()
         expected = _reference_kempe(pc.clone(), eid)
         got = _try_kempe(pc, eid)
+        assert_tables_consistent(pc)
         if expected is None:
-            assert got is None and pc.signature() == before
+            assert got is None and pc == before
         else:
-            assert got is pc and pc.signature() == expected.signature()
+            assert got is pc and pc == expected
             assert validate(G, pc) == []
 
 
@@ -157,10 +160,10 @@ def test_failed_extend_reports_the_series_tree(make):
     swap ends in budget_exhausted: the series ran once, left the coloring
     as it was, and its own final tree is the evidence."""
     G, pc = make()
-    before = pc.signature()
+    before = pc.clone()
     out = extend(G, pc, 0, fallback_threshold=0)
     assert out.status == "evidence" and out.evidence.kind == "budget_exhausted"
-    assert pc.signature() == before
+    assert pc == before
     assert out.evidence.tree == build_series(G, 0, pc).final_tree
 
 
@@ -354,6 +357,14 @@ def test_incomplete_carries_partial_coloring():
     res = color(G)
     assert res.k_used == 5
     assert "fallback" in res.trace.values()
+
+
+@pytest.mark.parametrize("threshold", [-1, 26])
+def test_fallback_threshold_outside_the_oracle_cap_is_rejected(triangle, threshold):
+    """The exact fallback runs only within the oracle's 25-edge cap, so a
+    threshold outside 0..25 is a ValueError, not an unbounded search."""
+    with pytest.raises(ValueError, match="fallback threshold"):
+        color(triangle, fallback_threshold=threshold)
 
 
 def _doubled(G):

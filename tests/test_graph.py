@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gscolor import (Multigraph, ParseError, ScaleExceededError,
-                     format_multigraph, is_r_graph, parse_multigraph)
+from gscolor import Multigraph, ParseError, format_multigraph, parse_multigraph
 from gscolor.graph import MAX_PARSE_VERTICES
-from oracles import brute_min_odd_cut, random_multigraph_pairs
+from oracles import random_multigraph_pairs
+from paper_structures import is_r_graph
 
 import random
 
@@ -72,22 +72,6 @@ def test_r_graph_shannon_false(shannon2):
 
 def test_r_graph_single_edge(single_edge):
     assert is_r_graph(single_edge, 1)
-
-
-def test_r_graph_scale_cap():
-    G = Multigraph.build(18, [(i, i + 1) for i in range(17)])
-    with pytest.raises(ScaleExceededError):
-        is_r_graph(G, 1)
-
-
-def test_min_odd_cut_matches_brute():
-    rng = random.Random(7)
-    from gscolor import _kernels
-    for _ in range(20):
-        n = rng.randint(2, 6)
-        m = rng.randint(1, 9)
-        G = Multigraph.build(n, random_multigraph_pairs(n, m, rng))
-        assert _kernels.min_odd_cut(G.edge_masks(), n) == brute_min_odd_cut(G)
 
 
 @given(st.integers(2, 7), st.integers(0, 12), st.integers(0, 10 ** 6))

@@ -11,8 +11,8 @@ from gscolor import Multigraph, PartialColoring, _kernels
 from gscolor.coloring import validate
 from gscolor.density import _oracle_edge_order
 from gscolor.generators import ring
-from oracles import (brute_density_maximizers, brute_min_odd_cut,
-                     random_multigraph_pairs, reference_colorings)
+from oracles import (brute_density_maximizers, random_multigraph_pairs,
+                     reference_colorings)
 
 
 def _instances(count, seed):
@@ -173,12 +173,6 @@ def test_density_paths_agree_under_heavy_multiplicity():
         assert G.induced_edge_count(members) == cnt
 
 
-def test_min_odd_cut_paths_agree():
-    for G in _instances(25, 13):
-        assert _kernels.min_odd_cut(G.edge_masks(), G.vertex_count) == \
-            brute_min_odd_cut(G)
-
-
 def test_dispatch_matches_loop_semantics():
     G = Multigraph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     eu = [G.endpoints(e)[0] for e in G.edge_ids]
@@ -187,7 +181,6 @@ def test_dispatch_matches_loop_semantics():
     assert _kernels.chromatic_feasible(eu, ev, 4, 2) is None
     cnt, size, mask = _kernels.density_scan(G.edge_masks(), 4)
     assert (cnt, size) == (3, 3) and mask == 0b0111
-    assert _kernels.min_odd_cut(G.edge_masks(), 4) == 2
 
 
 def test_kernel_bench_runs(capsys):
@@ -198,4 +191,4 @@ def test_kernel_bench_runs(capsys):
     spec.loader.exec_module(bench)
     bench.main()
     rows = capsys.readouterr().out.splitlines()[1:]
-    assert [r.split()[0] for r in rows] == ["feasible"] * 7 + ["density"] * 6 + ["min_odd_cut"] * 3
+    assert [r.split()[0] for r in rows] == ["feasible"] * 7 + ["density"] * 6

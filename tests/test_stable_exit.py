@@ -7,7 +7,7 @@ import pytest
 
 from gscolor import Multigraph, PartialColoring, kempe_chain, kempe_swap, taa_close
 from gscolor.tashkinov import TreeSequence
-from paper_structures import is_stable, stable_neighbors
+from paper_structures import is_critical, is_stable, stable_neighbors
 from oracles import all_chain_paths, random_multigraph_pairs, random_proper_coloring
 
 
@@ -85,7 +85,7 @@ def test_at_most_one_path_meets_closed_tree():
     uncolored edge meets at most one (a, b)-path when it misses one of the
     two colors. The hypotheses need critical instances, and at desk scale
     the critical chi' >= Delta+2 family is the fat triangles."""
-    from gscolor.density import chromatic_index_exact, enumerate_colorings, is_critical
+    from gscolor.density import chromatic_index_exact, enumerate_colorings
 
     checked = 0
     for bundles in [(2, 2, 2), (2, 2, 3), (2, 3, 3)]:

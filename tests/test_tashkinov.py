@@ -3,13 +3,14 @@ import random
 import pytest
 
 from gscolor import (Multigraph, PartialColoring, build_series,
-                     elementary_audit, taa_close, tashkinov)
-from gscolor.density import chromatic_index_exact, enumerate_colorings, is_critical
+                     defective_colors, elementary_audit, taa_close, tashkinov)
+from gscolor.density import chromatic_index_exact, enumerate_colorings
 from gscolor.tashkinov import (SeriesState, SeriesTuple, TreeSequence, Witness,
                                series_step)
 from conftest import make_pe_instance, make_se_instance
 from oracles import (random_multigraph_pairs, random_proper_coloring,
                      reference_closure_vertices)
+from paper_structures import is_critical
 
 
 # -- tree sequences ------------------------------------------------------------
@@ -185,7 +186,8 @@ def test_series_strict_false_degrades():
 def test_max_defective_budget_zero():
     G, pc = make_pe_instance()
     tree = taa_close(G, pc, TreeSequence.root(G, 0))
-    _, v, f, delta = tashkinov._max_defective(G, pc, tree)
+    defective = defective_colors(pc, tree.vertex_set)
+    _, v, f, delta = tashkinov._max_defective(G, pc, tree, defective)
     assert (v, f, delta) == (2, 9, 6)
 
 
