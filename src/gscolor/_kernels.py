@@ -21,7 +21,9 @@ and B in H. Then |E(U)| = E_L[A] + E_H[B] + X[A, B], where E_L and E_H count
 the (weighted) edges inside each half and X = S_L W_LH S_H^T counts the edges
 between them: S_L and S_H are the 0/1 subset-membership matrices of the
 halves and W_LH holds the multiplicity of each pair across. The matrices
-have 2^(n/2) rows, not 2^n, and are cached per n.
+have 2^(n/2) rows, not 2^n, and are cached per n. The multiplicities come
+in as a mapping from each joined vertex pair (u < v) to its count, which is
+written straight into the upper triangle of the n x n weight matrix.
 """
 
 import functools
@@ -85,33 +87,17 @@ def colorings(eu, ev, prev, n, k):
 
 
 # --------------------------------------------------------------------------
-# best odd subset: maximize 2*|E(U)| / (|U|-1) over odd |U| >= 3
-#
-# Edges come as distinct endpoint masks with their multiplicities as weights.
-# Returns (edge count, |U|, vertex bitmask) of the first maximizer in
-# ascending mask order; (0, 0, 0) when no odd subset contains an edge.
+# best odd subset: maximize 2*|E(U)| / (|U|-1) over odd |U| >= 3, with the
+# multiplicity of each vertex pair (u, v), u < v, as W's upper triangle
 
-def _density_numpy(emasks, weights, n):
-    _, _, odd, den = _half_split_tables(n)
-    if odd.size == 0:
-        return 0, 0, 0
-    cnt = _subset_edge_counts(emasks, weights, n)[odd]
-    # ratios of small ints compare exactly in float64; argmax takes the
-    # first maximizer in ascending mask order
-    i = int(np.argmax(cnt / den))
-    if cnt[i] == 0:
-        return 0, 0, 0
-    return int(cnt[i]), int(den[i] + 1), int(odd[i])
-
-
-def _subset_edge_counts(emasks, weights, n):
+def _subset_edge_counts(pair_counts, n):
     """|E(U)| for every vertex mask U, indexed by the mask."""
     # the half-split identity of the module docstring, in exact int64
     lo = n // 2
     s_lo, s_hi, _, _ = _half_split_tables(n)
-    bits = (emasks[:, None] >> np.arange(n, dtype=np.int64)) & 1
-    # pair_w[i, j], i < j: the weight of the vertex pair {i, j}
-    pair_w = np.triu((bits * weights[:, None]).T @ bits, 1)
+    ends = np.array(list(pair_counts), np.int64).reshape(-1, 2)
+    pair_w = np.zeros((n, n), np.int64)
+    pair_w[ends[:, 0], ends[:, 1]] = list(pair_counts.values())
     e_lo = ((s_lo @ pair_w[:lo, :lo]) * s_lo).sum(axis=1)
     e_hi = ((s_hi @ pair_w[lo:, lo:]) * s_hi).sum(axis=1)
     cross = (s_hi @ pair_w[:lo, lo:].T) @ s_lo.T
@@ -176,21 +162,21 @@ def parallel_prev(eu, ev):
     return prev
 
 
-def density_scan(edge_masks, n: int):
+def density_scan(pair_counts, n: int):
     """(edge count, |U|, mask) of the best odd subset; (0, 0, 0) if none.
 
-    Parallel edges share a mask, so the scan runs once per distinct vertex
-    pair, weighted by its multiplicity.
+    pair_counts maps each vertex pair (u, v), u < v, to its multiplicity, as
+    `Multigraph.pair_counts` does; ties go to the lowest mask.
     """
     if n > 62:
         raise ValueError("vertex bitmasks limited to 62 vertices")
     if n < 3:
         return 0, 0, 0
-    return _density_numpy(*distinct_masks(edge_masks), n)
-
-
-def distinct_masks(edge_masks):
-    """(distinct edge masks ascending, multiplicity of each), as int64 arrays."""
-    em, weights = np.unique(np.asarray(edge_masks, np.int64), return_counts=True)
-    return em, weights.astype(np.int64)
-
+    _, _, odd, den = _half_split_tables(n)
+    cnt = _subset_edge_counts(pair_counts, n)[odd]
+    # ratios of small ints compare exactly in float64; argmax takes the
+    # first maximizer in ascending mask order
+    i = int(np.argmax(cnt / den))
+    if cnt[i] == 0:
+        return 0, 0, 0
+    return int(cnt[i]), int(den[i] + 1), int(odd[i])

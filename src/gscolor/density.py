@@ -35,14 +35,18 @@ def density(G: Multigraph) -> DensityCertificate:
     Exhaustive over vertex subsets; value 0 with an empty witness when no odd
     set contains an edge (in particular whenever n < 3).
     """
-    n = G.vertex_count
+    return _density(G.vertex_count, G.pair_counts())
+
+
+def _density(n: int, pair_counts: dict) -> DensityCertificate:
+    """`density` of the graph on n vertices with these pair multiplicities."""
     if n > DENSITY_VERTEX_CAP:
         raise ScaleExceededError(
             f"density enumeration capped at {DENSITY_VERTEX_CAP} vertices, got {n}")
-    if n < 3 or G.m == 0:
+    if n < 3 or not pair_counts:
         return DensityCertificate(frozenset(), Fraction(0))
     from . import _kernels
-    cnt, size, mask = _kernels.density_scan(G.edge_masks(), n)
+    cnt, size, mask = _kernels.density_scan(pair_counts, n)
     if cnt == 0:
         return DensityCertificate(frozenset(), Fraction(0))
     members = frozenset(v for v in range(n) if mask >> v & 1)
@@ -78,8 +82,10 @@ class BoundReport:
 
 
 def bound_report(G: Multigraph) -> BoundReport:
-    n, m, delta, mu = G.stats()
-    gamma = density(G).value
+    pairs = G.pair_counts()     # one table gives both mu and Gamma
+    n, m, delta = G.vertex_count, G.m, G.max_degree()
+    mu = max(pairs.values(), default=0)
+    gamma = _density(n, pairs).value
     gamma_ceil = math.ceil(gamma)
     return BoundReport(
         n=n, m=m, delta=delta, mu=mu,

@@ -17,8 +17,9 @@ only: a strongly closed, elementary final tree of odd order whose density
 exceeds k proves that k colors cannot suffice. The series colors no edge.
 `color` only tries k >= ceil(Gamma), where no odd set has density above k,
 so under `color` the series never certifies: every escalation follows a
-failed search, and `ColoringResult.certificates` stays empty. Certificates
-come from `color_at_k` and `extend` at a k below ceil(Gamma).
+failed search, and `color` builds every result, complete or partial, with
+an empty certificate list. Certificates come as evidence from `color_at_k`
+and `extend` at a k below ceil(Gamma).
 
 The chain swap scans chains from one end x of the edge xy only. It runs after
 the shared-color test failed, so the ends' missing sets are disjoint: an
@@ -47,8 +48,7 @@ from typing import NamedTuple
 
 from .coloring import PartialColoring, alternating_path, mask_colors, validate
 from .density import (ORACLE_EDGE_CAP, DensityCertificate, _oracle_edge_order,
-                      bound_report, certificate_check, odd_set_density,
-                      set_density)
+                      bound_report, certificate_check, odd_set_density)
 from .graph import Multigraph
 from .tashkinov import TreeSequence, build_series, elementary_audit
 
@@ -232,6 +232,12 @@ def _tree_evidence(G, tree, k):
     return None
 
 
+def _check_threshold(fallback_threshold: int):
+    if not 0 <= fallback_threshold <= ORACLE_EDGE_CAP:
+        raise ValueError(f"fallback threshold {fallback_threshold} outside "
+                         f"0..{ORACLE_EDGE_CAP}")
+
+
 def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
            fallback_threshold: int = 25) -> ExtendOutcome:
     """Color one edge or report why k colors resist.
@@ -253,9 +259,7 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
     threshold must lie in 0..ORACLE_EDGE_CAP, the edge cap of
     `chromatic_index_exact`; ValueError otherwise.
     """
-    if not 0 <= fallback_threshold <= ORACLE_EDGE_CAP:
-        raise ValueError(f"fallback threshold {fallback_threshold} outside "
-                         f"0..{ORACLE_EDGE_CAP}")
+    _check_threshold(fallback_threshold)
     if pc.color_of(eid) is not None:
         raise ValueError("edge already colored")
     out = _try_direct(pc, eid)
@@ -296,8 +300,9 @@ def color_at_k(G: Multigraph, k: int, *, fallback_threshold: int = 25):
     Returns (coloring, trace, evidence). The trace maps each colored edge
     to its method. evidence is None on success; otherwise it is what the
     first edge that resisted produced against k, and the coloring is
-    partial.
+    partial. ValueError for a fallback threshold outside 0..ORACLE_EDGE_CAP.
     """
+    _check_threshold(fallback_threshold)
     pc = PartialColoring(G, k)
     trace = {}
     for eid in _oracle_edge_order(G)[0]:
@@ -324,17 +329,14 @@ def color(G: Multigraph, *, fallback_threshold: int = 25) -> ColoringResult:
 def _color(G: Multigraph, rep, fallback_threshold: int) -> ColoringResult:
     """`color` against a bound report of G that the caller already has."""
     schedule = [rep.lower] if rep.lower == rep.gs_upper else [rep.lower, rep.gs_upper]
-    certificates = []
     for k in schedule:
         pc, trace, evidence = color_at_k(G, k, fallback_threshold=fallback_threshold)
-        result = ColoringResult(pc, k, certificates, trace)
+        # k >= ceil(Gamma), so the evidence never certifies (module docstring)
+        result = ColoringResult(pc, k, [], trace)
         if evidence is None:
             if not (_valid_coloring(G, result) and _within_bounds(G, result, rep)):
                 raise AssertionError("engine produced a result that fails verification")
             return result
-        if evidence.kind == "elementary_strongly_closed_tree":
-            u = evidence.tree.vertex_set
-            certificates.append((DensityCertificate(u, set_density(G, u)), evidence.k))
     raise IncompleteColoringError(result)
 
 

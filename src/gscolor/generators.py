@@ -37,15 +37,17 @@ def random_multigraph(n: int, m: int, seed: int, *, mu_max: int | None = None) -
     if n < 2 and m > 0:
         raise ValueError("need at least two vertices to place an edge")
     rng = random.Random(seed)
-    all_pairs = list(combinations(range(n), 2))
-    counts = {p: 0 for p in all_pairs}
+    # the pairs below the cap, in order: each draw sees what a full filter gives
+    avail = list(combinations(range(n), 2)) if mu_max is None or mu_max > 0 else []
+    counts = dict.fromkeys(avail, 0)
     pairs = []
     for _ in range(m):
-        avail = [p for p in all_pairs if mu_max is None or counts[p] < mu_max]
         if not avail:
             raise ValueError("multiplicity cap leaves no room for more edges")
         p = rng.choice(avail)
         counts[p] += 1
+        if counts[p] == mu_max:
+            avail.remove(p)
         pairs.append(p)
     return Multigraph.build(n, pairs)
 
@@ -78,22 +80,20 @@ def _canonical_survivors(n: int, m_max: int):
     emit(0, m_max)
     arr = np.array(vectors, dtype=np.int64)
 
-    shift = np.int64(4) * np.arange(p - 1, -1, -1, dtype=np.int64)
-
-    def keys(mat):
-        return (mat << shift).sum(axis=1)
-
-    base = keys(arr)
-    keep = np.ones(len(arr), dtype=bool)
+    # the key of a vector is its dot product with the nibble place values
+    place = np.int64(1) << (4 * np.arange(p - 1, -1, -1, dtype=np.int64))
+    base = arr @ place
+    index = np.arange(len(arr))
     for perm in permutations(range(n)):
         mapping = [0] * p
         for i, (u, v) in enumerate(pairs):
             a, b = perm[u], perm[v]
             mapping[i] = pair_index[(a, b) if a < b else (b, a)]
-        permuted = np.empty_like(arr)
-        permuted[:, mapping] = arr
-        keep &= keys(permuted) >= base
-    return [vectors[i] for i in np.nonzero(keep)[0]], pairs
+        # relabeling moves entry i to position mapping[i]; a vector is
+        # dropped at the first relabeling that beats it
+        keep = arr @ place[mapping] >= base
+        arr, base, index = arr[keep], base[keep], index[keep]
+    return [vectors[i] for i in index], pairs
 
 
 def exhaustive_connected(n_max: int, m_max: int):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 
 class ScaleExceededError(Exception):
     """An exact enumeration was asked to run beyond its hard size cap."""
@@ -85,11 +87,11 @@ class Multigraph:
         return max((len(es) for es in self._incident), default=0)
 
     def max_multiplicity(self) -> int:
-        counts = {}
-        for u, v in self._ends.values():
-            key = (u, v) if u < v else (v, u)
-            counts[key] = counts.get(key, 0) + 1
-        return max(counts.values(), default=0)
+        return max(self.pair_counts().values(), default=0)
+
+    def pair_counts(self) -> dict:
+        """Multiplicity of each joined vertex pair, keyed (u, v) with u < v."""
+        return Counter((u, v) if u < v else (v, u) for u, v in self._ends.values())
 
     def stats(self) -> tuple:
         """(n, m, max degree, max multiplicity); degree counts parallels."""
@@ -142,11 +144,6 @@ class Multigraph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == self.vertex_count
-
-    def edge_masks(self) -> list:
-        """Per-edge vertex bitmask (1<<u)|(1<<v), in edge-id order."""
-        return [(1 << u) | (1 << v) for (u, v) in
-                (self._ends[e] for e in self._ids)]
 
     def __eq__(self, other):
         if not isinstance(other, Multigraph):

@@ -6,9 +6,11 @@ chromatic-index check is a plain recursion over edges in id order. These are
 the reference values the package's answers are frozen against.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
+from gscolor import Multigraph
 from gscolor.coloring import KempeChain, PartialColoring
 
 
@@ -196,6 +198,25 @@ def random_multigraph_pairs(n, m, rng, mu_max=None):
         counts[p] = counts.get(p, 0) + 1
         pairs.append(p)
     return pairs
+
+
+def reference_random_multigraph(n, m, seed, mu_max=None):
+    """`generators.random_multigraph` as it was before it kept one list of
+    open pairs: every draw filters all n(n-1)/2 pairs afresh."""
+    if n < 2 and m > 0:
+        raise ValueError("need at least two vertices to place an edge")
+    rng = random.Random(seed)
+    all_pairs = list(combinations(range(n), 2))
+    counts = {p: 0 for p in all_pairs}
+    pairs = []
+    for _ in range(m):
+        avail = [p for p in all_pairs if mu_max is None or counts[p] < mu_max]
+        if not avail:
+            raise ValueError("multiplicity cap leaves no room for more edges")
+        p = rng.choice(avail)
+        counts[p] += 1
+        pairs.append(p)
+    return Multigraph.build(n, pairs)
 
 
 def reference_kempe_chain(pc, v, alpha, beta):

@@ -11,6 +11,7 @@ from gscolor import Multigraph, format_multigraph, parse_multigraph
 from gscolor.cli import main
 from gscolor.generators import (exhaustive_connected, from_spec, petersen,
                                 random_multigraph, ring, shannon_triangle)
+from oracles import reference_random_multigraph
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +45,22 @@ def test_bad_generator_specs_raise_value_error(spec):
 def test_random_generator_respects_mu_cap():
     G = random_multigraph(4, 20, 1, mu_max=4)
     assert G.max_multiplicity() <= 4
+
+
+@pytest.mark.parametrize("mu_max", [None, 0, 1, 2, 4])
+def test_random_generator_matches_the_full_filter(mu_max):
+    """Keeping one list of open pairs draws the same graphs as filtering
+    every pair before each edge, "no room" errors included."""
+    for n in range(0, 7):
+        for m in (0, 1, 3, 8, 15, 31):
+            for seed in range(4):
+                try:
+                    want = reference_random_multigraph(n, m, seed, mu_max)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        random_multigraph(n, m, seed, mu_max=mu_max)
+                    continue
+                assert random_multigraph(n, m, seed, mu_max=mu_max) == want
 
 
 def test_exhaustive_corpus_small():

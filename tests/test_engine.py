@@ -367,6 +367,16 @@ def test_fallback_threshold_outside_the_oracle_cap_is_rejected(triangle, thresho
         color(triangle, fallback_threshold=threshold)
 
 
+@pytest.mark.parametrize("threshold", [-1, 26, 1000])
+def test_fallback_threshold_is_rejected_on_a_graph_without_edges(threshold):
+    """The range check does not wait for an edge to extend."""
+    G = Multigraph.build(3, [])
+    with pytest.raises(ValueError, match="fallback threshold"):
+        color(G, fallback_threshold=threshold)
+    with pytest.raises(ValueError, match="fallback threshold"):
+        color_at_k(G, 0, fallback_threshold=threshold)
+
+
 def _doubled(G):
     return Multigraph.build(G.vertex_count,
                             [G.endpoints(e) for e in G.edge_ids for _ in range(2)])
@@ -405,15 +415,18 @@ def test_color_output_is_pinned(make, digest):
 
 def test_output_digest_runs(capsys):
     """benchmarks/output_digest.py prints one digest line per workload, and
-    tight_family's is the pinned one."""
+    tight_family's and desk_corpus's are the pinned ones; desk_corpus pins
+    the output of both the exhaustive and the random generator."""
     path = Path(__file__).parents[1] / "benchmarks" / "output_digest.py"
     spec = importlib.util.spec_from_file_location("output_digest", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    assert tool.main(["tight_family"]) == 0
+    assert tool.main(["tight_family", "desk_corpus"]) == 0
     assert capsys.readouterr().out == (
         "tight_family 1755 147 "
-        "bd147afa0c0b1b3ce409fdf57532198e7a2b4dd6aede0ed62de2684cfdc15f6f\n")
+        "bd147afa0c0b1b3ce409fdf57532198e7a2b4dd6aede0ed62de2684cfdc15f6f\n"
+        "desk_corpus 2434 0 "
+        "af2ee4ec7226a2e3778bd514898c88d5a56764fb616fc1ece12de5aca82cc5e9\n")
 
 
 # The same pins for instances that reach the exact fallback, taken before it

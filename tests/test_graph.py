@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,6 +45,21 @@ def test_stats_petersen(petersen_graph):
 
 def test_stats_single_edge(single_edge):
     assert single_edge.stats() == (2, 1, 1, 1)
+
+
+def test_pair_counts_key_each_pair_once():
+    """Reversed endpoints and parallel edges land on one (u < v) key."""
+    G = Multigraph.build(4, [(1, 0), (0, 1), (3, 2), (2, 1), (1, 2), (1, 2), (0, 3)])
+    assert G.pair_counts() == {(0, 1): 2, (2, 3): 1, (1, 2): 3, (0, 3): 1}
+    assert Multigraph.build(3, []).pair_counts() == {}
+    rng = random.Random(21)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 20))]
+        G = Multigraph.build(n, pairs)
+        want = Counter(tuple(sorted(p)) for p in pairs)
+        assert G.pair_counts() == want
+        assert G.max_multiplicity() == max(want.values(), default=0)
 
 
 def test_induced_edge_count(triangle, shannon2):

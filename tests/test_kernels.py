@@ -118,7 +118,7 @@ def _heavy_instances(count, seed):
 def _assert_density_matches_brute(G):
     """The scan's value and first maximizer in ascending mask order agree
     with itertools enumeration; returns the scan's result."""
-    cnt, size, mask = _kernels.density_scan(G.edge_masks(), G.vertex_count)
+    cnt, size, mask = _kernels.density_scan(G.pair_counts(), G.vertex_count)
     value, maximizers = brute_density_maximizers(G)
     if maximizers:
         assert Fraction(2 * cnt, size - 1) == value
@@ -179,7 +179,7 @@ def test_dispatch_matches_loop_semantics():
     ev = [G.endpoints(e)[1] for e in G.edge_ids]
     assert _kernels.chromatic_feasible(eu, ev, 4, 3) == [1, 2, 1, 2, 3]
     assert _kernels.chromatic_feasible(eu, ev, 4, 2) is None
-    cnt, size, mask = _kernels.density_scan(G.edge_masks(), 4)
+    cnt, size, mask = _kernels.density_scan(G.pair_counts(), 4)
     assert (cnt, size) == (3, 3) and mask == 0b0111
 
 
