@@ -2,7 +2,9 @@
 the best-odd-subset density scan.
 
 The density scan is vectorized numpy; the backtracking search runs on
-plain-python bitmasks (backtracking does not vectorize).
+plain-python bitmasks (backtracking does not vectorize). numpy is imported
+by the scan's functions when they run, so importing this module, and the
+search, load no numpy.
 
 The backtracking search (`colorings`) yields every proper coloring it
 reaches, in lexicographic order over colorings whose colors first appear in
@@ -27,8 +29,6 @@ written straight into the upper triangle of the n x n weight matrix.
 """
 
 import functools
-
-import numpy as np
 
 # No JIT path; kept because colorbench records it in every run.
 USING_NUMBA = False
@@ -93,6 +93,7 @@ def colorings(eu, ev, prev, n, k):
 def _subset_edge_counts(pair_counts, n):
     """|E(U)| for every vertex mask U, indexed by the mask."""
     # the half-split identity of the module docstring, in exact int64
+    import numpy as np
     lo = n // 2
     s_lo, s_hi, _, _ = _half_split_tables(n)
     ends = np.array(list(pair_counts), np.int64).reshape(-1, 2)
@@ -111,6 +112,7 @@ def _half_split_tables(n):
 
     Built at the first scan of each n and shared read-only afterwards.
     """
+    import numpy as np
     lo = n // 2
     s_lo = _membership(lo)
     s_hi = _membership(n - lo)
@@ -124,6 +126,7 @@ def _half_split_tables(n):
 
 def _membership(bits):
     """The 2^bits x bits 0/1 matrix whose row a holds the bits of a."""
+    import numpy as np
     return (np.arange(1 << bits, dtype=np.int64)[:, None]
             >> np.arange(bits, dtype=np.int64)) & 1
 
@@ -176,7 +179,7 @@ def density_scan(pair_counts, n: int):
     cnt = _subset_edge_counts(pair_counts, n)[odd]
     # ratios of small ints compare exactly in float64; argmax takes the
     # first maximizer in ascending mask order
-    i = int(np.argmax(cnt / den))
+    i = int((cnt / den).argmax())
     if cnt[i] == 0:
         return 0, 0, 0
     return int(cnt[i]), int(den[i] + 1), int(odd[i])

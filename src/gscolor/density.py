@@ -3,8 +3,7 @@
 Everything here is ground truth for the rest of the package: density and the
 chromatic index are computed by exhaustive search at desk scale, and every
 bound comparison uses exact rational arithmetic. Inputs beyond the hard size
-caps fail loudly instead of answering approximately. `_kernels`, and with it
-numpy, is imported by the functions that call it, not at module level.
+caps fail loudly instead of answering approximately.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _kernels
 from .graph import Multigraph, ScaleExceededError
 
 # Size caps of the exact searches: the 2^n density scan refuses more
@@ -45,7 +45,6 @@ def _density(n: int, pair_counts: dict) -> DensityCertificate:
             f"density enumeration capped at {DENSITY_VERTEX_CAP} vertices, got {n}")
     if n < 3 or not pair_counts:
         return DensityCertificate(frozenset(), Fraction(0))
-    from . import _kernels
     cnt, size, mask = _kernels.density_scan(pair_counts, n)
     if cnt == 0:
         return DensityCertificate(frozenset(), Fraction(0))
@@ -61,6 +60,7 @@ class BoundReport:
     delta: int
     mu: int
     gamma: Fraction
+    gamma_set: frozenset        # an odd set of density gamma; empty when gamma is 0
     gamma_ceil: int
     chi_star: Fraction          # max(delta, gamma)
     lower: int                  # max(delta, ceil(gamma))
@@ -85,11 +85,12 @@ def bound_report(G: Multigraph) -> BoundReport:
     pairs = G.pair_counts()     # one table gives both mu and Gamma
     n, m, delta = G.vertex_count, G.m, G.max_degree()
     mu = max(pairs.values(), default=0)
-    gamma = _density(n, pairs).value
+    witness = _density(n, pairs)
+    gamma = witness.value
     gamma_ceil = math.ceil(gamma)
     return BoundReport(
         n=n, m=m, delta=delta, mu=mu,
-        gamma=gamma, gamma_ceil=gamma_ceil,
+        gamma=gamma, gamma_set=witness.u, gamma_ceil=gamma_ceil,
         chi_star=max(Fraction(delta), gamma),
         lower=max(delta, gamma_ceil),
         gs_upper=max(delta + 1, gamma_ceil),
@@ -140,7 +141,6 @@ def chromatic_index_exact(G: Multigraph) -> int:
     if G.m > ORACLE_EDGE_CAP:
         raise ScaleExceededError(
             f"exact chromatic index capped at {ORACLE_EDGE_CAP} edges, got {G.m}")
-    from . import _kernels
     _, eu, ev = _oracle_edge_order(G)
     k = G.max_degree()
     shannon = (3 * G.max_degree()) // 2
@@ -164,7 +164,6 @@ def enumerate_colorings(G: Multigraph, k: int, *, cap: int = 1000):
     ordered, eu, ev = _oracle_edge_order(G)
     if not ordered:
         return [{}], True
-    from . import _kernels
     search = _kernels.colorings(eu, ev, [-1] * len(ordered), G.vertex_count, k)
     results = [dict(zip(ordered, colors)) for colors in itertools.islice(search, cap)]
     return results, len(results) < cap

@@ -17,9 +17,12 @@ only: a strongly closed, elementary final tree of odd order whose density
 exceeds k proves that k colors cannot suffice. The series colors no edge.
 `color` only tries k >= ceil(Gamma), where no odd set has density above k,
 so under `color` the series never certifies: every escalation follows a
-failed search, and `color` builds every result, complete or partial, with
-an empty certificate list. Certificates come as evidence from `color_at_k`
-and `extend` at a k below ceil(Gamma).
+failed search. Instead `color` proves its bound from `bound_report`: a record
+for k > Delta+1, complete or partial, carries one certificate, Gamma's odd
+set against k - 1. There k = ceil(Gamma), so Gamma > k - 1, and the set
+shows that no coloring has fewer than k colors. A record for k <= Delta+1
+needs no certificate and carries none. Certificates from the series come as
+evidence from `color_at_k` and `extend` at a k below ceil(Gamma).
 
 The chain swap scans chains from one end x of the edge xy only. It runs after
 the shared-color test failed, so the ends' missing sets are disjoint: an
@@ -33,10 +36,8 @@ k_used <= Delta+1 meets the bound whatever Gamma is. A result with more
 colors meets it when one of its (already checked) certificates U has
 density(U) > k_used - 1: Gamma >= density(U), so ceil(Gamma) >= k_used. Only
 otherwise does `verify_result` compute Gamma, which is also the only case in
-which it refuses a graph above the 16-vertex cap.
-
-`_kernels`, and with it numpy, is imported where the fallback calls it, so
-`import gscolor` and a verify that needs no scan never load numpy.
+which it refuses a graph above the 16-vertex cap. Every `color` result is
+settled by the first two rules, so verifying one never runs the scan.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import _kernels
 from .coloring import PartialColoring, alternating_path, mask_colors, validate
 from .density import (ORACLE_EDGE_CAP, DensityCertificate, _oracle_edge_order,
                       bound_report, certificate_check, odd_set_density)
@@ -278,7 +280,6 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
             return ExtendOutcome("evidence", None, ev, None)
 
     if G.m <= fallback_threshold:
-        from . import _kernels
         keep = [e for e in G.edge_ids if pc.is_colored(e) or e == eid]
         H = G.subgraph_of_edges(keep)
         ordered, eu, ev = _oracle_edge_order(H)
@@ -322,6 +323,8 @@ def color(G: Multigraph, *, fallback_threshold: int = 25) -> ColoringResult:
     desk scale (m within the fallback threshold) the escalated attempt cannot
     fail. Identical inputs give identical results, including the trace.
     IncompleteColoringError carries the partial record of the last attempt.
+    A record with k_used > Delta+1 carries Gamma's odd set as its one
+    certificate, against k_used - 1 (see the module docstring).
     """
     return _color(G, bound_report(G), fallback_threshold)
 
@@ -331,10 +334,13 @@ def _color(G: Multigraph, rep, fallback_threshold: int) -> ColoringResult:
     schedule = [rep.lower] if rep.lower == rep.gs_upper else [rep.lower, rep.gs_upper]
     for k in schedule:
         pc, trace, evidence = color_at_k(G, k, fallback_threshold=fallback_threshold)
-        # k >= ceil(Gamma), so the evidence never certifies (module docstring)
-        result = ColoringResult(pc, k, [], trace)
+        # k >= ceil(Gamma), so the evidence never certifies; above Delta+1,
+        # k = ceil(Gamma) and Gamma's odd set proves k - 1 colors too few
+        certs = ([(DensityCertificate(rep.gamma_set, rep.gamma), k - 1)]
+                 if k > rep.delta + 1 else [])
+        result = ColoringResult(pc, k, certs, trace)
         if evidence is None:
-            if not (_valid_coloring(G, result) and _within_bounds(G, result, rep)):
+            if not verify_result(G, result):
                 raise AssertionError("engine produced a result that fails verification")
             return result
     raise IncompleteColoringError(result)
@@ -349,7 +355,8 @@ def verify_result(G: Multigraph, result: ColoringResult) -> bool:
     k_used - 1 meets it, since Gamma is at least that density; only
     otherwise is Gamma computed by the density scan (ScaleExceededError
     above the 16-vertex cap). Each shortcut answers exactly what the scan
-    would, so the answer equals `_within_bounds` against `bound_report(G)`.
+    would. A `color` result never reaches the scan: above Delta+1 it carries
+    Gamma's odd set against k_used - 1.
     """
     if not _valid_coloring(G, result):
         return False
@@ -390,8 +397,3 @@ def _certificate_densities(G: Multigraph, result: ColoringResult):
         densities.append(d)
     return densities
 
-
-def _within_bounds(G: Multigraph, result: ColoringResult, rep) -> bool:
-    """k_used within the guaranteed bound of rep, and every certificate sound."""
-    return (result.k_used <= rep.gs_upper
-            and _certificate_densities(G, result) is not None)

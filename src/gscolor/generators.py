@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 from .graph import Multigraph
 
@@ -52,48 +52,45 @@ def random_multigraph(n: int, m: int, seed: int, *, mu_max: int | None = None) -
     return Multigraph.build(n, pairs)
 
 
-def _canonical_survivors(n: int, m_max: int):
-    """Multiplicity vectors over vertex pairs, canonical under vertex relabeling.
+# Vectors per call of the canonicity filter, which holds one block at a time.
+SURVIVOR_BLOCK = 4096
 
-    Vectors are packed into nibble keys (multiplicities stay below 16) so the
-    120-permutation canonicity test vectorizes. numpy is imported here, not
-    at module level, so that importing gscolor does not load it.
+
+def _canonical_survivors(n: int, m_max: int, pairs):
+    """Multiplicity vectors over `pairs` (those of range(n)) with at most
+    m_max edges, canonical under vertex relabeling, in lexicographic order.
+
+    The vectors are made lazily from the bar positions of stars and bars,
+    whose lexicographic order is the vectors' own, and are filtered
+    SURVIVOR_BLOCK at a time. Each is packed into a nibble key
+    (multiplicities stay below 16) so that the test against every
+    relabeling vectorizes. numpy is imported here, not at module level, so
+    that importing gscolor does not load it.
     """
     import numpy as np
 
-    pairs = list(combinations(range(n), 2))
     p = len(pairs)
     pair_index = {pr: i for i, pr in enumerate(pairs)}
-
-    vectors = []
-    vec = [0] * p
-
-    def emit(i, left):
-        if i == p:
-            vectors.append(tuple(vec))
-            return
-        for c in range(left + 1):
-            vec[i] = c
-            emit(i + 1, left - c)
-        vec[i] = 0
-
-    emit(0, m_max)
-    arr = np.array(vectors, dtype=np.int64)
-
     # the key of a vector is its dot product with the nibble place values
     place = np.int64(1) << (4 * np.arange(p - 1, -1, -1, dtype=np.int64))
-    base = arr @ place
-    index = np.arange(len(arr))
+    relabeled_places = []
     for perm in permutations(range(n)):
-        mapping = [0] * p
-        for i, (u, v) in enumerate(pairs):
-            a, b = perm[u], perm[v]
-            mapping[i] = pair_index[(a, b) if a < b else (b, a)]
-        # relabeling moves entry i to position mapping[i]; a vector is
-        # dropped at the first relabeling that beats it
-        keep = arr @ place[mapping] >= base
-        arr, base, index = arr[keep], base[keep], index[keep]
-    return [vectors[i] for i in index], pairs
+        # relabeling moves entry i to position mapping[i]
+        mapping = [pair_index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+        relabeled_places.append(place[mapping])
+    bars = combinations(range(m_max + p), p)
+    while True:
+        block = list(islice(bars, SURVIVOR_BLOCK))
+        if not block:
+            return
+        # bar positions b give the vector b[i] - b[i-1] - 1, with b[-1] = -1
+        arr = np.diff(np.array(block, np.int64), axis=1, prepend=-1) - 1
+        base = arr @ place
+        # a vector is dropped at the first relabeling that beats it
+        for relabeled in relabeled_places:
+            keep = arr @ relabeled >= base
+            arr, base = arr[keep], base[keep]
+        yield from map(tuple, arr.tolist())
 
 
 def exhaustive_connected(n_max: int, m_max: int):
@@ -105,8 +102,8 @@ def exhaustive_connected(n_max: int, m_max: int):
                          f"got N = {n_max}, M_MAX = {m_max}")
     yield Multigraph.build(1, [])
     for n in range(2, n_max + 1):
-        survivors, pairs = _canonical_survivors(n, m_max)
-        for vec in survivors:
+        pairs = list(combinations(range(n), 2))
+        for vec in _canonical_survivors(n, m_max, pairs):
             if sum(vec) == 0:
                 continue
             edge_pairs = [pr for pr, c in zip(pairs, vec) for _ in range(c)]

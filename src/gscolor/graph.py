@@ -86,16 +86,9 @@ class Multigraph:
     def max_degree(self) -> int:
         return max((len(es) for es in self._incident), default=0)
 
-    def max_multiplicity(self) -> int:
-        return max(self.pair_counts().values(), default=0)
-
     def pair_counts(self) -> dict:
         """Multiplicity of each joined vertex pair, keyed (u, v) with u < v."""
         return Counter((u, v) if u < v else (v, u) for u, v in self._ends.values())
-
-    def stats(self) -> tuple:
-        """(n, m, max degree, max multiplicity); degree counts parallels."""
-        return (self.vertex_count, self.m, self.max_degree(), self.max_multiplicity())
 
     # -- subset queries ----------------------------------------------------
 
@@ -124,11 +117,6 @@ class Multigraph:
         keep = set(keep)
         return Multigraph(self.vertex_count,
                           ((e, *self._ends[e]) for e in self._ids if e in keep))
-
-    def without_edge(self, eid: int) -> "Multigraph":
-        if eid not in self._ends:
-            raise ValueError(f"no edge {eid}")
-        return self.subgraph_of_edges(set(self._ids) - {eid})
 
     def is_connected(self) -> bool:
         """True for the empty graph and any graph whose vertices form one component."""

@@ -9,8 +9,10 @@ against the structural invariants after every iteration. `build_series`
 runs the series to the end, a strongly closed tree or a stuck step; the
 coloring driver calls it once per resisting edge, for its certificate only
 (a strongly closed, elementary final tree), and takes no coloring from it.
-`color` only tries k >= ceil(density), where no tree certifies, so only
-`color_at_k` below that gets a certificate from it.
+`color` only tries k >= ceil(density), where no tree certifies: a `color`
+result above Delta+1 colors carries the densest odd set from `bound_report`
+as its certificate instead, and series certificates come from `color_at_k`
+below ceil(density).
 
 The paper quantifies each step over all colorings stable for the current
 tree. The series steps on the coloring it is given, which is one of them: the

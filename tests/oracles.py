@@ -285,5 +285,17 @@ def verify_by_scan(G, result):
     """verify_result's answer by the density scan on every call: properness,
     totality, sound certificates and k_used <= gs_upper of bound_report(G)."""
     from gscolor.density import bound_report
-    from gscolor.engine import _valid_coloring, _within_bounds
-    return _valid_coloring(G, result) and _within_bounds(G, result, bound_report(G))
+    from gscolor.engine import _certificate_densities, _valid_coloring
+    return (_valid_coloring(G, result)
+            and _certificate_densities(G, result) is not None
+            and result.k_used <= bound_report(G).gs_upper)
+
+
+def stats(G):
+    """(n, m, max degree, max multiplicity); degree counts parallels."""
+    return (G.vertex_count, G.m, G.max_degree(), max(G.pair_counts().values(), default=0))
+
+
+def without_edge(G, eid):
+    """G without edge eid; the other edges keep their ids."""
+    return G.subgraph_of_edges(set(G.edge_ids) - {eid})

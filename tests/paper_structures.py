@@ -11,7 +11,7 @@ set-predicate tests, the r-graph check and the critical-instance criteria.
 from gscolor.coloring import (PartialColoring, defective_colors, is_closed,
                               kempe_chain, kempe_swap)
 from gscolor.density import chromatic_index_exact
-from oracles import brute_min_odd_cut
+from oracles import brute_min_odd_cut, without_edge
 
 
 def is_strongly_closed(pc: PartialColoring, members) -> bool:
@@ -46,7 +46,7 @@ def is_critical(G) -> bool:
         if pair in seen_pairs:
             continue
         seen_pairs.add(pair)
-        if chromatic_index_exact(G.without_edge(eid)) >= chi:
+        if chromatic_index_exact(without_edge(G, eid)) >= chi:
             return False
     return True
 

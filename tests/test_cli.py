@@ -11,7 +11,7 @@ from gscolor import Multigraph, format_multigraph, parse_multigraph
 from gscolor.cli import main
 from gscolor.generators import (exhaustive_connected, from_spec, petersen,
                                 random_multigraph, ring, shannon_triangle)
-from oracles import reference_random_multigraph
+from oracles import reference_random_multigraph, stats
 
 
 def run_cli(capsys, *argv):
@@ -23,9 +23,9 @@ def run_cli(capsys, *argv):
 # -- generators -----------------------------------------------------------------
 
 def test_generator_specs():
-    assert from_spec(["petersen"]).stats() == (10, 15, 3, 1)
-    assert from_spec(["shannon", "3"]).stats() == (3, 9, 6, 3)
-    assert from_spec(["ring", "5", "2"]).stats() == (5, 10, 4, 2)
+    assert stats(from_spec(["petersen"])) == (10, 15, 3, 1)
+    assert stats(from_spec(["shannon", "3"])) == (3, 9, 6, 3)
+    assert stats(from_spec(["ring", "5", "2"])) == (5, 10, 4, 2)
     a = from_spec(["random", "6", "10", "7"])
     b = from_spec(["random", "6", "10", "7"])
     assert a == b
@@ -44,7 +44,7 @@ def test_bad_generator_specs_raise_value_error(spec):
 
 def test_random_generator_respects_mu_cap():
     G = random_multigraph(4, 20, 1, mu_max=4)
-    assert G.max_multiplicity() <= 4
+    assert max(G.pair_counts().values()) <= 4
 
 
 @pytest.mark.parametrize("mu_max", [None, 0, 1, 2, 4])
@@ -61,6 +61,38 @@ def test_random_generator_matches_the_full_filter(mu_max):
                         random_multigraph(n, m, seed, mu_max=mu_max)
                     continue
                 assert random_multigraph(n, m, seed, mu_max=mu_max) == want
+
+
+_CORPUS_RSS = """
+import numpy
+from gscolor.generators import exhaustive_connected
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = peak_kb()
+count = len(list(exhaustive_connected(5, 10)))
+print(count, peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS (VmHWM) from /proc")
+def test_exhaustive_corpus_filters_candidates_a_block_at_a_time():
+    """Generating the n <= 5, m <= 10 corpus raises peak RSS by less than
+    20 MB over a process that has loaded numpy: the 184,756 candidate
+    vectors of n = 5 are never held at once. The child reads VmHWM, not
+    ru_maxrss, which it inherits from this process at exec and which would
+    then hide the growth."""
+    src = str(Path(gscolor.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", _CORPUS_RSS],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    count, grown_kb = map(int, run.stdout.split())
+    assert count == 1934
+    assert grown_kb < 20 * 1024
 
 
 def test_exhaustive_corpus_small():
@@ -423,31 +455,45 @@ def test_verify_above_the_cap_when_delta_or_a_certificate_settles_the_bound(
 _LAZY_NUMPY = """
 import json, sys
 import gscolor, gscolor.cli
-code = gscolor.cli.main(["verify", sys.argv[1], sys.argv[2]])
+from gscolor.generators import petersen
+codes = [gscolor.cli.main(["verify", sys.argv[1], sys.argv[2]])]
+exact = gscolor.chromatic_index_exact(petersen())
+_, _, evidence = gscolor.color_at_k(petersen(), 3)
+codes.append(gscolor.cli.main(["verify", sys.argv[3], sys.argv[4]]))
 loaded = "numpy" in sys.modules
-G = gscolor.generators.petersen()
-print(json.dumps([code, loaded, gscolor.color(G).to_json(),
+G = petersen()
+print(json.dumps([codes, exact, evidence.kind, loaded, gscolor.color(G).to_json(),
                   gscolor.cli.main(["report", "--gen", "petersen"]),
                   "numpy" in sys.modules,
                   len(list(gscolor.generators.exhaustive_connected(3, 3)))]))
 """
 
 
-def test_import_and_verify_leave_numpy_unloaded(tmp_path):
-    """`import gscolor` and a verify that needs no density scan never load
-    numpy; the kernels that need it still import it when called."""
+def test_import_and_verify_leave_numpy_unloaded(tmp_path, capsys):
+    """`import gscolor`, the exact search (chromatic_index_exact, and the
+    fallback that color_at_k(petersen, 3) reaches after the series) and a
+    verify that needs no density scan never load numpy: neither for a
+    Delta+1 result nor for a `color --gen shannon 2` result, which proves its
+    bound with its certificate. The density scan still imports it when
+    called."""
     G = petersen()
     graph, result = tmp_path / "petersen.mg", tmp_path / "result.json"
     graph.write_text(format_multigraph(G))
     result.write_text(gscolor.color(G).to_json())
+    fat, fat_result = tmp_path / "shannon.mg", tmp_path / "shannon.json"
+    fat.write_text(format_multigraph(shannon_triangle(2)))
+    assert main(["color", "--gen", "shannon", "2", "--out", str(fat_result)]) == 0
+    assert json.loads(fat_result.read_text())["certificates"]
+    capsys.readouterr()
     src = str(Path(gscolor.__file__).parents[1])
-    run = subprocess.run([sys.executable, "-c", _LAZY_NUMPY, str(graph), str(result)],
+    run = subprocess.run([sys.executable, "-c", _LAZY_NUMPY, str(graph), str(result),
+                          str(fat), str(fat_result)],
                          capture_output=True, text=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=src))
     assert run.returncode == 0, run.stderr
-    code, loaded, colored, report_code, loaded_later, count = json.loads(
-        run.stdout.splitlines()[-1])
-    assert (code, loaded) == (0, False)
+    (codes, exact, kind, loaded, colored, report_code, loaded_later,
+     count) = json.loads(run.stdout.splitlines()[-1])
+    assert (codes, exact, kind, loaded) == ([0, 0], 4, "budget_exhausted", False)
     assert colored == gscolor.color(G).to_json()
     assert (report_code, loaded_later) == (0, True)
     assert count == len(list(exhaustive_connected(3, 3)))

@@ -9,7 +9,7 @@ from gscolor import (Multigraph, ScaleExceededError, bound_report,
 from gscolor.density import density, enumerate_colorings
 from gscolor.generators import exhaustive_connected, random_multigraph, shannon_triangle
 from oracles import (brute_chi_prime, brute_density, random_multigraph_pairs,
-                     reference_colorings)
+                     reference_colorings, stats)
 from paper_structures import is_critical
 
 
@@ -169,7 +169,7 @@ def test_enumerate_colorings_matches_the_recursive_reference():
         for k in range(G.max_degree() + 3):
             for cap in (1, 5, 40, 1000):
                 got = enumerate_colorings(G, k, cap=cap)
-                assert got == reference_colorings(G, k, cap), (G.stats(), k, cap)
+                assert got == reference_colorings(G, k, cap), (stats(G), k, cap)
                 exhausted += got[1]
     assert len(graphs) == 535 and exhausted > 0
     assert enumerate_colorings(Multigraph.build(2, []), 0, cap=1) == ([{}], True)

@@ -281,6 +281,43 @@ def test_verify_result_equals_the_scan_on_the_desk_corpus(monkeypatch):
     assert all(hits.values()), hits
 
 
+# Records with k_used > Delta+1 among the seed-1 color() results, partial
+# records included.
+CERTIFIED = {"desk_corpus": 62, "tight_family": 279 + 15, "cli_roundtrip": 2}
+
+
+@pytest.mark.parametrize("workload", sorted(CERTIFIED))
+def test_color_results_prove_their_own_bound(workload, tmp_path, monkeypatch):
+    """Every seed-1 color() record, complete or partial, carries exactly one
+    certificate when k_used > Delta + 1, and none otherwise; that one is
+    (gamma_set, Gamma) of bound_report(G) against k_used - 1. So
+    verify_result accepts every complete one without calling bound_report."""
+    from colorbench.workloads import build
+    from gscolor import engine
+    calls = []
+    real = engine.bound_report
+    monkeypatch.setattr(engine, "bound_report", lambda G: calls.append(G) or real(G))
+    certified = 0
+    for inst in build(workload, 1, str(tmp_path)):
+        G = inst.graph
+        try:
+            res = color(G)
+        except IncompleteColoringError as exc:
+            res = exc.result
+        rep = bound_report(G)
+        if res.k_used > rep.delta + 1:
+            want = [(DensityCertificate(rep.gamma_set, rep.gamma), res.k_used - 1)]
+            certified += 1
+        else:
+            want = []
+        assert res.certificates == want, inst.id
+        if not res.coloring.uncolored_edges:
+            before = len(calls)
+            assert verify_result(G, res), inst.id
+            assert len(calls) == before, inst.id
+    assert certified == CERTIFIED[workload]
+
+
 def test_result_json_round_trip():
     G = shannon_triangle(2)
     res = color(G)
@@ -424,20 +461,21 @@ def test_output_digest_runs(capsys):
     assert tool.main(["tight_family", "desk_corpus"]) == 0
     assert capsys.readouterr().out == (
         "tight_family 1755 147 "
-        "bd147afa0c0b1b3ce409fdf57532198e7a2b4dd6aede0ed62de2684cfdc15f6f\n"
+        "9d15a7c9924384eca56425ba3d2fd5ed9f25026d7c2ce6060a5bfe9bddfa2ab2\n"
         "desk_corpus 2434 0 "
-        "af2ee4ec7226a2e3778bd514898c88d5a56764fb616fc1ece12de5aca82cc5e9\n")
+        "a444b3183b9c00ab51246dfe5e12c2996416d92b0498002a188ec7882c314ecd\n")
 
 
 # The same pins for instances that reach the exact fallback, taken before it
-# became a single search with the parallel-edge rule.
+# became a single search with the parallel-edge rule; ring5x5 and ring5x4,
+# colored above Delta+1, were re-taken when results gained Gamma's certificate.
 GOLDEN_FALLBACK = [
     (lambda: ring(5, 5),
-     "ac9b6c59dd32f1011d05501303e653e3f1f40450fd47e79b0c4c2b500d8daf27"),
+     "eec1afd0c445e23e88af1b4b29efaf9517a60430b6b9790cae6b8baa7a55f6ab"),
     (lambda: ring(7, 3),
      "6d3f1b53a6c6c2024e8d07055c1719522b3e947638995ca8017f53591f8a0378"),
     (lambda: ring(5, 4),
-     "d12c9697daf11e572a396aad910eb6951476d8f5138fd46c75d0f40afc12aa71"),
+     "31c7b8e9cb00783a8593ec7e71de79ca76da2ba1e2399dd237a76e143fe2005f"),
 ]
 
 

@@ -5,24 +5,24 @@ from hypothesis import given, settings, strategies as st
 
 from gscolor import Multigraph, ParseError, format_multigraph, parse_multigraph
 from gscolor.graph import MAX_PARSE_VERTICES
-from oracles import random_multigraph_pairs
+from oracles import random_multigraph_pairs, stats, without_edge
 from paper_structures import is_r_graph
 
 import random
 
 
 def test_build_triangle(triangle):
-    assert triangle.stats() == (3, 3, 2, 1)
+    assert stats(triangle) == (3, 3, 2, 1)
 
 
 def test_build_parallel_bundle():
     G = Multigraph.build(2, [(0, 1), (0, 1), (0, 1)])
-    assert G.stats() == (2, 3, 3, 3)
+    assert stats(G) == (2, 3, 3, 3)
 
 
 def test_build_empty():
     G = Multigraph.build(0, [])
-    assert G.stats() == (0, 0, 0, 0)
+    assert stats(G) == (0, 0, 0, 0)
 
 
 def test_build_rejects_self_loop_with_position():
@@ -36,15 +36,15 @@ def test_build_rejects_out_of_range_with_position():
 
 
 def test_stats_shannon(shannon2):
-    assert shannon2.stats() == (3, 6, 4, 2)
+    assert stats(shannon2) == (3, 6, 4, 2)
 
 
 def test_stats_petersen(petersen_graph):
-    assert petersen_graph.stats() == (10, 15, 3, 1)
+    assert stats(petersen_graph) == (10, 15, 3, 1)
 
 
 def test_stats_single_edge(single_edge):
-    assert single_edge.stats() == (2, 1, 1, 1)
+    assert stats(single_edge) == (2, 1, 1, 1)
 
 
 def test_pair_counts_key_each_pair_once():
@@ -59,7 +59,6 @@ def test_pair_counts_key_each_pair_once():
         G = Multigraph.build(n, pairs)
         want = Counter(tuple(sorted(p)) for p in pairs)
         assert G.pair_counts() == want
-        assert G.max_multiplicity() == max(want.values(), default=0)
 
 
 def test_induced_edge_count(triangle, shannon2):
@@ -104,7 +103,7 @@ def test_degree_sum_and_partition_identity(n, m, seed):
 
 
 def test_subgraph_preserves_ids(shannon2):
-    H = shannon2.without_edge(3)
+    H = without_edge(shannon2, 3)
     assert H.edge_ids == (0, 1, 2, 4, 5)
     assert H.endpoints(4) == shannon2.endpoints(4)
 
@@ -119,7 +118,7 @@ def test_text_round_trip(petersen_graph, shannon2, triangle):
 
 def test_parse_accepts_comments():
     G = parse_multigraph("c hello\np multigraph 2 1\nc mid\ne 0 1\n")
-    assert G.stats() == (2, 1, 1, 1)
+    assert stats(G) == (2, 1, 1, 1)
 
 
 @pytest.mark.parametrize("text,line", [

@@ -8,7 +8,8 @@ import pytest
 from gscolor import Multigraph, PartialColoring, kempe_chain, kempe_swap, taa_close
 from gscolor.tashkinov import TreeSequence
 from paper_structures import is_critical, is_stable, stable_neighbors
-from oracles import all_chain_paths, random_multigraph_pairs, random_proper_coloring
+from oracles import (all_chain_paths, random_multigraph_pairs, random_proper_coloring,
+                     without_edge)
 
 
 def _setup(seed, n=8, m=13, slack=0):
@@ -94,7 +95,7 @@ def test_at_most_one_path_meets_closed_tree():
         assert is_critical(G)
         k = chromatic_index_exact(G) - 1
         for eid in (0, G.m - 1):
-            colorings, _ = enumerate_colorings(G.without_edge(eid), k, cap=60)
+            colorings, _ = enumerate_colorings(without_edge(G, eid), k, cap=60)
             for cmap in colorings:
                 pc = PartialColoring(G, k, cmap)
                 tree = taa_close(G, pc, TreeSequence.root(G, eid))
