@@ -69,18 +69,13 @@ def _read_graph(load):
     """load(), or None after one stderr line when the graph is unusable."""
     try:
         return load()
+    except (OSError, UnicodeDecodeError) as exc:     # before its base ValueError
+        print(f"cannot read graph: {exc}", file=sys.stderr)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
     except ValueError as exc:      # parsing raises ParseError only; this is --gen
         print(f"bad generator: {exc}", file=sys.stderr)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read graph: {exc}", file=sys.stderr)
     return None
-
-
-def _too_large(exc: ScaleExceededError) -> int:
-    print(f"graph too large: {exc}", file=sys.stderr)
-    return 1
 
 
 def cmd_color(args) -> int:
@@ -90,10 +85,8 @@ def cmd_color(args) -> int:
     try:
         result = color(G, fallback_threshold=args.fallback_threshold)
     except IncompleteColoringError as exc:
-        print(f"incomplete (budget): {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
-    except ScaleExceededError as exc:
-        return _too_large(exc)
     obj = result.to_json_obj()
     text = json.dumps(obj, separators=(",", ":")) if args.json \
         else json.dumps(obj, indent=2)
@@ -104,10 +97,7 @@ def cmd_report(args) -> int:
     G = _read_graph(lambda: _load_graph(args))
     if G is None:
         return 1
-    try:
-        obj = bound_report(G).to_json_obj()
-    except ScaleExceededError as exc:
-        return _too_large(exc)
+    obj = bound_report(G).to_json_obj()
     text = json.dumps(obj, separators=(",", ":")) if args.json \
         else json.dumps(obj, indent=2)
     return _emit(text + "\n", args)
@@ -127,11 +117,7 @@ def cmd_verify(args) -> int:
     except (ValueError, KeyError, RecursionError) as exc:
         print(f"invalid result: {exc}", file=sys.stderr)
         return 3
-    try:
-        ok = verify_result(G, result)
-    except ScaleExceededError as exc:
-        return _too_large(exc)
-    if ok:
+    if verify_result(G, result):
         return 0
     print("verification failed", file=sys.stderr)
     return 1
@@ -198,16 +184,13 @@ def cmd_bench(args) -> int:
     tasks = [(name, G, args.fallback_threshold, args.oracle, args.timings)
              for name, G in instances]
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
-    try:
-        if workers > 1:
-            # rows come back in instance order regardless of completion order
-            import multiprocessing
-            with multiprocessing.Pool(workers) as pool:
-                rows = pool.map(_bench_row, tasks, chunksize=16)
-        else:
-            rows = [_bench_row(t) for t in tasks]
-    except ScaleExceededError as exc:
-        return _too_large(exc)
+    if workers > 1:
+        # rows come back in instance order regardless of completion order
+        import multiprocessing
+        with multiprocessing.Pool(workers) as pool:
+            rows = pool.map(_bench_row, tasks, chunksize=16)
+    else:
+        rows = [_bench_row(t) for t in tasks]
     violations = 0
     for idx, row in enumerate(rows):
         if row[-1 - int(args.timings)] not in ("ok", "oracle-skipped"):
@@ -293,7 +276,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "out", None) and not _out_writable(args.out):
         return 1
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScaleExceededError as exc:
+        print(f"graph too large: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -93,7 +93,7 @@ class ColoringResult:
             "v": 1,
             "k_used": self.k_used,
             "assignment": [[e, self.coloring.color_of(e)]
-                           for e in sorted(self.coloring.graph.edge_ids)],
+                           for e in self.coloring.graph.edge_ids],
             "trace": [[e, self.trace[e]] for e in sorted(self.trace)],
             "certificates": [
                 {"u": sorted(cert.u),
@@ -157,7 +157,7 @@ def result_from_json(G: Multigraph, text: str) -> ColoringResult:
     obj = json.loads(text)
     _check_schema(obj)
     ids = [e for e, _ in obj["assignment"]]
-    if sorted(ids) != sorted(G.edge_ids):
+    if sorted(ids) != list(G.edge_ids):
         raise ValueError("result does not describe this graph's edges")
     trace = dict(obj["trace"])
     if len(trace) != len(obj["trace"]) or not trace.keys() <= set(G.edge_ids):
@@ -178,11 +178,13 @@ def result_from_json(G: Multigraph, text: str) -> ColoringResult:
 
 class IncompleteColoringError(Exception):
     """Heuristic extension failed at the guaranteed bound above the exact
-    fallback threshold; `result` is the partial record at that k."""
+    fallback threshold; `result` is the partial record at that k, and
+    `edge` is the edge that resisted, uncolored in that record."""
 
-    def __init__(self, result: ColoringResult):
-        super().__init__(f"incomplete (budget) at k={result.k_used}")
+    def __init__(self, result: ColoringResult, edge: int):
+        super().__init__(f"incomplete (budget) at k={result.k_used}, edge {edge}")
         self.result = result
+        self.edge = edge
 
 
 # -- per-edge extension -------------------------------------------------------
@@ -254,10 +256,12 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
     that tree is elementary and certifies k. The series never changes pc.
     Uncolored edges other than eid are invisible to the machinery, so this
     works midway through a coloring run. Within the fallback threshold the
-    answer is exact: one search over the colored subgraph plus eid, in the
-    oracle's edge order, either finds a k-coloring, and its first one is
-    returned as a new coloring, or establishes that there is none. Otherwise
-    the evidence is budget_exhausted, with the series' final tree. The
+    answer is exact: one search over a graph of the colored edges plus eid,
+    whose edge i is G's edge keep[i], either finds a k-coloring, and its
+    first one, mapped back through keep, is returned as a new coloring, or
+    establishes that there is none. keep ascends, so the oracle's edge order
+    breaks ties on that graph as it would on G's ids. Otherwise the
+    evidence is budget_exhausted, with the series' final tree. The
     threshold must lie in 0..ORACLE_EDGE_CAP, the edge cap of
     `chromatic_index_exact`; ValueError otherwise.
     """
@@ -281,11 +285,11 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
 
     if G.m <= fallback_threshold:
         keep = [e for e in G.edge_ids if pc.is_colored(e) or e == eid]
-        H = G.subgraph_of_edges(keep)
+        H = Multigraph.build(G.vertex_count, [G.endpoints(e) for e in keep])
         ordered, eu, ev = _oracle_edge_order(H)
         colors = _kernels.chromatic_feasible(eu, ev, H.vertex_count, pc.k)
         if colors is not None:
-            fresh = PartialColoring(G, pc.k, dict(zip(ordered, colors)))
+            fresh = PartialColoring(G, pc.k, {keep[i]: c for i, c in zip(ordered, colors)})
             return ExtendOutcome("colored", fresh, None, "fallback")
     return ExtendOutcome(
         "evidence", None,
@@ -343,7 +347,7 @@ def _color(G: Multigraph, rep, fallback_threshold: int) -> ColoringResult:
             if not verify_result(G, result):
                 raise AssertionError("engine produced a result that fails verification")
             return result
-    raise IncompleteColoringError(result)
+    raise IncompleteColoringError(result, evidence.tree.root_edge)
 
 
 def verify_result(G: Multigraph, result: ColoringResult) -> bool:

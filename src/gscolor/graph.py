@@ -1,4 +1,5 @@
-"""Multigraph with stable edge identities, parallel edges, and subset queries."""
+"""Multigraph whose edges are numbered by position, with parallel edges and
+subset queries."""
 
 from __future__ import annotations
 
@@ -20,51 +21,46 @@ class ParseError(ValueError):
 class Multigraph:
     """Undirected multigraph on vertices 0..vertex_count-1.
 
-    Edges carry stable integer identifiers, so parallel edges stay
-    distinguishable and subgraphs keep the parent's ids. Self-loops are
+    Edge e is the e-th endpoint pair given, so edge ids are 0..m-1 and
+    parallel edges stay distinguishable by position. Self-loops are
     rejected at construction. Instances are immutable once built and safe
     to share; all mutation in this package happens on colorings.
     """
 
-    __slots__ = ("vertex_count", "_ids", "_ends", "_incident")
+    __slots__ = ("vertex_count", "_ends", "_incident")
 
-    def __init__(self, vertex_count: int, edges):
-        """Build from an iterable of (edge_id, u, v) triples."""
+    def __init__(self, vertex_count: int, endpoint_pairs):
+        """Build from (u, v) pairs; edge ids are 0..m-1 in input order."""
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         self.vertex_count = vertex_count
-        ids = []
-        ends = {}
+        ends = []
         incident = [[] for _ in range(vertex_count)]
-        for pos, (eid, u, v) in enumerate(edges):
+        for eid, (u, v) in enumerate(endpoint_pairs):
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge {pos}: endpoint out of range: ({u}, {v})")
+                raise ValueError(f"edge {eid}: endpoint out of range: ({u}, {v})")
             if u == v:
-                raise ValueError(f"edge {pos}: self-loop at vertex {u}")
-            if eid in ends:
-                raise ValueError(f"edge {pos}: duplicate edge id {eid}")
-            ids.append(eid)
-            ends[eid] = (u, v)
+                raise ValueError(f"edge {eid}: self-loop at vertex {u}")
+            ends.append((u, v))
             incident[u].append(eid)
             incident[v].append(eid)
-        self._ids = tuple(ids)
-        self._ends = ends
-        self._incident = tuple(tuple(sorted(eids)) for eids in incident)
+        self._ends = tuple(ends)
+        self._incident = tuple(map(tuple, incident))
 
     @classmethod
     def build(cls, vertex_count: int, endpoint_pairs) -> "Multigraph":
-        """Build a multigraph from (u, v) pairs; ids are assigned in input order."""
-        return cls(vertex_count, ((i, u, v) for i, (u, v) in enumerate(endpoint_pairs)))
+        """Build a multigraph from (u, v) pairs; edge e is the e-th pair."""
+        return cls(vertex_count, endpoint_pairs)
 
     # -- basic accessors --------------------------------------------------
 
     @property
     def m(self) -> int:
-        return len(self._ids)
+        return len(self._ends)
 
     @property
-    def edge_ids(self) -> tuple:
-        return self._ids
+    def edge_ids(self) -> range:
+        return range(len(self._ends))
 
     def endpoints(self, eid: int) -> tuple:
         return self._ends[eid]
@@ -88,19 +84,19 @@ class Multigraph:
 
     def pair_counts(self) -> dict:
         """Multiplicity of each joined vertex pair, keyed (u, v) with u < v."""
-        return Counter((u, v) if u < v else (v, u) for u, v in self._ends.values())
+        return Counter((u, v) if u < v else (v, u) for u, v in self._ends)
 
     # -- subset queries ----------------------------------------------------
 
     def induced_edge_count(self, members) -> int:
         """Number of edges with both ends in `members`, multiplicity included."""
         inside = self._checked_set(members)
-        return sum(1 for (u, v) in self._ends.values() if u in inside and v in inside)
+        return sum(1 for (u, v) in self._ends if u in inside and v in inside)
 
     def boundary(self, members) -> frozenset:
         """Edge ids with exactly one end in `members`."""
         inside = self._checked_set(members)
-        return frozenset(e for e, (u, v) in self._ends.items()
+        return frozenset(e for e, (u, v) in enumerate(self._ends)
                          if (u in inside) != (v in inside))
 
     def _checked_set(self, members) -> frozenset:
@@ -110,13 +106,7 @@ class Multigraph:
                 raise ValueError(f"vertex {v} out of range")
         return s
 
-    # -- derived graphs ----------------------------------------------------
-
-    def subgraph_of_edges(self, keep) -> "Multigraph":
-        """Same vertices, only the edges in `keep`; ids are preserved."""
-        keep = set(keep)
-        return Multigraph(self.vertex_count,
-                          ((e, *self._ends[e]) for e in self._ids if e in keep))
+    # -- connectivity ------------------------------------------------------
 
     def is_connected(self) -> bool:
         """True for the empty graph and any graph whose vertices form one component."""
@@ -137,8 +127,7 @@ class Multigraph:
         if not isinstance(other, Multigraph):
             return NotImplemented
         return (self.vertex_count == other.vertex_count
-                and self._ids == other._ids
-                and all(self._ends[e] == other._ends[e] for e in self._ids))
+                and self._ends == other._ends)
 
     def __repr__(self):
         return f"Multigraph(n={self.vertex_count}, m={self.m})"

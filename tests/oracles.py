@@ -12,6 +12,7 @@ from itertools import combinations
 
 from gscolor import Multigraph
 from gscolor.coloring import KempeChain, PartialColoring
+from gscolor.density import enumerate_colorings
 
 
 def brute_density(G):
@@ -297,5 +298,14 @@ def stats(G):
 
 
 def without_edge(G, eid):
-    """G without edge eid; the other edges keep their ids."""
-    return G.subgraph_of_edges(set(G.edge_ids) - {eid})
+    """G without edge eid; the edges after it move down one id."""
+    return Multigraph.build(G.vertex_count,
+                            [G.endpoints(e) for e in G.edge_ids if e != eid])
+
+
+def colorings_without_edge(G, eid, k, cap):
+    """Up to `cap` proper k-colorings of G - eid from enumerate_colorings,
+    each mapped back onto G's ids, so eid is the one edge left uncolored."""
+    keep = [e for e in G.edge_ids if e != eid]
+    colorings, _ = enumerate_colorings(without_edge(G, eid), k, cap=cap)
+    return [{keep[e]: c for e, c in cmap.items()} for cmap in colorings]

@@ -16,13 +16,12 @@ from gscolor import (Multigraph, PartialColoring, bound_report,
                      certificate_check, chromatic_index_exact, color,
                      color_at_k, elementary_audit, kempe_chain, kempe_swap,
                      taa_close, validate, verify_result)
-from gscolor.density import enumerate_colorings
 from gscolor.engine import IncompleteColoringError
 from gscolor.generators import exhaustive_connected, petersen, random_multigraph, shannon_triangle
 from gscolor.tashkinov import SeriesInvariantError, TreeSequence, build_series
 from paper_structures import is_critical, is_r_graph, is_stable, stable_neighbors
-from oracles import (all_chain_paths, random_multigraph_pairs, random_proper_coloring,
-                     without_edge)
+from oracles import (all_chain_paths, colorings_without_edge, random_multigraph_pairs,
+                     random_proper_coloring)
 
 
 def _random_corpus():
@@ -218,8 +217,7 @@ def test_criterion_8_tashkinov_elementarity(critical_triples):
             if pair in seen_pairs:
                 continue
             seen_pairs.add(pair)
-            colorings, _ = enumerate_colorings(without_edge(G, eid), k, cap=40)
-            for cmap in colorings:
+            for cmap in colorings_without_edge(G, eid, k, cap=40):
                 pc = PartialColoring(G, k, cmap)
                 tree = taa_close(G, pc, TreeSequence.root(G, eid))
                 if elementary_audit(pc, tree.vertices) is not None:
@@ -238,8 +236,7 @@ def test_criterion_9_interchangeability(critical_triples):
             continue
         k = chi - 1
         for eid in (G.edge_ids[0], G.edge_ids[-1]):
-            colorings, _ = enumerate_colorings(without_edge(G, eid), k, cap=25)
-            for cmap in colorings:
+            for cmap in colorings_without_edge(G, eid, k, cap=25):
                 pc = PartialColoring(G, k, cmap)
                 tree = taa_close(G, pc, TreeSequence.root(G, eid))
                 miss = pc.missing_union(tree.vertices)
@@ -263,8 +260,7 @@ def test_criterion_10_series_ledger(corpus_runs, critical_triples):
     # on the k-triples the machinery is proven for, no step gets stuck
     for G, chi in critical_triples:
         k = chi - 1
-        colorings, _ = enumerate_colorings(without_edge(G, 0), k, cap=10)
-        for cmap in colorings:
+        for cmap in colorings_without_edge(G, 0, k, cap=10):
             pc = PartialColoring(G, k, cmap)
             try:
                 state = build_series(G, 0, pc)
@@ -278,7 +274,7 @@ def test_criterion_10_series_ledger(corpus_runs, critical_triples):
         if G.m == 0 or G.m > 16:
             continue
         k = max(rep.delta + 1, rep.gamma_ceil)
-        colorings, _ = enumerate_colorings(without_edge(G, G.edge_ids[0]), k, cap=1)
+        colorings = colorings_without_edge(G, G.edge_ids[0], k, cap=1)
         if not colorings:
             continue
         pc = PartialColoring(G, k, colorings[0])

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import gscolor
-from gscolor import Multigraph, format_multigraph, parse_multigraph
+from gscolor import (IncompleteColoringError, Multigraph, color,
+                     format_multigraph, parse_multigraph)
 from gscolor.cli import main
 from gscolor.generators import (exhaustive_connected, from_spec, petersen,
                                 random_multigraph, ring, shannon_triangle)
@@ -363,7 +364,10 @@ def test_cmd_color_incomplete_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "color", str(path),
                            "--fallback-threshold", "0")
     assert code == 2
-    assert "incomplete" in err
+    with pytest.raises(IncompleteColoringError) as exc:
+        color(Multigraph.build(5, pairs), fallback_threshold=0)
+    # one line, saying "incomplete (budget)" once and naming the edge
+    assert err == f"incomplete (budget) at k=5, edge {exc.value.edge}\n"
 
 
 def _result_files(tmp_path, name, G, colors, k_used, certificates=()):
@@ -407,6 +411,10 @@ def _ring17_files(tmp_path, k_used):
     (["bench", "--gen", "exhaustive", "5", "-1"], 1, "bad generator"),
     (["bench", "--gen", "exhaustive", "0", "3"], 1, "bad generator"),
     (["bench", "{missing}"], 1, "cannot read graph"),
+    (["color", "{binary}"], 1, "cannot read graph"),
+    (["report", "{binary}"], 1, "cannot read graph"),
+    (["verify", "{binary}", "{result}"], 1, "cannot read graph"),
+    (["bench", "{binary}"], 1, "cannot read graph"),
     (["verify", "{graph}", "{nested}"], 3, "invalid result"),
     (["color", "--gen", "petersen", "--out", "{unwritable}"], 1, "cannot write output"),
     (["report", "--gen", "petersen", "--out", "{unwritable}"], 1, "cannot write output"),
@@ -419,14 +427,18 @@ def _ring17_files(tmp_path, k_used):
         "color-gen-unknown", "color-gen-ring-too-small", "report-gen-extra-arg",
         "bench-gen-non-integer", "bench-gen-exhaustive-missing-arg",
         "bench-gen-exhaustive-negative-m", "bench-gen-exhaustive-no-vertices",
-        "bench-missing-graph", "verify-nested-result", "color-unwritable-out",
+        "bench-missing-graph", "color-non-utf8-graph", "report-non-utf8-graph",
+        "verify-non-utf8-graph", "bench-non-utf8-graph", "verify-nested-result", "color-unwritable-out",
         "report-unwritable-out", "bench-unwritable-out"])
 def test_unusable_inputs_exit_with_one_line(tmp_path, capsys, argv, code, message):
     # k_used = 4 > Delta + 1 with no certificate: only Gamma settles the bound
     graph, result = _ring17_files(tmp_path, 4)
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 200000 + "]" * 200000)
+    binary = tmp_path / "binary.mg"
+    binary.write_bytes(b"p multigraph 2 1\ne 0 1\xff\n")
     paths = {"graph": graph, "result": result, "nested": str(nested),
+             "binary": str(binary),
              "missing": str(tmp_path / "missing.mg"),
              "unwritable": str(tmp_path / "no-such-dir" / "out.json")}
     got, out, err = run_cli(capsys, *[a.format(**paths) for a in argv])

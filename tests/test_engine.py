@@ -390,6 +390,9 @@ def test_incomplete_carries_partial_coloring():
     partial = exc.value.result.coloring
     assert validate(G, partial) == []
     assert 0 < sum(1 for e in G.edge_ids if partial.color_of(e) is not None) < G.m
+    # the edge that resisted is one of G's, left uncolored in the record
+    assert exc.value.edge in G.edge_ids
+    assert partial.color_of(exc.value.edge) is None
     # the default fallback threshold completes the same instance
     res = color(G)
     assert res.k_used == 5

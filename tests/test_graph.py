@@ -3,9 +3,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gscolor import Multigraph, ParseError, format_multigraph, parse_multigraph
+from gscolor import (Multigraph, ParseError, PartialColoring, chromatic_index_exact,
+                     format_multigraph, parse_multigraph, validate)
+from gscolor.generators import exhaustive_connected
 from gscolor.graph import MAX_PARSE_VERTICES
-from oracles import random_multigraph_pairs, stats, without_edge
+from oracles import colorings_without_edge, random_multigraph_pairs, stats, without_edge
 from paper_structures import is_r_graph
 
 import random
@@ -102,10 +104,21 @@ def test_degree_sum_and_partition_identity(n, m, seed):
             + G.induced_edge_count(rest)) == G.m
 
 
-def test_subgraph_preserves_ids(shannon2):
+def test_without_edge_renumbers_and_colorings_map_back(shannon2):
+    """Edges after the removed one move down one id, and each coloring of
+    G - e, mapped back onto G's ids, is proper on G with only e uncolored."""
     H = without_edge(shannon2, 3)
-    assert H.edge_ids == (0, 1, 2, 4, 5)
-    assert H.endpoints(4) == shannon2.endpoints(4)
+    assert [H.endpoints(e) for e in H.edge_ids] == \
+        [shannon2.endpoints(e) for e in (0, 1, 2, 4, 5)]
+    checked = 0
+    for G in list(exhaustive_connected(4, 6))[::4]:
+        k = chromatic_index_exact(G)
+        for eid in G.edge_ids:
+            for cmap in colorings_without_edge(G, eid, k, cap=4):
+                pc = PartialColoring(G, k, cmap)
+                assert validate(G, pc) == [] and pc.uncolored_edges == {eid}
+                checked += 1
+    assert checked > 0
 
 
 def test_text_round_trip(petersen_graph, shannon2, triangle):

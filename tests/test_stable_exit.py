@@ -8,8 +8,8 @@ import pytest
 from gscolor import Multigraph, PartialColoring, kempe_chain, kempe_swap, taa_close
 from gscolor.tashkinov import TreeSequence
 from paper_structures import is_critical, is_stable, stable_neighbors
-from oracles import (all_chain_paths, random_multigraph_pairs, random_proper_coloring,
-                     without_edge)
+from oracles import (all_chain_paths, colorings_without_edge, random_multigraph_pairs,
+                     random_proper_coloring)
 
 
 def _setup(seed, n=8, m=13, slack=0):
@@ -86,7 +86,7 @@ def test_at_most_one_path_meets_closed_tree():
     uncolored edge meets at most one (a, b)-path when it misses one of the
     two colors. The hypotheses need critical instances, and at desk scale
     the critical chi' >= Delta+2 family is the fat triangles."""
-    from gscolor.density import chromatic_index_exact, enumerate_colorings
+    from gscolor.density import chromatic_index_exact
 
     checked = 0
     for bundles in [(2, 2, 2), (2, 2, 3), (2, 3, 3)]:
@@ -95,8 +95,7 @@ def test_at_most_one_path_meets_closed_tree():
         assert is_critical(G)
         k = chromatic_index_exact(G) - 1
         for eid in (0, G.m - 1):
-            colorings, _ = enumerate_colorings(without_edge(G, eid), k, cap=60)
-            for cmap in colorings:
+            for cmap in colorings_without_edge(G, eid, k, cap=60):
                 pc = PartialColoring(G, k, cmap)
                 tree = taa_close(G, pc, TreeSequence.root(G, eid))
                 miss = pc.missing_union(tree.vertices)

@@ -4,12 +4,12 @@ import pytest
 
 from gscolor import (Multigraph, PartialColoring, build_series,
                      defective_colors, elementary_audit, taa_close, tashkinov)
-from gscolor.density import chromatic_index_exact, enumerate_colorings
+from gscolor.density import chromatic_index_exact
 from gscolor.tashkinov import (SeriesState, SeriesTuple, TreeSequence, Witness,
                                series_step)
 from conftest import make_pe_instance, make_se_instance
-from oracles import (random_multigraph_pairs, random_proper_coloring,
-                     reference_closure_vertices, without_edge)
+from oracles import (colorings_without_edge, random_multigraph_pairs,
+                     random_proper_coloring, reference_closure_vertices)
 from paper_structures import is_critical
 
 
@@ -36,8 +36,7 @@ def test_taa_close_k4():
     # all of K4 minus one edge colored with 4 colors: the closure must end
     # closed, its boundary free of tree-missing colors
     G = Multigraph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    colorings, _ = enumerate_colorings(without_edge(G, 0), 4, cap=5)
-    for cmap in colorings:
+    for cmap in colorings_without_edge(G, 0, 4, cap=5):
         pc = PartialColoring(G, 4, cmap)
         tree = taa_close(G, pc, TreeSequence.root(G, 0))
         boundary_colors = pc.colors_on(G.boundary(tree.vertex_set))
@@ -83,8 +82,7 @@ def test_elementary_audit_on_critical_triples():
         assert is_critical(G)
         k = chromatic_index_exact(G) - 1
         for eid in (0, G.m - 1):
-            colorings, _ = enumerate_colorings(without_edge(G, eid), k, cap=40)
-            for cmap in colorings:
+            for cmap in colorings_without_edge(G, eid, k, cap=40):
                 pc = PartialColoring(G, k, cmap)
                 tree = taa_close(G, pc, TreeSequence.root(G, eid))
                 assert elementary_audit(pc, tree.vertices) is None
@@ -93,7 +91,7 @@ def test_elementary_audit_on_critical_triples():
 # -- the series ------------------------------------------------------------------
 
 def test_series_strongly_closed_immediately(shannon2):
-    colorings, _ = enumerate_colorings(without_edge(shannon2, 0), 5, cap=1)
+    colorings = colorings_without_edge(shannon2, 0, 5, cap=1)
     pc = PartialColoring(shannon2, 5, colorings[0])
     state = build_series(shannon2, 0, pc)
     assert state.outcome == "strongly_closed"
