@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Time the enumeration kernels of gscolor._kernels.
+"""Time the enumeration kernels of gscolor._kernels, and the per-edge path.
 
 Each kernel is called directly on fixed inputs, best of five, and the
-results are printed as a small table:
+results are printed as a small table. The `extend` rows time
+`engine.color_at_k(G, Delta)` on the dense graphs, which runs the direct
+step and the chain swap once per edge:
 
     PYTHONPATH=src python3 benchmarks/kernel_bench.py
 """
@@ -11,6 +13,7 @@ import time
 
 from gscolor import _kernels
 from gscolor.density import _oracle_edge_order
+from gscolor.engine import color_at_k
 from gscolor.generators import petersen, random_multigraph, ring, shannon_triangle
 
 
@@ -58,10 +61,16 @@ def bench_density(rows):
                      time_call(_kernels.density_scan, G.pair_counts(), G.vertex_count)))
 
 
+def bench_extend(rows):
+    for name, G in DENSE_CASES:
+        rows.append(("extend", name, time_call(color_at_k, G, G.max_degree())))
+
+
 def main():
     rows = []
     bench_feasible(rows)
     bench_density(rows)
+    bench_extend(rows)
     width = max(len(r[1]) for r in rows)
     print(f"{'kernel':<12} {'case':<{width}} {'time (ms)':>10}")
     for kernel, name, seconds in rows:

@@ -25,7 +25,10 @@ between them: S_L and S_H are the 0/1 subset-membership matrices of the
 halves and W_LH holds the multiplicity of each pair across. The matrices
 have 2^(n/2) rows, not 2^n, and are cached per n. The multiplicities come
 in as a mapping from each joined vertex pair (u < v) to its count, which is
-written straight into the upper triangle of the n x n weight matrix.
+written straight into the upper triangle of the n x n weight matrix. The
+products run in float64, so numpy hands them to BLAS (its int64 matmul is
+a plain loop), and they stay exact: every entry is a sum of integer
+multiplicities far below 2^53.
 """
 
 import functools
@@ -92,23 +95,29 @@ def colorings(eu, ev, prev, n, k):
 
 def _subset_edge_counts(pair_counts, n):
     """|E(U)| for every vertex mask U, indexed by the mask."""
-    # the half-split identity of the module docstring, in exact int64
+    # the half-split identity of the module docstring, in float64 that holds
+    # every integer count exactly
     import numpy as np
     lo = n // 2
-    s_lo, s_hi, _, _ = _half_split_tables(n)
+    s_lo, s_hi, s_lo_t, _, _ = _half_split_tables(n)
     ends = np.array(list(pair_counts), np.int64).reshape(-1, 2)
-    pair_w = np.zeros((n, n), np.int64)
+    pair_w = np.zeros((n, n))
     pair_w[ends[:, 0], ends[:, 1]] = list(pair_counts.values())
     e_lo = ((s_lo @ pair_w[:lo, :lo]) * s_lo).sum(axis=1)
     e_hi = ((s_hi @ pair_w[lo:, lo:]) * s_hi).sum(axis=1)
-    cross = (s_hi @ pair_w[:lo, lo:].T) @ s_lo.T
+    counts = (s_hi @ pair_w[:lo, lo:].T) @ s_lo_t
+    # in place: a fresh 2^n table per addition costs more than the products
+    counts += e_hi[:, None]
+    counts += e_lo[None, :]
     # row B, column A: the flat index B << lo | A is the subset mask
-    return (cross + e_hi[:, None] + e_lo[None, :]).ravel()
+    return counts.ravel()
 
 
 @functools.lru_cache(maxsize=None)
 def _half_split_tables(n):
-    """Subset-membership matrices of both halves, odd subset masks, |U|-1.
+    """Subset-membership matrices of both halves as float64, the low half's
+    transpose as its own C-contiguous table (a product with the transposed
+    view is about ten times slower), odd subset masks, |U|-1.
 
     Built at the first scan of each n and shared read-only afterwards.
     """
@@ -119,9 +128,11 @@ def _half_split_tables(n):
     size = (s_hi.sum(axis=1)[:, None] + s_lo.sum(axis=1)[None, :]).ravel()
     odd = np.flatnonzero((size >= 3) & (size % 2 == 1))
     den = size[odd] - 1
-    for table in (s_lo, s_hi, odd, den):
+    s_lo, s_hi = s_lo.astype(np.float64), s_hi.astype(np.float64)
+    s_lo_t = np.ascontiguousarray(s_lo.T)
+    for table in (s_lo, s_hi, s_lo_t, odd, den):
         table.flags.writeable = False
-    return s_lo, s_hi, odd, den
+    return s_lo, s_hi, s_lo_t, odd, den
 
 
 def _membership(bits):
@@ -175,10 +186,12 @@ def density_scan(pair_counts, n: int):
         raise ValueError("vertex bitmasks limited to 62 vertices")
     if n < 3:
         return 0, 0, 0
-    _, _, odd, den = _half_split_tables(n)
+    _, _, _, odd, den = _half_split_tables(n)
     cnt = _subset_edge_counts(pair_counts, n)[odd]
-    # ratios of small ints compare exactly in float64; argmax takes the
-    # first maximizer in ascending mask order
+    # counts are exact integers far below 2^53 and denominators below n:
+    # equal ratios divide to equal floats, and unequal ones differ by at
+    # least 1/(n-1)^2, far above the rounding, so they keep their order;
+    # argmax takes the first maximizer in ascending mask order
     i = int((cnt / den).argmax())
     if cnt[i] == 0:
         return 0, 0, 0

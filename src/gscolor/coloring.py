@@ -16,12 +16,15 @@ from .graph import Multigraph
 class PartialColoring:
     """Proper partial assignment of colors 1..k to the edges of a multigraph.
 
-    Per-vertex color tables, and a per-vertex bitmask with bit c set when
-    color c is present, are maintained incrementally. Values are cheaply
-    clonable snapshots; one instance has a single writer.
+    Three tables are maintained incrementally: per vertex, the edge of each
+    color (`_at`) and a bitmask with bit c set when color c is present
+    (`_mask`); per color, a bitmask with bit v set when the color is present
+    at vertex v (`_present`, a dict keyed by color, so no table is sized
+    from k). Edge ids must lie in 0..m-1. Values are cheaply clonable
+    snapshots; one instance has a single writer.
     """
 
-    __slots__ = ("graph", "k", "_color", "_at", "_mask")
+    __slots__ = ("graph", "k", "_color", "_at", "_mask", "_present")
 
     def __init__(self, graph: Multigraph, k: int, assignment=None):
         if k < 0:
@@ -31,6 +34,7 @@ class PartialColoring:
         self._color = {}
         self._at = [dict() for _ in range(graph.vertex_count)]
         self._mask = [0] * graph.vertex_count
+        self._present = {}
         if assignment:
             for eid, c in assignment.items():
                 if c is not None:
@@ -43,10 +47,13 @@ class PartialColoring:
         Violations stay representable so `validate` can report them; the
         per-vertex tables keep the last edge seen per color. Only colors in
         1..k enter the bitmasks, so a huge or non-integer color from an
-        untrusted file never becomes a shift count.
+        untrusted file never becomes a shift count. An edge id outside
+        0..m-1 is a ValueError.
         """
         pc = cls(graph, k)
         for eid, c in assignment.items():
+            if not 0 <= eid < graph.m:
+                raise ValueError(f"edge {eid} outside 0..{graph.m - 1}")
             if c is None:
                 continue
             pc._color[eid] = c
@@ -54,6 +61,7 @@ class PartialColoring:
                 pc._at[w][c] = eid
                 if _in_range(c, k):
                     pc._mask[w] |= 1 << c
+                    pc._present[c] = pc._present.get(c, 0) | 1 << w
         return pc
 
     def clone(self) -> "PartialColoring":
@@ -63,6 +71,7 @@ class PartialColoring:
         pc._color = dict(self._color)
         pc._at = [dict(d) for d in self._at]
         pc._mask = list(self._mask)
+        pc._present = dict(self._present)
         return pc
 
     # -- queries ------------------------------------------------------------
@@ -103,19 +112,24 @@ class PartialColoring:
     # -- mutation -----------------------------------------------------------
 
     def assign(self, eid: int, color: int):
+        ends = self.graph._ends
+        if not 0 <= eid < len(ends):
+            raise ValueError(f"edge {eid} outside 0..{len(ends) - 1}")
         if not (1 <= color <= self.k):
             raise ValueError(f"color {color} outside 1..{self.k}")
         if eid in self._color:
             raise ValueError(f"edge {eid} already colored")
-        u, v = self.graph.endpoints(eid)
+        u, v = ends[eid]
+        mask, present = self._mask, self._present
         bit = 1 << color
-        if (self._mask[u] | self._mask[v]) & bit:
+        if (mask[u] | mask[v]) & bit:
             raise ValueError(f"color {color} already present at an end of edge {eid}")
         self._color[eid] = color
         self._at[u][color] = eid
         self._at[v][color] = eid
-        self._mask[u] |= bit
-        self._mask[v] |= bit
+        mask[u] |= bit
+        mask[v] |= bit
+        present[color] = present.get(color, 0) | (1 << u) | (1 << v)
 
     def unassign(self, eid: int):
         color = self._color.pop(eid)
@@ -125,6 +139,7 @@ class PartialColoring:
         if _in_range(color, self.k):
             self._mask[u] &= ~(1 << color)
             self._mask[v] &= ~(1 << color)
+            self._present[color] &= ~((1 << u) | (1 << v))
 
     def recolor(self, flips):
         """Apply (edge, new color) pairs in place; all listed edges are
@@ -158,7 +173,20 @@ def mask_colors(mask: int):
 
 
 def validate(G: Multigraph, pc: PartialColoring) -> list:
-    """Violation descriptions; empty iff pc is proper with colors in 1..k."""
+    """Violation descriptions; empty iff pc is proper with colors in 1..k.
+
+    A proper coloring is recognized off pc's tables in one pass: every color
+    is an int in 1..k, and on a graph equal to G the per-vertex tables, one
+    entry per distinct color at a vertex, hold two entries per colored edge
+    exactly when no color repeats at a vertex. Only otherwise are G's edges
+    walked for the messages.
+    """
+    colors = pc._color.values()
+    if ((pc.graph is G or pc.graph == G)
+            and (not colors or (set(map(type, colors)) == {int}
+                                and 1 <= min(colors) and max(colors) <= pc.k))
+            and sum(map(len, pc._at)) == 2 * len(colors)):
+        return []
     out = []
     for eid in G.edge_ids:
         c = pc.color_of(eid)

@@ -120,12 +120,14 @@ def certificate_check(G: Multigraph, members, k: int) -> bool:
 
 
 def _oracle_edge_order(G: Multigraph):
-    def key(eid):
-        u, v = G.endpoints(eid)
-        return (-(G.degree(u) + G.degree(v)), eid)
-    ordered = sorted(G.edge_ids, key=key)
-    eu = [G.endpoints(e)[0] for e in ordered]
-    ev = [G.endpoints(e)[1] for e in ordered]
+    """(edge ids, their first ends, their second ends) by descending
+    endpoint degree sum; the stable sort keeps ties in ascending id order."""
+    ends = G._ends
+    degree = [G.degree(v) for v in range(G.vertex_count)]
+    key = [-(degree[u] + degree[v]) for u, v in ends]
+    ordered = sorted(G.edge_ids, key=key.__getitem__)
+    eu = [ends[e][0] for e in ordered]
+    ev = [ends[e][1] for e in ordered]
     return ordered, eu, ev
 
 

@@ -28,7 +28,13 @@ The chain swap scans chains from one end x of the edge xy only. It runs after
 the shared-color test failed, so the ends' missing sets are disjoint: an
 (a, b)-chain from x that avoids y always succeeds (afterwards both ends miss
 b), and one that reaches y is the very chain a scan from y would find and
-skip, so scanning from y can never succeed.
+skip, so scanning from y can never succeed. Most chains from x do reach y,
+and the per-color vertex masks say which without a walk: in a proper
+coloring the (a, b)-edges form paths and even cycles, whose path ends are
+the vertices with exactly one of a and b, the bits of
+present[a] ^ present[b]. x (missing a, having b) and y (missing b, having
+a) are two of them; when they are the only two, x's path ends at y, so
+skipping the pair unwalked picks the chain that walking every pair picks.
 
 Verification decides the color bound max(Delta+1, ceil(Gamma)) without the
 2^n density scan whenever it can, and the shortcut is exact. A result with
@@ -190,17 +196,13 @@ class IncompleteColoringError(Exception):
 # -- per-edge extension -------------------------------------------------------
 
 
-def _lowest_color(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def _try_direct(pc: PartialColoring, eid: int):
     """Assign the smallest color missing at both ends, in place; pc or None."""
-    x, y = pc.graph.endpoints(eid)
-    common = pc.missing_mask(x) & pc.missing_mask(y)
+    x, y = pc.graph._ends[eid]
+    common = ((1 << (pc.k + 1)) - 2) & ~(pc._mask[x] | pc._mask[y])
     if not common:
         return None
-    pc.assign(eid, _lowest_color(common))
+    pc.assign(eid, (common & -common).bit_length() - 1)
     return pc
 
 
@@ -211,16 +213,32 @@ def _try_kempe(pc: PartialColoring, eid: int):
     x has an edge of every color b missing at y, and y misses b, so y can
     only be the far end of the (a, b)-chain that leaves x on b. A chain
     ending elsewhere is flipped in place; then b is the one color missing at
-    both ends, and eid takes it. A scan that finds no such chain only reads
-    pc. The scan from y is never needed (see the module docstring).
+    both ends, and eid takes it. Pairs whose only path ends are x and y are
+    skipped unwalked, the others are walked for their end alone, and only
+    the chain that is flipped is collected (see the module docstring). A
+    scan that finds no such chain only reads pc. The scan from y is never
+    needed.
     """
-    x, y = pc.graph.endpoints(eid)
+    at, ends, present = pc._at, pc.graph._ends, pc._present
+    x, y = ends[eid]
+    both_ends = (1 << x) | (1 << y)
     far_missing = pc.missing_mask(y)
     for a in mask_colors(pc.missing_mask(x)):
+        with_a = present.get(a, 0)
         for b in mask_colors(far_missing):
-            edges, end = alternating_path(pc, x, b, a)
-            if end == y:
+            if with_a ^ present.get(b, 0) == both_ends:
                 continue
+            # x is a path end, so its walk cannot come back to x
+            cur, want, other = x, a, b
+            e = at[x].get(b)
+            while e is not None:
+                u, w = ends[e]
+                cur = w if u == cur else u
+                e = at[cur].get(want)
+                want, other = other, want
+            if cur == y:
+                continue
+            edges, _ = alternating_path(pc, x, b, a)
             pc.recolor([(e, b if i % 2 else a) for i, e in enumerate(edges)])
             pc.assign(eid, b)
             return pc
@@ -383,7 +401,7 @@ def _valid_coloring(G: Multigraph, result: ColoringResult) -> bool:
         return False
     if validate(G, pc):
         return False
-    return not pc.uncolored_edges
+    return len(pc._color) == G.m
 
 
 def _certificate_densities(G: Multigraph, result: ColoringResult):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from gscolor import Multigraph
-from gscolor.coloring import KempeChain, PartialColoring
+from gscolor.coloring import KempeChain, PartialColoring, alternating_path
 from gscolor.density import enumerate_colorings
 
 
@@ -119,12 +119,13 @@ def reference_colorings(G, k, cap=1000):
 
 
 def assert_tables_consistent(pc):
-    """Re-derive pc's per-vertex color tables and present-color masks from
-    its assignment, and assert that pc is proper and that the incrementally
-    kept tables match."""
+    """Re-derive pc's per-vertex color tables and present-color masks, and
+    its per-color vertex masks, from its assignment, and assert that pc is
+    proper and that the incrementally kept tables match."""
     G = pc.graph
     rebuilt = [dict() for _ in range(G.vertex_count)]
     masks = [0] * G.vertex_count
+    vertices = {}
     for eid in G.edge_ids:
         c = pc.color_of(eid)
         if c is None:
@@ -133,8 +134,12 @@ def assert_tables_consistent(pc):
             assert c not in rebuilt[w], f"improper: color {c} twice at vertex {w}"
             rebuilt[w][c] = eid
             masks[w] |= 1 << c
+            vertices[c] = vertices.get(c, 0) | 1 << w
     assert rebuilt == pc._at, "incremental color tables diverged from assignment"
     assert masks == pc._mask, "incremental color masks diverged from assignment"
+    # a color that left every vertex may keep an empty mask
+    assert vertices == {c: vs for c, vs in pc._present.items() if vs}, \
+        "incremental vertex masks diverged from assignment"
 
 
 def random_proper_coloring(G, k, rng, *, leave_uncolored=0):
@@ -154,6 +159,67 @@ def random_proper_coloring(G, k, rng, *, leave_uncolored=0):
         if options:
             pc.assign(eid, rng.choice(options))
     return pc
+
+
+def reference_kempe_step(pc, eid):
+    """engine._try_kempe as it was before it read path ends off the per-color
+    vertex masks: for each color a missing at x and b missing at y, both
+    ascending, walk the chain that leaves x on b; flip the first that does
+    not end at y, in place, and give eid color b. pc, or None with pc
+    untouched."""
+    x, y = pc.graph.endpoints(eid)
+    for a in sorted(pc.missing(x)):
+        for b in sorted(pc.missing(y)):
+            edges, end = alternating_path(pc, x, b, a)
+            if end == y:
+                continue
+            pc.recolor([(e, b if i % 2 else a) for i, e in enumerate(edges)])
+            pc.assign(eid, b)
+            return pc
+    return None
+
+
+def reference_validate(G, pc):
+    """coloring.validate as the message-writing loop alone: one message per
+    edge of G whose color is not an int in 1..k, then one per repeat of a
+    color among each vertex's edges, in incidence order."""
+    out = []
+    for eid in G.edge_ids:
+        c = pc.color_of(eid)
+        if c is not None and not (type(c) is int and 1 <= c <= pc.k):
+            out.append(f"edge {eid}: color {c} outside 1..{pc.k}")
+    for v in range(G.vertex_count):
+        seen = {}
+        for eid in G.edges_at(v):
+            c = pc.color_of(eid)
+            if c is None:
+                continue
+            if c in seen:
+                out.append(f"vertex {v}: color {c} on edges {seen[c]} and {eid}")
+            else:
+                seen[c] = eid
+    return out
+
+
+def brute_density_scan(pair_counts, n):
+    """_kernels.density_scan's (edge count, |U|, mask) by exact Fractions:
+    |E(U)| of every mask from that of the mask without its lowest vertex,
+    and the first best odd set in ascending mask order."""
+    weight = [[0] * n for _ in range(n)]
+    for (u, v), c in pair_counts.items():
+        weight[u][v] = weight[v][u] = c
+    count = [0] * (1 << n)
+    best, found = Fraction(0), (0, 0, 0)
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        row = weight[low]
+        count[mask] = count[rest] + sum(row[u] for u in range(low + 1, n)
+                                        if rest >> u & 1)
+        size = bin(mask).count("1")
+        if size >= 3 and size % 2 and Fraction(count[mask], size - 1) > best:
+            best, found = Fraction(count[mask], size - 1), (count[mask], size, mask)
+    return found
 
 
 def all_chain_paths(pc, alpha, beta):

@@ -9,7 +9,8 @@ from gscolor import (ColoringResult, Multigraph, PartialColoring,
 from gscolor.engine import result_from_json
 from paper_structures import chain_components, is_strongly_closed
 from oracles import (assert_tables_consistent, random_multigraph_pairs,
-                     random_proper_coloring, reference_kempe_chain)
+                     random_proper_coloring, reference_kempe_chain,
+                     reference_validate)
 
 
 def colored_triangle(triangle, colors=(1, 2, 3), k=3):
@@ -29,6 +30,45 @@ def test_validate_reports_clash(triangle):
 def test_validate_reports_range(triangle):
     pc = PartialColoring.unchecked(triangle, 3, {0: 4, 1: 2, 2: 3})
     assert any("outside" in v for v in validate(triangle, pc))
+
+
+def test_validate_matches_the_message_loop():
+    """validate, which reads a proper coloring off pc's tables, gives the
+    message loop's list on random unchecked colorings with clashes, colors
+    outside 1..k, bool and float colors and None entries, also when asked
+    about another graph than pc's."""
+    rng = random.Random(18)
+    proper = 0
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        G = Multigraph.build(n, random_multigraph_pairs(n, rng.randint(1, 3 * n), rng))
+        k = rng.randint(1, G.max_degree() + 1)
+        base = random_proper_coloring(G, k, rng)
+        assignment = {e: base.color_of(e) for e in G.edge_ids if base.is_colored(e)}
+        odd = [0, -1, k + 1, True, False, 1.0, 2.5, None, 10 ** 30]
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            assignment[rng.randrange(G.m)] = rng.choice(odd + [rng.randint(1, k)])
+        pc = PartialColoring.unchecked(G, k, assignment)
+        other = Multigraph.build(n, random_multigraph_pairs(n, G.m, rng))
+        for H in (G, Multigraph.build(n, G._ends), other):
+            assert validate(H, pc) == reference_validate(H, pc)
+        proper += not validate(G, pc)
+    assert 0 < proper < 400
+
+
+@pytest.mark.parametrize("eid", [-1, 2])
+def test_edge_ids_outside_the_graph_are_rejected(eid):
+    """-1 and m are ValueErrors, not a wrap to edge m - 1 or an IndexError."""
+    G = Multigraph.build(3, [(0, 1), (1, 2)])
+    pc = PartialColoring(G, 2)
+    with pytest.raises(ValueError, match="outside 0..1"):
+        pc.assign(eid, 1)
+    assert pc == PartialColoring(G, 2)
+    assert_tables_consistent(pc)
+    with pytest.raises(ValueError, match="outside 0..1"):
+        PartialColoring(G, 2, {eid: 1})
+    with pytest.raises(ValueError, match="outside 0..1"):
+        PartialColoring.unchecked(G, 2, {eid: 1})
 
 
 def test_missing_triangle(triangle):

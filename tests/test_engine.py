@@ -14,13 +14,14 @@ from gscolor import (Multigraph, PartialColoring, bound_report, build_series,
                      color_at_k, extend, verify_result)
 from gscolor.engine import (ColoringResult, IncompleteColoringError, _try_kempe,
                             result_from_json)
-from gscolor.coloring import kempe_chain, kempe_swap, validate
+from gscolor.coloring import alternating_path, kempe_chain, kempe_swap, validate
 from gscolor.density import DensityCertificate, density, set_density
 from gscolor.generators import (exhaustive_connected, petersen,
                                 random_multigraph, ring, shannon_triangle)
 from conftest import make_pe_instance, make_se_instance
 from oracles import (assert_tables_consistent, random_multigraph_pairs,
-                     random_proper_coloring, verify_by_scan)
+                     random_proper_coloring, reference_kempe_step,
+                     verify_by_scan)
 
 
 def test_color_petersen():
@@ -130,6 +131,46 @@ def test_kempe_step_matches_clone_and_swap(n, m, seed):
         else:
             assert got is pc and pc == expected
             assert validate(G, pc) == []
+
+
+def _path_ends(pc, a, b):
+    """The vertices with exactly one of colors a and b: the ends of the
+    (a, b)-paths of a proper coloring."""
+    return [v for v in range(pc.graph.vertex_count)
+            if (pc.edge_at(v, a) is None) != (pc.edge_at(v, b) is None)]
+
+
+def test_kempe_ends_test_matches_walking_every_pair():
+    """The chain swap skips a pair whose only path ends are x and y without
+    walking it; on a few hundred random partial colorings with n from 3 to
+    16 it gives the answer and the coloring of walking every pair. Pairs of
+    both kinds occur, and so do pairs with more path ends whose chain from x
+    still ends at y, which only a walk tells."""
+    rng = random.Random(18)
+    only_x_and_y = walked_to_y = 0
+    for trial in range(300):
+        n = 3 + trial % 14
+        m = rng.randint(n, min(6 * n, 2 * n * (n - 1)))
+        G = Multigraph.build(n, random_multigraph_pairs(n, m, rng, mu_max=4))
+        base = random_proper_coloring(G, G.max_degree(), rng,
+                                      leave_uncolored=rng.randint(0, 2))
+        for eid in sorted(base.uncolored_edges):
+            x, y = G.endpoints(eid)
+            for a in base.missing(x):
+                for b in base.missing(y):
+                    if _path_ends(base, a, b) == sorted((x, y)):
+                        only_x_and_y += 1
+                    else:
+                        walked_to_y += alternating_path(base, x, b, a)[1] == y
+            pc = base.clone()
+            expected = reference_kempe_step(base.clone(), eid)
+            got = _try_kempe(pc, eid)
+            assert_tables_consistent(pc)
+            if expected is None:
+                assert got is None and pc == base
+            else:
+                assert got is pc and pc == expected
+    assert only_x_and_y > 0 and walked_to_y > 0
 
 
 def test_extend_emits_certificate_evidence(triangle):

@@ -3,6 +3,7 @@
 import importlib.util
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,8 @@ from gscolor import Multigraph, PartialColoring, _kernels
 from gscolor.coloring import validate
 from gscolor.density import _oracle_edge_order
 from gscolor.generators import ring
-from oracles import (brute_density_maximizers, random_multigraph_pairs,
-                     reference_colorings)
+from oracles import (brute_density_maximizers, brute_density_scan,
+                     random_multigraph_pairs, reference_colorings)
 
 
 def _instances(count, seed):
@@ -173,6 +174,19 @@ def test_density_paths_agree_under_heavy_multiplicity():
         assert G.induced_edge_count(members) == cnt
 
 
+def test_density_scan_is_exact_under_huge_multiplicities():
+    """Pair multiplicities near 10^9 at n = 13 and 16: the float64 products
+    and ratios still give the exact best count and the first best mask."""
+    rng = random.Random(18)
+    for n in (13, 16):
+        pairs = list(combinations(range(n), 2))
+        near = {p: rng.randint(10 ** 9 - 50, 10 ** 9) for p in rng.sample(pairs, 3 * n)}
+        uniform = dict.fromkeys(pairs, 10 ** 9)    # every largest odd set ties
+        for pair_counts in (near, uniform):
+            assert _kernels.density_scan(pair_counts, n) == \
+                brute_density_scan(pair_counts, n)
+
+
 def test_dispatch_matches_loop_semantics():
     G = Multigraph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     eu = [G.endpoints(e)[0] for e in G.edge_ids]
@@ -191,4 +205,5 @@ def test_kernel_bench_runs(capsys):
     spec.loader.exec_module(bench)
     bench.main()
     rows = capsys.readouterr().out.splitlines()[1:]
-    assert [r.split()[0] for r in rows] == ["feasible"] * 7 + ["density"] * 6
+    assert [r.split()[0] for r in rows] == \
+        ["feasible"] * 7 + ["density"] * 6 + ["extend"] * 3
