@@ -1,10 +1,14 @@
+import collections
+import hashlib
 import random
 
 import pytest
 
+from colorbench import workloads
 from gscolor import (Multigraph, PartialColoring, build_series,
-                     defective_colors, elementary_audit, taa_close, tashkinov)
-from gscolor.density import chromatic_index_exact
+                     defective_colors, elementary_audit, engine, taa_close,
+                     tashkinov)
+from gscolor.density import bound_report, chromatic_index_exact
 from gscolor.tashkinov import (SeriesState, SeriesTuple, TreeSequence, Witness,
                                series_step)
 from conftest import make_pe_instance, make_se_instance
@@ -244,3 +248,41 @@ def test_pe_connecting_color_chains_at_recurring_vertex():
     assert forged.missing(2) >= {5, 6}
     with pytest.raises(SeriesStuck):
         _pick_gamma(state, forged, 2)
+
+
+# -- ledger pin --------------------------------------------------------------------
+
+# sha256 over every series ledger of the sweep below. A change to the series
+# that moves a row, a stuck reason or a final tree moves this digest; such a
+# change re-pins it and says why.
+SERIES_PIN = "244ad6a51cd6881e2e7d5b6d36f4e1c4630830316d1ec2ac8f14d2eb3bb22f9c"
+
+
+def test_series_ledgers_pinned(monkeypatch, tmp_path):
+    """Every series run of seed-1 tight_family colored at each k from
+    lower - 1 to gs_upper, with no exact fallback: 2,050 runs, which between
+    them take every step kind."""
+    states = []
+
+    def recording(*args, **kwargs):
+        state = tashkinov.build_series(*args, **kwargs)
+        states.append(state)
+        return state
+
+    monkeypatch.setattr(engine, "build_series", recording)
+    for inst in workloads.build("tight_family", 1, str(tmp_path)):
+        G = inst.graph
+        rep = bound_report(G)
+        for k in range(rep.lower - 1, rep.gs_upper + 1):
+            engine.color_at_k(G, k, fallback_threshold=0)
+    digest = hashlib.sha256()
+    for state in states:
+        digest.update(state.to_ledger_json().encode())
+        digest.update(repr(state.stuck_reason).encode())
+        tree = state.final_tree
+        digest.update(repr((tree.edges, tree.vertices)).encode())
+    outcomes = collections.Counter(s.outcome for s in states)
+    steps = collections.Counter(t.theta for s in states for t in s.tuples)
+    assert outcomes == {"strongly_closed": 1994, "budget_exhausted": 56}
+    assert steps == {"none": 2050, "se": 100, "pe": 31, "re": 1}
+    assert digest.hexdigest() == SERIES_PIN
