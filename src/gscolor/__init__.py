@@ -1,9 +1,8 @@
 """Multigraph edge coloring with at most max(Delta+1, ceil(density)) colors,
 plus the density certificates and brute-force oracles that verify it."""
 
-from .coloring import (KempeChain, PartialColoring, defective_colors,
-                       is_closed, kempe_chain, kempe_swap, swap_outside,
-                       validate)
+from .coloring import (KempeChain, PartialColoring, kempe_chain, kempe_swap,
+                       swap_outside, validate)
 from .density import (BoundReport, DensityCertificate, bound_report,
                       certificate_check, chromatic_index_exact)
 from .engine import (ColoringResult, FailureEvidence, IncompleteColoringError,

@@ -1,4 +1,4 @@
-"""Partial k-edge-colorings, Kempe chains, and vertex-set predicates.
+"""Partial k-edge-colorings and Kempe chains.
 
 A coloring assigns colors 1..k to a subset of the edges so that adjacent
 colored edges differ; uncolored edges are simply absent from every
@@ -132,10 +132,18 @@ class PartialColoring:
         present[color] = present.get(color, 0) | (1 << u) | (1 << v)
 
     def unassign(self, eid: int):
-        color = self._color.pop(eid)
+        """Uncolor the edge: KeyError when it is uncolored, ValueError with
+        every table untouched unless it is the recorded edge of its color at
+        both ends (an `unchecked` coloring may repeat a color at a vertex)."""
+        color = self._color[eid]
         u, v = self.graph.endpoints(eid)
-        del self._at[u][color]
-        del self._at[v][color]
+        at_u, at_v = self._at[u], self._at[v]
+        if at_u.get(color) != eid or at_v.get(color) != eid:
+            raise ValueError(f"edge {eid} is not the recorded edge of color "
+                             f"{color} at both ends")
+        del self._color[eid]
+        del at_u[color]
+        del at_v[color]
         if _in_range(color, self.k):
             self._mask[u] &= ~(1 << color)
             self._mask[v] &= ~(1 << color)
@@ -337,21 +345,3 @@ def swap_outside(pc: PartialColoring, members, alpha: int, beta: int) -> Partial
                 flips.append((eid, beta if c == alpha else alpha))
     out.recolor(flips)
     return out
-
-
-# -- set predicates -----------------------------------------------------------
-
-def is_closed(pc: PartialColoring, members) -> bool:
-    """No color missing in the set appears on its boundary."""
-    boundary_colors = pc.colors_on(pc.graph.boundary(members))
-    return not (boundary_colors & pc.missing_union(members))
-
-
-def defective_colors(pc: PartialColoring, members) -> frozenset:
-    """Colors appearing on at least two boundary edges of the set."""
-    counts = {}
-    for e in pc.graph.boundary(members):
-        c = pc.color_of(e)
-        if c is not None:
-            counts[c] = counts.get(c, 0) + 1
-    return frozenset(c for c, cnt in counts.items() if cnt >= 2)

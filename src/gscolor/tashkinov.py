@@ -17,6 +17,9 @@ below ceil(density).
 The paper quantifies each step over all colorings stable for the current
 tree. The series steps on the coloring it is given, which is one of them: the
 defective boundary edge and the PE witness come from the row's own coloring.
+A row reads its tree's colored boundary once, from the incidence lists of the
+tree's vertices, and takes closedness, the defective colors, the maximum
+defective edge and the revisiting candidates from that one read.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .coloring import (PartialColoring, defective_colors, is_closed,
-                       kempe_chain, kempe_swap, swap_outside)
+from .coloring import PartialColoring, kempe_chain, kempe_swap, swap_outside
 from .graph import Multigraph
 
 
@@ -47,7 +49,7 @@ class TreeSequence:
     vertex order defines the precedence used throughout the series.
     """
 
-    __slots__ = ("edges", "vertices", "_vset", "_pos")
+    __slots__ = ("edges", "vertices", "_vset")
 
     def __init__(self, edges: tuple, vertices: tuple):
         if len(vertices) != len(edges) + 1:
@@ -55,7 +57,6 @@ class TreeSequence:
         self.edges = tuple(edges)
         self.vertices = tuple(vertices)
         self._vset = frozenset(vertices)
-        self._pos = {v: i for i, v in enumerate(vertices)}
         if len(self._vset) != len(vertices) or len(set(edges)) != len(edges):
             raise ValueError("tree sequence repeats a vertex or edge")
 
@@ -72,18 +73,12 @@ class TreeSequence:
     def vertex_set(self) -> frozenset:
         return self._vset
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._vset
-
-    def order(self, v: int) -> int:
-        return self._pos[v]
-
     def grow(self, eid: int, v: int) -> "TreeSequence":
         return TreeSequence(self.edges + (eid,), self.vertices + (v,))
 
     def segment_to(self, v: int) -> "TreeSequence":
         """The prefix ending at v."""
-        i = self._pos[v]
+        i = self.vertices.index(v)
         if i == 0:
             raise ValueError("segment must contain the root edge")
         return TreeSequence(self.edges[:i], self.vertices[:i + 1])
@@ -114,7 +109,7 @@ def taa_close(G: Multigraph, pc: PartialColoring, T: TreeSequence) -> TreeSequen
             return cur
         f = min(cand)
         u, v = G.endpoints(f)
-        cur = cur.grow(f, v if cur.has_vertex(u) else u)
+        cur = cur.grow(f, v if u in cur.vertex_set else u)
 
 
 @dataclass(frozen=True)
@@ -137,25 +132,36 @@ def elementary_audit(pc: PartialColoring, vertices):
     return None
 
 
-# -- defective boundary edges -------------------------------------------------
+# -- the colored boundary ------------------------------------------------------
 
-def _max_defective(G: Multigraph, pc: PartialColoring, T: TreeSequence,
-                   defective):
-    """The boundary edge of T whose color under pc is in `defective` (T's
-    defective colors) and whose in-end is latest in tree order, lowest edge
-    id on ties: (sort key, in-end, edge, its color), or None when there is
-    none. Sort keys are unique, so the scan order does not matter."""
-    best = None
-    for e in G.boundary(T.vertex_set):
-        alpha = pc.color_of(e)
-        if alpha not in defective:
-            continue
-        u, v = G.endpoints(e)
-        inner = u if T.has_vertex(u) else v
-        key = (T.order(inner), -e)
-        if best is None or key > best[0]:
-            best = (key, inner, e, alpha)
-    return best
+def _colored_boundary(G: Multigraph, pc: PartialColoring, T: TreeSequence) -> dict:
+    """T's colored boundary edges under pc, read once from the incidence
+    lists of T's vertices: for each color, the ascending list of (edge, tree
+    index of its in-end). A color is defective when its list has two or
+    more entries."""
+    inside = T.vertex_set
+    ends = G._ends
+    by_color = {}
+    for i, v in enumerate(T.vertices):
+        for e in G.edges_at(v):
+            a, b = ends[e]
+            if (b if a == v else a) in inside:
+                continue
+            c = pc.color_of(e)
+            if c is not None:
+                by_color.setdefault(c, []).append((e, i))
+    for found in by_color.values():
+        found.sort()
+    return by_color
+
+
+def _max_defective(T: TreeSequence, boundary: dict):
+    """The defective boundary edge whose in-end is latest in T's order,
+    lowest edge id on ties, from T's `_colored_boundary`: (in-end, edge,
+    its color). T must have a defective color."""
+    i, neg_e, alpha = max((i, -e, c) for c, found in boundary.items()
+                          if len(found) >= 2 for e, i in found)
+    return T.vertices[i], -neg_e, alpha
 
 
 # -- the extension series (RE / SE / PE) ----------------------------------------
@@ -269,11 +275,10 @@ def assert_series_invariants(state: SeriesState):
         t_n = state.tree(n)
         phi_n = state.coloring(n)
         failure = None
-        boundary = {e: phi_n.color_of(e)
-                    for e in state.graph.boundary(t_n.vertex_set)}
+        boundary = _colored_boundary(state.graph, phi_n, t_n)
         unclosed = sorted((phi_n.missing_union(t_n.vertices) - {last.delta})
-                          & set(boundary.values()))
-        gamma_bound = {e for e, c in boundary.items() if c == last.gamma}
+                          & boundary.keys())
+        gamma_bound = {e for e, _ in boundary.get(last.gamma, ())}
         if gamma_bound != set(last.connecting_edges):
             failure = "PE: recolored-color boundary is not exactly the connecting edge"
         elif unclosed:
@@ -308,67 +313,61 @@ def series_step(G: Multigraph, state: SeriesState) -> StepOutcome:
     t_n = state.tree(n)
     phi = state.coloring(n - 1)
 
-    closed = is_closed(phi, t_n.vertex_set)
-    defective = defective_colors(phi, t_n.vertex_set)
-    if closed and not defective:
+    boundary = _colored_boundary(G, phi, t_n)
+    closed = not (boundary.keys() & phi.missing_union(t_n.vertices))
+    if closed and all(len(found) < 2 for found in boundary.values()):
         state.outcome = "strongly_closed"
         return StepOutcome("strongly_closed")
     if not closed:
         raise SeriesInvariantError(
             "series tree lost closedness\n" + state.to_ledger_json())
 
-    re_hit = _find_revisit(G, state, t_n, phi)
+    re_hit = _find_revisit(state, t_n, phi, boundary)
     if re_hit is not None:
-        f_n, delta_h, gamma_h = re_hit
-        u, v = G.endpoints(f_n)
-        out_end = v if t_n.has_vertex(u) else u
-        t_next = taa_close(G, phi, t_n.grow(f_n, out_end))
-        state.tuples.append(SeriesTuple(
-            tree=t_next, coloring=phi,
-            connecting_colors=frozenset((delta_h, gamma_h)),
+        f_n, v_in, delta_h, gamma_h = re_hit
+        row = SeriesTuple(
+            tree=taa_close(G, phi, t_n.grow(f_n, G.other_end(f_n, v_in))),
+            coloring=phi, connecting_colors=frozenset((delta_h, gamma_h)),
             connecting_edges=frozenset((f_n,)), theta="re",
-            delta=delta_h, gamma=gamma_h))
-        assert_series_invariants(state)
-        return StepOutcome("extended", "re")
-
-    # closed and not strongly closed, so some boundary color repeats
-    _, v_n, f_n, delta_n = _max_defective(G, phi, t_n, defective)
-    u_n = G.other_end(f_n, v_n)
-    hit = phi.missing(u_n) & phi.missing_union(t_n.vertices)
-
-    if not hit:
-        t_next = taa_close(G, phi, t_n.grow(f_n, u_n))
-        state.tuples.append(SeriesTuple(
-            tree=t_next, coloring=phi,
-            connecting_colors=frozenset((delta_n,)),
-            connecting_edges=frozenset((f_n,)), theta="se",
-            delta=delta_n, v_n=v_n))
-        assert_series_invariants(state)
-        return StepOutcome("extended", "se")
-
-    alpha = min(hit)
-    gamma_n = _pick_gamma(state, phi, v_n)
-    pi_prime = (phi if alpha == gamma_n
-                else swap_outside(phi, t_n.vertex_set, alpha, gamma_n))
-    path = kempe_chain(pi_prime, v_n, gamma_n, delta_n)
-    if (path.kind != "path" or set(path.edges) != {f_n}
-            or len(set(path.vertices) & t_n.vertex_set) != 1):
-        raise SeriesStuck("PE: constructed exit path is not the single connecting edge")
-    phi_n = kempe_swap(pi_prime, path)
-    r_tree = taa_close(G, phi_n, t_n.segment_to(v_n))
-    t_next = taa_close(G, phi_n, _join(t_n, r_tree))
-    state.tuples.append(SeriesTuple(
-        tree=t_next, coloring=phi_n,
-        connecting_colors=frozenset((delta_n, gamma_n)),
-        connecting_edges=frozenset((f_n,)), theta="pe",
-        delta=delta_n, gamma=gamma_n, v_n=v_n))
+            delta=delta_h, gamma=gamma_h)
+    else:
+        # closed and not strongly closed, so some boundary color repeats
+        v_n, f_n, delta_n = _max_defective(t_n, boundary)
+        u_n = G.other_end(f_n, v_n)
+        hit = phi.missing(u_n) & phi.missing_union(t_n.vertices)
+        if not hit:
+            row = SeriesTuple(
+                tree=taa_close(G, phi, t_n.grow(f_n, u_n)), coloring=phi,
+                connecting_colors=frozenset((delta_n,)),
+                connecting_edges=frozenset((f_n,)), theta="se",
+                delta=delta_n, v_n=v_n)
+        else:
+            alpha = min(hit)
+            gamma_n = _pick_gamma(state, phi, v_n)
+            pi_prime = (phi if alpha == gamma_n
+                        else swap_outside(phi, t_n.vertex_set, alpha, gamma_n))
+            path = kempe_chain(pi_prime, v_n, gamma_n, delta_n)
+            if (path.kind != "path" or set(path.edges) != {f_n}
+                    or len(set(path.vertices) & t_n.vertex_set) != 1):
+                raise SeriesStuck(
+                    "PE: constructed exit path is not the single connecting edge")
+            phi_n = kempe_swap(pi_prime, path)
+            r_tree = taa_close(G, phi_n, t_n.segment_to(v_n))
+            row = SeriesTuple(
+                tree=taa_close(G, phi_n, _join(t_n, r_tree)), coloring=phi_n,
+                connecting_colors=frozenset((delta_n, gamma_n)),
+                connecting_edges=frozenset((f_n,)), theta="pe",
+                delta=delta_n, gamma=gamma_n, v_n=v_n)
+    state.tuples.append(row)
     assert_series_invariants(state)
-    return StepOutcome("extended", "pe")
+    return StepOutcome("extended", row.theta)
 
 
-def _find_revisit(G, state: SeriesState, t_n: TreeSequence, phi):
+def _find_revisit(state: SeriesState, t_n: TreeSequence, phi, boundary: dict):
     """The RE trigger: the last non-RE step was a PE whose color pair now runs
-    a cycle through a tree boundary edge and back into that step's tree."""
+    a cycle through a tree boundary edge and back into that step's tree.
+    Returns (edge, its in-end, delta_h, gamma_h) or None; `boundary` is
+    t_n's `_colored_boundary` under phi."""
     n = state.n + 1
     h = None
     for i in range(n - 1, 0, -1):
@@ -380,16 +379,13 @@ def _find_revisit(G, state: SeriesState, t_n: TreeSequence, phi):
     delta_h = state.tuples[h].delta
     gamma_h = state.tuples[h].gamma
     t_h_vertices = state.tree(h).vertex_set
-    for f in sorted(G.boundary(t_n.vertex_set)):
-        if phi.color_of(f) != gamma_h:
-            continue
-        u, v = G.endpoints(f)
-        v_n = u if t_n.has_vertex(u) else v
+    for f, i in boundary.get(gamma_h, ()):
+        v_n = t_n.vertices[i]
         ch = kempe_chain(phi, v_n, gamma_h, delta_h)
         if ch.kind != "cycle" or f not in ch.edges:
             continue
         if _cycle_reaches(ch, v_n, t_n.vertex_set, t_h_vertices):
-            return f, delta_h, gamma_h
+            return f, v_n, delta_h, gamma_h
     return None
 
 
@@ -433,7 +429,7 @@ def _join(base: TreeSequence, extra: TreeSequence) -> TreeSequence:
     """base with extra's vertices appended in extra's order via extra's edges."""
     cur = base
     for j, v in enumerate(extra.vertices):
-        if j == 0 or cur.has_vertex(v):
+        if j == 0 or v in cur.vertex_set:
             continue
         cur = cur.grow(extra.edges[j - 1], v)
     return cur

@@ -4,14 +4,31 @@ Stable colorings are the colorings the paper's series quantifies over: one
 that keeps the tree's missing sets and the colors of the tree's incident
 edges in those colors. The series steps on the coloring it is given, so no
 coloring path needs these; they back the stability criterion and the
-stable-coloring tests. Strong closure, r-graphs and criticality back the
-set-predicate tests, the r-graph check and the critical-instance criteria.
+stable-coloring tests. Closure (`is_closed`), the defective boundary colors
+(`defective_colors`) and strong closure back the set-predicate tests and
+cross-check the series, which reads a tree's boundary once per row; r-graphs
+and criticality back the r-graph check and the critical-instance criteria.
 """
 
-from gscolor.coloring import (PartialColoring, defective_colors, is_closed,
-                              kempe_chain, kempe_swap)
+from gscolor.coloring import PartialColoring, kempe_chain, kempe_swap
 from gscolor.density import chromatic_index_exact
 from oracles import brute_min_odd_cut, without_edge
+
+
+def is_closed(pc: PartialColoring, members) -> bool:
+    """No color missing in the set appears on its boundary."""
+    boundary_colors = pc.colors_on(pc.graph.boundary(members))
+    return not (boundary_colors & pc.missing_union(members))
+
+
+def defective_colors(pc: PartialColoring, members) -> frozenset:
+    """Colors appearing on at least two boundary edges of the set."""
+    counts = {}
+    for e in pc.graph.boundary(members):
+        c = pc.color_of(e)
+        if c is not None:
+            counts[c] = counts.get(c, 0) + 1
+    return frozenset(c for c, cnt in counts.items() if cnt >= 2)
 
 
 def is_strongly_closed(pc: PartialColoring, members) -> bool:

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gscolor import (ColoringResult, Multigraph, PartialColoring,
-                     defective_colors, elementary_audit, is_closed,
-                     kempe_chain, kempe_swap, swap_outside, validate)
+                     elementary_audit, kempe_chain, kempe_swap, swap_outside,
+                     validate)
 from gscolor.engine import result_from_json
-from paper_structures import chain_components, is_strongly_closed
+from paper_structures import (chain_components, defective_colors, is_closed,
+                              is_strongly_closed)
 from oracles import (assert_tables_consistent, random_multigraph_pairs,
                      random_proper_coloring, reference_kempe_chain,
                      reference_validate)
@@ -150,6 +151,28 @@ def test_missing_masks_track_mutations(n, m, extra, data):
     assert_tables_consistent(pc)
     for w in range(n):
         assert pc.missing(w) == _expected_missing(pc, w)
+
+
+def _tables(pc):
+    return (dict(pc._color), [dict(d) for d in pc._at], list(pc._mask),
+            dict(pc._present))
+
+
+def test_unassign_refuses_before_changing_anything():
+    """On an unchecked coloring that repeats color 1 at vertex 0, vertex 0
+    records edge 1 for it, so uncoloring edge 0 is a ValueError that leaves
+    all four tables as they were; an uncolored edge is a KeyError."""
+    G = Multigraph.build(3, [(0, 1), (0, 2)])
+    pc = PartialColoring.unchecked(G, 2, {0: 1, 1: 1})
+    before = _tables(pc)
+    with pytest.raises(ValueError, match="edge 0 is not the recorded edge"):
+        pc.unassign(0)
+    assert _tables(pc) == before
+    bare = PartialColoring(G, 2, {0: 1})
+    before = _tables(bare)
+    with pytest.raises(KeyError):
+        bare.unassign(1)
+    assert _tables(bare) == before
 
 
 def test_unchecked_keeps_bad_colors_out_of_the_masks(triangle):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import random
 
@@ -6,15 +7,15 @@ import pytest
 
 from colorbench import workloads
 from gscolor import (Multigraph, PartialColoring, build_series,
-                     defective_colors, elementary_audit, engine, taa_close,
-                     tashkinov)
+                     elementary_audit, engine, taa_close, tashkinov)
 from gscolor.density import bound_report, chromatic_index_exact
-from gscolor.tashkinov import (SeriesState, SeriesTuple, TreeSequence, Witness,
+from gscolor.tashkinov import (SeriesInvariantError, SeriesState, SeriesTuple,
+                               TreeSequence, Witness, assert_series_invariants,
                                series_step)
 from conftest import make_pe_instance, make_se_instance
 from oracles import (colorings_without_edge, random_multigraph_pairs,
                      random_proper_coloring, reference_closure_vertices)
-from paper_structures import is_critical
+from paper_structures import defective_colors, is_closed, is_critical
 
 
 # -- tree sequences ------------------------------------------------------------
@@ -183,13 +184,79 @@ def test_series_strict_false_degrades():
     assert [t.theta for t in state.tuples] == ["none", "pe"]
 
 
+def test_series_step_rejects_unclosed_tree():
+    G, pc = make_pe_instance()
+    state = SeriesState(graph=G, root_edge=0, k=pc.k)
+    state.tuples.append(SeriesTuple(
+        tree=TreeSequence.root(G, 0), coloring=pc,
+        connecting_colors=frozenset(), connecting_edges=frozenset(),
+        theta="none"))
+    with pytest.raises(SeriesInvariantError, match="series tree lost closedness"):
+        series_step(G, state)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"connecting_edges": frozenset({10})},
+     "PE: recolored-color boundary is not exactly the connecting edge"),
+    ({"delta": 5}, "PE: missing color 6 not closed in T_n"),
+])
+def test_pe_postconditions_on_forged_row(change, message):
+    """The PE row's tree is elementary, so a broken postcondition is a
+    corrupt ledger, not a void hypothesis."""
+    G, pc = make_pe_instance()
+    state = build_series(G, 0, pc)
+    assert elementary_audit(state.coloring(1), state.tree(1).vertices) is None
+    state.tuples[1] = dataclasses.replace(state.tuples[1], **change)
+    with pytest.raises(SeriesInvariantError, match=message):
+        assert_series_invariants(state)
+
+
+def test_colored_boundary_matches_whole_graph_scan():
+    """The one boundary read per row against `Multigraph.boundary`, on the
+    root, the closure and every segment of the closure of each uncolored
+    edge, with the closure and defective-color predicates derived from it
+    as `series_step` derives them."""
+    rng = random.Random(19)
+    for _ in range(60):
+        n = rng.randint(3, 12)
+        G = Multigraph.build(n, random_multigraph_pairs(n, rng.randint(3, 30), rng))
+        pc = random_proper_coloring(G, G.max_degree() + rng.randint(0, 1), rng,
+                                    leave_uncolored=rng.randint(1, 3))
+        for eid in sorted(pc.uncolored_edges):
+            closure = taa_close(G, pc, TreeSequence.root(G, eid))
+            trees = [closure] + [closure.segment_to(v) for v in closure.vertices[1:]]
+            for tree in trees:
+                boundary = tashkinov._colored_boundary(G, pc, tree)
+                scanned = {}
+                for e in sorted(G.boundary(tree.vertex_set)):
+                    if pc.is_colored(e):
+                        scanned.setdefault(pc.color_of(e), []).append(e)
+                assert {c: [e for e, _ in found]
+                        for c, found in boundary.items()} == scanned
+                for found in boundary.values():
+                    for e, i in found:
+                        assert tree.vertices[i] in G.endpoints(e)
+                closed = not (boundary.keys() & pc.missing_union(tree.vertices))
+                defective = {c for c, found in boundary.items() if len(found) >= 2}
+                assert closed == is_closed(pc, tree.vertex_set)
+                assert defective == defective_colors(pc, tree.vertex_set)
+                if defective:
+                    v, f, alpha = tashkinov._max_defective(tree, boundary)
+                    assert (tree.vertices.index(v), -f) == max(
+                        (tree.vertices.index(w), -e)
+                        for e in G.boundary(tree.vertex_set)
+                        if pc.color_of(e) in defective
+                        for w in G.endpoints(e) if w in tree.vertex_set)
+                    assert alpha == pc.color_of(f)
+
+
 # -- maximum defective vertex -----------------------------------------------------
 
 def test_max_defective_budget_zero():
     G, pc = make_pe_instance()
     tree = taa_close(G, pc, TreeSequence.root(G, 0))
-    defective = defective_colors(pc, tree.vertex_set)
-    _, v, f, delta = tashkinov._max_defective(G, pc, tree, defective)
+    boundary = tashkinov._colored_boundary(G, pc, tree)
+    v, f, delta = tashkinov._max_defective(tree, boundary)
     assert (v, f, delta) == (2, 9, 6)
 
 
