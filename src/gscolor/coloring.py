@@ -48,9 +48,10 @@ class PartialColoring:
         per-vertex tables keep the last edge seen per color. Only colors in
         1..k enter the bitmasks, so a huge or non-integer color from an
         untrusted file never becomes a shift count. An edge id outside
-        0..m-1 is a ValueError.
+        0..m-1 is a ValueError. The result is read-only: `assign`,
+        `unassign`, `recolor` and `clone` raise TypeError.
         """
-        pc = cls(graph, k)
+        pc = _ReadOnlyColoring(graph, k)
         for eid, c in assignment.items():
             if not 0 <= eid < graph.m:
                 raise ValueError(f"edge {eid} outside 0..{graph.m - 1}")
@@ -115,7 +116,7 @@ class PartialColoring:
         ends = self.graph._ends
         if not 0 <= eid < len(ends):
             raise ValueError(f"edge {eid} outside 0..{len(ends) - 1}")
-        if not (1 <= color <= self.k):
+        if type(color) is not int or not 1 <= color <= self.k:
             raise ValueError(f"color {color} outside 1..{self.k}")
         if eid in self._color:
             raise ValueError(f"edge {eid} already colored")
@@ -132,22 +133,14 @@ class PartialColoring:
         present[color] = present.get(color, 0) | (1 << u) | (1 << v)
 
     def unassign(self, eid: int):
-        """Uncolor the edge: KeyError when it is uncolored, ValueError with
-        every table untouched unless it is the recorded edge of its color at
-        both ends (an `unchecked` coloring may repeat a color at a vertex)."""
-        color = self._color[eid]
-        u, v = self.graph.endpoints(eid)
-        at_u, at_v = self._at[u], self._at[v]
-        if at_u.get(color) != eid or at_v.get(color) != eid:
-            raise ValueError(f"edge {eid} is not the recorded edge of color "
-                             f"{color} at both ends")
-        del self._color[eid]
-        del at_u[color]
-        del at_v[color]
-        if _in_range(color, self.k):
-            self._mask[u] &= ~(1 << color)
-            self._mask[v] &= ~(1 << color)
-            self._present[color] &= ~((1 << u) | (1 << v))
+        """Uncolor the edge; KeyError when it is uncolored."""
+        color = self._color.pop(eid)
+        u, v = self.graph._ends[eid]
+        del self._at[u][color]
+        del self._at[v][color]
+        self._mask[u] &= ~(1 << color)
+        self._mask[v] &= ~(1 << color)
+        self._present[color] &= ~((1 << u) | (1 << v))
 
     def recolor(self, flips):
         """Apply (edge, new color) pairs in place; all listed edges are
@@ -165,6 +158,17 @@ class PartialColoring:
 
     def __repr__(self):
         return f"PartialColoring(k={self.k}, colored={len(self._color)}/{self.graph.m})"
+
+
+class _ReadOnlyColoring(PartialColoring):
+    """What `PartialColoring.unchecked` builds: queries only."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args):
+        raise TypeError("an unchecked coloring is read-only")
+
+    assign = unassign = recolor = clone = _refuse
 
 
 def _in_range(c, k: int) -> bool:
@@ -328,20 +332,20 @@ def kempe_swap(pc: PartialColoring, chain: KempeChain) -> PartialColoring:
 def swap_outside(pc: PartialColoring, members, alpha: int, beta: int) -> PartialColoring:
     """Interchange alpha and beta on every edge disjoint from `members`.
 
-    Requires that neither color appears on the boundary of `members`; edges
-    meeting the set are untouched, so its missing sets are preserved.
+    Requires that neither color appears on the boundary of `members`: the
+    first such edge of one ascending pass over the edges is a ValueError,
+    before pc is cloned. Edges meeting the set are untouched, so its
+    missing sets are preserved.
     """
     inside = frozenset(members)
-    for e in sorted(pc.graph.boundary(inside)):
-        if pc.color_of(e) in (alpha, beta):
-            raise ValueError(f"color {pc.color_of(e)} on boundary edge {e}")
-    out = pc.clone()
     flips = []
-    for eid in pc.graph.edge_ids:
+    for eid, (u, v) in enumerate(pc.graph._ends):
         c = pc.color_of(eid)
         if c in (alpha, beta):
-            u, v = pc.graph.endpoints(eid)
-            if u not in inside and v not in inside:
+            if (u in inside) != (v in inside):
+                raise ValueError(f"color {c} on boundary edge {eid}")
+            if u not in inside:
                 flips.append((eid, beta if c == alpha else alpha))
+    out = pc.clone()
     out.recolor(flips)
     return out

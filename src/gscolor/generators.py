@@ -101,7 +101,8 @@ def exhaustive_connected(n_max: int, m_max: int):
         raise ValueError(f"exhaustive needs N >= 1 and M_MAX >= 0, "
                          f"got N = {n_max}, M_MAX = {m_max}")
     yield Multigraph.build(1, [])
-    for n in range(2, n_max + 1):
+    # a connected graph on n vertices has at least n - 1 edges
+    for n in range(2, min(n_max, m_max + 1) + 1):
         pairs = list(combinations(range(n), 2))
         for vec in _canonical_survivors(n, m_max, pairs):
             if sum(vec) == 0:

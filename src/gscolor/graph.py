@@ -93,12 +93,6 @@ class Multigraph:
         inside = self._checked_set(members)
         return sum(1 for (u, v) in self._ends if u in inside and v in inside)
 
-    def boundary(self, members) -> frozenset:
-        """Edge ids with exactly one end in `members`."""
-        inside = self._checked_set(members)
-        return frozenset(e for e, (u, v) in enumerate(self._ends)
-                         if (u in inside) != (v in inside))
-
     def _checked_set(self, members) -> frozenset:
         s = frozenset(members)
         for v in s:

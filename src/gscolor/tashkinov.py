@@ -17,9 +17,9 @@ below ceil(density).
 The paper quantifies each step over all colorings stable for the current
 tree. The series steps on the coloring it is given, which is one of them: the
 defective boundary edge and the PE witness come from the row's own coloring.
-A row reads its tree's colored boundary once, from the incidence lists of the
-tree's vertices, and takes closedness, the defective colors, the maximum
-defective edge and the revisiting candidates from that one read.
+A row reads its tree's colored boundary once, off the coloring's tables, and
+takes closedness, the defective colors, the maximum defective edge and the
+revisiting candidates from that one read; each closure round reads it too.
 """
 
 from __future__ import annotations
@@ -98,18 +98,18 @@ class TreeSequence:
 def taa_close(G: Multigraph, pc: PartialColoring, T: TreeSequence) -> TreeSequence:
     """Greedy closure: absorb boundary edges colored with tree-missing colors.
 
-    Ties go to the lowest edge id, which fixes the edge list; the vertex set
-    of a closure does not depend on the order.
+    Each round reads `_colored_boundary` and absorbs the lowest such edge
+    id, which fixes the edge list; the vertex set is the same in any order.
     """
     cur = T
     while True:
         miss = pc.missing_union(cur.vertices)
-        cand = [e for e in G.boundary(cur.vertex_set) if pc.color_of(e) in miss]
-        if not cand:
+        boundary = _colored_boundary(G, pc, cur)
+        hits = [found[0] for c, found in boundary.items() if c in miss]
+        if not hits:
             return cur
-        f = min(cand)
-        u, v = G.endpoints(f)
-        cur = cur.grow(f, v if u in cur.vertex_set else u)
+        f, i = min(hits)
+        cur = cur.grow(f, G.other_end(f, cur.vertices[i]))
 
 
 @dataclass(frozen=True)
@@ -135,20 +135,17 @@ def elementary_audit(pc: PartialColoring, vertices):
 # -- the colored boundary ------------------------------------------------------
 
 def _colored_boundary(G: Multigraph, pc: PartialColoring, T: TreeSequence) -> dict:
-    """T's colored boundary edges under pc, read once from the incidence
-    lists of T's vertices: for each color, the ascending list of (edge, tree
-    index of its in-end). A color is defective when its list has two or
-    more entries."""
+    """T's colored boundary edges under pc, read once from pc's per-vertex
+    color tables at T's vertices, so uncolored edges are never touched: for
+    each color, the ascending list of (edge, tree index of its in-end). A
+    color is defective when its list has two or more entries."""
     inside = T.vertex_set
     ends = G._ends
     by_color = {}
     for i, v in enumerate(T.vertices):
-        for e in G.edges_at(v):
+        for c, e in pc._at[v].items():
             a, b = ends[e]
-            if (b if a == v else a) in inside:
-                continue
-            c = pc.color_of(e)
-            if c is not None:
+            if (b if a == v else a) not in inside:
                 by_color.setdefault(c, []).append((e, i))
     for found in by_color.values():
         found.sort()

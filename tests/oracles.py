@@ -41,8 +41,16 @@ def brute_min_odd_cut(G):
     best = G.m + 1
     for size in range(1, G.vertex_count + 1, 2):
         for combo in combinations(range(G.vertex_count), size):
-            best = min(best, len(G.boundary(frozenset(combo))))
+            best = min(best, len(graph_boundary(G, combo)))
     return best
+
+
+def graph_boundary(G, members):
+    """Edge ids with exactly one end in `members`, by a scan of every edge
+    of G; the package reads a tree's boundary off the coloring instead."""
+    inside = frozenset(members)
+    return frozenset(e for e in G.edge_ids
+                     if sum(w in inside for w in G.endpoints(e)) == 1)
 
 
 def brute_chi_prime(G):
@@ -341,11 +349,27 @@ def reference_closure_vertices(pc, tree):
         missing = set()
         for v in inside:
             missing |= pc.missing(v)
-        cand = [e for e in G.boundary(frozenset(inside))
+        cand = [e for e in graph_boundary(G, inside)
                 if pc.color_of(e) in missing]
         if not cand:
             return frozenset(inside)
         inside.update(G.endpoints(max(cand)))
+
+
+def reference_taa_close(G, pc, T):
+    """tashkinov.taa_close as it was before it read the tree's boundary off
+    the coloring's tables: each round scans every edge of G for the
+    boundary and absorbs the lowest-id edge colored with a tree-missing
+    color."""
+    cur = T
+    while True:
+        miss = pc.missing_union(cur.vertices)
+        cand = [e for e in graph_boundary(G, cur.vertex_set) if pc.color_of(e) in miss]
+        if not cand:
+            return cur
+        f = min(cand)
+        u, v = G.endpoints(f)
+        cur = cur.grow(f, v if u in cur.vertex_set else u)
 
 
 def verify_by_scan(G, result):

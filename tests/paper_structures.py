@@ -12,19 +12,19 @@ and criticality back the r-graph check and the critical-instance criteria.
 
 from gscolor.coloring import PartialColoring, kempe_chain, kempe_swap
 from gscolor.density import chromatic_index_exact
-from oracles import brute_min_odd_cut, without_edge
+from oracles import brute_min_odd_cut, graph_boundary, without_edge
 
 
 def is_closed(pc: PartialColoring, members) -> bool:
     """No color missing in the set appears on its boundary."""
-    boundary_colors = pc.colors_on(pc.graph.boundary(members))
+    boundary_colors = pc.colors_on(graph_boundary(pc.graph, members))
     return not (boundary_colors & pc.missing_union(members))
 
 
 def defective_colors(pc: PartialColoring, members) -> frozenset:
     """Colors appearing on at least two boundary edges of the set."""
     counts = {}
-    for e in pc.graph.boundary(members):
+    for e in graph_boundary(pc.graph, members):
         c = pc.color_of(e)
         if c is not None:
             counts[c] = counts.get(c, 0) + 1

@@ -120,6 +120,20 @@ def test_exhaustive_rejects_bad_sizes():
                                   f"got N = {n_max}, M_MAX = {m_max}")
 
 
+def test_exhaustive_stops_at_m_max_plus_one_vertices(monkeypatch):
+    """A connected graph on n vertices has n - 1 edges or more, so no n
+    above m_max + 1 is enumerated."""
+    survivors = gscolor.generators._canonical_survivors
+
+    def bounded(n, m_max, pairs):
+        assert n <= m_max + 1, f"enumerated n = {n} for m_max = {m_max}"
+        return survivors(n, m_max, pairs)
+
+    monkeypatch.setattr(gscolor.generators, "_canonical_survivors", bounded)
+    corpus = list(exhaustive_connected(9, 1))
+    assert [(G.vertex_count, G.m) for G in corpus] == [(1, 0), (2, 1)]
+
+
 # -- color ------------------------------------------------------------------------
 
 def test_cmd_color_petersen(capsys):

@@ -9,9 +9,9 @@ from gscolor import (ColoringResult, Multigraph, PartialColoring,
 from gscolor.engine import result_from_json
 from paper_structures import (chain_components, defective_colors, is_closed,
                               is_strongly_closed)
-from oracles import (assert_tables_consistent, random_multigraph_pairs,
-                     random_proper_coloring, reference_kempe_chain,
-                     reference_validate)
+from oracles import (assert_tables_consistent, graph_boundary,
+                     random_multigraph_pairs, random_proper_coloring,
+                     reference_kempe_chain, reference_validate)
 
 
 def colored_triangle(triangle, colors=(1, 2, 3), k=3):
@@ -159,20 +159,39 @@ def _tables(pc):
 
 
 def test_unassign_refuses_before_changing_anything():
-    """On an unchecked coloring that repeats color 1 at vertex 0, vertex 0
-    records edge 1 for it, so uncoloring edge 0 is a ValueError that leaves
-    all four tables as they were; an uncolored edge is a KeyError."""
+    """An unchecked coloring that repeats color 1 at vertex 0 is read-only:
+    every mutator and clone is a TypeError that leaves all four tables as
+    they were. On a checked coloring an uncolored edge is a KeyError."""
     G = Multigraph.build(3, [(0, 1), (0, 2)])
     pc = PartialColoring.unchecked(G, 2, {0: 1, 1: 1})
     before = _tables(pc)
-    with pytest.raises(ValueError, match="edge 0 is not the recorded edge"):
-        pc.unassign(0)
-    assert _tables(pc) == before
+    for call in (lambda: pc.unassign(0), lambda: pc.unassign(1),
+                 lambda: pc.assign(0, 2), lambda: pc.recolor([(1, 2)]),
+                 pc.clone):
+        with pytest.raises(TypeError, match="read-only"):
+            call()
+        assert _tables(pc) == before
     bare = PartialColoring(G, 2, {0: 1})
     before = _tables(bare)
     with pytest.raises(KeyError):
         bare.unassign(1)
     assert _tables(bare) == before
+
+
+@pytest.mark.parametrize("color", [True, 1.0])
+def test_assign_accepts_only_int_colors(color):
+    """True and 1.0 compare equal to 1 but are not colors: a ValueError
+    with every table untouched, so no later unassign can skip a mask."""
+    G = Multigraph.build(3, [(0, 1), (1, 2)])
+    pc = PartialColoring(G, 2)
+    before = _tables(pc)
+    with pytest.raises(ValueError, match=f"color {color} outside 1..2"):
+        pc.assign(0, color)
+    assert _tables(pc) == before
+    with pytest.raises(ValueError, match=f"color {color} outside 1..2"):
+        PartialColoring(G, 2, {0: color})
+    pc.assign(1, 1)
+    assert_tables_consistent(pc)
 
 
 def test_unchecked_keeps_bad_colors_out_of_the_masks(triangle):
@@ -281,6 +300,14 @@ def test_swap_outside_rejects_boundary_color(triangle):
     # edge 0 is on the boundary of {0} and carries color 1
     with pytest.raises(ValueError, match="boundary edge"):
         swap_outside(pc, {0}, 1, 2)
+    # edges 1 (color 2) and 2 (color 1) both leave {0}, after edge 0, which
+    # lies outside and would flip: the lower id is named, pc is unchanged
+    G = Multigraph.build(4, [(1, 3), (0, 1), (0, 2)])
+    pc = PartialColoring(G, 2, {0: 1, 1: 2, 2: 1})
+    before = _tables(pc)
+    with pytest.raises(ValueError, match=r"^color 2 on boundary edge 1$"):
+        swap_outside(pc, {0}, 1, 2)
+    assert _tables(pc) == before
 
 
 def test_elementary_trivial_cases(triangle):
@@ -314,7 +341,7 @@ def test_defective_iff_boundary_at_least_two(shannon2):
     rng = random.Random(5)
     pc = random_proper_coloring(shannon2, 6, rng)
     h = {0, 1}
-    boundary = shannon2.boundary(h)
+    boundary = graph_boundary(shannon2, h)
     for alpha in range(1, 7):
         count = sum(1 for e in boundary if pc.color_of(e) == alpha)
         assert (count >= 2) == (alpha in defective_colors(pc, h))

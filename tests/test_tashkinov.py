@@ -13,8 +13,9 @@ from gscolor.tashkinov import (SeriesInvariantError, SeriesState, SeriesTuple,
                                TreeSequence, Witness, assert_series_invariants,
                                series_step)
 from conftest import make_pe_instance, make_se_instance
-from oracles import (colorings_without_edge, random_multigraph_pairs,
-                     random_proper_coloring, reference_closure_vertices)
+from oracles import (colorings_without_edge, graph_boundary, random_multigraph_pairs,
+                     random_proper_coloring, reference_closure_vertices,
+                     reference_taa_close)
 from paper_structures import defective_colors, is_closed, is_critical
 
 
@@ -44,7 +45,7 @@ def test_taa_close_k4():
     for cmap in colorings_without_edge(G, 0, 4, cap=5):
         pc = PartialColoring(G, 4, cmap)
         tree = taa_close(G, pc, TreeSequence.root(G, 0))
-        boundary_colors = pc.colors_on(G.boundary(tree.vertex_set))
+        boundary_colors = pc.colors_on(graph_boundary(G, tree.vertex_set))
         assert not (boundary_colors & pc.missing_union(tree.vertices))
 
 
@@ -57,6 +58,23 @@ def test_taa_close_order_independent():
         root = TreeSequence.root(G, sorted(pc.uncolored_edges)[0])
         tree = taa_close(G, pc, root)
         assert tree.vertex_set == reference_closure_vertices(pc, root)
+
+
+def test_taa_close_matches_reference():
+    """The closure read off the coloring's tables against the whole-graph
+    scan it replaced, from the root of every uncolored edge, some of them
+    left uncolored by k < Delta."""
+    rng = random.Random(20)
+    for _ in range(80):
+        n = rng.randint(3, 12)
+        G = Multigraph.build(n, random_multigraph_pairs(n, rng.randint(3, 30), rng))
+        k = max(1, G.max_degree() + rng.randint(-2, 1))
+        pc = random_proper_coloring(G, k, rng, leave_uncolored=rng.randint(0, 2))
+        for eid in sorted(pc.uncolored_edges):
+            root = TreeSequence.root(G, eid)
+            got = taa_close(G, pc, root)
+            want = reference_taa_close(G, pc, root)
+            assert (got.edges, got.vertices) == (want.edges, want.vertices)
 
 
 # -- elementary audit -----------------------------------------------------------
@@ -118,11 +136,11 @@ def test_series_pe_step():
     # connecting edge, and the other missing colors are closed
     phi1 = state.coloring(1)
     t1 = state.tree(1)
-    gamma_edges = [e for e in G.boundary(t1.vertex_set)
+    gamma_edges = [e for e in graph_boundary(G, t1.vertex_set)
                    if phi1.color_of(e) == pe.gamma]
     assert gamma_edges == [9]
     for c in phi1.missing_union(t1.vertices) - {pe.delta}:
-        assert all(phi1.color_of(e) != c for e in G.boundary(t1.vertex_set))
+        assert all(phi1.color_of(e) != c for e in graph_boundary(G, t1.vertex_set))
 
 
 def test_series_se_step():
@@ -212,7 +230,7 @@ def test_pe_postconditions_on_forged_row(change, message):
 
 
 def test_colored_boundary_matches_whole_graph_scan():
-    """The one boundary read per row against `Multigraph.boundary`, on the
+    """The one boundary read per row against `oracles.graph_boundary`, on the
     root, the closure and every segment of the closure of each uncolored
     edge, with the closure and defective-color predicates derived from it
     as `series_step` derives them."""
@@ -228,7 +246,7 @@ def test_colored_boundary_matches_whole_graph_scan():
             for tree in trees:
                 boundary = tashkinov._colored_boundary(G, pc, tree)
                 scanned = {}
-                for e in sorted(G.boundary(tree.vertex_set)):
+                for e in sorted(graph_boundary(G, tree.vertex_set)):
                     if pc.is_colored(e):
                         scanned.setdefault(pc.color_of(e), []).append(e)
                 assert {c: [e for e, _ in found]
@@ -244,7 +262,7 @@ def test_colored_boundary_matches_whole_graph_scan():
                     v, f, alpha = tashkinov._max_defective(tree, boundary)
                     assert (tree.vertices.index(v), -f) == max(
                         (tree.vertices.index(w), -e)
-                        for e in G.boundary(tree.vertex_set)
+                        for e in graph_boundary(G, tree.vertex_set)
                         if pc.color_of(e) in defective
                         for w in G.endpoints(e) if w in tree.vertex_set)
                     assert alpha == pc.color_of(f)
