@@ -4,7 +4,10 @@
 Each kernel is called directly on fixed inputs, best of five, and the
 results are printed as a small table. The `extend` rows time
 `engine.color_at_k(G, Delta)` on the dense graphs, which runs the direct
-step and the chain swap once per edge:
+step and the chain swap once per edge. The `closure` rows time
+`color_at_k(ring(1001, 7), 14)` and `color_at_k(ring(2001, 3), 6)`, each
+one color below the ring's ceil(density): the last edge resists, and the
+series closes a tree over the whole ring, so `tashkinov.taa_close` dominates:
 
     PYTHONPATH=src python3 benchmarks/kernel_bench.py
 """
@@ -66,11 +69,22 @@ def bench_extend(rows):
         rows.append(("extend", name, time_call(color_at_k, G, G.max_degree())))
 
 
+# odd multi-rings above the density scan's vertex cap, one color short
+CLOSURE_CASES = [("ring(1001,7) k=14", ring(1001, 7), 14),
+                 ("ring(2001,3) k=6", ring(2001, 3), 6)]
+
+
+def bench_closure(rows):
+    for name, G, k in CLOSURE_CASES:
+        rows.append(("closure", name, time_call(color_at_k, G, k, repeat=3)))
+
+
 def main():
     rows = []
     bench_feasible(rows)
     bench_density(rows)
     bench_extend(rows)
+    bench_closure(rows)
     width = max(len(r[1]) for r in rows)
     print(f"{'kernel':<12} {'case':<{width}} {'time (ms)':>10}")
     for kernel, name, seconds in rows:

@@ -19,7 +19,7 @@ tree. The series steps on the coloring it is given, which is one of them: the
 defective boundary edge and the PE witness come from the row's own coloring.
 A row reads its tree's colored boundary once, off the coloring's tables, and
 takes closedness, the defective colors, the maximum defective edge and the
-revisiting candidates from that one read; each closure round reads it too.
+revisiting candidates from that one read.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .coloring import PartialColoring, kempe_chain, kempe_swap, swap_outside
+from .coloring import (PartialColoring, kempe_chain, kempe_swap, mask_colors,
+                       swap_outside)
 from .graph import Multigraph
 
 
@@ -98,18 +99,40 @@ class TreeSequence:
 def taa_close(G: Multigraph, pc: PartialColoring, T: TreeSequence) -> TreeSequence:
     """Greedy closure: absorb boundary edges colored with tree-missing colors.
 
-    Each round reads `_colored_boundary` and absorbs the lowest such edge
-    id, which fixes the edge list; the vertex set is the same in any order.
+    Each join takes the boundary edge with the least (tree index of its
+    in-end, color) among those whose color some tree vertex misses. One
+    forward scan over the tree finds it, off pc's per-vertex tables: a
+    vertex with no such edge is passed, and stays passed until a join adds
+    a new missing color to the tree, which sends the scan back to index 0.
+    So each vertex is read once per new missing color. The vertex set is
+    the same in any order.
     """
-    cur = T
-    while True:
-        miss = pc.missing_union(cur.vertices)
-        boundary = _colored_boundary(G, pc, cur)
-        hits = [found[0] for c, found in boundary.items() if c in miss]
-        if not hits:
-            return cur
-        f, i = min(hits)
-        cur = cur.grow(f, G.other_end(f, cur.vertices[i]))
+    ends, at, present = G._ends, pc._at, pc._mask
+    full = (1 << (pc.k + 1)) - 2
+    edges, vertices = list(T.edges), list(T.vertices)
+    inside = set(vertices)
+    miss = 0
+    for v in vertices:
+        miss |= full & ~present[v]
+    i = 0
+    while i < len(vertices):
+        v = vertices[i]
+        i += 1
+        for c in mask_colors(present[v] & miss):
+            e = at[v][c]
+            a, b = ends[e]
+            w = b if a == v else a
+            if w in inside:
+                continue
+            edges.append(e)
+            vertices.append(w)
+            inside.add(w)
+            new = full & ~present[w] & ~miss
+            if new:
+                miss |= new
+                i = 0
+                break
+    return TreeSequence(edges, vertices)
 
 
 @dataclass(frozen=True)

@@ -357,19 +357,24 @@ def reference_closure_vertices(pc, tree):
 
 
 def reference_taa_close(G, pc, T):
-    """tashkinov.taa_close as it was before it read the tree's boundary off
-    the coloring's tables: each round scans every edge of G for the
-    boundary and absorbs the lowest-id edge colored with a tree-missing
-    color."""
+    """tashkinov.taa_close's order by brute force: after every join, every
+    edge of G is scanned for the boundary, and of the edges colored with a
+    color missing in the tree, the one with the least (tree index of its
+    in-end, color) is absorbed."""
     cur = T
     while True:
         miss = pc.missing_union(cur.vertices)
-        cand = [e for e in graph_boundary(G, cur.vertex_set) if pc.color_of(e) in miss]
+        index = {v: i for i, v in enumerate(cur.vertices)}
+        cand = []
+        for e in graph_boundary(G, cur.vertex_set):
+            if pc.color_of(e) in miss:
+                u, v = G.endpoints(e)
+                inner, outer = (u, v) if u in index else (v, u)
+                cand.append((index[inner], pc.color_of(e), e, outer))
         if not cand:
             return cur
-        f = min(cand)
-        u, v = G.endpoints(f)
-        cur = cur.grow(f, v if u in cur.vertex_set else u)
+        _, _, f, w = min(cand)
+        cur = cur.grow(f, w)
 
 
 def verify_by_scan(G, result):

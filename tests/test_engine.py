@@ -183,6 +183,18 @@ def test_extend_emits_certificate_evidence(triangle):
     assert certificate_check(triangle, ev.tree.vertex_set, 2)
 
 
+def test_tree_certificate_above_the_density_cap():
+    # ring(1001, 7) at k = 14 < density 14 + 7/500: the last edge resists,
+    # and the series grows one tree over all 1,001 vertices that certifies
+    # the bound, far above the 16-vertex cap of the density scan
+    G = ring(1001, 7)
+    pc, trace, ev = color_at_k(G, 14)
+    assert len(trace) == 7000
+    assert ev.kind == "elementary_strongly_closed_tree"
+    assert ev.tree.vertex_set == set(range(1001))
+    assert certificate_check(G, ev.tree.vertex_set, 14)
+
+
 def test_extend_evidence_structure():
     # the evidence invariants: odd vertex count, both root ends inside,
     # elementary and strongly closed under the attempt coloring

@@ -206,4 +206,4 @@ def test_kernel_bench_runs(capsys):
     bench.main()
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [r.split()[0] for r in rows] == \
-        ["feasible"] * 7 + ["density"] * 6 + ["extend"] * 3
+        ["feasible"] * 7 + ["density"] * 6 + ["extend"] * 3 + ["closure"] * 2
