@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import generators
-from .density import ORACLE_EDGE_CAP, bound_report, chromatic_index_exact
+from .density import bound_report, chromatic_index_exact
 from .engine import (METHODS, IncompleteColoringError, _color, color,
                      result_from_json, verify_result)
 from .graph import Multigraph, ParseError, ScaleExceededError, parse_multigraph
@@ -83,7 +83,7 @@ def cmd_color(args) -> int:
     if G is None:
         return 1
     try:
-        result = color(G, fallback_threshold=args.fallback_threshold)
+        result = color(G)
     except IncompleteColoringError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -138,14 +138,13 @@ def _bench_instances(args):
             yield path, parse_multigraph(fh.read())
 
 
-def _bench_row(task):
-    """One instance's row fields (sans index); safe to run in a worker."""
-    name, G, threshold, oracle, timings = task
+def _bench_row(name, G, oracle, timings):
+    """One instance's row fields (sans index)."""
     t0 = time.perf_counter()
     rep = bound_report(G)
     status = "ok"
     try:
-        result = _color(G, rep, threshold)
+        result = _color(G, rep)
         k_used = result.k_used
         tags = list(result.trace.values())
         counts = [tags.count(m) for m in METHODS]
@@ -181,45 +180,15 @@ def cmd_bench(args) -> int:
     instances = _read_graph(lambda: list(_bench_instances(args)))
     if instances is None:
         return 1
-    tasks = [(name, G, args.fallback_threshold, args.oracle, args.timings)
-             for name, G in instances]
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # rows come back in instance order regardless of completion order
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_bench_row, tasks, chunksize=16)
-    else:
-        rows = [_bench_row(t) for t in tasks]
     violations = 0
-    for idx, row in enumerate(rows):
+    for idx, (name, G) in enumerate(instances):
+        row = _bench_row(name, G, args.oracle, args.timings)
         if row[-1 - int(args.timings)] not in ("ok", "oracle-skipped"):
             violations += 1
         writer.writerow([idx] + row)
     if _emit(out.getvalue(), args):
         return 1
     return 0 if violations == 0 else 4
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _threshold(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= ORACLE_EDGE_CAP:
-        raise argparse.ArgumentTypeError(
-            f"must be in 0..{ORACLE_EDGE_CAP}, got {value}")
-    return value
-
-
-def _add_run_flags(p):
-    p.add_argument("--fallback-threshold", type=_threshold, default=25,
-                   help="edge count at or below which extension may use "
-                        f"exact backtracking, 0..{ORACLE_EDGE_CAP}")
 
 
 def _add_output_flags(p):
@@ -238,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", nargs="+", metavar="ARG",
                    help="named instance: petersen | shannon MU | ring N [MU] | "
                         "random N M SEED")
-    _add_run_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_color)
 
@@ -260,14 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "to the whole corpus")
     p.add_argument("--oracle", action="store_true",
                    help="include exact chi' and fail the run on any bound violation")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes, at most one per instance and per "
-                        "CPU; output order is by instance index either way")
     p.add_argument("--timings", action="store_true",
                    help="append a wall-clock column (breaks byte-for-byte "
                         "determinism)")
     p.add_argument("--out", help="write the CSV to this file instead of stdout")
-    _add_run_flags(p)
     p.set_defaults(func=cmd_bench)
     return ap
 

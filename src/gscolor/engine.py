@@ -3,10 +3,11 @@
 Colors every edge using at most max(Delta+1, ceil(density)) colors: the lower
 bound max(Delta, ceil(density)) is attempted first so class-1-like instances
 come out optimal, and a failed attempt escalates once to the guaranteed
-bound. Per edge the driver tries a shared
-missing color, then a two-colored chain swap between the ends' missing
-colors; at or below a configurable edge count an exact backtracking fallback
-makes the contract unconditional. The fallback is one search
+bound. Per edge the driver tries a shared missing color, then a
+two-colored chain swap between the ends' missing colors; on a graph of at
+most ORACLE_EDGE_CAP (25) edges an exact backtracking fallback makes the
+contract unconditional. The edge count is fixed, not a setting, because it
+is the exact search's own cap. The fallback is one search
 (`_kernels.chromatic_feasible`) over the colored edges plus the new one, in
 the oracle's edge order (`density._oracle_edge_order`), and its first
 coloring becomes the new coloring. The direct and chain-swap steps mutate
@@ -183,9 +184,10 @@ def result_from_json(G: Multigraph, text: str) -> ColoringResult:
 
 
 class IncompleteColoringError(Exception):
-    """Heuristic extension failed at the guaranteed bound above the exact
-    fallback threshold; `result` is the partial record at that k, and
-    `edge` is the edge that resisted, uncolored in that record."""
+    """Heuristic extension failed at the guaranteed bound on a graph of more
+    than ORACLE_EDGE_CAP edges, where no exact fallback runs; `result` is
+    the partial record at that k, and `edge` is the edge that resisted,
+    uncolored in that record."""
 
     def __init__(self, result: ColoringResult, edge: int):
         super().__init__(f"incomplete (budget) at k={result.k_used}, edge {edge}")
@@ -254,14 +256,7 @@ def _tree_evidence(G, tree, k):
     return None
 
 
-def _check_threshold(fallback_threshold: int):
-    if not 0 <= fallback_threshold <= ORACLE_EDGE_CAP:
-        raise ValueError(f"fallback threshold {fallback_threshold} outside "
-                         f"0..{ORACLE_EDGE_CAP}")
-
-
-def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
-           fallback_threshold: int = 25) -> ExtendOutcome:
+def extend(G: Multigraph, pc: PartialColoring, eid: int) -> ExtendOutcome:
     """Color one edge or report why k colors resist.
 
     The direct step (a color missing at both ends) and the chain swap mutate
@@ -273,17 +268,15 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
     only when the last row is strongly closed, and evidence is returned when
     that tree is elementary and certifies k. The series never changes pc.
     Uncolored edges other than eid are invisible to the machinery, so this
-    works midway through a coloring run. Within the fallback threshold the
+    works midway through a coloring run. On a graph of at most
+    ORACLE_EDGE_CAP edges, the edge cap of `chromatic_index_exact`, the
     answer is exact: one search over a graph of the colored edges plus eid,
     whose edge i is G's edge keep[i], either finds a k-coloring, and its
     first one, mapped back through keep, is returned as a new coloring, or
     establishes that there is none. keep ascends, so the oracle's edge order
     breaks ties on that graph as it would on G's ids. Otherwise the
-    evidence is budget_exhausted, with the series' final tree. The
-    threshold must lie in 0..ORACLE_EDGE_CAP, the edge cap of
-    `chromatic_index_exact`; ValueError otherwise.
+    evidence is budget_exhausted, with the series' final tree.
     """
-    _check_threshold(fallback_threshold)
     if pc.color_of(eid) is not None:
         raise ValueError("edge already colored")
     out = _try_direct(pc, eid)
@@ -301,7 +294,7 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
         if ev is not None:
             return ExtendOutcome("evidence", None, ev, None)
 
-    if G.m <= fallback_threshold:
+    if G.m <= ORACLE_EDGE_CAP:
         keep = [e for e in G.edge_ids if pc.is_colored(e) or e == eid]
         H = Multigraph.build(G.vertex_count, [G.endpoints(e) for e in keep])
         ordered, eu, ev = _oracle_edge_order(H)
@@ -317,19 +310,18 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int, *,
 # -- the driver -----------------------------------------------------------------
 
 
-def color_at_k(G: Multigraph, k: int, *, fallback_threshold: int = 25):
+def color_at_k(G: Multigraph, k: int):
     """Try to color every edge with k colors.
 
     Returns (coloring, trace, evidence). The trace maps each colored edge
     to its method. evidence is None on success; otherwise it is what the
     first edge that resisted produced against k, and the coloring is
-    partial. ValueError for a fallback threshold outside 0..ORACLE_EDGE_CAP.
+    partial.
     """
-    _check_threshold(fallback_threshold)
     pc = PartialColoring(G, k)
     trace = {}
     for eid in _oracle_edge_order(G)[0]:
-        out = extend(G, pc, eid, fallback_threshold=fallback_threshold)
+        out = extend(G, pc, eid)
         if out.status == "colored":
             pc = out.coloring
             trace[eid] = out.method
@@ -338,24 +330,24 @@ def color_at_k(G: Multigraph, k: int, *, fallback_threshold: int = 25):
     return pc, trace, None
 
 
-def color(G: Multigraph, *, fallback_threshold: int = 25) -> ColoringResult:
+def color(G: Multigraph) -> ColoringResult:
     """Color G with at most max(Delta+1, ceil(density)) colors.
 
     Starts at the certified lower bound and escalates once on failure; at
-    desk scale (m within the fallback threshold) the escalated attempt cannot
-    fail. Identical inputs give identical results, including the trace.
+    desk scale (m <= ORACLE_EDGE_CAP) the escalated attempt cannot fail.
+    Identical inputs give identical results, including the trace.
     IncompleteColoringError carries the partial record of the last attempt.
     A record with k_used > Delta+1 carries Gamma's odd set as its one
     certificate, against k_used - 1 (see the module docstring).
     """
-    return _color(G, bound_report(G), fallback_threshold)
+    return _color(G, bound_report(G))
 
 
-def _color(G: Multigraph, rep, fallback_threshold: int) -> ColoringResult:
+def _color(G: Multigraph, rep) -> ColoringResult:
     """`color` against a bound report of G that the caller already has."""
     schedule = [rep.lower] if rep.lower == rep.gs_upper else [rep.lower, rep.gs_upper]
     for k in schedule:
-        pc, trace, evidence = color_at_k(G, k, fallback_threshold=fallback_threshold)
+        pc, trace, evidence = color_at_k(G, k)
         # k >= ceil(Gamma), so the evidence never certifies; above Delta+1,
         # k = ceil(Gamma) and Gamma's odd set proves k - 1 colors too few
         certs = ([(DensityCertificate(rep.gamma_set, rep.gamma), k - 1)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, islice, permutations
 
@@ -32,13 +33,27 @@ def ring(n: int, mu: int = 1) -> Multigraph:
     return Multigraph.build(n, pairs)
 
 
+def _nth_pair(n: int, i: int) -> tuple:
+    """Item i of combinations(range(n), 2), found without the list: counted
+    from the end, it lies in the r-th last row, which starts at vertex
+    n - 2 - r and holds r + 1 pairs."""
+    j = n * (n - 1) // 2 - 1 - i
+    r = (math.isqrt(8 * j + 1) - 1) // 2
+    return n - 2 - r, n - 1 - (j - r * (r + 1) // 2)
+
+
 def random_multigraph(n: int, m: int, seed: int, *, mu_max: int | None = None) -> Multigraph:
-    """Uniform random endpoint pairs, optionally capped per-pair; deterministic."""
+    """Uniform random endpoint pairs, optionally capped per-pair; deterministic.
+    Uncapped, no pair list is built, so the cost is O(n + m) whatever n is."""
     if n < 2 and m > 0:
         raise ValueError("need at least two vertices to place an edge")
     rng = random.Random(seed)
+    if mu_max is None:
+        # choice draws the same index from a range as from the pair list
+        indices = range(n * (n - 1) // 2)
+        return Multigraph.build(n, [_nth_pair(n, rng.choice(indices)) for _ in range(m)])
     # the pairs below the cap, in order: each draw sees what a full filter gives
-    avail = list(combinations(range(n), 2)) if mu_max is None or mu_max > 0 else []
+    avail = list(combinations(range(n), 2)) if mu_max > 0 else []
     counts = dict.fromkeys(avail, 0)
     pairs = []
     for _ in range(m):
@@ -54,6 +69,10 @@ def random_multigraph(n: int, m: int, seed: int, *, mu_max: int | None = None) -
 
 # Vectors per call of the canonicity filter, which holds one block at a time.
 SURVIVOR_BLOCK = 4096
+
+# The most vertices the exhaustive corpus takes: the 15 pairs of 6 vertices
+# fill 60 bits of the int64 nibble key, and 21 pairs would not fit.
+EXHAUSTIVE_N_CAP = 6
 
 
 def _canonical_survivors(n: int, m_max: int, pairs):
@@ -96,13 +115,18 @@ def _canonical_survivors(n: int, m_max: int, pairs):
 def exhaustive_connected(n_max: int, m_max: int):
     """All connected multigraphs with n <= n_max and m <= m_max, one labeled
     representative per isomorphism class, in a deterministic order.
-    ValueError when n_max < 1 or m_max < 0."""
+    ValueError when n_max < 1 or m_max < 0, or when graphs of more than
+    EXHAUSTIVE_N_CAP vertices would be enumerated."""
     if n_max < 1 or m_max < 0:
         raise ValueError(f"exhaustive needs N >= 1 and M_MAX >= 0, "
                          f"got N = {n_max}, M_MAX = {m_max}")
-    yield Multigraph.build(1, [])
     # a connected graph on n vertices has at least n - 1 edges
-    for n in range(2, min(n_max, m_max + 1) + 1):
+    n_top = min(n_max, m_max + 1)
+    if n_top > EXHAUSTIVE_N_CAP:
+        raise ValueError(f"exhaustive takes at most {EXHAUSTIVE_N_CAP} vertices, "
+                         f"got min(N, M_MAX + 1) = {n_top}")
+    yield Multigraph.build(1, [])
+    for n in range(2, n_top + 1):
         pairs = list(combinations(range(n), 2))
         for vec in _canonical_survivors(n, m_max, pairs):
             if sum(vec) == 0:

@@ -50,9 +50,11 @@ def test_random_generator_respects_mu_cap():
 
 @pytest.mark.parametrize("mu_max", [None, 0, 1, 2, 4])
 def test_random_generator_matches_the_full_filter(mu_max):
-    """Keeping one list of open pairs draws the same graphs as filtering
-    every pair before each edge, "no room" errors included."""
-    for n in range(0, 7):
+    """Keeping one list of open pairs, or with no cap drawing pair indices
+    and building no list, gives the same graphs as filtering every pair
+    before each edge, "no room" errors included."""
+    sizes = [*range(0, 7), *([12, 16, 100] if mu_max is None else [])]
+    for n in sizes:
         for m in (0, 1, 3, 8, 15, 31):
             for seed in range(4):
                 try:
@@ -132,6 +134,18 @@ def test_exhaustive_stops_at_m_max_plus_one_vertices(monkeypatch):
     monkeypatch.setattr(gscolor.generators, "_canonical_survivors", bounded)
     corpus = list(exhaustive_connected(9, 1))
     assert [(G.vertex_count, G.m) for G in corpus] == [(1, 0), (2, 1)]
+
+
+def test_exhaustive_refuses_more_than_six_vertices():
+    """The canonicity key packs one nibble per vertex pair into an int64,
+    and 7 vertices have 21 pairs, which do not fit: (7, 6) used to yield 20
+    classes of 7-vertex trees, of which there are 11."""
+    with pytest.raises(ValueError, match="at most 6 vertices, got min"):
+        next(exhaustive_connected(7, 6))
+    # n_max only bounds n together with m_max + 1
+    corpus = list(exhaustive_connected(20, 3))
+    assert max(G.vertex_count for G in corpus) == 4
+    assert corpus == list(exhaustive_connected(4, 3))
 
 
 # -- color ------------------------------------------------------------------------
@@ -368,20 +382,16 @@ def test_format_parse_round_trip_on_generators():
         assert parse_multigraph(format_multigraph(G)) == G
 
 
-def test_cmd_color_incomplete_exit_code(tmp_path, capsys):
-    # heuristics alone cannot finish this instance at the guaranteed bound;
-    # with the exact fallback disabled the CLI reports incomplete (budget)
-    pairs = [(0, 3), (0, 3), (0, 4), (0, 4), (1, 2), (1, 2), (1, 3), (1, 4),
-             (2, 3), (2, 4)]
-    path = tmp_path / "hard.mg"
-    path.write_text(format_multigraph(Multigraph.build(5, pairs)))
-    code, _, err = run_cli(capsys, "color", str(path),
-                           "--fallback-threshold", "0")
+def test_cmd_color_incomplete_exit_code(capsys):
+    # heuristics alone cannot finish this instance at the guaranteed bound,
+    # and with m = 27 it lies above the exact fallback's 25-edge cap
+    code, _, err = run_cli(capsys, "color", "--gen", "ring", "9", "3")
     assert code == 2
     with pytest.raises(IncompleteColoringError) as exc:
-        color(Multigraph.build(5, pairs), fallback_threshold=0)
+        color(ring(9, 3))
     # one line, saying "incomplete (budget)" once and naming the edge
-    assert err == f"incomplete (budget) at k=5, edge {exc.value.edge}\n"
+    assert exc.value.edge == 25
+    assert err == "incomplete (budget) at k=7, edge 25\n"
 
 
 def _result_files(tmp_path, name, G, colors, k_used, certificates=()):
@@ -424,6 +434,7 @@ def _ring17_files(tmp_path, k_used):
     (["bench", "--gen", "exhaustive", "5"], 1, "bad generator"),
     (["bench", "--gen", "exhaustive", "5", "-1"], 1, "bad generator"),
     (["bench", "--gen", "exhaustive", "0", "3"], 1, "bad generator"),
+    (["bench", "--gen", "exhaustive", "7", "6"], 1, "bad generator"),
     (["bench", "{missing}"], 1, "cannot read graph"),
     (["color", "{binary}"], 1, "cannot read graph"),
     (["report", "{binary}"], 1, "cannot read graph"),
@@ -441,6 +452,7 @@ def _ring17_files(tmp_path, k_used):
         "color-gen-unknown", "color-gen-ring-too-small", "report-gen-extra-arg",
         "bench-gen-non-integer", "bench-gen-exhaustive-missing-arg",
         "bench-gen-exhaustive-negative-m", "bench-gen-exhaustive-no-vertices",
+        "bench-gen-exhaustive-above-six-vertices",
         "bench-missing-graph", "color-non-utf8-graph", "report-non-utf8-graph",
         "verify-non-utf8-graph", "bench-non-utf8-graph", "verify-nested-result", "color-unwritable-out",
         "report-unwritable-out", "bench-unwritable-out"])
@@ -526,11 +538,13 @@ def test_import_and_verify_leave_numpy_unloaded(tmp_path, capsys):
 
 
 def test_report_rejects_run_flags(capsys):
-    """report only reads a graph and prints its bounds, so
-    --fallback-threshold is a usage error there; --budget and --seed are
-    usage errors everywhere, because the search depth --budget set is a
-    constant and a result no longer records a seed."""
+    """--fallback-threshold, --budget, --seed and --jobs are usage errors
+    everywhere: the fallback's edge count and the search depth --budget set
+    are constants, a result no longer records a seed, and bench runs its
+    rows in one process."""
     for command, flag in [("report", "--seed"), ("report", "--fallback-threshold"),
+                          ("color", "--fallback-threshold"),
+                          ("bench", "--fallback-threshold"), ("bench", "--jobs"),
                           ("report", "--budget"), ("color", "--budget"),
                           ("bench", "--budget"), ("color", "--seed"),
                           ("bench", "--seed")]:
@@ -590,52 +604,21 @@ def test_out_probe_leaves_files_as_it_found_them(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_bench_rejects_jobs_below_one(capsys, jobs):
+    """bench runs its rows in one process and has no --jobs, so a worker
+    count it once refused as below one stays a usage error."""
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--gen", "petersen", "--jobs", jobs])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["color", "bench"])
 @pytest.mark.parametrize("threshold", ["26", "-1"])
 def test_fallback_threshold_outside_the_oracle_cap(capsys, command, threshold):
-    """--fallback-threshold takes 0..25, the exact search's own edge cap, so
-    the fallback never searches past it; anything else is a usage error."""
+    """The fallback's edge count is the constant ORACLE_EDGE_CAP, so a
+    --fallback-threshold outside 0..25, once refused by a range check, stays
+    a usage error: the flag itself is gone."""
     with pytest.raises(SystemExit) as exc:
         main([command, "--gen", "ring", "5", "30", "--fallback-threshold", threshold])
     assert exc.value.code == 2
-    assert "must be in 0..25" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("jobs, cpus, workers", [
-    ("64", 4, 3),     # no more workers than instances
-    ("64", 2, 2),     # nor than CPUs
-    ("2", 4, 2),
-    ("1", 4, None),   # serial: no pool at all
-])
-def test_bench_pool_size_is_bounded(capsys, monkeypatch, jobs, cpus, workers):
-    """The pool is a stub that maps in this process and records its size,
-    so the test starts no process."""
-    import multiprocessing
-    import os
-    sizes = []
-
-    class StubPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return list(map(fn, tasks))
-
-    monkeypatch.setattr(multiprocessing, "Pool", StubPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    args = ["bench", "--gen", "petersen", "--gen", "ring", "5", "--gen", "ring", "7"]
-    code, out, _ = run_cli(capsys, *args, "--jobs", jobs)
-    assert code == 0
-    assert sizes == ([] if workers is None else [workers])
-    assert out == run_cli(capsys, *args)[1]
+    assert "unrecognized arguments: --fallback-threshold" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gscolor import (Multigraph, PartialColoring, bound_report, build_series,
                      certificate_check, chromatic_index_exact, color,
                      color_at_k, extend, verify_result)
+from gscolor import engine
 from gscolor.engine import (ColoringResult, IncompleteColoringError, _try_kempe,
                             result_from_json)
 from gscolor.coloring import alternating_path, kempe_chain, kempe_swap, validate
@@ -208,13 +209,14 @@ def test_extend_evidence_structure():
 
 
 @pytest.mark.parametrize("make", [make_pe_instance, make_se_instance])
-def test_failed_extend_reports_the_series_tree(make):
+def test_failed_extend_reports_the_series_tree(make, monkeypatch):
     """With no fallback, an edge that resists the direct step and the chain
     swap ends in budget_exhausted: the series ran once, left the coloring
     as it was, and its own final tree is the evidence."""
+    monkeypatch.setattr(engine, "ORACLE_EDGE_CAP", 0)
     G, pc = make()
     before = pc.clone()
-    out = extend(G, pc, 0, fallback_threshold=0)
+    out = extend(G, pc, 0)
     assert out.status == "evidence" and out.evidence.kind == "budget_exhausted"
     assert pc == before
     assert out.evidence.tree == build_series(G, 0, pc).final_tree
@@ -431,43 +433,27 @@ def test_engine_random_instances_within_bounds():
         assert chi <= res.k_used
 
 
-def test_incomplete_carries_partial_coloring():
+def test_incomplete_carries_partial_coloring(monkeypatch):
     """With the exact fallback disabled, a heuristic dead end at the
     guaranteed bound raises an explicit incomplete failure holding the
     partial coloring (never an improper or over-budget result)."""
     pairs = [(0, 3), (0, 3), (0, 4), (0, 4), (1, 2), (1, 2), (1, 3), (1, 4),
              (2, 3), (2, 4)]
     G = Multigraph.build(5, pairs)
-    with pytest.raises(IncompleteColoringError) as exc:
-        color(G, fallback_threshold=0)
+    with monkeypatch.context() as patch, \
+            pytest.raises(IncompleteColoringError) as exc:
+        patch.setattr(engine, "ORACLE_EDGE_CAP", 0)
+        color(G)
     partial = exc.value.result.coloring
     assert validate(G, partial) == []
     assert 0 < sum(1 for e in G.edge_ids if partial.color_of(e) is not None) < G.m
     # the edge that resisted is one of G's, left uncolored in the record
     assert exc.value.edge in G.edge_ids
     assert partial.color_of(exc.value.edge) is None
-    # the default fallback threshold completes the same instance
+    # the exact fallback, at its 25-edge cap, completes the same instance
     res = color(G)
     assert res.k_used == 5
     assert "fallback" in res.trace.values()
-
-
-@pytest.mark.parametrize("threshold", [-1, 26])
-def test_fallback_threshold_outside_the_oracle_cap_is_rejected(triangle, threshold):
-    """The exact fallback runs only within the oracle's 25-edge cap, so a
-    threshold outside 0..25 is a ValueError, not an unbounded search."""
-    with pytest.raises(ValueError, match="fallback threshold"):
-        color(triangle, fallback_threshold=threshold)
-
-
-@pytest.mark.parametrize("threshold", [-1, 26, 1000])
-def test_fallback_threshold_is_rejected_on_a_graph_without_edges(threshold):
-    """The range check does not wait for an edge to extend."""
-    G = Multigraph.build(3, [])
-    with pytest.raises(ValueError, match="fallback threshold"):
-        color(G, fallback_threshold=threshold)
-    with pytest.raises(ValueError, match="fallback threshold"):
-        color_at_k(G, 0, fallback_threshold=threshold)
 
 
 def _doubled(G):
@@ -508,18 +494,21 @@ def test_color_output_is_pinned(make, digest):
 
 def test_output_digest_runs(capsys):
     """benchmarks/output_digest.py prints one digest line per workload, and
-    tight_family's and desk_corpus's are the pinned ones; desk_corpus pins
-    the output of both the exhaustive and the random generator."""
+    all three are the pinned ones. desk_corpus pins the output of both the
+    exhaustive and the capped random generator; dense_multi is the one
+    workload drawn by the uncapped random generator."""
     path = Path(__file__).parents[1] / "benchmarks" / "output_digest.py"
     spec = importlib.util.spec_from_file_location("output_digest", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    assert tool.main(["tight_family", "desk_corpus"]) == 0
+    assert tool.main(["tight_family", "desk_corpus", "dense_multi"]) == 0
     assert capsys.readouterr().out == (
         "tight_family 1755 147 "
         "9d15a7c9924384eca56425ba3d2fd5ed9f25026d7c2ce6060a5bfe9bddfa2ab2\n"
         "desk_corpus 2434 0 "
-        "a444b3183b9c00ab51246dfe5e12c2996416d92b0498002a188ec7882c314ecd\n")
+        "a444b3183b9c00ab51246dfe5e12c2996416d92b0498002a188ec7882c314ecd\n"
+        "dense_multi 200 2 "
+        "4c763c2dd6cff3aeb7a4cb4218abcc9f2e95dceac83ec1d16c01b10bf1b3a36f\n")
 
 
 # The same pins for instances that reach the exact fallback, taken before it

@@ -362,11 +362,12 @@ def test_series_ledgers_pinned(monkeypatch, tmp_path):
         return state
 
     monkeypatch.setattr(engine, "build_series", recording)
+    monkeypatch.setattr(engine, "ORACLE_EDGE_CAP", 0)
     for inst in workloads.build("tight_family", 1, str(tmp_path)):
         G = inst.graph
         rep = bound_report(G)
         for k in range(rep.lower - 1, rep.gs_upper + 1):
-            engine.color_at_k(G, k, fallback_threshold=0)
+            engine.color_at_k(G, k)
     digest = hashlib.sha256()
     for state in states:
         digest.update(state.to_ledger_json().encode())
