@@ -3,8 +3,9 @@
 
 Each kernel is called directly on fixed inputs, best of five, and the
 results are printed as a small table. The `extend` rows time
-`engine.color_at_k(G, Delta)` on the dense graphs, which runs the direct
-step and the chain swap once per edge. The `closure` rows time
+`engine.color_at_k(G, Delta)` on the dense graphs: the direct step on
+every edge, in `color_at_k`'s own loop, and `engine.extend` (whose chain
+swap colors them here) on the few edges that resist it. The `closure` rows time
 `color_at_k(ring(1001, 7), 14)` and `color_at_k(ring(2001, 3), 6)`, each
 one color below the ring's ceil(density): the last edge resists, and the
 series closes a tree over the whole ring, so `tashkinov.taa_close` dominates:

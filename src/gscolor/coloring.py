@@ -121,10 +121,17 @@ class PartialColoring:
         if eid in self._color:
             raise ValueError(f"edge {eid} already colored")
         u, v = ends[eid]
+        if (self._mask[u] | self._mask[v]) & (1 << color):
+            raise ValueError(f"color {color} already present at an end of edge {eid}")
+        self._write(eid, color)
+
+    def _write(self, eid: int, color: int):
+        """`assign` without its checks: the caller knows that eid is an
+        uncolored edge of the graph and that color, in 1..k, is missing at
+        both its ends."""
+        u, v = self.graph._ends[eid]
         mask, present = self._mask, self._present
         bit = 1 << color
-        if (mask[u] | mask[v]) & bit:
-            raise ValueError(f"color {color} already present at an end of edge {eid}")
         self._color[eid] = color
         self._at[u][color] = eid
         self._at[v][color] = eid
@@ -144,11 +151,22 @@ class PartialColoring:
 
     def recolor(self, flips):
         """Apply (edge, new color) pairs in place; all listed edges are
-        uncolored first, so they may trade colors as a chain swap does."""
-        for e, _ in flips:
-            self.unassign(e)
-        for e, c in flips:
-            self.assign(e, c)
+        uncolored first, so they may trade colors as a chain swap does.
+        A list that `unassign` or `assign` rejects (an uncolored or repeated
+        edge, a color out of range or clashing) raises with every edge back
+        in its old color."""
+        old = {e: self._color[e] for e, _ in flips}
+        try:
+            for e, _ in flips:
+                self.unassign(e)
+            for e, c in flips:
+                self.assign(e, c)
+        except (KeyError, ValueError):
+            for e in old.keys() & self._color.keys():
+                self.unassign(e)
+            for e, c in old.items():
+                self._write(e, c)
+            raise
 
     def __eq__(self, other):
         if not isinstance(other, PartialColoring):
@@ -168,7 +186,7 @@ class _ReadOnlyColoring(PartialColoring):
     def _refuse(self, *args):
         raise TypeError("an unchecked coloring is read-only")
 
-    assign = unassign = recolor = clone = _refuse
+    assign = _write = unassign = recolor = clone = _refuse
 
 
 def _in_range(c, k: int) -> bool:

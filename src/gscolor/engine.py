@@ -3,8 +3,9 @@
 Colors every edge using at most max(Delta+1, ceil(density)) colors: the lower
 bound max(Delta, ceil(density)) is attempted first so class-1-like instances
 come out optimal, and a failed attempt escalates once to the guaranteed
-bound. Per edge the driver tries a shared missing color, then a
-two-colored chain swap between the ends' missing colors; on a graph of at
+bound. Per edge the driver tries a shared missing color (the direct step)
+in its own loop. Only an edge that resists it goes to `extend`, which tries
+a two-colored chain swap between the ends' missing colors; on a graph of at
 most ORACLE_EDGE_CAP (25) edges an exact backtracking fallback makes the
 contract unconditional. The edge count is fixed, not a setting, because it
 is the exact search's own cap. The fallback is one search
@@ -199,12 +200,13 @@ class IncompleteColoringError(Exception):
 
 
 def _try_direct(pc: PartialColoring, eid: int):
-    """Assign the smallest color missing at both ends, in place; pc or None."""
+    """Give the uncolored edge eid the smallest color missing at both ends,
+    in place (unchecked: the color is free there); pc or None."""
     x, y = pc.graph._ends[eid]
     common = ((1 << (pc.k + 1)) - 2) & ~(pc._mask[x] | pc._mask[y])
     if not common:
         return None
-    pc.assign(eid, (common & -common).bit_length() - 1)
+    pc._write(eid, (common & -common).bit_length() - 1)
     return pc
 
 
@@ -242,7 +244,7 @@ def _try_kempe(pc: PartialColoring, eid: int):
                 continue
             edges, _ = alternating_path(pc, x, b, a)
             pc.recolor([(e, b if i % 2 else a) for i, e in enumerate(edges)])
-            pc.assign(eid, b)
+            pc._write(eid, b)
             return pc
     return None
 
@@ -257,11 +259,13 @@ def _tree_evidence(G, tree, k):
 
 
 def extend(G: Multigraph, pc: PartialColoring, eid: int) -> ExtendOutcome:
-    """Color one edge or report why k colors resist.
+    """Color one uncolored edge of G or report why k colors resist.
 
-    The direct step (a color missing at both ends) and the chain swap mutate
-    pc: they color the edge in place and return pc itself as the coloring;
-    when they fail they leave pc untouched. The chain swap scans from one
+    `color_at_k` calls it only for an edge that its own direct step left
+    uncolored; called directly, it tries that step first too. The direct
+    step (a color missing at both ends) and the chain swap mutate pc: they
+    color the edge in place and return pc itself as the coloring; when they
+    fail they leave pc untouched. The chain swap scans from one
     end only, because the direct step failing leaves the ends' missing sets
     disjoint (see the module docstring). Then the extension series runs once,
     and a stuck step ends it as budget_exhausted; its tree is audited
@@ -277,7 +281,9 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int) -> ExtendOutcome:
     breaks ties on that graph as it would on G's ids. Otherwise the
     evidence is budget_exhausted, with the series' final tree.
     """
-    if pc.color_of(eid) is not None:
+    if not 0 <= eid < G.m:
+        raise ValueError(f"edge {eid} outside 0..{G.m - 1}")
+    if pc.is_colored(eid):
         raise ValueError("edge already colored")
     out = _try_direct(pc, eid)
     if out is not None:
@@ -316,17 +322,21 @@ def color_at_k(G: Multigraph, k: int):
     Returns (coloring, trace, evidence). The trace maps each colored edge
     to its method. evidence is None on success; otherwise it is what the
     first edge that resisted produced against k, and the coloring is
-    partial.
+    partial. Each edge, in the oracle's edge order, first gets the direct
+    step here; `extend` runs only for the edges that resist it, so the
+    results are those of calling `extend` on every edge.
     """
     pc = PartialColoring(G, k)
     trace = {}
     for eid in _oracle_edge_order(G)[0]:
+        if _try_direct(pc, eid) is not None:
+            trace[eid] = "direct"
+            continue
         out = extend(G, pc, eid)
-        if out.status == "colored":
-            pc = out.coloring
-            trace[eid] = out.method
-        else:
+        if out.status != "colored":
             return pc, trace, out.evidence
+        pc = out.coloring
+        trace[eid] = out.method
     return pc, trace, None
 
 

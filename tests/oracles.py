@@ -12,7 +12,7 @@ from itertools import combinations
 
 from gscolor import Multigraph
 from gscolor.coloring import KempeChain, PartialColoring, alternating_path
-from gscolor.density import enumerate_colorings
+from gscolor.density import _oracle_edge_order, enumerate_colorings
 
 
 def brute_density(G):
@@ -185,6 +185,22 @@ def reference_kempe_step(pc, eid):
             pc.assign(eid, b)
             return pc
     return None
+
+
+def reference_color_at_k(G, k):
+    """engine.color_at_k as it was before it ran the direct step itself:
+    `extend` on every edge, in the oracle's edge order, stopping at the
+    first edge that returns evidence."""
+    from gscolor.engine import extend
+    pc = PartialColoring(G, k)
+    trace = {}
+    for eid in _oracle_edge_order(G)[0]:
+        out = extend(G, pc, eid)
+        if out.status != "colored":
+            return pc, trace, out.evidence
+        pc = out.coloring
+        trace[eid] = out.method
+    return pc, trace, None
 
 
 def reference_validate(G, pc):

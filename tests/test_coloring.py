@@ -178,6 +178,24 @@ def test_unassign_refuses_before_changing_anything():
     assert _tables(bare) == before
 
 
+@pytest.mark.parametrize("flips, error", [
+    ([(0, 2)], ValueError),                    # clashes with edge 1 at vertex 1
+    ([(0, 2), (1, 1), (0, 3)], KeyError),      # edge 0 listed twice
+    ([(0, 3), (1, 3)], ValueError),            # edge 0 takes 3, then edge 1 clashes
+])
+def test_rejected_recolor_restores_the_coloring(flips, error):
+    """A flip list that recolor rejects midway raises with every edge back
+    in its old color and the tables matching the assignment."""
+    G = Multigraph.build(3, [(0, 1), (1, 2)])
+    pc = PartialColoring(G, 3, {0: 1, 1: 2})
+    before = pc.clone()
+    with pytest.raises(error):
+        pc.recolor(flips)
+    assert pc == before
+    assert _tables(pc)[:3] == _tables(before)[:3]
+    assert_tables_consistent(pc)
+
+
 @pytest.mark.parametrize("color", [True, 1.0])
 def test_assign_accepts_only_int_colors(color):
     """True and 1.0 compare equal to 1 but are not colors: a ValueError

@@ -21,8 +21,8 @@ from gscolor.generators import (exhaustive_connected, petersen,
                                 random_multigraph, ring, shannon_triangle)
 from conftest import make_pe_instance, make_se_instance
 from oracles import (assert_tables_consistent, random_multigraph_pairs,
-                     random_proper_coloring, reference_kempe_step,
-                     verify_by_scan)
+                     random_proper_coloring, reference_color_at_k,
+                     reference_kempe_step, verify_by_scan)
 
 
 def test_color_petersen():
@@ -172,6 +172,78 @@ def test_kempe_ends_test_matches_walking_every_pair():
             else:
                 assert got is pc and pc == expected
     assert only_x_and_y > 0 and walked_to_y > 0
+
+
+def _run_matches_the_reference(G, k):
+    """color_at_k(G, k) and reference_color_at_k(G, k) give the same
+    coloring, trace and evidence; returns the trace and the evidence."""
+    pc, trace, ev = color_at_k(G, k)
+    ref_pc, ref_trace, ref_ev = reference_color_at_k(G, k)
+    assert pc == ref_pc and list(trace.items()) == list(ref_trace.items())
+    assert (ev is None) == (ref_ev is None)
+    if ev is not None:
+        assert (ev.kind, ev.k, ev.tree.edges, ev.tree.vertices) == \
+            (ref_ev.kind, ref_ev.k, ref_ev.tree.edges, ref_ev.tree.vertices)
+    return trace, ev
+
+
+def test_color_at_k_matches_extend_on_every_edge():
+    """Running the direct step in color_at_k's own loop, and extend only on
+    the edges it leaves, changes no coloring, trace or evidence: on 300
+    random multigraphs with n from 3 to 16 at k = Delta and Delta + 1, and
+    on the canonical tight instances (the odd multi-rings and Petersen
+    multiples) at every k from one below the lower bound to the guaranteed
+    bound. Every method and both evidence kinds occur."""
+    rng = random.Random(23)
+    runs = []
+    for trial in range(300):
+        n = 3 + trial % 14
+        m = rng.randint(n, min(8 * n, 2 * n * (n - 1)))
+        G = Multigraph.build(n, random_multigraph_pairs(n, m, rng, mu_max=4))
+        runs += [(G, G.max_degree()), (G, G.max_degree() + 1)]
+    P = petersen()
+    tight = [ring(n, mu) for n in range(5, 16, 2) for mu in range(2, 6)]
+    tight += [Multigraph.build(10, [P.endpoints(e) for e in P.edge_ids for _ in range(mu)])
+              for mu in (1, 2, 3)]
+    for G in tight:
+        rep = bound_report(G)
+        runs += [(G, k) for k in range(rep.lower - 1, rep.gs_upper + 1)]
+    methods, kinds = set(), set()
+    for G, k in runs:
+        trace, ev = _run_matches_the_reference(G, k)
+        methods.update(trace.values())
+        kinds.add(ev and ev.kind)
+    assert methods == {"direct", "kempe", "fallback"}
+    assert kinds == {None, "elementary_strongly_closed_tree", "budget_exhausted"}
+
+
+@pytest.mark.parametrize("below", [0, 1], ids=["completed", "failed"])
+def test_extend_sees_only_the_edges_the_direct_step_leaves(below, monkeypatch):
+    """color_at_k calls extend on exactly the edges whose trace is not
+    "direct", in coloring order, and then on the edge that resists:
+    random_multigraph(16, 400, 1) completes at Delta and fails at Delta - 1,
+    with chain swaps in both runs."""
+    seen = []
+    real = engine.extend
+    monkeypatch.setattr(engine, "extend",
+                        lambda G, pc, eid: seen.append(eid) or real(G, pc, eid))
+    G = random_multigraph(16, 400, 1)
+    pc, trace, ev = color_at_k(G, G.max_degree() - below)
+    resisted = [] if ev is None else [ev.tree.root_edge]
+    assert len(resisted) == below
+    assert "direct" in trace.values() and "kempe" in trace.values()
+    assert seen == [e for e, m in trace.items() if m != "direct"] + resisted
+
+
+@pytest.mark.parametrize("eid", [-1, 3])
+def test_extend_refuses_an_edge_outside_the_graph(triangle, eid):
+    """The direct step writes unchecked, so extend checks the edge id: a
+    negative id would otherwise name an edge from the end."""
+    pc = PartialColoring(triangle, 3)
+    with pytest.raises(ValueError, match="outside 0..2"):
+        extend(triangle, pc, eid)
+    assert pc == PartialColoring(triangle, 3)
+    assert_tables_consistent(pc)
 
 
 def test_extend_emits_certificate_evidence(triangle):
