@@ -65,6 +65,13 @@ def _emit(text: str, args) -> int:
     return 0
 
 
+def _emit_json(obj, args) -> int:
+    """_emit of obj as compact JSON under --json, indented otherwise."""
+    text = json.dumps(obj, separators=(",", ":")) if args.json \
+        else json.dumps(obj, indent=2)
+    return _emit(text + "\n", args)
+
+
 def _read_graph(load):
     """load(), or None after one stderr line when the graph is unusable."""
     try:
@@ -87,20 +94,14 @@ def cmd_color(args) -> int:
     except IncompleteColoringError as exc:
         print(exc, file=sys.stderr)
         return 2
-    obj = result.to_json_obj()
-    text = json.dumps(obj, separators=(",", ":")) if args.json \
-        else json.dumps(obj, indent=2)
-    return _emit(text + "\n", args)
+    return _emit_json(result.to_json_obj(), args)
 
 
 def cmd_report(args) -> int:
     G = _read_graph(lambda: _load_graph(args))
     if G is None:
         return 1
-    obj = bound_report(G).to_json_obj()
-    text = json.dumps(obj, separators=(",", ":")) if args.json \
-        else json.dumps(obj, indent=2)
-    return _emit(text + "\n", args)
+    return _emit_json(bound_report(G).to_json_obj(), args)
 
 
 def cmd_verify(args) -> int:

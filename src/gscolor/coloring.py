@@ -16,6 +16,12 @@ from .graph import Multigraph
 class PartialColoring:
     """Proper partial assignment of colors 1..k to the edges of a multigraph.
 
+    Every coloring is proper by construction: `assign` and `recolor` refuse a
+    color outside 1..k or one already at an end of the edge, and `_write`,
+    which skips those checks, is for callers that know the color is free.
+    A result file loads through `assign` too, so it keeps only the proper
+    part of its assignment.
+
     Three tables are maintained incrementally: per vertex, the edge of each
     color (`_at`) and a bitmask with bit c set when color c is present
     (`_mask`); per color, a bitmask with bit v set when the color is present
@@ -39,31 +45,6 @@ class PartialColoring:
             for eid, c in assignment.items():
                 if c is not None:
                     self.assign(eid, c)
-
-    @classmethod
-    def unchecked(cls, graph: Multigraph, k: int, assignment) -> "PartialColoring":
-        """Build without properness enforcement, for validating untrusted data.
-
-        Violations stay representable so `validate` can report them; the
-        per-vertex tables keep the last edge seen per color. Only colors in
-        1..k enter the bitmasks, so a huge or non-integer color from an
-        untrusted file never becomes a shift count. An edge id outside
-        0..m-1 is a ValueError. The result is read-only: `assign`,
-        `unassign`, `recolor` and `clone` raise TypeError.
-        """
-        pc = _ReadOnlyColoring(graph, k)
-        for eid, c in assignment.items():
-            if not 0 <= eid < graph.m:
-                raise ValueError(f"edge {eid} outside 0..{graph.m - 1}")
-            if c is None:
-                continue
-            pc._color[eid] = c
-            for w in graph.endpoints(eid):
-                pc._at[w][c] = eid
-                if _in_range(c, k):
-                    pc._mask[w] |= 1 << c
-                    pc._present[c] = pc._present.get(c, 0) | 1 << w
-        return pc
 
     def clone(self) -> "PartialColoring":
         pc = PartialColoring.__new__(PartialColoring)
@@ -176,17 +157,6 @@ class PartialColoring:
 
     def __repr__(self):
         return f"PartialColoring(k={self.k}, colored={len(self._color)}/{self.graph.m})"
-
-
-class _ReadOnlyColoring(PartialColoring):
-    """What `PartialColoring.unchecked` builds: queries only."""
-
-    __slots__ = ()
-
-    def _refuse(self, *args):
-        raise TypeError("an unchecked coloring is read-only")
-
-    assign = _write = unassign = recolor = clone = _refuse
 
 
 def _in_range(c, k: int) -> bool:

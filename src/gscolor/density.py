@@ -99,19 +99,13 @@ def bound_report(G: Multigraph) -> BoundReport:
     )
 
 
-def set_density(G: Multigraph, members) -> Fraction:
-    """2|E(U)|/(|U|-1) for a vertex set U of at least two vertices."""
-    u = frozenset(members)
-    return Fraction(2 * G.induced_edge_count(u), len(u) - 1)
-
-
 def odd_set_density(G: Multigraph, members) -> Fraction:
-    """set_density of an odd set of at least 3 vertices of G; ValueError on
-    any other set, including one naming a vertex G lacks."""
+    """2|E(U)|/(|U|-1) for an odd set U of at least 3 vertices of G;
+    ValueError on any other set, including one naming a vertex G lacks."""
     u = frozenset(members)
     if len(u) < 3 or len(u) % 2 == 0:
         raise ValueError(f"certificate set must be odd with >= 3 vertices, got {len(u)}")
-    return set_density(G, u)
+    return Fraction(2 * G.induced_edge_count(u), len(u) - 1)
 
 
 def certificate_check(G: Multigraph, members, k: int) -> bool:

@@ -11,8 +11,8 @@ contract unconditional. The edge count is fixed, not a setting, because it
 is the exact search's own cap. The fallback is one search
 (`_kernels.chromatic_feasible`) over the colored edges plus the new one, in
 the oracle's edge order (`density._oracle_edge_order`), and its first
-coloring becomes the new coloring. The direct and chain-swap steps mutate
-the coloring they are given and return it; the fallback returns a new one.
+coloring is written in place: all three steps mutate the coloring they are
+given.
 Between the chain swap and the fallback, the extension series
 (`tashkinov.build_series`) runs once per resisting edge, for a certificate
 only: a strongly closed, elementary final tree of odd order whose density
@@ -81,7 +81,6 @@ class FailureEvidence:
 
 class ExtendOutcome(NamedTuple):
     status: str                    # "colored" | "evidence"
-    coloring: PartialColoring | None
     evidence: FailureEvidence | None
     method: str | None
 
@@ -175,8 +174,16 @@ def result_from_json(G: Multigraph, text: str) -> ColoringResult:
         raise ValueError(f"trace names unknown methods {unknown}")
     if obj["k_used"] > G.m + 1:
         raise ValueError(f"k_used {obj['k_used']} exceeds m + 1 = {G.m + 1}")
-    # properness is verify_result's job, so tampered colorings stay loadable
-    pc = PartialColoring.unchecked(G, obj["k_used"], dict(obj["assignment"]))
+    # every coloring is proper by construction: a pair that assign refuses
+    # (a color outside 1..k_used, or one already at an end of the edge)
+    # leaves its edge uncolored, and verify_result finds the record not total
+    pc = PartialColoring(G, obj["k_used"])
+    for eid, c in obj["assignment"]:
+        if c is not None:
+            try:
+                pc.assign(eid, c)
+            except ValueError:
+                pass
     certs = [(DensityCertificate(frozenset(c["u"]),
                                  Fraction(c["value"]["num"], c["value"]["den"])),
               c["k"])
@@ -262,35 +269,33 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int) -> ExtendOutcome:
     """Color one uncolored edge of G or report why k colors resist.
 
     `color_at_k` calls it only for an edge that its own direct step left
-    uncolored; called directly, it tries that step first too. The direct
-    step (a color missing at both ends) and the chain swap mutate pc: they
-    color the edge in place and return pc itself as the coloring; when they
-    fail they leave pc untouched. The chain swap scans from one
-    end only, because the direct step failing leaves the ends' missing sets
-    disjoint (see the module docstring). Then the extension series runs once,
-    and a stuck step ends it as budget_exhausted; its tree is audited
-    only when the last row is strongly closed, and evidence is returned when
-    that tree is elementary and certifies k. The series never changes pc.
-    Uncolored edges other than eid are invisible to the machinery, so this
-    works midway through a coloring run. On a graph of at most
-    ORACLE_EDGE_CAP edges, the edge cap of `chromatic_index_exact`, the
-    answer is exact: one search over a graph of the colored edges plus eid,
-    whose edge i is G's edge keep[i], either finds a k-coloring, and its
-    first one, mapped back through keep, is returned as a new coloring, or
-    establishes that there is none. keep ascends, so the oracle's edge order
-    breaks ties on that graph as it would on G's ids. Otherwise the
-    evidence is budget_exhausted, with the series' final tree.
+    uncolored; called directly, it tries that step first too. Every step
+    that colors the edge does so in pc itself; a step that fails leaves pc
+    untouched. The direct step takes a color missing at both ends. The chain
+    swap scans from one end only, because the direct step failing leaves the
+    ends' missing sets disjoint (see the module docstring). Then the
+    extension series runs once, and a stuck step ends it as
+    budget_exhausted; its tree is audited only when the last row is strongly
+    closed, and evidence is returned when that tree is elementary and
+    certifies k. The series never changes pc. Uncolored edges other than eid
+    are invisible to the machinery, so this works midway through a coloring
+    run. On a graph of at most ORACLE_EDGE_CAP edges, the edge cap of
+    `chromatic_index_exact`, the answer is exact: one search over a graph of
+    the colored edges plus eid, whose edge i is G's edge keep[i], either
+    finds a k-coloring, and its first one, mapped back through keep, is
+    written into pc by the checked `recolor` and `assign`, or establishes
+    that there is none. keep ascends, so the oracle's edge order breaks ties
+    on that graph as it would on G's ids. Otherwise the evidence is
+    budget_exhausted, with the series' final tree.
     """
     if not 0 <= eid < G.m:
         raise ValueError(f"edge {eid} outside 0..{G.m - 1}")
     if pc.is_colored(eid):
         raise ValueError("edge already colored")
-    out = _try_direct(pc, eid)
-    if out is not None:
-        return ExtendOutcome("colored", out, None, "direct")
-    out = _try_kempe(pc, eid)
-    if out is not None:
-        return ExtendOutcome("colored", out, None, "kempe")
+    if _try_direct(pc, eid) is not None:
+        return ExtendOutcome("colored", None, "direct")
+    if _try_kempe(pc, eid) is not None:
+        return ExtendOutcome("colored", None, "kempe")
 
     state = build_series(G, eid, pc)
     tree = state.final_tree
@@ -298,7 +303,7 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int) -> ExtendOutcome:
             and elementary_audit(state.final_coloring, tree.vertices) is None):
         ev = _tree_evidence(G, tree, pc.k)
         if ev is not None:
-            return ExtendOutcome("evidence", None, ev, None)
+            return ExtendOutcome("evidence", ev, None)
 
     if G.m <= ORACLE_EDGE_CAP:
         keep = [e for e in G.edge_ids if pc.is_colored(e) or e == eid]
@@ -306,11 +311,12 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int) -> ExtendOutcome:
         ordered, eu, ev = _oracle_edge_order(H)
         colors = _kernels.chromatic_feasible(eu, ev, H.vertex_count, pc.k)
         if colors is not None:
-            fresh = PartialColoring(G, pc.k, {keep[i]: c for i, c in zip(ordered, colors)})
-            return ExtendOutcome("colored", fresh, None, "fallback")
+            found = {keep[i]: c for i, c in zip(ordered, colors)}
+            pc.recolor([(e, found[e]) for e in keep if e != eid])
+            pc.assign(eid, found[eid])
+            return ExtendOutcome("colored", None, "fallback")
     return ExtendOutcome(
-        "evidence", None,
-        FailureEvidence("budget_exhausted", tree, pc.k), None)
+        "evidence", FailureEvidence("budget_exhausted", tree, pc.k), None)
 
 
 # -- the driver -----------------------------------------------------------------
@@ -335,7 +341,6 @@ def color_at_k(G: Multigraph, k: int):
         out = extend(G, pc, eid)
         if out.status != "colored":
             return pc, trace, out.evidence
-        pc = out.coloring
         trace[eid] = out.method
     return pc, trace, None
 

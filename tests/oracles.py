@@ -198,7 +198,6 @@ def reference_color_at_k(G, k):
         out = extend(G, pc, eid)
         if out.status != "colored":
             return pc, trace, out.evidence
-        pc = out.coloring
         trace[eid] = out.method
     return pc, trace, None
 
@@ -393,12 +392,29 @@ def reference_taa_close(G, pc, T):
         cur = cur.grow(f, w)
 
 
-def verify_by_scan(G, result):
-    """verify_result's answer by the density scan on every call: properness,
-    totality, sound certificates and k_used <= gs_upper of bound_report(G)."""
+def proper_total_assignment(G, k, assignment):
+    """Does assignment (edge id -> color or None) give every edge of G an
+    int color in 1..k, with no color twice at a vertex?"""
+    seen = set()
+    for eid in G.edge_ids:
+        c = assignment.get(eid)
+        if type(c) is not int or not 1 <= c <= k:
+            return False
+        for w in G.endpoints(eid):
+            if (w, c) in seen:
+                return False
+            seen.add((w, c))
+    return True
+
+
+def verify_by_scan(G, result, assignment):
+    """verify_result's answer by the density scan on every call, for a result
+    loaded from a file with that raw assignment: properness and totality of
+    the assignment itself, sound certificates and k_used <= gs_upper of
+    bound_report(G)."""
     from gscolor.density import bound_report
-    from gscolor.engine import _certificate_densities, _valid_coloring
-    return (_valid_coloring(G, result)
+    from gscolor.engine import _certificate_densities
+    return (proper_total_assignment(G, result.k_used, assignment)
             and _certificate_densities(G, result) is not None
             and result.k_used <= bound_report(G).gs_upper)
 

@@ -1,12 +1,14 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gscolor import (ColoringResult, Multigraph, PartialColoring,
+from gscolor import (ColoringResult, Multigraph, PartialColoring, color,
                      elementary_audit, kempe_chain, kempe_swap, swap_outside,
-                     validate)
+                     validate, verify_result)
 from gscolor.engine import result_from_json
+from gscolor.generators import petersen, ring
 from paper_structures import (chain_components, defective_colors, is_closed,
                               is_strongly_closed)
 from oracles import (assert_tables_consistent, graph_boundary,
@@ -23,33 +25,37 @@ def test_validate_proper(triangle):
 
 
 def test_validate_reports_clash(triangle):
-    pc = PartialColoring.unchecked(triangle, 3, {0: 1, 1: 1, 2: 2})
-    out = validate(triangle, pc)
-    assert len(out) == 1 and "vertex 1" in out[0]
+    """validate reports the clash that an unchecked write, the one an engine
+    bug would go through, leaves behind."""
+    pc = PartialColoring(triangle, 3, {0: 1})
+    pc._write(1, 1)
+    assert validate(triangle, pc) == ["vertex 1: color 1 on edges 0 and 1"]
 
 
 def test_validate_reports_range(triangle):
-    pc = PartialColoring.unchecked(triangle, 3, {0: 4, 1: 2, 2: 3})
-    assert any("outside" in v for v in validate(triangle, pc))
+    pc = PartialColoring(triangle, 3, {0: 1, 1: 2})
+    pc._write(2, 4)
+    assert validate(triangle, pc) == ["edge 2: color 4 outside 1..3"]
 
 
 def test_validate_matches_the_message_loop():
     """validate, which reads a proper coloring off pc's tables, gives the
-    message loop's list on random unchecked colorings with clashes, colors
-    outside 1..k, bool and float colors and None entries, also when asked
-    about another graph than pc's."""
+    message loop's list on random colorings whose faults, clashes and colors
+    outside 1..k, come from unchecked writes, also when asked about another
+    graph than pc's."""
     rng = random.Random(18)
     proper = 0
     for _ in range(400):
         n = rng.randint(2, 9)
         G = Multigraph.build(n, random_multigraph_pairs(n, rng.randint(1, 3 * n), rng))
         k = rng.randint(1, G.max_degree() + 1)
-        base = random_proper_coloring(G, k, rng)
-        assignment = {e: base.color_of(e) for e in G.edge_ids if base.is_colored(e)}
-        odd = [0, -1, k + 1, True, False, 1.0, 2.5, None, 10 ** 30]
-        for _ in range(rng.choice([0, 0, 1, 2, 3])):
-            assignment[rng.randrange(G.m)] = rng.choice(odd + [rng.randint(1, k)])
-        pc = PartialColoring.unchecked(G, k, assignment)
+        pc = random_proper_coloring(G, k, rng)
+        faulty = rng.sample(G.edge_ids, min(G.m, rng.choice([0, 0, 1, 2, 3])))
+        for eid in faulty:
+            if pc.is_colored(eid):
+                pc.unassign(eid)
+        for eid in faulty:
+            pc._write(eid, rng.choice([0, k + 1, rng.randint(1, k)]))
         other = Multigraph.build(n, random_multigraph_pairs(n, G.m, rng))
         for H in (G, Multigraph.build(n, G._ends), other):
             assert validate(H, pc) == reference_validate(H, pc)
@@ -68,8 +74,6 @@ def test_edge_ids_outside_the_graph_are_rejected(eid):
     assert_tables_consistent(pc)
     with pytest.raises(ValueError, match="outside 0..1"):
         PartialColoring(G, 2, {eid: 1})
-    with pytest.raises(ValueError, match="outside 0..1"):
-        PartialColoring.unchecked(G, 2, {eid: 1})
 
 
 def test_missing_triangle(triangle):
@@ -159,18 +163,9 @@ def _tables(pc):
 
 
 def test_unassign_refuses_before_changing_anything():
-    """An unchecked coloring that repeats color 1 at vertex 0 is read-only:
-    every mutator and clone is a TypeError that leaves all four tables as
-    they were. On a checked coloring an uncolored edge is a KeyError."""
+    """Unassigning an uncolored edge is a KeyError that leaves all four
+    tables as they were."""
     G = Multigraph.build(3, [(0, 1), (0, 2)])
-    pc = PartialColoring.unchecked(G, 2, {0: 1, 1: 1})
-    before = _tables(pc)
-    for call in (lambda: pc.unassign(0), lambda: pc.unassign(1),
-                 lambda: pc.assign(0, 2), lambda: pc.recolor([(1, 2)]),
-                 pc.clone):
-        with pytest.raises(TypeError, match="read-only"):
-            call()
-        assert _tables(pc) == before
     bare = PartialColoring(G, 2, {0: 1})
     before = _tables(bare)
     with pytest.raises(KeyError):
@@ -212,19 +207,31 @@ def test_assign_accepts_only_int_colors(color):
     assert_tables_consistent(pc)
 
 
-def test_unchecked_keeps_bad_colors_out_of_the_masks(triangle):
-    bad = {0: 10 ** 30, 1: "2", 2: 2.5}
-    pc = PartialColoring.unchecked(triangle, 3, bad)
-    # no bad color became a shift count: every mask fits in bits 1..k
-    assert all(mask.bit_length() <= 4 for mask in pc._mask)
-    assert pc.missing(0) == {1, 2, 3}
-    out = validate(triangle, pc)
-    for eid, c in bad.items():
-        assert f"edge {eid}: color {c} outside 1..3" in out
-    huge_k = PartialColoring.unchecked(triangle, 10 ** 30, {0: 1, 1: 0, 2: True})
-    assert [v for v in validate(triangle, huge_k) if "outside" in v] == \
-        [f"edge 1: color 0 outside 1..{10 ** 30}",
-         f"edge 2: color True outside 1..{10 ** 30}"]
+@pytest.mark.parametrize("G", [petersen(), ring(5, 2)], ids=["petersen", "ring5x2"])
+def test_loaded_colorings_are_proper(G):
+    """result_from_json keeps only the proper part of a file: a clashing,
+    zero, k+1, huge or null color leaves its edge uncolored, one edit at a
+    time or all at once. The coloring it returns has consistent tables, no
+    mask bit outside 1..k and nothing for validate to report, and
+    verify_result rejects the record as not total."""
+    obj = color(G).to_json_obj()
+    k = obj["k_used"]
+    colors = dict(obj["assignment"])
+    e0, e1 = G.edges_at(0)[:2]
+    zero, above, huge, null = [e for e in G.edge_ids if e not in (e0, e1)][:4]
+    edits = [{e1: colors[e0]}, {zero: 0}, {above: k + 1}, {huge: 10 ** 30},
+             {null: None}]
+    for edit in edits + [{e: c for one in edits for e, c in one.items()}]:
+        text = json.dumps({**obj, "assignment": [[e, edit.get(e, c)]
+                                                 for e, c in colors.items()]})
+        res = result_from_json(G, text)
+        pc = res.coloring
+        assert_tables_consistent(pc)
+        assert all(mask >> (k + 1) == 0 and not mask & 1 for mask in pc._mask)
+        assert all(1 <= c <= k for c in pc._present)
+        assert validate(G, pc) == []
+        assert pc.uncolored_edges == edit.keys()
+        assert not verify_result(G, res)
 
 
 def test_kempe_chain_triangle(triangle):

@@ -16,7 +16,7 @@ from gscolor import engine
 from gscolor.engine import (ColoringResult, IncompleteColoringError, _try_kempe,
                             result_from_json)
 from gscolor.coloring import alternating_path, kempe_chain, kempe_swap, validate
-from gscolor.density import DensityCertificate, density, set_density
+from gscolor.density import DensityCertificate, density, odd_set_density
 from gscolor.generators import (exhaustive_connected, petersen,
                                 random_multigraph, ring, shannon_triangle)
 from conftest import make_pe_instance, make_se_instance
@@ -65,8 +65,8 @@ def test_extend_direct(triangle):
     pc = PartialColoring(triangle, 3, {0: 1, 1: 2})
     out = extend(triangle, pc, 2)
     assert out.status == "colored" and out.method == "direct"
-    assert_tables_consistent(out.coloring)
-    assert validate(triangle, out.coloring) == []
+    assert_tables_consistent(pc)
+    assert validate(triangle, pc) == []
 
 
 def test_extend_kempe_swap_case():
@@ -76,9 +76,9 @@ def test_extend_kempe_swap_case():
     pc = PartialColoring(G, 2, {0: 1, 2: 2})
     out = extend(G, pc, 1)
     assert out.status == "colored" and out.method == "kempe"
-    assert_tables_consistent(out.coloring)
-    assert validate(G, out.coloring) == []
-    assert out.coloring.color_of(1) is not None
+    assert_tables_consistent(pc)
+    assert validate(G, pc) == []
+    assert pc.color_of(1) is not None
 
 
 def test_failed_kempe_step_leaves_coloring_untouched(triangle):
@@ -300,30 +300,23 @@ def test_verify_rejects_recolored_clash():
     obj = res.to_json_obj()
     # force two adjacent edges into the same color
     e0, e1 = G.edges_at(0)[:2]
-    tampered = {e: c for e, c in obj["assignment"]}
-    tampered[e1] = tampered[e0]
-    bad = ColoringResult(PartialColoring.unchecked(G, res.k_used, tampered),
-                         res.k_used, res.certificates, res.trace)
-    assert not verify_result(G, bad)
+    obj["assignment"][e1][1] = obj["assignment"][e0][1]
+    assert not verify_result(G, result_from_json(G, json.dumps(obj)))
 
 
 def test_verify_rejects_inflated_k():
     G = petersen()
-    res = color(G)
-    bad = ColoringResult(PartialColoring.unchecked(
-        G, 9, {e: res.coloring.color_of(e) for e in G.edge_ids}),
-        9, res.certificates, res.trace)
-    assert not verify_result(G, bad)
+    obj = color(G).to_json_obj()
+    obj["k_used"] = 9
+    assert not verify_result(G, result_from_json(G, json.dumps(obj)))
 
 
 def test_verify_rejects_incomplete():
     G = petersen()
-    res = color(G)
-    partial = {e: res.coloring.color_of(e) for e in G.edge_ids}
-    partial[0] = None
-    bad = ColoringResult(PartialColoring.unchecked(G, res.k_used, partial),
-                         res.k_used, [], res.trace)
-    assert not verify_result(G, bad)
+    obj = color(G).to_json_obj()
+    obj["assignment"][0][1] = None
+    obj["certificates"] = []
+    assert not verify_result(G, result_from_json(G, json.dumps(obj)))
 
 
 def _desk_corpus_seed_1():
@@ -355,7 +348,7 @@ def _certificate_variants(G, k_used):
         forged.append([(DensityCertificate(best.u, best.value + 1), 0)])
     if n >= 3:
         u = frozenset(range(3))
-        low = DensityCertificate(u, set_density(G, u))
+        low = DensityCertificate(u, odd_set_density(G, u))
         forged += [[(low, math.ceil(low.value) - 1)], [(low, k_used - 1)]]
     return sound, forged
 
@@ -372,9 +365,11 @@ def _improper(G, colors):
 
 def test_verify_result_equals_the_scan_on_the_desk_corpus(monkeypatch):
     """On every seed-1 desk_corpus result and its tampered variants (k_used
-    raised, sound and forged certificates, improper and partial colorings)
-    verify_result answers what the density scan answers, and it runs the
-    scan only when k_used > Delta + 1 and no certificate settles the bound."""
+    raised, sound and forged certificates, improper and partial colorings),
+    loaded from JSON as untrusted input is, verify_result answers what the
+    density scan answers on the raw record, and it runs the scan only when
+    k_used > Delta + 1 and no certificate settles the bound. A k_used above
+    m + 1 is refused at loading; the scan would reject it too."""
     from gscolor import engine
     scans = []
     real = engine.bound_report
@@ -393,12 +388,18 @@ def test_verify_result_equals_the_scan_on_the_desk_corpus(monkeypatch):
         cases += [(res.k_used, colors, certs) for certs in forged]
         cases += [(res.k_used, c, []) for c in tampered]
         for k, assignment, certs in cases:
-            r = ColoringResult(PartialColoring.unchecked(G, k, assignment),
-                               k, certs, res.trace)
+            obj = ColoringResult(res.coloring, k, certs, res.trace).to_json_obj()
+            obj["assignment"] = [[e, assignment[e]] for e in G.edge_ids]
+            if k > G.m + 1:
+                with pytest.raises(ValueError, match="exceeds m"):
+                    result_from_json(G, json.dumps(obj))
+                assert k > real(G).gs_upper
+                continue
+            r = result_from_json(G, json.dumps(obj))
             before = len(scans)
             got = verify_result(G, r)
             scanned = len(scans) > before
-            assert got == verify_by_scan(G, r), (G, k, assignment, certs)
+            assert got == verify_by_scan(G, r, assignment), (G, k, assignment, certs)
             if k <= G.max_degree() + 1:
                 assert not scanned
             if scanned:
