@@ -25,12 +25,15 @@ def _read_file(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(args) -> Multigraph:
+def _load_graph(args) -> Multigraph | None:
+    """The graph from args.path or args.gen, or None after one stderr line
+    when both or neither is given, or the graph is unusable."""
+    if bool(args.gen) == bool(args.path):
+        print("exactly one of a graph path or --gen is required", file=sys.stderr)
+        return None
     if args.gen:
-        return generators.from_spec(args.gen)
-    if not args.path:
-        raise SystemExit("either a graph path or --gen is required")
-    return parse_multigraph(_read_file(args.path))
+        return _read_graph(lambda: generators.from_spec(args.gen))
+    return _read_graph(lambda: parse_multigraph(_read_file(args.path)))
 
 
 def _out_writable(path: str) -> bool:
@@ -86,7 +89,7 @@ def _read_graph(load):
 
 
 def cmd_color(args) -> int:
-    G = _read_graph(lambda: _load_graph(args))
+    G = _load_graph(args)
     if G is None:
         return 1
     try:
@@ -98,7 +101,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_report(args) -> int:
-    G = _read_graph(lambda: _load_graph(args))
+    G = _load_graph(args)
     if G is None:
         return 1
     return _emit_json(bound_report(G).to_json_obj(), args)

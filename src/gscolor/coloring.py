@@ -222,9 +222,6 @@ class KempeChain:
     vertices: tuple
     end_vertices: tuple
 
-    def __len__(self):
-        return len(self.edges)
-
 
 def alternating_path(pc: PartialColoring, v: int, first: int, second: int) -> tuple:
     """(edges, end) of the walk leaving v on color `first`, then alternating.

@@ -256,15 +256,6 @@ def _try_kempe(pc: PartialColoring, eid: int):
     return None
 
 
-def _tree_evidence(G, tree, k):
-    """Evidence from the tree of a series that ended strongly closed and
-    passed the elementary audit (`extend` checks both), or None."""
-    u = tree.vertex_set
-    if len(u) >= 3 and len(u) % 2 and certificate_check(G, u, k):
-        return FailureEvidence("elementary_strongly_closed_tree", tree, k)
-    return None
-
-
 def extend(G: Multigraph, pc: PartialColoring, eid: int) -> ExtendOutcome:
     """Color one uncolored edge of G or report why k colors resist.
 
@@ -276,8 +267,8 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int) -> ExtendOutcome:
     ends' missing sets disjoint (see the module docstring). Then the
     extension series runs once, and a stuck step ends it as
     budget_exhausted; its tree is audited only when the last row is strongly
-    closed, and evidence is returned when that tree is elementary and
-    certifies k. The series never changes pc. Uncolored edges other than eid
+    closed and the tree has odd order of at least 3, and evidence is
+    returned when that tree is elementary and certifies k. The series never changes pc. Uncolored edges other than eid
     are invisible to the machinery, so this works midway through a coloring
     run. On a graph of at most ORACLE_EDGE_CAP edges, the edge cap of
     `chromatic_index_exact`, the answer is exact: one search over a graph of
@@ -299,11 +290,13 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int) -> ExtendOutcome:
 
     state = build_series(G, eid, pc)
     tree = state.final_tree
-    if (state.outcome == "strongly_closed"
-            and elementary_audit(state.final_coloring, tree.vertices) is None):
-        ev = _tree_evidence(G, tree, pc.k)
-        if ev is not None:
-            return ExtendOutcome("evidence", ev, None)
+    u = tree.vertex_set
+    if (state.outcome == "strongly_closed" and len(u) >= 3 and len(u) % 2
+            and elementary_audit(state.final_coloring, tree.vertices) is None
+            and certificate_check(G, u, pc.k)):
+        return ExtendOutcome(
+            "evidence", FailureEvidence("elementary_strongly_closed_tree", tree, pc.k),
+            None)
 
     if G.m <= ORACLE_EDGE_CAP:
         keep = [e for e in G.edge_ids if pc.is_colored(e) or e == eid]
@@ -352,8 +345,7 @@ def color(G: Multigraph) -> ColoringResult:
     desk scale (m <= ORACLE_EDGE_CAP) the escalated attempt cannot fail.
     Identical inputs give identical results, including the trace.
     IncompleteColoringError carries the partial record of the last attempt.
-    A record with k_used > Delta+1 carries Gamma's odd set as its one
-    certificate, against k_used - 1 (see the module docstring).
+    Certificates: see the module docstring.
     """
     return _color(G, bound_report(G))
 
@@ -363,8 +355,7 @@ def _color(G: Multigraph, rep) -> ColoringResult:
     schedule = [rep.lower] if rep.lower == rep.gs_upper else [rep.lower, rep.gs_upper]
     for k in schedule:
         pc, trace, evidence = color_at_k(G, k)
-        # k >= ceil(Gamma), so the evidence never certifies; above Delta+1,
-        # k = ceil(Gamma) and Gamma's odd set proves k - 1 colors too few
+        # certificates: see the module docstring
         certs = ([(DensityCertificate(rep.gamma_set, rep.gamma), k - 1)]
                  if k > rep.delta + 1 else [])
         result = ColoringResult(pc, k, certs, trace)

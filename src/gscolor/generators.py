@@ -6,7 +6,7 @@ import math
 import random
 from itertools import combinations, islice, permutations
 
-from .graph import Multigraph
+from .graph import MAX_PARSE_VERTICES, Multigraph
 
 
 def petersen() -> Multigraph:
@@ -45,6 +45,8 @@ def _nth_pair(n: int, i: int) -> tuple:
 def random_multigraph(n: int, m: int, seed: int, *, mu_max: int | None = None) -> Multigraph:
     """Uniform random endpoint pairs, optionally capped per-pair; deterministic.
     Uncapped, no pair list is built, so the cost is O(n + m) whatever n is."""
+    if m < 0:
+        raise ValueError(f"edge count must be non-negative, got {m}")
     if n < 2 and m > 0:
         raise ValueError("need at least two vertices to place an edge")
     rng = random.Random(seed)
@@ -145,7 +147,8 @@ _SPECS = {"petersen": (petersen, 0, 0), "shannon": (shannon_triangle, 1, 1),
 def from_spec(tokens) -> Multigraph:
     """Build a named instance: petersen | shannon mu | ring n [mu] |
     random n m seed. ValueError on an unknown name, a missing or extra
-    argument, or one that is not an integer."""
+    argument, one that is not an integer, or a ring or random vertex count
+    above the graph-file limit MAX_PARSE_VERTICES, checked before building."""
     name, *args = tokens
     if name not in _SPECS:
         raise ValueError(f"unknown generator {name!r}")
@@ -157,4 +160,7 @@ def from_spec(tokens) -> Multigraph:
         ints = [int(a) for a in args]
     except ValueError:
         raise ValueError(f"{name} arguments must be integers, got {args}") from None
+    if name in ("ring", "random") and ints[0] > MAX_PARSE_VERTICES:
+        raise ValueError(f"vertex count {ints[0]} above the limit of "
+                         f"{MAX_PARSE_VERTICES}")
     return build(*ints)

@@ -9,10 +9,7 @@ against the structural invariants after every iteration. `build_series`
 runs the series to the end, a strongly closed tree or a stuck step; the
 coloring driver calls it once per resisting edge, for its certificate only
 (a strongly closed, elementary final tree), and takes no coloring from it.
-`color` only tries k >= ceil(density), where no tree certifies: a `color`
-result above Delta+1 colors carries the densest odd set from `bound_report`
-as its certificate instead, and series certificates come from `color_at_k`
-below ceil(density).
+The `engine` module docstring says when such a certificate can arise.
 
 The paper quantifies each step over all colorings stable for the current
 tree. The series steps on the coloring it is given, which is one of them: the
@@ -26,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .coloring import (PartialColoring, kempe_chain, kempe_swap, mask_colors,
                        swap_outside)
@@ -42,6 +40,7 @@ class SeriesStuck(Exception):
 
 # -- tree sequences -----------------------------------------------------------
 
+@dataclass(frozen=True)
 class TreeSequence:
     """Alternating vertex/edge sequence rooted at an uncolored edge.
 
@@ -49,16 +48,16 @@ class TreeSequence:
     its new vertex to some earlier vertex. Prefixes are the segments; the
     vertex order defines the precedence used throughout the series.
     """
+    edges: tuple
+    vertices: tuple
 
-    __slots__ = ("edges", "vertices", "_vset")
-
-    def __init__(self, edges: tuple, vertices: tuple):
-        if len(vertices) != len(edges) + 1:
+    def __post_init__(self):
+        object.__setattr__(self, "edges", tuple(self.edges))
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        if len(self.vertices) != len(self.edges) + 1:
             raise ValueError("tree sequence shape mismatch")
-        self.edges = tuple(edges)
-        self.vertices = tuple(vertices)
-        self._vset = frozenset(vertices)
-        if len(self._vset) != len(vertices) or len(set(edges)) != len(edges):
+        if (len(self.vertex_set) != len(self.vertices)
+                or len(set(self.edges)) != len(self.edges)):
             raise ValueError("tree sequence repeats a vertex or edge")
 
     @classmethod
@@ -70,9 +69,9 @@ class TreeSequence:
     def root_edge(self) -> int:
         return self.edges[0]
 
-    @property
+    @cached_property
     def vertex_set(self) -> frozenset:
-        return self._vset
+        return frozenset(self.vertices)
 
     def grow(self, eid: int, v: int) -> "TreeSequence":
         return TreeSequence(self.edges + (eid,), self.vertices + (v,))
@@ -83,17 +82,6 @@ class TreeSequence:
         if i == 0:
             raise ValueError("segment must contain the root edge")
         return TreeSequence(self.edges[:i], self.vertices[:i + 1])
-
-    def __eq__(self, other):
-        if not isinstance(other, TreeSequence):
-            return NotImplemented
-        return self.edges == other.edges and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash((self.edges, self.vertices))
-
-    def __repr__(self):
-        return f"TreeSequence(vertices={self.vertices})"
 
 
 def taa_close(G: Multigraph, pc: PartialColoring, T: TreeSequence) -> TreeSequence:
@@ -148,7 +136,7 @@ def elementary_audit(pc: PartialColoring, vertices):
     shared missing color."""
     first_owner = {}
     for v in vertices:
-        for c in sorted(pc.missing(v)):
+        for c in mask_colors(pc.missing_mask(v)):
             if c in first_owner:
                 return Witness(first_owner[c], v, c)
             first_owner[c] = v
@@ -189,23 +177,29 @@ def _max_defective(T: TreeSequence, boundary: dict):
 @dataclass(frozen=True)
 class SeriesTuple:
     """Ledger row i: the tree T_i, the coloring that exhibited it, and the
-    connecting data of the step that created it."""
+    connecting data of the step that created it. The step's connecting
+    colors S_{i-1} and edges F_{i-1} are derived from delta, gamma and edge."""
     tree: TreeSequence
     coloring: PartialColoring
-    connecting_colors: frozenset      # S_{i-1}, at most 2 colors
-    connecting_edges: frozenset       # F_{i-1}, at most 1 edge
-    theta: str                        # "none" | "re" | "se" | "pe"
+    theta: str = "none"               # "none" | "re" | "se" | "pe"
+    edge: int | None = None           # the connecting edge f_n, None on row 1
     delta: int | None = None
     gamma: int | None = None
     v_n: int | None = None            # extension / supporting vertex
+
+    @property
+    def connecting_colors(self) -> frozenset:
+        return frozenset((self.delta, self.gamma)) - {None}
+
+    @property
+    def connecting_edges(self) -> frozenset:
+        return frozenset((self.edge,)) - {None}
 
 
 @dataclass
 class SeriesState:
     """The series ledger: tuples (T_i, phi_{i-1}, S_{i-1}, F_{i-1}, theta_{i-1})."""
     graph: Multigraph
-    root_edge: int
-    k: int
     tuples: list = field(default_factory=list)
     outcome: str = "running"           # "running" | "strongly_closed" | "budget_exhausted"
     stuck_reason: str | None = None
@@ -231,18 +225,12 @@ class SeriesState:
     def final_coloring(self) -> PartialColoring:
         return self.tuples[-1].coloring
 
-    def connecting_union(self, upto: int) -> frozenset:
-        out = set()
-        for t in self.tuples[:upto + 1]:
-            out |= t.connecting_colors
-        return frozenset(out)
-
     def d_set(self, i: int) -> frozenset:
         """D_i = union of connecting colors up to i, minus missing(T_i) under phi_i."""
         if i == 0:
             return frozenset()
-        missing = self.coloring(i).missing_union(self.tree(i).vertices)
-        return self.connecting_union(i) - missing
+        union = frozenset().union(*(t.connecting_colors for t in self.tuples[:i + 1]))
+        return union - self.coloring(i).missing_union(self.tree(i).vertices)
 
     def to_ledger_json(self) -> str:
         rows = []
@@ -347,9 +335,7 @@ def series_step(G: Multigraph, state: SeriesState) -> StepOutcome:
         f_n, v_in, delta_h, gamma_h = re_hit
         row = SeriesTuple(
             tree=taa_close(G, phi, t_n.grow(f_n, G.other_end(f_n, v_in))),
-            coloring=phi, connecting_colors=frozenset((delta_h, gamma_h)),
-            connecting_edges=frozenset((f_n,)), theta="re",
-            delta=delta_h, gamma=gamma_h)
+            coloring=phi, theta="re", edge=f_n, delta=delta_h, gamma=gamma_h)
     else:
         # closed and not strongly closed, so some boundary color repeats
         v_n, f_n, delta_n = _max_defective(t_n, boundary)
@@ -358,9 +344,7 @@ def series_step(G: Multigraph, state: SeriesState) -> StepOutcome:
         if not hit:
             row = SeriesTuple(
                 tree=taa_close(G, phi, t_n.grow(f_n, u_n)), coloring=phi,
-                connecting_colors=frozenset((delta_n,)),
-                connecting_edges=frozenset((f_n,)), theta="se",
-                delta=delta_n, v_n=v_n)
+                theta="se", edge=f_n, delta=delta_n, v_n=v_n)
         else:
             alpha = min(hit)
             gamma_n = _pick_gamma(state, phi, v_n)
@@ -375,9 +359,7 @@ def series_step(G: Multigraph, state: SeriesState) -> StepOutcome:
             r_tree = taa_close(G, phi_n, t_n.segment_to(v_n))
             row = SeriesTuple(
                 tree=taa_close(G, phi_n, _join(t_n, r_tree)), coloring=phi_n,
-                connecting_colors=frozenset((delta_n, gamma_n)),
-                connecting_edges=frozenset((f_n,)), theta="pe",
-                delta=delta_n, gamma=gamma_n, v_n=v_n)
+                theta="pe", edge=f_n, delta=delta_n, gamma=gamma_n, v_n=v_n)
     state.tuples.append(row)
     assert_series_invariants(state)
     return StepOutcome("extended", row.theta)
@@ -447,12 +429,11 @@ def _pick_gamma(state: SeriesState, pi: PartialColoring, v_n: int) -> int:
 
 def _join(base: TreeSequence, extra: TreeSequence) -> TreeSequence:
     """base with extra's vertices appended in extra's order via extra's edges."""
-    cur = base
-    for j, v in enumerate(extra.vertices):
-        if j == 0 or v in cur.vertex_set:
-            continue
-        cur = cur.grow(extra.edges[j - 1], v)
-    return cur
+    inside = base.vertex_set
+    added = [(e, v) for e, v in zip(extra.edges, extra.vertices[1:])
+             if v not in inside]
+    return TreeSequence(base.edges + tuple(e for e, _ in added),
+                        base.vertices + tuple(v for _, v in added))
 
 
 def build_series(G: Multigraph, eid: int, phi0: PartialColoring) -> SeriesState:
@@ -471,10 +452,7 @@ def build_series(G: Multigraph, eid: int, phi0: PartialColoring) -> SeriesState:
     if phi0.color_of(eid) is not None:
         raise ValueError("root edge must be uncolored")
     t1 = taa_close(G, phi0, TreeSequence.root(G, eid))
-    state = SeriesState(graph=G, root_edge=eid, k=phi0.k)
-    state.tuples.append(SeriesTuple(
-        tree=t1, coloring=phi0, connecting_colors=frozenset(),
-        connecting_edges=frozenset(), theta="none"))
+    state = SeriesState(graph=G, tuples=[SeriesTuple(tree=t1, coloring=phi0)])
     try:
         before = len(t1.vertices)
         while series_step(G, state).kind == "extended":

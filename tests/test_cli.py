@@ -430,6 +430,12 @@ def _ring17_files(tmp_path, k_used):
     (["color", "--gen", "foo"], 1, "bad generator"),
     (["color", "--gen", "ring", "2"], 1, "bad generator"),
     (["report", "--gen", "petersen", "3"], 1, "bad generator"),
+    (["color", "--gen", "random", "5", "-3", "1"], 1, "bad generator"),
+    (["color", "--gen", "ring", str(2 ** 20 + 1)], 1, "bad generator"),
+    (["report", "--gen", "random", str(2 ** 20 + 1), "3", "1"], 1, "bad generator"),
+    (["color", "{graph}", "--gen", "petersen"], 1, "exactly one of"),
+    (["report", "{graph}", "--gen", "petersen"], 1, "exactly one of"),
+    (["color"], 1, "exactly one of"),
     (["bench", "--gen", "ring", "x"], 1, "bad generator"),
     (["bench", "--gen", "exhaustive", "5"], 1, "bad generator"),
     (["bench", "--gen", "exhaustive", "5", "-1"], 1, "bad generator"),
@@ -450,6 +456,9 @@ def _ring17_files(tmp_path, k_used):
         "verify-missing-result", "color-gen-non-integer", "report-gen-non-integer",
         "color-gen-missing-arg", "color-gen-random-missing-args",
         "color-gen-unknown", "color-gen-ring-too-small", "report-gen-extra-arg",
+        "color-gen-random-negative-m", "color-gen-ring-above-vertex-limit",
+        "report-gen-random-above-vertex-limit", "color-path-and-gen",
+        "report-path-and-gen", "color-neither-path-nor-gen",
         "bench-gen-non-integer", "bench-gen-exhaustive-missing-arg",
         "bench-gen-exhaustive-negative-m", "bench-gen-exhaustive-no-vertices",
         "bench-gen-exhaustive-above-six-vertices",

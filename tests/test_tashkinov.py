@@ -30,6 +30,19 @@ def test_tree_sequence_shape(triangle):
         TreeSequence((0, 1), (0, 1, 0))      # repeated vertex
 
 
+def test_tree_sequence_value_semantics():
+    # lists and tuples give the same value; the order is part of it
+    a = TreeSequence([0, 1], [0, 1, 2])
+    b = TreeSequence((0, 1), (0, 1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert a.edges == (0, 1) and a.vertices == (0, 1, 2)
+    assert a.vertex_set == frozenset({0, 1, 2})
+    swapped = TreeSequence((1, 0), (0, 2, 1))
+    assert swapped != a and swapped.vertex_set == a.vertex_set
+    with pytest.raises(ValueError, match="shape mismatch"):
+        TreeSequence([0], [0, 1, 2])
+
+
 # -- closures -------------------------------------------------------------------
 
 def test_taa_close_already_closed():
@@ -210,17 +223,14 @@ def test_series_strict_false_degrades():
 
 def test_series_step_rejects_unclosed_tree():
     G, pc = make_pe_instance()
-    state = SeriesState(graph=G, root_edge=0, k=pc.k)
-    state.tuples.append(SeriesTuple(
-        tree=TreeSequence.root(G, 0), coloring=pc,
-        connecting_colors=frozenset(), connecting_edges=frozenset(),
-        theta="none"))
+    state = SeriesState(graph=G, tuples=[
+        SeriesTuple(tree=TreeSequence.root(G, 0), coloring=pc)])
     with pytest.raises(SeriesInvariantError, match="series tree lost closedness"):
         series_step(G, state)
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"connecting_edges": frozenset({10})},
+    ({"edge": 10},
      "PE: recolored-color boundary is not exactly the connecting edge"),
     ({"delta": 5}, "PE: missing color 6 not closed in T_n"),
 ])
@@ -298,14 +308,10 @@ def test_series_revisiting_extension():
     r1 = taa_close(G, phi1, t1)
     assert r1.vertex_set == t2.vertex_set
 
-    state = SeriesState(graph=G, root_edge=0, k=7)
-    state.tuples.append(SeriesTuple(
-        tree=t1, coloring=phi1, connecting_colors=frozenset(),
-        connecting_edges=frozenset(), theta="none"))
-    state.tuples.append(SeriesTuple(
-        tree=t2, coloring=phi1, connecting_colors=frozenset({5, 6}),
-        connecting_edges=frozenset({9}), theta="pe",
-        delta=6, gamma=5, v_n=2))
+    state = SeriesState(graph=G, tuples=[
+        SeriesTuple(tree=t1, coloring=phi1),
+        SeriesTuple(tree=t2, coloring=phi1, theta="pe", edge=9,
+                    delta=6, gamma=5, v_n=2)])
 
     out = series_step(G, state)
     assert out.kind == "extended" and out.reason == "re"
