@@ -2,8 +2,12 @@
 """Time the enumeration kernels of gscolor._kernels, and the per-edge path.
 
 Each kernel is called directly on fixed inputs, best of five, and the
-results are printed as a small table. The `extend` rows time
-`engine.color_at_k(G, Delta)` on the dense graphs: the direct step on
+results are printed as a small table. The `density` rows named `plain` and
+`numpy` time each of the scan's two implementations on one graph at n = 8
+and one at n = 9, either side of `_kernels.PLAIN_SCAN_VERTICES`, the vertex
+count up to which `density_scan` takes the plain one; each is the mean of
+SCAN_CALLS calls, since one call takes tens of microseconds. The `extend`
+rows time `engine.color_at_k(G, Delta)` on the dense graphs: the direct step on
 every edge, in `color_at_k`'s own loop, and `engine.extend` (whose chain
 swap colors them here) on the few edges that resist it. The `closure` rows time
 `color_at_k(ring(1001, 7), 14)` and `color_at_k(ring(2001, 3), 6)`, each
@@ -59,10 +63,26 @@ DENSE_CASES = [(f"random n={n} m={m}", random_multigraph(n, m, n))
                for n, m in ((12, 600), (14, 1000), (16, 1600))]
 
 
+# the two scans either side of the cutoff
+CUTOFF_CASES = [(f"random n={n} m={3 * n}", random_multigraph(n, 3 * n, n))
+                for n in (8, 9)]
+SCAN_CALLS = 200
+
+
+def repeat_call(fn, *args):
+    for _ in range(SCAN_CALLS):
+        fn(*args)
+
+
 def bench_density(rows):
     for name, G in SMALL_CASES + DENSE_CASES:
         rows.append(("density", name,
                      time_call(_kernels.density_scan, G.pair_counts(), G.vertex_count)))
+    for name, G in CUTOFF_CASES:
+        for scan, fn in (("plain", _kernels._plain_density_scan),
+                         ("numpy", _kernels._numpy_density_scan)):
+            seconds = time_call(repeat_call, fn, G.pair_counts(), G.vertex_count)
+            rows.append(("density", f"{scan} {name}", seconds / SCAN_CALLS))
 
 
 def bench_extend(rows):
@@ -89,7 +109,7 @@ def main():
     width = max(len(r[1]) for r in rows)
     print(f"{'kernel':<12} {'case':<{width}} {'time (ms)':>10}")
     for kernel, name, seconds in rows:
-        print(f"{kernel:<12} {name:<{width}} {seconds * 1e3:10.3f}")
+        print(f"{kernel:<12} {name:<{width}} {seconds * 1e3:10.4f}")
 
 
 if __name__ == "__main__":

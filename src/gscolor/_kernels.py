@@ -1,10 +1,18 @@
 """Hot enumeration kernels: the exact edge-coloring feasibility search and
 the best-odd-subset density scan.
 
-The density scan is vectorized numpy; the backtracking search runs on
-plain-python bitmasks (backtracking does not vectorize). numpy is imported
-by the scan's functions when they run, so importing this module, and the
-search, load no numpy.
+The backtracking search runs on plain-python bitmasks (backtracking does
+not vectorize). The density scan has two exact implementations, chosen by
+vertex count inside `density_scan`: plain python up to PLAIN_SCAN_VERTICES
+(8) vertices, vectorized numpy above. At n <= 8 there are at most 120 odd
+subsets of three or more vertices, and the numpy scan's fixed cost of some
+twenty array calls outweighs the arithmetic. The two cost about the same
+at n = 8, and numpy wins from n = 9 (`benchmarks/kernel_bench.py` times
+both at n = 8 and 9); the tie goes to plain python because a fresh process
+that scans at most 8 vertices then never imports numpy, which costs more
+than the scan. numpy is imported by the numpy scan's functions when they
+run, so importing this module, the search and a scan of at most 8
+vertices load no numpy.
 
 The backtracking search (`colorings`) yields every proper coloring it
 reaches, in lexicographic order over colorings whose colors first appear in
@@ -17,7 +25,14 @@ one. So the witness, and whether one exists, are those of the search
 without the rule (`density.enumerate_colorings`), which lists every
 ordering of each parallel class.
 
-The density scan splits the vertices into a low half L (the n // 2
+The plain scan builds |E(U)| for all 2^n masks by doubling over the
+vertices: the masks whose highest vertex is v have the counts of the masks
+below 1 << v plus the multiplicity from v into each, and that second list is
+itself doubled over the lower vertices. Each odd size class reads its
+counts through one cached `itemgetter`, and the classes are compared by
+integer cross-multiplication, so the scan is exact at any multiplicity.
+
+The numpy scan splits the vertices into a low half L (the n // 2
 lowest) and a high half H, and writes each subset as U = A | B with A in L
 and B in H. Then |E(U)| = E_L[A] + E_H[B] + X[A, B], where E_L and E_H count
 the (weighted) edges inside each half and X = S_L W_LH S_H^T counts the edges
@@ -32,9 +47,13 @@ multiplicities far below 2^53.
 """
 
 import functools
+from operator import add, itemgetter
 
 # No JIT path; kept because colorbench records it in every run.
 USING_NUMBA = False
+
+# The largest vertex count that density_scan hands to the plain-python scan.
+PLAIN_SCAN_VERTICES = 8
 
 
 # --------------------------------------------------------------------------
@@ -186,6 +205,56 @@ def density_scan(pair_counts, n: int):
         raise ValueError("vertex bitmasks limited to 62 vertices")
     if n < 3:
         return 0, 0, 0
+    if n <= PLAIN_SCAN_VERTICES:
+        return _plain_density_scan(pair_counts, n)
+    return _numpy_density_scan(pair_counts, n)
+
+
+def _plain_density_scan(pair_counts, n):
+    """density_scan in plain python, for 3 <= n; exact integer arithmetic."""
+    up = [[0] * v for v in range(n)]
+    for (u, v), c in pair_counts.items():
+        up[v][u] = c
+    counts = [0]
+    for row in up:
+        into = [0]
+        for w in row:
+            into += [x + w for x in into] if w else into
+        counts += map(add, counts, into)
+    best_cnt, best_den, best_mask = 0, 1, 0
+    for den, masks, read in _odd_size_classes(n):
+        found = read(counts)
+        cnt = max(found)
+        # cnt / den against best_cnt / best_den; a tie goes to the lower mask
+        lhs, rhs = cnt * best_den, best_cnt * den
+        if lhs > rhs or lhs == rhs and masks[found.index(cnt)] < best_mask:
+            best_cnt, best_den, best_mask = cnt, den, masks[found.index(cnt)]
+    if best_cnt == 0:
+        return 0, 0, 0
+    return best_cnt, best_den + 1, best_mask
+
+
+@functools.lru_cache(maxsize=None)
+def _odd_size_classes(n):
+    """For each odd size s >= 3: (s - 1, its masks in ascending order, a
+    function reading their counts from the mask-indexed list as a tuple)."""
+    classes = []
+    for size in range(3, n + 1, 2):
+        masks = tuple(m for m in range(1 << n) if m.bit_count() == size)
+        if len(masks) > 1:
+            read = itemgetter(*masks)
+        else:                           # itemgetter of one item is no tuple
+            read = functools.partial(_read_one, masks[0])
+        classes.append((size - 1, masks, read))
+    return tuple(classes)
+
+
+def _read_one(mask, counts):
+    return (counts[mask],)
+
+
+def _numpy_density_scan(pair_counts, n):
+    """density_scan by the half-split products, for 3 <= n <= 62."""
     _, _, _, odd, den = _half_split_tables(n)
     cnt = _subset_edge_counts(pair_counts, n)[odd]
     # counts are exact integers far below 2^53 and denominators below n:

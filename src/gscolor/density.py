@@ -113,13 +113,19 @@ def certificate_check(G: Multigraph, members, k: int) -> bool:
     return odd_set_density(G, members) > k
 
 
-def _oracle_edge_order(G: Multigraph):
-    """(edge ids, their first ends, their second ends) by descending
-    endpoint degree sum; the stable sort keeps ties in ascending id order."""
-    ends = G._ends
+def _oracle_edge_ids(G: Multigraph) -> list:
+    """Edge ids by descending endpoint degree sum; the stable sort keeps ties
+    in ascending id order."""
     degree = [G.degree(v) for v in range(G.vertex_count)]
-    key = [-(degree[u] + degree[v]) for u, v in ends]
-    ordered = sorted(G.edge_ids, key=key.__getitem__)
+    key = [-(degree[u] + degree[v]) for u, v in G._ends]
+    return sorted(G.edge_ids, key=key.__getitem__)
+
+
+def _oracle_edge_order(G: Multigraph):
+    """(edge ids, their first ends, their second ends) in the oracle's edge
+    order (`_oracle_edge_ids`)."""
+    ends = G._ends
+    ordered = _oracle_edge_ids(G)
     eu = [ends[e][0] for e in ordered]
     ev = [ends[e][1] for e in ordered]
     return ordered, eu, ev

@@ -57,8 +57,9 @@ from typing import NamedTuple
 
 from . import _kernels
 from .coloring import PartialColoring, alternating_path, mask_colors, validate
-from .density import (ORACLE_EDGE_CAP, DensityCertificate, _oracle_edge_order,
-                      bound_report, certificate_check, odd_set_density)
+from .density import (ORACLE_EDGE_CAP, DensityCertificate, _oracle_edge_ids,
+                      _oracle_edge_order, bound_report, certificate_check,
+                      odd_set_density)
 from .graph import Multigraph
 from .tashkinov import TreeSequence, build_series, elementary_audit
 
@@ -327,7 +328,7 @@ def color_at_k(G: Multigraph, k: int):
     """
     pc = PartialColoring(G, k)
     trace = {}
-    for eid in _oracle_edge_order(G)[0]:
+    for eid in _oracle_edge_ids(G):
         if _try_direct(pc, eid) is not None:
             trace[eid] = "direct"
             continue

@@ -275,9 +275,10 @@ def assert_series_invariants(state: SeriesState):
             raise SeriesInvariantError(
                 f"iteration {i} shrank the protected color pool\n"
                 + state.to_ledger_json())
-    # PE postconditions on the most recent step; these rest on the tree being
-    # elementary (the regime the series is proven for), so outside that regime
-    # a failure means the hypotheses are void, not that the ledger is corrupt
+    # PE postconditions on the most recent step; these rest on T_n being
+    # elementary under phi_{n-1}, the coloring the step started from (the
+    # regime the series is proven for), so outside that regime a failure
+    # means the hypotheses are void, not that the ledger is corrupt
     last = state.tuples[-1]
     if last.theta == "pe" and n >= 1:
         t_n = state.tree(n)
@@ -292,7 +293,7 @@ def assert_series_invariants(state: SeriesState):
         elif unclosed:
             failure = f"PE: missing color {unclosed[0]} not closed in T_n"
         if failure is not None:
-            if elementary_audit(phi_n, t_n.vertices) is None:
+            if elementary_audit(state.coloring(n - 1), t_n.vertices) is None:
                 raise SeriesInvariantError(failure + "\n" + state.to_ledger_json())
             raise SeriesStuck(failure + " (tree not elementary)")
     # connecting-color chaining at a recurring supporting vertex

@@ -504,6 +504,8 @@ import json, sys
 import gscolor, gscolor.cli
 from gscolor.generators import petersen
 codes = [gscolor.cli.main(["verify", sys.argv[1], sys.argv[2]])]
+codes += [gscolor.cli.main([command, "--gen", "ring", "7", "3"])
+          for command in ("color", "report")]
 exact = gscolor.chromatic_index_exact(petersen())
 _, _, evidence = gscolor.color_at_k(petersen(), 3)
 codes.append(gscolor.cli.main(["verify", sys.argv[3], sys.argv[4]]))
@@ -517,12 +519,13 @@ print(json.dumps([codes, exact, evidence.kind, loaded, gscolor.color(G).to_json(
 
 
 def test_import_and_verify_leave_numpy_unloaded(tmp_path, capsys):
-    """`import gscolor`, the exact search (chromatic_index_exact, and the
-    fallback that color_at_k(petersen, 3) reaches after the series) and a
-    verify that needs no density scan never load numpy: neither for a
-    Delta+1 result nor for a `color --gen shannon 2` result, which proves its
-    bound with its certificate. The density scan still imports it when
-    called."""
+    """`import gscolor`, `color` and `report` on a graph of at most 8
+    vertices (whose density scan is plain python), the exact search
+    (chromatic_index_exact, and the fallback that color_at_k(petersen, 3)
+    reaches after the series) and a verify that needs no density scan never
+    load numpy: neither for a Delta+1 result nor for a `color --gen shannon
+    2` result, which proves its bound with its certificate. The density scan
+    of Petersen's 10 vertices still imports it."""
     G = petersen()
     graph, result = tmp_path / "petersen.mg", tmp_path / "result.json"
     graph.write_text(format_multigraph(G))
@@ -540,7 +543,7 @@ def test_import_and_verify_leave_numpy_unloaded(tmp_path, capsys):
     assert run.returncode == 0, run.stderr
     (codes, exact, kind, loaded, colored, report_code, loaded_later,
      count) = json.loads(run.stdout.splitlines()[-1])
-    assert (codes, exact, kind, loaded) == ([0, 0], 4, "budget_exhausted", False)
+    assert (codes, exact, kind, loaded) == ([0] * 4, 4, "budget_exhausted", False)
     assert colored == gscolor.color(G).to_json()
     assert (report_code, loaded_later) == (0, True)
     assert count == len(list(exhaustive_connected(3, 3)))

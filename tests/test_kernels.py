@@ -130,11 +130,13 @@ def _assert_density_matches_brute(G):
 
 
 def _regular(n, mu):
-    """mu-fold cycle and mu-fold complete graph on n vertices: regular, so
-    many odd sets tie for the maximum."""
+    """mu-fold cycle, complete graph and disjoint triangles (on the first
+    3 * (n // 3) vertices) on n vertices: regular, so many odd sets tie for
+    the maximum."""
     cycle = [(v, (v + 1) % n) for v in range(n)] if n >= 3 else [(0, 1)]
     complete = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return [Multigraph.build(n, pairs * mu) for pairs in (cycle, complete)]
+    triangles = [(v, v + 1 if v % 3 < 2 else v - 2) for v in range(n - n % 3)]
+    return [Multigraph.build(n, pairs * mu) for pairs in (cycle, complete, triangles)]
 
 
 def _graphs_on(n, rng):
@@ -150,6 +152,20 @@ def _graphs_on(n, rng):
 
 
 def test_density_paths_agree():
+    """n = 1 to 12, across the plain scan's cutoff. On each side of it
+    (n = 8, plain, and n = 9, numpy) the disjoint triangles tie for the
+    maximum, and a doubled triangle on the top three vertices ties with a
+    lower 5-set (K5 with two edges doubled), so the first best mask is in
+    the larger size class."""
+    cutoff = _kernels.PLAIN_SCAN_VERTICES
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(0, 1), (2, 3)]
+    for n in (cutoff, cutoff + 1):
+        triangles = _regular(n, 2)[2]
+        assert len(brute_density_maximizers(triangles)[1]) == n // 3
+        top = [(n - 3, n - 2), (n - 2, n - 1), (n - 3, n - 1)] * 2
+        G = Multigraph.build(n, k5 + top)
+        assert sorted(map(len, brute_density_maximizers(G)[1])) == [3, 5]
+        assert _assert_density_matches_brute(G)[1] == 5
     rng = random.Random(15)
     graphs = [G for n in range(1, 13) for G in _graphs_on(n, rng)]
     for G in [*_instances(25, 12), *graphs]:
@@ -175,10 +191,11 @@ def test_density_paths_agree_under_heavy_multiplicity():
 
 
 def test_density_scan_is_exact_under_huge_multiplicities():
-    """Pair multiplicities near 10^9 at n = 13 and 16: the float64 products
-    and ratios still give the exact best count and the first best mask."""
+    """Pair multiplicities near 10^9 at n = 8, 13 and 16: the plain scan's
+    integers, and the numpy scan's float64 products and ratios, give the
+    exact best count and the first best mask."""
     rng = random.Random(18)
-    for n in (13, 16):
+    for n in (8, 13, 16):
         pairs = list(combinations(range(n), 2))
         near = {p: rng.randint(10 ** 9 - 50, 10 ** 9) for p in rng.sample(pairs, 3 * n)}
         uniform = dict.fromkeys(pairs, 10 ** 9)    # every largest odd set ties
@@ -206,4 +223,4 @@ def test_kernel_bench_runs(capsys):
     bench.main()
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [r.split()[0] for r in rows] == \
-        ["feasible"] * 7 + ["density"] * 6 + ["extend"] * 3 + ["closure"] * 2
+        ["feasible"] * 7 + ["density"] * 10 + ["extend"] * 3 + ["closure"] * 2

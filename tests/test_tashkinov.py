@@ -221,6 +221,20 @@ def test_series_strict_false_degrades():
     assert [t.theta for t in state.tuples] == ["none", "pe"]
 
 
+def test_series_void_hypothesis_is_read_before_the_step():
+    """T_1 = [1, 5] is not elementary under phi_0 (both ends miss color 2),
+    but the PE step's swap makes it so under phi_1: the failed postcondition
+    is a void hypothesis, judged on the coloring the step started from."""
+    G = Multigraph.build(7, [(3, 5), (1, 6), (1, 5), (0, 6)])
+    state = build_series(G, 2, PartialColoring(G, 2, {0: 1, 1: 1, 3: 2}))
+    assert elementary_audit(state.coloring(0), state.tree(1).vertices) is not None
+    assert elementary_audit(state.coloring(1), state.tree(1).vertices) is None
+    assert state.outcome == "budget_exhausted"
+    assert state.stuck_reason == \
+        "PE: missing color 2 not closed in T_n (tree not elementary)"
+    assert [t.theta for t in state.tuples] == ["none", "pe"]
+
+
 def test_series_step_rejects_unclosed_tree():
     G, pc = make_pe_instance()
     state = SeriesState(graph=G, tuples=[
@@ -235,11 +249,11 @@ def test_series_step_rejects_unclosed_tree():
     ({"delta": 5}, "PE: missing color 6 not closed in T_n"),
 ])
 def test_pe_postconditions_on_forged_row(change, message):
-    """The PE row's tree is elementary, so a broken postcondition is a
-    corrupt ledger, not a void hypothesis."""
+    """The PE step's tree is elementary under the coloring it started from,
+    so a broken postcondition is a corrupt ledger, not a void hypothesis."""
     G, pc = make_pe_instance()
     state = build_series(G, 0, pc)
-    assert elementary_audit(state.coloring(1), state.tree(1).vertices) is None
+    assert elementary_audit(state.coloring(0), state.tree(1).vertices) is None
     state.tuples[1] = dataclasses.replace(state.tuples[1], **change)
     with pytest.raises(SeriesInvariantError, match=message):
         assert_series_invariants(state)
