@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""A failure hunt over gscolor's promise.
+
+Every graph of each corpus is colored by `color` twice: with the exact
+fallback on (`engine.ORACLE_EDGE_CAP` = 25, as shipped) and off (0). A run
+is a finding when it ends incomplete, ends with k_used above
+gs_upper = max(Delta+1, ceil(Gamma)), or, on a graph of at most 25 edges,
+ends with k_used above chi'. Each finding is printed with the generator call
+that rebuilds its graph, and each corpus ends with one summary line:
+
+    python3 benchmarks/hunt.py [CORPUS ...]
+
+A CORPUS is `exhaustive:N:M`, every connected multigraph that
+`exhaustive_connected(N, M)` yields, or `WORKLOAD:SEED`, the instances of
+`colorbench.workloads.build(WORKLOAD, SEED)`; a seed other than 1 skips the
+canonical instances, which are the same for every seed. With no arguments it
+covers exhaustive_connected(6, 10) and (5, 12) and seeds 1-4 of desk_corpus,
+dense_multi and tight_family. The exit status is 0 whatever it finds.
+"""
+
+import functools
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from colorbench.workloads import build  # noqa: E402
+from gscolor import engine  # noqa: E402
+from gscolor.density import (ORACLE_EDGE_CAP, bound_report,  # noqa: E402
+                             chromatic_index_exact)
+from gscolor.generators import exhaustive_connected  # noqa: E402
+
+CAPS = (ORACLE_EDGE_CAP, 0)
+DEFAULT = ("exhaustive:6:10", "exhaustive:5:12",
+           *(f"{wl}:{seed}" for wl in ("desk_corpus", "dense_multi", "tight_family")
+             for seed in (1, 2, 3, 4)))
+
+
+def corpus(spec: str) -> tuple:
+    """(name, [(generator call, graph)]) for one CORPUS argument."""
+    parts = spec.split(":")
+    if parts[0] == "exhaustive":
+        n, m = map(int, parts[1:])
+        name = f"exhaustive_connected({n}, {m})"
+        return name, [(f"{name}[{i}]", G)
+                      for i, G in enumerate(exhaustive_connected(n, m))]
+    workload, seed = parts[0], int(parts[1])
+    name = f"workloads.build({workload!r}, {seed})"
+    with tempfile.TemporaryDirectory() as tmp:
+        instances = build(workload, seed, tmp)
+    return name, [(f"{name}[{i}] {inst.id}", inst.graph)
+                  for i, inst in enumerate(instances)
+                  if seed == 1 or not inst.canonical]
+
+
+def findings(G, rep, chi) -> list:
+    """[(kind, text)] for one `color` run at the current cap; chi is a
+    function giving chi' of G (called only where it can decide something)."""
+    try:
+        res = engine.color(G)
+    except engine.IncompleteColoringError as exc:
+        return [("incomplete", f"incomplete at k={exc.result.k_used}, edge {exc.edge}")]
+    out = []
+    if res.k_used > rep.gs_upper:
+        out.append(("above_gs", f"k_used {res.k_used} > gs_upper {rep.gs_upper}"))
+    # chi' >= lower, so only a run above lower can be above chi'
+    if res.k_used > rep.lower and G.m <= ORACLE_EDGE_CAP and res.k_used > chi():
+        out.append(("above_chi", f"k_used {res.k_used} > chi' {chi()}"))
+    return out
+
+
+def hunt(name: str, graphs) -> str:
+    """Color every graph at each cap, print each finding, and return the
+    corpus' summary line."""
+    counts = {cap: dict.fromkeys(("incomplete", "above_gs", "above_chi"), 0)
+              for cap in CAPS}
+    for call, G in graphs:
+        rep = bound_report(G)
+        chi = functools.cache(functools.partial(chromatic_index_exact, G))
+        for cap in CAPS:
+            engine.ORACLE_EDGE_CAP = cap
+            try:
+                found = findings(G, rep, chi)
+            finally:
+                engine.ORACLE_EDGE_CAP = ORACLE_EDGE_CAP
+            for kind, text in found:
+                counts[cap][kind] += 1
+                print(f"cap {cap} {call} (n {G.vertex_count}, m {G.m}): {text}")
+    per_cap = "; ".join(
+        f"cap {cap}: " + ", ".join(f"{v} {k}" for k, v in c.items())
+        for cap, c in counts.items())
+    return f"{name}: {len(graphs)} graphs; {per_cap}"
+
+
+def main(argv) -> int:
+    for spec in argv or DEFAULT:
+        print(hunt(*corpus(spec)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -37,6 +37,7 @@ the vertices with exactly one of a and b, the bits of
 present[a] ^ present[b]. x (missing a, having b) and y (missing b, having
 a) are two of them; when they are the only two, x's path ends at y, so
 skipping the pair unwalked picks the chain that walking every pair picks.
+Any other pair is walked once, for both its far end and its edges.
 
 Verification decides the color bound max(Delta+1, ceil(Gamma)) without the
 2^n density scan whenever it can, and the shortcut is exact. A result with
@@ -92,9 +93,12 @@ class ColoringResult:
     edges null, trace over the colored ones) when IncompleteColoringError
     carries it."""
     coloring: PartialColoring
-    k_used: int
     certificates: list             # [(DensityCertificate, k it was emitted against)]
     trace: dict                    # edge id -> one of METHODS
+
+    @property
+    def k_used(self) -> int:       # the colors offered: the coloring's k
+        return self.coloring.k
 
     def to_json_obj(self) -> dict:
         return {
@@ -156,12 +160,12 @@ def _check_schema(obj):
 
 def result_from_json(G: Multigraph, text: str) -> ColoringResult:
     """Load a result file; ValueError if it is malformed or not about G
-    (its trace included: each edge of G at most once, by one of METHODS),
-    RecursionError if it nests too deeply for the JSON parser. Keys the
-    schema does not name are ignored, so files with keys that older
-    versions wrote still load. No result for G needs more than
-    max(Delta+1, ceil(Gamma)) <= m + 1 colors, so a larger k_used is rejected before
-    any per-color table is sized from it."""
+    (its trace names each edge of G at most once, by one of METHODS, and a
+    certificate each vertex at most once), RecursionError if it nests too
+    deeply for the JSON parser. Keys the schema does not name are ignored,
+    so files with keys that older versions wrote still load. No result for
+    G needs more than max(Delta+1, ceil(Gamma)) <= m + 1 colors, so a larger
+    k_used is rejected before any per-color table is sized from it."""
     obj = json.loads(text)
     _check_schema(obj)
     ids = [e for e, _ in obj["assignment"]]
@@ -173,6 +177,8 @@ def result_from_json(G: Multigraph, text: str) -> ColoringResult:
     unknown = sorted(set(trace.values()) - set(METHODS))
     if unknown:
         raise ValueError(f"trace names unknown methods {unknown}")
+    if any(len(set(c["u"])) != len(c["u"]) for c in obj["certificates"]):
+        raise ValueError("a certificate names a vertex twice")
     if obj["k_used"] > G.m + 1:
         raise ValueError(f"k_used {obj['k_used']} exceeds m + 1 = {G.m + 1}")
     # every coloring is proper by construction: a pair that assign refuses
@@ -189,7 +195,7 @@ def result_from_json(G: Multigraph, text: str) -> ColoringResult:
                                  Fraction(c["value"]["num"], c["value"]["den"])),
               c["k"])
              for c in obj["certificates"]]
-    return ColoringResult(pc, obj["k_used"], certs, trace)
+    return ColoringResult(pc, certs, trace)
 
 
 class IncompleteColoringError(Exception):
@@ -226,13 +232,12 @@ def _try_kempe(pc: PartialColoring, eid: int):
     only be the far end of the (a, b)-chain that leaves x on b. A chain
     ending elsewhere is flipped in place; then b is the one color missing at
     both ends, and eid takes it. Pairs whose only path ends are x and y are
-    skipped unwalked, the others are walked for their end alone, and only
-    the chain that is flipped is collected (see the module docstring). A
-    scan that finds no such chain only reads pc. The scan from y is never
-    needed.
+    skipped unwalked, and each other pair is walked once (see the module
+    docstring). A scan that finds no such chain only reads pc. The scan
+    from y is never needed.
     """
-    at, ends, present = pc._at, pc.graph._ends, pc._present
-    x, y = ends[eid]
+    present = pc._present
+    x, y = pc.graph._ends[eid]
     both_ends = (1 << x) | (1 << y)
     far_missing = pc.missing_mask(y)
     for a in mask_colors(pc.missing_mask(x)):
@@ -240,25 +245,17 @@ def _try_kempe(pc: PartialColoring, eid: int):
         for b in mask_colors(far_missing):
             if with_a ^ present.get(b, 0) == both_ends:
                 continue
-            # x is a path end, so its walk cannot come back to x
-            cur, want, other = x, a, b
-            e = at[x].get(b)
-            while e is not None:
-                u, w = ends[e]
-                cur = w if u == cur else u
-                e = at[cur].get(want)
-                want, other = other, want
-            if cur == y:
+            edges, end = alternating_path(pc, x, b, a)
+            if end == y:
                 continue
-            edges, _ = alternating_path(pc, x, b, a)
             pc.recolor([(e, b if i % 2 else a) for i, e in enumerate(edges)])
             pc._write(eid, b)
             return pc
     return None
 
 
-def extend(G: Multigraph, pc: PartialColoring, eid: int) -> ExtendOutcome:
-    """Color one uncolored edge of G or report why k colors resist.
+def extend(pc: PartialColoring, eid: int) -> ExtendOutcome:
+    """Color uncolored edge eid of pc.graph (G) or say why pc.k colors resist.
 
     `color_at_k` calls it only for an edge that its own direct step left
     uncolored; called directly, it tries that step first too. Every step
@@ -269,17 +266,19 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int) -> ExtendOutcome:
     extension series runs once, and a stuck step ends it as
     budget_exhausted; its tree is audited only when the last row is strongly
     closed and the tree has odd order of at least 3, and evidence is
-    returned when that tree is elementary and certifies k. The series never changes pc. Uncolored edges other than eid
-    are invisible to the machinery, so this works midway through a coloring
-    run. On a graph of at most ORACLE_EDGE_CAP edges, the edge cap of
-    `chromatic_index_exact`, the answer is exact: one search over a graph of
-    the colored edges plus eid, whose edge i is G's edge keep[i], either
-    finds a k-coloring, and its first one, mapped back through keep, is
-    written into pc by the checked `recolor` and `assign`, or establishes
-    that there is none. keep ascends, so the oracle's edge order breaks ties
-    on that graph as it would on G's ids. Otherwise the evidence is
-    budget_exhausted, with the series' final tree.
+    returned when that tree is elementary and certifies k. The series never
+    changes pc. Uncolored edges other than eid are invisible to the
+    machinery, so this works midway through a coloring run. On a graph of
+    at most ORACLE_EDGE_CAP edges, the edge cap of `chromatic_index_exact`,
+    the answer is exact: one search over a graph of the colored edges plus
+    eid, whose edge i is G's edge keep[i], either finds a k-coloring, and
+    its first one, mapped back through keep, is written into pc by the
+    checked `recolor` and `assign`, or establishes that there is none. keep
+    ascends, so the oracle's edge order breaks ties on that graph as it
+    would on G's ids. Otherwise the evidence is budget_exhausted, with the
+    series' final tree.
     """
+    G = pc.graph
     if not 0 <= eid < G.m:
         raise ValueError(f"edge {eid} outside 0..{G.m - 1}")
     if pc.is_colored(eid):
@@ -289,7 +288,7 @@ def extend(G: Multigraph, pc: PartialColoring, eid: int) -> ExtendOutcome:
     if _try_kempe(pc, eid) is not None:
         return ExtendOutcome("colored", None, "kempe")
 
-    state = build_series(G, eid, pc)
+    state = build_series(pc, eid)
     tree = state.final_tree
     u = tree.vertex_set
     if (state.outcome == "strongly_closed" and len(u) >= 3 and len(u) % 2
@@ -332,7 +331,7 @@ def color_at_k(G: Multigraph, k: int):
         if _try_direct(pc, eid) is not None:
             trace[eid] = "direct"
             continue
-        out = extend(G, pc, eid)
+        out = extend(pc, eid)
         if out.status != "colored":
             return pc, trace, out.evidence
         trace[eid] = out.method
@@ -359,7 +358,7 @@ def _color(G: Multigraph, rep) -> ColoringResult:
         # certificates: see the module docstring
         certs = ([(DensityCertificate(rep.gamma_set, rep.gamma), k - 1)]
                  if k > rep.delta + 1 else [])
-        result = ColoringResult(pc, k, certs, trace)
+        result = ColoringResult(pc, certs, trace)
         if evidence is None:
             if not verify_result(G, result):
                 raise AssertionError("engine produced a result that fails verification")
@@ -392,15 +391,11 @@ def verify_result(G: Multigraph, result: ColoringResult) -> bool:
 
 
 def _valid_coloring(G: Multigraph, result: ColoringResult) -> bool:
-    """A proper, total coloring of G with exactly k_used colors available."""
+    """A proper, total coloring of G."""
     pc = result.coloring
     if pc.graph is not G and pc.graph != G:
         return False
-    if pc.k != result.k_used:
-        return False
-    if validate(G, pc):
-        return False
-    return len(pc._color) == G.m
+    return not validate(G, pc) and len(pc._color) == G.m
 
 
 def _certificate_densities(G: Multigraph, result: ColoringResult):

@@ -16,7 +16,8 @@ tree. The series steps on the coloring it is given, which is one of them: the
 defective boundary edge and the PE witness come from the row's own coloring.
 A row reads its tree's colored boundary once, off the coloring's tables, and
 takes closedness, the defective colors, the maximum defective edge and the
-revisiting candidates from that one read.
+revisiting candidates from that one read. Every step reads the graph off the
+coloring (`pc.graph`); only `TreeSequence.root`, which has none, takes it.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class TreeSequence:
         return TreeSequence(self.edges[:i], self.vertices[:i + 1])
 
 
-def taa_close(G: Multigraph, pc: PartialColoring, T: TreeSequence) -> TreeSequence:
+def taa_close(pc: PartialColoring, T: TreeSequence) -> TreeSequence:
     """Greedy closure: absorb boundary edges colored with tree-missing colors.
 
     Each join takes the boundary edge with the least (tree index of its
@@ -95,7 +96,7 @@ def taa_close(G: Multigraph, pc: PartialColoring, T: TreeSequence) -> TreeSequen
     So each vertex is read once per new missing color. The vertex set is
     the same in any order.
     """
-    ends, at, present = G._ends, pc._at, pc._mask
+    ends, at, present = pc.graph._ends, pc._at, pc._mask
     full = (1 << (pc.k + 1)) - 2
     edges, vertices = list(T.edges), list(T.vertices)
     inside = set(vertices)
@@ -145,13 +146,13 @@ def elementary_audit(pc: PartialColoring, vertices):
 
 # -- the colored boundary ------------------------------------------------------
 
-def _colored_boundary(G: Multigraph, pc: PartialColoring, T: TreeSequence) -> dict:
+def _colored_boundary(pc: PartialColoring, T: TreeSequence) -> dict:
     """T's colored boundary edges under pc, read once from pc's per-vertex
     color tables at T's vertices, so uncolored edges are never touched: for
     each color, the ascending list of (edge, tree index of its in-end). A
     color is defective when its list has two or more entries."""
     inside = T.vertex_set
-    ends = G._ends
+    ends = pc.graph._ends
     by_color = {}
     for i, v in enumerate(T.vertices):
         for c, e in pc._at[v].items():
@@ -284,7 +285,7 @@ def assert_series_invariants(state: SeriesState):
         t_n = state.tree(n)
         phi_n = state.coloring(n)
         failure = None
-        boundary = _colored_boundary(state.graph, phi_n, t_n)
+        boundary = _colored_boundary(phi_n, t_n)
         unclosed = sorted((phi_n.missing_union(t_n.vertices) - {last.delta})
                           & boundary.keys())
         gamma_bound = {e for e, _ in boundary.get(last.gamma, ())}
@@ -315,14 +316,15 @@ class StepOutcome:
     reason: str | None = None
 
 
-def series_step(G: Multigraph, state: SeriesState) -> StepOutcome:
+def series_step(state: SeriesState) -> StepOutcome:
     """One iteration: stop on a strongly closed tree, else extend by RE, SE,
     or PE and append the new ledger row."""
+    G = state.graph
     n = state.n + 1                    # the tree about to be extended is T_n
     t_n = state.tree(n)
     phi = state.coloring(n - 1)
 
-    boundary = _colored_boundary(G, phi, t_n)
+    boundary = _colored_boundary(phi, t_n)
     closed = not (boundary.keys() & phi.missing_union(t_n.vertices))
     if closed and all(len(found) < 2 for found in boundary.values()):
         state.outcome = "strongly_closed"
@@ -335,7 +337,7 @@ def series_step(G: Multigraph, state: SeriesState) -> StepOutcome:
     if re_hit is not None:
         f_n, v_in, delta_h, gamma_h = re_hit
         row = SeriesTuple(
-            tree=taa_close(G, phi, t_n.grow(f_n, G.other_end(f_n, v_in))),
+            tree=taa_close(phi, t_n.grow(f_n, G.other_end(f_n, v_in))),
             coloring=phi, theta="re", edge=f_n, delta=delta_h, gamma=gamma_h)
     else:
         # closed and not strongly closed, so some boundary color repeats
@@ -344,7 +346,7 @@ def series_step(G: Multigraph, state: SeriesState) -> StepOutcome:
         hit = phi.missing(u_n) & phi.missing_union(t_n.vertices)
         if not hit:
             row = SeriesTuple(
-                tree=taa_close(G, phi, t_n.grow(f_n, u_n)), coloring=phi,
+                tree=taa_close(phi, t_n.grow(f_n, u_n)), coloring=phi,
                 theta="se", edge=f_n, delta=delta_n, v_n=v_n)
         else:
             alpha = min(hit)
@@ -357,9 +359,9 @@ def series_step(G: Multigraph, state: SeriesState) -> StepOutcome:
                 raise SeriesStuck(
                     "PE: constructed exit path is not the single connecting edge")
             phi_n = kempe_swap(pi_prime, path)
-            r_tree = taa_close(G, phi_n, t_n.segment_to(v_n))
+            r_tree = taa_close(phi_n, t_n.segment_to(v_n))
             row = SeriesTuple(
-                tree=taa_close(G, phi_n, _join(t_n, r_tree)), coloring=phi_n,
+                tree=taa_close(phi_n, _join(t_n, r_tree)), coloring=phi_n,
                 theta="pe", edge=f_n, delta=delta_n, gamma=gamma_n, v_n=v_n)
     state.tuples.append(row)
     assert_series_invariants(state)
@@ -437,7 +439,7 @@ def _join(base: TreeSequence, extra: TreeSequence) -> TreeSequence:
                         base.vertices + tuple(v for _, v in added))
 
 
-def build_series(G: Multigraph, eid: int, phi0: PartialColoring) -> SeriesState:
+def build_series(phi0: PartialColoring, eid: int) -> SeriesState:
     """Run the extension series from the closure of the uncolored root edge
     until the tree is strongly closed, as one ledger.
 
@@ -452,11 +454,11 @@ def build_series(G: Multigraph, eid: int, phi0: PartialColoring) -> SeriesState:
     """
     if phi0.color_of(eid) is not None:
         raise ValueError("root edge must be uncolored")
-    t1 = taa_close(G, phi0, TreeSequence.root(G, eid))
-    state = SeriesState(graph=G, tuples=[SeriesTuple(tree=t1, coloring=phi0)])
+    t1 = taa_close(phi0, TreeSequence.root(phi0.graph, eid))
+    state = SeriesState(graph=phi0.graph, tuples=[SeriesTuple(tree=t1, coloring=phi0)])
     try:
         before = len(t1.vertices)
-        while series_step(G, state).kind == "extended":
+        while series_step(state).kind == "extended":
             if len(state.final_tree.vertices) <= before:
                 raise SeriesInvariantError("series step failed to grow the tree\n"
                                            + state.to_ledger_json())

@@ -195,7 +195,7 @@ def reference_color_at_k(G, k):
     pc = PartialColoring(G, k)
     trace = {}
     for eid in _oracle_edge_order(G)[0]:
-        out = extend(G, pc, eid)
+        out = extend(pc, eid)
         if out.status != "colored":
             return pc, trace, out.evidence
         trace[eid] = out.method

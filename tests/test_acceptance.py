@@ -167,7 +167,7 @@ def _stable_setup(rng):
         return None
     pc = random_proper_coloring(G, k, rng, leave_uncolored=1)
     root = sorted(pc.uncolored_edges)[0]
-    tree = taa_close(G, pc, TreeSequence.root(G, root))
+    tree = taa_close(pc, TreeSequence.root(G, root))
     return G, pc, tree
 
 
@@ -219,7 +219,7 @@ def test_criterion_8_tashkinov_elementarity(critical_triples):
             seen_pairs.add(pair)
             for cmap in colorings_without_edge(G, eid, k, cap=40):
                 pc = PartialColoring(G, k, cmap)
-                tree = taa_close(G, pc, TreeSequence.root(G, eid))
+                tree = taa_close(pc, TreeSequence.root(G, eid))
                 if elementary_audit(pc, tree.vertices) is not None:
                     witnesses += 1
                 trees += 1
@@ -238,7 +238,7 @@ def test_criterion_9_interchangeability(critical_triples):
         for eid in (G.edge_ids[0], G.edge_ids[-1]):
             for cmap in colorings_without_edge(G, eid, k, cap=25):
                 pc = PartialColoring(G, k, cmap)
-                tree = taa_close(G, pc, TreeSequence.root(G, eid))
+                tree = taa_close(pc, TreeSequence.root(G, eid))
                 miss = pc.missing_union(tree.vertices)
                 for a in range(1, k + 1):
                     for b in range(a + 1, k + 1):
@@ -263,7 +263,7 @@ def test_criterion_10_series_ledger(corpus_runs, critical_triples):
         for cmap in colorings_without_edge(G, 0, k, cap=10):
             pc = PartialColoring(G, k, cmap)
             try:
-                state = build_series(G, 0, pc)
+                state = build_series(pc, 0)
             except SeriesInvariantError:
                 invariant_failures += 1
             else:
@@ -279,7 +279,7 @@ def test_criterion_10_series_ledger(corpus_runs, critical_triples):
             continue
         pc = PartialColoring(G, k, colorings[0])
         try:
-            build_series(G, G.edge_ids[0], pc)
+            build_series(pc, G.edge_ids[0])
         except SeriesInvariantError:
             invariant_failures += 1
         runs += 1

@@ -272,6 +272,7 @@ MALFORMED = {
     "trace_unknown_method": _with("trace", [[0, "magic"]]),
     "den_zero": _certificate([0, 1, 2], 0),
     "cert_u_nested": _certificate([[0]], 1),
+    "cert_u_repeated": _certificate([0, 1, 2, 0, 0], 1),
     "top_level_list": lambda obj: [obj],
     # above m + 1 colors, which no result needs; a color this large must not
     # size a bitmask (it used to raise MemoryError)

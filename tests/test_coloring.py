@@ -404,9 +404,9 @@ def test_debug_mode_cross_check(triangle):
 def test_json_round_trip(triangle):
     """A complete record and a partial one (uncolored edges null, as an
     incomplete run carries it) load back to the same record."""
-    complete = ColoringResult(colored_triangle(triangle), 3, [],
+    complete = ColoringResult(colored_triangle(triangle), [],
                               {0: "direct", 1: "direct", 2: "direct"})
-    partial = ColoringResult(PartialColoring(triangle, 3, {0: 1}), 3, [],
+    partial = ColoringResult(PartialColoring(triangle, 3, {0: 1}), [],
                              {0: "direct"})
     for original in (complete, partial):
         text = original.to_json()

@@ -63,7 +63,7 @@ def test_color_uses_lower_bound_when_feasible():
 
 def test_extend_direct(triangle):
     pc = PartialColoring(triangle, 3, {0: 1, 1: 2})
-    out = extend(triangle, pc, 2)
+    out = extend(pc, 2)
     assert out.status == "colored" and out.method == "direct"
     assert_tables_consistent(pc)
     assert validate(triangle, pc) == []
@@ -74,7 +74,7 @@ def test_extend_kempe_swap_case():
     # b misses 2, c misses 1, and the (1,2)-chain from b is just a-b
     G = Multigraph.build(4, [(0, 1), (1, 2), (2, 3)])
     pc = PartialColoring(G, 2, {0: 1, 2: 2})
-    out = extend(G, pc, 1)
+    out = extend(pc, 1)
     assert out.status == "colored" and out.method == "kempe"
     assert_tables_consistent(pc)
     assert validate(G, pc) == []
@@ -226,7 +226,7 @@ def test_extend_sees_only_the_edges_the_direct_step_leaves(below, monkeypatch):
     seen = []
     real = engine.extend
     monkeypatch.setattr(engine, "extend",
-                        lambda G, pc, eid: seen.append(eid) or real(G, pc, eid))
+                        lambda pc, eid: seen.append(eid) or real(pc, eid))
     G = random_multigraph(16, 400, 1)
     pc, trace, ev = color_at_k(G, G.max_degree() - below)
     resisted = [] if ev is None else [ev.tree.root_edge]
@@ -241,7 +241,7 @@ def test_extend_refuses_an_edge_outside_the_graph(triangle, eid):
     negative id would otherwise name an edge from the end."""
     pc = PartialColoring(triangle, 3)
     with pytest.raises(ValueError, match="outside 0..2"):
-        extend(triangle, pc, eid)
+        extend(pc, eid)
     assert pc == PartialColoring(triangle, 3)
     assert_tables_consistent(pc)
 
@@ -288,10 +288,10 @@ def test_failed_extend_reports_the_series_tree(make, monkeypatch):
     monkeypatch.setattr(engine, "ORACLE_EDGE_CAP", 0)
     G, pc = make()
     before = pc.clone()
-    out = extend(G, pc, 0)
+    out = extend(pc, 0)
     assert out.status == "evidence" and out.evidence.kind == "budget_exhausted"
     assert pc == before
-    assert out.evidence.tree == build_series(G, 0, pc).final_tree
+    assert out.evidence.tree == build_series(pc, 0).final_tree
 
 
 def test_verify_rejects_recolored_clash():
@@ -388,7 +388,8 @@ def test_verify_result_equals_the_scan_on_the_desk_corpus(monkeypatch):
         cases += [(res.k_used, colors, certs) for certs in forged]
         cases += [(res.k_used, c, []) for c in tampered]
         for k, assignment, certs in cases:
-            obj = ColoringResult(res.coloring, k, certs, res.trace).to_json_obj()
+            obj = ColoringResult(res.coloring, certs, res.trace).to_json_obj()
+            obj["k_used"] = k
             obj["assignment"] = [[e, assignment[e]] for e in G.edge_ids]
             if k > G.m + 1:
                 with pytest.raises(ValueError, match="exceeds m"):
@@ -459,6 +460,18 @@ def test_result_json_rejects_wrong_graph():
     res = color(shannon_triangle(2))
     with pytest.raises(ValueError):
         result_from_json(petersen(), res.to_json())
+
+
+def test_result_json_rejects_a_certificate_that_repeats_a_vertex():
+    """ring(5, 3) carries Gamma's odd set {0..4} against k_used - 1; the same
+    set written with vertex 0 three times is refused at loading, as a trace
+    that names an edge twice is (it used to load and verify)."""
+    G = ring(5, 3)
+    obj = color(G).to_json_obj()
+    assert [c["u"] for c in obj["certificates"]] == [[0, 1, 2, 3, 4]]
+    obj["certificates"][0]["u"] = [0, 1, 2, 3, 4, 0, 0]
+    with pytest.raises(ValueError, match="names a vertex twice"):
+        result_from_json(G, json.dumps(obj))
 
 
 JSON_VALUES = st.recursive(

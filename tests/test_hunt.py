@@ -1,0 +1,108 @@
+"""The failure hunt's findings, pinned, and a smoke run of benchmarks/hunt.py.
+
+Each finding is rebuilt from its edge list, so tier-1 never regenerates the
+6-vertex exhaustive corpus it came from.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from gscolor import Multigraph, chromatic_index_exact, color, verify_result
+from gscolor import engine
+from gscolor.engine import IncompleteColoringError
+
+# Every cap-0 finding of `benchmarks/hunt.py` on exhaustive_connected(6, 10)
+# and (5, 12): (corpus, index, vertex count, edge list, outcome with the
+# exact fallback off), where the outcome is ("incomplete", k, the edge that
+# resisted) or ("above_chi", k_used, chi'). 6194 of (5, 12) is 1917 of
+# (6, 10): a 4-regular multigraph on 5 vertices with three doubled pairs.
+OVERFULL_5 = [(0, 3), (0, 3), (0, 4), (0, 4), (1, 2), (1, 2), (1, 3), (1, 4),
+              (2, 3), (2, 4)]
+HUNT_FINDINGS = [
+    ((6, 10), 1917, 5, OVERFULL_5, ("incomplete", 5, 9)),
+    ((6, 10), 3628, 6, [(0, 5), (1, 4), (1, 5), (1, 5), (2, 3), (2, 3), (2, 4),
+                        (3, 4), (3, 5)], ("above_chi", 5, 4)),
+    ((6, 10), 4710, 6, [(0, 5), (0, 5), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4),
+                        (3, 4), (3, 5)], ("above_chi", 5, 4)),
+    ((5, 12), 6095, 5, [(0, 3), (0, 4), (0, 4), (0, 4), (1, 2), (1, 2), (1, 2),
+                        (1, 4), (1, 4), (2, 3), (2, 3), (3, 4)], ("above_chi", 7, 6)),
+    ((5, 12), 6105, 5, [(0, 3), (0, 4), (0, 4), (0, 4), (1, 2), (1, 2), (1, 2),
+                        (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], ("above_chi", 7, 6)),
+    ((5, 12), 6113, 5, [(0, 3), (0, 4), (0, 4), (0, 4), (1, 2), (1, 2), (1, 2),
+                        (1, 2), (1, 4), (2, 3), (3, 4), (3, 4)], ("above_chi", 7, 6)),
+    ((5, 12), 6150, 5, [(0, 3), (0, 4), (0, 4), (0, 4), (0, 4), (1, 2), (1, 2),
+                        (1, 3), (1, 3), (2, 3), (2, 3), (2, 4)], ("incomplete", 6, 8)),
+    ((5, 12), 6193, 5, [(0, 3), (0, 3), (0, 4), (0, 4), (1, 2), (1, 2), (1, 4),
+                        (1, 4), (1, 4), (2, 3), (2, 3), (2, 3)], ("incomplete", 6, 3)),
+    ((5, 12), 6194, 5, OVERFULL_5, ("incomplete", 5, 9)),
+    ((5, 12), 6202, 5, [(0, 3), (0, 3), (0, 4), (0, 4), (1, 2), (1, 2), (1, 3),
+                        (1, 4), (1, 4), (2, 3), (2, 3), (2, 4)], ("incomplete", 6, 3)),
+    ((5, 12), 6204, 5, [(0, 3), (0, 3), (0, 4), (0, 4), (1, 2), (1, 2), (1, 2),
+                        (1, 4), (1, 4), (2, 3), (2, 3), (3, 4)], ("incomplete", 6, 3)),
+    ((5, 12), 6207, 5, [(0, 3), (0, 3), (0, 4), (0, 4), (1, 2), (1, 2), (1, 2),
+                        (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], ("incomplete", 6, 3)),
+    ((5, 12), 6227, 5, [(0, 3), (0, 3), (0, 4), (0, 4), (0, 4), (1, 2), (1, 2),
+                        (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], ("incomplete", 6, 10)),
+    ((5, 12), 6342, 5, [(0, 2), (0, 3), (0, 4), (0, 4), (1, 2), (1, 3), (1, 3),
+                        (1, 4), (1, 4), (2, 3), (2, 3), (2, 4)], ("incomplete", 6, 3)),
+    ((5, 12), 6347, 5, [(0, 2), (0, 3), (0, 4), (0, 4), (1, 2), (1, 3), (1, 3),
+                        (1, 3), (1, 4), (2, 3), (2, 4), (2, 4)], ("incomplete", 6, 3)),
+    ((5, 12), 6352, 5, [(0, 2), (0, 3), (0, 4), (0, 4), (1, 2), (1, 2), (1, 3),
+                        (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], ("incomplete", 6, 3)),
+    ((5, 12), 6354, 5, [(0, 2), (0, 3), (0, 4), (0, 4), (0, 4), (1, 2), (1, 3),
+                        (1, 3), (1, 3), (1, 4), (2, 3), (2, 4)], ("incomplete", 6, 11)),
+]
+
+
+@pytest.mark.parametrize(
+    "n, pairs, outcome", [f[2:] for f in HUNT_FINDINGS],
+    ids=[f"exhaustive_{a}_{b}-{i}" for (a, b), i, *_ in HUNT_FINDINGS])
+def test_hunt_finding_is_pinned(n, pairs, outcome, monkeypatch):
+    """With the fallback on, `color` colors each finding optimally; with it
+    off, it ends as the hunt found: incomplete at k on the same edge, or
+    complete with more colors than chi'."""
+    G = Multigraph.build(n, pairs)
+    chi = chromatic_index_exact(G)
+    res = color(G)
+    assert res.k_used == chi and verify_result(G, res)
+    monkeypatch.setattr(engine, "ORACLE_EDGE_CAP", 0)
+    kind, k, last = outcome
+    if kind == "incomplete":
+        with pytest.raises(IncompleteColoringError) as exc:
+            color(G)
+        assert (exc.value.result.k_used, exc.value.edge) == (k, last)
+    else:
+        assert (color(G).k_used, chi) == (k, last)
+
+
+def _hunt_tool():
+    path = Path(__file__).parents[1] / "benchmarks" / "hunt.py"
+    spec = importlib.util.spec_from_file_location("hunt", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_hunt_runs_on_a_tiny_corpus(capsys):
+    """hunt.py prints each finding with its generator call and one summary
+    line per corpus, and leaves the fallback's cap as it found it."""
+    tool = _hunt_tool()
+    assert tool.main(["exhaustive:4:5"]) == 0
+    assert capsys.readouterr().out == (
+        "exhaustive_connected(4, 5): 34 graphs; "
+        "cap 25: 0 incomplete, 0 above_gs, 0 above_chi; "
+        "cap 0: 0 incomplete, 0 above_gs, 0 above_chi\n")
+    summary = tool.hunt("overfull", [("the 1917 graph", Multigraph.build(5, OVERFULL_5))])
+    assert capsys.readouterr().out == (
+        "cap 0 the 1917 graph (n 5, m 10): incomplete at k=5, edge 9\n")
+    assert summary == ("overfull: 1 graphs; "
+                       "cap 25: 0 incomplete, 0 above_gs, 0 above_chi; "
+                       "cap 0: 1 incomplete, 0 above_gs, 0 above_chi")
+    assert engine.ORACLE_EDGE_CAP == 25
+    # a seed other than 1 skips the canonical instances (27 in tight_family)
+    name, graphs = tool.corpus("tight_family:2")
+    assert name == "workloads.build('tight_family', 2)"
+    assert graphs[0][0] == "workloads.build('tight_family', 2)[27] ring(7,4)~0"
+    assert len(graphs) == 1728

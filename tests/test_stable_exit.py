@@ -21,7 +21,7 @@ def _setup(seed, n=8, m=13, slack=0):
     k = G.max_degree() + slack
     pc = random_proper_coloring(G, k, rng, leave_uncolored=1)
     root = sorted(pc.uncolored_edges)[0]
-    tree = taa_close(G, pc, TreeSequence.root(G, root))
+    tree = taa_close(pc, TreeSequence.root(G, root))
     return rng, G, pc, tree
 
 
@@ -97,7 +97,7 @@ def test_at_most_one_path_meets_closed_tree():
         for eid in (0, G.m - 1):
             for cmap in colorings_without_edge(G, eid, k, cap=60):
                 pc = PartialColoring(G, k, cmap)
-                tree = taa_close(G, pc, TreeSequence.root(G, eid))
+                tree = taa_close(pc, TreeSequence.root(G, eid))
                 miss = pc.missing_union(tree.vertices)
                 for a in range(1, k + 1):
                     for b in range(a + 1, k + 1):

@@ -47,8 +47,8 @@ def test_tree_sequence_value_semantics():
 
 def test_taa_close_already_closed():
     G, pc = make_pe_instance()
-    tree = taa_close(G, pc, TreeSequence.root(G, 0))
-    assert taa_close(G, pc, tree) == tree
+    tree = taa_close(pc, TreeSequence.root(G, 0))
+    assert taa_close(pc, tree) == tree
 
 
 def test_taa_close_k4():
@@ -57,7 +57,7 @@ def test_taa_close_k4():
     G = Multigraph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     for cmap in colorings_without_edge(G, 0, 4, cap=5):
         pc = PartialColoring(G, 4, cmap)
-        tree = taa_close(G, pc, TreeSequence.root(G, 0))
+        tree = taa_close(pc, TreeSequence.root(G, 0))
         boundary_colors = pc.colors_on(graph_boundary(G, tree.vertex_set))
         assert not (boundary_colors & pc.missing_union(tree.vertices))
 
@@ -69,7 +69,7 @@ def test_taa_close_order_independent():
         G = Multigraph.build(n, random_multigraph_pairs(n, rng.randint(4, 13), rng))
         pc = random_proper_coloring(G, G.max_degree() + 1, rng, leave_uncolored=1)
         root = TreeSequence.root(G, sorted(pc.uncolored_edges)[0])
-        tree = taa_close(G, pc, root)
+        tree = taa_close(pc, root)
         assert tree.vertex_set == reference_closure_vertices(pc, root)
 
 
@@ -87,7 +87,7 @@ def test_taa_close_matches_reference():
         pc = random_proper_coloring(G, k, rng, leave_uncolored=rng.randint(0, 2))
         for eid in sorted(pc.uncolored_edges):
             root = TreeSequence.root(G, eid)
-            got = taa_close(G, pc, root)
+            got = taa_close(pc, root)
             want = reference_taa_close(G, pc, root)
             assert (got.edges, got.vertices) == (want.edges, want.vertices)
             in_ends = [got.vertices.index(G.other_end(e, w))
@@ -126,7 +126,7 @@ def test_elementary_audit_on_critical_triples():
         for eid in (0, G.m - 1):
             for cmap in colorings_without_edge(G, eid, k, cap=40):
                 pc = PartialColoring(G, k, cmap)
-                tree = taa_close(G, pc, TreeSequence.root(G, eid))
+                tree = taa_close(pc, TreeSequence.root(G, eid))
                 assert elementary_audit(pc, tree.vertices) is None
 
 
@@ -135,7 +135,7 @@ def test_elementary_audit_on_critical_triples():
 def test_series_strongly_closed_immediately(shannon2):
     colorings = colorings_without_edge(shannon2, 0, 5, cap=1)
     pc = PartialColoring(shannon2, 5, colorings[0])
-    state = build_series(shannon2, 0, pc)
+    state = build_series(pc, 0)
     assert state.outcome == "strongly_closed"
     assert state.n == 0
     assert state.tree(1).vertex_set == {0, 1, 2}
@@ -143,7 +143,7 @@ def test_series_strongly_closed_immediately(shannon2):
 
 def test_series_pe_step():
     G, pc = make_pe_instance()
-    state = build_series(G, 0, pc)
+    state = build_series(pc, 0)
     assert state.outcome == "strongly_closed"
     pe = state.tuples[1]
     assert pe.theta == "pe"
@@ -164,7 +164,7 @@ def test_series_pe_step():
 
 def test_series_se_step():
     G, pc = make_se_instance()
-    state = build_series(G, 0, pc)
+    state = build_series(pc, 0)
     assert state.outcome == "strongly_closed"
     se = state.tuples[1]
     assert se.theta == "se"
@@ -178,7 +178,7 @@ def test_series_steps_on_the_given_coloring():
     from conftest import make_improvement_instance
 
     G, pc = make_improvement_instance()
-    state = build_series(G, 0, pc)
+    state = build_series(pc, 0)
     assert state.outcome == "strongly_closed"
     pe = state.tuples[1]
     assert pe.theta == "pe"
@@ -189,14 +189,14 @@ def test_series_steps_on_the_given_coloring():
 
 def test_series_ledger_json():
     G, pc = make_se_instance()
-    state = build_series(G, 0, pc)
+    state = build_series(pc, 0)
     text = state.to_ledger_json()
     assert '"theta":"se"' in text and '"outcome":"strongly_closed"' in text
 
 
 def test_series_d_sets_bounded():
     G, pc = make_se_instance()
-    state = build_series(G, 0, pc)
+    state = build_series(pc, 0)
     assert state.outcome == "strongly_closed"
     for i in range(1, state.n + 1):
         assert len(state.d_set(i)) <= i
@@ -205,7 +205,7 @@ def test_series_d_sets_bounded():
 def test_series_rejects_colored_root(triangle):
     pc = PartialColoring(triangle, 3, {0: 1, 1: 2, 2: 3})
     with pytest.raises(ValueError):
-        build_series(triangle, 0, pc)
+        build_series(pc, 0)
 
 
 def test_series_strict_false_degrades():
@@ -214,7 +214,7 @@ def test_series_strict_false_degrades():
     pairs = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)]
     G = Multigraph.build(6, pairs)
     pc = PartialColoring(G, 13, {1: 1, 2: 9, 3: 9, 4: 9})
-    state = build_series(G, 0, pc)
+    state = build_series(pc, 0)
     assert state.outcome == "budget_exhausted"
     assert state.stuck_reason == \
         "PE: missing color 2 not closed in T_n (tree not elementary)"
@@ -226,7 +226,7 @@ def test_series_void_hypothesis_is_read_before_the_step():
     but the PE step's swap makes it so under phi_1: the failed postcondition
     is a void hypothesis, judged on the coloring the step started from."""
     G = Multigraph.build(7, [(3, 5), (1, 6), (1, 5), (0, 6)])
-    state = build_series(G, 2, PartialColoring(G, 2, {0: 1, 1: 1, 3: 2}))
+    state = build_series(PartialColoring(G, 2, {0: 1, 1: 1, 3: 2}), 2)
     assert elementary_audit(state.coloring(0), state.tree(1).vertices) is not None
     assert elementary_audit(state.coloring(1), state.tree(1).vertices) is None
     assert state.outcome == "budget_exhausted"
@@ -240,7 +240,7 @@ def test_series_step_rejects_unclosed_tree():
     state = SeriesState(graph=G, tuples=[
         SeriesTuple(tree=TreeSequence.root(G, 0), coloring=pc)])
     with pytest.raises(SeriesInvariantError, match="series tree lost closedness"):
-        series_step(G, state)
+        series_step(state)
 
 
 @pytest.mark.parametrize("change, message", [
@@ -252,7 +252,7 @@ def test_pe_postconditions_on_forged_row(change, message):
     """The PE step's tree is elementary under the coloring it started from,
     so a broken postcondition is a corrupt ledger, not a void hypothesis."""
     G, pc = make_pe_instance()
-    state = build_series(G, 0, pc)
+    state = build_series(pc, 0)
     assert elementary_audit(state.coloring(0), state.tree(1).vertices) is None
     state.tuples[1] = dataclasses.replace(state.tuples[1], **change)
     with pytest.raises(SeriesInvariantError, match=message):
@@ -271,10 +271,10 @@ def test_colored_boundary_matches_whole_graph_scan():
         pc = random_proper_coloring(G, G.max_degree() + rng.randint(0, 1), rng,
                                     leave_uncolored=rng.randint(1, 3))
         for eid in sorted(pc.uncolored_edges):
-            closure = taa_close(G, pc, TreeSequence.root(G, eid))
+            closure = taa_close(pc, TreeSequence.root(G, eid))
             trees = [closure] + [closure.segment_to(v) for v in closure.vertices[1:]]
             for tree in trees:
-                boundary = tashkinov._colored_boundary(G, pc, tree)
+                boundary = tashkinov._colored_boundary(pc, tree)
                 scanned = {}
                 for e in sorted(graph_boundary(G, tree.vertex_set)):
                     if pc.is_colored(e):
@@ -302,8 +302,8 @@ def test_colored_boundary_matches_whole_graph_scan():
 
 def test_max_defective_budget_zero():
     G, pc = make_pe_instance()
-    tree = taa_close(G, pc, TreeSequence.root(G, 0))
-    boundary = tashkinov._colored_boundary(G, pc, tree)
+    tree = taa_close(pc, TreeSequence.root(G, 0))
+    boundary = tashkinov._colored_boundary(pc, tree)
     v, f, delta = tashkinov._max_defective(tree, boundary)
     assert (v, f, delta) == (2, 9, 6)
 
@@ -319,7 +319,7 @@ def test_series_revisiting_extension():
     phi1 = PartialColoring(G, 7, colors)
     t1 = TreeSequence((0, 1), (0, 1, 2))
     t2 = t1.grow(2, 3)
-    r1 = taa_close(G, phi1, t1)
+    r1 = taa_close(phi1, t1)
     assert r1.vertex_set == t2.vertex_set
 
     state = SeriesState(graph=G, tuples=[
@@ -327,14 +327,14 @@ def test_series_revisiting_extension():
         SeriesTuple(tree=t2, coloring=phi1, theta="pe", edge=9,
                     delta=6, gamma=5, v_n=2)])
 
-    out = series_step(G, state)
+    out = series_step(state)
     assert out.kind == "extended" and out.reason == "re"
     re_row = state.tuples[-1]
     assert re_row.theta == "re"
     assert re_row.connecting_colors == {5, 6}     # inherited from the PE rung
     assert re_row.connecting_edges == {10}
     assert re_row.coloring is phi1                # revisiting never recolors
-    assert series_step(G, state).kind == "strongly_closed"
+    assert series_step(state).kind == "strongly_closed"
 
 
 def test_pe_connecting_color_chains_at_recurring_vertex():
@@ -344,7 +344,7 @@ def test_pe_connecting_color_chains_at_recurring_vertex():
     from gscolor.tashkinov import SeriesStuck, _pick_gamma
 
     G, pc = make_pe_instance()
-    state = build_series(G, 0, pc)
+    state = build_series(pc, 0)
     assert state.outcome == "strongly_closed"
     pe = state.tuples[1]
     assert pe.theta == "pe" and pe.v_n == 2 and (pe.gamma, pe.delta) == (5, 6)
