@@ -3,8 +3,8 @@
 
 Each kernel is called directly on fixed inputs, best of five, and the
 results are printed as a small table. The `density` rows named `plain` and
-`numpy` time each of the scan's two implementations on one graph at n = 8
-and one at n = 9, either side of `_kernels.PLAIN_SCAN_VERTICES`, the vertex
+`numpy` time each of the scan's two implementations on one graph at n = 10
+and one at n = 11, either side of `_kernels.PLAIN_SCAN_VERTICES`, the vertex
 count up to which `density_scan` takes the plain one; each is the mean of
 SCAN_CALLS calls, since one call takes tens of microseconds. The `extend`
 rows time `engine.color_at_k(G, Delta)` on the dense graphs: the direct step on
@@ -65,7 +65,7 @@ DENSE_CASES = [(f"random n={n} m={m}", random_multigraph(n, m, n))
 
 # the two scans either side of the cutoff
 CUTOFF_CASES = [(f"random n={n} m={3 * n}", random_multigraph(n, 3 * n, n))
-                for n in (8, 9)]
+                for n in (10, 11)]
 SCAN_CALLS = 200
 
 

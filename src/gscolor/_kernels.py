@@ -4,15 +4,16 @@ the best-odd-subset density scan.
 The backtracking search runs on plain-python bitmasks (backtracking does
 not vectorize). The density scan has two exact implementations, chosen by
 vertex count inside `density_scan`: plain python up to PLAIN_SCAN_VERTICES
-(8) vertices, vectorized numpy above. At n <= 8 there are at most 120 odd
-subsets of three or more vertices, and the numpy scan's fixed cost of some
-twenty array calls outweighs the arithmetic. The two cost about the same
-at n = 8, and numpy wins from n = 9 (`benchmarks/kernel_bench.py` times
-both at n = 8 and 9); the tie goes to plain python because a fresh process
-that scans at most 8 vertices then never imports numpy, which costs more
-than the scan. numpy is imported by the numpy scan's functions when they
-run, so importing this module, the search and a scan of at most 8
-vertices load no numpy.
+(10) vertices, vectorized numpy above. Up to 9 vertices the numpy scan's
+fixed cost of some twenty array calls outweighs the arithmetic, or ties
+with it. At n = 10 the plain scan takes about 45-60 us against numpy's
+30-40 us (`benchmarks/kernel_bench.py` times both at n = 10 and 11; a
+2-core VM, Python 3.11). It still takes n = 10, because a process that
+imports numpy pays about 130 ms for it, the cost of some two thousand plain
+scans: so `color` and `report` on Petersen, or on any graph of at most 10
+vertices, run in a fresh process without numpy. numpy is imported by the
+numpy scan's functions when they run, so importing this module, the search
+and a scan of at most 10 vertices load no numpy.
 
 The backtracking search (`colorings`) yields every proper coloring it
 reaches, in lexicographic order over colorings whose colors first appear in
@@ -28,9 +29,15 @@ ordering of each parallel class.
 The plain scan builds |E(U)| for all 2^n masks by doubling over the
 vertices: the masks whose highest vertex is v have the counts of the masks
 below 1 << v plus the multiplicity from v into each, and that second list is
-itself doubled over the lower vertices. Each odd size class reads its
-counts through one cached `itemgetter`, and the classes are compared by
-integer cross-multiplication, so the scan is exact at any multiplicity.
+itself doubled over the lower vertices. Each list is packed into one
+integer, one fixed-width field per mask, so that a doubling step is a few
+whole-integer additions and shifts, not a python loop over the entries
+(about a third faster at n = 8 to 10). A field has 4 bytes while the
+multiplicities sum below 2^32, and more above; no count exceeds that sum,
+so no field carries into the next. The fields are read back as a
+memoryview of the integer's bytes. Each odd size class reads its counts
+through one cached `itemgetter`, and the classes are compared by integer
+cross-multiplication, so the scan is exact at any multiplicity.
 
 The numpy scan splits the vertices into a low half L (the n // 2
 lowest) and a high half H, and writes each subset as U = A | B with A in L
@@ -47,13 +54,14 @@ multiplicities far below 2^53.
 """
 
 import functools
-from operator import add, itemgetter
+import sys
+from operator import itemgetter
 
 # No JIT path; kept because colorbench records it in every run.
 USING_NUMBA = False
 
 # The largest vertex count that density_scan hands to the plain-python scan.
-PLAIN_SCAN_VERTICES = 8
+PLAIN_SCAN_VERTICES = 10
 
 
 # --------------------------------------------------------------------------
@@ -212,15 +220,25 @@ def density_scan(pair_counts, n: int):
 
 def _plain_density_scan(pair_counts, n):
     """density_scan in plain python, for 3 <= n; exact integer arithmetic."""
+    # no count exceeds the total, so a field that holds it never overflows
+    total = sum(pair_counts.values())
+    width = 4 if total < 1 << 32 else max(8, (total.bit_length() + 7) // 8)
+    bits, ones = 8 * width, _ones(width, n)
     up = [[0] * v for v in range(n)]
     for (u, v), c in pair_counts.items():
         up[v][u] = c
-    counts = [0]
-    for row in up:
-        into = [0]
-        for w in row:
-            into += [x + w for x in into] if w else into
-        counts += map(add, counts, into)
+    packed = 0
+    for v, row in enumerate(up):
+        into = 0
+        for u, w in enumerate(row):
+            into |= (into + w * ones[u] if w else into) << (bits << u)
+        packed |= (packed + into) << (bits << v)
+    raw = packed.to_bytes(width << n, sys.byteorder)
+    if width in _FIELD_FORMATS:
+        counts = memoryview(raw).cast(_FIELD_FORMATS[width])
+    else:
+        counts = [int.from_bytes(raw[i:i + width], sys.byteorder)
+                  for i in range(0, len(raw), width)]
     best_cnt, best_den, best_mask = 0, 1, 0
     for den, masks, read in _odd_size_classes(n):
         found = read(counts)
@@ -232,6 +250,18 @@ def _plain_density_scan(pair_counts, n):
     if best_cnt == 0:
         return 0, 0, 0
     return best_cnt, best_den + 1, best_mask
+
+
+# memoryview formats of the native unsigned fields of 4 and 8 bytes
+_FIELD_FORMATS = {4: "I", 8: "Q"}
+
+
+@functools.lru_cache(maxsize=None)
+def _ones(width, n):
+    """For each u < n, the packed list of 2^u fields of `width` bytes that
+    all hold 1."""
+    one = (1).to_bytes(width, sys.byteorder)
+    return tuple(int.from_bytes(one * (1 << u), sys.byteorder) for u in range(n))
 
 
 @functools.lru_cache(maxsize=None)

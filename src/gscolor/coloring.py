@@ -8,7 +8,7 @@ coloring that still has edges waiting to be colored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Multigraph
 
@@ -207,8 +207,7 @@ def validate(G: Multigraph, pc: PartialColoring) -> list:
 
 # -- Kempe chains ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KempeChain:
+class KempeChain(NamedTuple):
     """Maximal two-colored component: an alternating path or even cycle.
 
     For a path, vertices runs end to end and end_vertices has both ends.

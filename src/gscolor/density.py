@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _kernels
 from .graph import Multigraph, ScaleExceededError
@@ -22,8 +22,7 @@ DENSITY_VERTEX_CAP = 16
 ORACLE_EDGE_CAP = 25
 
 
-@dataclass(frozen=True)
-class DensityCertificate:
+class DensityCertificate(NamedTuple):
     """Odd vertex set U with value 2|E(U)|/(|U|-1); value > k proves chi' > k."""
     u: frozenset
     value: Fraction
@@ -52,8 +51,7 @@ def _density(n: int, pair_counts: dict) -> DensityCertificate:
     return DensityCertificate(members, Fraction(2 * cnt, size - 1))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """The classical bound family around the chromatic index."""
     n: int
     m: int

@@ -52,7 +52,6 @@ settled by the first two rules, so verifying one never runs the scan.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -67,8 +66,7 @@ from .tashkinov import TreeSequence, build_series, elementary_audit
 METHODS = ("direct", "kempe", "tashkinov", "fallback")   # how extend colors an edge
 
 
-@dataclass(frozen=True)
-class FailureEvidence:
+class FailureEvidence(NamedTuple):
     """Why extension stopped at this k.
 
     kind "elementary_strongly_closed_tree" is a proof that k colors cannot
@@ -87,8 +85,7 @@ class ExtendOutcome(NamedTuple):
     method: str | None
 
 
-@dataclass
-class ColoringResult:
+class ColoringResult(NamedTuple):
     """A run's record: complete when `color` returns it, partial (uncolored
     edges null, trace over the colored ones) when IncompleteColoringError
     carries it."""

@@ -6,7 +6,7 @@ import math
 import random
 from itertools import combinations, islice, permutations
 
-from .graph import MAX_PARSE_VERTICES, Multigraph
+from .graph import MAX_GEN_EDGES, MAX_PARSE_VERTICES, Multigraph
 
 
 def petersen() -> Multigraph:
@@ -139,20 +139,23 @@ def exhaustive_connected(n_max: int, m_max: int):
                 yield G
 
 
-# name -> (builder, fewest and most integer arguments)
-_SPECS = {"petersen": (petersen, 0, 0), "shannon": (shannon_triangle, 1, 1),
-          "ring": (ring, 1, 2), "random": (random_multigraph, 3, 3)}
+# name -> (builder, fewest and most integer arguments, its edge count)
+_SPECS = {"petersen": (petersen, 0, 0, lambda: 15),
+          "shannon": (shannon_triangle, 1, 1, lambda mu: 3 * mu),
+          "ring": (ring, 1, 2, lambda n, mu=1: n * mu),
+          "random": (random_multigraph, 3, 3, lambda n, m, seed: m)}
 
 
 def from_spec(tokens) -> Multigraph:
     """Build a named instance: petersen | shannon mu | ring n [mu] |
     random n m seed. ValueError on an unknown name, a missing or extra
-    argument, one that is not an integer, or a ring or random vertex count
-    above the graph-file limit MAX_PARSE_VERTICES, checked before building."""
+    argument, one that is not an integer, a ring or random vertex count
+    above the graph-file limit MAX_PARSE_VERTICES, or an edge count above
+    MAX_GEN_EDGES; both limits are checked before building."""
     name, *args = tokens
     if name not in _SPECS:
         raise ValueError(f"unknown generator {name!r}")
-    build, fewest, most = _SPECS[name]
+    build, fewest, most, edge_count = _SPECS[name]
     if not fewest <= len(args) <= most:
         wanted = fewest if fewest == most else f"{fewest} to {most}"
         raise ValueError(f"{name} takes {wanted} argument(s), got {len(args)}")
@@ -163,4 +166,7 @@ def from_spec(tokens) -> Multigraph:
     if name in ("ring", "random") and ints[0] > MAX_PARSE_VERTICES:
         raise ValueError(f"vertex count {ints[0]} above the limit of "
                          f"{MAX_PARSE_VERTICES}")
+    m = edge_count(*ints)
+    if m > MAX_GEN_EDGES:
+        raise ValueError(f"edge count {m} above the limit of {MAX_GEN_EDGES}")
     return build(*ints)

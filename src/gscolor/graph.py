@@ -137,6 +137,10 @@ class Multigraph:
 # tables from it before any edge is read.
 MAX_PARSE_VERTICES = 1 << 20
 
+# Largest edge count a generator spec may ask for (`generators.from_spec`):
+# a generator builds its whole pair list before anything else sees the graph.
+MAX_GEN_EDGES = 1 << 22
+
 
 def parse_multigraph(text: str) -> Multigraph:
     """Parse the text edge-list format; raises ParseError with a line number."""

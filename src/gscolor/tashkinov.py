@@ -23,8 +23,7 @@ coloring (`pc.graph`); only `TreeSequence.root`, which has none, takes it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 from .coloring import (PartialColoring, kempe_chain, kempe_swap, mask_colors,
                        swap_outside)
@@ -41,25 +40,42 @@ class SeriesStuck(Exception):
 
 # -- tree sequences -----------------------------------------------------------
 
-@dataclass(frozen=True)
 class TreeSequence:
     """Alternating vertex/edge sequence rooted at an uncolored edge.
 
     vertices[0], vertices[1] are the root edge's ends; every later edge joins
     its new vertex to some earlier vertex. Prefixes are the segments; the
     vertex order defines the precedence used throughout the series.
-    """
-    edges: tuple
-    vertices: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        if len(self.vertices) != len(self.edges) + 1:
+    An immutable value: edges and vertices are stored as tuples (lists are
+    accepted), and two sequences are equal, and hash alike, when both are.
+    """
+    __slots__ = ("edges", "vertices", "vertex_set")
+
+    def __init__(self, edges, vertices):
+        edges, vertices = tuple(edges), tuple(vertices)
+        if len(vertices) != len(edges) + 1:
             raise ValueError("tree sequence shape mismatch")
-        if (len(self.vertex_set) != len(self.vertices)
-                or len(set(self.edges)) != len(self.edges)):
+        vertex_set = frozenset(vertices)
+        if len(vertex_set) != len(vertices) or len(set(edges)) != len(edges):
             raise ValueError("tree sequence repeats a vertex or edge")
+        for name, value in (("edges", edges), ("vertices", vertices),
+                            ("vertex_set", vertex_set)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to TreeSequence.{name}")
+
+    def __eq__(self, other):
+        if type(other) is not TreeSequence:
+            return NotImplemented
+        return self.edges == other.edges and self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash((self.edges, self.vertices))
+
+    def __repr__(self):
+        return f"TreeSequence(edges={self.edges!r}, vertices={self.vertices!r})"
 
     @classmethod
     def root(cls, G: Multigraph, eid: int) -> "TreeSequence":
@@ -69,10 +85,6 @@ class TreeSequence:
     @property
     def root_edge(self) -> int:
         return self.edges[0]
-
-    @cached_property
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
 
     def grow(self, eid: int, v: int) -> "TreeSequence":
         return TreeSequence(self.edges + (eid,), self.vertices + (v,))
@@ -124,8 +136,7 @@ def taa_close(pc: PartialColoring, T: TreeSequence) -> TreeSequence:
     return TreeSequence(edges, vertices)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     u: int
     v: int
     color: int
@@ -175,8 +186,7 @@ def _max_defective(T: TreeSequence, boundary: dict):
 
 # -- the extension series (RE / SE / PE) ----------------------------------------
 
-@dataclass(frozen=True)
-class SeriesTuple:
+class SeriesTuple(NamedTuple):
     """Ledger row i: the tree T_i, the coloring that exhibited it, and the
     connecting data of the step that created it. The step's connecting
     colors S_{i-1} and edges F_{i-1} are derived from delta, gamma and edge."""
@@ -197,13 +207,16 @@ class SeriesTuple:
         return frozenset((self.edge,)) - {None}
 
 
-@dataclass
 class SeriesState:
     """The series ledger: tuples (T_i, phi_{i-1}, S_{i-1}, F_{i-1}, theta_{i-1})."""
-    graph: Multigraph
-    tuples: list = field(default_factory=list)
-    outcome: str = "running"           # "running" | "strongly_closed" | "budget_exhausted"
-    stuck_reason: str | None = None
+    __slots__ = ("graph", "tuples", "outcome", "stuck_reason")
+
+    def __init__(self, graph: Multigraph, tuples: list | None = None,
+                 outcome: str = "running", stuck_reason: str | None = None):
+        self.graph = graph
+        self.tuples = [] if tuples is None else tuples
+        self.outcome = outcome          # "running" | "strongly_closed" | "budget_exhausted"
+        self.stuck_reason = stuck_reason
 
     @property
     def n(self) -> int:
@@ -310,8 +323,7 @@ def assert_series_invariants(state: SeriesState):
                     f"from previous delta {prev.delta}\n" + state.to_ledger_json())
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     kind: str                         # "strongly_closed" | "extended" | "budget_exhausted"
     reason: str | None = None
 

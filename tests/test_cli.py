@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -434,6 +435,10 @@ def _ring17_files(tmp_path, k_used):
     (["color", "--gen", "random", "5", "-3", "1"], 1, "bad generator"),
     (["color", "--gen", "ring", str(2 ** 20 + 1)], 1, "bad generator"),
     (["report", "--gen", "random", str(2 ** 20 + 1), "3", "1"], 1, "bad generator"),
+    (["color", "--gen", "random", "10", str(2 ** 22 + 1), "1"], 1, "bad generator"),
+    (["report", "--gen", "ring", "4", str(2 ** 20 + 1)], 1, "bad generator"),
+    (["color", "--gen", "shannon", str(2 ** 22 // 3 + 1)], 1, "bad generator"),
+    (["bench", "--gen", "random", "10", str(2 ** 22 + 1), "1"], 1, "bad generator"),
     (["color", "{graph}", "--gen", "petersen"], 1, "exactly one of"),
     (["report", "{graph}", "--gen", "petersen"], 1, "exactly one of"),
     (["color"], 1, "exactly one of"),
@@ -458,7 +463,10 @@ def _ring17_files(tmp_path, k_used):
         "color-gen-missing-arg", "color-gen-random-missing-args",
         "color-gen-unknown", "color-gen-ring-too-small", "report-gen-extra-arg",
         "color-gen-random-negative-m", "color-gen-ring-above-vertex-limit",
-        "report-gen-random-above-vertex-limit", "color-path-and-gen",
+        "report-gen-random-above-vertex-limit",
+        "color-gen-random-above-edge-limit", "report-gen-ring-above-edge-limit",
+        "color-gen-shannon-above-edge-limit", "bench-gen-random-above-edge-limit",
+        "color-path-and-gen",
         "report-path-and-gen", "color-neither-path-nor-gen",
         "bench-gen-non-integer", "bench-gen-exhaustive-missing-arg",
         "bench-gen-exhaustive-negative-m", "bench-gen-exhaustive-no-vertices",
@@ -504,29 +512,33 @@ _LAZY_NUMPY = """
 import json, sys
 import gscolor, gscolor.cli
 from gscolor.generators import petersen
+imported = sorted({"dataclasses", "inspect", "numpy"} & sys.modules.keys())
 codes = [gscolor.cli.main(["verify", sys.argv[1], sys.argv[2]])]
-codes += [gscolor.cli.main([command, "--gen", "ring", "7", "3"])
+codes += [gscolor.cli.main([command, "--gen", *spec])
+          for spec in (["ring", "7", "3"], ["petersen"])
           for command in ("color", "report")]
 exact = gscolor.chromatic_index_exact(petersen())
 _, _, evidence = gscolor.color_at_k(petersen(), 3)
 codes.append(gscolor.cli.main(["verify", sys.argv[3], sys.argv[4]]))
+colored = gscolor.color(petersen()).to_json()
 loaded = "numpy" in sys.modules
-G = petersen()
-print(json.dumps([codes, exact, evidence.kind, loaded, gscolor.color(G).to_json(),
-                  gscolor.cli.main(["report", "--gen", "petersen"]),
+print(json.dumps([imported, codes, exact, evidence.kind, loaded, colored,
+                  gscolor.cli.main(["report", "--gen", "ring", "11", "3"]),
                   "numpy" in sys.modules,
                   len(list(gscolor.generators.exhaustive_connected(3, 3)))]))
 """
 
 
 def test_import_and_verify_leave_numpy_unloaded(tmp_path, capsys):
-    """`import gscolor`, `color` and `report` on a graph of at most 8
-    vertices (whose density scan is plain python), the exact search
-    (chromatic_index_exact, and the fallback that color_at_k(petersen, 3)
-    reaches after the series) and a verify that needs no density scan never
-    load numpy: neither for a Delta+1 result nor for a `color --gen shannon
-    2` result, which proves its bound with its certificate. The density scan
-    of Petersen's 10 vertices still imports it."""
+    """`import gscolor.cli` loads neither numpy nor `dataclasses` (nor the
+    `inspect` it would bring). `color` and `report` on graphs of at most 10
+    vertices (ring(7, 3) and Petersen, whose density scans are plain
+    python), the exact search (chromatic_index_exact, and the fallback that
+    color_at_k(petersen, 3) reaches after the series) and a verify that
+    needs no density scan never load numpy: neither for a Delta+1 result nor
+    for a `color --gen shannon 2` result, which proves its bound with its
+    certificate. The density scan of ring(11, 3)'s 11 vertices still
+    imports it."""
     G = petersen()
     graph, result = tmp_path / "petersen.mg", tmp_path / "result.json"
     graph.write_text(format_multigraph(G))
@@ -542,12 +554,32 @@ def test_import_and_verify_leave_numpy_unloaded(tmp_path, capsys):
                          capture_output=True, text=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=src))
     assert run.returncode == 0, run.stderr
-    (codes, exact, kind, loaded, colored, report_code, loaded_later,
+    (imported, codes, exact, kind, loaded, colored, report_code, loaded_later,
      count) = json.loads(run.stdout.splitlines()[-1])
-    assert (codes, exact, kind, loaded) == ([0] * 4, 4, "budget_exhausted", False)
+    assert imported == []
+    assert (codes, exact, kind, loaded) == ([0] * 6, 4, "budget_exhausted", False)
     assert colored == gscolor.color(G).to_json()
     assert (report_code, loaded_later) == (0, True)
     assert count == len(list(exhaustive_connected(3, 3)))
+
+
+def test_startup_script_prints_one_row_per_command(capsys):
+    """benchmarks/startup.py at N = 1: a row per command, each with a time
+    and a yes/no for numpy, dataclasses and inspect (the times are not
+    checked)."""
+    path = Path(__file__).parents[1] / "benchmarks" / "startup.py"
+    spec = importlib.util.spec_from_file_location("startup", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    names = ["bare interpreter", "import gscolor", "color --gen petersen --out R",
+             "verify petersen R", "report --gen ring 11 3"]
+    assert [row[:30].rstrip() for row in rows] == names
+    for row in rows:
+        best, *flags = row[30:].split()
+        assert float(best) > 0 and len(flags) == 3
+        assert set(flags) <= {"yes", "no"}
 
 
 def test_report_rejects_run_flags(capsys):

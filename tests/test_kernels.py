@@ -153,7 +153,7 @@ def _graphs_on(n, rng):
 
 def test_density_paths_agree():
     """n = 1 to 12, across the plain scan's cutoff. On each side of it
-    (n = 8, plain, and n = 9, numpy) the disjoint triangles tie for the
+    (n = 10, plain, and n = 11, numpy) the disjoint triangles tie for the
     maximum, and a doubled triangle on the top three vertices ties with a
     lower 5-set (K5 with two edges doubled), so the first best mask is in
     the larger size class."""
@@ -201,6 +201,23 @@ def test_density_scan_is_exact_under_huge_multiplicities():
         uniform = dict.fromkeys(pairs, 10 ** 9)    # every largest odd set ties
         for pair_counts in (near, uniform):
             assert _kernels.density_scan(pair_counts, n) == \
+                brute_density_scan(pair_counts, n)
+
+
+def test_plain_scan_field_widths():
+    """The plain scan packs its counts in fields of 4 bytes while the
+    multiplicities sum below 2^32, of 8 below 2^64, and wider above; each
+    width gives the exact best count and first best mask at n = 8 and 10,
+    including a total just below and just at each boundary."""
+    rng = random.Random(19)
+    for n in (8, 10):
+        pairs = rng.sample(list(combinations(range(n), 2)), 2 * n)
+        for total in (2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 10 ** 30):
+            share = total // len(pairs)
+            pair_counts = {p: share - rng.randint(0, 9) for p in pairs}
+            pair_counts[pairs[0]] += total - sum(pair_counts.values())
+            assert sum(pair_counts.values()) == total
+            assert _kernels._plain_density_scan(pair_counts, n) == \
                 brute_density_scan(pair_counts, n)
 
 

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import hashlib
 import random
 
@@ -254,7 +253,7 @@ def test_pe_postconditions_on_forged_row(change, message):
     G, pc = make_pe_instance()
     state = build_series(pc, 0)
     assert elementary_audit(state.coloring(0), state.tree(1).vertices) is None
-    state.tuples[1] = dataclasses.replace(state.tuples[1], **change)
+    state.tuples[1] = state.tuples[1]._replace(**change)
     with pytest.raises(SeriesInvariantError, match=message):
         assert_series_invariants(state)
 
