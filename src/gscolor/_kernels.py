@@ -179,13 +179,11 @@ def chromatic_feasible(eu, ev, n: int, k: int):
     """
     if k < 0:
         raise ValueError(f"negative color count {k}")
-    if len(eu) == 0:
-        return []
     degree = [0] * n
     for u, v in zip(eu, ev):
         degree[u] += 1
         degree[v] += 1
-    if max(degree) > k:
+    if max(degree, default=0) > k:
         return None
     search = colorings(list(eu), list(ev), parallel_prev(eu, ev), n, k)
     return next(search, None)

@@ -14,7 +14,8 @@ from . import generators
 from .density import bound_report, chromatic_index_exact
 from .engine import (METHODS, IncompleteColoringError, _color, color,
                      result_from_json, verify_result)
-from .graph import Multigraph, ParseError, ScaleExceededError, parse_multigraph
+from .graph import (Multigraph, ParseError, ScaleExceededError, decimal_int,
+                    parse_multigraph)
 
 BENCH_COLUMNS = ["idx", "spec", "n", "m", "delta", "mu", "gamma", "chi_exact",
                  "k_used", *METHODS, "status"]
@@ -132,14 +133,17 @@ def _bench_instances(args):
         if spec[0] == "exhaustive":
             if len(spec) != 3:
                 raise ValueError(f"exhaustive takes 2 arguments, got {len(spec) - 1}")
-            n_max, m_max = int(spec[1]), int(spec[2])
+            try:
+                n_max, m_max = map(decimal_int, spec[1:])
+            except ValueError:
+                raise ValueError(f"exhaustive arguments must be integers, "
+                                 f"got {spec[1:]}") from None
             for i, G in enumerate(generators.exhaustive_connected(n_max, m_max)):
                 yield f"exhaustive[{i}]", G
         else:
             yield " ".join(spec), generators.from_spec(spec)
     for path in args.paths or []:
-        with open(path) as fh:
-            yield path, parse_multigraph(fh.read())
+        yield path, parse_multigraph(_read_file(path))
 
 
 def _bench_row(name, G, oracle, timings):
@@ -248,6 +252,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ScaleExceededError as exc:
         print(f"graph too large: {exc}", file=sys.stderr)
+        return 1
+    except ModuleNotFoundError as exc:   # numpy runs the larger Gamma scans
+        if exc.name != "numpy":
+            raise
+        print(f"missing dependency: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,4 +1,4 @@
-"""Partial k-edge-colorings and Kempe chains.
+"""Partial k-edge-colorings, Kempe chains, and the two per-edge steps.
 
 A coloring assigns colors 1..k to a subset of the edges so that adjacent
 colored edges differ; uncolored edges are simply absent from every
@@ -17,8 +17,8 @@ class PartialColoring:
     """Proper partial assignment of colors 1..k to the edges of a multigraph.
 
     Every coloring is proper by construction: `assign` and `recolor` refuse a
-    color outside 1..k or one already at an end of the edge, and `_write`,
-    which skips those checks, is for callers that know the color is free.
+    color outside 1..k or one already at an end of the edge; `_write` skips
+    those checks for this module's steps, which know the color is free.
     A result file loads through `assign` too, so it keeps only the proper
     part of its assignment.
 
@@ -243,6 +243,58 @@ def alternating_path(pc: PartialColoring, v: int, first: int, second: int) -> tu
         first, second = second, first
         e = at[cur].get(first)
     return edges, cur
+
+
+# -- the per-edge steps ------------------------------------------------------
+
+
+def direct_step(pc: PartialColoring, eid: int):
+    """Give the uncolored edge eid the smallest color missing at both ends,
+    in place (unchecked: the color is free there); pc or None."""
+    x, y = pc.graph._ends[eid]
+    common = ((1 << (pc.k + 1)) - 2) & ~(pc._mask[x] | pc._mask[y])
+    if not common:
+        return None
+    pc._write(eid, (common & -common).bit_length() - 1)
+    return pc
+
+
+def chain_step(pc: PartialColoring, eid: int):
+    """Color the uncolored edge eid = xy by swapping a chain from x between
+    the ends' missing colors, in place; pc, or None with pc only read.
+
+    For use after `direct_step` failed on eid, so the ends' missing sets are
+    disjoint: x has an edge of every color b missing at y, and y misses b.
+    For a missing at x and b missing at y, both ascending, the (a, b)-chain
+    that leaves x on b either ends at y, or elsewhere and is flipped; then b
+    is missing at both ends, and eid takes it. A chain that reaches y is the
+    very chain a scan from y would find and skip, so scanning from y can
+    never succeed and is never done. Most chains from x do reach y, and the
+    per-color vertex masks say which without a walk: in a proper coloring
+    the (a, b)-edges form paths and even cycles, whose path ends are the
+    vertices with exactly one of a and b, the bits of
+    present[a] ^ present[b]. x (missing a, having b) and y (missing b,
+    having a) are two of them; when they are the only two, x's path ends at
+    y, so skipping the pair unwalked picks the chain that walking every pair
+    picks. Any other pair is walked once, for both its far end and its
+    edges.
+    """
+    present = pc._present
+    x, y = pc.graph._ends[eid]
+    both_ends = (1 << x) | (1 << y)
+    far_missing = pc.missing_mask(y)
+    for a in mask_colors(pc.missing_mask(x)):
+        with_a = present.get(a, 0)
+        for b in mask_colors(far_missing):
+            if with_a ^ present.get(b, 0) == both_ends:
+                continue
+            edges, end = alternating_path(pc, x, b, a)
+            if end == y:
+                continue
+            pc.recolor([(e, b if i % 2 else a) for i, e in enumerate(edges)])
+            pc._write(eid, b)
+            return pc
+    return None
 
 
 def _path_vertices(graph: Multigraph, v: int, edges) -> list:

@@ -111,9 +111,9 @@ def certificate_check(G: Multigraph, members, k: int) -> bool:
     return odd_set_density(G, members) > k
 
 
-def _oracle_edge_ids(G: Multigraph) -> list:
-    """Edge ids by descending endpoint degree sum; the stable sort keeps ties
-    in ascending id order."""
+def oracle_edge_ids(G: Multigraph) -> list:
+    """Edge ids in the exact search's order: by descending endpoint degree
+    sum; the stable sort keeps ties in ascending id order."""
     degree = [G.degree(v) for v in range(G.vertex_count)]
     key = [-(degree[u] + degree[v]) for u, v in G._ends]
     return sorted(G.edge_ids, key=key.__getitem__)
@@ -121,35 +121,34 @@ def _oracle_edge_ids(G: Multigraph) -> list:
 
 def _oracle_edge_order(G: Multigraph):
     """(edge ids, their first ends, their second ends) in the oracle's edge
-    order (`_oracle_edge_ids`)."""
+    order (`oracle_edge_ids`)."""
     ends = G._ends
-    ordered = _oracle_edge_ids(G)
+    ordered = oracle_edge_ids(G)
     eu = [ends[e][0] for e in ordered]
     ev = [ends[e][1] for e in ordered]
     return ordered, eu, ev
 
 
-def chromatic_index_exact(G: Multigraph) -> int:
-    """Exact chi' by backtracking feasibility search, k = Delta, Delta+1, ...
+def first_coloring(G: Multigraph, k: int):
+    """The first proper k-edge-coloring of G, {edge id: color}, that the
+    backtracking search finds in the oracle's edge order (colors first-fit,
+    introduced canonically); None when G has none."""
+    ordered, eu, ev = _oracle_edge_order(G)
+    colors = _kernels.chromatic_feasible(eu, ev, G.vertex_count, k)
+    return None if colors is None else dict(zip(ordered, colors))
 
-    Deterministic: edges are tried in descending endpoint degree-sum order and
-    colors first-fit with canonical color introduction. Refuses graphs with
-    more than ORACLE_EDGE_CAP edges.
+
+def chromatic_index_exact(G: Multigraph) -> int:
+    """Exact chi': the least k from Delta up at which `first_coloring`
+    finds a coloring. Refuses graphs with more than ORACLE_EDGE_CAP edges.
     """
-    if G.m == 0:
-        return 0
     if G.m > ORACLE_EDGE_CAP:
         raise ScaleExceededError(
             f"exact chromatic index capped at {ORACLE_EDGE_CAP} edges, got {G.m}")
-    _, eu, ev = _oracle_edge_order(G)
-    k = G.max_degree()
-    shannon = (3 * G.max_degree()) // 2
-    while True:
-        if _kernels.chromatic_feasible(eu, ev, G.vertex_count, k) is not None:
+    for k in range(G.max_degree(), 3 * G.max_degree() // 2 + 2):
+        if first_coloring(G, k) is not None:
             return k
-        k += 1
-        if k > shannon + 1:
-            raise AssertionError("feasibility search escaped the Shannon bound")
+    raise AssertionError("feasibility search escaped the Shannon bound")
 
 
 def enumerate_colorings(G: Multigraph, k: int, *, cap: int = 1000):

@@ -3,16 +3,14 @@
 Colors every edge using at most max(Delta+1, ceil(density)) colors: the lower
 bound max(Delta, ceil(density)) is attempted first so class-1-like instances
 come out optimal, and a failed attempt escalates once to the guaranteed
-bound. Per edge the driver tries a shared missing color (the direct step)
-in its own loop. Only an edge that resists it goes to `extend`, which tries
-a two-colored chain swap between the ends' missing colors; on a graph of at
-most ORACLE_EDGE_CAP (25) edges an exact backtracking fallback makes the
+bound. Per edge the driver tries `coloring.direct_step` (a color missing at
+both ends) in its own loop. Only an edge that resists it goes to `extend`,
+which tries `coloring.chain_step` (a two-colored chain swap); on a graph of
+at most ORACLE_EDGE_CAP (25) edges an exact backtracking fallback makes the
 contract unconditional. The edge count is fixed, not a setting, because it
-is the exact search's own cap. The fallback is one search
-(`_kernels.chromatic_feasible`) over the colored edges plus the new one, in
-the oracle's edge order (`density._oracle_edge_order`), and its first
-coloring is written in place: all three steps mutate the coloring they are
-given.
+is the exact search's own cap. The fallback is one `density.first_coloring`
+over the colored edges plus the new one, written in place: all three steps
+mutate the coloring they are given.
 Between the chain swap and the fallback, the extension series
 (`tashkinov.build_series`) runs once per resisting edge, for a certificate
 only: a strongly closed, elementary final tree of odd order whose density
@@ -25,28 +23,6 @@ set against k - 1. There k = ceil(Gamma), so Gamma > k - 1, and the set
 shows that no coloring has fewer than k colors. A record for k <= Delta+1
 needs no certificate and carries none. Certificates from the series come as
 evidence from `color_at_k` and `extend` at a k below ceil(Gamma).
-
-The chain swap scans chains from one end x of the edge xy only. It runs after
-the shared-color test failed, so the ends' missing sets are disjoint: an
-(a, b)-chain from x that avoids y always succeeds (afterwards both ends miss
-b), and one that reaches y is the very chain a scan from y would find and
-skip, so scanning from y can never succeed. Most chains from x do reach y,
-and the per-color vertex masks say which without a walk: in a proper
-coloring the (a, b)-edges form paths and even cycles, whose path ends are
-the vertices with exactly one of a and b, the bits of
-present[a] ^ present[b]. x (missing a, having b) and y (missing b, having
-a) are two of them; when they are the only two, x's path ends at y, so
-skipping the pair unwalked picks the chain that walking every pair picks.
-Any other pair is walked once, for both its far end and its edges.
-
-Verification decides the color bound max(Delta+1, ceil(Gamma)) without the
-2^n density scan whenever it can, and the shortcut is exact. A result with
-k_used <= Delta+1 meets the bound whatever Gamma is. A result with more
-colors meets it when one of its (already checked) certificates U has
-density(U) > k_used - 1: Gamma >= density(U), so ceil(Gamma) >= k_used. Only
-otherwise does `verify_result` compute Gamma, which is also the only case in
-which it refuses a graph above the 16-vertex cap. Every `color` result is
-settled by the first two rules, so verifying one never runs the scan.
 """
 
 from __future__ import annotations
@@ -55,11 +31,10 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _kernels
-from .coloring import PartialColoring, alternating_path, mask_colors, validate
-from .density import (ORACLE_EDGE_CAP, DensityCertificate, _oracle_edge_ids,
-                      _oracle_edge_order, bound_report, certificate_check,
-                      odd_set_density)
+from .coloring import PartialColoring, chain_step, direct_step, validate
+from .density import (ORACLE_EDGE_CAP, DensityCertificate, bound_report,
+                      certificate_check, first_coloring, odd_set_density,
+                      oracle_edge_ids)
 from .graph import Multigraph
 from .tashkinov import TreeSequence, build_series, elementary_audit
 
@@ -210,67 +185,24 @@ class IncompleteColoringError(Exception):
 # -- per-edge extension -------------------------------------------------------
 
 
-def _try_direct(pc: PartialColoring, eid: int):
-    """Give the uncolored edge eid the smallest color missing at both ends,
-    in place (unchecked: the color is free there); pc or None."""
-    x, y = pc.graph._ends[eid]
-    common = ((1 << (pc.k + 1)) - 2) & ~(pc._mask[x] | pc._mask[y])
-    if not common:
-        return None
-    pc._write(eid, (common & -common).bit_length() - 1)
-    return pc
-
-
-def _try_kempe(pc: PartialColoring, eid: int):
-    """Swap a chain from x between the ends' missing colors when it avoids y.
-
-    Only called after _try_direct failed, so the missing sets are disjoint:
-    x has an edge of every color b missing at y, and y misses b, so y can
-    only be the far end of the (a, b)-chain that leaves x on b. A chain
-    ending elsewhere is flipped in place; then b is the one color missing at
-    both ends, and eid takes it. Pairs whose only path ends are x and y are
-    skipped unwalked, and each other pair is walked once (see the module
-    docstring). A scan that finds no such chain only reads pc. The scan
-    from y is never needed.
-    """
-    present = pc._present
-    x, y = pc.graph._ends[eid]
-    both_ends = (1 << x) | (1 << y)
-    far_missing = pc.missing_mask(y)
-    for a in mask_colors(pc.missing_mask(x)):
-        with_a = present.get(a, 0)
-        for b in mask_colors(far_missing):
-            if with_a ^ present.get(b, 0) == both_ends:
-                continue
-            edges, end = alternating_path(pc, x, b, a)
-            if end == y:
-                continue
-            pc.recolor([(e, b if i % 2 else a) for i, e in enumerate(edges)])
-            pc._write(eid, b)
-            return pc
-    return None
-
-
 def extend(pc: PartialColoring, eid: int) -> ExtendOutcome:
     """Color uncolored edge eid of pc.graph (G) or say why pc.k colors resist.
 
     `color_at_k` calls it only for an edge that its own direct step left
-    uncolored; called directly, it tries that step first too. Every step
-    that colors the edge does so in pc itself; a step that fails leaves pc
-    untouched. The direct step takes a color missing at both ends. The chain
-    swap scans from one end only, because the direct step failing leaves the
-    ends' missing sets disjoint (see the module docstring). Then the
-    extension series runs once, and a stuck step ends it as
+    uncolored; called directly, it tries that step first too. The steps are
+    `direct_step`, `chain_step`, the series and the fallback; one that
+    colors the edge does so in pc itself, and one that fails leaves pc
+    untouched. The extension series runs once, and a stuck step ends it as
     budget_exhausted; its tree is audited only when the last row is strongly
     closed and the tree has odd order of at least 3, and evidence is
     returned when that tree is elementary and certifies k. The series never
     changes pc. Uncolored edges other than eid are invisible to the
     machinery, so this works midway through a coloring run. On a graph of
     at most ORACLE_EDGE_CAP edges, the edge cap of `chromatic_index_exact`,
-    the answer is exact: one search over a graph of the colored edges plus
-    eid, whose edge i is G's edge keep[i], either finds a k-coloring, and
-    its first one, mapped back through keep, is written into pc by the
-    checked `recolor` and `assign`, or establishes that there is none. keep
+    the answer is exact: `first_coloring` of a graph of the colored edges
+    plus eid, whose edge i is G's edge keep[i], either finds a k-coloring,
+    which, mapped back through keep, is written into pc by the checked
+    `recolor` and `assign`, or establishes that there is none. keep
     ascends, so the oracle's edge order breaks ties on that graph as it
     would on G's ids. Otherwise the evidence is budget_exhausted, with the
     series' final tree.
@@ -280,9 +212,9 @@ def extend(pc: PartialColoring, eid: int) -> ExtendOutcome:
         raise ValueError(f"edge {eid} outside 0..{G.m - 1}")
     if pc.is_colored(eid):
         raise ValueError("edge already colored")
-    if _try_direct(pc, eid) is not None:
+    if direct_step(pc, eid) is not None:
         return ExtendOutcome("colored", None, "direct")
-    if _try_kempe(pc, eid) is not None:
+    if chain_step(pc, eid) is not None:
         return ExtendOutcome("colored", None, "kempe")
 
     state = build_series(pc, eid)
@@ -298,10 +230,9 @@ def extend(pc: PartialColoring, eid: int) -> ExtendOutcome:
     if G.m <= ORACLE_EDGE_CAP:
         keep = [e for e in G.edge_ids if pc.is_colored(e) or e == eid]
         H = Multigraph.build(G.vertex_count, [G.endpoints(e) for e in keep])
-        ordered, eu, ev = _oracle_edge_order(H)
-        colors = _kernels.chromatic_feasible(eu, ev, H.vertex_count, pc.k)
-        if colors is not None:
-            found = {keep[i]: c for i, c in zip(ordered, colors)}
+        found = first_coloring(H, pc.k)
+        if found is not None:
+            found = {keep[i]: c for i, c in found.items()}
             pc.recolor([(e, found[e]) for e in keep if e != eid])
             pc.assign(eid, found[eid])
             return ExtendOutcome("colored", None, "fallback")
@@ -324,8 +255,8 @@ def color_at_k(G: Multigraph, k: int):
     """
     pc = PartialColoring(G, k)
     trace = {}
-    for eid in _oracle_edge_ids(G):
-        if _try_direct(pc, eid) is not None:
+    for eid in oracle_edge_ids(G):
+        if direct_step(pc, eid) is not None:
             trace[eid] = "direct"
             continue
         out = extend(pc, eid)

@@ -6,7 +6,7 @@ import math
 import random
 from itertools import combinations, islice, permutations
 
-from .graph import MAX_GEN_EDGES, MAX_PARSE_VERTICES, Multigraph
+from .graph import MAX_GEN_EDGES, MAX_PARSE_VERTICES, Multigraph, decimal_int
 
 
 def petersen() -> Multigraph:
@@ -149,9 +149,9 @@ _SPECS = {"petersen": (petersen, 0, 0, lambda: 15),
 def from_spec(tokens) -> Multigraph:
     """Build a named instance: petersen | shannon mu | ring n [mu] |
     random n m seed. ValueError on an unknown name, a missing or extra
-    argument, one that is not an integer, a ring or random vertex count
-    above the graph-file limit MAX_PARSE_VERTICES, or an edge count above
-    MAX_GEN_EDGES; both limits are checked before building."""
+    argument, one that is not an ASCII decimal integer, a ring or random
+    vertex count above the graph-file limit MAX_PARSE_VERTICES, or an edge
+    count above MAX_GEN_EDGES; both limits are checked before building."""
     name, *args = tokens
     if name not in _SPECS:
         raise ValueError(f"unknown generator {name!r}")
@@ -160,7 +160,7 @@ def from_spec(tokens) -> Multigraph:
         wanted = fewest if fewest == most else f"{fewest} to {most}"
         raise ValueError(f"{name} takes {wanted} argument(s), got {len(args)}")
     try:
-        ints = [int(a) for a in args]
+        ints = [decimal_int(a) for a in args]
     except ValueError:
         raise ValueError(f"{name} arguments must be integers, got {args}") from None
     if name in ("ring", "random") and ints[0] > MAX_PARSE_VERTICES:

@@ -142,6 +142,15 @@ MAX_PARSE_VERTICES = 1 << 20
 MAX_GEN_EDGES = 1 << 22
 
 
+def decimal_int(token: str) -> int:
+    """The integer an ASCII decimal token (-?[0-9]+) spells; ValueError for any
+    other token, such as the '+1', '1_0' and non-ASCII digits that int() takes."""
+    digits = token[1:] if token.startswith("-") else token
+    if digits.isascii() and digits.isdigit():
+        return int(token)
+    raise ValueError(f"not a decimal integer: {token!r}")
+
+
 def parse_multigraph(text: str) -> Multigraph:
     """Parse the text edge-list format; raises ParseError with a line number."""
     header = header_line = None
@@ -158,7 +167,7 @@ def parse_multigraph(text: str) -> Multigraph:
                 raise ParseError(lineno, f"bad header: {line!r}")
             header_line = lineno
             try:
-                header = (int(fields[2]), int(fields[3]))
+                header = (decimal_int(fields[2]), decimal_int(fields[3]))
             except ValueError:
                 raise ParseError(lineno, f"bad header counts: {line!r}") from None
             if header[0] < 0 or header[1] < 0:
@@ -172,7 +181,7 @@ def parse_multigraph(text: str) -> Multigraph:
             if len(fields) != 3:
                 raise ParseError(lineno, f"bad edge line: {line!r}")
             try:
-                u, v = int(fields[1]), int(fields[2])
+                u, v = decimal_int(fields[1]), decimal_int(fields[2])
             except ValueError:
                 raise ParseError(lineno, f"bad edge endpoints: {line!r}") from None
             n = header[0]

@@ -170,7 +170,7 @@ def random_proper_coloring(G, k, rng, *, leave_uncolored=0):
 
 
 def reference_kempe_step(pc, eid):
-    """engine._try_kempe as it was before it read path ends off the per-color
+    """coloring.chain_step as it was before it read path ends off the per-color
     vertex masks: for each color a missing at x and b missing at y, both
     ascending, walk the chain that leaves x on b; flip the first that does
     not end at y, in place, and give eid color b. pc, or None with pc

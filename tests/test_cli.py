@@ -38,7 +38,8 @@ def test_generator_specs():
 @pytest.mark.parametrize("spec", [
     ["petersen", "1"], ["shannon"], ["shannon", "x"], ["ring"],
     ["ring", "5", "2", "1"], ["ring", "2"], ["random", "5"],
-    ["random", "5", "10", "1", "2"]])
+    ["random", "5", "10", "1", "2"], ["ring", "1_1", "2"], ["ring", "+5"],
+    ["ring", "\u0665"], ["shannon", " 2"]])
 def test_bad_generator_specs_raise_value_error(spec):
     with pytest.raises(ValueError):
         from_spec(spec)
@@ -408,6 +409,15 @@ def _result_files(tmp_path, name, G, colors, k_used, certificates=()):
     return str(gpath), str(rpath)
 
 
+# graph files whose integers int() reads but the format does not allow
+_NON_DECIMAL_GRAPHS = {
+    "underscore_header": "p multigraph 1_1 2\ne 0 10\ne 1 2\n",
+    "underscore_edge": "p multigraph 11 2\ne 0 1_0\ne 1 2\n",
+    "plus_edge": "p multigraph 11 2\ne 0 10\ne +1 2\n",
+    "arabic_edge": "p multigraph 11 1\ne 0 \u0661\u0660\n",
+}
+
+
 def _ring17_files(tmp_path, k_used):
     """ring(17), one vertex above the density cap, with a proper 3-coloring
     that offers k_used colors."""
@@ -456,6 +466,13 @@ def _ring17_files(tmp_path, k_used):
     (["color", "--gen", "petersen", "--out", "{unwritable}"], 1, "cannot write output"),
     (["report", "--gen", "petersen", "--out", "{unwritable}"], 1, "cannot write output"),
     (["bench", "--gen", "petersen", "--out", "{unwritable}"], 1, "cannot write output"),
+    (["color", "{underscore_header}"], 1, "parse error: line 1: bad header counts"),
+    (["color", "{underscore_edge}"], 1, "parse error: line 2: bad edge endpoints"),
+    (["color", "{plus_edge}"], 1, "parse error: line 3: bad edge endpoints"),
+    (["report", "{arabic_edge}"], 1, "parse error: line 2: bad edge endpoints"),
+    (["color", "--gen", "ring", "1_1", "2"], 1, "bad generator: ring arguments"),
+    (["bench", "--gen", "exhaustive", "2", "x"], 1,
+     "bad generator: exhaustive arguments must be integers"),
 ], ids=["color-too-large", "report-too-large", "verify-too-large",
         "bench-too-large", "bench-too-large-file",
         "color-missing-graph", "report-missing-graph", "verify-missing-graph",
@@ -473,7 +490,10 @@ def _ring17_files(tmp_path, k_used):
         "bench-gen-exhaustive-above-six-vertices",
         "bench-missing-graph", "color-non-utf8-graph", "report-non-utf8-graph",
         "verify-non-utf8-graph", "bench-non-utf8-graph", "verify-nested-result", "color-unwritable-out",
-        "report-unwritable-out", "bench-unwritable-out"])
+        "report-unwritable-out", "bench-unwritable-out",
+        "color-underscore-header", "color-underscore-endpoint", "color-plus-endpoint",
+        "report-arabic-indic-endpoint", "color-gen-underscore",
+        "bench-gen-exhaustive-non-integer"])
 def test_unusable_inputs_exit_with_one_line(tmp_path, capsys, argv, code, message):
     # k_used = 4 > Delta + 1 with no certificate: only Gamma settles the bound
     graph, result = _ring17_files(tmp_path, 4)
@@ -481,10 +501,13 @@ def test_unusable_inputs_exit_with_one_line(tmp_path, capsys, argv, code, messag
     nested.write_text("[" * 200000 + "]" * 200000)
     binary = tmp_path / "binary.mg"
     binary.write_bytes(b"p multigraph 2 1\ne 0 1\xff\n")
-    paths = {"graph": graph, "result": result, "nested": str(nested),
-             "binary": str(binary),
-             "missing": str(tmp_path / "missing.mg"),
-             "unwritable": str(tmp_path / "no-such-dir" / "out.json")}
+    for name, text in _NON_DECIMAL_GRAPHS.items():
+        (tmp_path / f"{name}.mg").write_text(text, encoding="utf-8")
+    paths = {name: str(tmp_path / f"{name}.mg") for name in _NON_DECIMAL_GRAPHS}
+    paths |= {"graph": graph, "result": result, "nested": str(nested),
+              "binary": str(binary),
+              "missing": str(tmp_path / "missing.mg"),
+              "unwritable": str(tmp_path / "no-such-dir" / "out.json")}
     got, out, err = run_cli(capsys, *[a.format(**paths) for a in argv])
     assert got == code
     assert out == ""
@@ -561,6 +584,30 @@ def test_import_and_verify_leave_numpy_unloaded(tmp_path, capsys):
     assert colored == gscolor.color(G).to_json()
     assert (report_code, loaded_later) == (0, True)
     assert count == len(list(exhaustive_connected(3, 3)))
+
+
+_NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None     # every import of numpy now fails
+from gscolor.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["report", "--gen", "ring", "11", "3"],
+                                  ["bench", "--gen", "exhaustive", "3", "3"]],
+                         ids=["report-ring-11", "bench-exhaustive"])
+def test_missing_numpy_exits_with_one_line(argv):
+    """Where numpy cannot be imported, a command that needs it (a Gamma scan
+    above 10 vertices, the exhaustive corpus) exits 1 with one stderr line,
+    not a traceback."""
+    src = str(Path(gscolor.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", _NO_NUMPY, *argv],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.startswith("missing dependency: ")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
 
 
 def test_startup_script_prints_one_row_per_command(capsys):

@@ -13,9 +13,9 @@ from gscolor import (Multigraph, PartialColoring, bound_report, build_series,
                      certificate_check, chromatic_index_exact, color,
                      color_at_k, extend, verify_result)
 from gscolor import engine
-from gscolor.engine import (ColoringResult, IncompleteColoringError, _try_kempe,
-                            result_from_json)
-from gscolor.coloring import alternating_path, kempe_chain, kempe_swap, validate
+from gscolor.engine import ColoringResult, IncompleteColoringError, result_from_json
+from gscolor.coloring import (alternating_path, chain_step, kempe_chain, kempe_swap,
+                              validate)
 from gscolor.density import DensityCertificate, density, odd_set_density
 from gscolor.generators import (exhaustive_connected, petersen,
                                 random_multigraph, ring, shannon_triangle)
@@ -85,14 +85,14 @@ def test_failed_kempe_step_leaves_coloring_untouched(triangle):
     # k = 2: 0 misses 2, 2 misses 1, and the (1, 2)-chain from 0 ends at 2
     pc = PartialColoring(triangle, 2, {0: 1, 1: 2})
     before = pc.clone()
-    assert _try_kempe(pc, 2) is None
+    assert chain_step(pc, 2) is None
     assert pc == before
 
 
 def test_kempe_step_colors_in_place():
     G = Multigraph.build(4, [(0, 1), (1, 2), (2, 3)])
     pc = PartialColoring(G, 2, {0: 1, 2: 2})
-    assert _try_kempe(pc, 1) is pc
+    assert chain_step(pc, 1) is pc
     assert_tables_consistent(pc)
     assert validate(G, pc) == [] and not pc.uncolored_edges
 
@@ -125,7 +125,7 @@ def test_kempe_step_matches_clone_and_swap(n, m, seed):
         pc = PartialColoring(G, greedy.k, {e: greedy.color_of(e) for e in G.edge_ids})
         before = pc.clone()
         expected = _reference_kempe(pc.clone(), eid)
-        got = _try_kempe(pc, eid)
+        got = chain_step(pc, eid)
         assert_tables_consistent(pc)
         if expected is None:
             assert got is None and pc == before
@@ -165,7 +165,7 @@ def test_kempe_ends_test_matches_walking_every_pair():
                         walked_to_y += alternating_path(base, x, b, a)[1] == y
             pc = base.clone()
             expected = reference_kempe_step(base.clone(), eid)
-            got = _try_kempe(pc, eid)
+            got = chain_step(pc, eid)
             assert_tables_consistent(pc)
             if expected is None:
                 assert got is None and pc == base

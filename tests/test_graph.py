@@ -143,6 +143,12 @@ def test_parse_accepts_comments():
     ("p multigraph 2 1\nq 0 1\n", 2),
     ("p multigraph 3 2\ne 0 1\n", 1),
     ("c a\nc b\np multigraph 3 1\ne 0 1\ne 1 2\n", 3),
+    # only ASCII decimal integers, though int() takes all of these
+    ("p multigraph 1_1 2\ne 0 1\ne 1 2\n", 1),
+    ("p multigraph +3 0\n", 1),
+    ("p multigraph 11 1\ne 0 1_0\n", 2),
+    ("p multigraph 11 1\ne +1 2\n", 2),
+    ("p multigraph 11 1\ne 0 \u0661\u0660\n", 2),
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:

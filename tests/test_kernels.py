@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gscolor import Multigraph, PartialColoring, _kernels
 from gscolor.coloring import validate
-from gscolor.density import _oracle_edge_order
+from gscolor.density import _oracle_edge_order, enumerate_colorings, first_coloring
 from gscolor.generators import ring
 from oracles import (brute_density_maximizers, brute_density_scan,
                      random_multigraph_pairs, reference_colorings)
@@ -75,6 +75,9 @@ def test_search_matches_enumeration_on_arbitrary_multigraphs(n, data):
     G = Multigraph.build(n, pairs)
     k = data.draw(st.integers(max(G.max_degree() - 1, 0), G.max_degree() + 2))
     _assert_first_coloring(G, k)
+    # the helper that extend's fallback and chromatic_index_exact share
+    solutions, _ = enumerate_colorings(G, k, cap=1)
+    assert first_coloring(G, k) == (solutions[0] if solutions else None)
 
 
 def test_search_on_the_tight_rings():
