@@ -8,7 +8,7 @@ and one at n = 11, either side of `_kernels.PLAIN_SCAN_VERTICES`, the vertex
 count up to which `density_scan` takes the plain one; each is the mean of
 SCAN_CALLS calls, since one call takes tens of microseconds. The `extend`
 rows time `engine.color_at_k(G, Delta)` on the dense graphs: the direct step on
-every edge, in `color_at_k`'s own loop, and `engine.extend` (whose chain
+every edge, in one `coloring.direct_pass`, and `engine.extend` (whose chain
 swap colors them here) on the few edges that resist it. The `closure` rows time
 `color_at_k(ring(1001, 7), 14)` and `color_at_k(ring(2001, 3), 6)`, each
 one color below the ring's ceil(density): the last edge resists, and the

@@ -1,4 +1,4 @@
-"""Partial k-edge-colorings, Kempe chains, and the two per-edge steps.
+"""Partial k-edge-colorings, Kempe chains, the direct pass and the chain step.
 
 A coloring assigns colors 1..k to a subset of the edges so that adjacent
 colored edges differ; uncolored edges are simply absent from every
@@ -22,15 +22,16 @@ class PartialColoring:
     A result file loads through `assign` too, so it keeps only the proper
     part of its assignment.
 
-    Three tables are maintained incrementally: per vertex, the edge of each
-    color (`_at`) and a bitmask with bit c set when color c is present
-    (`_mask`); per color, a bitmask with bit v set when the color is present
-    at vertex v (`_present`, a dict keyed by color, so no table is sized
-    from k). Edge ids must lie in 0..m-1. Values are cheaply clonable
-    snapshots; one instance has a single writer.
+    Besides the edge colors (`_color`), two per-vertex tables are maintained
+    incrementally: the edge of each color at the vertex (`_at`, a dict
+    keyed by color, so no table is sized from k) and a bitmask with bit c
+    set when color c is present there (`_mask`). No table is kept per
+    color, so a write costs O(1) whatever the vertex count. Edge ids must
+    lie in 0..m-1. Values are cheaply clonable snapshots; one instance has
+    a single writer.
     """
 
-    __slots__ = ("graph", "k", "_color", "_at", "_mask", "_present")
+    __slots__ = ("graph", "k", "_color", "_at", "_mask")
 
     def __init__(self, graph: Multigraph, k: int, assignment=None):
         if k < 0:
@@ -40,7 +41,6 @@ class PartialColoring:
         self._color = {}
         self._at = [dict() for _ in range(graph.vertex_count)]
         self._mask = [0] * graph.vertex_count
-        self._present = {}
         if assignment:
             for eid, c in assignment.items():
                 if c is not None:
@@ -53,7 +53,6 @@ class PartialColoring:
         pc._color = dict(self._color)
         pc._at = [dict(d) for d in self._at]
         pc._mask = list(self._mask)
-        pc._present = dict(self._present)
         return pc
 
     # -- queries ------------------------------------------------------------
@@ -64,6 +63,10 @@ class PartialColoring:
 
     def is_colored(self, eid: int) -> bool:
         return eid in self._color
+
+    def is_total(self) -> bool:
+        """Is every edge of the graph colored?"""
+        return len(self._color) == self.graph.m
 
     @property
     def uncolored_edges(self) -> frozenset:
@@ -111,14 +114,13 @@ class PartialColoring:
         uncolored edge of the graph and that color, in 1..k, is missing at
         both its ends."""
         u, v = self.graph._ends[eid]
-        mask, present = self._mask, self._present
+        mask = self._mask
         bit = 1 << color
         self._color[eid] = color
         self._at[u][color] = eid
         self._at[v][color] = eid
         mask[u] |= bit
         mask[v] |= bit
-        present[color] = present.get(color, 0) | (1 << u) | (1 << v)
 
     def unassign(self, eid: int):
         """Uncolor the edge; KeyError when it is uncolored."""
@@ -128,7 +130,6 @@ class PartialColoring:
         del self._at[v][color]
         self._mask[u] &= ~(1 << color)
         self._mask[v] &= ~(1 << color)
-        self._present[color] &= ~((1 << u) | (1 << v))
 
     def recolor(self, flips):
         """Apply (edge, new color) pairs in place; all listed edges are
@@ -248,14 +249,31 @@ def alternating_path(pc: PartialColoring, v: int, first: int, second: int) -> tu
 # -- the per-edge steps ------------------------------------------------------
 
 
+def direct_pass(pc: PartialColoring, order):
+    """Give each uncolored edge of `order` in turn the smallest color missing
+    at both its ends, in place (unchecked: the color is free there), and
+    yield, uncolored, each edge whose ends miss no common color.
+
+    The caller may color a yielded edge, or change pc in place in any other
+    way, before it asks for the next edge: each edge's missing colors are
+    read when its turn comes.
+    """
+    ends, mask, write = pc.graph._ends, pc._mask, pc._write
+    full = (1 << (pc.k + 1)) - 2
+    for eid in order:
+        x, y = ends[eid]
+        common = full & ~(mask[x] | mask[y])
+        if common:
+            write(eid, (common & -common).bit_length() - 1)
+        else:
+            yield eid
+
+
 def direct_step(pc: PartialColoring, eid: int):
-    """Give the uncolored edge eid the smallest color missing at both ends,
-    in place (unchecked: the color is free there); pc or None."""
-    x, y = pc.graph._ends[eid]
-    common = ((1 << (pc.k + 1)) - 2) & ~(pc._mask[x] | pc._mask[y])
-    if not common:
+    """`direct_pass` on the one uncolored edge eid: pc once eid is colored,
+    or None with pc untouched."""
+    for _ in direct_pass(pc, (eid,)):
         return None
-    pc._write(eid, (common & -common).bit_length() - 1)
     return pc
 
 
@@ -269,29 +287,44 @@ def chain_step(pc: PartialColoring, eid: int):
     that leaves x on b either ends at y, or elsewhere and is flipped; then b
     is missing at both ends, and eid takes it. A chain that reaches y is the
     very chain a scan from y would find and skip, so scanning from y can
-    never succeed and is never done. Most chains from x do reach y, and the
-    per-color vertex masks say which without a walk: in a proper coloring
-    the (a, b)-edges form paths and even cycles, whose path ends are the
-    vertices with exactly one of a and b, the bits of
-    present[a] ^ present[b]. x (missing a, having b) and y (missing b,
-    having a) are two of them; when they are the only two, x's path ends at
-    y, so skipping the pair unwalked picks the chain that walking every pair
-    picks. Any other pair is walked once, for both its far end and its
-    edges.
+    never succeed and is never done. x misses a, so its (a, b)-component is
+    a path with x at one end: each pair is walked to its far end without
+    keeping its edges, and x without a b-edge is the empty path, which ends
+    at x. Only the pair that is flipped is walked again, by
+    `alternating_path`, for its edges, and the flip is done in place without
+    `recolor`'s checks. Every interior vertex of the path keeps both colors,
+    so what changes is each flipped edge's color and its two `_at` entries,
+    and at the path's ends: x gains a, and the b entry it loses is the one
+    eid takes; the far end trades the color of the last edge for the other,
+    so its mask flips both bits and its entry of the color that left goes.
     """
-    present = pc._present
-    x, y = pc.graph._ends[eid]
-    both_ends = (1 << x) | (1 << y)
+    color, at, mask, ends = pc._color, pc._at, pc._mask, pc.graph._ends
+    x, y = ends[eid]
+    at_x = at[x]
     far_missing = pc.missing_mask(y)
     for a in mask_colors(pc.missing_mask(x)):
-        with_a = present.get(a, 0)
         for b in mask_colors(far_missing):
-            if with_a ^ present.get(b, 0) == both_ends:
+            cur, here, there = x, b, a
+            e = at_x.get(b)
+            while e is not None:
+                u, v = ends[e]
+                cur = v if u == cur else u
+                here, there = there, here
+                e = at[cur].get(here)
+            if cur == y:
                 continue
             edges, end = alternating_path(pc, x, b, a)
-            if end == y:
-                continue
-            pc.recolor([(e, b if i % 2 else a) for i, e in enumerate(edges)])
+            new = a
+            for e in edges:
+                color[e] = new
+                u, v = ends[e]
+                at[u][new] = e
+                at[v][new] = e
+                new = b if new == a else a
+            if edges:
+                del at[end][new]      # the last edge's old color
+                mask[end] ^= (1 << a) | (1 << b)
+                mask[x] |= 1 << a
             pc._write(eid, b)
             return pc
     return None

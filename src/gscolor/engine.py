@@ -3,8 +3,9 @@
 Colors every edge using at most max(Delta+1, ceil(density)) colors: the lower
 bound max(Delta, ceil(density)) is attempted first so class-1-like instances
 come out optimal, and a failed attempt escalates once to the guaranteed
-bound. Per edge the driver tries `coloring.direct_step` (a color missing at
-both ends) in its own loop. Only an edge that resists it goes to `extend`,
+bound. The driver gives the edges, in the exact search's order, to one
+`coloring.direct_pass`, which colors each edge whose ends miss a common
+color. Only an edge that the pass yields goes to `extend`,
 which tries `coloring.chain_step` (a two-colored chain swap); on a graph of
 at most ORACLE_EDGE_CAP (25) edges an exact backtracking fallback makes the
 contract unconditional. The edge count is fixed, not a setting, because it
@@ -31,7 +32,8 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from .coloring import PartialColoring, chain_step, direct_step, validate
+from .coloring import (PartialColoring, chain_step, direct_pass, direct_step,
+                       validate)
 from .density import (ORACLE_EDGE_CAP, DensityCertificate, bound_report,
                       certificate_check, first_coloring, odd_set_density,
                       oracle_edge_ids)
@@ -188,8 +190,8 @@ class IncompleteColoringError(Exception):
 def extend(pc: PartialColoring, eid: int) -> ExtendOutcome:
     """Color uncolored edge eid of pc.graph (G) or say why pc.k colors resist.
 
-    `color_at_k` calls it only for an edge that its own direct step left
-    uncolored; called directly, it tries that step first too. The steps are
+    `color_at_k` calls it only for an edge that its direct pass yields;
+    called directly, it tries the direct step first too. The steps are
     `direct_step`, `chain_step`, the series and the fallback; one that
     colors the edge does so in pc itself, and one that fails leaves pc
     untouched. The extension series runs once, and a stuck step ends it as
@@ -247,21 +249,24 @@ def color_at_k(G: Multigraph, k: int):
     """Try to color every edge with k colors.
 
     Returns (coloring, trace, evidence). The trace maps each colored edge
-    to its method. evidence is None on success; otherwise it is what the
-    first edge that resisted produced against k, and the coloring is
-    partial. Each edge, in the oracle's edge order, first gets the direct
-    step here; `extend` runs only for the edges that resist it, so the
-    results are those of calling `extend` on every edge.
+    to its method, in the oracle's edge order. evidence is None on success;
+    otherwise it is what the first edge that resisted produced against k,
+    and the coloring is partial. One `direct_pass` over the edges, in the
+    oracle's edge order, colors every edge it can; `extend` runs only for
+    the edges that the pass yields, before the pass goes on, so the results
+    are those of calling `extend` on every edge. The trace starts as
+    "direct" for every edge, `extend` overwrites the methods of the edges it
+    colors, and a failed run keeps only the edges before the one that
+    resisted.
     """
     pc = PartialColoring(G, k)
-    trace = {}
-    for eid in oracle_edge_ids(G):
-        if direct_step(pc, eid) is not None:
-            trace[eid] = "direct"
-            continue
+    order = oracle_edge_ids(G)
+    trace = dict.fromkeys(order, "direct")
+    for eid in direct_pass(pc, order):
         out = extend(pc, eid)
         if out.status != "colored":
-            return pc, trace, out.evidence
+            colored = order[:order.index(eid)]
+            return pc, {e: trace[e] for e in colored}, out.evidence
         trace[eid] = out.method
     return pc, trace, None
 
@@ -323,7 +328,7 @@ def _valid_coloring(G: Multigraph, result: ColoringResult) -> bool:
     pc = result.coloring
     if pc.graph is not G and pc.graph != G:
         return False
-    return not validate(G, pc) and len(pc._color) == G.m
+    return not validate(G, pc) and pc.is_total()
 
 
 def _certificate_densities(G: Multigraph, result: ColoringResult):

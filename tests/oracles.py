@@ -127,13 +127,12 @@ def reference_colorings(G, k, cap=1000):
 
 
 def assert_tables_consistent(pc):
-    """Re-derive pc's per-vertex color tables and present-color masks, and
-    its per-color vertex masks, from its assignment, and assert that pc is
-    proper and that the incrementally kept tables match."""
+    """Re-derive pc's per-vertex color tables and present-color masks from
+    its assignment, and assert that pc is proper and that the incrementally
+    kept tables match."""
     G = pc.graph
     rebuilt = [dict() for _ in range(G.vertex_count)]
     masks = [0] * G.vertex_count
-    vertices = {}
     for eid in G.edge_ids:
         c = pc.color_of(eid)
         if c is None:
@@ -142,12 +141,8 @@ def assert_tables_consistent(pc):
             assert c not in rebuilt[w], f"improper: color {c} twice at vertex {w}"
             rebuilt[w][c] = eid
             masks[w] |= 1 << c
-            vertices[c] = vertices.get(c, 0) | 1 << w
     assert rebuilt == pc._at, "incremental color tables diverged from assignment"
     assert masks == pc._mask, "incremental color masks diverged from assignment"
-    # a color that left every vertex may keep an empty mask
-    assert vertices == {c: vs for c, vs in pc._present.items() if vs}, \
-        "incremental vertex masks diverged from assignment"
 
 
 def random_proper_coloring(G, k, rng, *, leave_uncolored=0):
@@ -170,11 +165,11 @@ def random_proper_coloring(G, k, rng, *, leave_uncolored=0):
 
 
 def reference_kempe_step(pc, eid):
-    """coloring.chain_step as it was before it read path ends off the per-color
-    vertex masks: for each color a missing at x and b missing at y, both
-    ascending, walk the chain that leaves x on b; flip the first that does
-    not end at y, in place, and give eid color b. pc, or None with pc
-    untouched."""
+    """coloring.chain_step through the checked public calls: for each color
+    a missing at x and b missing at y, both ascending, walk the chain that
+    leaves x on b with `alternating_path`, keeping its edges; flip the first
+    that does not end at y with `recolor` and give eid color b with
+    `assign`. pc, or None with pc untouched."""
     x, y = pc.graph.endpoints(eid)
     for a in sorted(pc.missing(x)):
         for b in sorted(pc.missing(y)):

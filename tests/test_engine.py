@@ -14,8 +14,8 @@ from gscolor import (Multigraph, PartialColoring, bound_report, build_series,
                      color_at_k, extend, verify_result)
 from gscolor import engine
 from gscolor.engine import ColoringResult, IncompleteColoringError, result_from_json
-from gscolor.coloring import (alternating_path, chain_step, kempe_chain, kempe_swap,
-                              validate)
+from gscolor.coloring import (alternating_path, chain_step, direct_pass, direct_step,
+                              kempe_chain, kempe_swap, validate)
 from gscolor.density import DensityCertificate, density, odd_set_density
 from gscolor.generators import (exhaustive_connected, petersen,
                                 random_multigraph, ring, shannon_triangle)
@@ -142,13 +142,16 @@ def _path_ends(pc, a, b):
 
 
 def test_kempe_ends_test_matches_walking_every_pair():
-    """The chain swap skips a pair whose only path ends are x and y without
-    walking it; on a few hundred random partial colorings with n from 3 to
-    16 it gives the answer and the coloring of walking every pair. Pairs of
-    both kinds occur, and so do pairs with more path ends whose chain from x
-    still ends at y, which only a walk tells."""
+    """The chain swap walks each pair to its far end without keeping the
+    path's edges and flips the chosen path in place; on a few hundred random
+    partial colorings with n from 3 to 16 it gives the answer and the
+    coloring of `reference_kempe_step`, which walks every pair with
+    `alternating_path` and flips with the checked `recolor`. The corpus has
+    pairs whose only path ends are x and y, pairs with more path ends whose
+    chain from x still ends at y, and pairs where x has no b-edge (the ends
+    share the missing color b), whose chain is the empty path."""
     rng = random.Random(18)
-    only_x_and_y = walked_to_y = 0
+    only_x_and_y = walked_to_y = no_b_edge = 0
     for trial in range(300):
         n = 3 + trial % 14
         m = rng.randint(n, min(6 * n, 2 * n * (n - 1)))
@@ -159,7 +162,9 @@ def test_kempe_ends_test_matches_walking_every_pair():
             x, y = G.endpoints(eid)
             for a in base.missing(x):
                 for b in base.missing(y):
-                    if _path_ends(base, a, b) == sorted((x, y)):
+                    if base.edge_at(x, b) is None:
+                        no_b_edge += 1
+                    elif _path_ends(base, a, b) == sorted((x, y)):
                         only_x_and_y += 1
                     else:
                         walked_to_y += alternating_path(base, x, b, a)[1] == y
@@ -171,7 +176,54 @@ def test_kempe_ends_test_matches_walking_every_pair():
                 assert got is None and pc == base
             else:
                 assert got is pc and pc == expected
-    assert only_x_and_y > 0 and walked_to_y > 0
+    assert only_x_and_y > 0 and walked_to_y > 0 and no_b_edge > 0
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_chain_step_flips_a_path_in_place(length):
+    """A hand-built chain swap whose flipped path has `length` edges. Edge 0
+    joins x = 0, which misses color 1, and y = 1, which misses 2 and 3 and
+    has a 1-edge to vertex 2. x's 2-edge starts the (1, 2)-path 0, 3, 4, ...
+    and a parallel 3-edge joins 0 and 3. The step flips the path in place,
+    leaving the parallel edge alone and tables that match the assignment,
+    with no stale `_at` entry at either path end, and gives the coloring of
+    `reference_kempe_step`."""
+    path = [0] + list(range(3, 3 + length))
+    G = Multigraph.build(3 + length, [(0, 1), (1, 2), (0, 3)] + list(zip(path, path[1:])))
+    flipped = range(3, 3 + length)
+    pc = PartialColoring(G, 3, {1: 1, 2: 3, **{e: 2 - (e - 3) % 2 for e in flipped}})
+    expected = reference_kempe_step(pc.clone(), 0)
+    assert chain_step(pc, 0) is pc
+    assert_tables_consistent(pc)
+    assert pc == expected
+    assert [pc.color_of(e) for e in (0, 1, 2)] == [2, 1, 3]
+    assert [pc.color_of(e) for e in flipped] == [1 + (e - 3) % 2 for e in flipped]
+
+
+def test_direct_pass_matches_direct_step_edge_by_edge():
+    """Draining `direct_pass` over a coloring with nothing colored gives the
+    coloring that `direct_step` gives edge by edge in the same order, and
+    yields, in order, exactly the edges it leaves uncolored: on 150 random
+    multigraphs with n from 3 to 16, in a shuffled edge order, at every k
+    from Delta - 1 to Delta + 1."""
+    rng = random.Random(30)
+    resisting_runs = 0
+    for trial in range(150):
+        n = 3 + trial % 14
+        m = rng.randint(n, min(6 * n, 2 * n * (n - 1)))
+        G = Multigraph.build(n, random_multigraph_pairs(n, m, rng, mu_max=4))
+        order = list(G.edge_ids)
+        rng.shuffle(order)
+        for k in range(G.max_degree() - 1, G.max_degree() + 2):
+            pc = PartialColoring(G, k)
+            resisted = list(direct_pass(pc, order))
+            ref = PartialColoring(G, k)
+            ref_resisted = [e for e in order if direct_step(ref, e) is None]
+            assert pc == ref and resisted == ref_resisted
+            assert resisted == [e for e in order if not pc.is_colored(e)]
+            assert_tables_consistent(pc)
+            resisting_runs += bool(resisted)
+    assert resisting_runs > 0
 
 
 def _run_matches_the_reference(G, k):
@@ -595,6 +647,24 @@ def test_output_digest_runs(capsys):
         "a444b3183b9c00ab51246dfe5e12c2996416d92b0498002a188ec7882c314ecd\n"
         "dense_multi 200 2 "
         "4c763c2dd6cff3aeb7a4cb4218abcc9f2e95dceac83ec1d16c01b10bf1b3a36f\n")
+
+
+def test_scale_bench_prints_one_row_per_size(capsys):
+    """benchmarks/scale_bench.py at n = 10^3: a header, then one row of n,
+    m = 3n, k = Delta, seconds, microseconds per edge and peak MB, each size
+    from a fresh process (the times are not checked)."""
+    path = Path(__file__).parents[1] / "benchmarks" / "scale_bench.py"
+    spec = importlib.util.spec_from_file_location("scale_bench", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["1000"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["n", "m", "k", "seconds", "us/edge", "peak_MB"]
+    assert len(rows) == 1
+    n, m, k, seconds, per_edge, peak_mb = rows[0].split()
+    assert (int(n), int(m)) == (1000, 3000)
+    assert int(k) == random_multigraph(1000, 3000, 1).max_degree()
+    assert float(seconds) > 0 and float(per_edge) > 0 and float(peak_mb) > 0
 
 
 # The same pins for instances that reach the exact fallback, taken before it
