@@ -9,7 +9,10 @@ count up to which `density_scan` takes the plain one; each is the mean of
 SCAN_CALLS calls, since one call takes tens of microseconds. The `extend`
 rows time `engine.color_at_k(G, Delta)` on the dense graphs: the direct step on
 every edge, in one `coloring.direct_pass`, and `engine.extend` (whose chain
-swap colors them here) on the few edges that resist it. The `closure` rows time
+swap colors them here) on the few edges that resist it. The last of them, a
+heavy n = 12 instance of colorbench's dense_multi, has many resisting edges
+whose chain walks fail, so `coloring.chain_step` takes most of its time. The
+`closure` rows time
 `color_at_k(ring(1001, 7), 14)` and `color_at_k(ring(2001, 3), 6)`, each
 one color below the ring's ceil(density): the last edge resists, and the
 series closes a tree over the whole ring, so `tashkinov.taa_close` dominates:
@@ -85,8 +88,12 @@ def bench_density(rows):
             rows.append(("density", f"{scan} {name}", seconds / SCAN_CALLS))
 
 
+# dense_multi's seed-1 instance dense[183]: m = 1,487, Delta = 263
+CHAIN_CASE = ("random n=12 m=1487 (chains)", random_multigraph(12, 1487, 516579138))
+
+
 def bench_extend(rows):
-    for name, G in DENSE_CASES:
+    for name, G in DENSE_CASES + [CHAIN_CASE]:
         rows.append(("extend", name, time_call(color_at_k, G, G.max_degree())))
 
 

@@ -251,20 +251,28 @@ def alternating_path(pc: PartialColoring, v: int, first: int, second: int) -> tu
 
 def direct_pass(pc: PartialColoring, order):
     """Give each uncolored edge of `order` in turn the smallest color missing
-    at both its ends, in place (unchecked: the color is free there), and
-    yield, uncolored, each edge whose ends miss no common color.
+    at both its ends, in place, and yield, uncolored, each edge whose ends
+    miss no common color. Each write is `_write`'s, unchecked (the color is
+    free there) and inlined, reusing the masks and the bit it has in hand.
 
     The caller may color a yielded edge, or change pc in place in any other
     way, before it asks for the next edge: each edge's missing colors are
     read when its turn comes.
     """
-    ends, mask, write = pc.graph._ends, pc._mask, pc._write
+    color, at, mask, ends = pc._color, pc._at, pc._mask, pc.graph._ends
     full = (1 << (pc.k + 1)) - 2
     for eid in order:
         x, y = ends[eid]
-        common = full & ~(mask[x] | mask[y])
+        have_x, have_y = mask[x], mask[y]
+        common = full & ~(have_x | have_y)
         if common:
-            write(eid, (common & -common).bit_length() - 1)
+            bit = common & -common
+            c = bit.bit_length() - 1
+            color[eid] = c
+            at[x][c] = eid
+            at[y][c] = eid
+            mask[x] = have_x | bit
+            mask[y] = have_y | bit
         else:
             yield eid
 
@@ -297,21 +305,46 @@ def chain_step(pc: PartialColoring, eid: int):
     and at the path's ends: x gains a, and the b entry it loses is the one
     eid takes; the far end trades the color of the last edge for the other,
     so its mask flips both bits and its entry of the color that left goes.
+
+    Most walks for one a fail, and many provably. In a proper coloring the
+    ends of the (a, b)-paths are the vertices with exactly one of a and b;
+    x is one when it has b. When every vertex but x and y has both or
+    neither (b is a twin of a), x and y are the only ends, so x's path ends
+    at y. Finding the twins among the b's still to try is one scan of the
+    vertex masks. It runs at most once per a, after the failed walks for
+    that a have taken n - 2 steps, as many as the scan visits vertices, so
+    it never costs more than the walks before it; the twins are then
+    dropped unwalked. The pair that is flipped, and so the coloring, is the
+    one that walking every pair gives, and no table is kept for the skip.
     """
     color, at, mask, ends = pc._color, pc._at, pc._mask, pc.graph._ends
     x, y = ends[eid]
     at_x = at[x]
     far_missing = pc.missing_mask(y)
     for a in mask_colors(pc.missing_mask(x)):
-        for b in mask_colors(far_missing):
-            cur, here, there = x, b, a
+        todo = far_missing
+        unpaid = len(mask) - 2      # failed steps until a vertex scan pays
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            b = low.bit_length() - 1
+            cur, here, there, steps = x, b, a, 0
             e = at_x.get(b)
             while e is not None:
                 u, v = ends[e]
                 cur = v if u == cur else u
                 here, there = there, here
                 e = at[cur].get(here)
+                steps += 1
             if cur == y:
+                if unpaid > 0:
+                    unpaid -= steps
+                    if unpaid <= 0:
+                        twins = todo & mask[x]
+                        for w, have in enumerate(mask):
+                            if w != x and w != y:
+                                twins &= have if have >> a & 1 else ~have
+                        todo ^= twins
                 continue
             edges, end = alternating_path(pc, x, b, a)
             new = a

@@ -16,7 +16,8 @@ from gscolor import engine
 from gscolor.engine import ColoringResult, IncompleteColoringError, result_from_json
 from gscolor.coloring import (alternating_path, chain_step, direct_pass, direct_step,
                               kempe_chain, kempe_swap, validate)
-from gscolor.density import DensityCertificate, density, odd_set_density
+from gscolor.density import (DensityCertificate, density, odd_set_density,
+                             oracle_edge_ids)
 from gscolor.generators import (exhaustive_connected, petersen,
                                 random_multigraph, ring, shannon_triangle)
 from conftest import make_pe_instance, make_se_instance
@@ -149,7 +150,9 @@ def test_kempe_ends_test_matches_walking_every_pair():
     `alternating_path` and flips with the checked `recolor`. The corpus has
     pairs whose only path ends are x and y, pairs with more path ends whose
     chain from x still ends at y, and pairs where x has no b-edge (the ends
-    share the missing color b), whose chain is the empty path."""
+    share the missing color b), whose chain is the empty path. Each pair
+    whose only path ends are x and y is also walked, and ends at y: the
+    lemma that lets `chain_step` skip such pairs unwalked."""
     rng = random.Random(18)
     only_x_and_y = walked_to_y = no_b_edge = 0
     for trial in range(300):
@@ -165,6 +168,7 @@ def test_kempe_ends_test_matches_walking_every_pair():
                     if base.edge_at(x, b) is None:
                         no_b_edge += 1
                     elif _path_ends(base, a, b) == sorted((x, y)):
+                        assert alternating_path(base, x, b, a)[1] == y
                         only_x_and_y += 1
                     else:
                         walked_to_y += alternating_path(base, x, b, a)[1] == y
@@ -177,6 +181,78 @@ def test_kempe_ends_test_matches_walking_every_pair():
             else:
                 assert got is pc and pc == expected
     assert only_x_and_y > 0 and walked_to_y > 0 and no_b_edge > 0
+
+
+def _twins_skipped(pc, eid):
+    """The pairs that `chain_step` skips unwalked on eid, counted with the
+    reference walks: for each a missing at x, once the walks that ended at y
+    have taken n - 2 steps, each later b whose only path ends are x and y,
+    with x having b, up to the first walk that does not end at y. Every such
+    pair is walked anyway and must end at y."""
+    x, y = pc.graph.endpoints(eid)
+    scan_at = pc.graph.vertex_count - 2
+    skipped = 0
+    for a in sorted(pc.missing(x)):
+        spent = 0
+        for b in sorted(pc.missing(y)):
+            twin = (pc.edge_at(x, b) is not None
+                    and _path_ends(pc, a, b) == sorted((x, y)))
+            edges, end = alternating_path(pc, x, b, a)
+            assert end == y or not twin
+            if twin and 0 < scan_at <= spent:
+                skipped += 1
+            elif end != y:
+                return skipped
+            else:
+                spent += len(edges)
+    return skipped
+
+
+def test_chain_step_matches_walking_every_pair_where_it_skips():
+    """On the heavy n = 12 sizes of colorbench's dense_multi (m from 1,100 to
+    1,500, Delta far above n), most chain walks fail and the twin scan
+    fires. Every edge that `direct_pass` yields at k = Delta goes through
+    `chain_step`, which must give the answer and the coloring of
+    `reference_kempe_step` with tables that match the assignment, and the
+    pass goes on over the result. The corpus must hold pairs that the scan
+    skips."""
+    skipped = resisting = 0
+    for m, seed in ((1100, 1), (1300, 2), (1500, 3)):
+        G = random_multigraph(12, m, seed)
+        pc = PartialColoring(G, G.max_degree())
+        for eid in direct_pass(pc, oracle_edge_ids(G)):
+            resisting += 1
+            before = pc.clone()
+            skipped += _twins_skipped(before, eid)
+            expected = reference_kempe_step(before.clone(), eid)
+            got = chain_step(pc, eid)
+            assert_tables_consistent(pc)
+            if expected is None:
+                assert got is None and pc == before
+            else:
+                assert got is pc and pc == expected
+    assert resisting > 0 and skipped > 0
+
+
+def test_chain_step_takes_the_empty_path_after_the_scan():
+    """x = 0 and y = 1 of edge 0 both miss color 3, and x misses 1. For
+    a = 1 the walk on b = 2 runs x, 2, y: it fails after n - 2 = 2 steps,
+    so the twin scan runs before b = 3 is tried. x has no 3-edge, so its
+    (1, 3)-path is empty and ends at x: the step gives edge 0 color 3 with
+    no flip, as `reference_kempe_step` does. Vertex 3 has 3 and not 1, so
+    a scan that let only the vertices with color 1 rule twins out, and did
+    not start from x's colors, would skip b = 3. (Starting from x's colors
+    alone cannot change the answer of a proper coloring: once a walk has
+    ended at y, y has a, and then x lacking b leaves an odd count of path
+    ends among x, y and b's twins, so some other vertex rules b out.)"""
+    G = Multigraph.build(4, [(0, 1), (0, 2), (2, 1), (2, 3)])
+    pc = PartialColoring(G, 3, {1: 2, 2: 1, 3: 3})
+    assert alternating_path(pc, 0, 2, 1) == ([1, 2], 1)
+    expected = reference_kempe_step(pc.clone(), 0)
+    assert chain_step(pc, 0) is pc
+    assert_tables_consistent(pc)
+    assert pc == expected
+    assert [pc.color_of(e) for e in G.edge_ids] == [3, 2, 1, 3]
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])
@@ -650,21 +726,24 @@ def test_output_digest_runs(capsys):
 
 
 def test_scale_bench_prints_one_row_per_size(capsys):
-    """benchmarks/scale_bench.py at n = 10^3: a header, then one row of n,
-    m = 3n, k = Delta, seconds, microseconds per edge and peak MB, each size
-    from a fresh process (the times are not checked)."""
+    """benchmarks/scale_bench.py at n = 10^3: a header, then two rows of the
+    graph, n, m, k, seconds, microseconds per edge and peak MB, each from a
+    fresh process (the times are not checked): `random_multigraph(n, 3n, 1)`
+    at k = Delta, and the 8-regular configuration-model multigraph, less its
+    self-loops, at k = Delta + 1 = 9."""
     path = Path(__file__).parents[1] / "benchmarks" / "scale_bench.py"
     spec = importlib.util.spec_from_file_location("scale_bench", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert tool.main(["1000"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["n", "m", "k", "seconds", "us/edge", "peak_MB"]
-    assert len(rows) == 1
-    n, m, k, seconds, per_edge, peak_mb = rows[0].split()
-    assert (int(n), int(m)) == (1000, 3000)
-    assert int(k) == random_multigraph(1000, 3000, 1).max_degree()
-    assert float(seconds) > 0 and float(per_edge) > 0 and float(peak_mb) > 0
+    assert header.split() == ["graph", "n", "m", "k", "seconds", "us/edge", "peak_MB"]
+    assert [row.split()[:2] for row in rows] == [["random", "1000"], ["8-regular", "1000"]]
+    (_, _, m, k, *_), (_, _, m8, k8, *_) = (row.split() for row in rows)
+    assert int(m) == 3000 and int(k) == random_multigraph(1000, 3000, 1).max_degree()
+    assert 3900 < int(m8) <= 4000 and int(k8) == 9
+    for row in rows:
+        assert all(float(value) > 0 for value in row.split()[4:])
 
 
 # The same pins for instances that reach the exact fallback, taken before it

@@ -243,4 +243,4 @@ def test_kernel_bench_runs(capsys):
     bench.main()
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [r.split()[0] for r in rows] == \
-        ["feasible"] * 7 + ["density"] * 10 + ["extend"] * 3 + ["closure"] * 2
+        ["feasible"] * 7 + ["density"] * 10 + ["extend"] * 4 + ["closure"] * 2
