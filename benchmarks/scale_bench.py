@@ -10,7 +10,11 @@ timed, each in a fresh interpreter with PYTHONPATH set to this checkout's
 - `8-regular`: `color_at_k(G, Delta + 1)` on a configuration-model
   8-regular multigraph on N vertices (8 stubs per vertex, shuffled by
   `random.Random(1)`, paired in order, self-loops dropped), whose
-  resisting edges go to the chain step.
+  resisting edges go to the chain step. At Delta + 1 that step almost never
+  walks a chain that fails: 2 walks fail in its 1,653 calls at N = 10^4,
+  and none in 16,673 calls at 10^5. So this row times the direct pass and
+  cheap chain swaps, not the failing walks that the chain step's twin skip
+  saves.
 
 The graph's construction is not timed. Each row prints the graph, n, m, k,
 the seconds of that call, microseconds per edge, and the process's peak

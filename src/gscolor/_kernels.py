@@ -4,16 +4,15 @@ the best-odd-subset density scan.
 The backtracking search runs on plain-python bitmasks (backtracking does
 not vectorize). The density scan has two exact implementations, chosen by
 vertex count inside `density_scan`: plain python up to PLAIN_SCAN_VERTICES
-(10) vertices, vectorized numpy above. Up to 9 vertices the numpy scan's
-fixed cost of some twenty array calls outweighs the arithmetic, or ties
-with it. At n = 10 the plain scan takes about 45-60 us against numpy's
-30-40 us (`benchmarks/kernel_bench.py` times both at n = 10 and 11; a
-2-core VM, Python 3.11). It still takes n = 10, because a process that
-imports numpy pays about 130 ms for it, the cost of some two thousand plain
-scans: so `color` and `report` on Petersen, or on any graph of at most 10
-vertices, run in a fresh process without numpy. numpy is imported by the
-numpy scan's functions when they run, so importing this module, the search
-and a scan of at most 10 vertices load no numpy.
+(10) vertices, vectorized numpy above. `benchmarks/kernel_bench.py` times
+both at n = 10 and 11, and numpy is faster at each: 27 us against the
+plain scan's 43 us at n = 10, 37 us against 94 us at n = 11 (one run, a
+2-core VM, Python 3.11). The plain scan still takes n = 10, because a
+process that imports numpy pays about 150 ms for it, the cost of some
+three thousand plain scans: so `color` and `report` on Petersen, or on any
+graph of at most 10 vertices, run in a fresh process without numpy. numpy
+is imported by the numpy scan's functions when they run, so importing this
+module, the search and a scan of at most 10 vertices load no numpy.
 
 The backtracking search (`colorings`) yields every proper coloring it
 reaches, in lexicographic order over colorings whose colors first appear in

@@ -14,11 +14,18 @@ from . import generators
 from .density import bound_report, chromatic_index_exact
 from .engine import (METHODS, IncompleteColoringError, _color, color,
                      result_from_json, verify_result)
-from .graph import (Multigraph, ParseError, ScaleExceededError, decimal_int,
-                    parse_multigraph)
+from .graph import Multigraph, ParseError, ScaleExceededError, parse_multigraph
 
 BENCH_COLUMNS = ["idx", "spec", "n", "m", "delta", "mu", "gamma", "chi_exact",
                  "k_used", *METHODS, "status"]
+
+
+class CommandError(Exception):
+    """A failure that `main` prints as one stderr line, returning .code."""
+
+    def __init__(self, message: str, code: int = 1):
+        super().__init__(message)
+        self.code = code
 
 
 def _read_file(path: str) -> str:
@@ -26,19 +33,18 @@ def _read_file(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(args) -> Multigraph | None:
-    """The graph from args.path or args.gen, or None after one stderr line
-    when both or neither is given, or the graph is unusable."""
+def _load_graph(args) -> Multigraph:
+    """The graph from args.path or args.gen; CommandError when both or
+    neither is given, or the graph is unusable."""
     if bool(args.gen) == bool(args.path):
-        print("exactly one of a graph path or --gen is required", file=sys.stderr)
-        return None
+        raise CommandError("exactly one of a graph path or --gen is required")
     if args.gen:
         return _read_graph(lambda: generators.from_spec(args.gen))
     return _read_graph(lambda: parse_multigraph(_read_file(args.path)))
 
 
-def _out_writable(path: str) -> bool:
-    """True if path opens for writing; False after one stderr line if not.
+def _check_out(path: str) -> None:
+    """CommandError unless path opens for writing.
 
     Append mode does not truncate, and a file this probe created is removed
     again, so the probe leaves the file system as it found it.
@@ -48,96 +54,80 @@ def _out_writable(path: str) -> bool:
         with open(path, "a"):
             pass
     except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return False
+        raise CommandError(f"cannot write output: {exc}")
     if not existed:
         os.remove(path)
-    return True
 
 
-def _emit(text: str, args) -> int:
-    """0 once text is in --out or on stdout; 1 after one stderr line if not."""
-    if not args.out:
-        sys.stdout.write(text)
-        return 0
+def _emit(text: str, args) -> None:
+    """Put text in --out, or on stdout and flush it; CommandError if that
+    fails (a full disk, a closed pipe)."""
     try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        if not args.out:   # stdout keeps the text, and its flush at exit would fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise CommandError(f"cannot write output: {exc}")
 
 
-def _emit_json(obj, args) -> int:
+def _emit_json(obj, args) -> None:
     """_emit of obj as compact JSON under --json, indented otherwise."""
     text = json.dumps(obj, separators=(",", ":")) if args.json \
         else json.dumps(obj, indent=2)
-    return _emit(text + "\n", args)
+    _emit(text + "\n", args)
 
 
 def _read_graph(load):
-    """load(), or None after one stderr line when the graph is unusable."""
+    """load(); CommandError when the graph is unusable."""
     try:
         return load()
     except (OSError, UnicodeDecodeError) as exc:     # before its base ValueError
-        print(f"cannot read graph: {exc}", file=sys.stderr)
+        raise CommandError(f"cannot read graph: {exc}")
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        raise CommandError(f"parse error: {exc}")
     except ValueError as exc:      # parsing raises ParseError only; this is --gen
-        print(f"bad generator: {exc}", file=sys.stderr)
-    return None
+        raise CommandError(f"bad generator: {exc}")
 
 
 def cmd_color(args) -> int:
     G = _load_graph(args)
-    if G is None:
-        return 1
     try:
         result = color(G)
     except IncompleteColoringError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    return _emit_json(result.to_json_obj(), args)
+        raise CommandError(str(exc), 2)
+    _emit_json(result.to_json_obj(), args)
+    return 0
 
 
 def cmd_report(args) -> int:
-    G = _load_graph(args)
-    if G is None:
-        return 1
-    return _emit_json(bound_report(G).to_json_obj(), args)
+    _emit_json(bound_report(_load_graph(args)).to_json_obj(), args)
+    return 0
 
 
 def cmd_verify(args) -> int:
     G = _read_graph(lambda: parse_multigraph(_read_file(args.graph)))
-    if G is None:
-        return 1
     try:
         text = _read_file(args.result)
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read result: {exc}", file=sys.stderr)
-        return 3
+        raise CommandError(f"cannot read result: {exc}", 3)
     try:
         result = result_from_json(G, text)
     except (ValueError, KeyError, RecursionError) as exc:
-        print(f"invalid result: {exc}", file=sys.stderr)
-        return 3
-    if verify_result(G, result):
-        return 0
-    print("verification failed", file=sys.stderr)
-    return 1
+        raise CommandError(f"invalid result: {exc}", 3)
+    if not verify_result(G, result):
+        raise CommandError("verification failed")
+    return 0
 
 
 def _bench_instances(args):
     for spec in args.gen or []:
         if spec[0] == "exhaustive":
-            if len(spec) != 3:
-                raise ValueError(f"exhaustive takes 2 arguments, got {len(spec) - 1}")
-            try:
-                n_max, m_max = map(decimal_int, spec[1:])
-            except ValueError:
-                raise ValueError(f"exhaustive arguments must be integers, "
-                                 f"got {spec[1:]}") from None
+            n_max, m_max = generators.spec_ints("exhaustive", spec[1:], 2, 2)
             for i, G in enumerate(generators.exhaustive_connected(n_max, m_max)):
                 yield f"exhaustive[{i}]", G
         else:
@@ -186,16 +176,13 @@ def cmd_bench(args) -> int:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
     instances = _read_graph(lambda: list(_bench_instances(args)))
-    if instances is None:
-        return 1
     violations = 0
     for idx, (name, G) in enumerate(instances):
         row = _bench_row(name, G, args.oracle, args.timings)
         if row[-1 - int(args.timings)] not in ("ok", "oracle-skipped"):
             violations += 1
         writer.writerow([idx] + row)
-    if _emit(out.getvalue(), args):
-        return 1
+    _emit(out.getvalue(), args)
     return 0 if violations == 0 else 4
 
 
@@ -245,19 +232,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; on failure print one stderr line and return its code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "out", None) and not _out_writable(args.out):
-        return 1
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)      # before any work
         return args.func(args)
+    except CommandError as exc:
+        message, code = str(exc), exc.code
     except ScaleExceededError as exc:
-        print(f"graph too large: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"graph too large: {exc}", 1
     except ModuleNotFoundError as exc:   # numpy runs the larger Gamma scans
         if exc.name != "numpy":
             raise
-        print(f"missing dependency: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"missing dependency: {exc}", 1
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

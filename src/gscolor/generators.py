@@ -146,6 +146,19 @@ _SPECS = {"petersen": (petersen, 0, 0, lambda: 15),
           "random": (random_multigraph, 3, 3, lambda n, m, seed: m)}
 
 
+def spec_ints(name: str, args, fewest: int, most: int) -> list:
+    """The arguments of generator `name` as integers. ValueError when there
+    are fewer than `fewest` or more than `most`, or one is not an ASCII
+    decimal integer."""
+    if not fewest <= len(args) <= most:
+        wanted = fewest if fewest == most else f"{fewest} to {most}"
+        raise ValueError(f"{name} takes {wanted} argument(s), got {len(args)}")
+    try:
+        return [decimal_int(a) for a in args]
+    except ValueError:
+        raise ValueError(f"{name} arguments must be integers, got {args}") from None
+
+
 def from_spec(tokens) -> Multigraph:
     """Build a named instance: petersen | shannon mu | ring n [mu] |
     random n m seed. ValueError on an unknown name, a missing or extra
@@ -156,13 +169,7 @@ def from_spec(tokens) -> Multigraph:
     if name not in _SPECS:
         raise ValueError(f"unknown generator {name!r}")
     build, fewest, most, edge_count = _SPECS[name]
-    if not fewest <= len(args) <= most:
-        wanted = fewest if fewest == most else f"{fewest} to {most}"
-        raise ValueError(f"{name} takes {wanted} argument(s), got {len(args)}")
-    try:
-        ints = [decimal_int(a) for a in args]
-    except ValueError:
-        raise ValueError(f"{name} arguments must be integers, got {args}") from None
+    ints = spec_ints(name, args, fewest, most)
     if name in ("ring", "random") and ints[0] > MAX_PARSE_VERTICES:
         raise ValueError(f"vertex count {ints[0]} above the limit of "
                          f"{MAX_PARSE_VERTICES}")

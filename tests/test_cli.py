@@ -1,3 +1,5 @@
+import ast
+import contextlib
 import importlib.util
 import json
 import os
@@ -714,3 +716,68 @@ def test_fallback_threshold_outside_the_oracle_cap(capsys, command, threshold):
         main([command, "--gen", "ring", "5", "30", "--fallback-threshold", threshold])
     assert exc.value.code == 2
     assert "unrecognized arguments: --fallback-threshold" in capsys.readouterr().err
+
+
+def _stdout_target(kind, stack):
+    """A stdout for the child that fails every write: /dev/full, or a pipe
+    whose read end is closed before the child starts, so no timing decides
+    where the write fails."""
+    if kind == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        return stack.enter_context(open("/dev/full", "wb"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stack.callback(os.close, write_end)
+    return write_end
+
+
+@pytest.mark.parametrize("target", ["full", "closed-pipe"])
+@pytest.mark.parametrize("command", ["color", "report", "bench"])
+def test_failed_stdout_write_exits_with_one_line(command, target):
+    """A stdout that refuses the output (a full device, a pipe with no
+    reader) gives exit 1 and one `cannot write output` line, as an
+    unwritable --out does, not a traceback. The child's stdout is
+    buffered, as it is by default, so the write can succeed and only the
+    flush fail."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(gscolor.__file__).parents[1])
+    with contextlib.ExitStack() as stack:
+        run = subprocess.run([sys.executable, "-m", "gscolor.cli", command, "--gen",
+                              "petersen"], stdout=_stdout_target(target, stack),
+                             stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("cannot write output: ")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+
+def test_only_main_names_stderr():
+    """Commands and helpers raise; `main` alone writes the failure line, so
+    no other code in cli.py names stderr."""
+    from gscolor import cli
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main_def = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main_def)}
+    named = [node for node in ast.walk(tree)
+             if "stderr" in (getattr(node, "attr", None), getattr(node, "id", None),
+                             getattr(node, "name", None))]
+    assert named and all(id(node) in in_main for node in named)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--gen", "exhaustive", "5"], "exhaustive takes 2 argument(s), got 1"),
+    (["bench", "--gen", "exhaustive", "1", "2", "3"],
+     "exhaustive takes 2 argument(s), got 3"),
+    (["bench", "--gen", "exhaustive", "+2", "3"],
+     "exhaustive arguments must be integers, got ['+2', '3']"),
+    (["color", "--gen", "ring", "5", "2", "1"], "ring takes 1 to 2 argument(s), got 3"),
+    (["color", "--gen", "ring", "5", "x"],
+     "ring arguments must be integers, got ['5', 'x']"),
+], ids=["exhaustive-missing", "exhaustive-extra", "exhaustive-plus",
+        "ring-extra", "ring-non-integer"])
+def test_generator_arguments_are_checked_in_one_place(capsys, argv, message):
+    """`bench --gen exhaustive` and the named generators word their argument
+    errors alike: both go through generators.spec_ints."""
+    assert run_cli(capsys, *argv) == (1, "", f"bad generator: {message}\n")
