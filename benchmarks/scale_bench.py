@@ -17,9 +17,12 @@ timed, each in a fresh interpreter with PYTHONPATH set to this checkout's
   saves.
 
 The graph's construction is not timed. Each row prints the graph, n, m, k,
-the seconds of that call, microseconds per edge, and the process's peak
-resident set (`VmHWM` from /proc/self/status, so it includes the graph),
-in MB. A fresh process per row keeps one row's peak out of the next's:
+the seconds of that call, microseconds per edge, the process's resident set
+once the graph is built and before `color_at_k` starts (`graph_MB`, `VmRSS`
+from /proc/self/status, interpreter and imports included), and its peak
+resident set (`peak_MB`, `VmHWM`, so it includes the graph), both in MB.
+Their difference is what coloring adds. A fresh process per row keeps one
+row's peak out of the next's:
 
     python3 benchmarks/scale_bench.py [N ...]
 
@@ -35,12 +38,15 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SIZES = (10 ** 4, 10 ** 5, 4 * 10 ** 5, 10 ** 6)
 
 # run in the child: argv[1] is the graph, argv[2] is n; prints
-# "m k seconds peak_kb"
+# "m k seconds graph_kb peak_kb"
 CHILD = """
 import random, sys, time
 from gscolor.engine import color_at_k
 from gscolor.generators import random_multigraph
 from gscolor.graph import Multigraph
+def status_kb(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key))
 kind, n = sys.argv[1], int(sys.argv[2])
 if kind == "random":
     G = random_multigraph(n, 3 * n, 1)
@@ -50,25 +56,24 @@ else:
     random.Random(1).shuffle(stubs)
     G = Multigraph.build(n, [(u, v) for u, v in zip(stubs[::2], stubs[1::2]) if u != v])
     k = G.max_degree() + 1
+graph_kb = status_kb("VmRSS:")
 t0 = time.perf_counter()
 color_at_k(G, k)
 seconds = time.perf_counter() - t0
-with open("/proc/self/status") as fh:
-    peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-print(G.m, k, seconds, peak_kb)
+print(G.m, k, seconds, graph_kb, status_kb("VmHWM:"))
 """
 
 GRAPHS = ("random", "8-regular")
-COLUMNS = ("graph", "n", "m", "k", "seconds", "us/edge", "peak_MB")
-ROW = "{:<9} {:>9} {:>9} {:>4} {:>9} {:>8} {:>8}"
+COLUMNS = ("graph", "n", "m", "k", "seconds", "us/edge", "graph_MB", "peak_MB")
+ROW = "{:<9} {:>9} {:>9} {:>4} {:>9} {:>8} {:>8} {:>8}"
 
 
 def measure(kind: str, n: int, env: dict) -> tuple:
-    """(m, k, seconds, peak MB) of one row, in a fresh process."""
+    """(m, k, seconds, graph MB, peak MB) of one row, in a fresh process."""
     out = subprocess.run([sys.executable, "-c", CHILD, kind, str(n)], env=env,
                          check=True, capture_output=True, text=True).stdout
-    m, k, seconds, peak_kb = out.split()
-    return int(m), int(k), float(seconds), int(peak_kb) / 1024
+    m, k, seconds, graph_kb, peak_kb = out.split()
+    return int(m), int(k), float(seconds), int(graph_kb) / 1024, int(peak_kb) / 1024
 
 
 def main(argv=None) -> int:
@@ -80,9 +85,9 @@ def main(argv=None) -> int:
     print(ROW.format(*COLUMNS))
     for n in sizes:
         for kind in GRAPHS:
-            m, k, seconds, peak_mb = measure(kind, n, env)
-            print(ROW.format(kind, n, m, k, f"{seconds:.3f}",
-                             f"{seconds / m * 1e6:.2f}", f"{peak_mb:.1f}"), flush=True)
+            m, k, seconds, graph_mb, peak_mb = measure(kind, n, env)
+            print(ROW.format(kind, n, m, k, f"{seconds:.3f}", f"{seconds / m * 1e6:.2f}",
+                             f"{graph_mb:.1f}", f"{peak_mb:.1f}"), flush=True)
     return 0
 
 

@@ -160,11 +160,6 @@ class PartialColoring:
         return f"PartialColoring(k={self.k}, colored={len(self._color)}/{self.graph.m})"
 
 
-def _in_range(c, k: int) -> bool:
-    """Is c an integer color in 1..k? (bool is not a color)"""
-    return type(c) is int and 1 <= c <= k
-
-
 def mask_colors(mask: int):
     """The colors whose bits are set in mask, in ascending order."""
     while mask:
@@ -180,7 +175,7 @@ def validate(G: Multigraph, pc: PartialColoring) -> list:
     is an int in 1..k, and on a graph equal to G the per-vertex tables, one
     entry per distinct color at a vertex, hold two entries per colored edge
     exactly when no color repeats at a vertex. Only otherwise are G's edges
-    walked for the messages.
+    walked, once, for the messages: by vertex, then by the later edge's id.
     """
     colors = pc._color.values()
     if ((pc.graph is G or pc.graph == G)
@@ -189,20 +184,21 @@ def validate(G: Multigraph, pc: PartialColoring) -> list:
             and sum(map(len, pc._at)) == 2 * len(colors)):
         return []
     out = []
-    for eid in G.edge_ids:
+    first = {}                                # (vertex, color) -> first edge
+    repeats = {}                              # vertex -> its repeat messages
+    for eid, ends in enumerate(G._ends):
         c = pc.color_of(eid)
-        if c is not None and not _in_range(c, pc.k):
+        if c is None:
+            continue
+        if not (type(c) is int and 1 <= c <= pc.k):
             out.append(f"edge {eid}: color {c} outside 1..{pc.k}")
-    for v in range(G.vertex_count):
-        seen = {}
-        for eid in G.edges_at(v):
-            c = pc.color_of(eid)
-            if c is None:
-                continue
-            if c in seen:
-                out.append(f"vertex {v}: color {c} on edges {seen[c]} and {eid}")
-            else:
-                seen[c] = eid
+        for v in ends:
+            seen = first.setdefault((v, c), eid)
+            if seen != eid:
+                repeats.setdefault(v, []).append(
+                    f"vertex {v}: color {c} on edges {seen} and {eid}")
+    for v in sorted(repeats):
+        out += repeats[v]
     return out
 
 

@@ -23,11 +23,13 @@ class Multigraph:
 
     Edge e is the e-th endpoint pair given, so edge ids are 0..m-1 and
     parallel edges stay distinguishable by position. Self-loops are
-    rejected at construction. Instances are immutable once built and safe
-    to share; all mutation in this package happens on colorings.
+    rejected at construction. The graph stores its endpoint pairs and its
+    vertex degrees, nothing per vertex beyond that: `edges_at(v)` is one
+    pass over the edges. Instances are immutable once built and safe to
+    share; all mutation in this package happens on colorings.
     """
 
-    __slots__ = ("vertex_count", "_ends", "_incident")
+    __slots__ = ("vertex_count", "_ends", "_degrees")
 
     def __init__(self, vertex_count: int, endpoint_pairs):
         """Build from (u, v) pairs; edge ids are 0..m-1 in input order."""
@@ -35,17 +37,17 @@ class Multigraph:
             raise ValueError("vertex_count must be non-negative")
         self.vertex_count = vertex_count
         ends = []
-        incident = [[] for _ in range(vertex_count)]
+        degrees = [0] * vertex_count
         for eid, (u, v) in enumerate(endpoint_pairs):
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge {eid}: endpoint out of range: ({u}, {v})")
             if u == v:
                 raise ValueError(f"edge {eid}: self-loop at vertex {u}")
             ends.append((u, v))
-            incident[u].append(eid)
-            incident[v].append(eid)
+            degrees[u] += 1
+            degrees[v] += 1
         self._ends = tuple(ends)
-        self._incident = tuple(map(tuple, incident))
+        self._degrees = tuple(degrees)
 
     @classmethod
     def build(cls, vertex_count: int, endpoint_pairs) -> "Multigraph":
@@ -74,13 +76,16 @@ class Multigraph:
         raise ValueError(f"vertex {v} is not an end of edge {eid}")
 
     def edges_at(self, v: int) -> tuple:
-        return self._incident[v]
+        """Ids of the edges at v, ascending; one pass over all the edges."""
+        self._check_vertex(v)
+        return tuple(e for e, (a, b) in enumerate(self._ends) if a == v or b == v)
 
     def degree(self, v: int) -> int:
-        return len(self._incident[v])
+        self._check_vertex(v)
+        return self._degrees[v]
 
     def max_degree(self) -> int:
-        return max((len(es) for es in self._incident), default=0)
+        return max(self._degrees, default=0)
 
     def pair_counts(self) -> dict:
         """Multiplicity of each joined vertex pair, keyed (u, v) with u < v."""
@@ -90,32 +95,31 @@ class Multigraph:
 
     def induced_edge_count(self, members) -> int:
         """Number of edges with both ends in `members`, multiplicity included."""
-        inside = self._checked_set(members)
+        inside = frozenset(members)
+        for v in inside:
+            self._check_vertex(v)
         return sum(1 for (u, v) in self._ends if u in inside and v in inside)
 
-    def _checked_set(self, members) -> frozenset:
-        s = frozenset(members)
-        for v in s:
-            if not (0 <= v < self.vertex_count):
-                raise ValueError(f"vertex {v} out of range")
-        return s
+    def _check_vertex(self, v: int) -> None:
+        if not (0 <= v < self.vertex_count):
+            raise ValueError(f"vertex {v} out of range")
 
     # -- connectivity ------------------------------------------------------
 
     def is_connected(self) -> bool:
         """True for the empty graph and any graph whose vertices form one component."""
-        if self.vertex_count <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for e in self._incident[v]:
-                w = self.other_end(e, v)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
+        parent = list(range(self.vertex_count))
+        components = self.vertex_count
+        for u, v in self._ends:
+            # walk both ends to their roots, halving the paths on the way
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                components -= 1
+        return components <= 1
 
     def __eq__(self, other):
         if not isinstance(other, Multigraph):

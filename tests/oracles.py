@@ -7,6 +7,7 @@ the reference values the package's answers are frozen against.
 """
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -51,6 +52,26 @@ def graph_boundary(G, members):
     inside = frozenset(members)
     return frozenset(e for e in G.edge_ids
                      if sum(w in inside for w in G.endpoints(e)) == 1)
+
+
+def bfs_connected(n, pairs):
+    """Is the graph on 0..n-1 with these endpoint pairs connected? A
+    breadth-first search from vertex 0 over neighbor lists built from the
+    pairs; True for n <= 1."""
+    if n <= 1:
+        return True
+    neighbors = [[] for _ in range(n)]
+    for u, v in pairs:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for w in neighbors[queue.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == n
 
 
 def brute_chi_prime(G):

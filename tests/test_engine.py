@@ -727,23 +727,27 @@ def test_output_digest_runs(capsys):
 
 def test_scale_bench_prints_one_row_per_size(capsys):
     """benchmarks/scale_bench.py at n = 10^3: a header, then two rows of the
-    graph, n, m, k, seconds, microseconds per edge and peak MB, each from a
-    fresh process (the times are not checked): `random_multigraph(n, 3n, 1)`
-    at k = Delta, and the 8-regular configuration-model multigraph, less its
-    self-loops, at k = Delta + 1 = 9."""
+    graph, n, m, k, seconds, microseconds per edge, the MB resident once the
+    graph is built and the peak MB, each from a fresh process (the times are
+    not checked): `random_multigraph(n, 3n, 1)` at k = Delta, and the
+    8-regular configuration-model multigraph, less its self-loops, at
+    k = Delta + 1 = 9."""
     path = Path(__file__).parents[1] / "benchmarks" / "scale_bench.py"
     spec = importlib.util.spec_from_file_location("scale_bench", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert tool.main(["1000"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["graph", "n", "m", "k", "seconds", "us/edge", "peak_MB"]
+    assert header.split() == ["graph", "n", "m", "k", "seconds", "us/edge",
+                              "graph_MB", "peak_MB"]
     assert [row.split()[:2] for row in rows] == [["random", "1000"], ["8-regular", "1000"]]
     (_, _, m, k, *_), (_, _, m8, k8, *_) = (row.split() for row in rows)
     assert int(m) == 3000 and int(k) == random_multigraph(1000, 3000, 1).max_degree()
     assert 3900 < int(m8) <= 4000 and int(k8) == 9
     for row in rows:
         assert all(float(value) > 0 for value in row.split()[4:])
+        graph_mb, peak_mb = map(float, row.split()[6:])
+        assert graph_mb <= peak_mb
 
 
 # The same pins for instances that reach the exact fallback, taken before it

@@ -7,8 +7,8 @@ from gscolor import (Multigraph, ParseError, PartialColoring, chromatic_index_ex
                      format_multigraph, parse_multigraph, validate)
 from gscolor.generators import exhaustive_connected
 from gscolor.graph import MAX_PARSE_VERTICES
-from oracles import (colorings_without_edge, graph_boundary, random_multigraph_pairs,
-                     stats, without_edge)
+from oracles import (bfs_connected, colorings_without_edge, graph_boundary,
+                     random_multigraph_pairs, stats, without_edge)
 from paper_structures import is_r_graph
 
 import random
@@ -36,6 +36,42 @@ def test_build_rejects_self_loop_with_position():
 def test_build_rejects_out_of_range_with_position():
     with pytest.raises(ValueError, match="edge 2"):
         Multigraph.build(3, [(0, 1), (1, 2), (0, 3)])
+
+
+@pytest.mark.parametrize("v", [-1, 3])
+def test_vertex_ids_outside_the_graph_are_rejected(v):
+    """-1 and n are ValueErrors, not a wrap to vertex n - 1 or an IndexError."""
+    G = Multigraph.build(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+        G.degree(v)
+    with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+        G.edges_at(v)
+
+
+def test_graph_queries_match_the_endpoint_pairs():
+    """edges_at, degree, max_degree and is_connected agree with definitions
+    read off the endpoint pairs alone, on random multigraphs of 0 to 12
+    vertices whose edges stay inside up to three random vertex blocks, so
+    that isolated vertices and several components are common."""
+    rng = random.Random(33)
+    connected = Counter()
+    for _ in range(500):
+        n = rng.randint(0, 12)
+        blocks = rng.randint(1, 3)
+        block = [rng.randrange(blocks) for _ in range(n)]
+        joinable = [(u, v) for u in range(n) for v in range(n)
+                    if u != v and block[u] == block[v]]
+        pairs = [rng.choice(joinable) for _ in range(rng.randint(0, 3 * n))] if joinable else []
+        G = Multigraph.build(n, pairs)
+        degrees = [sum(p.count(v) for p in pairs) for v in range(n)]
+        for v in range(n):
+            assert G.edges_at(v) == tuple(e for e, p in enumerate(pairs) if v in p)
+            assert G.degree(v) == degrees[v]
+        assert G.max_degree() == max(degrees, default=0)
+        assert G.is_connected() == bfs_connected(n, pairs)
+        if n >= 2:
+            connected[G.is_connected()] += 1
+    assert min(connected.values()) > 50
 
 
 def test_stats_shannon(shannon2):
