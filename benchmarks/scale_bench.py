@@ -54,7 +54,7 @@ if kind == "random":
 else:
     stubs = [v for v in range(n) for _ in range(8)]
     random.Random(1).shuffle(stubs)
-    G = Multigraph.build(n, [(u, v) for u, v in zip(stubs[::2], stubs[1::2]) if u != v])
+    G = Multigraph.build(n, ((u, v) for u, v in zip(stubs[::2], stubs[1::2]) if u != v))
     k = G.max_degree() + 1
 graph_kb = status_kb("VmRSS:")
 t0 = time.perf_counter()

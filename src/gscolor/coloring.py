@@ -3,7 +3,8 @@
 A coloring assigns colors 1..k to a subset of the edges so that adjacent
 colored edges differ; uncolored edges are simply absent from every
 bookkeeping structure, which is what lets the tree machinery run against a
-coloring that still has edges waiting to be colored.
+coloring that still has edges waiting to be colored. Every Kempe change is
+one in-place `interchange` of two colors on whole two-colored components.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ class PartialColoring:
     """Proper partial assignment of colors 1..k to the edges of a multigraph.
 
     Every coloring is proper by construction: `assign` and `recolor` refuse a
-    color outside 1..k or one already at an end of the edge; `_write` skips
-    those checks for this module's steps, which know the color is free.
-    A result file loads through `assign` too, so it keeps only the proper
-    part of its assignment.
+    color outside 1..k or one already at an end of the edge; `_write` and
+    `interchange` skip those checks for this module's steps, which know the
+    result is proper. A result file loads through `assign` too, so it keeps
+    only the proper part of its assignment.
 
     Besides the edge colors (`_color`), two per-vertex tables are maintained
     incrementally: the edge of each color at the vertex (`_at`, a dict
@@ -133,10 +134,10 @@ class PartialColoring:
 
     def recolor(self, flips):
         """Apply (edge, new color) pairs in place; all listed edges are
-        uncolored first, so they may trade colors as a chain swap does.
-        A list that `unassign` or `assign` rejects (an uncolored or repeated
-        edge, a color out of range or clashing) raises with every edge back
-        in its old color."""
+        uncolored first, so they may trade colors; the exact fallback of
+        `engine.extend` writes its coloring so. A list that `unassign` or
+        `assign` rejects (an uncolored or repeated edge, a color out of
+        range or clashing) raises with every edge back in its old color."""
         old = {e: self._color[e] for e, _ in flips}
         try:
             for e, _ in flips:
@@ -242,6 +243,28 @@ def alternating_path(pc: PartialColoring, v: int, first: int, second: int) -> tu
     return edges, cur
 
 
+def interchange(pc: PartialColoring, edges, a: int, b: int):
+    """Swap colors a != b on `edges`, whole (a, b)-components of pc, in
+    place and without checks; a second call on the same edges restores pc.
+
+    Each edge takes the other color, written into both ends' `_at`. Inner
+    vertices keep both colors and their masks; a path end still holds an
+    entry for the color it lost, which goes, and both its mask bits flip.
+    """
+    color, at, mask, ends = pc._color, pc._at, pc._mask, pc.graph._ends
+    for e in edges:
+        new = color[e] = b if color[e] == a else a
+        for w in ends[e]:
+            at[w][new] = e
+    both = (1 << a) | (1 << b)
+    for e in edges:
+        old = a if color[e] == b else b
+        for w in ends[e]:
+            if at[w].get(old) == e:         # w is a path end
+                del at[w][old]
+                mask[w] ^= both
+
+
 # -- the per-edge steps ------------------------------------------------------
 
 
@@ -295,12 +318,7 @@ def chain_step(pc: PartialColoring, eid: int):
     a path with x at one end: each pair is walked to its far end without
     keeping its edges, and x without a b-edge is the empty path, which ends
     at x. Only the pair that is flipped is walked again, by
-    `alternating_path`, for its edges, and the flip is done in place without
-    `recolor`'s checks. Every interior vertex of the path keeps both colors,
-    so what changes is each flipped edge's color and its two `_at` entries,
-    and at the path's ends: x gains a, and the b entry it loses is the one
-    eid takes; the far end trades the color of the last edge for the other,
-    so its mask flips both bits and its entry of the color that left goes.
+    `alternating_path`, for its edges, and `interchange` flips that path.
 
     Most walks for one a fail, and many provably. In a proper coloring the
     ends of the (a, b)-paths are the vertices with exactly one of a and b;
@@ -313,7 +331,7 @@ def chain_step(pc: PartialColoring, eid: int):
     dropped unwalked. The pair that is flipped, and so the coloring, is the
     one that walking every pair gives, and no table is kept for the skip.
     """
-    color, at, mask, ends = pc._color, pc._at, pc._mask, pc.graph._ends
+    at, mask, ends = pc._at, pc._mask, pc.graph._ends
     x, y = ends[eid]
     at_x = at[x]
     far_missing = pc.missing_mask(y)
@@ -342,18 +360,7 @@ def chain_step(pc: PartialColoring, eid: int):
                                 twins &= have if have >> a & 1 else ~have
                         todo ^= twins
                 continue
-            edges, end = alternating_path(pc, x, b, a)
-            new = a
-            for e in edges:
-                color[e] = new
-                u, v = ends[e]
-                at[u][new] = e
-                at[v][new] = e
-                new = b if new == a else a
-            if edges:
-                del at[end][new]      # the last edge's old color
-                mask[end] ^= (1 << a) | (1 << b)
-                mask[x] |= 1 << a
+            interchange(pc, alternating_path(pc, x, b, a)[0], a, b)
             pc._write(eid, b)
             return pc
     return None
@@ -372,7 +379,7 @@ def kempe_chain(pc: PartialColoring, v: int, alpha: int, beta: int) -> KempeChai
     if alpha == beta:
         raise ValueError("chain colors must differ")
     for c in (alpha, beta):
-        if not (1 <= c <= pc.k):
+        if type(c) is not int or not 1 <= c <= pc.k:
             raise ValueError(f"color {c} outside 1..{pc.k}")
     colors = frozenset((alpha, beta))
     starts = [c for c in (alpha, beta) if c in pc._at[v]]
@@ -412,29 +419,32 @@ def _canonical_cycle(pc, colors, edges, verts):
 
 
 def kempe_swap(pc: PartialColoring, chain: KempeChain) -> PartialColoring:
-    """Interchange the chain's two colors on exactly its edges.
+    """Interchange the chain's two colors on exactly its edges, in a clone.
 
-    The chain must be a chain of pc (re-derived and compared); swapping
-    twice restores the original coloring.
+    The chain must be a chain of pc: it is re-derived and compared, so its
+    edges are one whole component, which `interchange` flips. Swapping twice
+    restores the original coloring.
     """
-    anchor = chain.vertices[0]
     a, b = sorted(chain.colors)
-    current = kempe_chain(pc, anchor, a, b)
+    current = kempe_chain(pc, chain.vertices[0], a, b)
     if frozenset(current.edges) != frozenset(chain.edges):
         raise ValueError("not a chain of this coloring")
     out = pc.clone()
-    out.recolor([(e, b if pc.color_of(e) == a else a) for e in chain.edges])
+    interchange(out, current.edges, a, b)
     return out
 
 
 def swap_outside(pc: PartialColoring, members, alpha: int, beta: int) -> PartialColoring:
-    """Interchange alpha and beta on every edge disjoint from `members`.
+    """Interchange alpha and beta on every edge disjoint from `members`, in
+    a clone; edges meeting the set are untouched, so its missing sets stay.
 
-    Requires that neither color appears on the boundary of `members`: the
-    first such edge of one ascending pass over the edges is a ValueError,
-    before pc is cloned. Edges meeting the set are untouched, so its
-    missing sets are preserved.
+    The colors must be two of 1..k, and neither may be on the boundary of
+    `members`: the first such edge of one ascending pass over the edges is a
+    ValueError, before pc is cloned. So the alpha/beta edges outside form
+    whole components, and `interchange` flips them.
     """
+    if alpha == beta or not all(type(c) is int and 1 <= c <= pc.k for c in (alpha, beta)):
+        raise ValueError(f"colors {alpha} and {beta} are not two of 1..{pc.k}")
     inside = frozenset(members)
     flips = []
     for eid, (u, v) in enumerate(pc.graph._ends):
@@ -443,7 +453,7 @@ def swap_outside(pc: PartialColoring, members, alpha: int, beta: int) -> Partial
             if (u in inside) != (v in inside):
                 raise ValueError(f"color {c} on boundary edge {eid}")
             if u not in inside:
-                flips.append((eid, beta if c == alpha else alpha))
+                flips.append(eid)
     out = pc.clone()
-    out.recolor(flips)
+    interchange(out, flips, alpha, beta)
     return out

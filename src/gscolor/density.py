@@ -28,29 +28,6 @@ class DensityCertificate(NamedTuple):
     value: Fraction
 
 
-def density(G: Multigraph) -> DensityCertificate:
-    """Maximum of 2|E(U)|/(|U|-1) over odd |U| >= 3, with an argmax witness.
-
-    Exhaustive over vertex subsets; value 0 with an empty witness when no odd
-    set contains an edge (in particular whenever n < 3).
-    """
-    return _density(G.vertex_count, G.pair_counts())
-
-
-def _density(n: int, pair_counts: dict) -> DensityCertificate:
-    """`density` of the graph on n vertices with these pair multiplicities."""
-    if n > DENSITY_VERTEX_CAP:
-        raise ScaleExceededError(
-            f"density enumeration capped at {DENSITY_VERTEX_CAP} vertices, got {n}")
-    if n < 3 or not pair_counts:
-        return DensityCertificate(frozenset(), Fraction(0))
-    cnt, size, mask = _kernels.density_scan(pair_counts, n)
-    if cnt == 0:
-        return DensityCertificate(frozenset(), Fraction(0))
-    members = frozenset(v for v in range(n) if mask >> v & 1)
-    return DensityCertificate(members, Fraction(2 * cnt, size - 1))
-
-
 class BoundReport(NamedTuple):
     """The classical bound family around the chromatic index."""
     n: int
@@ -80,15 +57,27 @@ class BoundReport(NamedTuple):
 
 
 def bound_report(G: Multigraph) -> BoundReport:
+    """The bound family of G, with gamma the maximum of 2|E(U)|/(|U|-1) over
+    odd |U| >= 3 and gamma_set an argmax witness, both exhaustive over the
+    vertex subsets of a graph of at most DENSITY_VERTEX_CAP vertices; gamma
+    is 0 with an empty witness when no odd set contains an edge (in
+    particular whenever n < 3)."""
+    n, m = G.vertex_count, G.m
+    if n > DENSITY_VERTEX_CAP:
+        raise ScaleExceededError(
+            f"density enumeration capped at {DENSITY_VERTEX_CAP} vertices, got {n}")
     pairs = G.pair_counts()     # one table gives both mu and Gamma
-    n, m, delta = G.vertex_count, G.m, G.max_degree()
-    mu = max(pairs.values(), default=0)
-    witness = _density(n, pairs)
-    gamma = witness.value
+    delta, mu = G.max_degree(), max(pairs.values(), default=0)
+    gamma, gamma_set = Fraction(0), frozenset()
+    if n >= 3 and pairs:
+        cnt, size, mask = _kernels.density_scan(pairs, n)
+        if cnt:
+            gamma = Fraction(2 * cnt, size - 1)
+            gamma_set = frozenset(v for v in range(n) if mask >> v & 1)
     gamma_ceil = math.ceil(gamma)
     return BoundReport(
         n=n, m=m, delta=delta, mu=mu,
-        gamma=gamma, gamma_set=witness.u, gamma_ceil=gamma_ceil,
+        gamma=gamma, gamma_set=gamma_set, gamma_ceil=gamma_ceil,
         chi_star=max(Fraction(delta), gamma),
         lower=max(delta, gamma_ceil),
         gs_upper=max(delta + 1, gamma_ceil),

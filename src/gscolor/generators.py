@@ -53,7 +53,7 @@ def random_multigraph(n: int, m: int, seed: int, *, mu_max: int | None = None) -
     if mu_max is None:
         # choice draws the same index from a range as from the pair list
         indices = range(n * (n - 1) // 2)
-        return Multigraph.build(n, [_nth_pair(n, rng.choice(indices)) for _ in range(m)])
+        return Multigraph.build(n, (_nth_pair(n, rng.choice(indices)) for _ in range(m)))
     # the pairs below the cap, in order: each draw sees what a full filter gives
     avail = list(combinations(range(n), 2)) if mu_max > 0 else []
     counts = dict.fromkeys(avail, 0)

@@ -190,7 +190,8 @@ def reference_kempe_step(pc, eid):
     a missing at x and b missing at y, both ascending, walk the chain that
     leaves x on b with `alternating_path`, keeping its edges; flip the first
     that does not end at y with `recolor` and give eid color b with
-    `assign`. pc, or None with pc untouched."""
+    `assign`. pc, or None with pc untouched. The checked `recolor` keeps
+    this reference independent of `coloring.interchange`."""
     x, y = pc.graph.endpoints(eid)
     for a in sorted(pc.missing(x)):
         for b in sorted(pc.missing(y)):

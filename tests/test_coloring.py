@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gscolor import (ColoringResult, Multigraph, PartialColoring, color,
                      elementary_audit, kempe_chain, kempe_swap, swap_outside,
                      validate, verify_result)
+from gscolor.coloring import alternating_path, interchange
 from gscolor.engine import result_from_json
 from gscolor.generators import petersen, ring
 from paper_structures import (chain_components, defective_colors, is_closed,
@@ -288,6 +290,15 @@ def test_kempe_swap_empty_chain(c4):
     assert kempe_swap(pc, ch) == pc
 
 
+def test_kempe_swap_refuses_a_chain_of_non_int_colors(triangle):
+    """A chain whose colors merely compare equal to ints (1.0) is refused
+    before anything is written."""
+    pc = colored_triangle(triangle)
+    ch = kempe_chain(pc, 0, 1, 2)._replace(colors=frozenset((1.0, 2)))
+    with pytest.raises(ValueError, match="outside 1..3"):
+        kempe_swap(pc, ch)
+
+
 def test_kempe_swap_rejects_stale_chain(triangle):
     pc = colored_triangle(triangle)
     ch = kempe_chain(pc, 0, 1, 2)
@@ -331,6 +342,69 @@ def test_swap_outside_rejects_boundary_color(triangle):
     with pytest.raises(ValueError, match=r"^color 2 on boundary edge 1$"):
         swap_outside(pc, {0}, 1, 2)
     assert _tables(pc) == before
+
+
+@pytest.mark.parametrize("alpha,beta", [(1, 1), (0, 2), (2, 3), (1.0, 2)])
+def test_swap_outside_refuses_anything_but_two_colors_of_1_to_k(triangle, alpha, beta):
+    """The swap writes without `assign`'s checks, so it refuses equal colors
+    and colors outside 1..k up front, with pc unchanged."""
+    pc = PartialColoring(triangle, 2, {0: 1, 1: 2})
+    before = _tables(pc)
+    with pytest.raises(ValueError, match="not two of 1..2"):
+        swap_outside(pc, {2}, alpha, beta)
+    assert _tables(pc) == before
+
+
+def _interchanged(pc, edges, a, b):
+    """A clone of pc with a and b swapped on `edges` by `interchange`, once
+    the checked `recolor` of the same flips has written the same three
+    tables into another clone, the tables have been found consistent, and a
+    second call on the same edges has restored pc."""
+    out, slow = pc.clone(), pc.clone()
+    interchange(out, edges, a, b)
+    slow.recolor([(e, b if pc.color_of(e) == a else a) for e in edges])
+    assert _tables(out) == _tables(slow)
+    assert_tables_consistent(out)
+    back = out.clone()
+    interchange(back, edges, a, b)
+    assert _tables(back) == _tables(pc)
+    return out
+
+
+def test_interchange_matches_the_checked_recolor():
+    """On whole (a, b)-components, the edge sets that kempe_swap,
+    swap_outside and the chain step flip, interchange writes what recolor
+    writes, and undoes itself."""
+    rng = random.Random(34)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        G = Multigraph.build(n, random_multigraph_pairs(n, rng.randint(1, 3 * n), rng))
+        k = max(2, G.max_degree() + rng.randint(0, 2))
+        pc = random_proper_coloring(G, k, rng)
+        a, b = rng.sample(range(1, k + 1), 2)
+
+        chain = kempe_chain(pc, rng.randrange(n), a, b)
+        seen["empty" if not chain.edges else
+             "2-cycle" if chain.kind == "cycle" and len(chain.edges) == 2 else
+             chain.kind] += 1
+        _interchanged(pc, chain.edges, a, b)
+
+        components = {kempe_chain(pc, v, a, b).vertices for v in range(n)}
+        inside = set().union(*(c for c in components if rng.random() < 0.5))
+        outside = [e for e in G.edge_ids if pc.color_of(e) in (a, b)
+                   and G.endpoints(e)[0] not in inside]
+        seen["outside"] += bool(outside)
+        out = _interchanged(pc, outside, a, b)
+        assert _tables(swap_outside(pc, inside, a, b)) == _tables(out)
+
+        free = [v for v in range(n) if pc.edge_at(v, a) is None]
+        if free:
+            edges = alternating_path(pc, rng.choice(free), b, a)[0]
+            seen["step"] += bool(edges)
+            _interchanged(pc, edges, a, b)
+    assert min(seen[kind] for kind in
+               ("path", "cycle", "2-cycle", "empty", "outside", "step")) >= 3, seen
 
 
 def test_elementary_trivial_cases(triangle):

@@ -6,7 +6,7 @@ import pytest
 
 from gscolor import (Multigraph, ScaleExceededError, bound_report,
                      certificate_check, chromatic_index_exact)
-from gscolor.density import density, enumerate_colorings
+from gscolor.density import enumerate_colorings
 from gscolor.generators import exhaustive_connected, random_multigraph, shannon_triangle
 from oracles import (brute_chi_prime, brute_density, random_multigraph_pairs,
                      reference_colorings, stats)
@@ -14,33 +14,32 @@ from paper_structures import is_critical
 
 
 def test_density_triangle(triangle):
-    cert = density(triangle)
-    assert cert.value == 3 and cert.u == {0, 1, 2}
+    rep = bound_report(triangle)
+    assert rep.gamma == 3 and rep.gamma_set == {0, 1, 2}
 
 
 def test_density_shannon(shannon2):
-    cert = density(shannon2)
-    assert cert.value == 6 and cert.u == {0, 1, 2}
+    rep = bound_report(shannon2)
+    assert rep.gamma == 6 and rep.gamma_set == {0, 1, 2}
 
 
 def test_density_petersen(petersen_graph):
-    cert = density(petersen_graph)
-    assert cert.value == 3          # 12 edges on any 9 vertices: 24/8
-    assert len(cert.u) == 9
-    assert petersen_graph.induced_edge_count(cert.u) == 12
+    rep = bound_report(petersen_graph)
+    assert rep.gamma == 3           # 12 edges on any 9 vertices: 24/8
+    assert len(rep.gamma_set) == 9
+    assert petersen_graph.induced_edge_count(rep.gamma_set) == 12
 
 
 def test_density_degenerate(single_edge):
-    cert = density(single_edge)
-    assert cert.value == 0 and cert.u == frozenset()
-    assert density(Multigraph.build(0, [])).value == 0
+    rep = bound_report(single_edge)
+    assert rep.gamma == 0 and rep.gamma_set == frozenset()
+    assert bound_report(Multigraph.build(0, [])).gamma == 0
 
 
 def test_package_attribute_is_the_density_module():
     """gscolor.density names the submodule, not its density function."""
     import gscolor
     assert inspect.ismodule(gscolor.density)
-    assert callable(gscolor.density.density)
 
 
 def test_density_matches_brute_oracle():
@@ -50,17 +49,17 @@ def test_density_matches_brute_oracle():
         m = rng.randint(1, 12)
         G = Multigraph.build(n, random_multigraph_pairs(n, m, rng))
         value, _ = brute_density(G)
-        cert = density(G)
-        assert cert.value == value
+        rep = bound_report(G)
+        assert rep.gamma == value
         if value > 0:
-            assert Fraction(2 * G.induced_edge_count(cert.u),
-                            len(cert.u) - 1) == value
+            assert Fraction(2 * G.induced_edge_count(rep.gamma_set),
+                            len(rep.gamma_set) - 1) == value
 
 
 def test_density_scale_cap():
     G = Multigraph.build(17, [(i, i + 1) for i in range(16)])
     with pytest.raises(ScaleExceededError):
-        density(G)
+        bound_report(G)
 
 
 def test_bound_report_petersen(petersen_graph):
@@ -119,8 +118,8 @@ def test_certificate_check(triangle, petersen_graph):
     assert not certificate_check(triangle, {0, 1, 2}, 3)
     # Petersen has chi' = 4, yet no odd set certifies k = 3: certificates
     # are sufficient, not necessary
-    cert = density(petersen_graph)
-    assert not certificate_check(petersen_graph, cert.u, 3)
+    witness = bound_report(petersen_graph).gamma_set
+    assert not certificate_check(petersen_graph, witness, 3)
 
 
 def test_certificate_check_rejects_bad_sets(triangle):
@@ -191,10 +190,10 @@ def test_certificate_consistent_with_density():
         n = rng.randint(3, 7)
         m = rng.randint(3, 14)
         G = Multigraph.build(n, random_multigraph_pairs(n, m, rng))
-        cert = density(G)
-        if cert.value == 0:
+        rep = bound_report(G)
+        if rep.gamma == 0:
             continue
-        for k in range(1, math.ceil(cert.value)):
-            assert certificate_check(G, cert.u, k)
+        for k in range(1, math.ceil(rep.gamma)):
+            assert certificate_check(G, rep.gamma_set, k)
             checked += 1
     assert checked > 20

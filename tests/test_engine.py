@@ -16,8 +16,7 @@ from gscolor import engine
 from gscolor.engine import ColoringResult, IncompleteColoringError, result_from_json
 from gscolor.coloring import (alternating_path, chain_step, direct_pass, direct_step,
                               kempe_chain, kempe_swap, validate)
-from gscolor.density import (DensityCertificate, density, odd_set_density,
-                             oracle_edge_ids)
+from gscolor.density import DensityCertificate, odd_set_density, oracle_edge_ids
 from gscolor.generators import (exhaustive_connected, petersen,
                                 random_multigraph, ring, shannon_triangle)
 from conftest import make_pe_instance, make_se_instance
@@ -469,11 +468,11 @@ def _certificate_variants(G, k_used):
     sound = [[]]
     forged = [[(DensityCertificate(frozenset({0, 1, n}), Fraction(1)), 0)],
               [(DensityCertificate(frozenset(range(2)), Fraction(2)), 1)]]
-    best = density(G)
-    if best.u:
-        sound.append([(DensityCertificate(best.u, best.value),
-                       math.ceil(best.value) - 1)])
-        forged.append([(DensityCertificate(best.u, best.value + 1), 0)])
+    rep = bound_report(G)
+    if rep.gamma_set:
+        sound.append([(DensityCertificate(rep.gamma_set, rep.gamma),
+                       math.ceil(rep.gamma) - 1)])
+        forged.append([(DensityCertificate(rep.gamma_set, rep.gamma + 1), 0)])
     if n >= 3:
         u = frozenset(range(3))
         low = DensityCertificate(u, odd_set_density(G, u))
