@@ -32,11 +32,11 @@ itself doubled over the lower vertices. Each list is packed into one
 integer, one fixed-width field per mask, so that a doubling step is a few
 whole-integer additions and shifts, not a python loop over the entries
 (about a third faster at n = 8 to 10). A field has 4 bytes while the
-multiplicities sum below 2^32, and more above; no count exceeds that sum,
-so no field carries into the next. The fields are read back as a
-memoryview of the integer's bytes. Each odd size class reads its counts
-through one cached `itemgetter`, and the classes are compared by integer
-cross-multiplication, so the scan is exact at any multiplicity.
+multiplicities sum below 2^32, and 8 from there up to the gate's 2^40; no
+count exceeds that sum, so no field carries into the next. The fields are
+read back as a memoryview of the integer's bytes. Each odd size class
+reads its counts through one cached `itemgetter`, and the classes are
+compared by integer cross-multiplication.
 
 The numpy scan splits the vertices into a low half L (the n // 2
 lowest) and a high half H, and writes each subset as U = A | B with A in L
@@ -48,8 +48,18 @@ have 2^(n/2) rows, not 2^n, and are cached per n. The multiplicities come
 in as a mapping from each joined vertex pair (u < v) to its count, which is
 written straight into the upper triangle of the n x n weight matrix. The
 products run in float64, so numpy hands them to BLAS (its int64 matmul is
-a plain loop), and they stay exact: every entry is a sum of integer
-multiplicities far below 2^53.
+a plain loop).
+
+Both scans take only what `density_scan` lets through: 3 to 62 vertices and
+multiplicities that sum to at least 1 and below 2^40. No graph nears that
+sum, its edge count m: `--gen` caps m at 2^22, and 2^40 edges would take
+some 10^14 bytes. Below it the numpy scan is exact. Every subset count, and
+every partial sum BLAS forms, is an integer below 2^40, exact in float64 in
+any order. Each ratio cnt / den < 2^39 rounds by at most 2^-14, and unequal
+ones (even denominators up to 60) differ by at least 1 / 3480 > 2^-13, so
+`argmax` keeps their order and takes the first, lowest, best mask, as the
+plain scan does. Some odd set holds an edge (its pair and any third vertex),
+so neither scan finds a best count of 0.
 """
 
 import functools
@@ -204,11 +214,16 @@ def density_scan(pair_counts, n: int):
     """(edge count, |U|, mask) of the best odd subset; (0, 0, 0) if none.
 
     pair_counts maps each vertex pair (u, v), u < v, to its multiplicity, as
-    `Multigraph.pair_counts` does; ties go to the lowest mask.
+    `Multigraph.pair_counts` does; ties go to the lowest mask. ValueError
+    unless n <= 62 and the sum is below 2^40, where both scans are exact
+    (module docstring); n < 3 or a zero sum never reaches a scan or numpy.
     """
     if n > 62:
         raise ValueError("vertex bitmasks limited to 62 vertices")
-    if n < 3:
+    total = sum(pair_counts.values())
+    if total >= 1 << 40:
+        raise ValueError(f"multiplicities sum to {total}, not below 2^40")
+    if n < 3 or total == 0:
         return 0, 0, 0
     if n <= PLAIN_SCAN_VERTICES:
         return _plain_density_scan(pair_counts, n)
@@ -216,10 +231,9 @@ def density_scan(pair_counts, n: int):
 
 
 def _plain_density_scan(pair_counts, n):
-    """density_scan in plain python, for 3 <= n; exact integer arithmetic."""
+    """density_scan in plain python, on its domain; exact integer arithmetic."""
     # no count exceeds the total, so a field that holds it never overflows
-    total = sum(pair_counts.values())
-    width = 4 if total < 1 << 32 else max(8, (total.bit_length() + 7) // 8)
+    width, field = (4, "I") if sum(pair_counts.values()) < 1 << 32 else (8, "Q")
     bits, ones = 8 * width, _ones(width, n)
     up = [[0] * v for v in range(n)]
     for (u, v), c in pair_counts.items():
@@ -230,12 +244,7 @@ def _plain_density_scan(pair_counts, n):
         for u, w in enumerate(row):
             into |= (into + w * ones[u] if w else into) << (bits << u)
         packed |= (packed + into) << (bits << v)
-    raw = packed.to_bytes(width << n, sys.byteorder)
-    if width in _FIELD_FORMATS:
-        counts = memoryview(raw).cast(_FIELD_FORMATS[width])
-    else:
-        counts = [int.from_bytes(raw[i:i + width], sys.byteorder)
-                  for i in range(0, len(raw), width)]
+    counts = memoryview(packed.to_bytes(width << n, sys.byteorder)).cast(field)
     best_cnt, best_den, best_mask = 0, 1, 0
     for den, masks, read in _odd_size_classes(n):
         found = read(counts)
@@ -244,13 +253,7 @@ def _plain_density_scan(pair_counts, n):
         lhs, rhs = cnt * best_den, best_cnt * den
         if lhs > rhs or lhs == rhs and masks[found.index(cnt)] < best_mask:
             best_cnt, best_den, best_mask = cnt, den, masks[found.index(cnt)]
-    if best_cnt == 0:
-        return 0, 0, 0
     return best_cnt, best_den + 1, best_mask
-
-
-# memoryview formats of the native unsigned fields of 4 and 8 bytes
-_FIELD_FORMATS = {4: "I", 8: "Q"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,14 +284,10 @@ def _read_one(mask, counts):
 
 
 def _numpy_density_scan(pair_counts, n):
-    """density_scan by the half-split products, for 3 <= n <= 62."""
+    """density_scan by the half-split products, on its domain."""
     _, _, _, odd, den = _half_split_tables(n)
     cnt = _subset_edge_counts(pair_counts, n)[odd]
-    # counts are exact integers far below 2^53 and denominators below n:
-    # equal ratios divide to equal floats, and unequal ones differ by at
-    # least 1/(n-1)^2, far above the rounding, so they keep their order;
-    # argmax takes the first maximizer in ascending mask order
+    # exact on density_scan's domain, and argmax takes the first best mask
+    # in ascending mask order: see the module docstring
     i = int((cnt / den).argmax())
-    if cnt[i] == 0:
-        return 0, 0, 0
     return int(cnt[i]), int(den[i] + 1), int(odd[i])

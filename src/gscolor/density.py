@@ -69,11 +69,10 @@ def bound_report(G: Multigraph) -> BoundReport:
     pairs = G.pair_counts()     # one table gives both mu and Gamma
     delta, mu = G.max_degree(), max(pairs.values(), default=0)
     gamma, gamma_set = Fraction(0), frozenset()
-    if n >= 3 and pairs:
-        cnt, size, mask = _kernels.density_scan(pairs, n)
-        if cnt:
-            gamma = Fraction(2 * cnt, size - 1)
-            gamma_set = frozenset(v for v in range(n) if mask >> v & 1)
+    cnt, size, mask = _kernels.density_scan(pairs, n)
+    if cnt:
+        gamma = Fraction(2 * cnt, size - 1)
+        gamma_set = frozenset(v for v in range(n) if mask >> v & 1)
     gamma_ceil = math.ceil(gamma)
     return BoundReport(
         n=n, m=m, delta=delta, mu=mu,

@@ -138,8 +138,9 @@ def result_from_json(G: Multigraph, text: str) -> ColoringResult:
     certificate each vertex at most once), RecursionError if it nests too
     deeply for the JSON parser. Keys the schema does not name are ignored,
     so files with keys that older versions wrote still load. No result for
-    G needs more than max(Delta+1, ceil(Gamma)) <= m + 1 colors, so a larger
-    k_used is rejected before any per-color table is sized from it."""
+    G needs more than max(Delta+1, ceil(Gamma)) <= m + 1 colors; a larger
+    k_used is refused before it sizes the (k+1)-bit masks of `missing_mask`
+    and `direct_pass`."""
     obj = json.loads(text)
     _check_schema(obj)
     ids = [e for e, _ in obj["assignment"]]

@@ -1,11 +1,15 @@
 """The enumeration kernels against the independent oracles."""
 
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gscolor import Multigraph, PartialColoring, _kernels
@@ -207,21 +211,93 @@ def test_density_scan_is_exact_under_huge_multiplicities():
                 brute_density_scan(pair_counts, n)
 
 
+def _table_summing_to(total, pairs, rng):
+    """Near-equal multiplicities on the given pairs, summing to total."""
+    share = total // len(pairs)
+    pair_counts = {p: share - rng.randint(0, 9) for p in pairs}
+    pair_counts[pairs[0]] += total - sum(pair_counts.values())
+    assert sum(pair_counts.values()) == total
+    return pair_counts
+
+
 def test_plain_scan_field_widths():
     """The plain scan packs its counts in fields of 4 bytes while the
-    multiplicities sum below 2^32, of 8 below 2^64, and wider above; each
-    width gives the exact best count and first best mask at n = 8 and 10,
-    including a total just below and just at each boundary."""
+    multiplicities sum below 2^32 and of 8 from there up; each width gives
+    the exact best count and first best mask at n = 8 and 10, with a total
+    just below and just at the boundary."""
     rng = random.Random(19)
     for n in (8, 10):
         pairs = rng.sample(list(combinations(range(n), 2)), 2 * n)
-        for total in (2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 10 ** 30):
-            share = total // len(pairs)
-            pair_counts = {p: share - rng.randint(0, 9) for p in pairs}
-            pair_counts[pairs[0]] += total - sum(pair_counts.values())
-            assert sum(pair_counts.values()) == total
+        for total in (2 ** 32 - 1, 2 ** 32):
+            pair_counts = _table_summing_to(total, pairs, rng)
             assert _kernels._plain_density_scan(pair_counts, n) == \
                 brute_density_scan(pair_counts, n)
+
+
+def _near_tie(total):
+    """Two disjoint edges of multiplicities a + 1 and a summing to an odd
+    total: the triples through either differ by one edge."""
+    return {(0, 1): total // 2 + 1, (3, 4): total // 2}
+
+
+def test_density_scan_refuses_a_sum_of_2_to_the_40():
+    """From a multiplicity sum of 2^40 up, on both sides of the plain scan's
+    cutoff, density_scan raises instead of answering: float64 no longer
+    holds every count of the numpy scan there (it read the near tie's
+    2^60 + 1 edges as 2^60)."""
+    rng = random.Random(20)
+    cutoff = _kernels.PLAIN_SCAN_VERTICES
+    for n in (8, cutoff, cutoff + 1):
+        pairs = rng.sample(list(combinations(range(n), 2)), 2 * n)
+        tables = [_table_summing_to(total, pairs, rng)
+                  for total in (2 ** 40, 2 ** 64 - 1, 2 ** 64, 10 ** 30)]
+        for pair_counts in [*tables, _near_tie(2 ** 61 + 1)]:
+            with pytest.raises(ValueError, match="2\\^40"):
+                _kernels.density_scan(pair_counts, n)
+
+
+def test_density_scan_is_exact_just_below_2_to_the_40():
+    """At a multiplicity sum of 2^40 - 1, both scans give the exact best
+    count and first best mask, near tie included."""
+    rng = random.Random(21)
+    cutoff = _kernels.PLAIN_SCAN_VERTICES
+    for n in (cutoff, cutoff + 1, 13):
+        pairs = rng.sample(list(combinations(range(n), 2)), 2 * n)
+        for pair_counts in (_table_summing_to(2 ** 40 - 1, pairs, rng),
+                            _near_tie(2 ** 40 - 1)):
+            assert _kernels.density_scan(pair_counts, n) == \
+                brute_density_scan(pair_counts, n)
+    assert _kernels.density_scan(_near_tie(2 ** 40 - 1), cutoff + 1) == \
+        (2 ** 39, 3, 0b111)
+
+
+def test_density_scan_answers_small_and_empty_tables_itself():
+    """Fewer than 3 vertices, or no edge, give (0, 0, 0) at any n."""
+    for n, pair_counts in ((0, {}), (1, {}), (2, {}), (2, {(0, 1): 7})):
+        assert _kernels.density_scan(pair_counts, n) == (0, 0, 0)
+    for n in (3, 10, 11, 16):
+        zeros = dict.fromkeys(combinations(range(n), 2), 0)
+        assert _kernels.density_scan(zeros, n) == (0, 0, 0)
+        assert _kernels.density_scan({}, n) == (0, 0, 0)
+
+
+_EMPTY_SCAN = """
+import itertools, sys
+from gscolor import _kernels
+zeros = dict.fromkeys(itertools.combinations(range(12), 2), 0)
+print(_kernels.density_scan(zeros, 12), "numpy" in sys.modules)
+"""
+
+
+def test_empty_scan_loads_no_numpy():
+    """An all-zero 12-vertex table stops at density_scan's gate, in a fresh
+    process, before the numpy scan could import numpy."""
+    src = str(Path(_kernels.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", _EMPTY_SCAN],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "(0, 0, 0) False\n"
 
 
 def test_dispatch_matches_loop_semantics():
