@@ -11,14 +11,18 @@ that rebuilds its graph, and each corpus ends with one summary line:
     python3 benchmarks/hunt.py [CORPUS ...]
 
 A CORPUS is `exhaustive:N:M`, every connected multigraph that
-`exhaustive_connected(N, M)` yields, or `WORKLOAD:SEED`, the instances of
+`exhaustive_connected(N, M)` yields; `fat:N_MAX:SEEDS`, every graph
+`fat_regular(n, d, mu, seed)` with n 3..N_MAX, d 2..6, mu in FAT_MU and seed
+1..SEEDS that has an edge; or `WORKLOAD:SEED`, the instances of
 `colorbench.workloads.build(WORKLOAD, SEED)`; a seed other than 1 skips the
 canonical instances, which are the same for every seed. With no arguments it
-covers exhaustive_connected(6, 10) and (5, 12) and seeds 1-4 of desk_corpus,
-dense_multi and tight_family. The exit status is 0 whatever it finds.
+covers exhaustive_connected(6, 10) and (5, 12), seeds 1-4 of desk_corpus,
+dense_multi and tight_family, and fat:16:20. The exit status is 0 whatever
+it finds.
 """
 
 import functools
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -31,11 +35,24 @@ from gscolor import engine  # noqa: E402
 from gscolor.density import (ORACLE_EDGE_CAP, bound_report,  # noqa: E402
                              chromatic_index_exact)
 from gscolor.generators import exhaustive_connected  # noqa: E402
+from gscolor.graph import Multigraph  # noqa: E402
 
 CAPS = (ORACLE_EDGE_CAP, 0)
 DEFAULT = ("exhaustive:6:10", "exhaustive:5:12",
            *(f"{wl}:{seed}" for wl in ("desk_corpus", "dense_multi", "tight_family")
-             for seed in (1, 2, 3, 4)))
+             for seed in (1, 2, 3, 4)),
+           "fat:16:20")
+FAT_MU = (1, 2, 3, 4, 5, 7, 9)
+
+
+def fat_regular(n: int, d: int, mu: int, seed: int) -> Multigraph:
+    """A fat regular multigraph: d stubs per vertex, shuffled by
+    random.Random(seed) and paired consecutively, with self-loops dropped
+    and each pair repeated mu times."""
+    stubs = [v for v in range(n) for _ in range(d)]
+    random.Random(seed).shuffle(stubs)
+    pairs = [(a, b) for a, b in zip(stubs[::2], stubs[1::2]) if a != b]
+    return Multigraph.build(n, [p for p in pairs for _ in range(mu)])
 
 
 def corpus(spec: str) -> tuple:
@@ -46,6 +63,13 @@ def corpus(spec: str) -> tuple:
         name = f"exhaustive_connected({n}, {m})"
         return name, [(f"{name}[{i}]", G)
                       for i, G in enumerate(exhaustive_connected(n, m))]
+    if parts[0] == "fat":
+        n_max, seeds = map(int, parts[1:])
+        calls = [(n, d, mu, seed) for n in range(3, n_max + 1) for d in range(2, 7)
+                 for mu in FAT_MU for seed in range(1, seeds + 1)]
+        graphs = [(f"fat_regular{args}", fat_regular(*args)) for args in calls]
+        return f"fat_regular(3..{n_max}, 2..6, {FAT_MU}, 1..{seeds})", \
+            [(call, G) for call, G in graphs if G.m]
     workload, seed = parts[0], int(parts[1])
     name = f"workloads.build({workload!r}, {seed})"
     with tempfile.TemporaryDirectory() as tmp:

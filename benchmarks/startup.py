@@ -3,7 +3,8 @@
 
 Each command below runs N times (default 5) in a new interpreter with
 PYTHONPATH set to this checkout's `src`, and the best wall time is printed
-with whether that process loaded numpy, `dataclasses` or `inspect`:
+with whether that process loaded numpy, `dataclasses` or `inspect`, and
+which gscolor submodules it loaded:
 
     python3 benchmarks/startup.py [N]
 
@@ -12,9 +13,14 @@ The commands are a bare interpreter, `import gscolor`, `gscolor.cli color
 file, and `report --gen ring 11 3`, whose 11-vertex density scan is the
 smallest that imports numpy. Which modules a command loads is read from one
 more, untimed run under `python -X importtime`, which names every module
-the process imports. The first line records the interpreter and whether it
-writes bytecode: with PYTHONDONTWRITEBYTECODE set, every process compiles
-the package's sources again.
+the process imports (`gscolor.cli` runs as `__main__`, so it is not
+listed). The first line records the interpreter, whether it writes
+bytecode, and for how many of the package's modules `src/gscolor/__pycache__`
+held bytecode for this interpreter before any command ran.
+PYTHONDONTWRITEBYTECODE stops a process from writing that cache, not from
+reading it: only with no cache and the variable set does every process
+compile each source it imports. Where bytecode is written, the untimed run
+writes what is missing, and the timed runs read it.
 """
 
 import os
@@ -25,17 +31,16 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from gscolor.generators import petersen  # noqa: E402
-from gscolor.graph import format_multigraph  # noqa: E402
-
+PACKAGE = ROOT / "src" / "gscolor"
 WATCHED = ("numpy", "dataclasses", "inspect")
 
 
 def commands(workdir: str) -> list:
     """(name, interpreter arguments) of each command, in the order they run:
     `verify` reads the result that `color` writes."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from gscolor.generators import petersen
+    from gscolor.graph import format_multigraph
     graph = os.path.join(workdir, "petersen.mg")
     result = os.path.join(workdir, "petersen.json")
     with open(graph, "w") as fh:
@@ -56,14 +61,27 @@ def wall_time(args: list, env: dict) -> float:
     return time.perf_counter() - t0
 
 
-def loaded(args: list, env: dict) -> list:
-    """For each of WATCHED, whether the command imports it."""
+def loaded(args: list, env: dict) -> tuple:
+    """For each of WATCHED, whether the command imports it; and the gscolor
+    submodules it imports, comma-separated, or "-" for none."""
     err = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
                          check=True, stdout=subprocess.DEVNULL,
                          stderr=subprocess.PIPE, text=True).stderr
     names = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
              if line.startswith("import time:")}
-    return [name in names for name in WATCHED]
+    ours = sorted(name[len("gscolor."):] for name in names
+                  if name.startswith("gscolor."))
+    return [name in names for name in WATCHED], ",".join(ours) or "-"
+
+
+def cached_modules() -> str:
+    """For how many of the package's modules its __pycache__ holds bytecode
+    for this interpreter."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    tag = sys.implementation.cache_tag
+    cached = [p for p in sources
+              if (PACKAGE / "__pycache__" / f"{p.stem}.{tag}.pyc").exists()]
+    return f"{len(cached)} of {len(sources)} modules ({tag})"
 
 
 def main(argv=None) -> int:
@@ -74,15 +92,17 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     version = ".".join(map(str, sys.version_info[:3]))
     print(f"# python {version}, writes bytecode: "
-          f"{'no' if env.get('PYTHONDONTWRITEBYTECODE') else 'yes'}, best of {repeat}")
-    print(f"{'command':<30} {'best (ms)':>9}  " + "  ".join(WATCHED))
+          f"{'no' if env.get('PYTHONDONTWRITEBYTECODE') else 'yes'}, "
+          f"bytecode in src/gscolor/__pycache__: {cached_modules()}, best of {repeat}")
+    print(f"{'command':<30} {'best (ms)':>9}  " + "  ".join(WATCHED)
+          + "  gscolor modules")
     with tempfile.TemporaryDirectory() as workdir:
         for name, args in commands(workdir):
-            flags = loaded(args, env)
+            flags, ours = loaded(args, env)
             best = min(wall_time(args, env) for _ in range(repeat))
             cells = "  ".join(f"{'yes' if f else 'no':<{len(w)}}"
                               for f, w in zip(flags, WATCHED))
-            print(f"{name:<30} {best * 1e3:9.1f}  {cells}".rstrip())
+            print(f"{name:<30} {best * 1e3:9.1f}  {cells}  {ours}")
     return 0
 
 

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 import time
 
-from . import generators
 from .density import bound_report, chromatic_index_exact
 from .engine import (METHODS, IncompleteColoringError, _color, color,
                      result_from_json, verify_result)
@@ -39,6 +37,7 @@ def _load_graph(args) -> Multigraph:
     if bool(args.gen) == bool(args.path):
         raise CommandError("exactly one of a graph path or --gen is required")
     if args.gen:
+        from . import generators
         return _read_graph(lambda: generators.from_spec(args.gen))
     return _read_graph(lambda: parse_multigraph(_read_file(args.path)))
 
@@ -125,6 +124,7 @@ def cmd_verify(args) -> int:
 
 
 def _bench_instances(args):
+    from . import generators
     for spec in args.gen or []:
         if spec[0] == "exhaustive":
             n_max, m_max = generators.spec_ints("exhaustive", spec[1:], 2, 2)
@@ -170,6 +170,7 @@ def _bench_row(name, G, oracle, timings):
 
 
 def cmd_bench(args) -> int:
+    import csv
     out = io.StringIO()
     out.write("# gscolor bench csv v1\n")
     columns = BENCH_COLUMNS + (["time_s"] if args.timings else [])

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .coloring import (PartialColoring, chain_step, direct_pass, direct_step,
                        validate)
@@ -38,7 +38,9 @@ from .density import (ORACLE_EDGE_CAP, DensityCertificate, bound_report,
                       certificate_check, first_coloring, odd_set_density,
                       oracle_edge_ids)
 from .graph import Multigraph
-from .tashkinov import TreeSequence, build_series, elementary_audit
+
+if TYPE_CHECKING:
+    from .tashkinov import TreeSequence
 
 METHODS = ("direct", "kempe", "tashkinov", "fallback")   # how extend colors an edge
 
@@ -220,6 +222,7 @@ def extend(pc: PartialColoring, eid: int) -> ExtendOutcome:
     if chain_step(pc, eid) is not None:
         return ExtendOutcome("colored", None, "kempe")
 
+    from .tashkinov import build_series, elementary_audit   # loaded by the slow path only
     state = build_series(pc, eid)
     tree = state.final_tree
     u = tree.vertex_set

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import importlib.util
 import json
 import os
@@ -588,6 +589,59 @@ def test_import_and_verify_leave_numpy_unloaded(tmp_path, capsys):
     assert count == len(list(exhaustive_connected(3, 3)))
 
 
+_LAZY_MODULES = """
+import hashlib, json, sys
+import gscolor
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("gscolor.") or m == "csv")
+seen = [loaded()]
+graph, result, shannon, out = sys.argv[1:]
+codes = [gscolor.cli.main(["verify", graph, result])]
+seen.append(loaded())
+codes.append(gscolor.cli.main(["color", shannon, "--out", out]))
+seen.append(loaded())
+codes.append(gscolor.cli.main(["color", "--gen", "petersen", "--out", out]))
+seen.append(loaded())
+from gscolor.generators import petersen
+colored = gscolor.color(petersen()).to_json()
+print(json.dumps([seen, codes, type(gscolor.density).__name__,
+                  hashlib.sha256(colored.encode()).hexdigest()]))
+"""
+
+# sha256 of color(petersen()).to_json(): a Delta+1 result
+PETERSEN_JSON = "c9e94cbb0ece5f00275afcf7602574cb2fa19437d7242aac569992fbbfb10e6d"
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    """In a fresh process, `import gscolor` loads no submodule. `verify` of a
+    Delta+1 result loads neither the series (tashkinov) nor the generators
+    nor csv, and neither does `color` of a graph file whose edges never
+    resist the chain swap (shannon_triangle(2)). `color --gen petersen`
+    loads the generators for --gen and the series for the edge that the
+    chain swap leaves uncolored. Names and submodules still resolve on the
+    package: gscolor.density is a module and gscolor.color gives the pinned
+    result."""
+    graph, result = tmp_path / "petersen.mg", tmp_path / "petersen.json"
+    graph.write_text(format_multigraph(petersen()))
+    result.write_text(color(petersen()).to_json())
+    assert hashlib.sha256(result.read_bytes()).hexdigest() == PETERSEN_JSON
+    shannon = tmp_path / "shannon.mg"
+    shannon.write_text(format_multigraph(shannon_triangle(2)))
+    src = str(Path(gscolor.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", _LAZY_MODULES, str(graph), str(result),
+                          str(shannon), str(tmp_path / "out.json")],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    seen, codes, kind, digest = json.loads(run.stdout.splitlines()[-1])
+    core = ["gscolor._kernels", "gscolor.cli", "gscolor.coloring", "gscolor.density",
+            "gscolor.engine", "gscolor.graph"]
+    assert seen == [[], core, core,
+                    sorted(core + ["gscolor.generators", "gscolor.tashkinov"])]
+    assert codes == [0, 0, 0]
+    assert (kind, digest) == ("module", PETERSEN_JSON)
+
+
 _NO_NUMPY = """
 import sys
 sys.modules["numpy"] = None     # every import of numpy now fails
@@ -613,9 +667,9 @@ def test_missing_numpy_exits_with_one_line(argv):
 
 
 def test_startup_script_prints_one_row_per_command(capsys):
-    """benchmarks/startup.py at N = 1: a row per command, each with a time
-    and a yes/no for numpy, dataclasses and inspect (the times are not
-    checked)."""
+    """benchmarks/startup.py at N = 1: a row per command, each with a time,
+    a yes/no for numpy, dataclasses and inspect (the times are not checked),
+    and the gscolor submodules it loaded."""
     path = Path(__file__).parents[1] / "benchmarks" / "startup.py"
     spec = importlib.util.spec_from_file_location("startup", path)
     tool = importlib.util.module_from_spec(spec)
@@ -625,10 +679,14 @@ def test_startup_script_prints_one_row_per_command(capsys):
     names = ["bare interpreter", "import gscolor", "color --gen petersen --out R",
              "verify petersen R", "report --gen ring 11 3"]
     assert [row[:30].rstrip() for row in rows] == names
+    loaded = []
     for row in rows:
-        best, *flags = row[30:].split()
+        best, *flags, modules = row[30:].split()
         assert float(best) > 0 and len(flags) == 3
         assert set(flags) <= {"yes", "no"}
+        loaded.append(modules.split(","))
+    assert loaded[:2] == [["-"], ["-"]]
+    assert "tashkinov" in loaded[2] and "tashkinov" not in loaded[3]
 
 
 def test_report_rejects_run_flags(capsys):

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from gscolor import Multigraph, chromatic_index_exact, color, verify_result
+from gscolor import (Multigraph, bound_report, chromatic_index_exact, color,
+                     verify_result)
 from gscolor import engine
 from gscolor.engine import IncompleteColoringError
 
@@ -106,3 +107,47 @@ def test_hunt_runs_on_a_tiny_corpus(capsys):
     assert name == "workloads.build('tight_family', 2)"
     assert graphs[0][0] == "workloads.build('tight_family', 2)[27] ring(7,4)~0"
     assert len(graphs) == 1728
+
+
+# Graphs of the hunt's fat corpus on which `color` ends incomplete at
+# gs_upper, which breaks the promise: (fat_regular's arguments (n, d, mu,
+# seed), its pairs before the mu-fold repetition, and (k_used, the edge that
+# resisted)). Each has more than 25 edges, so no exact fallback runs at
+# either cap.
+FAT_FINDINGS = [
+    ((5, 2, 7, 3), [(0, 2), (3, 0), (4, 2), (3, 1), (4, 1)], (18, 32)),
+    ((6, 3, 3, 13), [(2, 4), (5, 0), (5, 2), (1, 0), (5, 3), (4, 0), (4, 1), (3, 1),
+                     (3, 2)], (10, 19)),
+    ((7, 4, 2, 12), [(4, 5), (5, 1), (1, 0), (2, 1), (0, 4), (6, 0), (2, 3), (4, 3),
+                     (5, 0), (3, 1), (2, 6), (4, 5), (2, 3)], (9, 21)),
+]
+
+
+@pytest.mark.parametrize("args, pairs, outcome", FAT_FINDINGS,
+                         ids=[f"fat_regular{f[0]}".replace(" ", "") for f in FAT_FINDINGS])
+def test_fat_finding_is_pinned(args, pairs, outcome):
+    """hunt.py's fat_regular builds the pinned graph, and `color` ends
+    incomplete on it at gs_upper, on the pinned edge."""
+    n, _, mu, _ = args
+    G = Multigraph.build(n, [p for p in pairs for _ in range(mu)])
+    assert _hunt_tool().fat_regular(*args) == G
+    with pytest.raises(IncompleteColoringError) as exc:
+        color(G)
+    k_used, edge = outcome
+    assert (exc.value.result.k_used, exc.value.edge) == (k_used, edge)
+    assert k_used == bound_report(G).gs_upper and G.m > 25
+
+
+def test_hunt_fat_corpus_skips_edgeless_graphs():
+    """fat:N_MAX:SEEDS covers n 3..N_MAX, d 2..6, mu in FAT_MU and seeds
+    1..SEEDS, in that nesting, and leaves out a graph whose stubs all pair
+    with themselves: at n = 3, d = 2, seed 28 is the first."""
+    tool = _hunt_tool()
+    name, graphs = tool.corpus("fat:3:28")
+    assert name == "fat_regular(3..3, 2..6, (1, 2, 3, 4, 5, 7, 9), 1..28)"
+    calls = [(3, d, mu, seed) for d in range(2, 7) for mu in tool.FAT_MU
+             for seed in range(1, 29)]
+    kept = [args for args in calls if args[1::2] != (2, 28)]
+    assert [call for call, _ in graphs] == [f"fat_regular{args}" for args in kept]
+    assert all(G == tool.fat_regular(*args) for (_, G), args in zip(graphs, kept))
+    assert "fat:16:20" in tool.DEFAULT

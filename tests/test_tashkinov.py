@@ -374,13 +374,14 @@ def test_series_ledgers_pinned(monkeypatch, tmp_path):
     lower - 1 to gs_upper, with no exact fallback: 2,050 runs, which between
     them take every step kind."""
     states = []
+    original = tashkinov.build_series
 
     def recording(*args, **kwargs):
-        state = tashkinov.build_series(*args, **kwargs)
+        state = original(*args, **kwargs)
         states.append(state)
         return state
 
-    monkeypatch.setattr(engine, "build_series", recording)
+    monkeypatch.setattr(tashkinov, "build_series", recording)
     monkeypatch.setattr(engine, "ORACLE_EDGE_CAP", 0)
     for inst in workloads.build("tight_family", 1, str(tmp_path)):
         G = inst.graph
