@@ -15,17 +15,23 @@ whose chain walks fail, so `coloring.chain_step` takes most of its time. The
 `closure` rows time
 `color_at_k(ring(1001, 7), 14)` and `color_at_k(ring(2001, 3), 6)`, each
 one color below the ring's ceil(density): the last edge resists, and the
-series closes a tree over the whole ring, so `tashkinov.taa_close` dominates:
+series closes a tree over the whole ring, so `tashkinov.taa_close` dominates.
+The `generate` rows time `exhaustive_connected` on the desk corpus
+(5, 10) and the hunt's (5, 12) and (6, 10), best of three, and give each one's
+peak of traced memory (`tracemalloc`, numpy's blocks included), read in
+one more, untimed run because tracing slows allocation:
 
     PYTHONPATH=src python3 benchmarks/kernel_bench.py
 """
 
 import time
+import tracemalloc
 
 from gscolor import _kernels
 from gscolor.density import _oracle_edge_order
 from gscolor.engine import color_at_k
-from gscolor.generators import petersen, random_multigraph, ring, shannon_triangle
+from gscolor.generators import (exhaustive_connected, petersen, random_multigraph,
+                                ring, shannon_triangle)
 
 
 def time_call(fn, *args, repeat=5):
@@ -107,16 +113,37 @@ def bench_closure(rows):
         rows.append(("closure", name, time_call(color_at_k, G, k, repeat=3)))
 
 
+GENERATE_CASES = [(5, 10), (5, 12), (6, 10)]
+
+
+def build_corpus(n_max, m_max):
+    for _ in exhaustive_connected(n_max, m_max):
+        pass
+
+
+def bench_generate(rows):
+    for n_max, m_max in GENERATE_CASES:
+        seconds = time_call(build_corpus, n_max, m_max, repeat=3)
+        tracemalloc.start()
+        build_corpus(n_max, m_max)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        rows.append(("generate", f"exhaustive_connected({n_max}, {m_max})",
+                     seconds, peak))
+
+
 def main():
     rows = []
     bench_feasible(rows)
     bench_density(rows)
     bench_extend(rows)
     bench_closure(rows)
+    bench_generate(rows)
     width = max(len(r[1]) for r in rows)
-    print(f"{'kernel':<12} {'case':<{width}} {'time (ms)':>10}")
-    for kernel, name, seconds in rows:
-        print(f"{kernel:<12} {name:<{width}} {seconds * 1e3:10.4f}")
+    print(f"{'kernel':<12} {'case':<{width}} {'time (ms)':>10} {'peak (MB)':>10}")
+    for kernel, name, seconds, *peak in rows:
+        mb = f"{peak[0] / 2**20:10.2f}" if peak else f"{'-':>10}"
+        print(f"{kernel:<12} {name:<{width}} {seconds * 1e3:10.4f} {mb}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@
 Each command below runs N times (default 5) in a new interpreter with
 PYTHONPATH set to this checkout's `src`, and the best wall time is printed
 with whether that process loaded numpy, `dataclasses` or `inspect`, and
-which gscolor submodules it loaded:
+which gscolor submodules it loaded. The runs are interleaved: each of N
+rounds runs every command once, in order, so that a machine that drifts
+between speeds slows all commands alike instead of one block of runs:
 
     python3 benchmarks/startup.py [N]
 
@@ -97,12 +99,16 @@ def main(argv=None) -> int:
     print(f"{'command':<30} {'best (ms)':>9}  " + "  ".join(WATCHED)
           + "  gscolor modules")
     with tempfile.TemporaryDirectory() as workdir:
-        for name, args in commands(workdir):
-            flags, ours = loaded(args, env)
-            best = min(wall_time(args, env) for _ in range(repeat))
-            cells = "  ".join(f"{'yes' if f else 'no':<{len(w)}}"
-                              for f, w in zip(flags, WATCHED))
-            print(f"{name:<30} {best * 1e3:9.1f}  {cells}  {ours}")
+        runs = commands(workdir)
+        modules = [loaded(args, env) for _, args in runs]
+        best = [float("inf")] * len(runs)
+        for _ in range(repeat):
+            for i, (_, args) in enumerate(runs):
+                best[i] = min(best[i], wall_time(args, env))
+    for (name, _), (flags, ours), seconds in zip(runs, modules, best):
+        cells = "  ".join(f"{'yes' if f else 'no':<{len(w)}}"
+                          for f, w in zip(flags, WATCHED))
+        print(f"{name:<30} {seconds * 1e3:9.1f}  {cells}  {ours}")
     return 0
 
 

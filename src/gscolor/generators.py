@@ -69,56 +69,91 @@ def random_multigraph(n: int, m: int, seed: int, *, mu_max: int | None = None) -
     return Multigraph.build(n, pairs)
 
 
-# Vectors per call of the canonicity filter, which holds one block at a time.
-SURVIVOR_BLOCK = 4096
+# Rows per block of candidate vectors, at each stage of making and filtering them.
+SURVIVOR_BLOCK = 8192
 
 # The most vertices the exhaustive corpus takes: the 15 pairs of 6 vertices
-# fill 60 bits of the int64 nibble key, and 21 pairs would not fit.
+# fill 60 bits of an int64 key in base 16, and 21 pairs would not fit.
 EXHAUSTIVE_N_CAP = 6
+
+
+def _key_base(m_max: int) -> int:
+    return max(16, m_max + 1)  # the key's digits: above every multiplicity, 16 or more
+
+
+def _lex_blocks(length: int, budget: int, dtype):
+    """Every vector of `length` non-negative entries with sum at most
+    `budget`, in lexicographic order, in blocks of at most SURVIVOR_BLOCK
+    rows: each head (a row of a block of first entries) is followed by the
+    tails (rows of a table of last entries, built the same way: the longest
+    within a block, or one entry) that fit the budget it leaves, and a block
+    is cut from that sequence by searching the heads' running row counts."""
+    import numpy as np
+
+    if length == 0:
+        yield np.zeros((1, 0), dtype)
+        return
+    tail = max([t for t in range(2, length) if math.comb(budget + t, t) <= SURVIVOR_BLOCK],
+               default=1)
+    table = (np.arange(budget + 1, dtype=dtype)[:, None] if length == 1
+             else np.concatenate(list(_lex_blocks(tail, budget, dtype))))
+    sums = table.sum(axis=1, dtype=np.int64)
+    # the tails within a budget r are the rows of sum at most r, still in
+    # order: fits[r] of them, stacked for r = 0, 1, ..., budget
+    fits = np.cumsum(np.bincount(sums, minlength=budget + 1))
+    tails = table[np.concatenate([np.flatnonzero(sums <= r) for r in range(budget + 1)])]
+    stops = np.cumsum(fits)
+    for heads in _lex_blocks(length - tail, budget, dtype):
+        room = budget - heads.sum(axis=1, dtype=np.int64)
+        ends = np.cumsum(fits[room])
+        for start in range(0, int(ends[-1]), SURVIVOR_BLOCK):
+            row = np.arange(start, min(start + SURVIVOR_BLOCK, int(ends[-1])))
+            head = np.searchsorted(ends, row, side="right")
+            # a head's rows end where the tails of its room end in `tails`
+            yield np.column_stack([heads[head], tails[stops[room[head]] - ends[head] + row]])
 
 
 def _canonical_survivors(n: int, m_max: int, pairs):
     """Multiplicity vectors over `pairs` (those of range(n)) with at most
     m_max edges, canonical under vertex relabeling, in lexicographic order.
 
-    The vectors are made lazily from the bar positions of stars and bars,
-    whose lexicographic order is the vectors' own, and are filtered
-    SURVIVOR_BLOCK at a time. Each is packed into a nibble key
-    (multiplicities stay below 16) so that the test against every
-    relabeling vectorizes. numpy is imported here, not at module level, so
-    that importing gscolor does not load it.
+    _lex_blocks makes them in blocks of the narrowest integer type that
+    holds m_max. Each block is widened to int64 keys, one digit of base
+    _key_base(m_max) per pair, so that the test against every relabeling
+    vectorizes. numpy is imported here, not at module level, so that
+    importing gscolor does not load it.
     """
     import numpy as np
 
     p = len(pairs)
     pair_index = {pr: i for i, pr in enumerate(pairs)}
-    # the key of a vector is its dot product with the nibble place values
-    place = np.int64(1) << (4 * np.arange(p - 1, -1, -1, dtype=np.int64))
+    base = _key_base(m_max)
+    # the key of a vector is its dot product with the digit place values
+    place = np.array([base ** (p - 1 - i) for i in range(p)], np.int64)
     relabeled_places = []
-    for perm in permutations(range(n)):
+    # the first permutation is the identity, which beats no vector
+    for perm in islice(permutations(range(n)), 1, None):
         # relabeling moves entry i to position mapping[i]
         mapping = [pair_index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
         relabeled_places.append(place[mapping])
-    bars = combinations(range(m_max + p), p)
-    while True:
-        block = list(islice(bars, SURVIVOR_BLOCK))
-        if not block:
-            return
-        # bar positions b give the vector b[i] - b[i-1] - 1, with b[-1] = -1
-        arr = np.diff(np.array(block, np.int64), axis=1, prepend=-1) - 1
-        base = arr @ place
+    for block in _lex_blocks(p, m_max, np.min_scalar_type(m_max)):
+        arr = block.astype(np.int64)
+        base_key = arr @ place
         # a vector is dropped at the first relabeling that beats it
         for relabeled in relabeled_places:
-            keep = arr @ relabeled >= base
-            arr, base = arr[keep], base[keep]
+            if not len(arr):
+                break
+            keep = arr @ relabeled >= base_key
+            arr, base_key = arr[keep], base_key[keep]
         yield from map(tuple, arr.tolist())
 
 
 def exhaustive_connected(n_max: int, m_max: int):
     """All connected multigraphs with n <= n_max and m <= m_max, one labeled
     representative per isomorphism class, in a deterministic order.
-    ValueError when n_max < 1 or m_max < 0, or when graphs of more than
-    EXHAUSTIVE_N_CAP vertices would be enumerated."""
+    ValueError when n_max < 1 or m_max < 0, when graphs of more than
+    EXHAUSTIVE_N_CAP vertices would be enumerated, or when their canonicity
+    keys would not fit an int64."""
     if n_max < 1 or m_max < 0:
         raise ValueError(f"exhaustive needs N >= 1 and M_MAX >= 0, "
                          f"got N = {n_max}, M_MAX = {m_max}")
@@ -127,6 +162,11 @@ def exhaustive_connected(n_max: int, m_max: int):
     if n_top > EXHAUSTIVE_N_CAP:
         raise ValueError(f"exhaustive takes at most {EXHAUSTIVE_N_CAP} vertices, "
                          f"got min(N, M_MAX + 1) = {n_top}")
+    p_top = n_top * (n_top - 1) // 2
+    if _key_base(m_max) ** p_top >= 2 ** 63:
+        # keys of p_top digits stay below 2**63 in bases below ceil(2 ** (63 / p_top))
+        raise ValueError(f"exhaustive on {n_top} vertices takes M_MAX <= "
+                         f"{math.ceil(2 ** (63 / p_top)) - 2}, got {m_max}")
     yield Multigraph.build(1, [])
     for n in range(2, n_top + 1):
         pairs = list(combinations(range(n), 2))

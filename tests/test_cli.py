@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -142,15 +143,76 @@ def test_exhaustive_stops_at_m_max_plus_one_vertices(monkeypatch):
 
 
 def test_exhaustive_refuses_more_than_six_vertices():
-    """The canonicity key packs one nibble per vertex pair into an int64,
-    and 7 vertices have 21 pairs, which do not fit: (7, 6) used to yield 20
-    classes of 7-vertex trees, of which there are 11."""
+    """The canonicity key packs one digit of base 16 or more per vertex
+    pair into an int64, and 7 vertices have 21 pairs, which do not fit:
+    (7, 6) used to yield 20 classes of 7-vertex trees, of which there are 11."""
     with pytest.raises(ValueError, match="at most 6 vertices, got min"):
         next(exhaustive_connected(7, 6))
     # n_max only bounds n together with m_max + 1
     corpus = list(exhaustive_connected(20, 3))
     assert max(G.vertex_count for G in corpus) == 4
     assert corpus == list(exhaustive_connected(4, 3))
+
+
+def test_exhaustive_refuses_keys_above_64_bits():
+    """The canonicity key has one digit of base max(16, M_MAX + 1) per
+    vertex pair: 6 vertices take M_MAX up to 17 (18**15 < 2**63 <= 19**15)."""
+    assert next(exhaustive_connected(6, 17)).vertex_count == 1
+    with pytest.raises(ValueError, match="on 6 vertices takes M_MAX <= 17, got 18"):
+        next(exhaustive_connected(6, 18))
+    with pytest.raises(ValueError, match="on 5 vertices takes M_MAX <= 77, got 78"):
+        next(exhaustive_connected(5, 78))
+
+
+def _digest(corpus) -> str:
+    return hashlib.sha256("".join(map(format_multigraph, corpus)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n_max, m_max, count, digest", [
+    (5, 10, 1934, "6a50b43d9fec604c156753d4edb6deb36f66d1937ccf558ab6865e7227eb05ac"),
+    (5, 12, 6361, "7b99dc8d4978be12d09e49fc0d3ada45507600bbfa0fd24dbe6ed01d5fbe72d3"),
+    (3, 40, 2282, "2990fdc794a7e54be687b747fb57c25ce50cb8879e72831057ee95f5dca6ecfd")])
+def test_exhaustive_corpus_pinned(n_max, m_max, count, digest):
+    """Each graph, its labels and the order of the corpus are pinned: the
+    SHA-256 of the concatenated graph files of the block enumeration equals
+    that of the earlier one that made each vector from a tuple of bar
+    positions."""
+    corpus = list(exhaustive_connected(n_max, m_max))
+    assert (len(corpus), _digest(corpus)) == (count, digest)
+
+
+@pytest.mark.parametrize("n_max, m_max", [(4, 6), (5, 8)])
+def test_exhaustive_corpus_does_not_depend_on_the_block(monkeypatch, n_max, m_max):
+    """Blocks of 7 rows cut every stage of the enumeration, heads and tails
+    alike, at other places than the default; the corpus stays the same."""
+    want = _digest(exhaustive_connected(n_max, m_max))
+    monkeypatch.setattr(gscolor.generators, "SURVIVOR_BLOCK", 7)
+    assert _digest(exhaustive_connected(n_max, m_max)) == want
+
+
+def test_exhaustive_corpus_holds_multiplicities_above_127():
+    """Entries are stored in the narrowest type that holds M_MAX: at 300,
+    int8 would wrap. Two vertices take every multiplicity 1 to 300."""
+    corpus = list(exhaustive_connected(2, 300))
+    assert [G.m for G in corpus] == list(range(301))
+    assert [G.vertex_count for G in corpus] == [1] + [2] * 300
+
+
+def test_exhaustive_lists_each_class_once_above_multiplicity_15():
+    """With one 4-bit digit per pair, a multiplicity of 16 carried into the
+    next digit and (4, 20) listed (0,0,17,1,1,1) and (0,1,1,0,17,1), over
+    pairs 01, 02, 03, 12, 13, 23, which are isomorphic. Against the least
+    relabeled pair vector over all 24 relabelings, the four-vertex graphs
+    are pairwise non-isomorphic, and there are 10,333 of them."""
+    pairs = list(combinations(range(4), 2))
+    moves = [[pairs.index(tuple(sorted((perm[u], perm[v])))) for u, v in pairs]
+             for perm in permutations(range(4))]
+    four = [G for G in exhaustive_connected(4, 20) if G.vertex_count == 4]
+    forms = set()
+    for G in four:
+        vec = [G.pair_counts().get(pr, 0) for pr in pairs]
+        forms.add(min(tuple(vec[i] for i in move) for move in moves))
+    assert len(four) == len(forms) == 10333
 
 
 # -- color ------------------------------------------------------------------------

@@ -310,13 +310,18 @@ def test_dispatch_matches_loop_semantics():
     assert (cnt, size) == (3, 3) and mask == 0b0111
 
 
-def test_kernel_bench_runs(capsys):
-    """benchmarks/kernel_bench.py keeps calling the kernels as they are."""
+def test_kernel_bench_runs(capsys, monkeypatch):
+    """benchmarks/kernel_bench.py keeps calling the kernels as they are; its
+    generation rows run on one small corpus here, since (6, 10) takes
+    seconds, and only they print a memory peak."""
     path = Path(__file__).parents[1] / "benchmarks" / "kernel_bench.py"
     spec = importlib.util.spec_from_file_location("kernel_bench", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "GENERATE_CASES", [(4, 5)])
     bench.main()
-    rows = capsys.readouterr().out.splitlines()[1:]
-    assert [r.split()[0] for r in rows] == \
-        ["feasible"] * 7 + ["density"] * 10 + ["extend"] * 4 + ["closure"] * 2
+    rows = [r.split() for r in capsys.readouterr().out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["feasible"] * 7 + ["density"] * 10 \
+        + ["extend"] * 4 + ["closure"] * 2 + ["generate"]
+    assert [r[-1] == "-" for r in rows] == [True] * 23 + [False]
+    assert float(rows[-1][-1]) > 0
