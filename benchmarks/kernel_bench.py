@@ -12,6 +12,9 @@ every edge, in one `coloring.direct_pass`, and `engine.extend` (whose chain
 swap colors them here) on the few edges that resist it. The last of them, a
 heavy n = 12 instance of colorbench's dense_multi, has many resisting edges
 whose chain walks fail, so `coloring.chain_step` takes most of its time. The
+`interchange` rows time `coloring.interchange`, the one Kempe change, on an
+alternating path of 1, 4 and 12 edges and on a 2-cycle, each row the mean
+of SCAN_CALLS calls, which alternate between flip and restore. The
 `closure` rows time
 `color_at_k(ring(1001, 7), 14)` and `color_at_k(ring(2001, 3), 6)`, each
 one color below the ring's ceil(density): the last edge resists, and the
@@ -27,7 +30,8 @@ one more, untimed run because tracing slows allocation:
 import time
 import tracemalloc
 
-from gscolor import _kernels
+from gscolor import Multigraph, PartialColoring, _kernels
+from gscolor.coloring import interchange
 from gscolor.density import _oracle_edge_order
 from gscolor.engine import color_at_k
 from gscolor.generators import (exhaustive_connected, petersen, random_multigraph,
@@ -103,6 +107,19 @@ def bench_extend(rows):
         rows.append(("extend", name, time_call(color_at_k, G, G.max_degree())))
 
 
+# whole (1, 2)-components: alternating paths in walk order, and a 2-cycle
+FLIP_CASES = [(f"path of {length} edge{'s' * (length > 1)}",
+               Multigraph.build(length + 1, [(i, i + 1) for i in range(length)]))
+              for length in (1, 4, 12)] + [("2-cycle", Multigraph.build(2, [(0, 1), (0, 1)]))]
+
+
+def bench_interchange(rows):
+    for name, G in FLIP_CASES:
+        pc = PartialColoring(G, 2, {e: 1 + e % 2 for e in G.edge_ids})
+        seconds = time_call(repeat_call, interchange, pc, list(G.edge_ids), 1, 2)
+        rows.append(("interchange", name, seconds / SCAN_CALLS))
+
+
 # odd multi-rings above the density scan's vertex cap, one color short
 CLOSURE_CASES = [("ring(1001,7) k=14", ring(1001, 7), 14),
                  ("ring(2001,3) k=6", ring(2001, 3), 6)]
@@ -137,13 +154,14 @@ def main():
     bench_feasible(rows)
     bench_density(rows)
     bench_extend(rows)
+    bench_interchange(rows)
     bench_closure(rows)
     bench_generate(rows)
     width = max(len(r[1]) for r in rows)
-    print(f"{'kernel':<12} {'case':<{width}} {'time (ms)':>10} {'peak (MB)':>10}")
+    print(f"{'kernel':<12} {'case':<{width}} {'time (ms)':>12} {'peak (MB)':>10}")
     for kernel, name, seconds, *peak in rows:
         mb = f"{peak[0] / 2**20:10.2f}" if peak else f"{'-':>10}"
-        print(f"{kernel:<12} {name:<{width}} {seconds * 1e3:10.4f} {mb}")
+        print(f"{kernel:<12} {name:<{width}} {seconds * 1e3:12.6f} {mb}")
 
 
 if __name__ == "__main__":

@@ -247,22 +247,22 @@ def interchange(pc: PartialColoring, edges, a: int, b: int):
     """Swap colors a != b on `edges`, whole (a, b)-components of pc, in
     place and without checks; a second call on the same edges restores pc.
 
-    Each edge takes the other color, written into both ends' `_at`. Inner
-    vertices keep both colors and their masks; a path end still holds an
-    entry for the color it lost, which goes, and both its mask bits flip.
+    One pass, in any edge order: each edge takes the other color at both
+    ends. An end with no entry yet for the new color is a path end: its old
+    color's entry goes and both its mask bits flip. An inner vertex has the
+    entry from its other edge, unflipped, or flipped with its old entry left.
     """
     color, at, mask, ends = pc._color, pc._at, pc._mask, pc.graph._ends
-    for e in edges:
-        new = color[e] = b if color[e] == a else a
-        for w in ends[e]:
-            at[w][new] = e
     both = (1 << a) | (1 << b)
     for e in edges:
-        old = a if color[e] == b else b
+        old = color[e]
+        new = color[e] = b if old == a else a
         for w in ends[e]:
-            if at[w].get(old) == e:         # w is a path end
-                del at[w][old]
+            row = at[w]
+            if new not in row:              # w is a path end
+                del row[old]
                 mask[w] ^= both
+            row[new] = e
 
 
 # -- the per-edge steps ------------------------------------------------------
@@ -318,7 +318,7 @@ def chain_step(pc: PartialColoring, eid: int):
     a path with x at one end: each pair is walked to its far end without
     keeping its edges, and x without a b-edge is the empty path, which ends
     at x. Only the pair that is flipped is walked again, by
-    `alternating_path`, for its edges, and `interchange` flips that path.
+    `alternating_path`, for its edges; `interchange` finds its ends as it flips.
 
     Most walks for one a fail, and many provably. In a proper coloring the
     ends of the (a, b)-paths are the vertices with exactly one of a and b;

@@ -181,6 +181,23 @@ def test_exhaustive_corpus_pinned(n_max, m_max, count, digest):
     assert (len(corpus), _digest(corpus)) == (count, digest)
 
 
+@pytest.mark.parametrize("n_max, m_max", [(5, 10), (4, 20)])
+def test_survivor_has_an_isolated_vertex_iff_its_first_row_is_zero(n_max, m_max):
+    """A survivor is least among its relabelings, so it has an isolated
+    vertex exactly when vertex 0 is one, that is when its first n - 1
+    entries, the pairs of vertex 0, are zero: exhaustive_connected reads
+    that off the vector before building. Both cases occur at every n."""
+    for n in range(2, n_max + 1):
+        pairs = list(combinations(range(n), 2))
+        seen = set()
+        for vec in gscolor.generators._canonical_survivors(n, m_max, pairs):
+            isolated = any(all(c == 0 for pr, c in zip(pairs, vec) if v in pr)
+                           for v in range(n))
+            assert isolated == (not any(vec[:n - 1])), vec
+            seen.add(isolated)
+        assert seen == {False, True}, n
+
+
 @pytest.mark.parametrize("n_max, m_max", [(4, 6), (5, 8)])
 def test_exhaustive_corpus_does_not_depend_on_the_block(monkeypatch, n_max, m_max):
     """Blocks of 7 rows cut every stage of the enumeration, heads and tails

@@ -407,6 +407,57 @@ def test_interchange_matches_the_checked_recolor():
                ("path", "cycle", "2-cycle", "empty", "outside", "step")) >= 3, seen
 
 
+def _long_alternating(length, cycle, rng):
+    """(pc, 1, 2): a (1, 2)-path of `length` edges, or a cycle of that many,
+    over shuffled vertex and edge ids, beside random edges of colors 3..5."""
+    n = length + (not cycle)
+    verts = rng.sample(range(n), n)
+    links = [(verts[i], verts[(i + 1) % n]) for i in range(length)]
+    extra = random_multigraph_pairs(n, n, rng)
+    order = rng.sample(range(length + n), length + n)
+    G = Multigraph.build(n, [(links + extra)[i] for i in order])
+    pc = PartialColoring(G, 5, {e: 1 + i % 2 for e, i in enumerate(order) if i < length})
+    for e in G.edge_ids:
+        free = pc.missing(G.endpoints(e)[0]) & pc.missing(G.endpoints(e)[1]) - {1, 2}
+        if not pc.is_colored(e) and free:
+            pc.assign(e, rng.choice(sorted(free)))
+    return pc, 1, 2
+
+
+def test_interchange_does_not_depend_on_edge_order():
+    """Every caller passes its edges in walk or id order, but one pass finds
+    the path ends in any order: a random union of whole (a, b)-components,
+    shuffled, gives what recolor and the same edges in id order give, and a
+    second call in another shuffled order restores pc. The components
+    include parallel 2-cycles and paths and cycles of 12 edges or more."""
+    rng = random.Random(39)
+    cases = [_long_alternating(length, cycle, rng) for length in (12, 13, 14, 16, 20, 31)
+             for cycle in (False, True) if not cycle or length % 2 == 0]
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        m = rng.randint(1, min(4 * n, 2 * n * (n - 1)))   # mu <= 4 leaves room for 2n(n - 1)
+        G = Multigraph.build(n, random_multigraph_pairs(n, m, rng, mu_max=4))
+        k = max(2, G.max_degree() + rng.randint(0, 2))
+        cases.append((random_proper_coloring(G, k, rng), *rng.sample(range(1, k + 1), 2)))
+    seen = Counter()
+    for pc, a, b in cases:
+        chains = dict.fromkeys(kempe_chain(pc, v, a, b) for v in range(pc.graph.vertex_count))
+        chosen = [c for c in chains if c.edges and (len(c.edges) >= 12 or rng.random() < 0.7)]
+        for c in chosen:
+            seen["2-cycle" if c.kind == "cycle" and len(c.edges) == 2 else
+                 f"long {c.kind}" if len(c.edges) >= 12 else c.kind] += 1
+        edges = [e for c in chosen for e in c.edges]
+        rng.shuffle(edges)
+        out = _interchanged(pc, edges, a, b)
+        in_order = pc.clone()
+        interchange(in_order, sorted(edges), a, b)
+        assert _tables(out) == _tables(in_order)
+        interchange(out, rng.sample(edges, len(edges)), a, b)
+        assert _tables(out) == _tables(pc)
+    assert min(seen[kind] for kind in
+               ("path", "2-cycle", "long path", "long cycle")) >= 3, seen
+
+
 def test_elementary_trivial_cases(triangle):
     pc = colored_triangle(triangle)
     assert elementary_audit(pc, (0,)) is None

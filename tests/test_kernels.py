@@ -322,6 +322,6 @@ def test_kernel_bench_runs(capsys, monkeypatch):
     bench.main()
     rows = [r.split() for r in capsys.readouterr().out.splitlines()[1:]]
     assert [r[0] for r in rows] == ["feasible"] * 7 + ["density"] * 10 \
-        + ["extend"] * 4 + ["closure"] * 2 + ["generate"]
-    assert [r[-1] == "-" for r in rows] == [True] * 23 + [False]
+        + ["extend"] * 4 + ["interchange"] * 4 + ["closure"] * 2 + ["generate"]
+    assert [r[-1] == "-" for r in rows] == [True] * 27 + [False]
     assert float(rows[-1][-1]) > 0
