@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Per-edge cost of `color_at_k` as the graph grows.
 
-For each vertex count N (default 10^4, 10^5, 4*10^5 and 10^6) two rows are
-timed, each in a fresh interpreter with PYTHONPATH set to this checkout's
-`src`:
+For each vertex count N (default 10^4, 10^5, 4*10^5 and 10^6) two or three
+rows are timed, each in a fresh interpreter with PYTHONPATH set to this
+checkout's `src`:
 
 - `random`: `color_at_k(random_multigraph(N, 3N, 1), Delta)`, which the
   direct pass colors alone;
@@ -14,7 +14,11 @@ timed, each in a fresh interpreter with PYTHONPATH set to this checkout's
   walks a chain that fails: 2 walks fail in its 1,653 calls at N = 10^4,
   and none in 16,673 calls at 10^5. So this row times the direct pass and
   cheap chain swaps, not the failing walks that the chain step's twin skip
-  saves.
+  saves;
+- `8-regular` at k = Delta, for N <= 10^5 only: the same graph, where the
+  chain step's walks fail and the run ends at the first edge that resists
+  the chain step and the series (budget_exhausted, no fallback above 25
+  edges). Its time grows much faster than N, so larger N are skipped.
 
 The graph's construction is not timed. Each row prints the graph, n, m, k,
 the seconds of that call, microseconds per edge, the process's resident set
@@ -37,8 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SIZES = (10 ** 4, 10 ** 5, 4 * 10 ** 5, 10 ** 6)
 
-# run in the child: argv[1] is the graph, argv[2] is n; prints
-# "m k seconds graph_kb peak_kb"
+# run in the child: argv[1] is the graph, argv[2] is n, argv[3] the colors
+# above Delta; prints "m k seconds graph_kb peak_kb"
 CHILD = """
 import random, sys, time
 from gscolor.engine import color_at_k
@@ -47,15 +51,14 @@ from gscolor.graph import Multigraph
 def status_kb(key):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith(key))
-kind, n = sys.argv[1], int(sys.argv[2])
+kind, n, above = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 if kind == "random":
     G = random_multigraph(n, 3 * n, 1)
-    k = G.max_degree()
 else:
     stubs = [v for v in range(n) for _ in range(8)]
     random.Random(1).shuffle(stubs)
     G = Multigraph.build(n, ((u, v) for u, v in zip(stubs[::2], stubs[1::2]) if u != v))
-    k = G.max_degree() + 1
+k = G.max_degree() + above
 graph_kb = status_kb("VmRSS:")
 t0 = time.perf_counter()
 color_at_k(G, k)
@@ -63,15 +66,16 @@ seconds = time.perf_counter() - t0
 print(G.m, k, seconds, graph_kb, status_kb("VmHWM:"))
 """
 
-GRAPHS = ("random", "8-regular")
+# (graph, colors above Delta, largest N timed)
+ROWS = (("random", 0, None), ("8-regular", 1, None), ("8-regular", 0, 10 ** 5))
 COLUMNS = ("graph", "n", "m", "k", "seconds", "us/edge", "graph_MB", "peak_MB")
 ROW = "{:<9} {:>9} {:>9} {:>4} {:>9} {:>8} {:>8} {:>8}"
 
 
-def measure(kind: str, n: int, env: dict) -> tuple:
+def measure(kind: str, n: int, above: int, env: dict) -> tuple:
     """(m, k, seconds, graph MB, peak MB) of one row, in a fresh process."""
-    out = subprocess.run([sys.executable, "-c", CHILD, kind, str(n)], env=env,
-                         check=True, capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", CHILD, kind, str(n), str(above)],
+                         env=env, check=True, capture_output=True, text=True).stdout
     m, k, seconds, graph_kb, peak_kb = out.split()
     return int(m), int(k), float(seconds), int(graph_kb) / 1024, int(peak_kb) / 1024
 
@@ -84,8 +88,10 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     print(ROW.format(*COLUMNS))
     for n in sizes:
-        for kind in GRAPHS:
-            m, k, seconds, graph_mb, peak_mb = measure(kind, n, env)
+        for kind, above, largest in ROWS:
+            if largest is not None and n > largest:
+                continue
+            m, k, seconds, graph_mb, peak_mb = measure(kind, n, above, env)
             print(ROW.format(kind, n, m, k, f"{seconds:.3f}", f"{seconds / m * 1e6:.2f}",
                              f"{graph_mb:.1f}", f"{peak_mb:.1f}"), flush=True)
     return 0

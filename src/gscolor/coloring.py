@@ -296,25 +296,17 @@ def direct_pass(pc: PartialColoring, order):
             yield eid
 
 
-def direct_step(pc: PartialColoring, eid: int):
-    """`direct_pass` on the one uncolored edge eid: pc once eid is colored,
-    or None with pc untouched."""
-    for _ in direct_pass(pc, (eid,)):
-        return None
-    return pc
-
-
 def chain_step(pc: PartialColoring, eid: int):
     """Color the uncolored edge eid = xy by swapping a chain from x between
     the ends' missing colors, in place; pc, or None with pc only read.
 
-    For use after `direct_step` failed on eid, so the ends' missing sets are
-    disjoint: x has an edge of every color b missing at y, and y misses b.
     For a missing at x and b missing at y, both ascending, the (a, b)-chain
     that leaves x on b either ends at y, or elsewhere and is flipped; then b
-    is missing at both ends, and eid takes it. A chain that reaches y is the
-    very chain a scan from y would find and skip, so scanning from y can
-    never succeed and is never done. x misses a, so its (a, b)-component is
+    is missing at both ends, and eid takes it. A b that x misses too needs
+    no case of its own: its chain from x is empty, so eid takes b, and the
+    twin skip below drops only colors present at x. A chain that reaches y
+    is the very chain a scan from y would find and skip, so scanning from y
+    can never succeed and is never done. x misses a, so its (a, b)-component is
     a path with x at one end: each pair is walked to its far end without
     keeping its edges, and x without a b-edge is the empty path, which ends
     at x. Only the pair that is flipped is walked again, by

@@ -32,8 +32,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .coloring import (PartialColoring, chain_step, direct_pass, direct_step,
-                       validate)
+from .coloring import PartialColoring, chain_step, direct_pass, validate
 from .density import (ORACLE_EDGE_CAP, DensityCertificate, bound_report,
                       certificate_check, first_coloring, odd_set_density,
                       oracle_edge_ids)
@@ -194,9 +193,10 @@ def extend(pc: PartialColoring, eid: int) -> ExtendOutcome:
     """Color uncolored edge eid of pc.graph (G) or say why pc.k colors resist.
 
     `color_at_k` calls it only for an edge that its direct pass yields;
-    called directly, it tries the direct step first too. The steps are
-    `direct_step`, `chain_step`, the series and the fallback; one that
-    colors the edge does so in pc itself, and one that fails leaves pc
+    an edge whose ends miss a common color is colored by `chain_step`'s
+    empty chain, as "kempe". The steps are `chain_step`, which writes
+    unchecked (so eid is checked here), the series and the fallback; one
+    that colors the edge does so in pc itself, and one that fails leaves pc
     untouched. The extension series runs once, and a stuck step ends it as
     budget_exhausted; its tree is audited only when the last row is strongly
     closed and the tree has odd order of at least 3, and evidence is
@@ -217,8 +217,6 @@ def extend(pc: PartialColoring, eid: int) -> ExtendOutcome:
         raise ValueError(f"edge {eid} outside 0..{G.m - 1}")
     if pc.is_colored(eid):
         raise ValueError("edge already colored")
-    if direct_step(pc, eid) is not None:
-        return ExtendOutcome("colored", None, "direct")
     if chain_step(pc, eid) is not None:
         return ExtendOutcome("colored", None, "kempe")
 
@@ -257,11 +255,11 @@ def color_at_k(G: Multigraph, k: int):
     otherwise it is what the first edge that resisted produced against k,
     and the coloring is partial. One `direct_pass` over the edges, in the
     oracle's edge order, colors every edge it can; `extend` runs only for
-    the edges that the pass yields, before the pass goes on, so the results
-    are those of calling `extend` on every edge. The trace starts as
-    "direct" for every edge, `extend` overwrites the methods of the edges it
-    colors, and a failed run keeps only the edges before the one that
-    resisted.
+    the edges that the pass yields, before the pass goes on, so each edge
+    in turn gets the direct step and, if that fails, `extend`. The trace
+    starts as "direct" for every edge, `extend` overwrites the methods of
+    the edges it colors, and a failed run keeps only the edges before the
+    one that resisted.
     """
     pc = PartialColoring(G, k)
     order = oracle_edge_ids(G)

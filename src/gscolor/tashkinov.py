@@ -365,11 +365,15 @@ def series_step(state: SeriesState) -> StepOutcome:
             gamma_n = _pick_gamma(state, phi, v_n)
             pi_prime = (phi if alpha == gamma_n
                         else swap_outside(phi, t_n.vertex_set, alpha, gamma_n))
+            # alpha and gamma_n are missing in the closed tree, so on no
+            # boundary edge, and delta_n is neither; after the swap u_n and
+            # v_n both miss gamma_n, so this chain is f_n alone
             path = kempe_chain(pi_prime, v_n, gamma_n, delta_n)
             if (path.kind != "path" or set(path.edges) != {f_n}
                     or len(set(path.vertices) & t_n.vertex_set) != 1):
-                raise SeriesStuck(
-                    "PE: constructed exit path is not the single connecting edge")
+                raise SeriesInvariantError(
+                    "PE: constructed exit path is not the single connecting edge\n"
+                    + state.to_ledger_json())
             phi_n = kempe_swap(pi_prime, path)
             r_tree = taa_close(phi_n, t_n.segment_to(v_n))
             row = SeriesTuple(

@@ -204,14 +204,29 @@ def reference_kempe_step(pc, eid):
     return None
 
 
+def reference_direct_step(pc, eid):
+    """The direct step on the one uncolored edge eid through the public
+    calls: the smallest color in both ends' `missing` sets, given with the
+    checked `assign`. pc, or None with pc untouched when they share none."""
+    x, y = pc.graph.endpoints(eid)
+    common = pc.missing(x) & pc.missing(y)
+    if not common:
+        return None
+    pc.assign(eid, min(common))
+    return pc
+
+
 def reference_color_at_k(G, k):
-    """engine.color_at_k as it was before it ran the direct step itself:
-    `extend` on every edge, in the oracle's edge order, stopping at the
-    first edge that returns evidence."""
+    """engine.color_at_k edge by edge, without its direct pass: in the
+    oracle's edge order, `reference_direct_step` and, where it fails,
+    `extend`, stopping at the first edge that returns evidence."""
     from gscolor.engine import extend
     pc = PartialColoring(G, k)
     trace = {}
     for eid in _oracle_edge_order(G)[0]:
+        if reference_direct_step(pc, eid) is not None:
+            trace[eid] = "direct"
+            continue
         out = extend(pc, eid)
         if out.status != "colored":
             return pc, trace, out.evidence

@@ -453,6 +453,48 @@ def test_cmd_bench_exhaustive_slice(capsys):
     assert all(row.split(",")[-1] == "ok" for row in rows)
 
 
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["plain", "oracle"])
+def test_cmd_bench_incomplete_row_fails_the_run(capsys, oracle):
+    """ring(9, 3) ends incomplete; above 25 edges the oracle is skipped,
+    which must not hide that: the row stays incomplete and bench exits 4."""
+    code, out, _ = run_cli(capsys, "bench", "--gen", "ring", "9", "3", *oracle)
+    assert code == 4
+    assert out.splitlines()[2] == "0,ring 9 3,9,27,6,3,27/4,,,,,,,incomplete"
+
+
+def test_cmd_bench_oracle_skipped_row_passes(capsys):
+    """shannon(9) has 27 edges, so the oracle is skipped on a row that is
+    otherwise ok, and bench exits 0."""
+    code, out, _ = run_cli(capsys, "bench", "--gen", "shannon", "9", "--oracle")
+    assert code == 0
+    assert out.splitlines()[2].endswith(",oracle-skipped")
+
+
+@pytest.mark.parametrize("k_over, chi_over, oracle, status", [
+    (1, 0, (), "bound-violation"),
+    (1, 0, ("--oracle",), "bound-violation"),
+    (1, 1, ("--oracle",), "bound-violation"),
+    (0, 1, ("--oracle",), "sandwich-violation"),
+    (0, 1, (), "ok"),
+], ids=["bound-plain", "bound-oracle", "bound-before-sandwich", "sandwich",
+        "sandwich-needs-oracle"])
+def test_cmd_bench_status_rule(capsys, monkeypatch, k_over, chi_over, oracle,
+                               status):
+    """A forged k_used above gs_upper is a bound violation with or without
+    the oracle, and wins over a forged chi' outside the sandwich, which only
+    the oracle reports; any violation exits 4."""
+    from gscolor import PartialColoring, bound_report, cli
+    from gscolor.engine import ColoringResult
+    G = petersen()
+    upper = bound_report(G).gs_upper
+    monkeypatch.setattr(cli, "_color", lambda G, rep: ColoringResult(
+        PartialColoring(G, upper + k_over), [], {}))
+    monkeypatch.setattr(cli, "chromatic_index_exact", lambda G: upper + chi_over)
+    code, out, _ = run_cli(capsys, "bench", "--gen", "petersen", *oracle)
+    assert out.splitlines()[2].endswith("," + status)
+    assert code == (0 if status == "ok" else 4)
+
+
 def test_cmd_bench_timings_column(capsys):
     code, out, _ = run_cli(capsys, "bench", "--gen", "petersen", "--timings")
     assert code == 0

@@ -14,7 +14,7 @@ from gscolor import (Multigraph, PartialColoring, bound_report, build_series,
                      color_at_k, extend, verify_result)
 from gscolor import engine
 from gscolor.engine import ColoringResult, IncompleteColoringError, result_from_json
-from gscolor.coloring import (alternating_path, chain_step, direct_pass, direct_step,
+from gscolor.coloring import (alternating_path, chain_step, direct_pass,
                               kempe_chain, kempe_swap, validate)
 from gscolor.density import DensityCertificate, odd_set_density, oracle_edge_ids
 from gscolor.generators import (exhaustive_connected, petersen,
@@ -22,7 +22,7 @@ from gscolor.generators import (exhaustive_connected, petersen,
 from conftest import make_pe_instance, make_se_instance
 from oracles import (assert_tables_consistent, random_multigraph_pairs,
                      random_proper_coloring, reference_color_at_k,
-                     reference_kempe_step, verify_by_scan)
+                     reference_direct_step, reference_kempe_step, verify_by_scan)
 
 
 def test_color_petersen():
@@ -62,9 +62,12 @@ def test_color_uses_lower_bound_when_feasible():
 
 
 def test_extend_direct(triangle):
+    """extend has no direct step of its own: an edge whose ends miss a
+    common color takes it through the chain step's empty chain."""
     pc = PartialColoring(triangle, 3, {0: 1, 1: 2})
     out = extend(pc, 2)
-    assert out.status == "colored" and out.method == "direct"
+    assert out.status == "colored" and out.method == "kempe"
+    assert pc.color_of(2) == 3
     assert_tables_consistent(pc)
     assert validate(triangle, pc) == []
 
@@ -277,10 +280,10 @@ def test_chain_step_flips_a_path_in_place(length):
 
 def test_direct_pass_matches_direct_step_edge_by_edge():
     """Draining `direct_pass` over a coloring with nothing colored gives the
-    coloring that `direct_step` gives edge by edge in the same order, and
-    yields, in order, exactly the edges it leaves uncolored: on 150 random
-    multigraphs with n from 3 to 16, in a shuffled edge order, at every k
-    from Delta - 1 to Delta + 1."""
+    coloring that `reference_direct_step` gives edge by edge in the same
+    order, and yields, in order, exactly the edges it leaves uncolored: on
+    150 random multigraphs with n from 3 to 16, in a shuffled edge order,
+    at every k from Delta - 1 to Delta + 1."""
     rng = random.Random(30)
     resisting_runs = 0
     for trial in range(150):
@@ -293,7 +296,7 @@ def test_direct_pass_matches_direct_step_edge_by_edge():
             pc = PartialColoring(G, k)
             resisted = list(direct_pass(pc, order))
             ref = PartialColoring(G, k)
-            ref_resisted = [e for e in order if direct_step(ref, e) is None]
+            ref_resisted = [e for e in order if reference_direct_step(ref, e) is None]
             assert pc == ref and resisted == ref_resisted
             assert resisted == [e for e in order if not pc.is_colored(e)]
             assert_tables_consistent(pc)
@@ -364,7 +367,7 @@ def test_extend_sees_only_the_edges_the_direct_step_leaves(below, monkeypatch):
 
 @pytest.mark.parametrize("eid", [-1, 3])
 def test_extend_refuses_an_edge_outside_the_graph(triangle, eid):
-    """The direct step writes unchecked, so extend checks the edge id: a
+    """The chain step writes unchecked, so extend checks the edge id: a
     negative id would otherwise name an edge from the end."""
     pc = PartialColoring(triangle, 3)
     with pytest.raises(ValueError, match="outside 0..2"):
@@ -725,12 +728,12 @@ def test_output_digest_runs(capsys):
 
 
 def test_scale_bench_prints_one_row_per_size(capsys):
-    """benchmarks/scale_bench.py at n = 10^3: a header, then two rows of the
-    graph, n, m, k, seconds, microseconds per edge, the MB resident once the
-    graph is built and the peak MB, each from a fresh process (the times are
-    not checked): `random_multigraph(n, 3n, 1)` at k = Delta, and the
+    """benchmarks/scale_bench.py at n = 10^3: a header, then three rows of
+    the graph, n, m, k, seconds, microseconds per edge, the MB resident once
+    the graph is built and the peak MB, each from a fresh process (the times
+    are not checked): `random_multigraph(n, 3n, 1)` at k = Delta, and the
     8-regular configuration-model multigraph, less its self-loops, at
-    k = Delta + 1 = 9."""
+    k = Delta + 1 = 9 and at k = Delta = 8."""
     path = Path(__file__).parents[1] / "benchmarks" / "scale_bench.py"
     spec = importlib.util.spec_from_file_location("scale_bench", path)
     tool = importlib.util.module_from_spec(spec)
@@ -739,10 +742,13 @@ def test_scale_bench_prints_one_row_per_size(capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["graph", "n", "m", "k", "seconds", "us/edge",
                               "graph_MB", "peak_MB"]
-    assert [row.split()[:2] for row in rows] == [["random", "1000"], ["8-regular", "1000"]]
-    (_, _, m, k, *_), (_, _, m8, k8, *_) = (row.split() for row in rows)
+    assert [row.split()[:2] for row in rows] == [
+        ["random", "1000"], ["8-regular", "1000"], ["8-regular", "1000"]]
+    (_, _, m, k, *_), (_, _, m8, k8, *_), (_, _, m8d, k8d, *_) = (
+        row.split() for row in rows)
     assert int(m) == 3000 and int(k) == random_multigraph(1000, 3000, 1).max_degree()
     assert 3900 < int(m8) <= 4000 and int(k8) == 9
+    assert m8d == m8 and int(k8d) == 8
     for row in rows:
         assert all(float(value) > 0 for value in row.split()[4:])
         graph_mb, peak_mb = map(float, row.split()[6:])

@@ -242,6 +242,77 @@ def test_series_step_rejects_unclosed_tree():
         series_step(state)
 
 
+def test_pe_exit_path_that_is_not_the_connecting_edge_is_raised(monkeypatch):
+    """On a closed tree the PE exit path is the connecting edge alone, so a
+    chain that is not (here a planted cycle) is a broken invariant, raised
+    with the ledger, not a stuck step."""
+    from gscolor.coloring import KempeChain
+
+    def cycle(pc, v, alpha, beta):
+        return KempeChain(frozenset((alpha, beta)), "cycle", (), (v,), ())
+
+    monkeypatch.setattr(tashkinov, "kempe_chain", cycle)
+    G, pc = make_pe_instance()
+    with pytest.raises(SeriesInvariantError,
+                       match='(?s)not the single connecting edge.*"outcome":"running"'):
+        build_series(pc, 0)
+
+
+def _forged_state(tree_edges, rows):
+    """A ledger over vertices 0..5: the uncolored root edge 0 = (0, 1), and
+    edges 1 = (0, 2), 2 = (0, 3), 3 = (1, 4), 4 = (1, 5) colored 1, 2, 1, 2
+    under k = 3, so only color 3 is missing at the root's ends. Row 0 holds
+    the tree over the root's ends and tree_edges (each joins its far end)
+    and the base coloring; each later row is (changes to the coloring,
+    SeriesTuple fields) on the same tree."""
+    G = Multigraph.build(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+    base = {1: 1, 2: 2, 3: 1, 4: 2}
+    tree = TreeSequence.root(G, 0)
+    for e in tree_edges:
+        tree = tree.grow(e, max(G.endpoints(e)))
+    tuples = [SeriesTuple(tree=tree, coloring=PartialColoring(G, 3, base))]
+    for recolored, fields in rows:
+        pc = PartialColoring(G, 3, {**base, **recolored})
+        tuples.append(SeriesTuple(tree=tree, coloring=pc, **fields))
+    return SeriesState(graph=G, tuples=tuples)
+
+
+@pytest.mark.parametrize("tree_edges, rows, message", [
+    ((), [({}, {"theta": "se", "delta": 1, "gamma": 2})], r"\|D_1\| = 2 > 1"),
+    ((1,), [({}, {"theta": "se"})],
+     r"T_1 carries colors outside missing\|D: \[1\]"),
+    ((), [({1: 3, 3: 3}, {"theta": "se"})],
+     "iteration 1 shrank the protected color pool"),
+    ((), [({}, {"theta": "pe", "delta": 1, "gamma": 3, "v_n": 0}),
+          ({}, {"theta": "pe", "delta": 2, "gamma": 3, "v_n": 0}),
+          ({}, {"theta": "se"})],
+     "supporting vertex 0: gamma 3 does not chain from previous delta 1"),
+], ids=["d-set-too-large", "tree-color-outside-pool", "pool-shrank",
+        "pe-colors-do-not-chain"])
+def test_ledger_invariants_on_forged_rows(tree_edges, rows, message):
+    """Each ledger invariant that a correct series never breaks is raised,
+    with the ledger, on a forged ledger that breaks it alone."""
+    state = _forged_state(tree_edges, rows)
+    with pytest.raises(SeriesInvariantError, match=f"(?s){message}.*" + '"rows"'):
+        assert_series_invariants(state)
+
+
+def test_series_step_that_does_not_grow_the_tree_is_raised(monkeypatch):
+    """An extending step must grow the tree; a forged step that appends its
+    row with the same tree is a broken invariant."""
+    from gscolor.tashkinov import StepOutcome
+
+    def stalled(state):
+        state.tuples.append(state.tuples[-1]._replace(theta="se"))
+        return StepOutcome("extended", "se")
+
+    monkeypatch.setattr(tashkinov, "series_step", stalled)
+    G, pc = make_pe_instance()
+    with pytest.raises(SeriesInvariantError,
+                       match="series step failed to grow the tree"):
+        build_series(pc, 0)
+
+
 @pytest.mark.parametrize("change, message", [
     ({"edge": 10},
      "PE: recolored-color boundary is not exactly the connecting edge"),
