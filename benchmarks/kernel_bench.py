@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Time the enumeration kernels of gscolor._kernels, and the per-edge path.
+"""Time the enumeration kernels of gscolor._kernels, the per-edge path and
+the generators.
 
-Each kernel is called directly on fixed inputs, best of five, and the
-results are printed as a small table. The `density` rows named `plain` and
+Each kernel is called directly on fixed inputs and the results are printed
+as a small table, each row the best of ROUNDS timings. The rows are
+interleaved as in benchmarks/startup.py: each round times every row once,
+in table order, so that a machine that drifts between speeds slows all rows
+alike instead of one block of them. The `density` rows named `plain` and
 `numpy` time each of the scan's two implementations on one graph at n = 10
 and one at n = 11, either side of `_kernels.PLAIN_SCAN_VERTICES`, the vertex
 count up to which `density_scan` takes the plain one; each is the mean of
@@ -20,9 +24,12 @@ of SCAN_CALLS calls, which alternate between flip and restore. The
 one color below the ring's ceil(density): the last edge resists, and the
 series closes a tree over the whole ring, so `tashkinov.taa_close` dominates.
 The `generate` rows time `exhaustive_connected` on the desk corpus
-(5, 10) and the hunt's (5, 12) and (6, 10), best of three, and give each one's
-peak of traced memory (`tracemalloc`, numpy's blocks included), read in
-one more, untimed run because tracing slows allocation:
+(5, 10) and the hunt's (5, 12) and (6, 10), `random_multigraph` at all 200
+sizes of colorbench's dense_multi, and `ring(100001, 7)`, and give each
+one's peak of traced memory (`tracemalloc`, numpy's blocks included), read
+in one more, untimed run because tracing slows allocation. The multigraph
+rows keep what they build until the run ends, so their peak includes the
+graphs themselves:
 
     PYTHONPATH=src python3 benchmarks/kernel_bench.py
 """
@@ -38,16 +45,21 @@ from gscolor.generators import (exhaustive_connected, petersen, random_multigrap
                                 ring, shannon_triangle)
 
 
-def time_call(fn, *args, repeat=5):
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
+ROUNDS = 5
+SCAN_CALLS = 200
+
+
+def time_calls(fn, args, calls):
+    """Mean seconds of `calls` back-to-back calls fn(*args)."""
+    t0 = time.perf_counter()
+    for _ in range(calls):
         fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
+    return (time.perf_counter() - t0) / calls
 
 
-def bench_feasible(rows):
+# each row: (kernel, case, fn, args, calls per timing)
+
+def feasible_rows():
     cases = [
         ("petersen k=3 (infeasible)", petersen(), 3),
         ("petersen k=4", petersen(), 4),
@@ -58,12 +70,14 @@ def bench_feasible(rows):
         ("ring(5,5) k=12 (infeasible)", ring(5, 5), 12),
         ("ring(7,3) k=7", ring(7, 3), 7),
     ]
+    rows = []
     for name, G, k in cases:
         if k is None:
             k = G.max_degree()
         _, eu, ev = _oracle_edge_order(G)
-        rows.append(("feasible", name,
-                     time_call(_kernels.chromatic_feasible, eu, ev, G.vertex_count, k)))
+        rows.append(("feasible", name, _kernels.chromatic_feasible,
+                     (eu, ev, G.vertex_count, k), 1))
+    return rows
 
 
 SMALL_CASES = [("petersen (n=10)", petersen()),
@@ -79,32 +93,26 @@ DENSE_CASES = [(f"random n={n} m={m}", random_multigraph(n, m, n))
 # the two scans either side of the cutoff
 CUTOFF_CASES = [(f"random n={n} m={3 * n}", random_multigraph(n, 3 * n, n))
                 for n in (10, 11)]
-SCAN_CALLS = 200
 
 
-def repeat_call(fn, *args):
-    for _ in range(SCAN_CALLS):
-        fn(*args)
-
-
-def bench_density(rows):
-    for name, G in SMALL_CASES + DENSE_CASES:
-        rows.append(("density", name,
-                     time_call(_kernels.density_scan, G.pair_counts(), G.vertex_count)))
+def density_rows():
+    rows = [("density", name, _kernels.density_scan, (G.pair_counts(), G.vertex_count), 1)
+            for name, G in SMALL_CASES + DENSE_CASES]
     for name, G in CUTOFF_CASES:
         for scan, fn in (("plain", _kernels._plain_density_scan),
                          ("numpy", _kernels._numpy_density_scan)):
-            seconds = time_call(repeat_call, fn, G.pair_counts(), G.vertex_count)
-            rows.append(("density", f"{scan} {name}", seconds / SCAN_CALLS))
+            rows.append(("density", f"{scan} {name}", fn,
+                         (G.pair_counts(), G.vertex_count), SCAN_CALLS))
+    return rows
 
 
 # dense_multi's seed-1 instance dense[183]: m = 1,487, Delta = 263
 CHAIN_CASE = ("random n=12 m=1487 (chains)", random_multigraph(12, 1487, 516579138))
 
 
-def bench_extend(rows):
-    for name, G in DENSE_CASES + [CHAIN_CASE]:
-        rows.append(("extend", name, time_call(color_at_k, G, G.max_degree())))
+def extend_rows():
+    return [("extend", name, color_at_k, (G, G.max_degree()), 1)
+            for name, G in DENSE_CASES + [CHAIN_CASE]]
 
 
 # whole (1, 2)-components: alternating paths in walk order, and a 2-cycle
@@ -113,11 +121,12 @@ FLIP_CASES = [(f"path of {length} edge{'s' * (length > 1)}",
               for length in (1, 4, 12)] + [("2-cycle", Multigraph.build(2, [(0, 1), (0, 1)]))]
 
 
-def bench_interchange(rows):
-    for name, G in FLIP_CASES:
-        pc = PartialColoring(G, 2, {e: 1 + e % 2 for e in G.edge_ids})
-        seconds = time_call(repeat_call, interchange, pc, list(G.edge_ids), 1, 2)
-        rows.append(("interchange", name, seconds / SCAN_CALLS))
+def interchange_rows():
+    # an even number of calls per timing leaves each coloring as it was
+    return [("interchange", name, interchange,
+             (PartialColoring(G, 2, {e: 1 + e % 2 for e in G.edge_ids}),
+              list(G.edge_ids), 1, 2), SCAN_CALLS)
+            for name, G in FLIP_CASES]
 
 
 # odd multi-rings above the density scan's vertex cap, one color short
@@ -125,9 +134,8 @@ CLOSURE_CASES = [("ring(1001,7) k=14", ring(1001, 7), 14),
                  ("ring(2001,3) k=6", ring(2001, 3), 6)]
 
 
-def bench_closure(rows):
-    for name, G, k in CLOSURE_CASES:
-        rows.append(("closure", name, time_call(color_at_k, G, k, repeat=3)))
+def closure_rows():
+    return [("closure", name, color_at_k, (G, k), 1) for name, G, k in CLOSURE_CASES]
 
 
 GENERATE_CASES = [(5, 10), (5, 12), (6, 10)]
@@ -138,29 +146,43 @@ def build_corpus(n_max, m_max):
         pass
 
 
-def bench_generate(rows):
-    for n_max, m_max in GENERATE_CASES:
-        seconds = time_call(build_corpus, n_max, m_max, repeat=3)
-        tracemalloc.start()
-        build_corpus(n_max, m_max)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        rows.append(("generate", f"exhaustive_connected({n_max}, {m_max})",
-                     seconds, peak))
+def dense_multi_graphs():
+    """random_multigraph at the sizes of colorbench's dense_multi: n cycling
+    through 12, 14 and 16, m evenly spaced from 200 to 1600."""
+    return [random_multigraph((12, 14, 16)[i % 3], 200 + 1400 * i // 199, i)
+            for i in range(200)]
+
+
+MULTIGRAPH_CASES = [("random_multigraph x200 (dense_multi)", dense_multi_graphs, ()),
+                    ("ring(100001, 7)", ring, (100001, 7))]
+
+
+def generate_rows():
+    return [("generate", f"exhaustive_connected({n_max}, {m_max})", build_corpus,
+             (n_max, m_max), 1) for n_max, m_max in GENERATE_CASES] \
+        + [("generate", name, fn, args, 1) for name, fn, args in MULTIGRAPH_CASES]
+
+
+def traced_peak(fn, args):
+    tracemalloc.start()
+    fn(*args)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
 
 
 def main():
-    rows = []
-    bench_feasible(rows)
-    bench_density(rows)
-    bench_extend(rows)
-    bench_interchange(rows)
-    bench_closure(rows)
-    bench_generate(rows)
+    rows = (feasible_rows() + density_rows() + extend_rows() + interchange_rows()
+            + closure_rows() + generate_rows())
+    best = [float("inf")] * len(rows)
+    for _ in range(ROUNDS):
+        for i, (_, _, fn, args, calls) in enumerate(rows):
+            best[i] = min(best[i], time_calls(fn, args, calls))
     width = max(len(r[1]) for r in rows)
     print(f"{'kernel':<12} {'case':<{width}} {'time (ms)':>12} {'peak (MB)':>10}")
-    for kernel, name, seconds, *peak in rows:
-        mb = f"{peak[0] / 2**20:10.2f}" if peak else f"{'-':>10}"
+    for (kernel, name, fn, args, _), seconds in zip(rows, best):
+        mb = (f"{traced_peak(fn, args) / 2**20:10.2f}" if kernel == "generate"
+              else f"{'-':>10}")
         print(f"{kernel:<12} {name:<{width}} {seconds * 1e3:12.6f} {mb}")
 
 

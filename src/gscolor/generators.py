@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations, islice, permutations
+from itertools import combinations, compress, islice, permutations, repeat
 
-from .graph import MAX_GEN_EDGES, MAX_PARSE_VERTICES, Multigraph, decimal_int
+from .graph import MAX_GEN_EDGES, MAX_PARSE_VERTICES, Multigraph, decimal_int, joins_all
 
 
 def petersen() -> Multigraph:
@@ -21,15 +21,16 @@ def shannon_triangle(mu: int) -> Multigraph:
     """Triangle with every pair joined by mu parallel edges; chi' = 3*mu."""
     if mu < 1:
         raise ValueError("mu must be positive")
-    pairs = [(u, v) for (u, v) in ((0, 1), (0, 2), (1, 2)) for _ in range(mu)]
+    pairs = [pair for pair in ((0, 1), (0, 2), (1, 2)) for _ in range(mu)]
     return Multigraph.build(3, pairs)
 
 
 def ring(n: int, mu: int = 1) -> Multigraph:
-    """Cycle on n vertices with mu parallel edges per cycle edge."""
+    """Cycle on n vertices with mu parallel edges per cycle edge; the mu
+    edges of a cycle pair share one endpoint tuple."""
     if n < 3 or mu < 1:
         raise ValueError("ring needs n >= 3 and mu >= 1")
-    pairs = [(i, (i + 1) % n) for i in range(n) for _ in range(mu)]
+    pairs = [pair for i in range(n) for pair in repeat((i, (i + 1) % n), mu)]
     return Multigraph.build(n, pairs)
 
 
@@ -44,15 +45,23 @@ def _nth_pair(n: int, i: int) -> tuple:
 
 def random_multigraph(n: int, m: int, seed: int, *, mu_max: int | None = None) -> Multigraph:
     """Uniform random endpoint pairs, optionally capped per-pair; deterministic.
-    Uncapped, no pair list is built, so the cost is O(n + m) whatever n is."""
+    Every edge drawn from the pair list is that list's tuple, so parallel
+    edges share one. Uncapped, the list is built only when it has at most m
+    pairs; with more, each drawn index is turned into its pair, so the cost
+    is O(n + m) whatever n is."""
     if m < 0:
         raise ValueError(f"edge count must be non-negative, got {m}")
     if n < 2 and m > 0:
         raise ValueError("need at least two vertices to place an edge")
     rng = random.Random(seed)
     if mu_max is None:
-        # choice draws the same index from a range as from the pair list
-        indices = range(n * (n - 1) // 2)
+        # choice draws the same index from a range as from the pair list, so
+        # the range stands in for a list that would outnumber the edges
+        count = n * (n - 1) // 2
+        if count <= m:
+            return Multigraph.build(
+                n, map(rng.choice, repeat(list(combinations(range(n), 2)), m)))
+        indices = range(count)
         return Multigraph.build(n, (_nth_pair(n, rng.choice(indices)) for _ in range(m)))
     # the pairs below the cap, in order: each draw sees what a full filter gives
     avail = list(combinations(range(n), 2)) if mu_max > 0 else []
@@ -171,11 +180,10 @@ def exhaustive_connected(n_max: int, m_max: int):
     for n in range(2, n_top + 1):
         pairs = list(combinations(range(n), 2))
         for vec in _canonical_survivors(n, m_max, pairs):
-            # survivors are least: if a vertex is isolated, vertex 0 is (its pairs lead)
-            if any(vec[:n - 1]):
-                G = Multigraph.build(n, [pr for pr, c in zip(pairs, vec) for _ in range(c)])
-                if G.is_connected():
-                    yield G
+            # survivors are least: if a vertex is isolated, vertex 0 is (its
+            # pairs lead); else the joined pairs, once each, decide connectivity
+            if any(vec[:n - 1]) and joins_all(n, compress(pairs, vec)):
+                yield Multigraph.build(n, [pr for pr, c in zip(pairs, vec) for _ in range(c)])
 
 
 # name -> (builder, fewest and most integer arguments, its edge count)

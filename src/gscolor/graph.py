@@ -25,8 +25,12 @@ class Multigraph:
     parallel edges stay distinguishable by position. Self-loops are
     rejected at construction. The graph stores its endpoint pairs and its
     vertex degrees, nothing per vertex beyond that: `edges_at(v)` is one
-    pass over the edges. Instances are immutable once built and safe to
-    share; all mutation in this package happens on colorings.
+    pass over the edges. A pair given as a plain tuple is kept as that
+    object, and any other pair (a list, a NamedTuple) as a new plain
+    tuple, so a caller that passes one tuple for every parallel edge of a
+    vertex pair has the graph store the pair once. Instances are immutable
+    once built and safe to share; all mutation in this package happens on
+    colorings.
     """
 
     __slots__ = ("vertex_count", "_ends", "_degrees")
@@ -38,12 +42,13 @@ class Multigraph:
         self.vertex_count = vertex_count
         ends = []
         degrees = [0] * vertex_count
-        for eid, (u, v) in enumerate(endpoint_pairs):
+        for eid, pair in enumerate(endpoint_pairs):
+            u, v = pair
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge {eid}: endpoint out of range: ({u}, {v})")
             if u == v:
                 raise ValueError(f"edge {eid}: self-loop at vertex {u}")
-            ends.append((u, v))
+            ends.append(pair if type(pair) is tuple else (u, v))
             degrees[u] += 1
             degrees[v] += 1
         self._ends = tuple(ends)
@@ -108,18 +113,7 @@ class Multigraph:
 
     def is_connected(self) -> bool:
         """True for the empty graph and any graph whose vertices form one component."""
-        parent = list(range(self.vertex_count))
-        components = self.vertex_count
-        for u, v in self._ends:
-            # walk both ends to their roots, halving the paths on the way
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u != v:
-                parent[u] = v
-                components -= 1
-        return components <= 1
+        return joins_all(self.vertex_count, self._ends)
 
     def __eq__(self, other):
         if not isinstance(other, Multigraph):
@@ -129,6 +123,23 @@ class Multigraph:
 
     def __repr__(self):
         return f"Multigraph(n={self.vertex_count}, m={self.m})"
+
+
+def joins_all(vertex_count: int, pairs) -> bool:
+    """True when the (u, v) pairs leave vertices 0..vertex_count-1 in at most
+    one component; one union-find pass over the pairs."""
+    parent = list(range(vertex_count))
+    components = vertex_count
+    for u, v in pairs:
+        # walk both ends to their roots, halving the paths on the way
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            components -= 1
+    return components <= 1
 
 
 # -- text edge-list format -------------------------------------------------

@@ -56,12 +56,13 @@ def test_random_generator_respects_mu_cap():
 
 @pytest.mark.parametrize("mu_max", [None, 0, 1, 2, 4])
 def test_random_generator_matches_the_full_filter(mu_max):
-    """Keeping one list of open pairs, or with no cap drawing pair indices
-    and building no list, gives the same graphs as filtering every pair
-    before each edge, "no room" errors included."""
+    """Keeping one list of open pairs, or with no cap drawing from the pair
+    list when it has at most m pairs and drawing pair indices when it has
+    more, gives the same graphs as filtering every pair before each edge,
+    "no room" errors included."""
     sizes = [*range(0, 7), *([12, 16, 100] if mu_max is None else [])]
     for n in sizes:
-        for m in (0, 1, 3, 8, 15, 31):
+        for m in (0, 1, 3, 8, 15, 31, 200):
             for seed in range(4):
                 try:
                     want = reference_random_multigraph(n, m, seed, mu_max)
@@ -70,6 +71,18 @@ def test_random_generator_matches_the_full_filter(mu_max):
                         random_multigraph(n, m, seed, mu_max=mu_max)
                     continue
                 assert random_multigraph(n, m, seed, mu_max=mu_max) == want
+
+
+def test_parallel_edges_of_generated_graphs_share_one_tuple():
+    """Each generator that repeats a vertex pair passes one tuple for it, so
+    the graph holds as many endpoint tuples as it has joined pairs."""
+    graphs = [random_multigraph(12, 600, 3), random_multigraph(6, 15, 2),
+              random_multigraph(5, 40, 1, mu_max=10), ring(7, 3), ring(3, 1),
+              shannon_triangle(4), *exhaustive_connected(4, 6)]
+    for G in graphs:
+        assert len(set(map(id, G._ends))) == len(G.pair_counts()), G
+    G = ring(5, 4)
+    assert all(G._ends[e] is G._ends[e - e % 4] for e in G.edge_ids)
 
 
 _CORPUS_RSS = """

@@ -1,4 +1,5 @@
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,46 @@ def test_build_rejects_self_loop_with_position():
 def test_build_rejects_out_of_range_with_position():
     with pytest.raises(ValueError, match="edge 2"):
         Multigraph.build(3, [(0, 1), (1, 2), (0, 3)])
+
+
+class _Pair(NamedTuple):
+    u: int
+    v: int
+
+
+def test_build_keeps_a_callers_tuple_and_makes_other_pairs_plain_tuples():
+    """A plain tuple is stored as the object given, so one tuple passed for
+    every parallel edge is held once; a list or a NamedTuple becomes a new
+    plain tuple with the same ends."""
+    t = (0, 1)
+    G = Multigraph.build(3, [t, [1, 2], _Pair(0, 2), t, t])
+    assert G._ends[0] is t and G._ends[3] is t and G._ends[4] is t
+    assert [type(p) for p in G._ends] == [tuple] * 5
+    assert G._ends == ((0, 1), (1, 2), (0, 2), (0, 1), (0, 1))
+    assert G._degrees == (4, 4, 2)
+
+
+def _unpack_error(pair):
+    try:
+        u, v = pair
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError(f"{pair!r} unpacks")
+
+
+@pytest.mark.parametrize("pairs, error", [
+    ([(0, 1), (1, 2), (0, 3)], (ValueError, "edge 2: endpoint out of range: (0, 3)")),
+    ([(0, 1), [-1, 2]], (ValueError, "edge 1: endpoint out of range: (-1, 2)")),
+    ([(0, 1), _Pair(2, 2)], (ValueError, "edge 1: self-loop at vertex 2")),
+    ([(0, 1), (0, 1, 2)], _unpack_error((0, 1, 2))),
+    ([[0]], _unpack_error([0])),
+    ([(0, 1), 5], _unpack_error(5))])
+def test_build_errors_name_the_edge_or_are_the_unpacking_error(pairs, error):
+    """Range and self-loop errors carry the edge id; a pair of the wrong
+    arity, or no pair at all, raises what unpacking it into (u, v) raises."""
+    with pytest.raises(error[0]) as exc:
+        Multigraph.build(3, pairs)
+    assert str(exc.value) == error[1]
 
 
 @pytest.mark.parametrize("v", [-1, 3])

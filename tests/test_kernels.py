@@ -312,8 +312,8 @@ def test_dispatch_matches_loop_semantics():
 
 def test_kernel_bench_runs(capsys, monkeypatch):
     """benchmarks/kernel_bench.py keeps calling the kernels as they are; its
-    generation rows run on one small corpus here, since (6, 10) takes
-    seconds, and only they print a memory peak."""
+    exhaustive-corpus rows run on one small corpus here, since (6, 10) takes
+    seconds, and only the generation rows print a memory peak."""
     path = Path(__file__).parents[1] / "benchmarks" / "kernel_bench.py"
     spec = importlib.util.spec_from_file_location("kernel_bench", path)
     bench = importlib.util.module_from_spec(spec)
@@ -322,6 +322,8 @@ def test_kernel_bench_runs(capsys, monkeypatch):
     bench.main()
     rows = [r.split() for r in capsys.readouterr().out.splitlines()[1:]]
     assert [r[0] for r in rows] == ["feasible"] * 7 + ["density"] * 10 \
-        + ["extend"] * 4 + ["interchange"] * 4 + ["closure"] * 2 + ["generate"]
-    assert [r[-1] == "-" for r in rows] == [True] * 27 + [False]
-    assert float(rows[-1][-1]) > 0
+        + ["extend"] * 4 + ["interchange"] * 4 + ["closure"] * 2 + ["generate"] * 3
+    assert [r[1] for r in rows[-3:]] == ["exhaustive_connected(4,", "random_multigraph",
+                                         "ring(100001,"]
+    assert [r[-1] == "-" for r in rows] == [True] * 27 + [False] * 3
+    assert all(float(r[-1]) > 0 for r in rows[-3:])
