@@ -10,7 +10,9 @@ alike instead of one block of them. The `density` rows named `plain` and
 `numpy` time each of the scan's two implementations on one graph at n = 10
 and one at n = 11, either side of `_kernels.PLAIN_SCAN_VERTICES`, the vertex
 count up to which `density_scan` takes the plain one; each is the mean of
-SCAN_CALLS calls, since one call takes tens of microseconds. The `extend`
+SCAN_CALLS calls, since one call takes tens of microseconds, and so are
+the rows of `ring(13,3)` and `ring(15,3)`, the odd multi-rings whose scans
+set the latency tail of colorbench's tight_family. The `extend`
 rows time `engine.color_at_k(G, Delta)` on the dense graphs: the direct step on
 every edge, in one `coloring.direct_pass`, and `engine.extend` (whose chain
 swap colors them here) on the few edges that resist it. The last of them, a
@@ -90,6 +92,10 @@ DENSE_CASES = [(f"random n={n} m={m}", random_multigraph(n, m, n))
                for n, m in ((12, 600), (14, 1000), (16, 1600))]
 
 
+# the odd multi-rings behind tight_family's slowest instances
+RING_CASES = [(f"ring({n},3)", ring(n, 3)) for n in (13, 15)]
+
+
 # the two scans either side of the cutoff
 CUTOFF_CASES = [(f"random n={n} m={3 * n}", random_multigraph(n, 3 * n, n))
                 for n in (10, 11)]
@@ -98,6 +104,8 @@ CUTOFF_CASES = [(f"random n={n} m={3 * n}", random_multigraph(n, 3 * n, n))
 def density_rows():
     rows = [("density", name, _kernels.density_scan, (G.pair_counts(), G.vertex_count), 1)
             for name, G in SMALL_CASES + DENSE_CASES]
+    rows += [("density", name, _kernels.density_scan, (G.pair_counts(), G.vertex_count),
+              SCAN_CALLS) for name, G in RING_CASES]
     for name, G in CUTOFF_CASES:
         for scan, fn in (("plain", _kernels._plain_density_scan),
                          ("numpy", _kernels._numpy_density_scan)):

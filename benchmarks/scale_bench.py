@@ -25,8 +25,15 @@ the seconds of that call, microseconds per edge, the process's resident set
 once the graph is built and before `color_at_k` starts (`graph_MB`, `VmRSS`
 from /proc/self/status, interpreter and imports included), and its peak
 resident set (`peak_MB`, `VmHWM`, so it includes the graph), both in MB.
-Their difference is what coloring adds. A fresh process per row keeps one
-row's peak out of the next's:
+Their difference is what coloring adds. Both columns also move by whole
+allocator arenas with the code layout of the imported modules, not only
+with the data: at 10^4, a copy whose only edit was an unused function
+added to `graph.py` read the `random` row about 0.3 MB higher in graph_MB
+and 0.7 MB higher in peak_MB, while `tracemalloc` read the same graph and
+coloring. So they cannot resolve sub-megabyte differences between two
+trees; the `generate` rows of `benchmarks/kernel_bench.py` give traced
+peaks (`tracemalloc`) for that. A fresh process per row keeps one row's
+peak out of the next's:
 
     python3 benchmarks/scale_bench.py [N ...]
 

@@ -5,14 +5,15 @@ The backtracking search runs on plain-python bitmasks (backtracking does
 not vectorize). The density scan has two exact implementations, chosen by
 vertex count inside `density_scan`: plain python up to PLAIN_SCAN_VERTICES
 (10) vertices, vectorized numpy above. `benchmarks/kernel_bench.py` times
-both at n = 10 and 11, and numpy is faster at each: 27 us against the
-plain scan's 43 us at n = 10, 37 us against 94 us at n = 11 (one run, a
-2-core VM, Python 3.11). The plain scan still takes n = 10, because a
-process that imports numpy pays about 150 ms for it, the cost of some
-three thousand plain scans: so `color` and `report` on Petersen, or on any
-graph of at most 10 vertices, run in a fresh process without numpy. numpy
-is imported by the numpy scan's functions when they run, so importing this
-module, the search and a scan of at most 10 vertices load no numpy.
+both at n = 10 and 11, and numpy is faster at each: 17 us against the
+plain scan's 44 us at n = 10, 18 us against 77 us at n = 11 (median of
+three runs, a 2-core VM, Python 3.11, numpy 2.4). The plain scan still
+takes n = 10, because a process that imports numpy pays about 150 ms for
+it, the cost of some three thousand plain scans: so `color` and `report`
+on Petersen, or on any graph of at most 10 vertices, run in a fresh
+process without numpy. numpy is imported by the numpy scan's functions
+when they run, so importing this module, the search and a scan of at most
+10 vertices load no numpy.
 
 The backtracking search (`colorings`) yields every proper coloring it
 reaches, in lexicographic order over colorings whose colors first appear in
@@ -40,30 +41,41 @@ compared by integer cross-multiplication.
 
 The numpy scan splits the vertices into a low half L (the n // 2
 lowest) and a high half H, and writes each subset as U = A | B with A in L
-and B in H. Then |E(U)| = E_L[A] + E_H[B] + X[A, B], where E_L and E_H count
-the (weighted) edges inside each half and X = S_L W_LH S_H^T counts the edges
-between them: S_L and S_H are the 0/1 subset-membership matrices of the
-halves and W_LH holds the multiplicity of each pair across. The matrices
-have 2^(n/2) rows, not 2^n, and are cached per n. The multiplicities come
-in as a mapping from each joined vertex pair (u < v) to its count, which is
-written straight into the upper triangle of the n x n weight matrix. The
+and B in H, so that its mask is B << lo | A. U is odd exactly when |A| and
+|B| differ in parity, so the scan computes two blocks: rows B with |B| even
+by columns A with |A| odd, then |B| odd by |A| even, rows and columns each
+ascending, so that row-major order is ascending mask order. |E(U)| is
+E_L[A] + E_H[B] + X[A, B]: the (weighted) edges inside each half and those
+between them. A half gives a subset a 0/1 feature per vertex and per vertex
+pair that it holds, and a constant 1. The multiplicities fill a weight core
+that maps B's features to (B's edges to each vertex of L, E_H[B], 1) and
+A's to (A's vertices, 1, E_L[A]); one product of the two gives a block's
+counts. The feature tables have 2^(n/2 - 1) rows, not 2^n, and are cached
+per n, with the cell of the core that each vertex pair (u < v) fills. The
 products run in float64, so numpy hands them to BLAS (its int64 matmul is
 a plain loop).
 
 Both scans take only what `density_scan` lets through: 3 to 62 vertices and
 multiplicities that sum to at least 1 and below 2^40. No graph nears that
 sum, its edge count m: `--gen` caps m at 2^22, and 2^40 edges would take
-some 10^14 bytes. Below it the numpy scan is exact. Every subset count, and
-every partial sum BLAS forms, is an integer below 2^40, exact in float64 in
-any order. Each ratio cnt / den < 2^39 rounds by at most 2^-14, and unequal
-ones (even denominators up to 60) differ by at least 1 / 3480 > 2^-13, so
-`argmax` keeps their order and takes the first, lowest, best mask, as the
-plain scan does. Some odd set holds an edge (its pair and any third vertex),
-so neither scan finds a best count of 0.
+some 10^14 bytes. Below it the numpy scan is exact. In each product it
+forms, one factor is 0 or 1 and the other 1 or a sum of multiplicities, so
+every count, and every partial sum BLAS forms, is an integer below 2^40,
+exact in float64 in any order. A block divides each count by |U| - 1,
+and that of a singleton (the only |U| < 3 it holds, count 0) by 1. Each
+ratio cnt / den < 2^39 rounds by at most 2^-14, equal ones alike, and
+unequal ones (even denominators up to 60) differ by at least 1 / 3480 >
+2^-13, so `argmax` keeps their order and takes the block's first, lowest,
+best mask, whose count is then recomputed from its row of each factor,
+exact by the same argument. The blocks' bests are compared by integer
+cross-multiplication, a tie going to the lower mask, as the plain scan
+compares its size classes. Some odd set holds an edge (its pair and any
+third vertex), so neither scan finds a best count of 0.
 """
 
 import functools
 import sys
+from itertools import combinations, count
 from operator import itemgetter
 
 # No JIT path; kept because colorbench records it in every run.
@@ -126,56 +138,52 @@ def colorings(eu, ev, prev, n, k):
 
 
 # --------------------------------------------------------------------------
-# best odd subset: maximize 2*|E(U)| / (|U|-1) over odd |U| >= 3, with the
-# multiplicity of each vertex pair (u, v), u < v, as W's upper triangle
-
-def _subset_edge_counts(pair_counts, n):
-    """|E(U)| for every vertex mask U, indexed by the mask."""
-    # the half-split identity of the module docstring, in float64 that holds
-    # every integer count exactly
-    import numpy as np
-    lo = n // 2
-    s_lo, s_hi, s_lo_t, _, _ = _half_split_tables(n)
-    ends = np.array(list(pair_counts), np.int64).reshape(-1, 2)
-    pair_w = np.zeros((n, n))
-    pair_w[ends[:, 0], ends[:, 1]] = list(pair_counts.values())
-    e_lo = ((s_lo @ pair_w[:lo, :lo]) * s_lo).sum(axis=1)
-    e_hi = ((s_hi @ pair_w[lo:, lo:]) * s_hi).sum(axis=1)
-    counts = (s_hi @ pair_w[:lo, lo:].T) @ s_lo_t
-    # in place: a fresh 2^n table per addition costs more than the products
-    counts += e_hi[:, None]
-    counts += e_lo[None, :]
-    # row B, column A: the flat index B << lo | A is the subset mask
-    return counts.ravel()
-
+# best odd subset: maximize 2*|E(U)| / (|U|-1) over odd |U| >= 3
 
 @functools.lru_cache(maxsize=None)
-def _half_split_tables(n):
-    """Subset-membership matrices of both halves as float64, the low half's
-    transpose as its own C-contiguous table (a product with the transposed
-    view is about ten times slower), odd subset masks, |U|-1.
-
-    Built at the first scan of each n and shared read-only afterwards.
-    """
+def _parity_blocks(n):
+    """The numpy scan's tables at n (module docstring), both parity blocks
+    in each: B's features (block, row, feature), A's (block, feature,
+    column), |U| - 1 (1 for a singleton), each block's masks B and A, the
+    weight core with every weight 0 (H's part, then L's transposed, flat)
+    and each vertex pair's (u < v) index in it. Built at the first scan of
+    each n and shared read-only afterwards."""
     import numpy as np
     lo = n // 2
-    s_lo = _membership(lo)
-    s_hi = _membership(n - lo)
-    size = (s_hi.sum(axis=1)[:, None] + s_lo.sum(axis=1)[None, :]).ravel()
-    odd = np.flatnonzero((size >= 3) & (size % 2 == 1))
-    den = size[odd] - 1
-    s_lo, s_hi = s_lo.astype(np.float64), s_hi.astype(np.float64)
-    s_lo_t = np.ascontiguousarray(s_lo.T)
-    for table in (s_lo, s_hi, s_lo_t, odd, den):
+    halves = []
+    for bits, odd_first in ((n - lo, 0), (lo, 1)):
+        # B's subsets with |B| even, then odd, and A's odd, then even, so
+        # that block k pairs the k-th of each; each part ascending
+        masks = sorted(range(1 << bits), key=lambda m: (m.bit_count() + odd_first) % 2)
+        # feature j of a subset is 1 when it holds every vertex of pattern j
+        patterns = [1 << u for u in range(bits)]
+        patterns += [a | b for a, b in combinations(patterns, 2)] + [0]
+        by_block = np.array(masks).reshape(2, -1)
+        halves.append((by_block, np.array(patterns), by_block.tolist()))
+    (b, b_patterns, b_masks), (a, a_patterns, a_masks) = halves
+    rows = ((b[:, :, None] & b_patterns) == b_patterns).astype(float)
+    cols = ((a[:, None] & a_patterns[:, None]) == a_patterns[:, None]).astype(float)
+    size_b, size_a = rows[:, :, :n - lo].sum(axis=2), cols[:, :lo].sum(axis=1)
+    den = np.maximum(size_b[:, :, None] + size_a[:, None] - 1, 1.0)
+    f_hi, f_lo, width = len(b_patterns), len(a_patterns), lo + 2
+    split = f_hi * width
+    core = np.zeros(split + width * f_lo)
+    # the ones: H's empty pattern to column lo + 1, L's vertices to
+    # themselves, L's empty pattern to row lo
+    core.put([split - 1, split + (lo + 1) * f_lo - 1]
+             + [split + u * (f_lo + 1) for u in range(lo)], 1)
+    # combinations lists each half's pairs in the order of its pair features
+    slot, low_pairs, high_pairs = {}, count(lo), count(n - lo)
+    for u, v in combinations(range(n), 2):
+        if v < lo:      # E_L: row lo + 1 of L's part, the pair's feature
+            slot[u, v] = split + (lo + 1) * f_lo + next(low_pairs)
+        elif u >= lo:   # E_H: the pair's feature row of H's part, column lo
+            slot[u, v] = next(high_pairs) * width + lo
+        else:           # across: v's feature row of H's part, column u
+            slot[u, v] = (v - lo) * width + u
+    for table in (rows, cols, den, core):
         table.flags.writeable = False
-    return s_lo, s_hi, s_lo_t, odd, den
-
-
-def _membership(bits):
-    """The 2^bits x bits 0/1 matrix whose row a holds the bits of a."""
-    import numpy as np
-    return (np.arange(1 << bits, dtype=np.int64)[:, None]
-            >> np.arange(bits, dtype=np.int64)) & 1
+    return rows, cols, den, b_masks, a_masks, core, slot
 
 
 def chromatic_feasible(eu, ev, n: int, k: int):
@@ -284,10 +292,27 @@ def _read_one(mask, counts):
 
 
 def _numpy_density_scan(pair_counts, n):
-    """density_scan by the half-split products, on its domain."""
-    _, _, _, odd, den = _half_split_tables(n)
-    cnt = _subset_edge_counts(pair_counts, n)[odd]
-    # exact on density_scan's domain, and argmax takes the first best mask
-    # in ascending mask order: see the module docstring
-    i = int((cnt / den).argmax())
-    return int(cnt[i]), int(den[i] + 1), int(odd[i])
+    """density_scan on the half split's two parity blocks, on its domain."""
+    import numpy as np
+    rows, cols, den, b_masks, a_masks, core, slot = _parity_blocks(n)
+    core, pairs = core.copy(), len(pair_counts)
+    core.put(np.fromiter(map(slot.__getitem__, pair_counts), np.intp, pairs),
+             np.fromiter(pair_counts.values(), float, pairs))
+    width = n // 2 + 2
+    split = rows.shape[2] * width
+    left = rows @ core[:split].reshape(-1, width)
+    right = core[split:].reshape(width, -1) @ cols
+    ratio = left @ right
+    # exact, and the first best mask of each block: see the module docstring;
+    # in place, since a second table costs more than recomputing two counts
+    firsts = np.divide(ratio, den, out=ratio).reshape(2, -1).argmax(axis=1).tolist()
+    best_cnt, best_den, best_mask = 0, 1, 0
+    for block, first in enumerate(firsts):
+        row, col = divmod(first, ratio.shape[2])
+        c, d = int(left[block, row] @ right[block, :, col]), int(den[block, row, col])
+        mask = b_masks[block][row] << n // 2 | a_masks[block][col]
+        # a tie goes to the lower mask; a block whose best count is 0 loses
+        lhs, rhs = c * best_den, best_cnt * d
+        if lhs > rhs or lhs == rhs and mask < best_mask:
+            best_cnt, best_den, best_mask = c, d, mask
+    return best_cnt, best_den + 1, best_mask

@@ -102,7 +102,7 @@ def certificate_check(G: Multigraph, members, k: int) -> bool:
 def oracle_edge_ids(G: Multigraph) -> list:
     """Edge ids in the exact search's order: by descending endpoint degree
     sum; the stable sort keeps ties in ascending id order."""
-    degree = [G.degree(v) for v in range(G.vertex_count)]
+    degree = G._degrees
     key = [-(degree[u] + degree[v]) for u, v in G._ends]
     return sorted(G.edge_ids, key=key.__getitem__)
 

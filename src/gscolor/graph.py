@@ -92,9 +92,13 @@ class Multigraph:
     def max_degree(self) -> int:
         return max(self._degrees, default=0)
 
-    def pair_counts(self) -> dict:
-        """Multiplicity of each joined vertex pair, keyed (u, v) with u < v."""
-        return Counter((u, v) if u < v else (v, u) for u, v in self._ends)
+    def pair_counts(self) -> Counter:
+        """Multiplicity of each joined vertex pair keyed (u, v), u < v: a
+        Counter of the stored endpoint tuples, (v, u) folded into (u, v)."""
+        counts = Counter(self._ends)
+        for u, v in [pair for pair in counts if pair[0] > pair[1]]:
+            counts[v, u] = counts.pop((u, v)) + counts.get((v, u), 0)
+        return counts
 
     # -- subset queries ----------------------------------------------------
 

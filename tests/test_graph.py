@@ -141,6 +141,20 @@ def test_pair_counts_key_each_pair_once():
         assert G.pair_counts() == want
 
 
+def test_pair_counts_folds_a_shared_tuple_and_its_reverse():
+    """One tuple object and one of its reverse, each repeated hundreds of
+    times and interleaved, count on one (u < v) key; a pair given only
+    reversed gets its (u < v) key too."""
+    fwd, rev = (2, 5), (5, 2)
+    pairs = [fwd] * 300 + [rev] * 200 + [(4, 0)] * 9 + [rev, fwd] * 50
+    G = Multigraph.build(6, pairs)
+    assert len(set(map(id, G._ends))) == 3
+    counts = G.pair_counts()
+    assert isinstance(counts, Counter)
+    assert counts == {(2, 5): 600, (0, 4): 9}
+    assert Multigraph.build(6, [rev] * 400).pair_counts() == {(2, 5): 400}
+
+
 def test_induced_edge_count(triangle, shannon2):
     assert triangle.induced_edge_count({0, 1, 2}) == 3
     assert shannon2.induced_edge_count({0, 1, 2}) == 6

@@ -180,12 +180,62 @@ def test_density_paths_agree():
 
 
 def test_density_numpy_matches_brute_force_above_the_half_split():
-    """n = 13, 15 and 16, above the sizes test_density_paths_agree covers."""
+    """Every n from 11 to 16, the numpy scan's sizes up to the density cap."""
     rng = random.Random(16)
-    for n in (13, 15, 16):
+    for n in range(11, 17):
         pairs = random_multigraph_pairs(n, 30, rng, mu_max=3)
         for G in (Multigraph.build(n, pairs), _regular(n, 2)[0]):
             _assert_density_matches_brute(G)
+
+
+def _scan_with_triangles(n, triangles, rng):
+    """density_scan on light random edges plus each triangle with every edge
+    five times; checked against the brute scan, and its mask returned."""
+    pair_counts = dict.fromkeys(rng.sample(list(combinations(range(n), 2)), n), 1)
+    for triangle in triangles:
+        pair_counts.update(dict.fromkeys(combinations(sorted(triangle), 2), 5))
+    found = _kernels.density_scan(pair_counts, n)
+    assert found == brute_density_scan(pair_counts, n)
+    return found[2]
+
+
+def test_numpy_scan_finds_the_best_set_in_either_parity_block():
+    """The numpy scan splits the vertices at lo = n // 2 and computes the
+    odd sets in two blocks by the parity of their part B above lo. A heavy
+    triangle with 0, 1, 2 or 3 vertices above lo is the first best set, and
+    the scan finds it in its block, at every n from 11 to 16."""
+    rng = random.Random(22)
+    for n in range(11, 17):
+        lo = n // 2
+        for above in range(4):
+            triangle = rng.sample(range(lo), 3 - above) + rng.sample(range(lo, n), above)
+            mask = _scan_with_triangles(n, [triangle], rng)
+            assert mask == sum(1 << v for v in triangle)
+            assert (mask >> lo).bit_count() == above
+
+
+def test_numpy_scan_breaks_a_cross_block_tie_toward_the_lower_mask():
+    """Two equally dense sets, one in each parity block: the lower mask wins
+    whichever block holds it, for two triangles and for a triangle against a
+    five-vertex set (K5 with two edges doubled, 12 edges over 4, as dense as
+    a doubled triangle's 6 over 2)."""
+    rng = random.Random(23)
+    for n in range(11, 17):
+        lo = n // 2
+        # |B| odd holds the lower mask, then |B| even does
+        for first, second in (([0, 1, lo], [2, lo + 1, lo + 2]),
+                              ([0, lo, lo + 1], [1, 2, lo + 2])):
+            assert _scan_with_triangles(n, [second, first], rng) == \
+                sum(1 << v for v in first)
+        # |B| odd holds the lower set, a five-set, then |B| even does
+        for k5, triangle in (([0, 1, 2, 3, lo], [4, lo + 1, lo + 2]),
+                             ([0, 1, 2, lo, lo + 1], [3, 4, lo + 2])):
+            pair_counts = dict.fromkeys(combinations(k5, 2), 1)
+            pair_counts.update({(0, 1): 2, (2, k5[4]): 2})
+            pair_counts.update(dict.fromkeys(combinations(triangle, 2), 2))
+            found = _kernels.density_scan(pair_counts, n)
+            assert found == brute_density_scan(pair_counts, n)
+            assert found[2] == sum(1 << v for v in k5)
 
 
 def test_density_paths_agree_under_heavy_multiplicity():
@@ -321,9 +371,9 @@ def test_kernel_bench_runs(capsys, monkeypatch):
     monkeypatch.setattr(bench, "GENERATE_CASES", [(4, 5)])
     bench.main()
     rows = [r.split() for r in capsys.readouterr().out.splitlines()[1:]]
-    assert [r[0] for r in rows] == ["feasible"] * 7 + ["density"] * 10 \
+    assert [r[0] for r in rows] == ["feasible"] * 7 + ["density"] * 12 \
         + ["extend"] * 4 + ["interchange"] * 4 + ["closure"] * 2 + ["generate"] * 3
     assert [r[1] for r in rows[-3:]] == ["exhaustive_connected(4,", "random_multigraph",
                                          "ring(100001,"]
-    assert [r[-1] == "-" for r in rows] == [True] * 27 + [False] * 3
+    assert [r[-1] == "-" for r in rows] == [True] * 29 + [False] * 3
     assert all(float(r[-1]) > 0 for r in rows[-3:])
