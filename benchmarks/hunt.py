@@ -13,18 +13,20 @@ that rebuilds its graph, and each corpus ends with one summary line:
 A CORPUS is `exhaustive:N:M`, every connected multigraph that
 `exhaustive_connected(N, M)` yields; `fat:N_MAX:SEEDS`, every graph
 `fat_regular(n, d, mu, seed)` with n 3..N_MAX, d 2..6, mu in FAT_MU and seed
-1..SEEDS that has an edge; or `WORKLOAD:SEED`, the instances of
-`colorbench.workloads.build(WORKLOAD, SEED)`; a seed other than 1 skips the
-canonical instances, which are the same for every seed. With no arguments it
-covers exhaustive_connected(6, 10) and (5, 12), seeds 1-4 of desk_corpus,
-dense_multi and tight_family, and fat:16:20. The exit status is 0 whatever
-it finds.
+1..SEEDS that has an edge; `complete:N_MAX:MU_MAX`, the complete multigraph
+`complete(n, mu)` for n 3..N_MAX and mu 1..MU_MAX; or `WORKLOAD:SEED`, the
+instances of `colorbench.workloads.build(WORKLOAD, SEED)`; a seed other than
+1 skips the canonical instances, which are the same for every seed. With no
+arguments it covers exhaustive_connected(6, 10) and (5, 12), seeds 1-4 of
+desk_corpus, dense_multi and tight_family, fat:16:20 and complete:16:5. The
+exit status is 0 whatever it finds.
 """
 
 import functools
 import random
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,7 +43,7 @@ CAPS = (ORACLE_EDGE_CAP, 0)
 DEFAULT = ("exhaustive:6:10", "exhaustive:5:12",
            *(f"{wl}:{seed}" for wl in ("desk_corpus", "dense_multi", "tight_family")
              for seed in (1, 2, 3, 4)),
-           "fat:16:20")
+           "fat:16:20", "complete:16:5")
 FAT_MU = (1, 2, 3, 4, 5, 7, 9)
 
 
@@ -53,6 +55,12 @@ def fat_regular(n: int, d: int, mu: int, seed: int) -> Multigraph:
     random.Random(seed).shuffle(stubs)
     pairs = [(a, b) for a, b in zip(stubs[::2], stubs[1::2]) if a != b]
     return Multigraph.build(n, [p for p in pairs for _ in range(mu)])
+
+
+def complete(n: int, mu: int) -> Multigraph:
+    """mu K_n: each pair of the n vertices joined by mu parallel edges,
+    which share one endpoint tuple."""
+    return Multigraph.build(n, [p for p in combinations(range(n), 2) for _ in range(mu)])
 
 
 def corpus(spec: str) -> tuple:
@@ -70,6 +78,11 @@ def corpus(spec: str) -> tuple:
         graphs = [(f"fat_regular{args}", fat_regular(*args)) for args in calls]
         return f"fat_regular(3..{n_max}, 2..6, {FAT_MU}, 1..{seeds})", \
             [(call, G) for call, G in graphs if G.m]
+    if parts[0] == "complete":
+        n_max, mu_max = map(int, parts[1:])
+        calls = [(n, mu) for n in range(3, n_max + 1) for mu in range(1, mu_max + 1)]
+        return f"complete(3..{n_max}, 1..{mu_max})", \
+            [(f"complete{args}", complete(*args)) for args in calls]
     workload, seed = parts[0], int(parts[1])
     name = f"workloads.build({workload!r}, {seed})"
     with tempfile.TemporaryDirectory() as tmp:

@@ -137,7 +137,7 @@ def _bench_instances(args):
 
 
 def _bench_row(name, G, oracle, timings):
-    """One instance's row fields (sans index)."""
+    """One instance's row fields (sans index), and its status."""
     t0 = time.perf_counter()
     rep = bound_report(G)
     try:
@@ -170,7 +170,7 @@ def _bench_row(name, G, oracle, timings):
            *counts, status]
     if timings:
         row.append(f"{time.perf_counter() - t0:.6f}")
-    return row
+    return row, status
 
 
 def cmd_bench(args) -> int:
@@ -183,8 +183,8 @@ def cmd_bench(args) -> int:
     instances = _read_graph(lambda: list(_bench_instances(args)))
     violations = 0
     for idx, (name, G) in enumerate(instances):
-        row = _bench_row(name, G, args.oracle, args.timings)
-        if row[-1 - int(args.timings)] not in ("ok", "oracle-skipped"):
+        row, status = _bench_row(name, G, args.oracle, args.timings)
+        if status not in ("ok", "oracle-skipped"):
             violations += 1
         writer.writerow([idx] + row)
     _emit(out.getvalue(), args)

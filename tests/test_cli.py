@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations, permutations
@@ -512,6 +513,15 @@ def test_cmd_bench_timings_column(capsys):
     code, out, _ = run_cli(capsys, "bench", "--gen", "petersen", "--timings")
     assert code == 0
     assert out.splitlines()[1].endswith("time_s")
+
+
+def test_cmd_bench_timings_keep_the_status_rule(capsys):
+    """The time_s column follows the status, and an incomplete row still
+    fails the run when it is there."""
+    code, out, _ = run_cli(capsys, "bench", "--gen", "ring", "9", "3", "--timings")
+    assert code == 4
+    assert re.fullmatch(r"0,ring 9 3,9,27,6,3,27/4,,,,,,,incomplete,\d+\.\d{6}",
+                        out.splitlines()[2])
 
 
 # -- round trip through the text format ---------------------------------------------

@@ -5,6 +5,7 @@ Each finding is rebuilt from its edge list, so tier-1 never regenerates the
 """
 
 import importlib.util
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,30 @@ def test_fat_finding_is_pinned(args, pairs, outcome):
     k_used, edge = outcome
     assert (exc.value.result.k_used, exc.value.edge) == (k_used, edge)
     assert k_used == bound_report(G).gs_upper and G.m > 25
+
+
+def test_complete_finding_is_pinned(monkeypatch):
+    """K_9, complete(9, 1) of hunt.py's complete corpus, ends incomplete at
+    k = 9 on edge 34, although it is simple, so Vizing's theorem gives it
+    Delta + 1 = 9 colors; with 36 edges it is above the fallback's cap, so
+    both caps end alike. The corpus is the last one the hunt runs by
+    default, and lists mu K_n by n, then mu."""
+    tool = _hunt_tool()
+    G = tool.complete(9, 1)
+    assert G == Multigraph.build(9, list(combinations(range(9), 2)))
+    assert bound_report(G).gs_upper == 9
+    for cap in (25, 0):
+        monkeypatch.setattr(engine, "ORACLE_EDGE_CAP", cap)
+        with pytest.raises(IncompleteColoringError) as exc:
+            color(G)
+        assert (exc.value.result.k_used, exc.value.edge) == (9, 34)
+    name, graphs = tool.corpus("complete:4:2")
+    assert name == "complete(3..4, 1..2)"
+    assert [call for call, _ in graphs] == [
+        "complete(3, 1)", "complete(3, 2)", "complete(4, 1)", "complete(4, 2)"]
+    assert graphs[3][1] == Multigraph.build(4, [p for p in combinations(range(4), 2)
+                                                for _ in range(2)])
+    assert tool.DEFAULT[-1] == "complete:16:5"
 
 
 def test_hunt_fat_corpus_skips_edgeless_graphs():

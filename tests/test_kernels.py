@@ -363,12 +363,14 @@ def test_dispatch_matches_loop_semantics():
 def test_kernel_bench_runs(capsys, monkeypatch):
     """benchmarks/kernel_bench.py keeps calling the kernels as they are; its
     exhaustive-corpus rows run on one small corpus here, since (6, 10) takes
-    seconds, and only the generation rows print a memory peak."""
+    seconds, each row is timed in one round, and only the generation rows
+    print a memory peak."""
     path = Path(__file__).parents[1] / "benchmarks" / "kernel_bench.py"
     spec = importlib.util.spec_from_file_location("kernel_bench", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     monkeypatch.setattr(bench, "GENERATE_CASES", [(4, 5)])
+    monkeypatch.setattr(bench, "ROUNDS", 1)
     bench.main()
     rows = [r.split() for r in capsys.readouterr().out.splitlines()[1:]]
     assert [r[0] for r in rows] == ["feasible"] * 7 + ["density"] * 12 \

@@ -443,22 +443,26 @@ SERIES_PIN = "5c4fab8430d4af877d87f559bbffb6c1af0eb0bd32fe1674ed528b796cf687d1"
 def test_series_ledgers_pinned(monkeypatch, tmp_path):
     """Every series run of seed-1 tight_family colored at each k from
     lower - 1 to gs_upper, with no exact fallback: 2,050 runs, which between
-    them take every step kind."""
-    states = []
-    original = tashkinov.build_series
+    them take every step kind. A run starts from each coloring and edge that
+    the chain step leaves uncolored, so the series is built here from those,
+    whether or not `extend` builds it."""
+    starts = []
+    original = engine.chain_step
 
-    def recording(*args, **kwargs):
-        state = original(*args, **kwargs)
-        states.append(state)
-        return state
+    def recording(pc, eid):
+        swapped = original(pc, eid)
+        if swapped is None:
+            starts.append((pc.clone(), eid))
+        return swapped
 
-    monkeypatch.setattr(tashkinov, "build_series", recording)
+    monkeypatch.setattr(engine, "chain_step", recording)
     monkeypatch.setattr(engine, "ORACLE_EDGE_CAP", 0)
     for inst in workloads.build("tight_family", 1, str(tmp_path)):
         G = inst.graph
         rep = bound_report(G)
         for k in range(rep.lower - 1, rep.gs_upper + 1):
             engine.color_at_k(G, k)
+    states = [tashkinov.build_series(pc, eid) for pc, eid in starts]
     digest = hashlib.sha256()
     for state in states:
         digest.update(state.to_ledger_json().encode())
