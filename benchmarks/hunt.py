@@ -14,12 +14,21 @@ A CORPUS is `exhaustive:N:M`, every connected multigraph that
 `exhaustive_connected(N, M)` yields; `fat:N_MAX:SEEDS`, every graph
 `fat_regular(n, d, mu, seed)` with n 3..N_MAX, d 2..6, mu in FAT_MU and seed
 1..SEEDS that has an edge; `complete:N_MAX:MU_MAX`, the complete multigraph
-`complete(n, mu)` for n 3..N_MAX and mu 1..MU_MAX; or `WORKLOAD:SEED`, the
-instances of `colorbench.workloads.build(WORKLOAD, SEED)`; a seed other than
-1 skips the canonical instances, which are the same for every seed. With no
-arguments it covers exhaustive_connected(6, 10) and (5, 12), seeds 1-4 of
-desk_corpus, dense_multi and tight_family, fat:16:20 and complete:16:5. The
-exit status is 0 whatever it finds.
+`complete(n, mu)` for n 3..N_MAX and mu 1..MU_MAX; `overfull:N_MAX:SEEDS`,
+`overfull(n, d, seed)` for odd n 9..N_MAX, d 0..(n-3)/2 and seed 1..SEEDS
+(seed 1 alone for d = 0); or `WORKLOAD:SEED`, the instances of
+`colorbench.workloads.build(WORKLOAD, SEED)`; a seed other than 1 skips the
+canonical instances, which are the same for every seed. With no arguments
+it covers exhaustive_connected(6, 10) and (5, 12), seeds 1-4 of
+desk_corpus, dense_multi and tight_family, fat:16:20, complete:16:5 and
+overfull:41:5. The exit status is 0 whatever it finds.
+
+Above DENSITY_VERTEX_CAP vertices `bound_report` refuses a graph, so there
+no Gamma is known. For a simple graph gs_upper is Delta+1 all the same (an
+odd set of s vertices has density at most s when s <= Delta+1, and below
+Delta+1 otherwise), so the hunt runs `engine.color_at_k(G, Delta+1)` at
+each cap, and a run that ends with evidence is an incomplete finding. A
+multigraph above the cap is refused with a ValueError.
 """
 
 import functools
@@ -34,8 +43,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from colorbench.workloads import build  # noqa: E402
 from gscolor import engine  # noqa: E402
-from gscolor.density import (ORACLE_EDGE_CAP, bound_report,  # noqa: E402
-                             chromatic_index_exact)
+from gscolor.density import (DENSITY_VERTEX_CAP, ORACLE_EDGE_CAP,  # noqa: E402
+                             bound_report, chromatic_index_exact)
 from gscolor.generators import exhaustive_connected  # noqa: E402
 from gscolor.graph import Multigraph  # noqa: E402
 
@@ -43,7 +52,7 @@ CAPS = (ORACLE_EDGE_CAP, 0)
 DEFAULT = ("exhaustive:6:10", "exhaustive:5:12",
            *(f"{wl}:{seed}" for wl in ("desk_corpus", "dense_multi", "tight_family")
              for seed in (1, 2, 3, 4)),
-           "fat:16:20", "complete:16:5")
+           "fat:16:20", "complete:16:5", "overfull:41:5")
 FAT_MU = (1, 2, 3, 4, 5, 7, 9)
 
 
@@ -61,6 +70,17 @@ def complete(n: int, mu: int) -> Multigraph:
     """mu K_n: each pair of the n vertices joined by mu parallel edges,
     which share one endpoint tuple."""
     return Multigraph.build(n, [p for p in combinations(range(n), 2) for _ in range(mu)])
+
+
+def overfull(n: int, d: int, seed: int) -> Multigraph:
+    """K_n minus a matching of d edges: range(n) shuffled by
+    random.Random(seed), its first 2d vertices paired consecutively. For
+    odd n and d <= (n-3)/2 the graph has more than Delta(n-1)/2 edges, so
+    chi' = Delta+1."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    gone = {tuple(sorted(p)) for p in zip(order[0:2 * d:2], order[1:2 * d:2])}
+    return Multigraph.build(n, [p for p in combinations(range(n), 2) if p not in gone])
 
 
 def corpus(spec: str) -> tuple:
@@ -83,6 +103,12 @@ def corpus(spec: str) -> tuple:
         calls = [(n, mu) for n in range(3, n_max + 1) for mu in range(1, mu_max + 1)]
         return f"complete(3..{n_max}, 1..{mu_max})", \
             [(f"complete{args}", complete(*args)) for args in calls]
+    if parts[0] == "overfull":
+        n_max, seeds = map(int, parts[1:])
+        calls = [(n, d, seed) for n in range(9, n_max + 1, 2) for d in range((n - 1) // 2)
+                 for seed in range(1, (seeds if d else 1) + 1)]
+        return f"overfull(9..{n_max} odd, 0..(n-3)/2, 1..{seeds})", \
+            [(f"overfull{args}", overfull(*args)) for args in calls]
     workload, seed = parts[0], int(parts[1])
     name = f"workloads.build({workload!r}, {seed})"
     with tempfile.TemporaryDirectory() as tmp:
@@ -108,18 +134,34 @@ def findings(G, rep, chi) -> list:
     return out
 
 
+def simple_findings(G) -> list:
+    """[(kind, text)] for one `color_at_k(G, Delta+1)` run at the current
+    cap, on a simple graph above the density scan's cap."""
+    k = G.max_degree() + 1
+    evidence = engine.color_at_k(G, k)[2]
+    if evidence is None:
+        return []
+    return [("incomplete", f"incomplete at k={k}, edge {evidence.tree.root_edge}")]
+
+
 def hunt(name: str, graphs) -> str:
     """Color every graph at each cap, print each finding, and return the
     corpus' summary line."""
     counts = {cap: dict.fromkeys(("incomplete", "above_gs", "above_chi"), 0)
               for cap in CAPS}
     for call, G in graphs:
-        rep = bound_report(G)
-        chi = functools.cache(functools.partial(chromatic_index_exact, G))
+        if G.vertex_count <= DENSITY_VERTEX_CAP:
+            chi = functools.cache(functools.partial(chromatic_index_exact, G))
+            run = functools.partial(findings, G, bound_report(G), chi)
+        elif max(G.pair_counts().values(), default=1) == 1:
+            run = functools.partial(simple_findings, G)
+        else:
+            raise ValueError(f"{call}: a multigraph above {DENSITY_VERTEX_CAP} "
+                             "vertices has no bound to hunt against")
         for cap in CAPS:
             engine.ORACLE_EDGE_CAP = cap
             try:
-                found = findings(G, rep, chi)
+                found = run()
             finally:
                 engine.ORACLE_EDGE_CAP = ORACLE_EDGE_CAP
             for kind, text in found:

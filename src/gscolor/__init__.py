@@ -12,7 +12,7 @@ on every access and never stored here.
 import sys
 
 _PUBLIC = {
-    "coloring": "KempeChain PartialColoring kempe_chain kempe_swap swap_outside validate",
+    "coloring": "KempeChain PartialColoring kempe_chain kempe_swap validate",
     "density": "BoundReport DensityCertificate bound_report certificate_check "
                "chromatic_index_exact",
     "engine": "ColoringResult FailureEvidence IncompleteColoringError color "

@@ -424,28 +424,3 @@ def kempe_swap(pc: PartialColoring, chain: KempeChain) -> PartialColoring:
     out = pc.clone()
     interchange(out, current.edges, a, b)
     return out
-
-
-def swap_outside(pc: PartialColoring, members, alpha: int, beta: int) -> PartialColoring:
-    """Interchange alpha and beta on every edge disjoint from `members`, in
-    a clone; edges meeting the set are untouched, so its missing sets stay.
-
-    The colors must be two of 1..k, and neither may be on the boundary of
-    `members`: the first such edge of one ascending pass over the edges is a
-    ValueError, before pc is cloned. So the alpha/beta edges outside form
-    whole components, and `interchange` flips them.
-    """
-    if alpha == beta or not all(type(c) is int and 1 <= c <= pc.k for c in (alpha, beta)):
-        raise ValueError(f"colors {alpha} and {beta} are not two of 1..{pc.k}")
-    inside = frozenset(members)
-    flips = []
-    for eid, (u, v) in enumerate(pc.graph._ends):
-        c = pc.color_of(eid)
-        if c in (alpha, beta):
-            if (u in inside) != (v in inside):
-                raise ValueError(f"color {c} on boundary edge {eid}")
-            if u not in inside:
-                flips.append(eid)
-    out = pc.clone()
-    interchange(out, flips, alpha, beta)
-    return out

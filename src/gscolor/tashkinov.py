@@ -2,14 +2,16 @@
 
 The series alternates three augmentation kinds over a growing closed tree:
 revisiting (RE) re-enters through a two-colored cycle, series (SE) absorbs a
-defective boundary edge whose far end stays color-disjoint from the tree, and
-parallel (PE) recolors a one-edge exit path at a supporting vertex before
-reclosing. A ledger of connecting colors/edges is kept per step and checked
-against the structural invariants after every iteration. `build_series`
-runs the series to the end, a strongly closed tree or a stuck step; the
-coloring driver calls it once per resisting edge, for its certificate only
-(a strongly closed, elementary final tree), and takes no coloring from it.
-The `engine` module docstring says when such a certificate can arise.
+defective boundary edge whose far end stays color-disjoint from the tree,
+and parallel (PE) recolors a one-edge exit path at a supporting vertex
+before reclosing. PE makes its Kempe changes as the chain step does, with
+`coloring.interchange` on one clone. A ledger of connecting colors/edges is
+kept per step and checked against the structural invariants after every
+iteration. `build_series` runs the series to the end, a strongly closed tree
+or a stuck step; `engine.extend` calls it once per resisting edge, for its
+certificate only (a strongly closed, elementary final tree), and takes no
+coloring from it. The `engine` module docstring says when such a certificate
+can arise.
 
 The paper quantifies each step over all colorings stable for the current
 tree. The series steps on the coloring it is given, which is one of them: the
@@ -25,8 +27,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .coloring import (PartialColoring, kempe_chain, kempe_swap, mask_colors,
-                       swap_outside)
+from .coloring import PartialColoring, alternating_path, interchange, mask_colors
 from .graph import Multigraph
 
 
@@ -363,18 +364,18 @@ def series_step(state: SeriesState) -> StepOutcome:
         else:
             alpha = min(hit)
             gamma_n = _pick_gamma(state, phi, v_n)
-            pi_prime = (phi if alpha == gamma_n
-                        else swap_outside(phi, t_n.vertex_set, alpha, gamma_n))
             # alpha and gamma_n are missing in the closed tree, so on no
-            # boundary edge, and delta_n is neither; after the swap u_n and
-            # v_n both miss gamma_n, so this chain is f_n alone
-            path = kempe_chain(pi_prime, v_n, gamma_n, delta_n)
-            if (path.kind != "path" or set(path.edges) != {f_n}
-                    or len(set(path.vertices) & t_n.vertex_set) != 1):
+            # boundary edge: their edges outside it are whole components; once
+            # flipped, u_n and v_n both miss gamma_n, so the exit path is f_n
+            phi_n = phi.clone()
+            if alpha != gamma_n:
+                interchange(phi_n, [e for e, c in phi._color.items() if c in (alpha, gamma_n)
+                                    and G._ends[e][0] not in t_n.vertex_set], alpha, gamma_n)
+            if not (phi_n.missing_mask(u_n) & phi_n.missing_mask(v_n)) >> gamma_n & 1:
                 raise SeriesInvariantError(
                     "PE: constructed exit path is not the single connecting edge\n"
                     + state.to_ledger_json())
-            phi_n = kempe_swap(pi_prime, path)
+            interchange(phi_n, (f_n,), gamma_n, delta_n)
             r_tree = taa_close(phi_n, t_n.segment_to(v_n))
             row = SeriesTuple(
                 tree=taa_close(phi_n, _join(t_n, r_tree)), coloring=phi_n,
@@ -402,26 +403,24 @@ def _find_revisit(state: SeriesState, t_n: TreeSequence, phi, boundary: dict):
     t_h_vertices = state.tree(h).vertex_set
     for f, i in boundary.get(gamma_h, ()):
         v_n = t_n.vertices[i]
-        ch = kempe_chain(phi, v_n, gamma_h, delta_h)
-        if ch.kind != "cycle" or f not in ch.edges:
-            continue
-        if _cycle_reaches(ch, v_n, t_n.vertex_set, t_h_vertices):
+        # the walk leaves v_n on f, which has color gamma_h there
+        edges, end = alternating_path(phi, v_n, gamma_h, delta_h)
+        if end == v_n and _cycle_reaches(phi.graph, edges, v_n, t_n.vertex_set,
+                                         t_h_vertices):
             return f, v_n, delta_h, gamma_h
     return None
 
 
-def _cycle_reaches(cycle, start, allowed, target) -> bool:
-    """Walking the cycle from `start` inside `allowed`, do we touch `target`?"""
-    verts = cycle.vertices
-    i = verts.index(start)
-    size = len(verts)
-    for direction in (1, -1):
-        j = i
-        while True:
-            if verts[j] in target:
+def _cycle_reaches(G: Multigraph, edges, start, allowed, target) -> bool:
+    """Walking the cycle `edges`, which leaves `start` and returns there,
+    either way from `start` inside `allowed`, do we touch `target`?"""
+    for walk in (edges, edges[::-1]):
+        v = start
+        for e in walk:
+            if v in target:
                 return True
-            j = (j + direction) % size
-            if j == i or verts[j] not in allowed:
+            v = G.other_end(e, v)
+            if v not in allowed:
                 break
     return False
 

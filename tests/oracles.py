@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from gscolor import Multigraph
-from gscolor.coloring import KempeChain, PartialColoring, alternating_path
+from gscolor.coloring import KempeChain, PartialColoring, alternating_path, kempe_chain
 from gscolor.density import _oracle_edge_order, enumerate_colorings
 
 
@@ -384,6 +384,27 @@ def reference_kempe_chain(pc, v, alpha, beta):
         edges, verts = edges[::-1], verts[::-1]
     return KempeChain(colors, "path", tuple(edges), tuple(verts),
                       (verts[0], verts[-1]))
+
+
+def reference_cycle_reaches(pc, v, alpha, beta, allowed, target):
+    """The series' RE test as it read kempe_chain's canonical cycle: None
+    when the (alpha, beta)-chain through v is no cycle, else whether a walk
+    of its vertex list from v, one way or the other, touches `target`
+    before it leaves `allowed` or comes back to v."""
+    chain = kempe_chain(pc, v, alpha, beta)
+    if chain.kind != "cycle":
+        return None
+    verts = chain.vertices
+    i = verts.index(v)
+    for step in (1, -1):
+        j = i
+        while verts[j] not in target:
+            j = (j + step) % len(verts)
+            if j == i or verts[j] not in allowed:
+                break
+        else:
+            return True
+    return False
 
 
 def reference_closure_vertices(pc, tree):

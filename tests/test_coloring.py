@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gscolor import (ColoringResult, Multigraph, PartialColoring, color,
-                     elementary_audit, kempe_chain, kempe_swap, swap_outside,
-                     validate, verify_result)
+                     elementary_audit, kempe_chain, kempe_swap, validate,
+                     verify_result)
 from gscolor.coloring import alternating_path, interchange
 from gscolor.engine import result_from_json
 from gscolor.generators import petersen, ring
@@ -308,53 +308,6 @@ def test_kempe_swap_rejects_stale_chain(triangle):
         kempe_swap(other, ch)
 
 
-def test_swap_outside_whole_graph_is_identity(triangle):
-    pc = colored_triangle(triangle)
-    assert swap_outside(pc, {0, 1, 2}, 1, 2) == pc
-
-
-def test_swap_outside_unused_colors(c4):
-    pc = PartialColoring(c4, 6, {0: 1, 1: 2, 2: 1, 3: 2})
-    assert swap_outside(pc, {0}, 5, 6) == pc
-
-
-def test_swap_outside_two_cycles():
-    # two disjoint alternating 4-cycles outside H = {8}
-    pairs = [(i, (i + 1) % 4) for i in range(4)] + \
-            [(4 + i, 4 + (i + 1) % 4) for i in range(4)]
-    G = Multigraph.build(9, pairs)
-    pc = PartialColoring(G, 2, {0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2, 6: 1, 7: 2})
-    out = swap_outside(pc, {8}, 1, 2)
-    assert all(out.color_of(e) != pc.color_of(e) for e in G.edge_ids)
-    assert validate(G, out) == []
-
-
-def test_swap_outside_rejects_boundary_color(triangle):
-    pc = colored_triangle(triangle)
-    # edge 0 is on the boundary of {0} and carries color 1
-    with pytest.raises(ValueError, match="boundary edge"):
-        swap_outside(pc, {0}, 1, 2)
-    # edges 1 (color 2) and 2 (color 1) both leave {0}, after edge 0, which
-    # lies outside and would flip: the lower id is named, pc is unchanged
-    G = Multigraph.build(4, [(1, 3), (0, 1), (0, 2)])
-    pc = PartialColoring(G, 2, {0: 1, 1: 2, 2: 1})
-    before = _tables(pc)
-    with pytest.raises(ValueError, match=r"^color 2 on boundary edge 1$"):
-        swap_outside(pc, {0}, 1, 2)
-    assert _tables(pc) == before
-
-
-@pytest.mark.parametrize("alpha,beta", [(1, 1), (0, 2), (2, 3), (1.0, 2)])
-def test_swap_outside_refuses_anything_but_two_colors_of_1_to_k(triangle, alpha, beta):
-    """The swap writes without `assign`'s checks, so it refuses equal colors
-    and colors outside 1..k up front, with pc unchanged."""
-    pc = PartialColoring(triangle, 2, {0: 1, 1: 2})
-    before = _tables(pc)
-    with pytest.raises(ValueError, match="not two of 1..2"):
-        swap_outside(pc, {2}, alpha, beta)
-    assert _tables(pc) == before
-
-
 def _interchanged(pc, edges, a, b):
     """A clone of pc with a and b swapped on `edges` by `interchange`, once
     the checked `recolor` of the same flips has written the same three
@@ -372,8 +325,8 @@ def _interchanged(pc, edges, a, b):
 
 
 def test_interchange_matches_the_checked_recolor():
-    """On whole (a, b)-components, the edge sets that kempe_swap,
-    swap_outside and the chain step flip, interchange writes what recolor
+    """On whole (a, b)-components, the edge sets that kempe_swap, the
+    series' PE step and the chain step flip, interchange writes what recolor
     writes, and undoes itself."""
     rng = random.Random(34)
     seen = Counter()
@@ -395,8 +348,7 @@ def test_interchange_matches_the_checked_recolor():
         outside = [e for e in G.edge_ids if pc.color_of(e) in (a, b)
                    and G.endpoints(e)[0] not in inside]
         seen["outside"] += bool(outside)
-        out = _interchanged(pc, outside, a, b)
-        assert _tables(swap_outside(pc, inside, a, b)) == _tables(out)
+        _interchanged(pc, outside, a, b)
 
         free = [v for v in range(n) if pc.edge_at(v, a) is None]
         if free:

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from gscolor import (Multigraph, bound_report, chromatic_index_exact, color,
-                     verify_result)
+                     color_at_k, verify_result)
 from gscolor import engine
 from gscolor.engine import IncompleteColoringError
+from gscolor.generators import ring
 
 # Every cap-0 finding of `benchmarks/hunt.py` on exhaustive_connected(6, 10)
 # and (5, 12): (corpus, index, vertex count, edge list, outcome with the
@@ -143,8 +144,8 @@ def test_complete_finding_is_pinned(monkeypatch):
     """K_9, complete(9, 1) of hunt.py's complete corpus, ends incomplete at
     k = 9 on edge 34, although it is simple, so Vizing's theorem gives it
     Delta + 1 = 9 colors; with 36 edges it is above the fallback's cap, so
-    both caps end alike. The corpus is the last one the hunt runs by
-    default, and lists mu K_n by n, then mu."""
+    both caps end alike. The hunt runs the corpus by default, and it lists
+    mu K_n by n, then mu."""
     tool = _hunt_tool()
     G = tool.complete(9, 1)
     assert G == Multigraph.build(9, list(combinations(range(9), 2)))
@@ -160,7 +161,39 @@ def test_complete_finding_is_pinned(monkeypatch):
         "complete(3, 1)", "complete(3, 2)", "complete(4, 1)", "complete(4, 2)"]
     assert graphs[3][1] == Multigraph.build(4, [p for p in combinations(range(4), 2)
                                                 for _ in range(2)])
-    assert tool.DEFAULT[-1] == "complete:16:5"
+    assert "complete:16:5" in tool.DEFAULT
+
+
+def test_overfull_finding_is_pinned(capsys):
+    """overfull(17, 0, 1) is K_17 (m = 136). Above the density scan's cap
+    the hunt runs color_at_k at Delta + 1 = 17, which is gs_upper for a
+    simple graph; on K_17 it ends with evidence on edge 133 at both caps,
+    and with the pair (3, 8) removed, overfull(17, 1, 3) completes. The
+    hunt refuses a multigraph above the cap, and runs the corpus last by
+    default, listing it by n, then d, then seed, with seed 1 alone at d = 0."""
+    tool = _hunt_tool()
+    K17 = tool.overfull(17, 0, 1)
+    assert K17 == Multigraph.build(17, list(combinations(range(17), 2)))
+    short = tool.overfull(17, 1, 3)
+    assert short == Multigraph.build(17, [p for p in combinations(range(17), 2)
+                                          if p != (3, 8)])
+    summary = tool.hunt("pins", [("K17", K17), ("short", short)])
+    assert capsys.readouterr().out == "".join(
+        f"cap {cap} K17 (n 17, m 136): incomplete at k=17, edge 133\n" for cap in (25, 0))
+    assert summary == ("pins: 2 graphs; "
+                       "cap 25: 1 incomplete, 0 above_gs, 0 above_chi; "
+                       "cap 0: 1 incomplete, 0 above_gs, 0 above_chi")
+    pc, _, evidence = color_at_k(short, 17)
+    assert evidence is None and pc.is_total()
+    with pytest.raises(ValueError, match="^ring: a multigraph above 16 vertices"):
+        tool.hunt("multi", [("ring", ring(17, 2))])
+    name, graphs = tool.corpus("overfull:11:2")
+    assert name == "overfull(9..11 odd, 0..(n-3)/2, 1..2)"
+    assert [call for call, _ in graphs] == [
+        f"overfull{args}" for args in
+        [(9, 0, 1), *((9, d, s) for d in (1, 2, 3) for s in (1, 2)),
+         (11, 0, 1), *((11, d, s) for d in (1, 2, 3, 4) for s in (1, 2))]]
+    assert tool.DEFAULT[-1] == "overfull:41:5"
 
 
 def test_hunt_fat_corpus_skips_edgeless_graphs():

@@ -6,7 +6,8 @@ import pytest
 
 from colorbench import workloads
 from gscolor import (Multigraph, PartialColoring, build_series,
-                     elementary_audit, engine, taa_close, tashkinov)
+                     elementary_audit, engine, kempe_chain, taa_close, tashkinov)
+from gscolor.coloring import alternating_path
 from gscolor.density import bound_report, chromatic_index_exact
 from gscolor.tashkinov import (SeriesInvariantError, SeriesState, SeriesTuple,
                                TreeSequence, Witness, assert_series_invariants,
@@ -14,7 +15,7 @@ from gscolor.tashkinov import (SeriesInvariantError, SeriesState, SeriesTuple,
 from conftest import make_pe_instance, make_se_instance
 from oracles import (colorings_without_edge, graph_boundary, random_multigraph_pairs,
                      random_proper_coloring, reference_closure_vertices,
-                     reference_taa_close)
+                     reference_cycle_reaches, reference_taa_close)
 from paper_structures import defective_colors, is_closed, is_critical
 
 
@@ -243,15 +244,15 @@ def test_series_step_rejects_unclosed_tree():
 
 
 def test_pe_exit_path_that_is_not_the_connecting_edge_is_raised(monkeypatch):
-    """On a closed tree the PE exit path is the connecting edge alone, so a
-    chain that is not (here a planted cycle) is a broken invariant, raised
-    with the ledger, not a stuck step."""
-    from gscolor.coloring import KempeChain
+    """On a closed tree the PE exit path is the connecting edge alone, since
+    the connecting color is missing at the supporting vertex. A color that
+    is not (here the least color present there) leaves an exit path that is
+    not the connecting edge: a broken invariant, raised with the ledger, not
+    a stuck step."""
+    def present(state, pi, v_n):
+        return min(set(range(1, pi.k + 1)) - pi.missing(v_n))
 
-    def cycle(pc, v, alpha, beta):
-        return KempeChain(frozenset((alpha, beta)), "cycle", (), (v,), ())
-
-    monkeypatch.setattr(tashkinov, "kempe_chain", cycle)
+    monkeypatch.setattr(tashkinov, "_pick_gamma", present)
     G, pc = make_pe_instance()
     with pytest.raises(SeriesInvariantError,
                        match='(?s)not the single connecting edge.*"outcome":"running"'):
@@ -405,6 +406,42 @@ def test_series_revisiting_extension():
     assert re_row.connecting_edges == {10}
     assert re_row.coloring is phi1                # revisiting never recolors
     assert series_step(state).kind == "strongly_closed"
+
+
+def test_cycle_reaches_matches_the_canonical_cycle_walk():
+    """The RE test walks alternating_path's edges from v both ways, and so
+    answers as the walk of kempe_chain's canonical vertex list does: on
+    paths (no cycle), on cycles that reach the target inside `allowed`, and
+    on cycles that touch the target only past a vertex outside it. Colors 1
+    and 2 are two random matchings with a few edges dropped, so their
+    components are long cycles and paths."""
+    rng = random.Random(45)
+    seen = collections.Counter()
+    for _ in range(300):
+        n = 2 * rng.randint(2, 7)
+        pairs, colors = [], []
+        for c in (1, 2):
+            order = rng.sample(range(n), n)
+            kept = [p for p in zip(order[::2], order[1::2]) if rng.random() < 0.9]
+            pairs += kept
+            colors += [c] * len(kept)
+        G = Multigraph.build(n, pairs)
+        pc = PartialColoring(G, 2, dict(enumerate(colors)))
+        a, b = rng.sample((1, 2), 2)
+        starts = [v for v in range(n) if pc.edge_at(v, a) is not None]
+        if not starts:
+            continue
+        v = rng.choice(starts)
+        allowed = {v} | {w for w in range(n) if rng.random() < 0.7}
+        target = {w for w in allowed if rng.random() < 0.2}
+        edges, end = alternating_path(pc, v, a, b)
+        got = (tashkinov._cycle_reaches(G, edges, v, allowed, target)
+               if end == v else None)
+        assert got == reference_cycle_reaches(pc, v, a, b, allowed, target)
+        on_cycle = set(kempe_chain(pc, v, a, b).vertices) & target
+        seen["path" if got is None else "reaches" if got else
+             "leaves first" if on_cycle else "no target"] += 1
+    assert min(seen[kind] for kind in ("path", "reaches", "leaves first")) >= 3, seen
 
 
 def test_pe_connecting_color_chains_at_recurring_vertex():
