@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """A failure hunt over gscolor's promise.
 
-Every graph of each corpus is colored by `color` twice: with the exact
-fallback on (`engine.ORACLE_EDGE_CAP` = 25, as shipped) and off (0). A run
-is a finding when it ends incomplete, ends with k_used above
-gs_upper = max(Delta+1, ceil(Gamma)), or, on a graph of at most 25 edges,
-ends with k_used above chi'. Each finding is printed with the generator call
-that rebuilds its graph, and each corpus ends with one summary line:
+Every graph of each corpus is colored by `color` with the exact fallback
+on (`engine.ORACLE_EDGE_CAP` = 25, as shipped) and off (0). `extend` reads
+the cap only for a graph of at most 25 edges, so a larger graph is colored
+once and its findings are printed for both caps. A run is a finding when
+it ends incomplete, ends with k_used above gs_upper = max(Delta+1,
+ceil(Gamma)), or, on a graph of at most 25 edges, ends with k_used above
+chi'. Each finding is printed with the generator call that rebuilds its
+graph, and each corpus ends with one summary line. The hunt times nothing;
+`benchmarks/stage_bench.py` times the coloring stages:
 
     python3 benchmarks/hunt.py [CORPUS ...]
 
@@ -158,12 +161,16 @@ def hunt(name: str, graphs) -> str:
         else:
             raise ValueError(f"{call}: a multigraph above {DENSITY_VERTEX_CAP} "
                              "vertices has no bound to hunt against")
+        found = None
         for cap in CAPS:
-            engine.ORACLE_EDGE_CAP = cap
-            try:
-                found = run()
-            finally:
-                engine.ORACLE_EDGE_CAP = ORACLE_EDGE_CAP
+            # extend reads the cap only for a graph of at most ORACLE_EDGE_CAP
+            # edges: above that, every cap gives the first run's findings
+            if found is None or G.m <= ORACLE_EDGE_CAP:
+                engine.ORACLE_EDGE_CAP = cap
+                try:
+                    found = run()
+                finally:
+                    engine.ORACLE_EDGE_CAP = ORACLE_EDGE_CAP
             for kind, text in found:
                 counts[cap][kind] += 1
                 print(f"cap {cap} {call} (n {G.vertex_count}, m {G.m}): {text}")

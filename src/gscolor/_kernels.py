@@ -4,10 +4,11 @@ the best-odd-subset density scan.
 The backtracking search runs on plain-python bitmasks (backtracking does
 not vectorize). The density scan has two exact implementations, chosen by
 vertex count inside `density_scan`: plain python up to PLAIN_SCAN_VERTICES
-(10) vertices, vectorized numpy above. `benchmarks/kernel_bench.py` times
-both at n = 10 and 11, and numpy is faster at each: 17 us against the
-plain scan's 44 us at n = 10, 18 us against 77 us at n = 11 (median of
-three runs, a 2-core VM, Python 3.11, numpy 2.4). The plain scan still
+(10) vertices, vectorized numpy above. The `density` rows `plain` and
+`numpy` of `benchmarks/stage_bench.py` time both at n = 10 and 11, and
+numpy is faster at each: 17 us against the plain scan's 44 us at n = 10,
+18 us against 77 us at n = 11 (median of three runs, a 2-core VM, Python
+3.11, numpy 2.4). The plain scan still
 takes n = 10, because a process that imports numpy pays about 150 ms for
 it, the cost of some three thousand plain scans: so `color` and `report`
 on Petersen, or on any graph of at most 10 vertices, run in a fresh

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import insort
 from itertools import combinations, compress, islice, permutations, repeat
 
 from .graph import MAX_GEN_EDGES, MAX_PARSE_VERTICES, Multigraph, decimal_int, joins_all
@@ -45,10 +46,10 @@ def _nth_pair(n: int, i: int) -> tuple:
 
 def random_multigraph(n: int, m: int, seed: int, *, mu_max: int | None = None) -> Multigraph:
     """Uniform random endpoint pairs, optionally capped per-pair; deterministic.
-    Every edge drawn from the pair list is that list's tuple, so parallel
-    edges share one. Uncapped, the list is built only when it has at most m
-    pairs; with more, each drawn index is turned into its pair, so the cost
-    is O(n + m) whatever n is."""
+    Parallel edges share one tuple. Uncapped, the pair list is built only
+    when it has at most m pairs; with more, each drawn index is turned into
+    its pair. Capped, the i-th open pair is the i-th pair once the full ones
+    are skipped. Either way the cost is O(n + m) whatever n is."""
     if m < 0:
         raise ValueError(f"edge count must be non-negative, got {m}")
     if n < 2 and m > 0:
@@ -63,17 +64,26 @@ def random_multigraph(n: int, m: int, seed: int, *, mu_max: int | None = None) -
                 n, map(rng.choice, repeat(list(combinations(range(n), 2)), m)))
         indices = range(count)
         return Multigraph.build(n, (_nth_pair(n, rng.choice(indices)) for _ in range(m)))
-    # the pairs below the cap, in order: each draw sees what a full filter gives
-    avail = list(combinations(range(n), 2)) if mu_max > 0 else []
-    counts = dict.fromkeys(avail, 0)
-    pairs = []
+    # each draw picks among the pairs below the cap, as a full filter would:
+    # the i-th open pair's index is i plus the full pairs' indices below it
+    count = n * (n - 1) // 2 if mu_max > 0 else 0
+    full, drawn, pairs = [], {}, []
     for _ in range(m):
-        if not avail:
+        if len(full) == count:
             raise ValueError("multiplicity cap leaves no room for more edges")
-        p = rng.choice(avail)
-        counts[p] += 1
-        if counts[p] == mu_max:
-            avail.remove(p)
+        i = rng.choice(range(count - len(full)))
+        lo, hi = 0, len(full)
+        while lo < hi:      # full[t] - t open pairs come before the full pair t
+            mid = (lo + hi) // 2
+            if full[mid] - mid <= i:
+                lo = mid + 1
+            else:
+                hi = mid
+        j = i + lo
+        p, times = drawn.get(j) or (_nth_pair(n, j), 0)
+        drawn[j] = p, times + 1
+        if times + 1 == mu_max:
+            insort(full, j)
         pairs.append(p)
     return Multigraph.build(n, pairs)
 

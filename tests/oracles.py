@@ -341,6 +341,29 @@ def reference_random_multigraph(n, m, seed, mu_max=None):
     return Multigraph.build(n, pairs)
 
 
+def open_list_random_multigraph(n, m, seed, mu_max):
+    """`generators.random_multigraph` with a cap, as it was before it skipped
+    the full pairs by index: one list of all n(n-1)/2 pairs, from which each
+    pair is removed once it is full, so O(n^2) time and memory."""
+    if m < 0:
+        raise ValueError(f"edge count must be non-negative, got {m}")
+    if n < 2 and m > 0:
+        raise ValueError("need at least two vertices to place an edge")
+    rng = random.Random(seed)
+    avail = list(combinations(range(n), 2)) if mu_max > 0 else []
+    counts = dict.fromkeys(avail, 0)
+    pairs = []
+    for _ in range(m):
+        if not avail:
+            raise ValueError("multiplicity cap leaves no room for more edges")
+        p = rng.choice(avail)
+        counts[p] += 1
+        if counts[p] == mu_max:
+            avail.remove(p)
+        pairs.append(p)
+    return Multigraph.build(n, pairs)
+
+
 def reference_kempe_chain(pc, v, alpha, beta):
     """The maximal (alpha, beta)-chain through v, by the walker the package
     used before its single alternating-path walker: both directions walked

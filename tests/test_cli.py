@@ -1,12 +1,12 @@
 import ast
 import contextlib
 import hashlib
-import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -18,7 +18,7 @@ from gscolor import (IncompleteColoringError, Multigraph, color,
 from gscolor.cli import main
 from gscolor.generators import (exhaustive_connected, from_spec, petersen,
                                 random_multigraph, ring, shannon_triangle)
-from oracles import reference_random_multigraph, stats
+from oracles import open_list_random_multigraph, reference_random_multigraph, stats
 
 
 def run_cli(capsys, *argv):
@@ -57,9 +57,9 @@ def test_random_generator_respects_mu_cap():
 
 @pytest.mark.parametrize("mu_max", [None, 0, 1, 2, 4])
 def test_random_generator_matches_the_full_filter(mu_max):
-    """Keeping one list of open pairs, or with no cap drawing from the pair
-    list when it has at most m pairs and drawing pair indices when it has
-    more, gives the same graphs as filtering every pair before each edge,
+    """Skipping the full pairs by index, or with no cap drawing from the
+    pair list when it has at most m pairs and drawing pair indices when it
+    has more, gives the same graphs as filtering every pair before each edge,
     "no room" errors included."""
     sizes = [*range(0, 7), *([12, 16, 100] if mu_max is None else [])]
     for n in sizes:
@@ -72,6 +72,37 @@ def test_random_generator_matches_the_full_filter(mu_max):
                         random_multigraph(n, m, seed, mu_max=mu_max)
                     continue
                 assert random_multigraph(n, m, seed, mu_max=mu_max) == want
+
+
+def test_capped_random_generator_matches_the_open_pair_list():
+    """Skipping the full pairs by index draws the same edges as removing
+    them from a list of all pairs, at sizes where that list holds many full
+    pairs, and raises the same errors."""
+    for n in (0, 1, 2, 5, 9, 30, 60):
+        for m in (-1, 0, 1, 40, 150, 400):
+            for seed in range(3):
+                for mu_max in (-1, 0, 1, 2, 3):
+                    try:
+                        want = open_list_random_multigraph(n, m, seed, mu_max)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError, match=re.escape(str(exc))):
+                            random_multigraph(n, m, seed, mu_max=mu_max)
+                        continue
+                    got = random_multigraph(n, m, seed, mu_max=mu_max)
+                    assert got._ends == want._ends, (n, m, seed, mu_max)
+
+
+def test_capped_random_generator_holds_no_pair_list():
+    """A cap of 1 on 1,000 vertices draws 1,000 edges without the 499,500
+    pairs: the traced peak stays under 1 MB."""
+    tracemalloc.start()
+    try:
+        G = random_multigraph(1000, 1000, 1, mu_max=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.m == 1000 and max(G.pair_counts().values()) == 1
+    assert peak < 2 ** 20
 
 
 def test_parallel_edges_of_generated_graphs_share_one_tuple():
@@ -788,6 +819,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
 
 _NO_NUMPY = """
 import sys
+import tracemalloc
 sys.modules["numpy"] = None     # every import of numpy now fails
 from gscolor.cli import main
 sys.exit(main(sys.argv[1:]))
@@ -808,29 +840,6 @@ def test_missing_numpy_exits_with_one_line(argv):
     assert (run.returncode, run.stdout) == (1, "")
     assert run.stderr.startswith("missing dependency: ")
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
-
-
-def test_startup_script_prints_one_row_per_command(capsys):
-    """benchmarks/startup.py at N = 1: a row per command, each with a time,
-    a yes/no for numpy, dataclasses and inspect (the times are not checked),
-    and the gscolor submodules it loaded."""
-    path = Path(__file__).parents[1] / "benchmarks" / "startup.py"
-    spec = importlib.util.spec_from_file_location("startup", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    assert tool.main(["1"]) == 0
-    rows = capsys.readouterr().out.splitlines()[2:]
-    names = ["bare interpreter", "import gscolor", "color --gen petersen --out R",
-             "verify petersen R", "report --gen ring 11 3"]
-    assert [row[:30].rstrip() for row in rows] == names
-    loaded = []
-    for row in rows:
-        best, *flags, modules = row[30:].split()
-        assert float(best) > 0 and len(flags) == 3
-        assert set(flags) <= {"yes", "no"}
-        loaded.append(modules.split(","))
-    assert loaded[:2] == [["-"], ["-"]]
-    assert "tashkinov" in loaded[2] and "tashkinov" not in loaded[3]
 
 
 def test_report_rejects_run_flags(capsys):

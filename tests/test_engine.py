@@ -1,10 +1,8 @@
 import hashlib
-import importlib.util
 import json
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -706,53 +704,6 @@ def test_color_output_is_pinned(make, digest):
     except IncompleteColoringError as exc:
         result = exc.result
     assert hashlib.sha256(result.to_json().encode()).hexdigest() == digest
-
-
-def test_output_digest_runs(capsys):
-    """benchmarks/output_digest.py prints one digest line per workload, and
-    all three are the pinned ones. desk_corpus pins the output of both the
-    exhaustive and the capped random generator; dense_multi is the one
-    workload drawn by the uncapped random generator."""
-    path = Path(__file__).parents[1] / "benchmarks" / "output_digest.py"
-    spec = importlib.util.spec_from_file_location("output_digest", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    assert tool.main(["tight_family", "desk_corpus", "dense_multi"]) == 0
-    assert capsys.readouterr().out == (
-        "tight_family 1755 147 "
-        "9d15a7c9924384eca56425ba3d2fd5ed9f25026d7c2ce6060a5bfe9bddfa2ab2\n"
-        "desk_corpus 2434 0 "
-        "a444b3183b9c00ab51246dfe5e12c2996416d92b0498002a188ec7882c314ecd\n"
-        "dense_multi 200 2 "
-        "4c763c2dd6cff3aeb7a4cb4218abcc9f2e95dceac83ec1d16c01b10bf1b3a36f\n")
-
-
-def test_scale_bench_prints_one_row_per_size(capsys):
-    """benchmarks/scale_bench.py at n = 10^3: a header, then three rows of
-    the graph, n, m, k, seconds, microseconds per edge, the MB resident once
-    the graph is built and the peak MB, each from a fresh process (the times
-    are not checked): `random_multigraph(n, 3n, 1)` at k = Delta, and the
-    8-regular configuration-model multigraph, less its self-loops, at
-    k = Delta + 1 = 9 and at k = Delta = 8."""
-    path = Path(__file__).parents[1] / "benchmarks" / "scale_bench.py"
-    spec = importlib.util.spec_from_file_location("scale_bench", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    assert tool.main(["1000"]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["graph", "n", "m", "k", "seconds", "us/edge",
-                              "graph_MB", "peak_MB"]
-    assert [row.split()[:2] for row in rows] == [
-        ["random", "1000"], ["8-regular", "1000"], ["8-regular", "1000"]]
-    (_, _, m, k, *_), (_, _, m8, k8, *_), (_, _, m8d, k8d, *_) = (
-        row.split() for row in rows)
-    assert int(m) == 3000 and int(k) == random_multigraph(1000, 3000, 1).max_degree()
-    assert 3900 < int(m8) <= 4000 and int(k8) == 9
-    assert m8d == m8 and int(k8d) == 8
-    for row in rows:
-        assert all(float(value) > 0 for value in row.split()[4:])
-        graph_mb, peak_mb = map(float, row.split()[6:])
-        assert graph_mb <= peak_mb
 
 
 # The same pins for instances that reach the exact fallback, taken before it

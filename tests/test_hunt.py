@@ -140,6 +140,30 @@ def test_fat_finding_is_pinned(args, pairs, outcome):
     assert k_used == bound_report(G).gs_upper and G.m > 25
 
 
+def test_hunt_colors_twice_only_where_the_cap_is_read(monkeypatch, capsys):
+    """`extend` reads ORACLE_EDGE_CAP only for a graph of at most 25 edges:
+    the hunt colors such a graph at each cap, and a larger one once, with
+    its findings printed for both caps."""
+    tool = _hunt_tool()
+    calls = []
+
+    def counted(G):
+        calls.append(G.m)
+        return color(G)
+
+    monkeypatch.setattr(engine, "color", counted)
+    fat = tool.fat_regular(*FAT_FINDINGS[0][0])
+    summary = tool.hunt("both", [("fat", fat), ("the 1917 graph", Multigraph.build(5, OVERFULL_5))])
+    assert calls == [35, 10, 10]
+    assert capsys.readouterr().out == (
+        "cap 25 fat (n 5, m 35): incomplete at k=18, edge 32\n"
+        "cap 0 fat (n 5, m 35): incomplete at k=18, edge 32\n"
+        "cap 0 the 1917 graph (n 5, m 10): incomplete at k=5, edge 9\n")
+    assert summary == ("both: 2 graphs; "
+                       "cap 25: 1 incomplete, 0 above_gs, 0 above_chi; "
+                       "cap 0: 2 incomplete, 0 above_gs, 0 above_chi")
+
+
 def test_complete_finding_is_pinned(monkeypatch):
     """K_9, complete(9, 1) of hunt.py's complete corpus, ends incomplete at
     k = 9 on edge 34, although it is simple, so Vizing's theorem gives it

@@ -1,6 +1,5 @@
 """The enumeration kernels against the independent oracles."""
 
-import importlib.util
 import os
 import random
 import subprocess
@@ -358,28 +357,3 @@ def test_dispatch_matches_loop_semantics():
     assert _kernels.chromatic_feasible(eu, ev, 4, 2) is None
     cnt, size, mask = _kernels.density_scan(G.pair_counts(), 4)
     assert (cnt, size) == (3, 3) and mask == 0b0111
-
-
-def test_kernel_bench_runs(capsys, monkeypatch):
-    """benchmarks/kernel_bench.py keeps calling the kernels as they are; its
-    generation rows run on small inputs here, since (6, 10), dense_multi(1)
-    and ring(100001, 7) take seconds, mostly in their traced runs; each row
-    is timed in one round, and only the generation rows print a memory
-    peak, a positive one."""
-    path = Path(__file__).parents[1] / "benchmarks" / "kernel_bench.py"
-    spec = importlib.util.spec_from_file_location("kernel_bench", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    monkeypatch.setattr(bench, "GENERATE_CASES", [(4, 5)])
-    monkeypatch.setattr(bench, "MULTIGRAPH_CASES", [
-        ("random_multigraph(16, 1600, 1)", bench.random_multigraph, (16, 1600, 1)),
-        ("ring(1001, 7)", bench.ring, (1001, 7))])
-    monkeypatch.setattr(bench, "ROUNDS", 1)
-    bench.main()
-    rows = [r.split() for r in capsys.readouterr().out.splitlines()[1:]]
-    assert [r[0] for r in rows] == ["feasible"] * 7 + ["density"] * 12 \
-        + ["extend"] * 4 + ["interchange"] * 4 + ["closure"] * 2 + ["generate"] * 3
-    assert [r[1] for r in rows[-3:]] == ["exhaustive_connected(4,", "random_multigraph(16,",
-                                         "ring(1001,"]
-    assert [r[-1] == "-" for r in rows] == [True] * 29 + [False] * 3
-    assert all(float(r[-1]) > 0 for r in rows[-3:])
