@@ -49,7 +49,8 @@ def random_multigraph(n: int, m: int, seed: int, *, mu_max: int | None = None) -
     Parallel edges share one tuple. Uncapped, the pair list is built only
     when it has at most m pairs; with more, each drawn index is turned into
     its pair. Capped, the i-th open pair is the i-th pair once the full ones
-    are skipped. Either way the cost is O(n + m) whatever n is."""
+    are skipped, found by bisecting the sorted full-pair indices. Neither
+    holds a list longer than m, so memory is O(n + m) whatever n is."""
     if m < 0:
         raise ValueError(f"edge count must be non-negative, got {m}")
     if n < 2 and m > 0:
