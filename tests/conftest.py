@@ -1,3 +1,7 @@
+import contextlib
+import importlib.util
+import io
+import json
 import sys
 from pathlib import Path
 
@@ -7,6 +11,40 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from gscolor import Multigraph, PartialColoring
 from gscolor.generators import petersen, ring, shannon_triangle
+
+
+def load_stage_bench():
+    """benchmarks/stage_bench.py as a fresh module, so patching its constants
+    in one fixture leaves every other copy as committed."""
+    path = Path(__file__).parents[1] / "benchmarks" / "stage_bench.py"
+    spec = importlib.util.spec_from_file_location("stage_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def stage_bench_smoke(tmp_path_factory):
+    """One run of benchmarks/stage_bench.py on small inputs, shared by the
+    tests of its stages: one round of one call per row, the generation rows
+    on small inputs where the full run's take seconds, the first closure row,
+    the scale rows at n = 10^3 and the 8-instance cli_roundtrip workload.
+    Yields the JSON record and the printed table, less its two header lines."""
+    bench = load_stage_bench()
+    out = tmp_path_factory.mktemp("stage_bench") / "BENCH_smoke.json"
+    printed = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bench, "ROUNDS", 1)
+        patch.setattr(bench, "SLICE", 0)
+        patch.setattr(bench, "GENERATE_CASES", [(4, 5)])
+        patch.setattr(bench, "MULTIGRAPH_CASES", [
+            ("random_multigraph(16, 1600, 1)", bench.random_multigraph, (16, 1600, 1))])
+        patch.setattr(bench, "CLOSURE_CASES", bench.CLOSURE_CASES[:1])
+        patch.setattr(bench, "SCALE_SIZES", (1000,))
+        patch.setattr(bench, "WORKLOADS", ("cli_roundtrip",))
+        with contextlib.redirect_stdout(printed):
+            assert bench.main([str(out)]) == 0
+    return json.loads(out.read_text()), printed.getvalue().splitlines()[2:]
 
 
 @pytest.fixture

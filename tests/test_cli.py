@@ -842,6 +842,22 @@ def test_missing_numpy_exits_with_one_line(argv):
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
 
 
+def test_startup_script_prints_one_row_per_command(stage_bench_smoke):
+    """The startup rows of benchmarks/stage_bench.py: a row per command, each
+    with a yes/no for numpy, dataclasses and inspect (the times are checked
+    by test_stage_bench), and the gscolor submodules it loaded."""
+    record, _ = stage_bench_smoke
+    startup = [r for r in record["rows"] if r["stage"] == "startup"]
+    assert [r["case"] for r in startup] == [
+        "bare interpreter", "import gscolor", "color --gen petersen --out R",
+        "verify petersen R", "report --gen ring 11 3"]
+    for r in startup:
+        assert {r[w] for w in ("numpy", "dataclasses", "inspect")} <= {"yes", "no"}
+    modules = [r["gscolor"].split(",") for r in startup]
+    assert modules[:2] == [["-"], ["-"]]
+    assert "tashkinov" in modules[2] and "tashkinov" not in modules[3]
+
+
 def test_report_rejects_run_flags(capsys):
     """--fallback-threshold, --budget, --seed and --jobs are usage errors
     everywhere: the fallback's edge count and the search depth --budget set

@@ -706,6 +706,25 @@ def test_color_output_is_pinned(make, digest):
     assert hashlib.sha256(result.to_json().encode()).hexdigest() == digest
 
 
+def test_scale_bench_prints_one_row_per_size(stage_bench_smoke):
+    """The scale rows of benchmarks/stage_bench.py at n = 10^3, each sampled
+    in a fresh process: `random_multigraph(n, 3n, 1)` at k = Delta, and the
+    8-regular configuration-model multigraph, less its self-loops, at
+    k = Delta + 1 = 9 and at k = Delta = 8, with the MB resident once the
+    graph is built no more than the peak MB."""
+    record, _ = stage_bench_smoke
+    scale = [r for r in record["rows"] if r["stage"] == "scale"]
+    assert [r["case"] for r in scale] == ["random n=1000 k=Delta", "8-regular n=1000 k=Delta+1",
+                                          "8-regular n=1000 k=Delta"]
+    random_row, regular, at_delta = scale
+    assert random_row["m"] == 3000
+    assert random_row["k"] == random_multigraph(1000, 3000, 1).max_degree()
+    assert 3900 < regular["m"] <= 4000 and regular["k"] == 9
+    assert at_delta["m"] == regular["m"] and at_delta["k"] == 8
+    for r in scale:
+        assert 0 < r["graph_MB"]["min"] <= r["peak_MB"]["min"]
+
+
 # The same pins for instances that reach the exact fallback, taken before it
 # became a single search with the parallel-edge rule; ring5x5 and ring5x4,
 # colored above Delta+1, were re-taken when results gained Gamma's certificate.

@@ -349,6 +349,20 @@ def test_empty_scan_loads_no_numpy():
     assert run.stdout == "(0, 0, 0) False\n"
 
 
+def test_kernel_bench_runs(stage_bench_smoke):
+    """The kernel rows of benchmarks/stage_bench.py keep calling the kernels
+    as they are: the row count of each stage, and a traced memory peak on
+    the generation rows only, a positive one."""
+    record, _ = stage_bench_smoke
+    rows = record["rows"]
+    stages = [r["stage"] for r in rows]
+    assert (stages.count("feasible"), stages.count("density"), stages.count("extend"),
+            stages.count("interchange")) == (7, 12, 4, 4)
+    for r in rows:
+        assert ("traced_MB" in r) == (r["stage"] == "generate")
+    assert all(r["traced_MB"] > 0 for r in rows if r["stage"] == "generate")
+
+
 def test_dispatch_matches_loop_semantics():
     G = Multigraph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     eu = [G.endpoints(e)[0] for e in G.edge_ids]

@@ -1,13 +1,9 @@
 """benchmarks/stage_bench.py: a smoke run on small inputs, and the pinned
 digests of the benchmark workloads' outputs."""
 
-import importlib.util
-import json
-from pathlib import Path
-
 import pytest
 
-from gscolor.generators import random_multigraph
+from conftest import load_stage_bench
 
 STAGES = ["startup", "feasible", "density", "extend", "interchange", "closure",
           "generate", "scale", "workload"]
@@ -15,71 +11,26 @@ STAGES = ["startup", "feasible", "density", "extend", "interchange", "closure",
 
 @pytest.fixture(scope="module")
 def bench():
-    path = Path(__file__).parents[1] / "benchmarks" / "stage_bench.py"
-    spec = importlib.util.spec_from_file_location("stage_bench", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_stage_bench()
 
 
-def test_stage_bench_runs(bench, monkeypatch, tmp_path, capsys):
-    """One round of one call per row, on small inputs where the full run's
-    take seconds: the generation rows, the closure rows, the scale rows at
-    n = 10^3 and the 8-instance cli_roundtrip workload. Every row prints its
-    best time and is recorded with min <= median <= max; only the
-    `generate` rows carry a traced peak, a positive one."""
-    monkeypatch.setattr(bench, "ROUNDS", 1)
-    monkeypatch.setattr(bench, "SLICE", 0)
-    monkeypatch.setattr(bench, "GENERATE_CASES", [(4, 5)])
-    monkeypatch.setattr(bench, "MULTIGRAPH_CASES", [
-        ("random_multigraph(16, 1600, 1)", bench.random_multigraph, (16, 1600, 1))])
-    monkeypatch.setattr(bench, "CLOSURE_CASES", bench.CLOSURE_CASES[:1])
-    monkeypatch.setattr(bench, "SCALE_SIZES", (1000,))
-    monkeypatch.setattr(bench, "WORKLOADS", ("cli_roundtrip",))
-    out = tmp_path / "BENCH_smoke.json"
-    assert bench.main([str(out)]) == 0
-    record = json.loads(out.read_text())
+def test_stage_bench_runs(stage_bench_smoke):
+    """The smoke run's record and table: the header, the stages in order,
+    and one table line per row with its best time, every row recorded with
+    min <= median <= max; the cli_roundtrip workload's rows. The startup,
+    kernel and scale rows are checked by test_cli, test_kernels and
+    test_engine."""
+    record, table = stage_bench_smoke
     assert record["ROUNDS"] == 1 and record["SLICE"] == 0
     assert record["USING_NUMBA"] is False and record["cpus"] >= 1
     assert {"python", "numpy", "platform", "commit", "bytecode"} <= record.keys()
     rows = record["rows"]
     assert list(dict.fromkeys(r["stage"] for r in rows)) == STAGES
-    assert [r["stage"] for r in rows].count("feasible") == 7
-    assert [r["stage"] for r in rows].count("density") == 12
-    assert [r["stage"] for r in rows].count("extend") == 4
-    assert [r["stage"] for r in rows].count("interchange") == 4
-    table = capsys.readouterr().out.splitlines()[2:]
     assert len(table) == len(rows)
     for row, line in zip(rows, table):
         s = row["s"]
         assert 0 < s["min"] <= s["median"] <= s["max"]
         assert line.split()[0] == row["stage"] and f"{s['min'] * 1e3:12.6f}" in line
-        assert ("traced_MB" in row) == (row["stage"] == "generate")
-    assert all(r["traced_MB"] > 0 for r in rows if r["stage"] == "generate")
-
-    startup = [r for r in rows if r["stage"] == "startup"]
-    assert [r["case"] for r in startup] == [
-        "bare interpreter", "import gscolor", "color --gen petersen --out R",
-        "verify petersen R", "report --gen ring 11 3"]
-    for r in startup:
-        assert {r[w] for w in ("numpy", "dataclasses", "inspect")} <= {"yes", "no"}
-    modules = [r["gscolor"].split(",") for r in startup]
-    assert modules[:2] == [["-"], ["-"]]
-    assert "tashkinov" in modules[2] and "tashkinov" not in modules[3]
-
-    # random_multigraph(n, 3n, 1) at k = Delta, and the 8-regular
-    # configuration-model multigraph, less its self-loops, at Delta+1 = 9
-    # and at Delta = 8, each sampled in a fresh process
-    scale = [r for r in rows if r["stage"] == "scale"]
-    assert [r["case"] for r in scale] == ["random n=1000 k=Delta", "8-regular n=1000 k=Delta+1",
-                                          "8-regular n=1000 k=Delta"]
-    random_row, regular, at_delta = scale
-    assert random_row["m"] == 3000
-    assert random_row["k"] == random_multigraph(1000, 3000, 1).max_degree()
-    assert 3900 < regular["m"] <= 4000 and regular["k"] == 9
-    assert at_delta["m"] == regular["m"] and at_delta["k"] == 8
-    for r in scale:
-        assert 0 < r["graph_MB"]["min"] <= r["peak_MB"]["min"]
 
     workload = [r for r in rows if r["stage"] == "workload"]
     assert [r["case"] for r in workload] == [
