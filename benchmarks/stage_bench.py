@@ -38,9 +38,11 @@ The rows, by stage:
 - `workload`: colorbench's seed-1 desk_corpus, dense_multi and
   tight_family. One sample is `color` over every instance; the other rows
   are `verify_result` over the results and `to_json` plus
-  `result_from_json` over them. An untimed pass records the instance
-  count, the incomplete count, the edges each method colored (from each
-  result's `trace`, partial records included) and the sha256 of every
+  `result_from_json` over them, and, for desk_corpus, the one workload
+  colorbench checks against the exact chromatic index,
+  `chromatic_index_exact` over every instance. An untimed pass records the
+  instance count, the incomplete count, the edges each method colored (from
+  each result's `trace`, partial records included) and the sha256 of every
   result's `to_json()` in order, so two trees with the same digest color
   every instance byte-identically.
 
@@ -76,7 +78,7 @@ from colorbench.workloads import build, dense_multi  # noqa: E402
 from gscolor import (IncompleteColoringError, Multigraph, PartialColoring,  # noqa: E402
                      _kernels, color, color_at_k, format_multigraph, verify_result)
 from gscolor.coloring import interchange  # noqa: E402
-from gscolor.density import _oracle_edge_order  # noqa: E402
+from gscolor.density import _oracle_edge_order, chromatic_index_exact  # noqa: E402
 from gscolor.engine import METHODS, result_from_json  # noqa: E402
 from gscolor.generators import (exhaustive_connected, petersen,  # noqa: E402
                                 random_multigraph, ring, shannon_triangle)
@@ -242,9 +244,9 @@ def kernel_rows():
         rows.append(timed("density", name, _kernels.density_scan,
                           (G.pair_counts(), G.vertex_count)))
     for name, G in CUTOFF_CASES:
-        for scan, fn in (("plain", _kernels._plain_density_scan),
-                         ("numpy", _kernels._numpy_density_scan)):
-            rows.append(timed("density", f"{scan} {name}", fn, (G.pair_counts(), G.vertex_count)))
+        pairs, n = G.pair_counts(), G.vertex_count
+        rows += [timed("density", f"plain {name}", _kernels._plain_density_scan, (pairs, n, G.m)),
+                 timed("density", f"numpy {name}", _kernels._numpy_density_scan, (pairs, n))]
     for name, G in DENSE_CASES + [CHAIN_CASE]:
         rows.append(timed("extend", name, color_at_k, (G, G.max_degree())))
     for name, G in FLIP_CASES:
@@ -336,6 +338,10 @@ def json_round_trip(graphs, results):
     return [result_from_json(G, r.to_json()) for G, r in zip(graphs, results)]
 
 
+def exact_all(graphs):
+    return [chromatic_index_exact(G) for G in graphs]
+
+
 def colored(workload, workdir):
     """(graphs, results, facts) of one untimed pass over the workload."""
     graphs = [inst.graph for inst in build(workload, SEED, workdir)]
@@ -360,6 +366,9 @@ def workload_rows(workdir):
                  timed("workload", f"{workload} verify_result", verify_all, (graphs, results)),
                  timed("workload", f"{workload} to_json+result_from_json", json_round_trip,
                        (graphs, results))]
+        if workload == "desk_corpus":
+            rows.append(timed("workload", "desk_corpus chromatic_index_exact", exact_all,
+                              (graphs,)))
     return rows
 
 

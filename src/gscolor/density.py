@@ -9,7 +9,6 @@ caps fail loudly instead of answering approximately.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -68,21 +67,17 @@ def bound_report(G: Multigraph) -> BoundReport:
             f"density enumeration capped at {DENSITY_VERTEX_CAP} vertices, got {n}")
     pairs = G.pair_counts()     # one table gives both mu and Gamma
     delta, mu = G.max_degree(), max(pairs.values(), default=0)
-    gamma, gamma_set = Fraction(0), frozenset()
+    # Gamma = twice / den, rounded up and compared in integers
     cnt, size, mask = _kernels.density_scan(pairs, n)
-    if cnt:
-        gamma = Fraction(2 * cnt, size - 1)
-        gamma_set = frozenset(v for v in range(n) if mask >> v & 1)
-    gamma_ceil = math.ceil(gamma)
+    twice, den = 2 * cnt, size - 1 if cnt else 1
+    gamma, gamma_ceil = Fraction(twice, den), -(-twice // den)
+    gamma_set = frozenset(v for v in range(n) if mask >> v & 1)
+    chi_star = gamma if twice > delta * den else Fraction(delta)
     return BoundReport(
-        n=n, m=m, delta=delta, mu=mu,
-        gamma=gamma, gamma_set=gamma_set, gamma_ceil=gamma_ceil,
-        chi_star=max(Fraction(delta), gamma),
-        lower=max(delta, gamma_ceil),
-        gs_upper=max(delta + 1, gamma_ceil),
-        shannon=(3 * delta) // 2,
-        vizing=delta + mu,
-    )
+        n, m, delta, mu, gamma, gamma_set, gamma_ceil, chi_star,
+        gamma_ceil if gamma_ceil > delta else delta,
+        gamma_ceil if gamma_ceil > delta + 1 else delta + 1,
+        (3 * delta) // 2, delta + mu)
 
 
 def odd_set_density(G: Multigraph, members) -> Fraction:
@@ -127,14 +122,16 @@ def first_coloring(G: Multigraph, k: int):
 
 
 def chromatic_index_exact(G: Multigraph) -> int:
-    """Exact chi': the least k from Delta up at which `first_coloring`
-    finds a coloring. Refuses graphs with more than ORACLE_EDGE_CAP edges.
-    """
+    """Exact chi': the least k from Delta up at which the exact search, in
+    the oracle's edge order, finds a coloring. Refuses graphs with more than
+    ORACLE_EDGE_CAP edges."""
     if G.m > ORACLE_EDGE_CAP:
         raise ScaleExceededError(
             f"exact chromatic index capped at {ORACLE_EDGE_CAP} edges, got {G.m}")
-    for k in range(G.max_degree(), 3 * G.max_degree() // 2 + 2):
-        if first_coloring(G, k) is not None:
+    _, eu, ev = _oracle_edge_order(G)
+    n, delta = G.vertex_count, G.max_degree()
+    for k in range(delta, 3 * delta // 2 + 2):
+        if _kernels.chromatic_feasible(eu, ev, n, k) is not None:
             return k
     raise AssertionError("feasibility search escaped the Shannon bound")
 

@@ -6,14 +6,15 @@ chromatic-index check is a plain recursion over edges in id order. These are
 the reference values the package's answers are frozen against.
 """
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from gscolor import Multigraph
+from gscolor import Multigraph, _kernels
 from gscolor.coloring import KempeChain, PartialColoring, alternating_path, kempe_chain
-from gscolor.density import _oracle_edge_order, enumerate_colorings
+from gscolor.density import BoundReport, _oracle_edge_order, enumerate_colorings
 
 
 def brute_density(G):
@@ -145,6 +146,44 @@ def reference_colorings(G, k, cap=1000):
 
     exhausted = rec(0, 0)
     return results, exhausted
+
+
+def reference_search(eu, ev, prev, n, k):
+    """`_kernels.colorings` as it was before its loop dropped the builtin
+    calls at each node: the window's top is `min(maxc[i] + 1, k)` and the
+    running largest color `max(maxc[i], nxt)`."""
+    m = len(eu)
+    used = [0] * n
+    color = [0] * m
+    maxc = [0] * (m + 1)
+    i = 0
+    while True:
+        while 0 <= i < m:
+            u, v, lo = eu[i], ev[i], color[i]
+            if lo:
+                b = 1 << (lo - 1)
+                used[u] ^= b
+                used[v] ^= b
+            p = prev[i]
+            if p >= 0 and color[p] > lo:
+                lo = color[p]
+            hi = min(maxc[i] + 1, k)
+            free = ((1 << hi) - (1 << lo)) & ~(used[u] | used[v]) if lo < hi else 0
+            if free:
+                b = free & -free
+                nxt = b.bit_length()
+                used[u] |= b
+                used[v] |= b
+                color[i] = nxt
+                maxc[i + 1] = max(maxc[i], nxt)
+                i += 1
+            else:
+                color[i] = 0
+                i -= 1
+        if i < 0:
+            return
+        yield list(color)
+        i -= 1
 
 
 def assert_tables_consistent(pc):
@@ -493,6 +532,29 @@ def verify_by_scan(G, result, assignment):
     return (proper_total_assignment(G, result.k_used, assignment)
             and _certificate_densities(G, result) is not None
             and result.k_used <= bound_report(G).gs_upper)
+
+
+def reference_bound_report(G):
+    """`density.bound_report` as it was before it compared and rounded Gamma
+    in integers: Fraction arithmetic, `math.ceil` and `max`, each field by
+    keyword."""
+    n = G.vertex_count
+    pairs = G.pair_counts()
+    delta, mu = G.max_degree(), max(pairs.values(), default=0)
+    gamma, gamma_set = Fraction(0), frozenset()
+    cnt, size, mask = _kernels.density_scan(pairs, n)
+    if cnt:
+        gamma = Fraction(2 * cnt, size - 1)
+        gamma_set = frozenset(v for v in range(n) if mask >> v & 1)
+    gamma_ceil = math.ceil(gamma)
+    return BoundReport(
+        n=n, m=G.m, delta=delta, mu=mu,
+        gamma=gamma, gamma_set=gamma_set, gamma_ceil=gamma_ceil,
+        chi_star=max(Fraction(delta), gamma),
+        lower=max(delta, gamma_ceil),
+        gs_upper=max(delta + 1, gamma_ceil),
+        shannon=(3 * delta) // 2,
+        vizing=delta + mu)
 
 
 def stats(G):

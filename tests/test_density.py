@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from colorbench.workloads import desk_corpus, tight_family
 from gscolor import (Multigraph, ScaleExceededError, bound_report,
                      certificate_check, chromatic_index_exact)
 from gscolor.density import enumerate_colorings
 from gscolor.generators import exhaustive_connected, random_multigraph, shannon_triangle
 from oracles import (brute_chi_prime, brute_density, random_multigraph_pairs,
-                     reference_colorings, stats)
+                     reference_bound_report, reference_colorings, stats)
 from paper_structures import is_critical
 
 
@@ -54,6 +55,30 @@ def test_density_matches_brute_oracle():
         if value > 0:
             assert Fraction(2 * G.induced_edge_count(rep.gamma_set),
                             len(rep.gamma_set) - 1) == value
+
+
+def _fields(rep):
+    return [(type(value), value) for value in rep]
+
+
+def test_bound_report_matches_the_fraction_record():
+    """Every field of bound_report, and its type, equals the record built
+    with Fraction arithmetic, math.ceil and max: on every seed-1 desk_corpus
+    instance; on the canonical tight_family graphs (5 to 15 vertices, so
+    both the plain and the numpy scan); at n < 3 and m = 0; and where
+    Gamma = Delta, where chi_star is Fraction(Delta)."""
+    graphs = [inst.graph for inst in desk_corpus(1)]
+    tight = [inst.graph for inst in tight_family(1) if inst.canonical]
+    assert {G.vertex_count for G in tight} >= {5, 10, 11, 15}
+    k4 = Multigraph.build(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    path = Multigraph.build(3, [(0, 1), (1, 2)])
+    small = [Multigraph.build(0, []), Multigraph.build(1, []), Multigraph.build(2, [(0, 1)] * 3),
+             Multigraph.build(5, []), k4, path]
+    for G in graphs + tight + small:
+        assert _fields(bound_report(G)) == _fields(reference_bound_report(G)), stats(G)
+    for G in (k4, path):
+        rep = bound_report(G)
+        assert rep.gamma == rep.delta and _fields(rep)[7] == (Fraction, Fraction(rep.delta))
 
 
 def test_density_scale_cap():

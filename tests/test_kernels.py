@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,7 @@ from gscolor.coloring import validate
 from gscolor.density import _oracle_edge_order, enumerate_colorings, first_coloring
 from gscolor.generators import ring
 from oracles import (brute_density_maximizers, brute_density_scan,
-                     random_multigraph_pairs, reference_colorings)
+                     random_multigraph_pairs, reference_colorings, reference_search)
 
 
 def _instances(count, seed):
@@ -107,6 +107,23 @@ def test_search_takes_any_color_count():
 
 def test_parallel_prev_links_each_edge_to_the_last_parallel_one():
     assert _kernels.parallel_prev([0, 1, 1, 0, 2], [1, 2, 0, 1, 1]) == [-1, -1, 0, 2, 1]
+
+
+def test_search_yields_the_reference_loop_sequence():
+    """The search loop without builtin calls at a node yields the same
+    colorings in the same order as the loop with `min` and `max`
+    (`oracles.reference_search`): the first 100 of each, with the
+    parallel-edge rule and without it, on seeded multigraphs with n 2-7 and
+    m 0-12, for k from Delta - 1 to Delta + 2."""
+    graphs = [Multigraph.build(3, [])] + list(_instances(150, 47))
+    for G in graphs:
+        _, eu, ev = _oracle_edge_order(G)
+        n, delta = G.vertex_count, G.max_degree()
+        for prev in (_kernels.parallel_prev(eu, ev), [-1] * G.m):
+            for k in range(max(delta - 1, 0), delta + 3):
+                got = list(islice(_kernels.colorings(eu, ev, prev, n, k), 100))
+                want = list(islice(reference_search(eu, ev, prev, n, k), 100))
+                assert got == want, (G.vertex_count, list(zip(eu, ev)), prev, k)
 
 
 def _heavy_instances(count, seed):
@@ -279,7 +296,7 @@ def test_plain_scan_field_widths():
         pairs = rng.sample(list(combinations(range(n), 2)), 2 * n)
         for total in (2 ** 32 - 1, 2 ** 32):
             pair_counts = _table_summing_to(total, pairs, rng)
-            assert _kernels._plain_density_scan(pair_counts, n) == \
+            assert _kernels._plain_density_scan(pair_counts, n, total) == \
                 brute_density_scan(pair_counts, n)
 
 

@@ -38,6 +38,22 @@ def test_stage_bench_runs(stage_bench_smoke):
     assert workload[0]["instances"] == 8 and workload[0]["incomplete"] == 0
 
 
+def test_desk_corpus_times_the_exact_sweep(bench, monkeypatch, tmp_path):
+    """desk_corpus, the workload colorbench checks against the exact chi',
+    has a fourth row, chromatic_index_exact over its instances; the other
+    workloads keep three. Run on the first 20 instances of each."""
+    build = bench.build
+    monkeypatch.setattr(bench, "build", lambda *args: build(*args)[:20])
+    monkeypatch.setattr(bench, "WORKLOADS", ("desk_corpus", "tight_family"))
+    rows = bench.workload_rows(str(tmp_path))
+    assert [case for _, case, _, _ in rows] == [
+        "desk_corpus", "desk_corpus verify_result", "desk_corpus to_json+result_from_json",
+        "desk_corpus chromatic_index_exact",
+        "tight_family", "tight_family verify_result", "tight_family to_json+result_from_json"]
+    monkeypatch.setattr(bench, "SLICE", 0)
+    assert rows[3][2]()["s"] > 0
+
+
 def test_stage_bench_digests_are_pinned(bench, tmp_path):
     """The untimed pass over each workload gives the pinned instance count,
     incomplete count and digest. desk_corpus pins the output of both the
