@@ -116,7 +116,7 @@ def cmd_verify(args) -> int:
         raise CommandError(f"cannot read result: {exc}", 3)
     try:
         result = result_from_json(G, text)
-    except (ValueError, KeyError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CommandError(f"invalid result: {exc}", 3)
     if not verify_result(G, result):
         raise CommandError("verification failed")

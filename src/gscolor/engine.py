@@ -14,8 +14,9 @@ over the colored edges plus the new one, written in place: all three steps
 mutate the coloring they are given.
 Between the chain swap and the fallback, the extension series
 (`tashkinov.build_series`) runs once per resisting edge, for a certificate
-only: a strongly closed, elementary final tree of odd order whose density
-exceeds k proves that k colors cannot suffice. The series colors no edge.
+only: a final tree of odd order at least 3 whose density exceeds k proves
+that k colors cannot suffice, whether or not the tree is strongly closed or
+elementary. The series colors no edge.
 `color` only tries k >= ceil(Gamma), where no odd set has density above k,
 so under `color` the series never certifies: every escalation follows a
 failed search. Instead `color` proves its bound from `bound_report`: a record
@@ -48,9 +49,11 @@ class FailureEvidence(NamedTuple):
     """Why extension stopped at this k.
 
     kind "elementary_strongly_closed_tree" is a proof that k colors cannot
-    suffice (the tree's vertex set is elementary, strongly closed, odd, and
-    contains both ends of the uncolored edge); "budget_exhausted" claims
-    nothing beyond the failed search.
+    suffice: the tree's vertex set, which contains both ends of the
+    uncolored edge, is odd, has at least 3 vertices and density above k.
+    The name is kept from when the tree also had to be elementary and
+    strongly closed; density alone proves the bound. "budget_exhausted"
+    claims nothing beyond the failed search.
     """
     kind: str
     tree: TreeSequence
@@ -93,44 +96,21 @@ class ColoringResult(NamedTuple):
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-def _is_int(x) -> bool:
-    return type(x) is int
+def _expect(ok: bool, wanted: str) -> None:
+    if not ok:
+        raise ValueError(f"malformed result: expected {wanted}")
 
 
-def _is_pairs(x, first, second) -> bool:
-    return isinstance(x, list) and all(
-        isinstance(p, list) and len(p) == 2 and first(p[0]) and second(p[1])
-        for p in x)
-
-
-def _is_certificate(c) -> bool:
-    if not (isinstance(c, dict) and isinstance(c.get("value"), dict)):
-        return False
-    value = c["value"]
-    return (isinstance(c.get("u"), list) and all(_is_int(v) for v in c["u"])
-            and _is_int(value.get("num")) and _is_int(value.get("den"))
-            and value["den"] != 0 and _is_int(c.get("k")))
-
-
-def _check_schema(obj):
-    """Raise ValueError unless obj has the shape ColoringResult.to_json_obj gives."""
-    if not isinstance(obj, dict):
-        raise ValueError("malformed result: expected a JSON object")
-    checks = [
-        (_is_int(obj.get("v")) and obj["v"] == 1, '"v": 1'),
-        (_is_int(obj.get("k_used")), 'an integer "k_used"'),
-        (_is_pairs(obj.get("assignment"), _is_int,
-                   lambda c: c is None or _is_int(c)),
-         '"assignment" as [edge id, integer color or null] pairs'),
-        (_is_pairs(obj.get("trace"), _is_int, lambda t: isinstance(t, str)),
-         '"trace" as [edge id, method] pairs'),
-        (isinstance(obj.get("certificates"), list)
-         and all(_is_certificate(c) for c in obj["certificates"]),
-         '"certificates" as {u, value: {num, den != 0}, k} objects of integers'),
-    ]
-    for ok, wanted in checks:
-        if not ok:
-            raise ValueError(f"malformed result: expected {wanted}")
+def _pairs(obj: dict, key: str, types: tuple, wanted: str):
+    """The [edge id, value] pairs of the list obj[key], each checked as it is
+    read: ValueError at the first that is not a pair of an int and a value
+    of one of `types`."""
+    pairs = obj.get(key)
+    _expect(type(pairs) is list, wanted)
+    for p in pairs:
+        _expect(type(p) is list and len(p) == 2 and type(p[0]) is int
+                and type(p[1]) in types, wanted)
+        yield p
 
 
 def result_from_json(G: Multigraph, text: str) -> ColoringResult:
@@ -141,36 +121,49 @@ def result_from_json(G: Multigraph, text: str) -> ColoringResult:
     so files with keys that older versions wrote still load. No result for
     G needs more than max(Delta+1, ceil(Gamma)) <= m + 1 colors; a larger
     k_used is refused before it sizes the (k+1)-bit masks of `missing_mask`
-    and `direct_pass`."""
+    and `direct_pass`.
+
+    Every coloring is proper by construction: a pair that `assign` refuses
+    (a color outside 1..k_used, or one already at an end of the edge)
+    leaves its edge uncolored, and `verify_result` finds the record not
+    total."""
     obj = json.loads(text)
-    _check_schema(obj)
-    ids = [e for e, _ in obj["assignment"]]
-    if sorted(ids) != list(G.edge_ids):
-        raise ValueError("result does not describe this graph's edges")
-    trace = dict(obj["trace"])
-    if len(trace) != len(obj["trace"]) or not trace.keys() <= set(G.edge_ids):
-        raise ValueError("trace names an edge twice or one this graph lacks")
-    unknown = sorted(set(trace.values()) - set(METHODS))
-    if unknown:
-        raise ValueError(f"trace names unknown methods {unknown}")
-    if any(len(set(c["u"])) != len(c["u"]) for c in obj["certificates"]):
-        raise ValueError("a certificate names a vertex twice")
-    if obj["k_used"] > G.m + 1:
-        raise ValueError(f"k_used {obj['k_used']} exceeds m + 1 = {G.m + 1}")
-    # every coloring is proper by construction: a pair that assign refuses
-    # (a color outside 1..k_used, or one already at an end of the edge)
-    # leaves its edge uncolored, and verify_result finds the record not total
-    pc = PartialColoring(G, obj["k_used"])
-    for eid, c in obj["assignment"]:
+    _expect(type(obj) is dict, "a JSON object")
+    _expect(type(obj.get("v")) is int and obj["v"] == 1, '"v": 1')
+    k, m = obj.get("k_used"), G.m
+    _expect(type(k) is int, 'an integer "k_used"')
+    if k > m + 1:
+        raise ValueError(f"k_used {k} exceeds m + 1 = {m + 1}")
+    pc, ids = PartialColoring(G, k), []
+    for eid, c in _pairs(obj, "assignment", (int, type(None)),
+                         '"assignment" as [edge id, integer color or null] pairs'):
+        ids.append(eid)
         if c is not None:
             try:
                 pc.assign(eid, c)
             except ValueError:
                 pass
-    certs = [(DensityCertificate(frozenset(c["u"]),
-                                 Fraction(c["value"]["num"], c["value"]["den"])),
-              c["k"])
-             for c in obj["certificates"]]
+    if sorted(ids) != list(G.edge_ids):
+        raise ValueError("result does not describe this graph's edges")
+    trace = {}
+    for eid, method in _pairs(obj, "trace", (str,), '"trace" as [edge id, method] pairs'):
+        if method not in METHODS:
+            raise ValueError(f"trace names an unknown method {method!r}")
+        if eid in trace or not 0 <= eid < m:
+            raise ValueError("trace names an edge twice or one this graph lacks")
+        trace[eid] = method
+    wanted = '"certificates" as {u, value: {num, den != 0}, k} objects of integers'
+    raw, certs = obj.get("certificates"), []
+    _expect(type(raw) is list, wanted)
+    for c in raw:
+        _expect(type(c) is dict and type(c.get("value")) is dict, wanted)
+        u, num, den = c.get("u"), c["value"].get("num"), c["value"].get("den")
+        _expect(type(u) is list and all(type(v) is int for v in u)
+                and type(num) is int and type(den) is int and den != 0
+                and type(c.get("k")) is int, wanted)
+        if len(set(u)) != len(u):
+            raise ValueError("a certificate names a vertex twice")
+        certs.append((DensityCertificate(frozenset(u), Fraction(num, den)), c["k"]))
     return ColoringResult(pc, certs, trace)
 
 
@@ -197,20 +190,20 @@ def extend(pc: PartialColoring, eid: int) -> ExtendOutcome:
     empty chain, as "kempe". The steps are `chain_step`, which writes
     unchecked (so eid is checked here), the series and the fallback; one
     that colors the edge does so in pc itself, and one that fails leaves pc
-    untouched. The extension series runs once, and a stuck step ends it as
-    budget_exhausted; its tree is audited only when the last row is strongly
-    closed and the tree has odd order of at least 3, and evidence is
-    returned when that tree is elementary and certifies k. The series never
-    changes pc. Uncolored edges other than eid are invisible to the
-    machinery, so this works midway through a coloring run. On a graph of
-    at most ORACLE_EDGE_CAP edges, the edge cap of `chromatic_index_exact`,
-    the answer is exact: `first_coloring` of a graph of the colored edges
-    plus eid, whose edge i is G's edge keep[i], either finds a k-coloring,
-    which, mapped back through keep, is written into pc by the checked
-    `recolor` and `assign`, or establishes that there is none. keep
-    ascends, so the oracle's edge order breaks ties on that graph as it
-    would on G's ids. Otherwise the evidence is budget_exhausted, with the
-    series' final tree.
+    untouched. The extension series runs once, to a strongly closed row or
+    a stuck step, and never changes pc. Its final tree is the evidence when
+    the tree has odd order of at least 3 and density above k, which proves
+    that k colors cannot suffice; the series' outcome and the tree's
+    elementarity add nothing to that proof, so neither is tested. Uncolored
+    edges other than eid are invisible to the machinery, so this works
+    midway through a coloring run. On a graph of at most ORACLE_EDGE_CAP
+    edges, the edge cap of `chromatic_index_exact`, the answer is exact:
+    `first_coloring` of a graph of the colored edges plus eid, whose edge i
+    is G's edge keep[i], either finds a k-coloring, which, mapped back
+    through keep, is written into pc by the checked `recolor` and `assign`,
+    or establishes that there is none. keep ascends, so the oracle's edge
+    order breaks ties on that graph as it would on G's ids. Otherwise the
+    evidence is budget_exhausted, with the series' final tree.
     """
     G = pc.graph
     if not 0 <= eid < G.m:
@@ -220,13 +213,10 @@ def extend(pc: PartialColoring, eid: int) -> ExtendOutcome:
     if chain_step(pc, eid) is not None:
         return ExtendOutcome("colored", None, "kempe")
 
-    from .tashkinov import build_series, elementary_audit   # loaded by the slow path only
-    state = build_series(pc, eid)
-    tree = state.final_tree
+    from .tashkinov import build_series   # loaded by the slow path only
+    tree = build_series(pc, eid).final_tree
     u = tree.vertex_set
-    if (state.outcome == "strongly_closed" and len(u) >= 3 and len(u) % 2
-            and elementary_audit(state.final_coloring, tree.vertices) is None
-            and certificate_check(G, u, pc.k)):
+    if len(u) >= 3 and len(u) % 2 and certificate_check(G, u, pc.k):
         return ExtendOutcome(
             "evidence", FailureEvidence("elementary_strongly_closed_tree", tree, pc.k),
             None)
@@ -304,47 +294,27 @@ def _color(G: Multigraph, rep) -> ColoringResult:
 def verify_result(G: Multigraph, result: ColoringResult) -> bool:
     """Re-validate properness, totality, all certificates, and the color bound.
 
-    Properness, totality and every certificate are checked on every call.
-    The bound k_used <= max(Delta+1, ceil(Gamma)) is then decided in this
-    order: k_used <= Delta+1 meets it; a certificate with density above
-    k_used - 1 meets it, since Gamma is at least that density; only
-    otherwise is Gamma computed by the density scan (ScaleExceededError
-    above the 16-vertex cap). Each shortcut answers exactly what the scan
-    would. A `color` result never reaches the scan: above Delta+1 it carries
-    Gamma's odd set against k_used - 1.
+    Properness, totality and every certificate are checked on every call:
+    a certificate is sound when its set is an odd set of at least 3
+    vertices of G whose density is the recorded value and exceeds the
+    certificate's k. The bound k_used <= max(Delta+1, ceil(Gamma)) is then
+    decided in this order: k_used <= Delta+1 meets it; a certificate with
+    density above k_used - 1 meets it, since Gamma is at least that
+    density; only otherwise is Gamma computed by the density scan
+    (ScaleExceededError above the 16-vertex cap). Each shortcut answers
+    exactly what the scan would. A `color` result never reaches the scan:
+    above Delta+1 it carries Gamma's odd set against k_used - 1.
     """
-    if not _valid_coloring(G, result):
+    pc, k_used = result.coloring, result.k_used
+    if pc.graph is not G and pc.graph != G or validate(G, pc) or not pc.is_total():
         return False
-    densities = _certificate_densities(G, result)
-    if densities is None:
-        return False
-    if result.k_used <= G.max_degree() + 1:
-        return True
-    if any(d > result.k_used - 1 for d in densities):
-        return True
-    return result.k_used <= bound_report(G).gs_upper
-
-
-def _valid_coloring(G: Multigraph, result: ColoringResult) -> bool:
-    """A proper, total coloring of G."""
-    pc = result.coloring
-    if pc.graph is not G and pc.graph != G:
-        return False
-    return not validate(G, pc) and pc.is_total()
-
-
-def _certificate_densities(G: Multigraph, result: ColoringResult):
-    """The density of each certificate, or None unless every one is sound:
-    an odd set of at least 3 vertices of G whose density is the recorded
-    value and exceeds the certificate's k."""
-    densities = []
+    settled = k_used <= G.max_degree() + 1
     for cert, k in result.certificates:
         try:
             d = odd_set_density(G, cert.u)
         except ValueError:
-            return None
+            return False
         if d != cert.value or not d > k:
-            return None
-        densities.append(d)
-    return densities
-
+            return False
+        settled = settled or d > k_used - 1
+    return settled or k_used <= bound_report(G).gs_upper

@@ -522,15 +522,25 @@ def proper_total_assignment(G, k, assignment):
     return True
 
 
+def scan_density(G, u):
+    """2|E(U)|/(|U|-1), with |E(U)| counted in one pass over G's edges, or
+    None unless U is an odd set of at least 3 vertices of G."""
+    if len(u) < 3 or len(u) % 2 == 0 or not all(0 <= v < G.vertex_count for v in u):
+        return None
+    inside = sum(1 for e in G.edge_ids if set(G.endpoints(e)) <= u)
+    return Fraction(2 * inside, len(u) - 1)
+
+
 def verify_by_scan(G, result, assignment):
     """verify_result's answer by the density scan on every call, for a result
     loaded from a file with that raw assignment: properness and totality of
-    the assignment itself, sound certificates and k_used <= gs_upper of
-    bound_report(G)."""
+    the assignment itself, sound certificates (by `scan_density`, equal to
+    the recorded value and above the certificate's k) and k_used <=
+    gs_upper of bound_report(G)."""
     from gscolor.density import bound_report
-    from gscolor.engine import _certificate_densities
     return (proper_total_assignment(G, result.k_used, assignment)
-            and _certificate_densities(G, result) is not None
+            and all(scan_density(G, cert.u) == cert.value and cert.value > k
+                    for cert, k in result.certificates)
             and result.k_used <= bound_report(G).gs_upper)
 
 

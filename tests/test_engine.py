@@ -2,7 +2,9 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from gscolor import (Multigraph, PartialColoring, bound_report, build_series,
                      certificate_check, chromatic_index_exact, color,
                      color_at_k, extend, verify_result)
-from gscolor import engine
+from colorbench.workloads import tight_family
+from gscolor import _kernels, engine
 from gscolor.engine import ColoringResult, IncompleteColoringError, result_from_json
 from gscolor.coloring import (alternating_path, chain_step, direct_pass,
                               kempe_chain, kempe_swap, validate)
@@ -20,7 +23,8 @@ from gscolor.generators import (exhaustive_connected, petersen,
 from conftest import make_pe_instance, make_se_instance
 from oracles import (assert_tables_consistent, random_multigraph_pairs,
                      random_proper_coloring, reference_color_at_k,
-                     reference_direct_step, reference_kempe_step, verify_by_scan)
+                     reference_direct_step, reference_kempe_step, scan_density,
+                     verify_by_scan)
 
 
 def test_color_petersen():
@@ -398,7 +402,7 @@ def test_tree_certificate_above_the_density_cap():
 
 def test_extend_evidence_structure():
     # the evidence invariants: odd vertex count, both root ends inside,
-    # elementary and strongly closed under the attempt coloring
+    # density above k
     G = shannon_triangle(2)
     pc, trace, ev = color_at_k(G, 5)
     assert ev is not None
@@ -406,6 +410,49 @@ def test_extend_evidence_structure():
         assert len(ev.tree.vertex_set) % 2 == 1
         x, y = G.endpoints(ev.tree.root_edge)
         assert {x, y} <= ev.tree.vertex_set
+        assert certificate_check(G, ev.tree.vertex_set, ev.k)
+
+
+def test_a_certificate_skips_the_exact_search(monkeypatch):
+    """ring(5, 3) at k = 7 < Gamma = 15/2: the first edge that resists the
+    chain step ends the run. Its series' tree spans {0..4}, whose density
+    is above 7, so that tree is the evidence and no exact search runs."""
+    calls = []
+    real = _kernels.chromatic_feasible
+    monkeypatch.setattr(_kernels, "chromatic_feasible",
+                        lambda *args: calls.append(args) or real(*args))
+    _, trace, ev = color_at_k(ring(5, 3), 7)
+    assert (ev.kind, ev.tree.vertex_set, len(trace), calls) == \
+        ("elementary_strongly_closed_tree", set(range(5)), 13, [])
+    assert "fallback" not in trace.values()
+
+
+def test_evidence_certifies_exactly_when_its_tree_is_dense(monkeypatch):
+    """With no exact fallback, every attempt on the canonical tight_family
+    graphs and on mu K_9 (mu 1 to 5), at each k from Delta to gs_upper - 1,
+    fails, and its evidence is a certificate exactly when the series' final
+    tree is an odd set of at least 3 vertices with density above k (by
+    `scan_density`). Where m <= 25, each certified k is below the exact
+    chromatic index."""
+    monkeypatch.setattr(engine, "ORACLE_EDGE_CAP", 0)
+    graphs = [inst.graph for inst in tight_family(1) if inst.canonical]
+    graphs += [Multigraph.build(9, [p for p in combinations(range(9), 2) for _ in range(mu)])
+               for mu in range(1, 6)]
+    seen = Counter()
+    for G in graphs:
+        rep = bound_report(G)
+        for k in range(rep.delta, rep.gs_upper):
+            _, _, ev = color_at_k(G, k)
+            d = scan_density(G, ev.tree.vertex_set)
+            certified = ev.kind == "elementary_strongly_closed_tree"
+            assert certified == (d is not None and d > k), (G, k)
+            assert certified or ev.kind == "budget_exhausted"
+            if certified and G.m <= 25:
+                assert chromatic_index_exact(G) > k
+                seen["exact"] += 1
+            seen[ev.kind] += 1
+    assert seen == {"elementary_strongly_closed_tree": 46, "budget_exhausted": 3,
+                    "exact": 12}
 
 
 @pytest.mark.parametrize("make", [make_pe_instance, make_se_instance])
