@@ -59,6 +59,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -201,7 +202,25 @@ CLOSURE_CASES = [("ring(1001,7) k=14", ring(1001, 7), 14),
 
 GENERATE_CASES = [(5, 10), (5, 12), (6, 10)]
 
+
+def desk_random(seed):
+    """The 500 random graphs of colorbench's desk_corpus, by its recipe,
+    without the exhaustive corpus before them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(500):
+        n = rng.randint(2, 8)
+        m = rng.randint(1, min(20, 4 * n * (n - 1) // 2))
+        out.append(random_multigraph(n, m, rng.randrange(10 ** 9), mu_max=4))
+    return out
+
+
+# the three ways random_multigraph draws: from the pair list (dense_multi),
+# below a cap (desk_corpus) and by pair index (more pairs than edges)
 MULTIGRAPH_CASES = [("random_multigraph x200 (dense_multi)", dense_multi, (1,)),
+                    ("random_multigraph x500 mu_max=4 (desk_corpus)", desk_random, (1,)),
+                    ("random_multigraph(100000, 300000, 1)", random_multigraph,
+                     (100000, 300000, 1)),
                     ("ring(100001, 7)", ring, (100001, 7))]
 
 
@@ -232,9 +251,11 @@ def kernel_rows():
     forth with `coloring.interchange`, the one Kempe change. `closure` rows
     end at an edge that resists, where the series closes a tree over the
     whole ring, so `tashkinov.taa_close` dominates. `generate` builds the
-    desk corpus (5, 10), the hunt's (5, 12) and (6, 10), colorbench's seed-1
-    dense_multi and `ring(100001, 7)`; the multigraph rows keep what they
-    build until the call ends, so their peak includes the graphs."""
+    desk corpus (5, 10), the hunt's (5, 12) and (6, 10), the seed-1 random
+    graphs of colorbench's dense_multi and desk_corpus,
+    `random_multigraph(100000, 300000, 1)` and `ring(100001, 7)`; the
+    multigraph rows keep what they build until the call ends, so their
+    peak includes the graphs."""
     rows = []
     for name, G, k in FEASIBLE_CASES:
         _, eu, ev = _oracle_edge_order(G)

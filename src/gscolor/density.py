@@ -90,8 +90,13 @@ def odd_set_density(G: Multigraph, members) -> Fraction:
 
 
 def certificate_check(G: Multigraph, members, k: int) -> bool:
-    """Does the odd set prove that k colors cannot suffice (chi' >= k+1)?"""
-    return odd_set_density(G, members) > k
+    """Does the odd set prove that k colors cannot suffice (chi' >= k+1)?
+    2|E(U)| is at most U's degree sum, so a set whose degree sum is at most
+    k(|U| - 1) is refused without counting E(U)."""
+    u = frozenset(members)
+    if len(u) >= 3 and len(u) % 2 and sum(map(G.degree, u)) <= k * (len(u) - 1):
+        return False
+    return odd_set_density(G, u) > k
 
 
 def oracle_edge_ids(G: Multigraph) -> list:

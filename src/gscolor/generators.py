@@ -44,35 +44,51 @@ def _nth_pair(n: int, i: int) -> tuple:
     return n - 2 - r, n - 1 - (j - r * (r + 1) // 2)
 
 
+def _draws(rng: random.Random, count: int, m: int):
+    """Yield m indices below count, drawn by the rule that
+    `random_multigraph`'s docstring states."""
+    getrandbits, k = rng.getrandbits, count.bit_length()
+    for _ in range(m):
+        r = getrandbits(k)
+        while r >= count:
+            r = getrandbits(k)
+        yield r
+
+
 def random_multigraph(n: int, m: int, seed: int, *, mu_max: int | None = None) -> Multigraph:
     """Uniform random endpoint pairs, optionally capped per-pair; deterministic.
     Parallel edges share one tuple. Uncapped, the pair list is built only
     when it has at most m pairs; with more, each drawn index is turned into
     its pair. Capped, the i-th open pair is the i-th pair once the full ones
     are skipped, found by bisecting the sorted full-pair indices. Neither
-    holds a list longer than m, so memory is O(n + m) whatever n is."""
+    holds a list longer than m, so memory is O(n + m) whatever n is.
+
+    An index below a count c is c.bit_length() bits from the generator's
+    `getrandbits`, drawn again while it is at least c. That is the rule by
+    which `random.Random.choice` picks an item of a sequence of length c,
+    so the graph is the one that choosing each pair from its candidates
+    gives, without choice's two Python calls per edge. The draws are
+    streamed to the graph, never kept in a list."""
     if m < 0:
         raise ValueError(f"edge count must be non-negative, got {m}")
     if n < 2 and m > 0:
         raise ValueError("need at least two vertices to place an edge")
     rng = random.Random(seed)
     if mu_max is None:
-        # choice draws the same index from a range as from the pair list, so
-        # the range stands in for a list that would outnumber the edges
         count = n * (n - 1) // 2
         if count <= m:
-            return Multigraph.build(
-                n, map(rng.choice, repeat(list(combinations(range(n), 2)), m)))
-        indices = range(count)
-        return Multigraph.build(n, (_nth_pair(n, rng.choice(indices)) for _ in range(m)))
+            pairs = list(combinations(range(n), 2))
+            return Multigraph.build(n, map(pairs.__getitem__, _draws(rng, count, m)))
+        return Multigraph.build(n, map(_nth_pair, repeat(n), _draws(rng, count, m)))
     # each draw picks among the pairs below the cap, as a full filter would:
     # the i-th open pair's index is i plus the full pairs' indices below it
     count = n * (n - 1) // 2 if mu_max > 0 else 0
     full, drawn, pairs = [], {}, []
+    draws = _draws(rng, count, m)   # a new stream whenever the open count falls
     for _ in range(m):
         if len(full) == count:
             raise ValueError("multiplicity cap leaves no room for more edges")
-        i = rng.choice(range(count - len(full)))
+        i = next(draws)
         lo, hi = 0, len(full)
         while lo < hi:      # full[t] - t open pairs come before the full pair t
             mid = (lo + hi) // 2
@@ -85,6 +101,7 @@ def random_multigraph(n: int, m: int, seed: int, *, mu_max: int | None = None) -
         drawn[j] = p, times + 1
         if times + 1 == mu_max:
             insort(full, j)
+            draws = _draws(rng, count - len(full), m)
         pairs.append(p)
     return Multigraph.build(n, pairs)
 

@@ -236,10 +236,6 @@ class SeriesState:
     def final_tree(self) -> TreeSequence:
         return self.tuples[-1].tree
 
-    @property
-    def final_coloring(self) -> PartialColoring:
-        return self.tuples[-1].coloring
-
     def d_set(self, i: int) -> frozenset:
         """D_i = union of connecting colors up to i, minus missing(T_i) under phi_i."""
         if i == 0:

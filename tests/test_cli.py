@@ -3,10 +3,12 @@ import contextlib
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tracemalloc
+from collections import deque
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -15,8 +17,9 @@ import pytest
 import gscolor
 from gscolor import (IncompleteColoringError, Multigraph, color,
                      format_multigraph, parse_multigraph)
+from gscolor import generators
 from gscolor.cli import main
-from gscolor.generators import (exhaustive_connected, from_spec, petersen,
+from gscolor.generators import (_nth_pair, exhaustive_connected, from_spec, petersen,
                                 random_multigraph, ring, shannon_triangle)
 from oracles import open_list_random_multigraph, reference_random_multigraph, stats
 
@@ -103,6 +106,38 @@ def test_capped_random_generator_holds_no_pair_list():
         tracemalloc.stop()
     assert G.m == 1000 and max(G.pair_counts().values()) == 1
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("n", [92682, 92683, 2 ** 20])
+def test_random_generator_draws_wider_than_one_word(n):
+    """Pair indices of 32 bits (n = 92,682), 33 bits (92,683) and 39 bits
+    (2^20), which getrandbits joins from several words, are the ones that
+    choosing from the range of pair indices gives, edge by edge."""
+    count = n * (n - 1) // 2
+    for seed in range(5):
+        rng = random.Random(seed)
+        want = [_nth_pair(n, rng.choice(range(count))) for _ in range(200)]
+        assert random_multigraph(n, 200, seed)._ends == tuple(want)
+
+
+def test_sparse_random_generator_keeps_no_list_of_draws(monkeypatch):
+    """Uncapped, with more pairs than edges, the drawn pairs go to the graph
+    one at a time: with a graph that keeps nothing, 20,000 draws on 2^20
+    vertices peak under 64 kB of traced memory, where a list of them would
+    hold 160 kB of pointers alone."""
+    class Drain:
+        @staticmethod
+        def build(n, pairs):
+            deque(pairs, maxlen=0)
+
+    monkeypatch.setattr(generators, "Multigraph", Drain)
+    tracemalloc.start()
+    try:
+        random_multigraph(2 ** 20, 20_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_parallel_edges_of_generated_graphs_share_one_tuple():

@@ -1,14 +1,15 @@
 import inspect
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from colorbench.workloads import desk_corpus, tight_family
 from gscolor import (Multigraph, ScaleExceededError, bound_report,
                      certificate_check, chromatic_index_exact)
-from gscolor.density import enumerate_colorings
-from gscolor.generators import exhaustive_connected, random_multigraph, shannon_triangle
+from gscolor.density import enumerate_colorings, odd_set_density
+from gscolor.generators import exhaustive_connected, random_multigraph, ring, shannon_triangle
 from oracles import (brute_chi_prime, brute_density, random_multigraph_pairs,
                      reference_bound_report, reference_colorings, stats)
 from paper_structures import is_critical
@@ -152,6 +153,31 @@ def test_certificate_check_rejects_bad_sets(triangle):
         certificate_check(triangle, {0, 1}, 2)
     with pytest.raises(ValueError):
         certificate_check(triangle, {0}, 2)
+
+
+def test_certificate_check_skips_the_count_below_the_degree_bound(monkeypatch):
+    """2|E(U)| is at most U's degree sum, so a set whose sum is at most
+    k(|U| - 1) is refused without counting E(U): the whole of ring(21, 7)
+    at k = 15 (sum 294, bound 300). A set above the bound is still counted,
+    and one naming a vertex the graph lacks still raises. Over every odd
+    set of small graphs, the answer is the density's."""
+    sets = [(G, u, k) for G in exhaustive_connected(5, 7) for size in (3, 5)
+            for u in combinations(range(G.vertex_count), size) for k in range(8)]
+    want = [odd_set_density(G, u) > k for G, u, k in sets]
+
+    def count(self, members):
+        raise AssertionError("E(U) counted")
+
+    monkeypatch.setattr(Multigraph, "induced_edge_count", count)
+    G = ring(21, 7)
+    assert not certificate_check(G, range(21), 15)
+    assert not certificate_check(G, range(3), 21)
+    with pytest.raises(AssertionError):
+        certificate_check(G, range(21), 14)
+    with pytest.raises(ValueError, match="vertex 21 out of range"):
+        certificate_check(G, {0, 1, 21}, 15)
+    monkeypatch.undo()
+    assert [certificate_check(G, u, k) for G, u, k in sets] == want
 
 
 def test_is_critical(triangle, c4, single_edge):

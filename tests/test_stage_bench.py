@@ -3,6 +3,7 @@ digests of the benchmark workloads' outputs."""
 
 import pytest
 
+from colorbench.workloads import desk_corpus
 from conftest import load_stage_bench
 
 STAGES = ["startup", "feasible", "density", "extend", "interchange", "closure",
@@ -52,6 +53,12 @@ def test_desk_corpus_times_the_exact_sweep(bench, monkeypatch, tmp_path):
         "tight_family", "tight_family verify_result", "tight_family to_json+result_from_json"]
     monkeypatch.setattr(bench, "SLICE", 0)
     assert rows[3][2]()["s"] > 0
+
+
+def test_capped_generate_row_builds_the_desk_corpus_random_graphs(bench):
+    """The capped generate row builds the random graphs of colorbench's
+    desk_corpus, the ones after its exhaustive corpus, in order."""
+    assert bench.desk_random(1) == [inst.graph for inst in desk_corpus(1)[-500:]]
 
 
 def test_stage_bench_digests_are_pinned(bench, tmp_path):
